@@ -42,6 +42,7 @@ from harness import (
     probe_heavy_relation,
     write_report,
 )
+from repro.core.partition_join import EXECUTION_MODES
 from repro.engine.catalog import VersionedCatalog
 from repro.service import QueryService
 from repro.service.workload import percentile
@@ -288,7 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--execution",
         default="batch",
-        choices=("tuple", "batch", "batch-parallel", "batch-parallel-sweep"),
+        choices=EXECUTION_MODES,
     )
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     parser.add_argument(

@@ -23,6 +23,7 @@ import argparse
 import sys
 from typing import List
 
+from repro.exec import EXECUTION_MODES
 from repro.experiments import (
     ExperimentConfig,
     run_fig4,
@@ -144,7 +145,7 @@ def _run_explain(argv: List[str]) -> int:
     parser.add_argument(
         "--execution",
         default="batch",
-        choices=("tuple", "batch", "batch-parallel", "batch-parallel-sweep", "zero-copy-sweep"),
+        choices=EXECUTION_MODES,
         help="execution mode of the partition join (default batch)",
     )
     parser.add_argument(
@@ -202,7 +203,7 @@ def _run_serve(argv: List[str]) -> int:
     parser.add_argument(
         "--execution",
         default="batch",
-        choices=("tuple", "batch", "batch-parallel", "batch-parallel-sweep", "zero-copy-sweep"),
+        choices=EXECUTION_MODES,
         help="partition-join execution mode (default batch)",
     )
     parser.add_argument(

@@ -25,11 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
 from repro.model.errors import PlanError
 from repro.model.relation import ValidTimeRelation
 from repro.model.vtuple import VTTuple, join_tuples
 from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
+
+#: A nested loop has no sweep to pipeline: the per-page probe modes only.
+_MODES = tuple(mode for mode in EXECUTION_MODES if mode not in PIPELINED_SWEEP_MODES)
 
 
 @dataclass
@@ -62,17 +66,14 @@ def nested_loop_join(
         page_spec: page geometry (defaults to the library default).
         layout: pass to accumulate statistics across operations.
         collect_result: materialize the result relation in memory.
-        execution: ``"tuple"`` for the classic loop, ``"batch"`` (or
-            ``"batch-parallel"``, identical here) for the batch kernels.
-            I/O is unaffected either way: only in-memory matching changes.
+        execution: ``"tuple"`` for the classic loop, ``"batch"`` for the
+            batch kernels.  I/O is unaffected either way: only in-memory
+            matching changes.
     """
     if memory_pages < 3:
         raise PlanError(f"nested loops needs >= 3 buffer pages, got {memory_pages}")
-    if execution not in ("tuple", "batch", "batch-parallel"):
-        raise PlanError(
-            f"execution must be 'tuple', 'batch', or 'batch-parallel', "
-            f"got {execution!r}"
-        )
+    if execution not in _MODES:
+        raise PlanError(f"execution must be one of {_MODES}, got {execution!r}")
     result_schema = r.schema.join_result_schema(s.schema)
     if layout is None:
         layout = DiskLayout(spec=page_spec if page_spec is not None else PageSpec())

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import PartitionMap
+from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
 from repro.exec.batch import ColumnarBlock
 from repro.model.errors import CheckpointError
 from repro.model.relation import ValidTimeRelation
@@ -63,7 +64,7 @@ from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.obs import span_or_null
 from repro.resilience.checkpoint import SweepCheckpoint, SweepCheckpointer, SweepContext
-from repro.storage.buffer import BufferOverflowError, BufferPool, Reservation
+from repro.storage.buffer import BufferPool, Reservation
 from repro.storage.columnar_page import ColumnarPage
 from repro.storage.heapfile import HeapFile
 from repro.storage.layout import DiskLayout
@@ -78,29 +79,6 @@ if TYPE_CHECKING:  # degrade imports this module; annotation-only the other way
 #: None to reject the pair.  The default is the natural-join combination;
 #: predicate variants (overlap-join, contain-join, ...) substitute their own.
 PairFn = Callable[[VTTuple, VTTuple, Interval], Optional[VTTuple]]
-
-#: Valid values of the ``execution`` knob.  ``"batch-parallel"`` only
-#: differs from ``"batch"`` in the *partitioning* phase; the sweep itself is
-#: inherently sequential (iteration i+1 consumes the cache iteration i
-#: wrote), so both run the batch kernels here.  ``"batch-parallel-sweep"``
-#: keeps the sweep's partition order sequential but parallelizes *within*
-#: it: the interval-pruned probe of :mod:`repro.exec.sweep_parallel` fans
-#: key-group lanes over a worker pool, and a
-#: :class:`~repro.storage.prefetch.PrefetchPipeline` overlaps the next
-#: partition's page reads (and defers tuple-cache spill writes) with the
-#: current partition's compute.  ``"zero-copy-sweep"`` is the pipelined
-#: sweep with the copy path removed: columnar pages feed the batch kernels
-#: as buffer views, lane fan-out crosses the pool through a shared-memory
-#: column arena instead of pickling, and workers write match indices into
-#: preallocated result slabs.  Charged I/O and results are bit-identical to
-#: every other mode; only the in-memory transport differs.
-EXECUTION_MODES = (
-    "tuple",
-    "batch",
-    "batch-parallel",
-    "batch-parallel-sweep",
-    "zero-copy-sweep",
-)
 
 
 def natural_pair(x: VTTuple, y: VTTuple, common: Interval) -> VTTuple:
@@ -147,7 +125,6 @@ def join_partitions(
     sweep_workers: Optional[int] = None,
     supervision=None,
     interner=None,
-    multibuffer_plan=None,
     pool: Optional[BufferPool] = None,
     checkpointer: Optional[SweepCheckpointer] = None,
     resume_from: Optional[SweepCheckpoint] = None,
@@ -168,14 +145,14 @@ def join_partitions(
         collect: materialize the result relation in memory as well as
             writing it through the result stream.
         execution: ``"tuple"`` for the tuple-at-a-time oracle loop,
-            ``"batch"``/``"batch-parallel"`` for the batch kernels (both run
-            the same kernels here; they differ only in the partitioning
-            phase, which is outside this function), or
-            ``"batch-parallel-sweep"`` for the pipelined sweep: the
-            interval-pruned lane-parallel probe plus partition-barrier
+            ``"batch"`` for the batch kernels of :mod:`repro.exec.kernels`,
+            or one of :data:`~repro.exec.PIPELINED_SWEEP_MODES` (identical
+            here; they differ in the page layout the caller built) for the
+            interval-pruned lane-parallel probe of
+            :mod:`repro.exec.sweep_parallel` plus partition-barrier
             prefetch and write-behind.
         prefetch_depth: pages of read-ahead per partition barrier
-            (``"batch-parallel-sweep"`` only; 0 disables read-ahead).
+            (pipelined sweeps only; 0 disables read-ahead).
         sweep_workers: probe lanes for the pipelined sweeps (None = one per
             core, capped at 8; clamped to the visible cores).
         supervision: a :class:`~repro.resilience.supervisor.SupervisionPolicy`
@@ -188,12 +165,6 @@ def join_partitions(
             joins (the service layer's per-relation-version interner cache).
             Interner ids never leak into results -- emission order is
             restored by the final sort -- so sharing is result-identical.
-        multibuffer_plan: a :class:`~repro.planner.multibuffer.MultiBufferPlan`
-            sizing the zero-copy sweep's auxiliary buffers (prefetch window,
-            column arena, result slabs).  When given with a *pool*, the plan
-            is shrunk to the pool's spare pages before any reservation;
-            every shrink degrades transport only, never results.  Ignored by
-            the non-zero-copy modes.
         pool: when given, the sweep reserves its Figure 3 regions in this
             :class:`BufferPool` and guarantees -- on success, failure, or
             simulated crash -- that every reservation is released.
@@ -244,45 +215,10 @@ def join_partitions(
         step = 1
 
     spec = layout.spec
-    zero_copy = execution == "zero-copy-sweep"
-
-    # The multi-buffer plan rides ON TOP of the join budget.  When a pool
-    # bounds memory, shrink the plan to the pages left after the Figure 3
-    # reservations below -- before the engine or pipeline sees any of its
-    # numbers, so reservation and use always agree on the geometry.
-    aux_plan = multibuffer_plan if zero_copy else None
-    if aux_plan is not None and pool is not None:
-        fig3_pages = (
-            buff_size + 3 + spec.pages_for_tuples(cache_memory_tuples)
-        )
-        headroom = max(0, pool.free_pages - fig3_pages)
-        if aux_plan.total_aux_pages > headroom:
-            shrunk = aux_plan.shrink_to(headroom, spec)
-            layout.resilience_report.record_degradation(
-                "multibuffer-shrink",
-                f"auxiliary buffers shrunk from {aux_plan.total_aux_pages} to "
-                f"{shrunk.total_aux_pages} pages to fit the pool's "
-                f"{headroom} spare pages",
-            )
-            if obs is not None:
-                obs.event(
-                    "degradation",
-                    kind="multibuffer-shrink",
-                    requested_pages=aux_plan.total_aux_pages,
-                    granted_pages=shrunk.total_aux_pages,
-                )
-                obs.count(
-                    "repro_degradations_total",
-                    "Recorded degradation events by kind.",
-                    kind="multibuffer-shrink",
-                )
-            aux_plan = shrunk
-    effective_depth = aux_plan.prefetch_depth if aux_plan is not None else prefetch_depth
-
     pipeline: Optional["PrefetchPipeline"] = None
     if execution == "tuple":
         engine: _ProbeEngine = _TupleEngine(partition_map, direction)
-    elif execution in ("batch-parallel-sweep", "zero-copy-sweep"):
+    elif execution in PIPELINED_SWEEP_MODES:
         # Late imports, like the batch engine's kernels: the sweep module
         # pulls in multiprocessing machinery this module must not require.
         from repro.exec.sweep_parallel import (
@@ -307,13 +243,11 @@ def join_partitions(
             direction,
             workers=sweep_workers,
             obs=obs,
-            zero_copy=zero_copy,
             interner=interner,
-            arena_plan=aux_plan.arena_geometry() if aux_plan is not None else None,
             supervisor=supervisor,
             report=layout.resilience_report,
         )
-        pipeline = PrefetchPipeline(layout, effective_depth)
+        pipeline = PrefetchPipeline(layout, prefetch_depth)
     else:
         engine = _BatchEngine(partition_map, direction, interner=interner)
 
@@ -340,9 +274,8 @@ def join_partitions(
                     cache_memory_tuples=cache_memory_tuples,
                     execution=execution,
                     result_file=result_file,
-                    prefetch_depth=effective_depth,
+                    prefetch_depth=prefetch_depth,
                     sweep_workers=sweep_workers,
-                    arena=aux_plan.arena_geometry() if aux_plan is not None else None,
                     swapped=swapped_inputs,
                 )
             )
@@ -382,28 +315,6 @@ def join_partitions(
         resident_pages = spec.pages_for_tuples(cache_memory_tuples)
         if resident_pages:
             reservations.append(pool.reserve("cache_resident", resident_pages))
-        if aux_plan is not None:
-            # Auxiliary regions of the multi-buffer plan, best-effort: the
-            # plan was shrunk to the pool's headroom above, but concurrent
-            # reservations may have landed since.  A refused region is
-            # simply not used -- the transport degrades, results do not.
-            for label, pages in (
-                ("prefetch_cache", aux_plan.prefetch_pages),
-                ("column_arena", aux_plan.arena_pages),
-                ("lane_slabs", aux_plan.slab_pages),
-            ):
-                if pages <= 0:
-                    continue
-                try:
-                    reservations.append(pool.reserve(label, pages))
-                except BufferOverflowError:
-                    if obs is not None:
-                        obs.event(
-                            "degradation",
-                            kind="aux-reservation-refused",
-                            label=label,
-                            pages=pages,
-                        )
 
     current_buff = buff_size
     new_cache: Optional[_TupleCache] = None
@@ -800,34 +711,6 @@ def _export_engine_metrics(
             float(lanes),
             "Probe lanes used by the pipelined sweep engine.",
         )
-    copy_traffic = getattr(engine, "copy_traffic", None)
-    if copy_traffic is not None:
-        traffic = copy_traffic()
-        for transport in ("pickled", "shared"):
-            value = traffic.get(f"bytes_{transport}", 0)
-            if value:
-                obs.count(
-                    "repro_arena_copy_bytes_total",
-                    "Bytes crossing the worker-pool boundary by transport.",
-                    float(value),
-                    transport=transport,
-                )
-        for kind in ("arena_overflows", "slab_overflows"):
-            value = traffic.get(kind, 0)
-            if value:
-                obs.count(
-                    "repro_arena_overflows_total",
-                    "Dispatches that fell back to pickling by overflow kind.",
-                    float(value),
-                    kind=kind,
-                )
-        value = traffic.get("slab_poisoned", 0)
-        if value:
-            obs.count(
-                "repro_arena_slab_poisoned_total",
-                "Result slabs that failed validation and were recomputed.",
-                float(value),
-            )
 
 
 class _TupleCache:

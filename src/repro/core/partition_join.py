@@ -24,6 +24,7 @@ from typing import Iterator, Optional, Tuple
 from repro.core.joiner import JoinOutcome, PairFn, join_partitions, natural_pair
 from repro.core.partitioner import do_partitioning
 from repro.core.planner import PartitionPlan, determine_part_intervals
+from repro.exec import ALL_EXECUTION_MODES, EXECUTION_MODES  # noqa: F401 (re-exported)
 from repro.obs import Observability, ObservabilityConfig
 from repro.model.errors import (
     BufferOverflowError,
@@ -40,23 +41,6 @@ from repro.storage.buffer import BufferPool, JoinBufferAllocation
 from repro.storage.iostats import CostModel
 from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
-
-#: Every legal ``PartitionJoinConfig.execution`` value; all modes are
-#: required to produce bit-identical results (see docs/EXECUTION.md).
-EXECUTION_MODES: Tuple[str, ...] = (
-    "tuple",
-    "batch",
-    "batch-parallel",
-    "batch-parallel-sweep",
-    "zero-copy-sweep",
-)
-
-#: Modes accepted by :class:`PartitionJoinConfig`: the partition modes above
-#: (bit-identical results *and* per-phase I/O) plus the forward-scan sweep
-#: operator, which produces the identical result multiset and cardinality
-#: but follows its own sort/join phase ledger (see docs/EXECUTION.md) -- so
-#: it deliberately stays out of ``EXECUTION_MODES``.
-ALL_EXECUTION_MODES: Tuple[str, ...] = EXECUTION_MODES + ("forward-sweep",)
 
 #: The temporal predicate the partition machinery evaluates.
 NATURAL_PREDICATE = "intersects"
@@ -89,22 +73,16 @@ class PartitionJoinConfig:
             mis-estimation caveat).
         execution: how the per-tuple compute runs.  ``"tuple"`` is the
             tuple-at-a-time oracle; ``"batch"`` routes partitioning and the
-            sweep through the batch kernels of :mod:`repro.exec`;
-            ``"batch-parallel"`` additionally fans the Grace-partitioning
-            placement out to a process pool.  All three produce identical
-            results and identical per-phase I/O statistics.
+            sweep through the batch kernels of :mod:`repro.exec`.
             ``"batch-parallel-sweep"`` adds the pipelined sweep: the
             interval-pruned lane-parallel probe of
             :mod:`repro.exec.sweep_parallel` plus partition-barrier page
-            prefetch and write-behind -- still bit-identical results and
-            counters, with the pipeline's I/O share tagged on the
-            statistics; see ``docs/EXECUTION.md``.  ``"zero-copy-sweep"``
-            is the pipelined sweep on the zero-copy transport: columnar
-            pages probed as buffer views, lane fan-out through a
-            shared-memory column arena with preallocated result slabs,
-            and auxiliary buffers sized jointly by the
-            :mod:`repro.planner.multibuffer` pass -- identical results
-            and charged I/O again; only in-memory copy traffic changes.
+            prefetch and write-behind, with the pipeline's I/O share tagged
+            on the statistics.  ``"zero-copy-sweep"`` is the same pipelined
+            sweep over packed columnar heap pages, probed as buffer views
+            with tuples materialized only on emission.  These four produce
+            bit-identical results, counters and per-phase I/O statistics;
+            see ``docs/EXECUTION.md``.
             ``"forward-sweep"`` is the endpoint-sorted forward-scan sweep
             operator of :mod:`repro.exec.forward_sweep`: no sampling, no
             partitioning -- one merged scan with gapless active maps (plus
@@ -115,12 +93,12 @@ class PartitionJoinConfig:
             :mod:`repro.algebra.predicates` registry name.  The partition
             executions support only the natural join (``"intersects"``);
             every other predicate requires ``execution="forward-sweep"``.
-        parallel_workers: process-pool size for ``"batch-parallel"``'s
-            partitioning phase (None picks a machine-dependent default; the
-            result never depends on the pool size).
+        parallel_workers: no longer has an effect (partition placement runs
+            in-process); still accepted and validated because the frozen
+            benchmark suite sets it.
         prefetch_depth: pages the sweep's prefetcher reads ahead per
-            partition barrier (``"batch-parallel-sweep"`` only; 0 disables
-            read-ahead while keeping write-behind).
+            partition barrier (pipelined sweeps only; 0 disables read-ahead
+            while keeping write-behind).
         sweep_workers: probe lanes of the pipelined sweep (None = one per
             core, capped at 8; the result never depends on the lane count).
         lane_supervision: supervise the sweep's lane pool (heartbeats,
@@ -540,7 +518,6 @@ def partition_join(
                 config.memory_pages,
                 placement=placement,
                 execution=config.execution,
-                parallel_workers=config.parallel_workers,
                 obs=obs,
             )
             layout.disk.park_heads()
@@ -552,7 +529,6 @@ def partition_join(
                 config.memory_pages,
                 placement=placement,
                 execution=config.execution,
-                parallel_workers=config.parallel_workers,
                 obs=obs,
             )
         layout.disk.park_heads()
@@ -561,9 +537,6 @@ def partition_join(
         if config.checkpoint_interval > 0:
             checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
 
-        multibuffer_plan = _multibuffer_for(
-            config, r_file.n_pages, s_file.n_pages, buff_size, obs=obs
-        )
         with _phase(tracker, obs, "join"):
             outcome = join_partitions(
                 r_parts,
@@ -581,7 +554,6 @@ def partition_join(
                 sweep_workers=config.sweep_workers,
                 supervision=config.supervision_policy(),
                 interner=interner,
-                multibuffer_plan=multibuffer_plan,
                 pool=pool,
                 checkpointer=checkpointer,
                 buffer_reductions=config.buffer_reductions,
@@ -603,42 +575,6 @@ def partition_join(
             outcome=outcome, plan=plan, layout=layout, recovery=recovery,
             observability=obs,
         )
-
-
-def _multibuffer_for(
-    config: PartitionJoinConfig,
-    outer_pages: int,
-    inner_pages: int,
-    buff_size: int,
-    *,
-    obs: Optional[Observability] = None,
-):
-    """The zero-copy sweep's auxiliary-buffer plan (None for other modes)."""
-    if config.execution != "zero-copy-sweep":
-        return None
-    from repro.exec.sweep_parallel import effective_sweep_workers
-    from repro.planner.multibuffer import plan_multibuffer
-
-    plan = plan_multibuffer(
-        outer_pages,
-        inner_pages,
-        buff_size,
-        config.page_spec,
-        lanes=effective_sweep_workers(config.sweep_workers),
-        prefetch_depth=config.prefetch_depth,
-    )
-    if obs is not None:
-        obs.event(
-            "multibuffer-plan",
-            lanes=plan.lanes,
-            prefetch_depth=plan.prefetch_depth,
-            prefetch_pages=plan.prefetch_pages,
-            arena_pages=plan.arena_pages,
-            slab_rows=plan.slab_rows,
-            slab_pages=plan.slab_pages,
-            total_aux_pages=plan.total_aux_pages,
-        )
-    return plan
 
 
 def _forward_sweep_eval(
@@ -781,19 +717,6 @@ def resume_join(
     if getattr(context, "swapped", False):
         def effective_pair(x, y, common, _pair_fn=pair_fn):
             return _pair_fn(y, x, common)
-    # Shared-memory segments died with the crashed process; rebuild the
-    # multi-buffer plan from the checkpointed geometry so the resumed sweep
-    # allocates fresh segments of exactly the original shape.
-    resumed_plan = None
-    if getattr(context, "arena", None) is not None:
-        from repro.planner.multibuffer import MultiBufferPlan
-
-        resumed_plan = MultiBufferPlan.from_descriptor(
-            context.arena,
-            prefetch_depth=context.prefetch_depth,
-            buff_size=context.buff_size,
-            spec=config.page_spec,
-        )
     try:
         with _phase(layout.tracker, obs, "join"):
             outcome = join_partitions(
@@ -811,7 +734,6 @@ def resume_join(
                 prefetch_depth=context.prefetch_depth,
                 sweep_workers=context.sweep_workers,
                 supervision=config.supervision_policy(),
-                multibuffer_plan=resumed_plan,
                 pool=pool,
                 checkpointer=checkpointer,
                 resume_from=recovery.checkpoint,
@@ -1038,9 +960,6 @@ def _single_partition_join(
     if config.checkpoint_interval > 0 and recovery is not None:
         checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
 
-    multibuffer_plan = _multibuffer_for(
-        config, outer_file.n_pages, inner_file.n_pages, allocation.buff_size, obs=obs
-    )
     with _phase(layout.tracker, obs, "join"):
         outcome = join_partitions(
             [outer_file],
@@ -1056,7 +975,6 @@ def _single_partition_join(
             sweep_workers=config.sweep_workers,
             supervision=config.supervision_policy(),
             interner=interner,
-            multibuffer_plan=multibuffer_plan,
             pool=pool,
             checkpointer=checkpointer,
             buffer_reductions=config.buffer_reductions,

@@ -12,22 +12,21 @@ small memories flush small runs often and pay more random I/O, which is
 exactly the partitioning-phase effect Section 4.2 reports.
 
 **Execution modes.**  Tuple placement -- ``index_of_chronon`` of the
-storage chronon -- is the CPU-bound part of this phase and runs in three
-ways: per tuple (``"tuple"``, the oracle), per page through the batch
-``locate`` kernel (``"batch"``), or fanned out to a process pool
-(``"batch-parallel"``, :mod:`repro.exec.parallel`).  In every mode the
-charged I/O -- the input scan and the bucket flush sequence -- is issued by
-this function in the identical serial order, so partition contents and
+storage chronon -- is the CPU-bound part of this phase and runs in two
+ways: per tuple (``"tuple"``, the oracle) or per page through the batch
+``locate`` kernel (every other mode).  Either way the charged I/O -- the
+input scan and the bucket flush sequence -- is issued by this function in
+the identical serial order, so partition contents and
 :class:`~repro.storage.iostats.PhaseTracker` counters are bit-identical
-across modes (the parallel path ships only ``(start, end)`` pairs to
-workers and replays placement results in input order).
+across modes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import PartitionMap
+from repro.exec import EXECUTION_MODES
 from repro.model.errors import PlanError
 from repro.obs import span_or_null
 from repro.storage.heapfile import HeapFile
@@ -35,6 +34,7 @@ from repro.storage.layout import DiskLayout
 
 if TYPE_CHECKING:
     from repro.obs import Observability
+    from repro.storage.columnar_page import ColumnarPage
 
 
 def do_partitioning(
@@ -46,7 +46,6 @@ def do_partitioning(
     *,
     placement: str = "last",
     execution: str = "tuple",
-    parallel_workers: Optional[int] = None,
     obs: Optional["Observability"] = None,
 ) -> List[HeapFile]:
     """Partition *source* into one heap file per partitioning interval.
@@ -66,38 +65,19 @@ def do_partitioning(
             overlaps (the paper's choice, paired with the backward sweep);
             ``"first"`` in the first (footnote 1's equivalent strategy,
             paired with the forward sweep).
-        execution: ``"tuple"`` locates per tuple, ``"batch"`` per page via
-            the locate kernel, ``"batch-parallel"`` via a process pool.
-            ``"batch-parallel-sweep"`` differs from ``"batch-parallel"``
-            only in the join phase, so it partitions identically to it.
-            ``"zero-copy-sweep"`` runs the same pooled placement but ships
-            the chronon column through a shared-memory segment instead of
-            pickled chunks (identical indices either way).
-        parallel_workers: pool size for ``"batch-parallel"`` (None = the
-            :func:`repro.exec.parallel.default_workers` heuristic).
+        execution: ``"tuple"`` locates per tuple; every other partition
+            mode locates per page via the batch ``locate`` kernel (the
+            pipelined sweeps differ from ``"batch"`` only in the join phase).
 
     Returns:
         One heap file per partition, index-aligned with *partition_map*.
     """
     if placement not in ("last", "first"):
         raise PlanError(f"placement must be 'last' or 'first', got {placement!r}")
-    if execution not in (
-        "tuple",
-        "batch",
-        "batch-parallel",
-        "batch-parallel-sweep",
-        "zero-copy-sweep",
-    ):
+    if execution not in EXECUTION_MODES:
         raise PlanError(
-            f"execution must be 'tuple', 'batch', 'batch-parallel', "
-            f"'batch-parallel-sweep', or 'zero-copy-sweep', got {execution!r}"
+            f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
         )
-    transport = "shared" if execution == "zero-copy-sweep" else "pickle"
-    if execution in ("batch-parallel-sweep", "zero-copy-sweep"):
-        # The pipelined sweeps change the join phase only; their partitioning
-        # is the pooled placement of batch-parallel (zero-copy additionally
-        # scatters the chronon column through shared memory).
-        execution = "batch-parallel"
     n_partitions = len(partition_map)
     if memory_pages < 2:
         raise PlanError(f"partitioning needs >= 2 buffer pages, got {memory_pages}")
@@ -137,62 +117,33 @@ def do_partitioning(
             for page in source.scan_pages():
                 for tup in page:
                     route(tup, locate(tup.valid))
-        elif execution == "batch":
+        else:
             from repro.exec.kernels import get_kernels
 
             kernels = get_kernels()
             boundaries = kernels.prepare_boundaries(partition_map)
-            for page in source.scan_pages():
-                batch = kernels.page_batch(page)
-                chronons = batch.ends if placement == "last" else batch.starts
-                for tup, index in zip(page, kernels.locate(chronons, boundaries)):
-                    route(tup, index)
-        else:  # batch-parallel
-            from repro.exec.parallel import locate_partitions_parallel
+            if source.columnar and source.dictionary is not None:
+                # Columnar source: locate straight off the packed chronon
+                # column and move (start, end, code, payload) column
+                # entries -- no tuple is ever materialized.
+                def located_pages():
+                    for page in source.scan_pages():
+                        chronons = (
+                            page.ends_list()
+                            if placement == "last"
+                            else page.starts_list()
+                        )
+                        yield page, kernels.locate(chronons, boundaries)
 
-            # The charged scan happens up front in the parent; workers
-            # receive only the (start, end) chronon pairs.  Replaying the
-            # routed flush loop afterwards issues the same TEMP-device
-            # access sequence as the serial path (BASE and TEMP have
-            # independent heads, so splitting the scan from the flushing
-            # changes no access's sequentiality).
-            columnar = source.columnar and source.dictionary is not None
-            if columnar:
-                # Columnar fast path: spans come straight off the packed
-                # column buffers and routing moves (start, end, code,
-                # payload) column entries -- no tuple is ever materialized.
-                pages = []
-                spans = []
-                for page in source.scan_pages():
-                    pages.append(page)
-                    spans.extend(zip(page.starts_list(), page.ends_list()))
-            else:
-                tuples = []
-                spans = []
-                for page in source.scan_pages():
-                    for tup in page:
-                        tuples.append(tup)
-                        spans.append((tup.valid.start, tup.valid.end))
-            with span_or_null(
-                obs, "parallel-locate", lane="pool", tuples=len(spans)
-            ) as locate_span:
-                located = locate_partitions_parallel(
-                    spans,
-                    [interval.end for interval in partition_map.intervals],
-                    placement,
-                    workers=parallel_workers,
-                    transport=transport,
-                    report=layout.resilience_report,
-                    obs=obs,
-                )
-                locate_span.set(located=len(located))
-            if columnar:
                 _route_columns(
-                    pages, located, partitions, source.dictionary, flush_threshold
+                    located_pages(), partitions, source.dictionary, flush_threshold
                 )
             else:
-                for tup, index in zip(tuples, located):
-                    route(tup, index)
+                for page in source.scan_pages():
+                    batch = kernels.page_batch(page)
+                    chronons = batch.ends if placement == "last" else batch.starts
+                    for tup, index in zip(page, kernels.locate(chronons, boundaries)):
+                        route(tup, index)
 
         for index, bucket in enumerate(buffers):
             if bucket:
@@ -211,9 +162,12 @@ def _flush(partition: HeapFile, bucket: List) -> None:
 
 
 def _route_columns(
-    pages, located, partitions: List[HeapFile], dictionary, flush_threshold: int
+    located_pages: Iterable[Tuple["ColumnarPage", Sequence[int]]],
+    partitions: List[HeapFile],
+    dictionary,
+    flush_threshold: int,
 ) -> None:
-    """Replay the routed flush loop over columnar pages, zero-copy.
+    """Run the routed flush loop over ``(page, partition indices)`` pairs.
 
     Rows move as column entries -- gathers from the packed page buffers
     into per-bucket column runs -- and flush through
@@ -229,14 +183,10 @@ def _route_columns(
     from repro.exec.backend import HAVE_NUMPY
 
     if HAVE_NUMPY:
-        _route_columns_numpy(pages, located, partitions, flush_threshold)
+        _route_columns_numpy(located_pages, partitions, flush_threshold)
         return
     buffers = [([], [], [], []) for _ in partitions]
-    position = 0
-    for page in pages:
-        n = len(page)
-        page_located = located[position : position + n]
-        position += n
+    for page, page_located in located_pages:
         for start, end, code, payload, index in zip(
             page.starts_list(),
             page.ends_list(),
@@ -258,7 +208,7 @@ def _route_columns(
 
 
 def _route_columns_numpy(
-    pages, located, partitions: List[HeapFile], flush_threshold: int
+    located_pages, partitions: List[HeapFile], flush_threshold: int
 ) -> None:
     """Vectorized bucket routing: group each page's rows by partition index.
 
@@ -298,11 +248,9 @@ def _route_columns_numpy(
         segments[bucket] = []
         sizes[bucket] = 0
 
-    position = 0
-    for page in pages:
+    for page, page_located in located_pages:
         n = len(page)
-        loc = np.asarray(located[position : position + n], dtype=np.int64)
-        position += n
+        loc = np.asarray(page_located, dtype=np.int64)
         # Stable argsort groups the rows by bucket while keeping each
         # group's indices in input order.
         order = np.argsort(loc, kind="stable")

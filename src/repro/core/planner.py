@@ -317,9 +317,6 @@ def estimate_grant_pages(
     requested_pages: int,
     *,
     execution: Optional[str] = None,
-    spec=None,
-    lanes: Optional[int] = None,
-    prefetch_depth: int = 8,
 ) -> int:
     """Buffer pages a join can actually *use*, for admission control.
 
@@ -332,24 +329,13 @@ def estimate_grant_pages(
     ``[MIN_GRANT_PAGES, useful]`` (a request below the Figure 3 minimum is
     raised to it -- the join cannot run at all under fewer pages).
 
-    For the ``"zero-copy-sweep"`` execution, the useful budget additionally
-    covers the mode's auxiliary consumers -- prefetch window, shared column
-    arena, per-lane result slabs -- sized by the multibuffer pass
-    (:func:`repro.planner.multibuffer.plan_multibuffer`).  Earlier the grant
-    ignored these entirely, so a "full" grant under concurrency silently
-    starved the pipeline into its degraded shapes.
-
     Args:
         outer_pages: catalog page count of the outer relation.
         inner_pages: catalog page count of the inner relation.
         requested_pages: the memory budget the query asked for
             (``PartitionJoinConfig.memory_pages``).
-        execution: the query's execution mode; ``"zero-copy-sweep"`` and
-            ``"forward-sweep"`` change the estimate.
-        spec: the page geometry (required to size the zero-copy aux pages;
-            defaults to :class:`~repro.storage.page.PageSpec`'s default).
-        lanes: probe lanes of the fan-out (None = the machine default).
-        prefetch_depth: the requested read-ahead depth.
+        execution: the query's execution mode; ``"forward-sweep"`` changes
+            the estimate.
     """
     from repro.storage.buffer import JoinBufferAllocation
 
@@ -375,22 +361,6 @@ def estimate_grant_pages(
         MIN_GRANT_PAGES,
         min(outer_pages, inner_pages) + JoinBufferAllocation.FIXED_PAGES,
     )
-    if execution == "zero-copy-sweep":
-        from repro.exec.sweep_parallel import effective_sweep_workers
-        from repro.planner.multibuffer import plan_multibuffer
-        from repro.storage.page import PageSpec
-
-        geometry = spec if spec is not None else PageSpec()
-        buff_size = max(1, useful - JoinBufferAllocation.FIXED_PAGES)
-        plan = plan_multibuffer(
-            outer_pages,
-            inner_pages,
-            buff_size,
-            geometry,
-            lanes=effective_sweep_workers(lanes),
-            prefetch_depth=prefetch_depth,
-        )
-        useful += plan.total_aux_pages
     return max(MIN_GRANT_PAGES, min(requested_pages, useful))
 
 

@@ -76,9 +76,9 @@ class TemporalDatabase:
             degraded-fallback setting, and their :class:`QueryResult`
             carries the resilience report.
         execution: execution mode of partition joins (``"tuple"``,
-            ``"batch"``, ``"batch-parallel"``, ``"batch-parallel-sweep"``,
-            or ``"zero-copy-sweep"`` -- every mode returns identical
-            results; see ``docs/EXECUTION.md``).
+            ``"batch"``, ``"batch-parallel-sweep"``, or
+            ``"zero-copy-sweep"`` -- every mode returns identical results;
+            see ``docs/EXECUTION.md``).
         prefetch_depth: read-ahead pages per partition barrier of the
             pipelined sweeps.
         sweep_workers: probe lanes of the pipelined sweep (None = one per

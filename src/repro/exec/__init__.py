@@ -8,13 +8,12 @@ package is how the same algorithms run fast.  Three pieces:
 * :mod:`repro.exec.kernels` -- the probe / intersection / owner-filter /
   migration / locate kernels, numpy-vectorized with pure-Python fallbacks
   selected at import (numpy is the optional ``repro[fast]`` extra);
-* :mod:`repro.exec.parallel` -- multiprocessing placement for Grace
-  partitioning, with all charged I/O replayed deterministically by the
-  parent process.
+* :mod:`repro.exec.sweep_parallel` -- the pipelined sweep's
+  interval-pruned probe and its supervised lane fan-out.
 
-Algorithms select a path via ``PartitionJoinConfig.execution``
-(``"tuple"`` | ``"batch"`` | ``"batch-parallel"``); see
-``docs/EXECUTION.md`` for the layout and determinism rules.
+Algorithms select a path via ``PartitionJoinConfig.execution``, one of
+:data:`ALL_EXECUTION_MODES` below -- the only place the mode names are
+written; see ``docs/EXECUTION.md`` for the layout and determinism rules.
 
 :mod:`repro.exec.forward_sweep` is the odd one out: not a faster path
 through the partition join but a different physical operator -- the
@@ -37,7 +36,22 @@ from repro.exec.kernels import (
     PythonKernels,
     get_kernels,
 )
-from repro.exec.parallel import default_workers, locate_partitions_parallel
+
+#: The pipelined sweeps: interval-pruned lane-parallel probe plus
+#: partition-barrier prefetch and write-behind.  They differ only in the
+#: heap-page layout ``partition_join`` builds (``"zero-copy-sweep"`` stores
+#: packed columnar pages), and are the only modes that can spawn lanes.
+PIPELINED_SWEEP_MODES = ("batch-parallel-sweep", "zero-copy-sweep")
+
+#: The partition modes: ``"tuple"`` is the tuple-at-a-time oracle,
+#: ``"batch"`` runs placement and the sweep through the batch kernels.  All
+#: produce bit-identical results, outcome counters and per-phase charged I/O.
+EXECUTION_MODES = ("tuple", "batch") + PIPELINED_SWEEP_MODES
+
+#: Every legal ``PartitionJoinConfig.execution``: the partition modes plus
+#: the forward-scan sweep operator, which returns the identical result
+#: multiset but follows its own sort/join phase ledger.
+ALL_EXECUTION_MODES = EXECUTION_MODES + ("forward-sweep",)
 
 # The forward sweep operates on storage.columnar_page buffers, and the
 # storage layer imports repro.exec.backend -- so re-export it lazily
@@ -59,6 +73,9 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "ALL_EXECUTION_MODES",
+    "EXECUTION_MODES",
+    "PIPELINED_SWEEP_MODES",
     "SWEEP_BACKENDS",
     "GaplessHashMap",
     "forward_sweep_join",
@@ -72,10 +89,8 @@ __all__ = [
     "PartitionBoundaries",
     "PythonKernels",
     "backend_name",
-    "default_workers",
     "get_kernels",
     "iter_page_batches",
-    "locate_partitions_parallel",
     "tuples_from_columns",
     "tuples_to_columns",
 ]

@@ -28,9 +28,9 @@ group.  This module exploits that twice:
   each returns flat pair arrays, the parent concatenates and applies the
   final emission sort, so the output is a pure function of the input
   whatever the lane count or pool geometry.  With >= 2 effective workers
-  the lanes run on a ``multiprocessing`` pool; pool failure of any kind
-  degrades to in-process execution of the identical computation, mirroring
-  :mod:`repro.exec.parallel`.
+  the lanes of a page that clears :data:`MIN_LANE_ROWS` run on a
+  ``multiprocessing`` pool, forked by the first such page; pool failure of
+  any kind degrades to in-process execution of the identical computation.
 
 All charged I/O stays in the caller (the sweep loop and its prefetch
 pipeline); like the PR-1 kernels, everything here is pure in-memory
@@ -50,11 +50,6 @@ from repro.exec.kernels import Kernels, Match, get_kernels
 from repro.model.vtuple import VTTuple
 from repro.resilience.supervisor import LANE_POOL_ERRORS
 from repro.time.interval import Interval
-
-#: Arena geometry used when no multibuffer plan is supplied: one generous
-#: data arena and per-lane slabs sized for a full page's worth of matches.
-DEFAULT_ARENA_BYTES = 1 << 22
-DEFAULT_SLAB_ROWS = 1 << 16
 
 #: Pairs-per-page threshold below which lanes always run in-process: pool
 #: round-trip latency costs more than the probe itself.
@@ -215,6 +210,30 @@ def _lane_task(args) -> Tuple:
     return _lane_pairs(*args)
 
 
+class PickledLaneDispatcher:
+    """The lane transport: one pickled task per lane through the pool.
+
+    Each task carries the pruned index's columns plus the lane's slice of
+    the page; the matched-pair arrays are pickled back.  Under a
+    :class:`~repro.resilience.supervisor.LaneSupervisor` the dispatch goes
+    through its supervised ``map`` (death, hang and error detection,
+    deterministic re-dispatch, quarantine); without one it is a bare
+    ``pool.map``.
+    """
+
+    __slots__ = ("pool", "_supervisor")
+
+    def __init__(self, pool, *, supervisor=None) -> None:
+        self.pool = pool
+        self._supervisor = supervisor
+
+    def __call__(self, shared, lane_tasks) -> List[Tuple]:
+        tasks = [shared + task for task in lane_tasks]
+        if self._supervisor is not None:
+            return self._supervisor.map(_lane_task, tasks, label="pickled-lanes")
+        return self.pool.map(_lane_task, tasks)
+
+
 def probe_pruned(
     index: PrunedProbeIndex,
     key_ids,
@@ -225,18 +244,18 @@ def probe_pruned(
     direction: str,
     *,
     lanes: int = 1,
-    pool=None,
     dispatch=None,
 ) -> Tuple:
     """Probe one inner page's columns against a pruned index.
 
     Returns ``(pair_outer_rows, pair_inner_rows, common_starts,
     common_ends)`` in the oracle's emission order -- (inner row, outer
-    block insertion order) -- as flat arrays.  ``lanes``/``pool`` control
-    the fan-out; *dispatch* (a ``dispatch(shared, lane_tasks)`` callable,
-    e.g. an :class:`~repro.exec.arena.ShmLaneDispatcher`) replaces the raw
-    ``pool.map`` when given.  The output is identical for every lane
-    count and for every fan-out flavor, pool or in-process.
+    block insertion order) -- as flat arrays.  A page with at least
+    :data:`MIN_LANE_ROWS` matching rows is dealt onto *lanes* lanes, which
+    run through *dispatch* (a ``dispatch(shared, lane_tasks)`` callable,
+    e.g. a :class:`PickledLaneDispatcher`) when given and in-process
+    otherwise.  The output is identical for every lane count, dispatched
+    or not.
     """
     empty = np.empty(0, np.int64)
     n = int(key_ids.shape[0]) if hasattr(key_ids, "shape") else len(key_ids)
@@ -274,8 +293,6 @@ def probe_pruned(
                 )
         if dispatch is not None:
             parts = dispatch(shared, lane_tasks)
-        elif pool is not None:
-            parts = pool.map(_lane_task, [shared + task for task in lane_tasks])
         else:
             parts = [_lane_pairs(*shared, *task) for task in lane_tasks]
 
@@ -376,7 +393,7 @@ def probe_pruned_python(
 
 
 class PipelinedSweepEngine:
-    """Drop-in probe engine for the sweep's ``"batch-parallel-sweep"`` mode.
+    """Drop-in probe engine for the pipelined sweep modes.
 
     Satisfies the same ``build_index`` / ``process_page`` contract as the
     tuple and batch engines of :mod:`repro.core.joiner` (duck-typed -- all
@@ -392,9 +409,7 @@ class PipelinedSweepEngine:
         workers: Optional[int] = None,
         kernels: Optional[Kernels] = None,
         obs=None,
-        zero_copy: bool = False,
         interner=None,
-        arena_plan=None,
         supervisor=None,
         report=None,
     ) -> None:
@@ -415,14 +430,9 @@ class PipelinedSweepEngine:
         self._lanes = effective_sweep_workers(workers)
         self._pool = None
         self._pool_broken = self._kernels.use_numpy is False  # lanes ship arrays
+        #: Page probes that fanned out to the pool (not pages probed).
         self.pool_dispatches = 0
         self.pool_fallbacks = 0
-        #: Fan the lanes out through shared-memory arenas instead of pickled
-        #: ``pool.map`` tasks (the ``"zero-copy-sweep"`` mode).
-        self.zero_copy = zero_copy
-        self._arena_plan = arena_plan
-        self._arena_broken = False
-        self._dispatcher = None
         # Observation only (trace events on pool lifecycle transitions);
         # the probe computation never consults it.
         self._obs = obs
@@ -467,86 +477,21 @@ class PipelinedSweepEngine:
         if self._report is not None:
             self._report.record_degradation(kind, detail)
 
-    def _ensure_dispatcher(self, pool):
-        """The fan-out dispatcher for *pool* (created lazily, like the pool).
+    def _dispatch_lanes(self, shared, lane_tasks) -> List[Tuple]:
+        """``probe_pruned``'s fan-out hook.
 
-        Zero-copy mode gets a shared-memory dispatcher, falling back to the
-        metered pickling dispatcher when segments cannot be created (e.g.
-        no ``/dev/shm`` in a sandbox); the classic mode always gets the
-        metered pickling dispatcher.  Either way the computation -- and
-        thus the result -- is identical.
+        Reached only by a page that clears :data:`MIN_LANE_ROWS`, so a sweep
+        whose pages never do forks no pool at all.
         """
-        from repro.exec import arena as arena_mod
-
-        if self._dispatcher is not None:
-            return self._dispatcher
-        if self.zero_copy and not self._arena_broken:
-            plan = self._arena_plan
-            try:
-                self._dispatcher = arena_mod.ShmLaneDispatcher(
-                    pool,
-                    data_bytes=(
-                        plan.data_bytes if plan is not None else DEFAULT_ARENA_BYTES
-                    ),
-                    slab_rows=(
-                        plan.slab_rows if plan is not None else DEFAULT_SLAB_ROWS
-                    ),
-                    lanes=self.lanes,
-                    supervisor=self.supervision,
-                )
-                if self._obs is not None:
-                    desc = self._dispatcher.descriptor
-                    self._obs.event(
-                        "arena-start",
-                        data_bytes=desc.data_bytes,
-                        slab_rows=desc.slab_rows,
-                        lanes=desc.lanes,
-                    )
-                return self._dispatcher
-            except Exception:
-                self._arena_broken = True
-                self._degrade("arena-fallback", "shared segments could not be created")
-                if self._obs is not None:
-                    self._obs.event("arena-fallback", reason="segment-create-failed")
-        self._dispatcher = arena_mod.PickledLaneDispatcher(
-            pool, supervisor=self.supervision
-        )
-        return self._dispatcher
-
-    @property
-    def arena_descriptor(self):
-        """Checkpointable arena geometry, or None when no arena is live."""
-        dispatcher = self._dispatcher
-        if dispatcher is None or not hasattr(dispatcher, "descriptor"):
-            return None
-        return dispatcher.descriptor
-
-    def copy_traffic(self) -> Dict[str, int]:
-        """Serialization/copy counters of the active fan-out (for obs)."""
-        dispatcher = self._dispatcher
-        return {
-            "bytes_pickled": getattr(dispatcher, "bytes_pickled", 0),
-            "bytes_shared": getattr(dispatcher, "bytes_shared", 0),
-            "arena_overflows": getattr(dispatcher, "arena_overflows", 0),
-            "slab_overflows": getattr(dispatcher, "slab_overflows", 0),
-            "slab_poisoned": getattr(dispatcher, "slab_poisoned", 0),
-        }
+        pool = self._ensure_pool()
+        if pool is None:
+            return [_lane_pairs(*shared, *task) for task in lane_tasks]
+        self.pool_dispatches += 1
+        dispatcher = PickledLaneDispatcher(pool, supervisor=self.supervision)
+        return dispatcher(shared, lane_tasks)
 
     def close(self) -> None:
-        """Shut the lane pool down (idempotent; the sweep's finally calls it).
-
-        Also unlinks the shared-memory arenas, so the segments' lifetime is
-        bounded by the join on every path -- success, crash unwinding, and
-        pool-degradation all funnel here.  Under supervision the segments
-        are additionally registered as supervisor teardowns, so closing the
-        supervisor reclaims them too.
-        """
-        if self._dispatcher is not None:
-            try:
-                self._dispatcher.close()
-            except Exception:
-                pass
-            self._dispatcher = None
+        """Shut the lane pool down (idempotent; the sweep's finally calls it)."""
         if self.supervision is not None:
             self.supervision.close()
         if self._pool is not None:
@@ -599,8 +544,7 @@ class PipelinedSweepEngine:
             return self._kernels.probe(
                 index_obj.fallback, batch, self._boundaries, part_index, self._direction
             )
-        pool = self._ensure_pool() if self.lanes >= 2 else None
-        dispatch = self._ensure_dispatcher(pool) if pool is not None else None
+        fan_out = self.lanes >= 2 and not self._pool_broken
         try:
             pair_outer, pair_inner, cs, ce = probe_pruned(
                 index_obj,
@@ -610,12 +554,9 @@ class PipelinedSweepEngine:
                 self._boundaries,
                 part_index,
                 self._direction,
-                lanes=self.lanes if pool is not None else 1,
-                pool=pool,
-                dispatch=dispatch,
+                lanes=self.lanes if fan_out else 1,
+                dispatch=self._dispatch_lanes if fan_out else None,
             )
-            if pool is not None:
-                self.pool_dispatches += 1
         except LANE_POOL_ERRORS:
             # An unsupervised pool dying surfaces here (the supervisor
             # recovers these internally); degrade to one process for the
@@ -647,6 +588,7 @@ class PipelinedSweepEngine:
 
 __all__ = [
     "MIN_LANE_ROWS",
+    "PickledLaneDispatcher",
     "PipelinedSweepEngine",
     "PrunedProbeIndex",
     "PrunedProbeIndexPython",

@@ -117,10 +117,6 @@ class LaneFailureError(ReproError):
     """
 
 
-class SlabCorruptionError(LaneFailureError):
-    """A lane's shared-memory result slab failed CRC/sequence validation."""
-
-
 class PlanError(ReproError):
     """The partition planner could not produce a usable plan."""
 

@@ -11,12 +11,10 @@ SimulatedDisk` and consulted on every charged read and write.  It can
 * **crash** the run at a scheduled operation count, modeling process death
   mid-sweep (:class:`~repro.model.errors.SimulatedCrashError`);
 * script **lane faults** against the supervised worker pools
-  (:meth:`kill_lane`, :meth:`hang_lane`, :meth:`poison_slab`) -- the
+  (:meth:`kill_lane`, :meth:`hang_lane`) -- the
   :class:`~repro.resilience.supervisor.LaneSupervisor` consults
-  :meth:`on_lane_dispatch` before every pool dispatch and the arena
-  dispatcher consults :meth:`on_slab_gather` before validating result
-  slabs, so worker death, wedged lanes, and corrupted shared memory are
-  injected at exact, reproducible dispatch counts.
+  :meth:`on_lane_dispatch` before every pool dispatch, so worker death
+  and wedged lanes are injected at exact, reproducible dispatch counts.
 
 Faults come from two sources that compose:
 
@@ -97,7 +95,6 @@ class FaultInjector:
         self._scripted: Dict[_ScriptKey, int] = {}
         self._scripted_corrupt: Dict[Tuple[str, int], int] = {}
         self._lane_faults: Dict[int, str] = {}
-        self._slab_faults: Dict[int, bool] = {}
 
     # -- crash scheduling ------------------------------------------------------
 
@@ -165,16 +162,6 @@ class FaultInjector:
         """Wedge one lane of the *at_dispatch*-th dispatch past its deadline."""
         self._script_lane(at_dispatch, "hang")
 
-    def poison_slab(self, at_gather: int) -> None:
-        """Corrupt one result slab of the *at_gather*-th shared-memory gather.
-
-        One-shot: gathers are numbered per dispatcher starting at 1; the
-        corrupted slab fails CRC validation and the dispatch is recomputed.
-        """
-        if at_gather < 1:
-            raise ValueError(f"gather count must be >= 1, got {at_gather}")
-        self._slab_faults[at_gather] = True
-
     def _script_lane(self, at_dispatch: int, fault: str) -> None:
         if at_dispatch < 1:
             raise ValueError(f"dispatch count must be >= 1, got {at_dispatch}")
@@ -183,10 +170,6 @@ class FaultInjector:
     def on_lane_dispatch(self, dispatch_no: int) -> Optional[str]:
         """The scripted fault for dispatch *dispatch_no*, consumed once."""
         return self._lane_faults.pop(dispatch_no, None)
-
-    def on_slab_gather(self, gather_no: int) -> bool:
-        """Whether gather *gather_no* is scripted to be poisoned (one-shot)."""
-        return self._slab_faults.pop(gather_no, False)
 
     # -- the per-attempt decision --------------------------------------------------
 

@@ -15,9 +15,6 @@ dispatch that makes every failure mode explicit:
   (:attr:`SupervisionPolicy.lane_timeout_seconds`); progress is sampled on
   a heartbeat and intervals without a newly completed lane are counted as
   heartbeat misses.
-* **Poisoned lanes** -- shared-memory result slabs that fail CRC/sequence
-  validation -- are reported by the arena dispatcher through
-  :meth:`LaneSupervisor.note_poison`.
 
 Recovery is **deterministic re-dispatch**: lane tasks are pure functions of
 their inputs (``group_rank % lanes`` fan-out, no I/O, no shared mutable
@@ -151,7 +148,6 @@ class LaneSupervisionStats:
     deaths: int = 0
     hangs: int = 0
     errors: int = 0
-    poisoned: int = 0
     heartbeat_misses: int = 0
     redispatches: int = 0
     quarantines: int = 0
@@ -163,7 +159,6 @@ class LaneSupervisionStats:
             "deaths": self.deaths,
             "hangs": self.hangs,
             "errors": self.errors,
-            "poisoned": self.poisoned,
             "heartbeat_misses": self.heartbeat_misses,
             "redispatches": self.redispatches,
             "quarantines": self.quarantines,
@@ -172,7 +167,7 @@ class LaneSupervisionStats:
 
     @property
     def failures(self) -> int:
-        return self.deaths + self.hangs + self.errors + self.poisoned
+        return self.deaths + self.hangs + self.errors
 
 
 def _wedged_lane(args):
@@ -194,8 +189,7 @@ class LaneSupervisor:
         lanes: initial lane count (< 2 means in-process from the start).
         policy: supervision bounds (None = defaults).
         injector: optional :class:`~repro.resilience.faults.FaultInjector`;
-            its ``on_lane_dispatch``/``on_slab_gather`` scripts drive the
-            chaos tests.  The process-global injector installed via
+            its ``on_lane_dispatch`` script drives the chaos tests.  The process-global injector installed via
             :func:`install_lane_injector` is consulted as well.
         report: optional :class:`~repro.resilience.report.ResilienceReport`
             receiving ``lane-*`` degradation events.
@@ -242,9 +236,9 @@ class LaneSupervisor:
     def add_teardown(self, closer: Callable[[], None]) -> None:
         """Register a resource closed with the supervisor (idempotent safe).
 
-        The arena dispatchers register here, so shared-memory segments are
-        reclaimed on the supervisor-owned teardown path even when a lane
-        died mid-gather and the engine's unwind is abnormal.
+        Whatever is registered here is reclaimed on the supervisor-owned
+        teardown path even when a lane died mid-dispatch and the caller's
+        unwind is abnormal.
         """
         self._teardowns.append(closer)
 
@@ -427,7 +421,7 @@ class LaneSupervisor:
         """Account one failed dispatch and prepare the re-dispatch.
 
         The pool is discarded wholesale: any worker of a failed dispatch
-        may hold stale state (a wedged task, a half-written slab), and lane
+        may hold stale state (a wedged task), and lane
         tasks are cheap pure compute, so a fresh pool is both the safe and
         the simple recovery.  The caller's loop then re-runs every task of
         the dispatch -- results of an aborted dispatch are never trusted,
@@ -447,21 +441,6 @@ class LaneSupervisor:
         if self._obs is not None:
             self._obs.count(metric, "Supervised lane failures by kind.")
         self._charge_failure(f"lane-{kind}", f"{failure} (dispatch {self.stats.dispatches}, {label})")
-
-    def note_poison(self, detail: str) -> None:
-        """Account a poisoned result slab (CRC/sequence validation failed).
-
-        Called by the arena dispatcher, which re-computes the dispatch
-        through the pickled transport itself; the supervisor records the
-        event, charges the backoff, and walks the quarantine ladder.
-        """
-        self.stats.poisoned += 1
-        if self._obs is not None:
-            self._obs.count(
-                "repro_lane_poisoned_total",
-                "Result slabs that failed CRC/sequence validation.",
-            )
-        self._charge_failure("lane-poison", detail)
 
     def _charge_failure(self, kind: str, detail: str) -> None:
         self._consecutive += 1
@@ -531,14 +510,6 @@ class LaneSupervisor:
                 if fault is not None:
                     return fault
         return None
-
-    def scripted_slab_poison(self, gather_no: int) -> bool:
-        """Whether a scripted slab corruption targets gather *gather_no*."""
-        for injector in (self._injector, _GLOBAL_LANE_INJECTOR):
-            hook = getattr(injector, "on_slab_gather", None)
-            if hook is not None and hook(gather_no):
-                return True
-        return False
 
 
 __all__ = [

@@ -47,6 +47,7 @@ from repro.engine.catalog import (
     analyze,
 )
 from repro.engine.optimizer import choose_algorithm
+from repro.exec import PIPELINED_SWEEP_MODES
 from repro.model.errors import (
     AdmissionTimeoutError,
     QueryCancelledError,
@@ -68,9 +69,6 @@ from repro.storage.page import PageSpec
 QUEUE_WAIT_BUCKETS = (0.0005, 0.002, 0.01, 0.05, 0.2, 1.0, 5.0, 30.0)
 
 _JOIN_METHODS = ("auto", "partition", "sweep", "sort_merge", "nested_loop")
-
-#: Execution modes that spawn worker lanes (and hence feed the lane breaker).
-_LANE_MODES = ("batch-parallel", "batch-parallel-sweep", "zero-copy-sweep")
 
 
 @dataclass(frozen=True)
@@ -500,9 +498,6 @@ class QueryService:
                 inner_pages,
                 config.memory_pages,
                 execution=config.execution,
-                spec=config.page_spec,
-                lanes=config.sweep_workers,
-                prefetch_depth=config.prefetch_depth,
             )
         else:
             request = config.memory_pages
@@ -594,9 +589,6 @@ class QueryService:
                     self.page_spec.pages_for_tuples(len(s)),
                     config.memory_pages,
                     execution=config.execution,
-                    spec=config.page_spec,
-                    lanes=config.sweep_workers,
-                    prefetch_depth=config.prefetch_depth,
                 )
             )
             # ...but a cached plan must key on the *effective* budget, so a
@@ -606,7 +598,7 @@ class QueryService:
                 if granted_pages >= config.memory_pages
                 else dataclasses.replace(config, memory_pages=granted_pages)
             )
-            if config.execution in _LANE_MODES:
+            if config.execution in PIPELINED_SWEEP_MODES:
                 # The lane circuit breaker decides pooled-vs-serial BEFORE
                 # the plan-cache lookup: a serial run plans identically (the
                 # plan never depends on lane count) but must not spawn the
@@ -617,7 +609,6 @@ class QueryService:
                 if not use_lanes:
                     effective_config = dataclasses.replace(
                         effective_config,
-                        parallel_workers=1,
                         sweep_workers=1,
                         lane_supervision=False,
                     )
@@ -664,7 +655,7 @@ class QueryService:
                 event.kind.startswith("lane-")
                 for event in run.resilience.degradations
             )
-            if config.execution in _LANE_MODES:
+            if config.execution in PIPELINED_SWEEP_MODES:
                 self.lane_breaker.record(use_lanes, lane_disturbed)
                 self._gauge_breaker()
                 if lane_disturbed:

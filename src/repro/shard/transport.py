@@ -18,16 +18,15 @@ pickle -- the PR-6 pickled-dispatch degradation rung, flagged per frame
 (:data:`FLAG_PICKLED`) and counted in :func:`transport_counters` so the
 fallback's share of the traffic stays auditable.
 
-Relation-bearing frames (``LOAD`` out, ``RESULT`` back) use the
-arena-descriptor shape of :mod:`repro.exec.arena`: one contiguous blob of
+Relation-bearing frames (``LOAD`` out, ``RESULT`` back) use a
+span-descriptor shape: one contiguous blob of
 column bytes plus a descriptor of ``(offset, length)`` spans -- one span
 per column, CRC-checked as part of the frame.  Interval endpoints pack as
 big-endian 64-bit integers; key/payload columns are JSON spans with the
 same per-span pickle rung.
 
 Open channels register in a process-local set; chaos tests assert
-:func:`active_channel_count` returns to zero, the same leak discipline the
-arena registry established.
+:func:`active_channel_count` returns to zero.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ def decode_payload(data: bytes, flags: int):
     return json.loads(data.decode("utf-8"))
 
 
-# -- arena-descriptor-shaped column codec ------------------------------------
+# -- span-descriptor column codec ---------------------------------------------
 
 _COLUMN_ORDER = ("keys", "payloads", "starts", "ends")
 
@@ -164,7 +163,7 @@ def pack_columns(
 ) -> Tuple[List[Dict], bytes]:
     """Pack ``(keys, payloads, starts, ends)`` into spans + one blob.
 
-    Mirrors the arena slab layout: the descriptor is a list of
+    The descriptor is a list of
     ``{"column", "offset", "length", "codec"}`` spans into the returned
     blob.  Endpoint columns pack as ``!{n}q``; key/payload columns are
     JSON (lists of lists), falling back to pickle per span.

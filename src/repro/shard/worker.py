@@ -12,7 +12,7 @@ modes -- its own worker-lane pool.  It speaks the
   are immutable once installed, so re-sending after a respawn rebuilds
   identical state.
 * ``EXECUTE`` runs one join fragment pinned to explicit epochs and answers
-  with a ``RESULT`` frame: the result columns in arena-descriptor shape
+  with a ``RESULT`` frame: the result columns in span-descriptor shape
   plus the fragment's :class:`~repro.core.joiner.JoinOutcome` counters,
   per-phase charged-I/O ledger, and admission pedigree.
 * ``PING``/``PONG`` is the heartbeat; ``CHAOS`` arms a deterministic hang
@@ -152,9 +152,6 @@ class ShardWorker:
                 inner_pages,
                 config.memory_pages,
                 execution=config.execution,
-                spec=config.page_spec,
-                lanes=config.sweep_workers,
-                prefetch_depth=config.prefetch_depth,
             )
         else:
             ask = config.memory_pages

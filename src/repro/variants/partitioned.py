@@ -13,7 +13,7 @@ cannot use temporal partitioning this way and are rejected.
 
 Because evaluation rides the partition-join pipeline, the
 ``PartitionJoinConfig.execution`` knob applies unchanged: with
-``"batch"``/``"batch-parallel"`` the candidate generation (key probe,
+``"batch"`` the candidate generation (key probe,
 interval intersection, owner filter) runs through the vectorized kernels
 of :mod:`repro.exec`, and only surviving pairs reach the per-variant
 predicate function -- the variant pays Python-level cost proportional to

@@ -9,7 +9,7 @@ matrix of seeds; a failure reproduces locally with the same value.
 import os
 import random
 
-from repro.core.partition_join import PartitionJoinConfig
+from repro.core.partition_join import EXECUTION_MODES, PartitionJoinConfig
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.storage.page import PageSpec
@@ -19,14 +19,6 @@ CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 #: Small pages so modest relations still span many partitions.
 SPEC = PageSpec(page_bytes=256, tuple_bytes=32)
-
-EXECUTION_MODES = (
-    "tuple",
-    "batch",
-    "batch-parallel",
-    "batch-parallel-sweep",
-    "zero-copy-sweep",
-)
 
 
 def chaos_relation(name: str, n_tuples: int, seed: int) -> ValidTimeRelation:

@@ -1,24 +1,26 @@
-"""Chaos tests for lane supervision: kill, hang, and poison real workers.
+"""Chaos tests for lane supervision: kill and hang real workers.
 
-The acceptance contract under fire: a SIGKILLed lane, a hung lane, and a
-corrupted result slab must each recover through the supervisor's
-deterministic re-dispatch with results, ``JoinOutcome`` counters, and the
-full per-phase charged-I/O ledgers **bit-identical** to an undisturbed run
--- recovery visible only in ``lane-*`` degradation events and the
-supervisor's own ledger, never in the charged bill -- and with zero leaked
-shared-memory segments, in both pooled sweep modes and under concurrent
-service load.
+The acceptance contract under fire: a SIGKILLed lane and a hung lane must
+each recover through the supervisor's deterministic re-dispatch with
+results, ``JoinOutcome`` counters, and the full per-phase charged-I/O
+ledgers **bit-identical** to an undisturbed run -- recovery visible only in
+``lane-*`` degradation events and the supervisor's own ledger, never in the
+charged bill -- in both pooled sweep modes and under concurrent service
+load.
 """
 
 import pytest
 
-from repro.core.partition_join import partition_join
+from repro.core.partition_join import partition_join, resume_join
+from repro.exec import PIPELINED_SWEEP_MODES
 from repro.exec.backend import HAVE_NUMPY
-from repro.resilience import FaultInjector
+from repro.model.errors import SimulatedCrashError
+from repro.resilience import FaultInjector, RecoveryLog
 from repro.resilience.supervisor import clear_lane_injector, install_lane_injector
 from repro.storage.layout import DiskLayout
 
 from tests.chaos.conftest import CHAOS_SEED, SPEC, chaos_config, chaos_relation
+from tests.service.conftest import outcome_counters
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="lane pools only dispatch with numpy workers"
@@ -26,22 +28,14 @@ pytestmark = pytest.mark.skipif(
 
 if HAVE_NUMPY:
     from repro.exec import sweep_parallel as sweep
-    from repro.exec.arena import active_arena_count, reset_copy_counters
 
 R = chaos_relation("lr", 400, CHAOS_SEED + 21)
 S = chaos_relation("ls", 400, CHAOS_SEED + 22)
 
 #: Both pooled sweep modes must survive the same faults.
-POOLED_MODES = ("batch-parallel-sweep", "zero-copy-sweep")
+POOLED_MODES = PIPELINED_SWEEP_MODES
 
 _BASELINES = {}
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    reset_copy_counters()
-    yield
-    assert active_arena_count() == 0, "a join leaked a shared-memory segment"
 
 
 @pytest.fixture
@@ -139,18 +133,37 @@ class TestLaneHang:
         assert_bit_identical(run, undisturbed(execution))
 
 
-class TestSlabPoison:
-    def test_corrupted_slab_recomputes_bit_identical(self, forced_lanes):
-        """Zero-copy only: the CRC catches the scripted corruption and the
-        dispatcher recomputes the whole dispatch through pickling."""
-        injector = FaultInjector(seed=CHAOS_SEED)
-        injector.poison_slab(at_gather=1)
-        layout = disturbed_layout(injector, "zero-copy-sweep")
-        run = partition_join(
-            R, S, pooled_config("zero-copy-sweep"), layout=layout
+class TestPooledCrash:
+    @pytest.mark.parametrize("execution", POOLED_MODES)
+    def test_resume_is_bit_identical(self, forced_lanes, execution):
+        """Crash the sweep while its lane pool is live: the pool goes down
+        with the run, the resumed sweep forks its own, and the answer is the
+        undisturbed run's.  (The exhaustive crash-point sweep lives in
+        test_crash_resume.py; here each run pays for a real pool.)"""
+        expected = undisturbed(execution)
+        probe_injector = FaultInjector(seed=CHAOS_SEED)
+        partition_join(
+            R,
+            S,
+            pooled_config(execution),
+            layout=disturbed_layout(probe_injector, execution),
+            recovery=RecoveryLog(),
         )
-        assert "lane-poison" in lane_kinds(layout)
-        assert_bit_identical(run, undisturbed("zero-copy-sweep"))
+        total_ops = probe_injector.ops_seen
+        for at_op in (total_ops // 2, (3 * total_ops) // 4):
+            injector = FaultInjector(seed=CHAOS_SEED)
+            injector.schedule_crash(at_op=at_op)
+            layout = disturbed_layout(injector, execution)
+            recovery = RecoveryLog()
+            config = pooled_config(execution)
+            with pytest.raises(SimulatedCrashError):
+                partition_join(R, S, config, layout=layout, recovery=recovery)
+            run = resume_join(R, S, config, layout=layout, recovery=recovery)
+            assert layout.resilience_report.resumes == 1
+            # Pre-crash I/O stays on the resumed run's ledger, so only the
+            # answer is compared here.
+            assert list(run.result.tuples) == list(expected.result.tuples)
+            assert outcome_counters(run.outcome) == outcome_counters(expected.outcome)
 
 
 class TestQuarantineLadder:
@@ -193,7 +206,7 @@ class TestServiceUnderLaneChaos:
         from repro.service import QueryService
         from repro.storage.page import PageSpec
 
-        from tests.service.conftest import make_catalog, outcome_counters
+        from tests.service.conftest import make_catalog
 
         spec = PageSpec(page_bytes=256, tuple_bytes=32)
 
@@ -242,4 +255,3 @@ class TestServiceUnderLaneChaos:
             assert list(got.relation.tuples) == list(want.relation.tuples)
             assert outcome_counters(got.outcome) == outcome_counters(want.outcome)
             assert got.charged_ops == want.charged_ops
-        assert active_arena_count() == 0

@@ -8,9 +8,7 @@ The coordinator's supervision ladder under deliberate violence, seeded by
   result matches the undisturbed run tuple for tuple;
 * a worker armed to hang (the CHAOS frame sleeps it past the fragment
   deadline) rides the same ladder with ``kind="shard-hang"``;
-* nothing leaks: every socket channel deregisters and no shared-memory
-  arena segments survive a test (the PR-6 leak discipline, extended to
-  the shard transport).
+* nothing leaks: every socket channel deregisters.
 
 Quick single-shot tests run in tier-1; the seeded kill-matrix is
 ``shard_slow`` (the CI shard-stress job runs it under a seed matrix).
@@ -18,7 +16,6 @@ Quick single-shot tests run in tier-1; the seeded kill-matrix is
 
 from __future__ import annotations
 
-import glob
 import os
 import random
 import signal
@@ -26,7 +23,6 @@ import signal
 import pytest
 
 from repro.engine.catalog import VersionedCatalog
-from repro.exec.arena import active_arena_count
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.resilience.supervisor import SupervisionPolicy
@@ -74,14 +70,10 @@ def make_service(seed: int, *, shards: int = 2, timeout: float = 2.0):
 
 @pytest.fixture(autouse=True)
 def no_leaks():
-    """Every test must leave zero open channels and zero arena segments."""
+    """Every test must leave zero open channels."""
     channels_before = active_channel_count()
-    shm_before = set(glob.glob("/dev/shm/repro_arena_*"))
     yield
     assert active_channel_count() == channels_before, "a test leaked a shard channel"
-    assert active_arena_count() == 0, "a test leaked a shared-memory segment"
-    leaked = set(glob.glob("/dev/shm/repro_arena_*")) - shm_before
-    assert not leaked, f"leaked shm segments: {leaked}"
 
 
 class TestSigkillRecovery:

@@ -1,7 +1,7 @@
 """Execution-mode equivalence: batch kernels vs the tuple-at-a-time oracle.
 
 The contract of the batch execution layer is *bit-identical observability*:
-for every scenario, ``execution="batch"`` and ``"batch-parallel"`` must
+for every scenario, ``execution="batch"`` must
 reproduce the tuple-mode oracle's result relation (same tuples, same
 order), JoinOutcome counters, and per-phase I/O statistics exactly -- not
 approximately, not merely as multisets.  These tests drive the equivalence
@@ -25,7 +25,7 @@ from repro.time.allen import AllenRelation
 from repro.variants.partitioned import partitioned_predicate_join
 from tests.conftest import random_relation
 
-BATCH_MODES = ("batch", "batch-parallel")
+BATCH_MODES = ("batch",)
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
 
@@ -67,7 +67,7 @@ def observe(run):
 
 
 def run_modes(r, s, make_config, **join_kwargs):
-    """Run all three modes and assert batch modes equal the tuple oracle."""
+    """Run every batch mode and assert it equals the tuple oracle."""
     oracle = partition_join(r, s, make_config("tuple"), **join_kwargs)
     expected = observe(oracle)
     for mode in BATCH_MODES:
@@ -79,13 +79,9 @@ def run_modes(r, s, make_config, **join_kwargs):
 class TestSweepEquivalence:
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     def test_partitioned_sweep_with_overflow(
-        self, schema_r, schema_s, backend, direction, monkeypatch
+        self, schema_r, schema_s, backend, direction
     ):
         """The thrashing path: a buffer too small for the partitions."""
-        import repro.exec.parallel as parallel_module
-
-        # Force batch-parallel through the real process pool even at test sizes.
-        monkeypatch.setattr(parallel_module, "MIN_PARALLEL_TUPLES", 0)
         r = random_relation(schema_r, 700, seed=11, n_keys=18)
         s = random_relation(schema_s, 800, seed=12, n_keys=18)
 
@@ -94,7 +90,6 @@ class TestSweepEquivalence:
                 memory_pages=12,
                 sweep_direction=direction,
                 execution=mode,
-                parallel_workers=2,
             )
 
         oracle = run_modes(r, s, make_config)
@@ -112,7 +107,6 @@ class TestSweepEquivalence:
                 sweep_direction=direction,
                 cache_buffer_pages=2,
                 execution=mode,
-                parallel_workers=2,
             )
 
         oracle = run_modes(r, s, make_config)
@@ -330,6 +324,64 @@ class TestZeroCopySweepEquivalence:
         assert isinstance(next(iter(heap.scan_pages())), ColumnarPage)
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="lanes only fan out with numpy workers")
+class TestLanePoolForksOnFirstFanOut:
+    """A page fans out only at >= MIN_LANE_ROWS matching rows, and the pool
+    is asked for only then: at ordinary page capacities a pipelined join
+    forks nothing and reports no dispatch."""
+
+    @staticmethod
+    def run(r, s, monkeypatch):
+        from repro.obs import ObservabilityConfig
+        from repro.resilience.supervisor import LaneSupervisor
+
+        pool_requests = []
+        ensure_pool = LaneSupervisor.ensure_pool
+
+        def spying_ensure_pool(self):
+            pool_requests.append(self.lanes)
+            return ensure_pool(self)
+
+        monkeypatch.setattr(LaneSupervisor, "ensure_pool", spying_ensure_pool)
+        run = partition_join(
+            r,
+            s,
+            PartitionJoinConfig(
+                memory_pages=6,
+                page_spec=PageSpec(8192, 16),  # 512 tuples per page
+                execution="batch-parallel-sweep",
+                sweep_workers=2,
+                observability=ObservabilityConfig(),
+            ),
+        )
+        dispatches = (
+            run.observability.metrics_snapshot()
+            .get("repro_pool_dispatches_total", {})
+            .get("series", {})
+            .get("", 0.0)
+        )
+        return run, pool_requests, dispatches
+
+    def test_no_pool_below_the_lane_threshold(self, schema_r, schema_s, monkeypatch):
+        import repro.exec.sweep_parallel as sweep
+
+        monkeypatch.setattr(sweep, "OVERSUBSCRIBE", True)  # 2 lanes on any box
+        r = random_relation(schema_r, 2600, seed=71, n_keys=6)
+        s = random_relation(schema_s, 2600, seed=72, n_keys=6)
+
+        quiet, pool_requests, dispatches = self.run(r, s, monkeypatch)
+        assert quiet.plan.num_partitions > 1
+        assert pool_requests == []  # the supervisor was never asked to spawn
+        assert "lane-pool-start" not in quiet.observability.trace_jsonl()
+        assert dispatches == 0
+
+        monkeypatch.setattr(sweep, "MIN_LANE_ROWS", 1)
+        fanned, pool_requests, dispatches = self.run(r, s, monkeypatch)
+        assert pool_requests and "lane-pool-start" in fanned.observability.trace_jsonl()
+        assert dispatches > 0
+        assert observe(fanned) == observe(quiet)
+
+
 class TestVariantsAndBaselines:
     def test_predicate_variant_equivalence(self, schema_r, schema_s, backend):
         r = random_relation(schema_r, 400, seed=51, long_lived_fraction=0.5)
@@ -344,7 +396,6 @@ class TestVariantsAndBaselines:
                 partitioned_predicate_join(r, s, config, accepted)
             )
         assert runs["batch"] == runs["tuple"]
-        assert runs["batch-parallel"] == runs["tuple"]
 
     def test_nested_loop_batch_equivalence(self, schema_r, schema_s, backend):
         r = random_relation(schema_r, 300, seed=61)

@@ -1,11 +1,12 @@
-"""Property tests: the five execution modes are one algorithm, bit for bit.
+"""Property tests: the four partition modes are one algorithm, bit for bit.
 
-The zero-copy columnar path (packed pages, shared-memory fan-out,
-multibuffer-planned auxiliary buffers) is pure mechanism: on arbitrary
-inputs -- including cache-overflow workloads, crash/resume runs, and
-concurrent service executions -- every execution mode must emit exactly
-the same result tuples in the same order and land on exactly the same
-:class:`JoinOutcome` counters as the PR-1 tuple-at-a-time evaluator.
+The columnar heap-page layout (packed pages probed as buffer views, tuples
+materialized on emission) is pure mechanism: on arbitrary inputs --
+including cache-overflow workloads, crash/resume runs, and concurrent
+service executions -- every execution mode must emit exactly the same
+result tuples in the same order, land on exactly the same
+:class:`JoinOutcome` counters, and charge the same reads and writes to
+every phase as the PR-1 tuple-at-a-time evaluator.
 """
 
 from __future__ import annotations
@@ -67,6 +68,18 @@ def fingerprint(run):
     )
 
 
+def ledger(run):
+    """Charged reads and writes per phase.
+
+    The pipelined sweeps may reorder accesses within a phase (the
+    random/sequential split can only improve); the op counts may not move.
+    """
+    return {
+        name: (stats.reads, stats.writes)
+        for name, stats in run.layout.tracker.phases.items()
+    }
+
+
 def run_mode(r, s, execution, memory=12, **config_overrides):
     config = PartitionJoinConfig(
         memory_pages=memory, page_spec=SPEC, execution=execution, **config_overrides
@@ -78,9 +91,11 @@ class TestAllModesBitIdentical:
     @given(relations(SCHEMA_R, "a"), relations(SCHEMA_S, "b"), st.integers(6, 24))
     @prop_settings
     def test_arbitrary_inputs(self, r, s, memory):
-        baseline = fingerprint(run_mode(r, s, "tuple", memory))
+        oracle = run_mode(r, s, "tuple", memory)
         for execution in EXECUTION_MODES[1:]:
-            assert fingerprint(run_mode(r, s, execution, memory)) == baseline, execution
+            run = run_mode(r, s, execution, memory)
+            assert fingerprint(run) == fingerprint(oracle), execution
+            assert ledger(run) == ledger(oracle), execution
 
     @given(
         relations(SCHEMA_R, "a", n_keys=0),
@@ -115,9 +130,10 @@ class TestOverflowPath:
         )
         baseline_run = run_mode(r, s, "tuple", memory=6)
         assert baseline_run.outcome.overflow_blocks > 0, "workload must overflow"
-        baseline = fingerprint(baseline_run)
         for execution in EXECUTION_MODES[1:]:
-            assert fingerprint(run_mode(r, s, execution, memory=6)) == baseline
+            run = run_mode(r, s, execution, memory=6)
+            assert fingerprint(run) == fingerprint(baseline_run), execution
+            assert ledger(run) == ledger(baseline_run), execution
 
 
 class TestResumeAfterCrash:
@@ -171,9 +187,7 @@ class TestConcurrentService:
 
         The memory ask (6 pages) sits below every mode's useful budget, so
         admission grants exactly the request in both services: equal grants
-        mean equal ``buffSize``, which the bit-identity contract requires
-        (zero-copy's grant estimate covers extra auxiliary pages, so an
-        *uncapped* ask would legitimately partition differently)."""
+        mean equal ``buffSize``, which the bit-identity contract requires."""
         from repro.engine.catalog import VersionedCatalog
         from repro.service import QueryService
 

@@ -137,3 +137,65 @@ class TestConfigFrozen:
         assert smaller.memory_pages == 8 and config.memory_pages == 16
         with pytest.raises(dataclasses.FrozenInstanceError):
             smaller.memory_pages = 4
+
+
+class TestRemovedModeName:
+    """``"batch-parallel"`` is gone with no alias: every entry point rejects
+    it like any unknown name, listing the modes that exist."""
+
+    REMOVED = "batch-parallel"
+
+    @staticmethod
+    def names_every_survivor(message):
+        from repro.core.partition_join import ALL_EXECUTION_MODES, EXECUTION_MODES
+
+        assert len(ALL_EXECUTION_MODES) == 5
+        return all(mode in message for mode in EXECUTION_MODES)
+
+    def test_config(self):
+        with pytest.raises(ValueError) as rejected:
+            PartitionJoinConfig(memory_pages=8, execution=self.REMOVED)
+        assert self.names_every_survivor(str(rejected.value))
+
+    def test_partitioner_and_joiner(self):
+        from repro.core.intervals import PartitionMap
+        from repro.core.joiner import join_partitions
+        from repro.core.partitioner import do_partitioning
+        from repro.storage.layout import DiskLayout
+
+        layout = DiskLayout()
+        pmap = PartitionMap([Interval(0, 9)])
+        source = layout.temp_file("src", capacity_tuples=1)
+        with pytest.raises(PlanError) as rejected:
+            do_partitioning(source, pmap, layout, "r", 4, execution=self.REMOVED)
+        assert self.names_every_survivor(str(rejected.value))
+        with pytest.raises(ValueError) as rejected:
+            join_partitions(
+                [source], [source], pmap, 1, layout, collect=False,
+                execution=self.REMOVED,
+            )
+        assert self.names_every_survivor(str(rejected.value))
+
+    def test_both_services(self):
+        from repro.model.errors import ServiceError
+        from repro.service import QueryService
+        from repro.shard import ShardedQueryService
+
+        from tests.service.conftest import make_catalog
+
+        for service in (
+            QueryService(make_catalog(), pool_pages=16, workers=1),
+            ShardedQueryService(make_catalog(), shards=1, pool_pages=16),
+        ):
+            with service:
+                with pytest.raises(ServiceError) as rejected:
+                    service.open_session(execution=self.REMOVED)
+            assert self.names_every_survivor(str(rejected.value))
+
+    @pytest.mark.parametrize("command", ["explain", "serve"])
+    def test_cli(self, command, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main([command, "--execution", self.REMOVED])
+        assert self.names_every_survivor(capsys.readouterr().err)

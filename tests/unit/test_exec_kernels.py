@@ -10,8 +10,7 @@ import pytest
 
 from repro.core.intervals import PartitionMap
 from repro.exec.backend import HAVE_NUMPY
-from repro.exec.kernels import PythonKernels, get_kernels
-from repro.exec.parallel import locate_partitions_parallel
+from repro.exec.kernels import get_kernels
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
 
@@ -145,27 +144,6 @@ class TestMigrationAndLocate:
 
     def test_locate_empty(self, kernels, pmap):
         assert kernels.locate([], kernels.prepare_boundaries(pmap)) == []
-
-
-class TestParallelLocate:
-    def test_matches_serial_for_both_placements(self, pmap):
-        spans = [(i % 37, (i % 37) + (i % 11)) for i in range(5000)]
-        ends = [interval.end for interval in pmap.intervals]
-        serial = PythonKernels()
-        for placement, chronon in (("last", 1), ("first", 0)):
-            expect = [
-                pmap.index_of_chronon(span[chronon])
-                for span in spans
-            ]
-            got = locate_partitions_parallel(spans, ends, placement, workers=2)
-            in_process = locate_partitions_parallel(
-                spans, ends, placement, workers=1, kernels=serial
-            )
-            assert got == expect == in_process
-
-    def test_rejects_bad_placement(self, pmap):
-        with pytest.raises(ValueError):
-            locate_partitions_parallel([], [9], "middle")
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")

@@ -86,3 +86,35 @@ class TestCosts:
         source = place(layout, [Interval(0, 1)])
         with pytest.raises(PlanError):
             do_partitioning(source, pmap, layout, "r", memory_pages=1)
+
+
+class TestColumnarSource:
+    @pytest.mark.parametrize("placement", ["last", "first"])
+    def test_batch_routes_columns_without_materializing(self, pmap, placement):
+        """A columnar source partitions to the same pages at the same charge
+        as a list-page source, and never builds a tuple on the way."""
+        intervals = [Interval(i % 28, min(29, i % 28 + i % 7)) for i in range(200)]
+        runs = {}
+        for columnar in (False, True):
+            layout = DiskLayout(
+                spec=PageSpec(page_bytes=1024, tuple_bytes=256), columnar=columnar
+            )
+            source = place(layout, intervals)
+            with layout.tracker.phase("partition"):
+                parts = do_partitioning(
+                    source, pmap, layout, "r", memory_pages=6,
+                    placement=placement, execution="batch",
+                )
+            ledger = {
+                name: stats.as_dict() for name, stats in layout.tracker.phases.items()
+            }
+            peek = layout.disk.peek
+            if columnar:
+                for index in range(source.n_pages):
+                    assert peek(source.extent, index)._materialized is None
+            pages = [
+                [list(peek(part.extent, index)) for index in range(part.n_pages)]
+                for part in parts
+            ]
+            runs[columnar] = (pages, ledger)
+        assert runs[True] == runs[False]

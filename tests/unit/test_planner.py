@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from repro.core.partition_join import EXECUTION_MODES
 from repro.core.planner import (
     candidate_part_sizes,
     determine_part_intervals,
+    estimate_grant_pages,
     estimate_join_cost,
     estimate_pipelined_join_cost,
     recommend_sweep_workers,
@@ -230,3 +232,13 @@ class TestDeterminePartIntervals:
         plan_b = determine_part_intervals(16, heap_b, 400, CostModel(), random.Random(7))
         assert plan_a.intervals == plan_b.intervals
         assert plan_a.part_size == plan_b.part_size
+
+
+class TestGrantEstimate:
+    def test_every_partition_mode_asks_for_the_same_grant(self):
+        """The useful budget is a property of the inputs, not of the
+        execution mode: the pipelined sweeps ask for what ``batch`` asks."""
+        base = estimate_grant_pages(100, 100, 200)
+        assert base == 103  # min(outer, inner) + the three fixed pages
+        for execution in EXECUTION_MODES:
+            assert estimate_grant_pages(100, 100, 200, execution=execution) == base

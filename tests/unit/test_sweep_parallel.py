@@ -17,6 +17,7 @@ from repro.exec import sweep_parallel as sweep
 from repro.exec.backend import HAVE_NUMPY
 from repro.exec.kernels import PythonKernels, get_kernels
 from repro.exec.sweep_parallel import (
+    PickledLaneDispatcher,
     PipelinedSweepEngine,
     PrunedProbeIndex,
     PrunedProbeIndexPython,
@@ -153,7 +154,7 @@ class TestLaneInvariance:
         assert got == want
 
     def test_small_pages_stay_single_lane(self, pmap):
-        """Below MIN_LANE_ROWS the pool is never consulted."""
+        """Below MIN_LANE_ROWS the dispatcher is never consulted."""
         kernels = get_kernels("numpy")
         interner = kernels.make_interner()
         block = [vt("a", 0, 9), vt("b", 3, 7)]
@@ -161,9 +162,8 @@ class TestLaneInvariance:
         index = PrunedProbeIndex(block, interner)
         batch = kernels.page_batch(page, interner)
 
-        class ExplodingPool:
-            def map(self, fn, tasks):  # pragma: no cover - must not run
-                raise AssertionError("pool used below the lane threshold")
+        def exploding_dispatch(shared, lane_tasks):  # pragma: no cover - must not run
+            raise AssertionError("lanes dispatched below the lane threshold")
 
         got = probe_pruned(
             index,
@@ -174,7 +174,7 @@ class TestLaneInvariance:
             0,
             "backward",
             lanes=4,
-            pool=ExplodingPool(),
+            dispatch=exploding_dispatch,
         )
         assert got[0].size == 1
 
@@ -273,6 +273,75 @@ class TestEngine:
         engine = PipelinedSweepEngine(pmap, "backward", workers=1)
         engine.close()
         engine.close()
+
+
+@needs_numpy
+class TestPickledLaneDispatcher:
+    """The one lane transport: bare pool, supervised pool, and in-process
+    lanes must agree exactly, page after page."""
+
+    PMAP = PartitionMap([Interval(0, 199), Interval(200, 399), Interval(400, 599)])
+
+    @pytest.fixture
+    def workload(self):
+        rng = random.Random(11)
+
+        def tuples(n, tag):
+            out = []
+            for i in range(n):
+                start = rng.randrange(0, 600)
+                end = min(599, start + rng.randrange(0, 80))
+                out.append(vt(f"k{rng.randrange(20)}", start, end, tag=f"{tag}{i}"))
+            return out
+
+        return tuples(2000, "b"), [tuples(700, f"p{j}_") for j in range(3)]
+
+    def _run_engine(self, block, pages, *, workers, supervisor=None):
+        engine = PipelinedSweepEngine(
+            self.PMAP, "backward", workers=workers, supervisor=supervisor
+        )
+        try:
+            index = engine.build_index(block)
+            return (
+                [engine.process_page(index, page, 2, 1, True) for page in pages],
+                engine.pool_dispatches,
+            )
+        finally:
+            engine.close()
+
+    def test_pooled_lanes_match_serial(self, workload, monkeypatch):
+        from repro.resilience.supervisor import LaneSupervisor
+
+        monkeypatch.setattr(sweep, "OVERSUBSCRIBE", True)
+        monkeypatch.setattr(sweep, "MIN_LANE_ROWS", 0)
+        block, pages = workload
+
+        serial, serial_dispatches = self._run_engine(block, pages, workers=1)
+        bare, bare_dispatches = self._run_engine(block, pages, workers=3)
+        supervisor = LaneSupervisor(3)
+        supervised, _ = self._run_engine(block, pages, workers=3, supervisor=supervisor)
+
+        assert bare == serial == supervised
+        assert serial_dispatches == 0
+        assert bare_dispatches == len(pages)  # one dispatch per fanned-out page
+        assert supervisor.stats.dispatches == len(pages)
+        assert supervisor.stats.failures == 0
+
+    def test_dispatch_prefixes_every_lane_with_the_shared_index(self):
+        """Each pool task is the shared index columns followed by one lane's
+        slice, in lane order -- what ``_lane_task`` unpacks."""
+        seen = []
+
+        class RecordingPool:
+            def map(self, fn, tasks):
+                seen.extend(tasks)
+                return [("part", len(task)) for task in tasks]
+
+        shared = ("comp", "starts", "ends", "maxlen", 0, 2)
+        lanes = [("g0", "r0", "s0", "e0"), ("g1", "r1", "s1", "e1")]
+        parts = PickledLaneDispatcher(RecordingPool())(shared, lanes)
+        assert seen == [shared + lanes[0], shared + lanes[1]]
+        assert parts == [("part", 10), ("part", 10)]
 
 
 class TestWorkerCounts:
