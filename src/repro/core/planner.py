@@ -543,6 +543,25 @@ class _SpanSample:
         return self.valid.end
 
 
+def _span_columns(pages: Sequence) -> tuple:
+    """``(starts, ends)`` int64 columns of a scanned relation, in row order.
+
+    Columnar pages concatenate their buffer views; list pages decompose
+    once, here, so with numpy the plan is made on columns whatever the
+    page layout.
+    """
+    if all(isinstance(page, ColumnarPage) for page in pages):
+        return (
+            np.concatenate([page.starts_view() for page in pages]),
+            np.concatenate([page.ends_view() for page in pages]),
+        )
+    valids = [tup.valid for page in pages for tup in page]
+    return (
+        np.fromiter((valid.start for valid in valids), np.int64, count=len(valids)),
+        np.fromiter((valid.end for valid in valids), np.int64, count=len(valids)),
+    )
+
+
 class _IncrementalSampler:
     """Draws ever-larger sample prefixes, switching to one scan when cheaper.
 
@@ -579,9 +598,9 @@ class _IncrementalSampler:
         """The first *needed* samples, drawing (and charging) as required."""
         needed = min(needed, self._outer.n_tuples)
         if self._column_starts is not None:
-            # Columnar scan: the whole relation's span columns are already
-            # concatenated, so a prefix is one vectorized gather at the
-            # pre-shuffled positions -- no per-sample work at all.
+            # Scanned with numpy: the whole relation's span columns are
+            # already concatenated, so a prefix is one vectorized gather at
+            # the pre-shuffled positions -- no per-sample work at all.
             if needed > self._n_drawn:
                 self._n_drawn = needed
             positions = self._position_array[:needed]
@@ -594,39 +613,23 @@ class _IncrementalSampler:
         random_cost = needed * self._cost_model.io_ran
         if self._allow_scan and (self.scan_done or random_cost >= scan_cost):
             if not self.scan_done:
-                # Keep the scanned pages; only the sampled positions are
-                # ever materialized (columnar pages build rows lazily, so
-                # flattening the whole relation here would pay a per-tuple
-                # cost the sample never looks at).
-                self._scanned_pages = list(self._outer.scan_pages())
-                offset = 0
-                for page in self._scanned_pages:
-                    self._page_offsets.append(offset)
-                    offset += len(page)
+                pages = list(self._outer.scan_pages())
                 self.scan_done = True
-                if (
-                    np is not None
-                    and self._scanned_pages
-                    and all(
-                        isinstance(page, ColumnarPage)
-                        for page in self._scanned_pages
-                    )
-                ):
-                    self._column_starts = np.concatenate(
-                        [page.starts_view() for page in self._scanned_pages]
-                    )
-                    self._column_ends = np.concatenate(
-                        [page.ends_view() for page in self._scanned_pages]
-                    )
+                if np is not None and pages:
+                    self._column_starts, self._column_ends = _span_columns(pages)
                     self._position_array = np.asarray(
                         self._positions, dtype=np.int64
                     )
-                    self._n_drawn = max(needed, len(self._samples))
-                    positions = self._position_array[:needed]
-                    return SampleSpans(
-                        self._column_starts[positions],
-                        self._column_ends[positions],
-                    )
+                    return self.prefix(needed)
+                # Without numpy, keep the scanned pages; only the sampled
+                # positions are ever materialized (columnar pages build rows
+                # lazily, so flattening the whole relation here would pay a
+                # per-tuple cost the sample never looks at).
+                self._scanned_pages = pages
+                offset = 0
+                for page in pages:
+                    self._page_offsets.append(offset)
+                    offset += len(page)
             assert self._scanned_pages is not None
             while len(self._samples) < needed:
                 position = self._positions[len(self._samples)]

@@ -1,10 +1,11 @@
 """Columnar batches: the unit of work of the vectorized kernels.
 
-A :class:`PageBatch` is a page of tuples decomposed into parallel columns --
-interned key ids, start chronons, end chronons, and row indices back into
-the original tuple list.  It is built **once per page** as the page passes
-through memory; every kernel then operates on whole columns instead of
-revisiting each tuple.
+A :class:`PageBatch` is a page of tuples -- or a *run* of pages, what the
+sweep probes at once -- decomposed into parallel columns: interned key ids,
+start chronons, end chronons, and row indices back into the original tuple
+list.  It is built **once per run** as the pages pass through memory;
+every kernel then operates on whole columns instead of revisiting each
+tuple.
 
 Keys are arbitrary Python tuples (the explicit join attributes), so they
 cannot live in a numeric column directly.  A :class:`KeyInterner` maps each
@@ -150,7 +151,9 @@ class PageBatch:
         elif intern:
             key_ids = [interner.intern(tup.key) for tup in tuples]
         else:
-            key_ids = [interner.lookup(tup.key) for tup in tuples]
+            # ``lookup`` inlined: one dict probe per row, no method frame.
+            get = interner._ids.get
+            key_ids = [get(tup.key, -1) for tup in tuples]
         starts: Sequence[int] = [tup.valid.start for tup in tuples]
         ends: Sequence[int] = [tup.valid.end for tup in tuples]
         if use_numpy:
@@ -302,8 +305,8 @@ class ColumnarBlock(Sequence):
     block is a list of ``(page, rows)`` segments, where ``rows`` is ``None``
     for a whole page or an ``int64`` index array for the survivors of a
     retained-tuple purge.  The probe index reads whole columns straight off
-    the segments (:meth:`columns`), the partition-boundary purge is one
-    vectorized ``searchsorted`` per segment (:meth:`purged`), and a tuple is
+    the segments (:meth:`columns`), the partition-boundary purge is two
+    vectorized comparisons per segment (:meth:`purged`), and a tuple is
     materialized only when something downstream touches the row -- emission
     of a match, spilling an overflow block, or checkpointing.  Row
     materialization goes through each page's memoized :meth:`row`, so a row
@@ -353,12 +356,14 @@ class ColumnarBlock(Sequence):
 
     # -- column access (the index build path) -------------------------------
 
-    def columns(self, translator: "CodeTranslator"):
+    def columns(self, translator: "CodeTranslator", *, intern: bool = True):
         """``(key_ids, starts, ends)`` of the whole block, as int64 arrays.
 
-        Key ids come from one interning gather per segment through the
-        page dictionaries' translation tables; the time columns are sliced
-        straight off the page buffers.  No tuple is materialized.
+        Key ids come from one gather per segment through the page
+        dictionaries' translation tables -- interning every dictionary key
+        first on the build side, read-only with *intern* off (a probe-side
+        run, where unknown keys must stay ``-1``); the time columns are
+        sliced straight off the page buffers.  No tuple is materialized.
         """
         n = self._len
         key_ids = np.empty(n, np.int64)
@@ -366,7 +371,8 @@ class ColumnarBlock(Sequence):
         ends = np.empty(n, np.int64)
         position = 0
         for page, rows in self._segments:
-            translator.ensure_interned(page.dictionary)
+            if intern:
+                translator.ensure_interned(page.dictionary)
             ids = translator.translate(page)
             if rows is None:
                 count = len(page)
@@ -383,35 +389,25 @@ class ColumnarBlock(Sequence):
 
     # -- vectorized retained-tuple purge -------------------------------------
 
-    def _overlap_mask(self, page, rows, boundary_ends, last: int, index: int):
-        """Which segment rows overlap partition *index* (edge-clamped).
-
-        Vectorizes ``PartitionMap.overlaps_partition``:
-        ``first_overlapping(valid) <= index <= last_overlapping(valid)``
-        with ``bisect_left`` == ``searchsorted(side="left")`` and the same
-        edge clamp.
-        """
+    @staticmethod
+    def _overlap_mask(page, rows, window):
+        """Which segment rows overlap the partition *window* (edge-clamped):
+        ``PartitionMap.overlaps_partition`` as two column comparisons (see
+        :meth:`~repro.exec.kernels.PartitionBoundaries.window`)."""
+        lo, hi = window
         starts = page.starts_view()
         ends = page.ends_view()
         if rows is not None:
             starts = starts[rows]
             ends = ends[rows]
-        first = np.minimum(np.searchsorted(boundary_ends, starts, side="left"), last)
-        last_part = np.minimum(np.searchsorted(boundary_ends, ends, side="left"), last)
-        return (first <= index) & (index <= last_part)
+        return (ends > lo) & (starts <= hi)
 
-    def _boundary_ends(self, partition_map):
-        return np.asarray(
-            [interval.end for interval in partition_map.intervals], dtype=np.int64
-        )
-
-    def purged(self, partition_map, index: int) -> "ColumnarBlock":
+    def purged(self, boundaries, index: int) -> "ColumnarBlock":
         """The sub-block of rows overlapping partition *index*, same order."""
-        boundary_ends = self._boundary_ends(partition_map)
-        last = len(partition_map) - 1
+        window = boundaries.window(index)
         segments = []
         for page, rows in self._segments:
-            keep = self._overlap_mask(page, rows, boundary_ends, last, index)
+            keep = self._overlap_mask(page, rows, window)
             if keep.all():
                 segments.append((page, rows))
                 continue
@@ -422,16 +418,13 @@ class ColumnarBlock(Sequence):
                 )
         return ColumnarBlock(segments)
 
-    def count_overlapping(self, partition_map, index: int) -> int:
+    def count_overlapping(self, boundaries, index: int) -> int:
         """How many rows overlap partition *index* (the prefetch predictor)."""
-        boundary_ends = self._boundary_ends(partition_map)
-        last = len(partition_map) - 1
-        total = 0
-        for page, rows in self._segments:
-            total += int(
-                self._overlap_mask(page, rows, boundary_ends, last, index).sum()
-            )
-        return total
+        window = boundaries.window(index)
+        return sum(
+            int(self._overlap_mask(page, rows, window).sum())
+            for page, rows in self._segments
+        )
 
 
 def iter_page_batches(

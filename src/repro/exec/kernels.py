@@ -7,11 +7,13 @@ a vectorized numpy implementation and a pure-Python fallback here:
   the outer block into candidate pairs (CSR gather over interned key ids);
 * **interval intersection** -- ``[max(starts), min(ends)]`` with the
   emptiness mask, over whole pair columns;
-* **owner-chronon filter** -- the exactly-once emission rule, as one
-  ``searchsorted`` of the owner chronons against the partition boundaries
-  instead of a per-pair binary search;
-* **migration mask** -- ``overlaps_partition`` over a whole page, deciding
-  which tuples continue into the next sweep iteration's cache.
+* **owner-chronon filter** -- the exactly-once emission rule, as two
+  comparisons of the owner chronons against the partition's *window*
+  (:meth:`PartitionBoundaries.window`) instead of a per-pair binary search;
+* **migration rows** -- ``overlaps_partition`` as the same two comparisons
+  per row, deciding which tuples continue into the next sweep iteration's
+  cache.  It runs per *page* (the main disk's access order depends on it),
+  so it never pays a numpy call; the probe runs per *run* of pages.
 
 The partitioner's per-tuple placement (``index_of_chronon`` of the storage
 chronon) is the fifth kernel, :meth:`Kernels.locate`.
@@ -29,7 +31,7 @@ from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.backend import HAVE_NUMPY, backend_name, np
-from repro.exec.batch import CodeTranslator, KeyInterner, PageBatch
+from repro.exec.batch import CodeTranslator, ColumnarBlock, KeyInterner, PageBatch
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
 
@@ -58,7 +60,8 @@ class PartitionBoundaries:
     Prepared once per join from the :class:`~repro.core.intervals.PartitionMap`
     and shared by every kernel call; ``index_of_chronon`` is
     ``min(bisect_left(ends, c), n - 1)`` -- the same clamped lookup the map
-    performs, lifted to whole columns.
+    performs, lifted to whole columns.  For one *known* partition the lookup
+    collapses to :meth:`window`.
     """
 
     __slots__ = ("ends", "ends_np", "n")
@@ -69,6 +72,17 @@ class PartitionBoundaries:
         if self.n == 0:
             raise ValueError("a partitioning needs at least one boundary")
         self.ends_np = np.array(self.ends, dtype=np.int64) if use_numpy else None
+
+    def window(self, index: int) -> Tuple[float, float]:
+        """``(lo, hi)`` of partition *index* under the map's edge clamping.
+
+        ``index_of_chronon(c) == index`` iff ``lo < c <= hi``, and an
+        interval overlaps the partition iff ``lo < end and start <= hi``.
+        The first partition has ``lo = -inf`` and the last ``hi = +inf``.
+        """
+        lo = self.ends[index - 1] if index > 0 else float("-inf")
+        hi = self.ends[index] if index < self.n - 1 else float("inf")
+        return lo, hi
 
 
 class Kernels:
@@ -107,6 +121,53 @@ class Kernels:
         """
         raise NotImplementedError
 
+    def run_batch(
+        self,
+        pages: Sequence[Sequence[VTTuple]],
+        interner: Optional[KeyInterner] = None,
+        *,
+        translator: Optional[CodeTranslator] = None,
+    ) -> PageBatch:
+        """One probe-side :class:`PageBatch` over a *run* of pages.
+
+        A single page is its own run.  Several columnar pages stay packed
+        behind a :class:`~repro.exec.batch.ColumnarBlock` (rows materialize
+        on emission only) when a *translator* can supply their key ids;
+        anything else is flattened into one tuple list.
+        """
+        if len(pages) == 1:
+            return self.page_batch(pages[0], interner, translator=translator)
+        columnar = _columnar_page_type()
+        if translator is not None and all(isinstance(page, columnar) for page in pages):
+            rows = ColumnarBlock([(page, None) for page in pages])
+            return PageBatch(rows, *rows.columns(translator, intern=False))
+        return self.page_batch(
+            [tup for page in pages for tup in page], interner, translator=translator
+        )
+
+    def migration_rows(
+        self, page: Sequence[VTTuple], boundaries: PartitionBoundaries, next_index: int
+    ) -> List[int]:
+        """Rows of *page* whose interval overlaps partition *next_index*
+        (clamped semantics), in page order.
+
+        Two comparisons per row against the partition's window; plain
+        Python on purpose -- it runs once per page, where a numpy call's
+        fixed cost exceeds the work of a small page.
+        """
+        lo, hi = boundaries.window(next_index)
+        if isinstance(page, _columnar_page_type()):
+            return [
+                row
+                for row, (vs, ve) in enumerate(zip(page.starts_list(), page.ends_list()))
+                if lo < ve and vs <= hi
+            ]
+        return [
+            row
+            for row, tup in enumerate(page)
+            if lo < tup.valid.end and tup.valid.start <= hi
+        ]
+
     # -- the kernels -------------------------------------------------------
 
     def build_probe_index(self, block: Sequence[VTTuple], interner: KeyInterner):
@@ -124,13 +185,6 @@ class Kernels:
         """Probe *batch* against *index*: key equality + interval
         intersection, then (when *boundaries* is given) the exactly-once
         owner-chronon filter for partition *part_index*."""
-        raise NotImplementedError
-
-    def migration_rows(
-        self, batch: PageBatch, boundaries: PartitionBoundaries, next_index: int
-    ) -> List[int]:
-        """Rows of *batch* whose interval overlaps partition *next_index*
-        (clamped semantics), in page order."""
         raise NotImplementedError
 
     def locate(
@@ -163,8 +217,7 @@ class PythonKernels(Kernels):
 
     def probe(self, index, batch, boundaries=None, part_index=None, direction="backward"):
         matches: List[Match] = []
-        ends = boundaries.ends if boundaries is not None else None
-        last = boundaries.n - 1 if boundaries is not None else 0
+        lo, hi = boundaries.window(part_index) if boundaries is not None else (None, None)
         backward = direction == "backward"
         for inner_tup in batch.tuples:
             for outer_tup in index.get(inner_tup.key, ()):
@@ -172,25 +225,10 @@ class PythonKernels(Kernels):
                 ce = min(outer_tup.valid.end, inner_tup.valid.end)
                 if cs > ce:
                     continue
-                if ends is not None:
-                    owner = ce if backward else cs
-                    if min(bisect_left(ends, owner), last) != part_index:
-                        continue
+                if lo is not None and not lo < (ce if backward else cs) <= hi:
+                    continue
                 matches.append((outer_tup, inner_tup, Interval(cs, ce)))
         return matches
-
-    def migration_rows(self, batch, boundaries, next_index):
-        ends = boundaries.ends
-        last = boundaries.n - 1
-        rows: List[int] = []
-        for row, (vs, ve) in enumerate(zip(batch.starts, batch.ends)):
-            if (
-                min(bisect_left(ends, vs), last)
-                <= next_index
-                <= min(bisect_left(ends, ve), last)
-            ):
-                rows.append(row)
-        return rows
 
     def locate(self, chronons, boundaries):
         ends = boundaries.ends
@@ -291,11 +329,8 @@ class NumpyKernels(Kernels):
         common_end = common_end[kept]
         if boundaries is not None:
             owner = common_end if direction == "backward" else common_start
-            owner_part = np.minimum(
-                np.searchsorted(boundaries.ends_np, owner, side="left"),
-                boundaries.n - 1,
-            )
-            owned = np.nonzero(owner_part == part_index)[0]
+            lo, hi = boundaries.window(part_index)
+            owned = np.nonzero((owner > lo) & (owner <= hi))[0]
             if owned.size == 0:
                 return []
             kept = kept[owned]
@@ -319,19 +354,6 @@ class NumpyKernels(Kernels):
                 common_end.tolist(),
             )
         ]
-
-    def migration_rows(self, batch, boundaries, next_index):
-        if len(batch) == 0:
-            return []
-        last = boundaries.n - 1
-        first_part = np.minimum(
-            np.searchsorted(boundaries.ends_np, batch.starts, side="left"), last
-        )
-        last_part = np.minimum(
-            np.searchsorted(boundaries.ends_np, batch.ends, side="left"), last
-        )
-        mask = (first_part <= next_index) & (next_index <= last_part)
-        return np.nonzero(mask)[0].tolist()
 
     def locate(self, chronons, boundaries):
         values = np.asarray(chronons, dtype=np.int64)

@@ -305,11 +305,8 @@ def probe_pruned(
 
     if boundaries is not None:
         owner = common_end if direction == "backward" else common_start
-        owner_part = np.minimum(
-            np.searchsorted(boundaries.ends_np, owner, side="left"),
-            boundaries.n - 1,
-        )
-        owned = np.nonzero(owner_part == part_index)[0]
+        lo, hi = boundaries.window(part_index)
+        owned = np.nonzero((owner > lo) & (owner <= hi))[0]
         if owned.size == 0:
             return empty, empty, empty, empty
         pair_inner = pair_inner[owned]
@@ -362,8 +359,9 @@ def probe_pruned_python(
     the oracle's emission order.
     """
     backward = direction == "backward"
-    ends = boundaries.ends if boundaries is not None else None
-    last = boundaries.n - 1 if boundaries is not None else 0
+    lo_own, hi_own = (
+        boundaries.window(part_index) if boundaries is not None else (None, None)
+    )
     out: List[Tuple[int, int, int, int]] = []
     for row, inner_tup in enumerate(page):
         group = index.groups.get(inner_tup.key)
@@ -380,10 +378,8 @@ def probe_pruned_python(
             ce = outer_end if outer_end < i_end else i_end
             if cs > ce:
                 continue
-            if ends is not None:
-                owner = ce if backward else cs
-                if min(bisect_left(ends, owner), last) != part_index:
-                    continue
+            if lo_own is not None and not lo_own < (ce if backward else cs) <= hi_own:
+                continue
             out.append((outer_row, row, cs, ce))
     out.sort(key=lambda pair: (pair[1], pair[0]))
     return out
@@ -395,10 +391,11 @@ def probe_pruned_python(
 class PipelinedSweepEngine:
     """Drop-in probe engine for the pipelined sweep modes.
 
-    Satisfies the same ``build_index`` / ``process_page`` contract as the
-    tuple and batch engines of :mod:`repro.core.joiner` (duck-typed -- all
-    I/O stays in the caller) and emits bit-identical matches and migration
-    rows; only the in-memory algorithm and its parallelism differ.
+    Satisfies the same ``build_index`` / ``overlapping_rows`` / ``probe``
+    contract as the tuple and batch engines of :mod:`repro.core.joiner`
+    (duck-typed -- all I/O stays in the caller) and emits bit-identical
+    matches and migration rows; only the in-memory algorithm and its
+    parallelism differ.
     """
 
     def __init__(
@@ -414,7 +411,7 @@ class PipelinedSweepEngine:
         report=None,
     ) -> None:
         self._kernels = kernels if kernels is not None else get_kernels()
-        self._boundaries = self._kernels.prepare_boundaries(partition_map)
+        self.boundaries = self._kernels.prepare_boundaries(partition_map)
         # An injected interner (the service's epoch-keyed shared one) skips
         # the rebuild-per-join churn; id values never affect results, so
         # sharing is sound (see KeyInterner docstring).
@@ -514,35 +511,29 @@ class PipelinedSweepEngine:
             return PrunedProbeIndex(block, self._interner, translator=self._translator)
         return PrunedProbeIndexPython(block)
 
-    def process_page(
-        self,
-        index_obj,
-        page: Sequence[VTTuple],
-        part_index: int,
-        next_index: Optional[int],
-        want_migration: bool,
-    ) -> Tuple[List[Match], List[int]]:
-        batch = self._kernels.page_batch(page, self._interner, translator=self._translator)
+    def overlapping_rows(self, rows: Sequence[VTTuple], index: int) -> List[int]:
+        return self._kernels.migration_rows(rows, self.boundaries, index)
+
+    def probe(
+        self, index_obj, pages: Sequence[Sequence[VTTuple]], part_index: int
+    ) -> List[Match]:
+        batch = self._kernels.run_batch(
+            pages, self._interner, translator=self._translator
+        )
         if self._kernels.use_numpy:
-            matches = self._probe_numpy(index_obj, batch, part_index)
-        else:
-            matches = [
-                (index_obj.block[o], page[i], Interval(cs, ce))
-                for o, i, cs, ce in probe_pruned_python(
-                    index_obj, page, self._boundaries, part_index, self._direction
-                )
-            ]
-        migrate_rows: List[int] = []
-        if want_migration and next_index is not None:
-            migrate_rows = self._kernels.migration_rows(
-                batch, self._boundaries, next_index
+            return self._probe_numpy(index_obj, batch, part_index)
+        rows = batch.tuples
+        return [
+            (index_obj.block[o], rows[i], Interval(cs, ce))
+            for o, i, cs, ce in probe_pruned_python(
+                index_obj, rows, self.boundaries, part_index, self._direction
             )
-        return matches, migrate_rows
+        ]
 
     def _probe_numpy(self, index_obj: PrunedProbeIndex, batch, part_index: int):
         if index_obj.fallback is not None:
             return self._kernels.probe(
-                index_obj.fallback, batch, self._boundaries, part_index, self._direction
+                index_obj.fallback, batch, self.boundaries, part_index, self._direction
             )
         fan_out = self.lanes >= 2 and not self._pool_broken
         try:
@@ -551,7 +542,7 @@ class PipelinedSweepEngine:
                 batch.key_ids,
                 batch.starts,
                 batch.ends,
-                self._boundaries,
+                self.boundaries,
                 part_index,
                 self._direction,
                 lanes=self.lanes if fan_out else 1,
@@ -572,7 +563,7 @@ class PipelinedSweepEngine:
                 batch.key_ids,
                 batch.starts,
                 batch.ends,
-                self._boundaries,
+                self.boundaries,
                 part_index,
                 self._direction,
             )

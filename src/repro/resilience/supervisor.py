@@ -288,7 +288,8 @@ class LaneSupervisor:
         pool's surviving workers are killed directly first (their tasks are
         re-dispatched anyway), and the stdlib teardown runs on a bounded
         daemon thread -- if it wedges on the poisoned lock, the thread is
-        abandoned and cannot keep the process alive.  A healthy pool is
+        abandoned and cannot keep the process alive, and the workers it
+        would have reaped are killed and reaped here.  A healthy pool is
         NEVER pre-killed: SIGKILLing an idle worker that holds the
         task-queue read lock would *create* the poisoned lock and stall
         every clean close for the full reaper timeout.
@@ -316,6 +317,18 @@ class LaneSupervisor:
         )
         reaper.start()
         reaper.join(timeout=1.0)
+        if reaper.is_alive():
+            # The teardown wedged and is abandoned, so nothing else will
+            # ever reap this pool's workers -- including the ones the pool
+            # respawned after the pre-kill above.  Kill and reap them here
+            # instead of leaving them until interpreter exit.
+            for proc in list(getattr(pool, "_pool", None) or []):
+                try:
+                    if proc.exitcode is None:
+                        proc.kill()
+                    proc.join(timeout=1.0)
+                except OSError:
+                    pass
 
     # -- the supervised dispatch ----------------------------------------------
 

@@ -171,9 +171,37 @@ class HeapFile:
             self.flush()
 
     def append_many(self, tuples: Iterable[VTTuple]) -> None:
-        """Append every tuple of *tuples*."""
-        for tup in tuples:
-            self.append(tup)
+        """Append every tuple of *tuples*, filling pages by slice.
+
+        Writes exactly the page sequence (and charges) that one
+        :meth:`append` per tuple would, with one endpoint-sortedness pass
+        over the run instead of a check per tuple.
+        """
+        run = tuples if isinstance(tuples, list) else list(tuples)
+        if self._endpoint_sorted:
+            # An unsorted file stays unsorted until it is emptied, and
+            # ``_last_span`` is only read while the flag holds, so the pass
+            # is skipped from the first violation on.
+            last = self._last_span
+            try:
+                for tup in run:
+                    span = (tup.vs, tup.ve)
+                    if last is not None and span < last:
+                        self._endpoint_sorted = False
+                        break
+                    last = span
+            except AttributeError:  # opaque rows carry no timestamps
+                self._endpoint_sorted = False
+            self._last_span = last
+        capacity = self.spec.capacity
+        at = 0
+        while at < len(run):
+            chunk = run[at : at + capacity - len(self._write_page)]
+            self._write_page.extend(chunk)
+            self._n_tuples += len(chunk)
+            at += len(chunk)
+            if len(self._write_page) >= capacity:
+                self.flush()
 
     def flush(self) -> None:
         """Write the partial page buffer to disk (no-op when empty)."""

@@ -10,6 +10,7 @@ volatile state that must vanish cleanly at the crash.
 
 import pytest
 
+from repro.core.joiner import RUN_ROWS
 from repro.core.partition_join import partition_join, resume_join
 from repro.model.errors import CheckpointError, SimulatedCrashError
 from repro.resilience import FaultInjector, RecoveryLog
@@ -21,6 +22,8 @@ from tests.chaos.conftest import (
     SPEC,
     chaos_config,
     chaos_relation,
+    long_lived_config,
+    long_lived_pair,
 )
 
 R = chaos_relation("r", 400, CHAOS_SEED + 1)
@@ -39,11 +42,13 @@ def oracle(execution):
     return _ORACLES[execution]
 
 
-def crashing_layout(at_op=None):
+def crashing_layout(at_op=None, spec=SPEC, checksums=True, **layout_options):
     injector = FaultInjector(seed=CHAOS_SEED)
     if at_op is not None:
         injector.schedule_crash(at_op=at_op)
-    return DiskLayout(spec=SPEC, fault_injector=injector, checksums=True)
+    return DiskLayout(
+        spec=spec, fault_injector=injector, checksums=checksums, **layout_options
+    )
 
 
 def assert_same_outcome(run, expected):
@@ -80,6 +85,40 @@ class TestCrashResume:
             except SimulatedCrashError:
                 run = resume_join(R, S, config, layout=layout, recovery=recovery)
                 assert layout.resilience_report.resumes == 1
+            assert_same_outcome(run, expected)
+
+    @pytest.mark.parametrize("execution", EXECUTION_MODES)
+    def test_crash_inside_an_unflushed_run_resumes_bit_identical(self, execution):
+        """8-tuple pages and a long-lived cache: the probe lags the main disk
+        by a run of dozens of pages, so a crash anywhere in the join phase
+        drops matched-but-unemitted results along with the other volatile
+        buffers -- and resume must still reproduce the run exactly."""
+        r, s = long_lived_pair()
+        config = long_lived_config(execution)
+
+        layout_options = dict(
+            spec=config.page_spec,
+            checksums=False,
+            columnar=execution == "zero-copy-sweep",
+        )
+
+        probe_layout = crashing_layout(**layout_options)
+        expected = partition_join(
+            r, s, config, layout=probe_layout, recovery=RecoveryLog()
+        )
+        assert expected.outcome.overflow_blocks >= 1
+        assert expected.outcome.cache_tuples_peak > RUN_ROWS  # streams longer than a run
+        total_ops = probe_layout.disk.fault_injector.ops_seen
+        join_ops = probe_layout.tracker.phases["join"].total_ops
+        assert 0 < join_ops < total_ops
+
+        first_join_op = total_ops - join_ops + 1
+        for k in range(first_join_op + join_ops // 10, total_ops, join_ops // 5):
+            layout = crashing_layout(at_op=k, **layout_options)
+            recovery = RecoveryLog()
+            with pytest.raises(SimulatedCrashError):
+                partition_join(r, s, config, layout=layout, recovery=recovery)
+            run = resume_join(r, s, config, layout=layout, recovery=recovery)
             assert_same_outcome(run, expected)
 
     def test_double_crash_needs_two_resumes(self):

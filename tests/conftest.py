@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 from typing import List, Optional
 
@@ -28,6 +29,31 @@ def _no_leaked_spans():
     assert not leaks, (
         "tracer span(s) left open after test: "
         + ", ".join(f"{tracer!r} ({count} open)" for tracer, count in leaks)
+    )
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_processes():
+    """Fail any test that leaves a child process it started running.
+
+    Lane pools and shard workers must be reaped by whoever forked them; a
+    survivor would otherwise live until interpreter exit, unseen.  Children
+    still exiting get a bounded join; a real survivor is killed so that one
+    leak fails one test.
+    """
+    before = set(multiprocessing.active_children())
+    yield
+    leaked = [
+        proc for proc in multiprocessing.active_children() if proc not in before
+    ]
+    for proc in leaked:
+        proc.join(timeout=2.0)
+    survivors = [proc for proc in leaked if proc.is_alive()]
+    for proc in survivors:
+        proc.kill()
+        proc.join(timeout=2.0)
+    assert not survivors, "child process(es) left running after test: " + ", ".join(
+        f"{proc.name} (pid {proc.pid})" for proc in survivors
     )
 
 

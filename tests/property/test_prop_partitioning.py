@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.intervals import PartitionMap, choose_intervals
 from repro.core.partitioner import do_partitioning
+from repro.exec.backend import HAVE_NUMPY
+from repro.exec.kernels import get_kernels
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
@@ -14,6 +16,7 @@ from repro.storage.page import PageSpec
 from repro.time.interval import Interval
 from repro.time.lifespan import covers_lifespan, lifespan_of
 
+BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 SCHEMA = RelationSchema("r", ("k",), (), tuple_bytes=128)
 SPEC = PageSpec(page_bytes=512, tuple_bytes=128)
 
@@ -103,6 +106,80 @@ class TestPlacementProperties:
                         )
                     )
                     assert shared
+
+
+def partition_maps():
+    """Random tilings, one-partition maps included."""
+    return st.builds(
+        lambda start, widths: PartitionMap(
+            [
+                Interval(start + sum(widths[:i]), start + sum(widths[: i + 1]) - 1)
+                for i in range(len(widths))
+            ]
+        ),
+        start=st.integers(-50, 50),
+        widths=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+    )
+
+
+class TestPartitionWindows:
+    """The batch engines' two-comparison windows against the map's bisects:
+    every partition (both edges of ``next_index`` included), chronons and
+    intervals reaching outside the covered lifespan."""
+
+    @given(partition_maps(), st.lists(st.integers(-120, 350), max_size=40))
+    @prop_settings
+    def test_owner_window_is_index_of_chronon(self, pmap, chronons):
+        boundaries = get_kernels("python").prepare_boundaries(pmap)
+        for index in range(len(pmap)):
+            lo, hi = boundaries.window(index)
+            for chronon in chronons:
+                assert (lo < chronon <= hi) == (pmap.index_of_chronon(chronon) == index)
+
+    @given(
+        partition_maps(),
+        st.lists(st.tuples(st.integers(-120, 350), st.integers(0, 200)), max_size=30),
+    )
+    @prop_settings
+    def test_migration_window_is_overlaps_partition(self, pmap, spans):
+        page = [VTTuple((0,), (), Interval(vs, vs + length)) for vs, length in spans]
+        for backend in BACKENDS:
+            kernels = get_kernels(backend)
+            boundaries = kernels.prepare_boundaries(pmap)
+            for index in range(len(pmap)):
+                assert kernels.migration_rows(page, boundaries, index) == [
+                    row
+                    for row, tup in enumerate(page)
+                    if pmap.overlaps_partition(tup.valid, index)
+                ]
+
+    @given(
+        partition_maps(),
+        st.lists(st.tuples(st.integers(-120, 350), st.integers(0, 200)), max_size=12),
+        st.lists(st.tuples(st.integers(-120, 350), st.integers(0, 200)), max_size=12),
+    )
+    @prop_settings
+    def test_probe_owner_filter_in_both_directions(self, pmap, outer, inner):
+        block = [VTTuple((0,), (i,), Interval(vs, vs + n)) for i, (vs, n) in enumerate(outer)]
+        page = [VTTuple((0,), (i,), Interval(vs, vs + n)) for i, (vs, n) in enumerate(inner)]
+        for backend in BACKENDS:
+            kernels = get_kernels(backend)
+            interner = kernels.make_interner()
+            index = kernels.build_probe_index(block, interner)
+            batch = kernels.page_batch(page, interner)
+            boundaries = kernels.prepare_boundaries(pmap)
+            for direction in ("backward", "forward"):
+                for part in range(len(pmap)):
+                    want = []
+                    for inner_tup in page:
+                        for outer_tup in block:
+                            common = outer_tup.valid.intersect(inner_tup.valid)
+                            if common is None:
+                                continue
+                            owner = common.end if direction == "backward" else common.start
+                            if pmap.index_of_chronon(owner) == part:
+                                want.append((outer_tup, inner_tup, common))
+                    assert kernels.probe(index, batch, boundaries, part, direction) == want
 
 
 class TestKolmogorovAccuracy:

@@ -127,13 +127,12 @@ class TestMigrationAndLocate:
             vt("c", 0, 3), vt("d", 100, 200),  # beyond lifespan: clamped
         ]
         boundaries = kernels.prepare_boundaries(pmap)
-        batch = kernels.page_batch(page)
         for next_index in range(len(pmap)):
             expect = [
                 row for row, tup in enumerate(page)
                 if pmap.overlaps_partition(tup.valid, next_index)
             ]
-            assert kernels.migration_rows(batch, boundaries, next_index) == expect
+            assert kernels.migration_rows(page, boundaries, next_index) == expect
 
     def test_locate_matches_index_of_chronon(self, kernels, pmap):
         chronons = [-50, 0, 9, 10, 19, 20, 29, 30, 1000]
@@ -163,6 +162,6 @@ class TestBackendParity:
             batch = kern.page_batch(page, interner)
             results[backend] = (
                 [kern.probe(index, batch, boundaries, part) for part in range(len(pmap))],
-                [kern.migration_rows(batch, boundaries, part) for part in range(len(pmap))],
+                [kern.migration_rows(page, boundaries, part) for part in range(len(pmap))],
             )
         assert results["numpy"] == results["python"]

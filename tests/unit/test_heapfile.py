@@ -72,6 +72,34 @@ class TestAppend:
         assert heap.all_tuples() == tuples(10)
 
 
+    @pytest.mark.parametrize("chunks", [(10,), (3, 1, 6), (1, 4, 4, 1), (0, 9, 0, 1)])
+    def test_append_many_fills_pages_like_one_append_per_tuple(self, spec, chunks):
+        """Same page sequence, same charges, same sortedness verdict --
+        sorted data, then one out-of-order tuple, then an opaque row."""
+        data = tuples(sum(chunks))
+        for tail in ([], [data[0]], ["opaque"]):
+            one_by_one, by_slices = (
+                HeapFile.create(SimulatedDisk(IOStatistics()), "w", spec, capacity_tuples=4)
+                for _ in range(2)
+            )
+            for tup in data + tail:
+                one_by_one.append(tup)
+            at = 0
+            for size in chunks:
+                by_slices.append_many(iter(data[at : at + size]))
+                at += size
+            by_slices.append_many(tail)
+            for heap in (one_by_one, by_slices):
+                assert heap.n_tuples == len(data) + len(tail)
+            assert by_slices.endpoint_sorted == one_by_one.endpoint_sorted == (not tail)
+            assert by_slices.disk.stats.as_dict() == one_by_one.disk.stats.as_dict()
+            pages = lambda heap: [
+                heap.disk.peek(heap.extent, i) for i in range(heap.n_pages)
+            ]
+            assert pages(by_slices) == pages(one_by_one)
+            assert by_slices.all_tuples() == one_by_one.all_tuples()
+
+
 class TestScan:
     def test_scan_charges_linear_run(self, disk, spec):
         heap = HeapFile.bulk_load(disk, "r", spec, tuples(12))

@@ -23,10 +23,10 @@ from repro.time.interval import Interval
 from repro.time.lifespan import covers_lifespan, lifespan_of
 
 
-def make_heap(tuples):
+def make_heap(tuples, columnar=False):
     disk = SimulatedDisk(IOStatistics())
     spec = PageSpec(page_bytes=1024, tuple_bytes=128)
-    return HeapFile.bulk_load(disk, "r", spec, tuples), disk
+    return HeapFile.bulk_load(disk, "r", spec, tuples, columnar=columnar), disk
 
 
 def uniform_tuples(n, lifespan=10_000, seed=5, long_lived=0):
@@ -232,6 +232,31 @@ class TestDeterminePartIntervals:
         plan_b = determine_part_intervals(16, heap_b, 400, CostModel(), random.Random(7))
         assert plan_a.intervals == plan_b.intervals
         assert plan_a.part_size == plan_b.part_size
+
+
+class TestPageLayoutDoesNotChangeThePlan:
+    """The scan sampler plans on columns whenever numpy is there; list
+    pages, columnar pages and the tuple-at-a-time fallback must agree on
+    the whole plan -- intervals, curve, cache estimate, sample record."""
+
+    @staticmethod
+    def plan_of(tuples, **heap_options):
+        heap, disk = make_heap(tuples, **heap_options)
+        plan = determine_part_intervals(
+            24, heap, len(tuples), CostModel(), random.Random(11), prune=False
+        )
+        return plan, disk.stats.as_dict()
+
+    @pytest.mark.parametrize("long_lived", [0, 300])
+    def test_list_and_columnar_scans_yield_the_same_plan(self, long_lived, monkeypatch):
+        tuples = uniform_tuples(1200, long_lived=long_lived)
+        from_lists = self.plan_of(tuples)
+        assert from_lists[0].sample_plan.strategy.name == "SCAN"
+        assert from_lists == self.plan_of(tuples, columnar=True)
+        # And the vectorised branches equal the loops they replace.
+        monkeypatch.setattr("repro.core.planner.np", None)
+        assert from_lists == self.plan_of(tuples)
+        assert from_lists == self.plan_of(tuples, columnar=True)
 
 
 class TestGrantEstimate:

@@ -67,7 +67,8 @@ def oracle_probe(kernels, block, page, boundaries, part_index, direction):
 class TestProbeMatchesOracle:
     def test_fuzz_bit_identical_to_csr_probe(self, kernels, pmap):
         """Random workloads, both directions, all partitions: same matches
-        in the same emission order, and the same migration rows."""
+        in the same emission order -- page by page and as a multi-page run
+        -- and the same migration rows."""
         rng = random.Random(0x5EED)
         boundaries = kernels.prepare_boundaries(pmap)
         for trial in range(25):
@@ -81,25 +82,23 @@ class TestProbeMatchesOracle:
                 engine._direction = direction
                 for part in range(len(pmap)):
                     want = oracle_probe(kernels, block, page, boundaries, part, direction)
-                    got, migrate = engine.process_page(
-                        index_obj, page, part, part + 1, True
-                    )
+                    got = engine.probe(index_obj, [page], part)
                     assert got == want, f"trial {trial} {direction} part {part}"
-                    oracle_interner = kernels.make_interner()
-                    kernels.build_probe_index(block, oracle_interner)
-                    want_migrate = kernels.migration_rows(
-                        kernels.page_batch(page, oracle_interner),
-                        boundaries,
-                        part + 1,
-                    )
-                    assert list(migrate) == list(want_migrate)
+                    # A run of several pages probes like their concatenation.
+                    cut = len(page) // 2
+                    assert engine.probe(index_obj, [page[:cut], page[cut:]], part) == want
+                    assert engine.overlapping_rows(page, part) == [
+                        row
+                        for row, tup in enumerate(page)
+                        if pmap.overlaps_partition(tup.valid, part)
+                    ]
 
     def test_empty_block_and_empty_page(self, kernels, pmap):
         engine = PipelinedSweepEngine(pmap, "backward", workers=1, kernels=kernels)
         index_obj = engine.build_index([])
-        assert engine.process_page(index_obj, [vt("a", 1, 2)], 0, None, False) == ([], [])
+        assert engine.probe(index_obj, [[vt("a", 1, 2)]], 0) == []
         index_obj = engine.build_index([vt("a", 1, 2)])
-        assert engine.process_page(index_obj, [], 0, None, False) == ([], [])
+        assert engine.probe(index_obj, [[]], 0) == []
 
 
 @needs_numpy
@@ -147,7 +146,7 @@ class TestLaneInvariance:
         engine = PipelinedSweepEngine(pmap, "backward", workers=1, kernels=kernels)
         index_obj = engine.build_index(block)
         assert index_obj.fallback is not None
-        got, _ = engine.process_page(index_obj, page, 0, None, False)
+        got = engine.probe(index_obj, [page], 0)
         want = oracle_probe(
             kernels, block, page, kernels.prepare_boundaries(pmap), 0, "backward"
         )
@@ -206,12 +205,12 @@ class TestEngine:
         page = random_tuples(rng, 60, keys)
 
         serial = PipelinedSweepEngine(pmap, "backward", workers=1, kernels=kernels)
-        want, _ = serial.process_page(serial.build_index(block), page, 1, None, False)
+        want = serial.probe(serial.build_index(block), [page], 1)
 
         pooled = PipelinedSweepEngine(pmap, "backward", workers=3, kernels=kernels)
         assert pooled.lanes == 3
         try:
-            got, _ = pooled.process_page(pooled.build_index(block), page, 1, None, False)
+            got = pooled.probe(pooled.build_index(block), [page], 1)
         finally:
             pooled.close()
         assert got == want
@@ -232,7 +231,7 @@ class TestEngine:
         block = [vt("a", 0, 9), vt("b", 3, 7), vt("a", 5, 12)]
         page = [vt("a", 1, 5), vt("b", 4, 6)]
         engine = PipelinedSweepEngine(pmap, "backward", workers=2, kernels=kernels)
-        got, _ = engine.process_page(engine.build_index(block), page, 0, None, False)
+        got = engine.probe(engine.build_index(block), [page], 0)
         want = oracle_probe(
             kernels, block, page, kernels.prepare_boundaries(pmap), 0, "backward"
         )
@@ -261,7 +260,7 @@ class TestEngine:
                 pass
 
         engine._pool = DyingPool()
-        got, _ = engine.process_page(engine.build_index(block), page, 1, None, False)
+        got = engine.probe(engine.build_index(block), [page], 1)
         want = oracle_probe(
             kernels, block, page, kernels.prepare_boundaries(pmap), 1, "backward"
         )
@@ -303,7 +302,10 @@ class TestPickledLaneDispatcher:
         try:
             index = engine.build_index(block)
             return (
-                [engine.process_page(index, page, 2, 1, True) for page in pages],
+                [
+                    (engine.probe(index, [page], 2), engine.overlapping_rows(page, 1))
+                    for page in pages
+                ],
                 engine.pool_dispatches,
             )
         finally:
