@@ -40,12 +40,13 @@ Two concerns the paper leaves implicit are made explicit here:
 
 **Execution modes.**  The probe compute -- key-equality probe, interval
 intersection, the exactly-once owner filter -- runs either tuple-at-a-time
-(``execution="tuple"``, the oracle) or through the batch kernels of
-:mod:`repro.exec.kernels` (``execution="batch"``), which decompose rows into
-a columnar :class:`~repro.exec.batch.PageBatch` and evaluate whole columns
-per operation (numpy-vectorized when numpy is installed, pure-Python
-fallback otherwise).  Both paths emit identical matches in identical order
-and charge identical I/O; the integration tests assert bit-equality of
+(``execution="tuple"``, the oracle) or through the one batch engine
+(``"batch"`` and both pipelined names), which decomposes each run into a
+columnar :class:`~repro.exec.batch.PageBatch` and window-searches it
+against the interval-pruned index of :mod:`repro.exec.pruned_probe`
+(numpy-vectorized when numpy is installed, pure-Python fallback
+otherwise).  Both paths emit identical matches in identical order and
+charge identical I/O; the integration tests assert bit-equality of
 outcomes and per-phase statistics.
 
 **Pages and runs.**  What ties the sweep to page granularity is only the
@@ -66,7 +67,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
-from repro.exec.batch import ColumnarBlock
+from repro.exec.batch import CodeTranslator, ColumnarBlock
+from repro.exec.kernels import Match, get_kernels
+from repro.exec.pruned_probe import (
+    PrunedProbeIndex,
+    PrunedProbeIndexPython,
+    probe_pruned,
+    probe_pruned_python,
+)
 from repro.model.errors import CheckpointError
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
@@ -77,12 +85,12 @@ from repro.storage.buffer import BufferPool, Reservation
 from repro.storage.columnar_page import ColumnarPage
 from repro.storage.heapfile import HeapFile
 from repro.storage.layout import DiskLayout
+from repro.storage.prefetch import PrefetchPipeline
 from repro.time.interval import Interval
 
 if TYPE_CHECKING:  # degrade imports this module; annotation-only the other way
     from repro.obs import Observability
     from repro.resilience.degrade import BufferReduction
-    from repro.storage.prefetch import PrefetchPipeline
 
 #: Builds a result tuple from a matched pair and their interval overlap, or
 #: None to reject the pair.  The default is the natural-join combination;
@@ -138,6 +146,8 @@ def join_partitions(
     cache_memory_tuples: int = 0,
     execution: str = "tuple",
     prefetch_depth: int = 8,
+    # Ignored; kept only because the frozen benchmark suite's
+    # benchmarks/suite/library.py::_replay passes both.
     sweep_workers: Optional[int] = None,
     supervision=None,
     interner=None,
@@ -160,23 +170,15 @@ def join_partitions(
         result_schema: schema of the result, required when *collect* is True.
         collect: materialize the result relation in memory as well as
             writing it through the result stream.
-        execution: ``"tuple"`` for the tuple-at-a-time oracle loop,
-            ``"batch"`` for the batch kernels of :mod:`repro.exec.kernels`,
-            or one of :data:`~repro.exec.PIPELINED_SWEEP_MODES` (identical
-            here; they differ in the page layout the caller built) for the
-            interval-pruned lane-parallel probe of
-            :mod:`repro.exec.sweep_parallel` plus partition-barrier
-            prefetch and write-behind.
+        execution: ``"tuple"`` for the tuple-at-a-time oracle loop;
+            ``"batch"`` for the batch engine (the interval-pruned probe of
+            :mod:`repro.exec.pruned_probe`); one of
+            :data:`~repro.exec.PIPELINED_SWEEP_MODES` (identical here; they
+            differ in the page layout the caller built) for the same engine
+            plus partition-barrier prefetch and write-behind.
         prefetch_depth: pages of read-ahead per partition barrier
             (pipelined sweeps only; 0 disables read-ahead).
-        sweep_workers: probe lanes for the pipelined sweeps (None = one per
-            core, capped at 8; clamped to the visible cores).
-        supervision: a :class:`~repro.resilience.supervisor.SupervisionPolicy`
-            putting the sweep's lane pool under a
-            :class:`~repro.resilience.supervisor.LaneSupervisor` (crash/hang
-            detection, deterministic re-dispatch, quarantine); None runs the
-            bare pool with whole-sweep degradation as before.  Results and
-            charged I/O are identical either way -- lanes are pure compute.
+        sweep_workers, supervision: ignored (see the signature).
         interner: a :class:`~repro.exec.batch.KeyInterner` to reuse across
             joins (the service layer's per-relation-version interner cache).
             Interner ids never leak into results -- emission order is
@@ -231,41 +233,13 @@ def join_partitions(
         step = 1
 
     spec = layout.spec
-    pipeline: Optional["PrefetchPipeline"] = None
+    pipeline: Optional[PrefetchPipeline] = None
     if execution == "tuple":
         engine: _ProbeEngine = _TupleEngine(partition_map, direction)
-    elif execution in PIPELINED_SWEEP_MODES:
-        # Late imports, like the batch engine's kernels: the sweep module
-        # pulls in multiprocessing machinery this module must not require.
-        from repro.exec.sweep_parallel import (
-            PipelinedSweepEngine,
-            effective_sweep_workers,
-        )
-        from repro.storage.prefetch import PrefetchPipeline
-
-        supervisor = None
-        if supervision is not None:
-            from repro.resilience.supervisor import LaneSupervisor
-
-            supervisor = LaneSupervisor(
-                effective_sweep_workers(sweep_workers),
-                policy=supervision,
-                injector=layout.disk.fault_injector,
-                report=layout.resilience_report,
-                obs=obs,
-            )
-        engine = PipelinedSweepEngine(
-            partition_map,
-            direction,
-            workers=sweep_workers,
-            obs=obs,
-            interner=interner,
-            supervisor=supervisor,
-            report=layout.resilience_report,
-        )
-        pipeline = PrefetchPipeline(layout, prefetch_depth)
     else:
         engine = _BatchEngine(partition_map, direction, interner=interner)
+        if execution in PIPELINED_SWEEP_MODES:
+            pipeline = PrefetchPipeline(layout, prefetch_depth)
 
     inner_total = sum(part.n_tuples for part in s_parts)
     report = layout.disk.report
@@ -291,7 +265,6 @@ def join_partitions(
                     execution=execution,
                     result_file=result_file,
                     prefetch_depth=prefetch_depth,
-                    sweep_workers=sweep_workers,
                     swapped=swapped_inputs,
                 )
             )
@@ -577,13 +550,10 @@ def join_partitions(
         raise
     finally:
         sweep_cm.__exit__(*sys.exc_info())
-        if obs is not None:
-            _export_engine_metrics(obs, engine, pipeline)
         if pipeline is not None:
+            if obs is not None:
+                _export_pipeline_metrics(obs, pipeline)
             pipeline.discard()
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
         for reservation in reservations:
             reservation.release()
         if obs is not None and pool is not None:
@@ -591,7 +561,7 @@ def join_partitions(
 
 
 def _prefetch_next_partition(
-    pipeline: "PrefetchPipeline",
+    pipeline: PrefetchPipeline,
     r_parts: Sequence[HeapFile],
     s_parts: Sequence[HeapFile],
     engine: "_ProbeEngine",
@@ -666,65 +636,36 @@ def _pool_gauges(obs: "Observability", pool: BufferPool) -> None:
     )
 
 
-def _export_engine_metrics(
-    obs: "Observability",
-    engine: "_ProbeEngine",
-    pipeline: Optional["PrefetchPipeline"],
-) -> None:
-    """Export the sweep's end-of-run ledgers into the metrics registry.
-
-    Covers the pipeline's per-stage I/O ledgers, the prefetch page cache's
-    hit/miss/eviction counts, and the parallel engine's worker-pool dispatch
-    counters.  Read-only over all of them.
+def _export_pipeline_metrics(obs: "Observability", pipeline: PrefetchPipeline) -> None:
+    """Export the pipeline's end-of-run ledgers into the metrics registry:
+    per-stage I/O and the prefetch page cache's hit/miss/eviction counts.
+    Read-only over both.
     """
-    if pipeline is not None:
-        stages = (
-            ("prefetch", pipeline.prefetch_stats),
-            ("writeback", pipeline.writeback_stats),
-            ("demand", pipeline.demand_stats),
-        )
-        for stage, stats in stages:
-            for kind, value in stats.as_dict().items():
-                if value:
-                    obs.count(
-                        "repro_pipeline_stage_ops_total",
-                        "Charged I/O operations by pipeline stage and kind.",
-                        float(value),
-                        stage=stage,
-                        kind=kind,
-                    )
-        if pipeline.cache is not None:
-            for kind in ("hits", "misses", "evictions"):
-                value = getattr(pipeline.cache, kind, 0)
-                if value:
-                    obs.count(
-                        "repro_page_cache_events_total",
-                        "Prefetch page-cache hits, misses, and evictions.",
-                        float(value),
-                        kind=kind,
-                    )
-    dispatches = getattr(engine, "pool_dispatches", None)
-    if dispatches is not None:
-        if dispatches:
-            obs.count(
-                "repro_pool_dispatches_total",
-                "Probe batches dispatched to the sweep worker pool.",
-                float(dispatches),
-            )
-        fallbacks = getattr(engine, "pool_fallbacks", 0)
-        if fallbacks:
-            obs.count(
-                "repro_pool_fallbacks_total",
-                "Probe batches that ran in-process instead of on the pool.",
-                float(fallbacks),
-            )
-    lanes = getattr(engine, "lanes", None)
-    if lanes:
-        obs.gauge(
-            "repro_sweep_lanes",
-            float(lanes),
-            "Probe lanes used by the pipelined sweep engine.",
-        )
+    stages = (
+        ("prefetch", pipeline.prefetch_stats),
+        ("writeback", pipeline.writeback_stats),
+        ("demand", pipeline.demand_stats),
+    )
+    for stage, stats in stages:
+        for kind, value in stats.as_dict().items():
+            if value:
+                obs.count(
+                    "repro_pipeline_stage_ops_total",
+                    "Charged I/O operations by pipeline stage and kind.",
+                    float(value),
+                    stage=stage,
+                    kind=kind,
+                )
+    if pipeline.cache is not None:
+        for kind in ("hits", "misses", "evictions"):
+            value = getattr(pipeline.cache, kind, 0)
+            if value:
+                obs.count(
+                    "repro_page_cache_events_total",
+                    "Prefetch page-cache hits, misses, and evictions.",
+                    float(value),
+                    kind=kind,
+                )
 
 
 class _TupleCache:
@@ -823,7 +764,7 @@ class _PipelinedTupleCache(_TupleCache):
         name: str,
         memory_tuples: int,
         capacity_hint: int,
-        pipeline: "PrefetchPipeline",
+        pipeline: PrefetchPipeline,
     ) -> None:
         super().__init__(layout, name, memory_tuples, capacity_hint)
         self._pipeline = pipeline
@@ -853,8 +794,8 @@ class _PipelinedTupleCache(_TupleCache):
 def _assemble_outer(outer_retained, outer_pages, index: int, engine) -> Sequence[VTTuple]:
     """The outer block: purged retained tuples plus the partition's pages.
 
-    When the engine consumes packed blocks and every page is columnar (the
-    zero-copy sweep), rows stay in their pages: the purge is vectorized over
+    When the engine consumes packed blocks and every page is columnar, rows
+    stay in their pages: the purge is vectorized over
     the column views and no tuple is materialized until something touches
     the row.  Every other combination builds the row-oriented list exactly
     as before.  Both shapes hold the same rows in the same order, and the
@@ -862,7 +803,7 @@ def _assemble_outer(outer_retained, outer_pages, index: int, engine) -> Sequence
     either way).
     """
     pages = list(outer_pages)
-    if getattr(engine, "supports_columnar_blocks", False) and all(
+    if engine.supports_columnar_blocks and all(
         isinstance(page, ColumnarPage) for page in pages
     ):
         if isinstance(outer_retained, ColumnarBlock):
@@ -935,6 +876,9 @@ class _ProbeEngine:
     caller, so the charged statistics cannot depend on the engine.
     """
 
+    #: Whether :meth:`build_index` consumes packed ColumnarBlocks.
+    supports_columnar_blocks = False
+
     def build_index(self, block: Sequence[VTTuple]):
         raise NotImplementedError
 
@@ -987,35 +931,64 @@ class _TupleEngine(_ProbeEngine):
 
 
 class _BatchEngine(_ProbeEngine):
-    """The batch kernels: one columnar decomposition per run, whole-column
-    probe / intersection / owner-filter operations."""
+    """The batch engine behind ``"batch"`` and both pipelined names: an
+    interval-pruned index per outer block (which carries the CSR index
+    instead where it finds nothing to prune), one columnar decomposition
+    per run, whole-column window search / intersection / owner filter."""
 
     def __init__(
         self, partition_map: PartitionMap, direction: str, kernels=None, interner=None
     ) -> None:
-        from repro.exec.batch import CodeTranslator
-        from repro.exec.kernels import get_kernels
-
         self._kernels = kernels if kernels is not None else get_kernels()
         self.boundaries = self._kernels.prepare_boundaries(partition_map)
+        # An injected interner (the service's epoch-keyed shared one) skips
+        # the rebuild-per-join churn; id values never affect results, so
+        # sharing is sound (see KeyInterner docstring).
         self._interner = interner if interner is not None else self._kernels.make_interner()
         self._translator = (
             CodeTranslator(self._interner) if self._kernels.use_numpy else None
         )
         self._direction = direction
+        self.supports_columnar_blocks = self._kernels.use_numpy
 
     def build_index(self, block: Sequence[VTTuple]):
-        return self._kernels.build_probe_index(block, self._interner)
+        if self._kernels.use_numpy:
+            return PrunedProbeIndex(block, self._interner, translator=self._translator)
+        return PrunedProbeIndexPython(block)
 
     def overlapping_rows(self, rows, index):
         return self._kernels.migration_rows(rows, self.boundaries, index)
 
-    def probe(self, index_obj, pages, part_index):
+    def probe(self, index_obj, pages, part_index) -> List[Match]:
         kernels = self._kernels
         batch = kernels.run_batch(pages, self._interner, translator=self._translator)
-        return kernels.probe(
-            index_obj, batch, self.boundaries, part_index, self._direction
-        )
+        inner = batch.tuples
+        if not kernels.use_numpy:
+            pairs = probe_pruned_python(
+                index_obj, inner, self.boundaries, part_index, self._direction
+            )
+        elif index_obj.csr is not None:
+            # The index found nothing to prune (or no room for its key).
+            return kernels.probe(
+                index_obj.csr, batch, self.boundaries, part_index, self._direction
+            )
+        else:
+            pairs = zip(
+                *(
+                    column.tolist()
+                    for column in probe_pruned(
+                        index_obj,
+                        batch.key_ids,
+                        batch.starts,
+                        batch.ends,
+                        self.boundaries,
+                        part_index,
+                        self._direction,
+                    )
+                )
+            )
+        block = index_obj.block
+        return [(block[o], inner[i], Interval(cs, ce)) for o, i, cs, ce in pairs]
 
 
 def _probe_pages(

@@ -73,14 +73,14 @@ class PartitionJoinConfig:
             mis-estimation caveat).
         execution: how the per-tuple compute runs.  ``"tuple"`` is the
             tuple-at-a-time oracle; ``"batch"`` routes partitioning and the
-            sweep through the batch kernels of :mod:`repro.exec`.
-            ``"batch-parallel-sweep"`` adds the pipelined sweep: the
-            interval-pruned lane-parallel probe of
-            :mod:`repro.exec.sweep_parallel` plus partition-barrier page
-            prefetch and write-behind, with the pipeline's I/O share tagged
-            on the statistics.  ``"zero-copy-sweep"`` is the same pipelined
-            sweep over packed columnar heap pages, probed as buffer views
-            with tuples materialized only on emission.  These four produce
+            sweep through the batch kernels of :mod:`repro.exec` (the
+            interval-pruned probe of :mod:`repro.exec.pruned_probe`).
+            ``"batch-parallel-sweep"`` is the same engine plus
+            partition-barrier page prefetch and write-behind, with the
+            pipeline's I/O share tagged on the statistics.
+            ``"zero-copy-sweep"`` is that pipelined sweep over packed
+            columnar heap pages, probed as buffer views with tuples
+            materialized only on emission.  These four produce
             bit-identical results, counters and per-phase I/O statistics;
             see ``docs/EXECUTION.md``.
             ``"forward-sweep"`` is the endpoint-sorted forward-scan sweep
@@ -93,28 +93,12 @@ class PartitionJoinConfig:
             :mod:`repro.algebra.predicates` registry name.  The partition
             executions support only the natural join (``"intersects"``);
             every other predicate requires ``execution="forward-sweep"``.
-        parallel_workers: no longer has an effect (partition placement runs
-            in-process); still accepted and validated because the frozen
-            benchmark suite sets it.
+        parallel_workers, sweep_workers: have no effect (every join runs in
+            one process); still accepted and validated because the frozen
+            benchmark suite sets them.
         prefetch_depth: pages the sweep's prefetcher reads ahead per
             partition barrier (pipelined sweeps only; 0 disables read-ahead
             while keeping write-behind).
-        sweep_workers: probe lanes of the pipelined sweep (None = one per
-            core, capped at 8; the result never depends on the lane count).
-        lane_supervision: supervise the sweep's lane pool (heartbeats,
-            crash/hang detection, deterministic re-dispatch, quarantine --
-            see ``docs/RESILIENCE.md``).  Off, pool failure degrades the
-            whole sweep to in-process execution as before.
-        lane_timeout_seconds: wall-clock deadline per supervised lane
-            dispatch; a dispatch still incomplete past it is declared hung
-            and re-dispatched.
-        lane_heartbeat_seconds: progress-sampling cadence of the supervisor
-            (intervals without a completed lane count as heartbeat misses).
-        lane_max_redispatches: consecutive failed dispatches tolerated
-            before the supervisor retires to in-process execution.
-        lane_quarantine_after: consecutive failures per quarantined lane
-            (every Nth consecutive failure shrinks the lane count by one;
-            0 disables quarantine).
         checkpoint_interval: completed partitions between sweep checkpoints;
             0 (the default) disables checkpointing, >= 1 makes the sweep
             resumable via :func:`resume_join`.
@@ -152,14 +136,12 @@ class PartitionJoinConfig:
     sample_inner_relation: bool = False
     execution: str = "tuple"
     predicate: str = NATURAL_PREDICATE
+    # parallel_workers and sweep_workers are read by nothing; kept only
+    # because the frozen benchmark suite's
+    # benchmarks/suite/library.py::_mode_table sets both.
     parallel_workers: Optional[int] = None
     prefetch_depth: int = 8
     sweep_workers: Optional[int] = None
-    lane_supervision: bool = True
-    lane_timeout_seconds: float = 30.0
-    lane_heartbeat_seconds: float = 0.5
-    lane_max_redispatches: int = 3
-    lane_quarantine_after: int = 2
     checkpoint_interval: int = 0
     retry_limit: Optional[int] = None
     degraded_fallback: bool = True
@@ -220,26 +202,6 @@ class PartitionJoinConfig:
                 f"sweep_workers must be >= 1 (or None for the default), "
                 f"got {self.sweep_workers}"
             )
-        if self.lane_timeout_seconds <= 0:
-            raise ValueError(
-                f"lane_timeout_seconds must be positive, "
-                f"got {self.lane_timeout_seconds}"
-            )
-        if self.lane_heartbeat_seconds <= 0:
-            raise ValueError(
-                f"lane_heartbeat_seconds must be positive, "
-                f"got {self.lane_heartbeat_seconds}"
-            )
-        if not isinstance(self.lane_max_redispatches, int) or self.lane_max_redispatches < 0:
-            raise ValueError(
-                f"lane_max_redispatches must be an integer >= 0, "
-                f"got {self.lane_max_redispatches!r}"
-            )
-        if not isinstance(self.lane_quarantine_after, int) or self.lane_quarantine_after < 0:
-            raise ValueError(
-                f"lane_quarantine_after must be an integer >= 0 (0 disables "
-                f"quarantine), got {self.lane_quarantine_after!r}"
-            )
         if not isinstance(self.checkpoint_interval, int) or self.checkpoint_interval < 0:
             raise ValueError(
                 f"checkpoint_interval must be an integer >= 1, or 0 to disable "
@@ -273,19 +235,11 @@ class PartitionJoinConfig:
             - self.cache_buffer_pages
         )
 
-    def supervision_policy(self):
-        """The lane :class:`~repro.resilience.supervisor.SupervisionPolicy`
-        these knobs describe, or None when supervision is off."""
-        if not self.lane_supervision:
-            return None
-        from repro.resilience.supervisor import SupervisionPolicy
-
-        return SupervisionPolicy(
-            lane_timeout_seconds=self.lane_timeout_seconds,
-            heartbeat_seconds=self.lane_heartbeat_seconds,
-            max_redispatches=self.lane_max_redispatches,
-            quarantine_after=self.lane_quarantine_after,
-        )
+    def supervision_policy(self) -> None:
+        """Always None: a join has nothing to supervise.  Kept only because
+        the frozen benchmark suite's benchmarks/suite/library.py::_replay
+        calls it."""
+        return None
 
 
 @dataclass
@@ -551,8 +505,6 @@ def partition_join(
                 cache_memory_tuples=config.cache_buffer_pages * layout.spec.capacity,
                 execution=config.execution,
                 prefetch_depth=config.prefetch_depth,
-                sweep_workers=config.sweep_workers,
-                supervision=config.supervision_policy(),
                 interner=interner,
                 pool=pool,
                 checkpointer=checkpointer,
@@ -732,8 +684,6 @@ def resume_join(
                 cache_memory_tuples=context.cache_memory_tuples,
                 execution=context.execution,
                 prefetch_depth=context.prefetch_depth,
-                sweep_workers=context.sweep_workers,
-                supervision=config.supervision_policy(),
                 pool=pool,
                 checkpointer=checkpointer,
                 resume_from=recovery.checkpoint,
@@ -972,8 +922,6 @@ def _single_partition_join(
             pair_fn=oriented_pair,
             execution=config.execution,
             prefetch_depth=config.prefetch_depth,
-            sweep_workers=config.sweep_workers,
-            supervision=config.supervision_policy(),
             interner=interner,
             pool=pool,
             checkpointer=checkpointer,

@@ -232,7 +232,6 @@ def estimate_pipelined_join_cost(
     *,
     prefetch_depth: int,
     pages_per_partition: float,
-    workers: int = 1,
 ) -> float:
     """``C_join`` under the ``"batch-parallel-sweep"`` overlap model.
 
@@ -243,11 +242,11 @@ def estimate_pipelined_join_cost(
     prefetcher can cover ahead of demand is overlappable::
 
         alpha  = min(1, prefetch_depth / pages_per_partition)
-        C_join = max(C_cpu / W, alpha * C_io) + (1 - alpha) * C_io
+        C_join = max(C_cpu, alpha * C_io) + (1 - alpha) * C_io
 
     The un-overlapped remainder ``(1 - alpha) * C_io`` is demand-paged
-    exactly as in the serial sweep.  With ``prefetch_depth = 0`` or one
-    worker and negligible compute this degrades to the serial estimate.
+    exactly as in the serial sweep.  With ``prefetch_depth = 0`` or
+    negligible compute this degrades to the serial estimate.
 
     Args:
         c_join_io: the serial ``C_join`` I/O estimate (scan + cache
@@ -256,48 +255,19 @@ def estimate_pipelined_join_cost(
             ``io_seq``-normalized calibration; see ``docs/COST_MODEL.md``).
         prefetch_depth: pages of read-ahead per partition barrier.
         pages_per_partition: average pages a partition's scans touch.
-        workers: probe lanes the compute is divided across.
     """
     if c_join_io < 0 or c_join_cpu < 0:
         raise PlanError("pipelined cost estimate needs non-negative costs")
-    if prefetch_depth < 0 or workers < 1:
+    if prefetch_depth < 0:
         raise PlanError(
-            f"pipelined cost estimate needs prefetch_depth >= 0 and workers "
-            f">= 1, got {prefetch_depth} and {workers}"
+            f"pipelined cost estimate needs prefetch_depth >= 0, "
+            f"got {prefetch_depth}"
         )
     if pages_per_partition > 0:
         alpha = min(1.0, prefetch_depth / pages_per_partition)
     else:
         alpha = 0.0
-    cpu = c_join_cpu / workers
-    return max(cpu, alpha * c_join_io) + (1.0 - alpha) * c_join_io
-
-
-def recommend_sweep_workers(
-    c_join_cpu: float,
-    c_join_io: float,
-    *,
-    max_workers: Optional[int] = None,
-) -> int:
-    """Smallest lane count that hides the probe compute behind the I/O.
-
-    Under the overlap model, lanes beyond the point where ``C_cpu / W <=
-    C_io`` buy nothing -- the stage is I/O-bound from there on -- so the
-    recommendation is the smallest such ``W``, clamped to the machine
-    (``effective_sweep_workers``).  A compute-free or I/O-dominated join
-    recommends one lane; the pool is then never spawned.
-    """
-    from repro.exec.sweep_parallel import effective_sweep_workers
-
-    if c_join_cpu < 0 or c_join_io < 0:
-        raise PlanError("worker recommendation needs non-negative costs")
-    limit = effective_sweep_workers(max_workers)
-    if c_join_cpu == 0:
-        return 1
-    if c_join_io <= 0:
-        return limit
-    needed = math.ceil(c_join_cpu / c_join_io)
-    return max(1, min(limit, needed))
+    return max(c_join_cpu, alpha * c_join_io) + (1.0 - alpha) * c_join_io
 
 
 #: Smallest memory grant worth running a partition join under: the three

@@ -81,8 +81,6 @@ class TemporalDatabase:
             see ``docs/EXECUTION.md``).
         prefetch_depth: read-ahead pages per partition barrier of the
             pipelined sweeps.
-        sweep_workers: probe lanes of the pipelined sweep (None = one per
-            core, capped at 8).
         observability: when given, partition joins record structured traces
             and metrics (see ``docs/OBSERVABILITY.md``); the runtime is
             returned on each :class:`QueryResult` and on
@@ -97,7 +95,6 @@ class TemporalDatabase:
         resilience: Optional[ResiliencePolicy] = None,
         execution: str = "tuple",
         prefetch_depth: int = 8,
-        sweep_workers: Optional[int] = None,
         observability: Optional[ObservabilityConfig] = None,
     ) -> None:
         self.memory_pages = memory_pages
@@ -106,7 +103,6 @@ class TemporalDatabase:
         self.resilience = resilience
         self.execution = execution
         self.prefetch_depth = prefetch_depth
-        self.sweep_workers = sweep_workers
         self.observability = observability
         # Fail on a bad mode at construction, not at the first join.
         self._join_config(memory_pages)
@@ -148,7 +144,6 @@ class TemporalDatabase:
             page_spec=self.page_spec,
             execution=self.execution,
             prefetch_depth=self.prefetch_depth,
-            sweep_workers=self.sweep_workers,
             observability=self.observability,
         )
         if self.resilience is not None:

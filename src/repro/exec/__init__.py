@@ -1,4 +1,4 @@
-"""Batch execution layer: columnar batches, vectorized kernels, parallelism.
+"""Batch execution layer: columnar batches, vectorized kernels, pruned probe.
 
 The tuple-at-a-time algorithms in :mod:`repro.core` are the *oracle*; this
 package is how the same algorithms run fast.  Three pieces:
@@ -8,8 +8,8 @@ package is how the same algorithms run fast.  Three pieces:
 * :mod:`repro.exec.kernels` -- the probe / intersection / owner-filter /
   migration / locate kernels, numpy-vectorized with pure-Python fallbacks
   selected at import (numpy is the optional ``repro[fast]`` extra);
-* :mod:`repro.exec.sweep_parallel` -- the pipelined sweep's
-  interval-pruned probe and its supervised lane fan-out.
+* :mod:`repro.exec.pruned_probe` -- the interval-pruned index and probe
+  the batch engine of :mod:`repro.core.joiner` runs on.
 
 Algorithms select a path via ``PartitionJoinConfig.execution``, one of
 :data:`ALL_EXECUTION_MODES` below -- the only place the mode names are
@@ -37,10 +37,10 @@ from repro.exec.kernels import (
     get_kernels,
 )
 
-#: The pipelined sweeps: interval-pruned lane-parallel probe plus
-#: partition-barrier prefetch and write-behind.  They differ only in the
-#: heap-page layout ``partition_join`` builds (``"zero-copy-sweep"`` stores
-#: packed columnar pages), and are the only modes that can spawn lanes.
+#: The pipelined sweeps: the batch engine plus partition-barrier prefetch
+#: and write-behind.  They differ only in the heap-page layout
+#: ``partition_join`` builds (``"zero-copy-sweep"`` stores packed columnar
+#: pages).
 PIPELINED_SWEEP_MODES = ("batch-parallel-sweep", "zero-copy-sweep")
 
 #: The partition modes: ``"tuple"`` is the tuple-at-a-time oracle,

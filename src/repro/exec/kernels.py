@@ -237,7 +237,12 @@ class PythonKernels(Kernels):
 
 
 class _NumpyProbeIndex:
-    """CSR grouping of an outer block by interned key id."""
+    """CSR grouping of an outer block by interned key id.
+
+    *columns* hands over the block's ``(key_ids, starts, ends)`` when the
+    caller already holds them; the block is then kept as given (it may be
+    a packed :class:`~repro.exec.batch.ColumnarBlock`).
+    """
 
     __slots__ = (
         "block",
@@ -249,16 +254,24 @@ class _NumpyProbeIndex:
         "n_groups",
     )
 
-    def __init__(self, block: Sequence[VTTuple], interner: KeyInterner) -> None:
-        self.block = list(block)
-        n = len(self.block)
-        key_ids = np.fromiter(
-            (interner.intern(tup.key) for tup in self.block), np.int64, count=n
-        )
-        starts = np.fromiter(
-            (tup.valid.start for tup in self.block), np.int64, count=n
-        )
-        ends = np.fromiter((tup.valid.end for tup in self.block), np.int64, count=n)
+    def __init__(
+        self, block: Sequence[VTTuple], interner: KeyInterner, columns=None
+    ) -> None:
+        if columns is not None:
+            self.block = block
+            key_ids, starts, ends = columns
+        else:
+            self.block = list(block)
+            n = len(self.block)
+            key_ids = np.fromiter(
+                (interner.intern(tup.key) for tup in self.block), np.int64, count=n
+            )
+            starts = np.fromiter(
+                (tup.valid.start for tup in self.block), np.int64, count=n
+            )
+            ends = np.fromiter(
+                (tup.valid.end for tup in self.block), np.int64, count=n
+            )
         self.n_groups = len(interner)
         # Stable sort keeps each key group in block (insertion) order, so
         # CSR gathers reproduce the probe_index list order exactly.

@@ -108,15 +108,6 @@ class CheckpointError(ReproError):
     """A sweep checkpoint could not be written, committed, or restored."""
 
 
-class LaneFailureError(ReproError):
-    """A supervised worker lane crashed, hung, or raised mid-dispatch.
-
-    Carries ``kind`` context (``"death"``/``"hang"``/``"error"``) so the
-    :class:`~repro.resilience.supervisor.LaneSupervisor` can account the
-    failure before re-dispatching the lost work deterministically.
-    """
-
-
 class PlanError(ReproError):
     """The partition planner could not produce a usable plan."""
 

@@ -3,7 +3,7 @@
 The tracer answers "*where* did the sweep spend its time" without touching
 the simulation's accounting: opening a span records a monotonic start
 timestamp, closing it records the end, and the parent/child relationship is
-kept per thread so worker-lane instrumentation nests correctly.  Nothing
+kept per thread so worker-thread instrumentation nests correctly.  Nothing
 here charges I/O or influences control flow -- the property suite asserts
 the whole run is bit-identical with tracing on or off.
 
@@ -15,9 +15,8 @@ Design points:
   an exotic value.
 * **Thread safety.**  The per-thread span stack lives in ``threading.local``
   (each thread nests independently); the finished-span list is guarded by a
-  lock.  Tracers are never shipped to worker *processes* -- the pool lanes
-  receive plain arrays -- but a defensive ``__getstate__`` drops the
-  unpicklable machinery anyway.
+  lock.  Tracers are never shipped to worker *processes*, but a defensive
+  ``__getstate__`` drops the unpicklable machinery anyway.
 * **Leak accounting.**  Every live tracer registers in a module-level weak
   set; :func:`open_span_leaks` reports tracers holding unclosed spans, and
   the test suite fails the build from a teardown fixture when any remain.
@@ -25,7 +24,7 @@ Design points:
   finished span; :meth:`Tracer.chrome_trace` emits the Chrome
   ``trace_event`` format (complete ``"X"`` events, microsecond timestamps,
   one ``tid`` lane per distinct span ``lane`` -- main sweep, prefetch
-  stage, probe lanes), loadable in ``chrome://tracing`` / Perfetto.
+  stage), loadable in ``chrome://tracing`` / Perfetto.
 """
 
 from __future__ import annotations
@@ -233,8 +232,8 @@ class Tracer:
         """Finished spans in Chrome ``trace_event`` format.
 
         Each distinct span ``lane`` becomes one ``tid`` with a
-        ``thread_name`` metadata record, so the sweep's main thread, the
-        prefetch stage, and any worker lanes render as separate tracks.
+        ``thread_name`` metadata record, so the sweep's main thread and the
+        prefetch stage render as separate tracks.
         """
         with self._lock:
             spans = sorted(self.finished, key=lambda s: (s.start_ns, s.span_id))

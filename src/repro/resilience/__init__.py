@@ -21,8 +21,6 @@ __all__ = [
     "DegradationEvent",
     "FaultDecision",
     "FaultInjector",
-    "LaneSupervisionStats",
-    "LaneSupervisor",
     "RecoveryLog",
     "ResiliencePolicy",
     "ResilienceReport",
@@ -41,10 +39,6 @@ _LAZY = {
     "SweepContext": "repro.resilience.checkpoint",
     "BufferReduction": "repro.resilience.degrade",
     "fallback_nested_loop_join": "repro.resilience.degrade",
-    # Lazy: the supervisor pulls in multiprocessing, which the storage
-    # leaves never need.
-    "LaneSupervisionStats": "repro.resilience.supervisor",
-    "LaneSupervisor": "repro.resilience.supervisor",
     "SupervisionPolicy": "repro.resilience.supervisor",
 }
 

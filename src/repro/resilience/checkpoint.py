@@ -60,10 +60,9 @@ class SweepContext:
     cache_memory_tuples: int
     execution: str
     result_file: HeapFile
-    #: Pipelined-sweep knobs (ignored by the other execution modes); the
-    #: defaults keep pre-pipeline recovery logs readable.
+    #: Pipelined-sweep knob (ignored by the other execution modes); the
+    #: default keeps pre-pipeline recovery logs readable.
     prefetch_depth: int = 8
-    sweep_workers: Optional[int] = None
     #: True when ``r_parts``/``s_parts`` hold the inputs in *swapped*
     #: orientation (the single-partition shortcut makes the smaller relation
     #: the outer side).  Resume must re-apply the same argument flip to its

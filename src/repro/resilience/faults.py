@@ -9,12 +9,7 @@ SimulatedDisk` and consulted on every charged read and write.  It can
   copy handed to the reader is damaged.  With checksummed frames the
   corruption is detected and retried; without them it is silent;
 * **crash** the run at a scheduled operation count, modeling process death
-  mid-sweep (:class:`~repro.model.errors.SimulatedCrashError`);
-* script **lane faults** against the supervised worker pools
-  (:meth:`kill_lane`, :meth:`hang_lane`) -- the
-  :class:`~repro.resilience.supervisor.LaneSupervisor` consults
-  :meth:`on_lane_dispatch` before every pool dispatch, so worker death
-  and wedged lanes are injected at exact, reproducible dispatch counts.
+  mid-sweep (:class:`~repro.model.errors.SimulatedCrashError`).
 
 Faults come from two sources that compose:
 
@@ -94,7 +89,6 @@ class FaultInjector:
         self._crash_at: Optional[int] = None
         self._scripted: Dict[_ScriptKey, int] = {}
         self._scripted_corrupt: Dict[Tuple[str, int], int] = {}
-        self._lane_faults: Dict[int, str] = {}
 
     # -- crash scheduling ------------------------------------------------------
 
@@ -147,29 +141,6 @@ class FaultInjector:
         if times < 1:
             raise ValueError(f"times must be >= 1, got {times}")
         self._scripted[key] = self._scripted.get(key, 0) + times
-
-    # -- scripted lane faults ------------------------------------------------------
-
-    def kill_lane(self, at_dispatch: int) -> None:
-        """SIGKILL one pool worker of the *at_dispatch*-th supervised dispatch.
-
-        One-shot: supervised dispatches are numbered per supervisor starting
-        at 1 (re-dispatches count), and the fault is consumed when consulted.
-        """
-        self._script_lane(at_dispatch, "kill")
-
-    def hang_lane(self, at_dispatch: int) -> None:
-        """Wedge one lane of the *at_dispatch*-th dispatch past its deadline."""
-        self._script_lane(at_dispatch, "hang")
-
-    def _script_lane(self, at_dispatch: int, fault: str) -> None:
-        if at_dispatch < 1:
-            raise ValueError(f"dispatch count must be >= 1, got {at_dispatch}")
-        self._lane_faults[at_dispatch] = fault
-
-    def on_lane_dispatch(self, dispatch_no: int) -> Optional[str]:
-        """The scripted fault for dispatch *dispatch_no*, consumed once."""
-        return self._lane_faults.pop(dispatch_no, None)
 
     # -- the per-attempt decision --------------------------------------------------
 

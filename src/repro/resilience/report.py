@@ -23,14 +23,9 @@ class DegradationEvent:
             ``"replan"`` (the buffer budget shrank before planning, the
             planner re-ran with a smaller ``partSize``),
             ``"buffer-reduction"`` (the budget shrank mid-sweep, the outer
-            block was split -- the Section 3.4 overflow machinery),
-            ``"pool-fallback"`` (a worker pool could not be used; the
-            identical computation ran in-process), or one of the lane
-            supervisor's ``"lane-*"`` kinds (``lane-death``, ``lane-hang``,
-            ``lane-error``, ``lane-quarantine``, ``lane-retired`` -- see
-            :mod:`repro.resilience.supervisor`).
-            The ``lane-`` prefix is load-bearing: the service keeps
-            lane-disturbed runs out of its result cache by that prefix.
+            block was split -- the Section 3.4 overflow machinery), or one
+            of the shard coordinator's ``shard-death`` / ``shard-hang`` /
+            ``shard-quarantine`` kinds.
         detail: human-readable description.
         position: sweep position the event applies to, when applicable.
     """

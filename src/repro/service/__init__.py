@@ -12,9 +12,6 @@ without ever oversubscribing it.  Five cooperating pieces (see
   FIFO / smallest-grant-first policies, degradation under pressure, and
   :class:`~repro.model.errors.AdmissionTimeoutError` on timeout;
 * :mod:`repro.service.cache` -- the epoch-keyed plan and result caches;
-* :mod:`repro.service.breaker` -- the lane circuit breaker that trips
-  pooled execution to serial after clustered worker-lane failures and
-  half-opens on probe queries;
 * :mod:`repro.service.executor` -- a worker-thread executor with a bounded
   run queue, per-query cancellation, and whole-query deadline budgets;
 * :mod:`repro.service.session` -- session lifecycle and per-session
@@ -35,7 +32,6 @@ from repro.model.errors import (
     SessionClosedError,
 )
 from repro.service.admission import AdmissionController, MemoryGrant
-from repro.service.breaker import LaneCircuitBreaker
 from repro.service.cache import CachedJoin, PlanCache, ResultCache
 from repro.service.executor import QueryExecutor, QueryHandle
 from repro.service.service import QueryService, ServiceQueryResult
@@ -50,7 +46,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionTimeoutError",
     "CachedJoin",
-    "LaneCircuitBreaker",
     "MemoryGrant",
     "PlanCache",
     "QueryCancelledError",

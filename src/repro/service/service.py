@@ -47,7 +47,6 @@ from repro.engine.catalog import (
     analyze,
 )
 from repro.engine.optimizer import choose_algorithm
-from repro.exec import PIPELINED_SWEEP_MODES
 from repro.model.errors import (
     AdmissionTimeoutError,
     QueryCancelledError,
@@ -57,18 +56,22 @@ from repro.model.errors import (
 from repro.model.relation import ValidTimeRelation
 from repro.obs import Observability, ObservabilityConfig
 from repro.service.admission import AdmissionController
-from repro.service.breaker import LaneCircuitBreaker
 from repro.service.cache import CachedJoin, InternerCache, PlanCache, ResultCache
 from repro.service.executor import QueryExecutor, QueryHandle
-from repro.service.session import Rows, Session, SessionConfig, coerce_rows
+from repro.service.session import (
+    JOIN_METHODS,
+    Rows,
+    Session,
+    SessionConfig,
+    coerce_rows,
+    resolve_session_config,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import CostModel
 from repro.storage.page import PageSpec
 
 #: Queue-wait histogram bounds, in seconds.
 QUEUE_WAIT_BUCKETS = (0.0005, 0.002, 0.01, 0.05, 0.2, 1.0, 5.0, 30.0)
-
-_JOIN_METHODS = ("auto", "partition", "sweep", "sort_merge", "nested_loop")
 
 
 @dataclass(frozen=True)
@@ -139,13 +142,6 @@ class QueryService:
         cost_model / page_spec: the served cost environment.
         observability: optional tracing config; metrics are always on.
         max_sessions: open-session cap.
-        lane_failure_threshold: lane-disturbed runs within
-            ``lane_failure_window`` seconds that trip the lane circuit
-            breaker to serial execution (see
-            :class:`~repro.service.breaker.LaneCircuitBreaker`).
-        lane_failure_window: the breaker's sliding failure window, seconds.
-        lane_breaker_cooldown: seconds an open breaker waits before
-            admitting a half-open probe query back onto lanes.
     """
 
     def __init__(
@@ -166,9 +162,6 @@ class QueryService:
         page_spec: Optional[PageSpec] = None,
         observability: Optional[ObservabilityConfig] = None,
         max_sessions: int = 64,
-        lane_failure_threshold: int = 3,
-        lane_failure_window: float = 60.0,
-        lane_breaker_cooldown: float = 30.0,
     ) -> None:
         if execution not in ALL_EXECUTION_MODES:
             raise ServiceError(
@@ -195,11 +188,6 @@ class QueryService:
             degrade_after=degrade_after,
         )
         self.executor = QueryExecutor(workers=workers, queue_limit=queue_limit)
-        self.lane_breaker = LaneCircuitBreaker(
-            threshold=lane_failure_threshold,
-            window_seconds=lane_failure_window,
-            cooldown_seconds=lane_breaker_cooldown,
-        )
         self.plan_cache = PlanCache(plan_cache_entries) if plan_cache_entries else None
         self.result_cache = (
             ResultCache(result_cache_entries) if result_cache_entries else None
@@ -262,33 +250,7 @@ class QueryService:
         :class:`~repro.service.session.SessionConfig`)."""
         if self._closed:
             raise ServiceError("service is closed")
-        if config is None:
-            config = SessionConfig(**overrides)
-        elif overrides:
-            config = dataclasses.replace(config, **overrides)
-        if config.execution is not None and config.execution not in ALL_EXECUTION_MODES:
-            raise ServiceError(
-                f"execution must be one of {ALL_EXECUTION_MODES}, "
-                f"got {config.execution!r}"
-            )
-        if config.method not in _JOIN_METHODS:
-            raise ServiceError(
-                f"method must be one of {_JOIN_METHODS}, got {config.method!r}"
-            )
-        if config.predicate is not None:
-            try:
-                resolve_predicate(config.predicate)
-            except ValueError as error:
-                raise ServiceError(str(error)) from None
-        if config.memory_pages is not None and config.memory_pages < 4:
-            raise ServiceError(
-                f"memory_pages must be >= 4, got {config.memory_pages}"
-            )
-        if config.deadline_seconds is not None and config.deadline_seconds <= 0:
-            raise ServiceError(
-                f"deadline_seconds must be positive (or None), "
-                f"got {config.deadline_seconds}"
-            )
+        config = resolve_session_config(config, overrides)
         with self._sessions_lock:
             if len(self._sessions) >= self.max_sessions:
                 raise ServiceError(
@@ -368,9 +330,9 @@ class QueryService:
         if self._closed:
             raise ServiceError("service is closed")
         effective_method = method if method is not None else session.config.method
-        if effective_method not in _JOIN_METHODS:
+        if effective_method not in JOIN_METHODS:
             raise ServiceError(
-                f"method must be one of {_JOIN_METHODS}, got {effective_method!r}"
+                f"method must be one of {JOIN_METHODS}, got {effective_method!r}"
             )
         predicate = self._session_predicate(session)
         if predicate != NATURAL_PREDICATE and effective_method not in ("auto", "sweep"):
@@ -574,8 +536,6 @@ class QueryService:
         degraded: bool = False,
     ) -> ServiceQueryResult:
         plan_cache_hit = False
-        lane_disturbed = False
-        use_lanes = False
         if method == "partition":
             pool = BufferPool(granted_pages)
             plan = None
@@ -598,24 +558,6 @@ class QueryService:
                 if granted_pages >= config.memory_pages
                 else dataclasses.replace(config, memory_pages=granted_pages)
             )
-            if config.execution in PIPELINED_SWEEP_MODES:
-                # The lane circuit breaker decides pooled-vs-serial BEFORE
-                # the plan-cache lookup: a serial run plans identically (the
-                # plan never depends on lane count) but must not spawn the
-                # pools an open breaker exists to avoid.  Results are
-                # bit-identical either way, so this is purely a latency
-                # trade and the cache keys stay on the original config.
-                use_lanes = self.lane_breaker.admit()
-                if not use_lanes:
-                    effective_config = dataclasses.replace(
-                        effective_config,
-                        sweep_workers=1,
-                        lane_supervision=False,
-                    )
-                    self._count(
-                        "repro_service_breaker_serial_total",
-                        "Queries forced to serial execution by the lane breaker.",
-                    )
             use_plan_cache = (
                 self.plan_cache is not None
                 and session.config.use_plan_cache
@@ -651,18 +593,6 @@ class QueryService:
                 self.plan_cache.store(
                     outer, inner, epochs, effective_config, run.plan
                 )
-            lane_disturbed = any(
-                event.kind.startswith("lane-")
-                for event in run.resilience.degradations
-            )
-            if config.execution in PIPELINED_SWEEP_MODES:
-                self.lane_breaker.record(use_lanes, lane_disturbed)
-                self._gauge_breaker()
-                if lane_disturbed:
-                    self._count(
-                        "repro_service_lane_disturbed_total",
-                        "Queries whose run recovered from lane failures.",
-                    )
             outcome = run.outcome
             relation = run.outcome.result
             cost = run.total_cost(self.cost_model)
@@ -670,11 +600,10 @@ class QueryService:
             algorithm = "partition"
         elif method == "sweep":
             # The forward sweep neither samples a plan nor interns keys:
-            # the plan cache and interner cache have nothing to offer, and
-            # the lane breaker never engages (no worker lanes).  The config
-            # already carries execution="forward-sweep" and the predicate
-            # (set by _run_join), so the result-cache key -- which includes
-            # the config -- distinguishes predicates.
+            # the plan cache and interner cache have nothing to offer.  The
+            # config already carries execution="forward-sweep" and the
+            # predicate (set by _run_join), so the result-cache key -- which
+            # includes the config -- distinguishes predicates.
             pool = BufferPool(granted_pages)
             run = partition_join(r, s, config, pool=pool)
             outcome = run.outcome
@@ -697,17 +626,11 @@ class QueryService:
         # budget: its outcome counters (and potentially tuple order) are not
         # the full-budget answer, so storing it under the full-budget config
         # key would break bit-identity for later full-grant hits.  Mirror
-        # the plan cache's full_grant guard and skip the store.  A
-        # lane-disturbed run is likewise kept out: its *answer* is provably
-        # identical (re-dispatch determinism), but caching it would hide the
-        # disturbance from every later serving of the same query -- repeat
-        # queries must re-observe lane health, and chaos tests must compare
-        # recomputations, not a memo of the disturbed run.
+        # the plan cache's full_grant guard and skip the store.
         if (
             self.result_cache is not None
             and session.config.use_result_cache
             and not degraded
-            and not lane_disturbed
             and relation is not None
         ):
             self.result_cache.store(
@@ -840,19 +763,6 @@ class QueryService:
                 "Buffer pages currently queued for admission.",
             )
 
-    def _gauge_breaker(self) -> None:
-        with self._metrics_lock:
-            self.obs.gauge(
-                "repro_service_lane_breaker_state",
-                float(self.lane_breaker.state_index),
-                "Lane circuit breaker state (0=closed, 1=open, 2=half-open).",
-            )
-            self.obs.gauge(
-                "repro_service_lane_breaker_trips",
-                float(self.lane_breaker.trips),
-                "Times the lane circuit breaker has tripped open.",
-            )
-
     def _gauge_queue_depth(self) -> None:
         with self._metrics_lock:
             self.obs.gauge(
@@ -881,13 +791,6 @@ class QueryService:
                 "clamped_requests": self.admission.clamped_requests,
                 "policy": self.admission.policy,
                 "per_session_peak_pages": self.admission.owner_peak_pages(),
-            },
-            "lane_breaker": {
-                "state": self.lane_breaker.state,
-                "trips": self.lane_breaker.trips,
-                "threshold": self.lane_breaker.threshold,
-                "window_seconds": self.lane_breaker.window_seconds,
-                "cooldown_seconds": self.lane_breaker.cooldown_seconds,
             },
         }
         for label, cache in (

@@ -11,15 +11,21 @@ service caps how many may be open at once.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from repro.model.errors import SessionClosedError
+from repro.algebra.predicates import resolve_predicate
+from repro.exec import ALL_EXECUTION_MODES
+from repro.model.errors import ServiceError, SessionClosedError
 from repro.model.vtuple import VTTuple
 
 #: Rows a write accepts: prepared VTTuples or ``(attrs..., vs, ve)`` rows.
 Rows = Union[Iterable[VTTuple], Iterable[Tuple]]
+
+#: Join methods a session, or one submitted join, may name.
+JOIN_METHODS = ("auto", "partition", "sweep", "sort_merge", "nested_loop")
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,42 @@ class SessionConfig:
     admission_timeout: Optional[float] = None
     deadline_seconds: Optional[float] = None
     label: str = ""
+
+
+def resolve_session_config(
+    config: Optional[SessionConfig], overrides: Dict
+) -> SessionConfig:
+    """*config* (or the defaults) with keyword *overrides* applied, validated.
+
+    What both services' ``open_session`` accept; raises
+    :class:`~repro.model.errors.ServiceError` on a value neither can serve.
+    """
+    if config is None:
+        config = SessionConfig(**overrides)
+    elif overrides:
+        config = dataclasses.replace(config, **overrides)
+    if config.execution is not None and config.execution not in ALL_EXECUTION_MODES:
+        raise ServiceError(
+            f"execution must be one of {ALL_EXECUTION_MODES}, "
+            f"got {config.execution!r}"
+        )
+    if config.method not in JOIN_METHODS:
+        raise ServiceError(
+            f"method must be one of {JOIN_METHODS}, got {config.method!r}"
+        )
+    if config.predicate is not None:
+        try:
+            resolve_predicate(config.predicate)
+        except ValueError as error:
+            raise ServiceError(str(error)) from None
+    if config.memory_pages is not None and config.memory_pages < 4:
+        raise ServiceError(f"memory_pages must be >= 4, got {config.memory_pages}")
+    if config.deadline_seconds is not None and config.deadline_seconds <= 0:
+        raise ServiceError(
+            f"deadline_seconds must be positive (or None), "
+            f"got {config.deadline_seconds}"
+        )
+    return config
 
 
 class Session:

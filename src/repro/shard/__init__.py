@@ -1,11 +1,10 @@
 """Sharded serving: coordinator + N shard worker processes over sockets.
 
-The ROADMAP's "multi-node lane transport" seam, closed: the PR-5
-:class:`~repro.service.service.QueryService` scaled past one process by
-decomposing every join into per-shard *fragments* (the same shape as the
-partition-parallel evaluation of spatial joins -- each fragment is an
-independent join whose results union disjointly).  Four cooperating
-pieces (see ``docs/SHARDING.md``):
+The PR-5 :class:`~repro.service.service.QueryService` scaled past one
+process by decomposing every join into per-shard *fragments* (the same
+shape as the partition-parallel evaluation of spatial joins -- each
+fragment is an independent join whose results union disjointly).  Four
+cooperating pieces (see ``docs/SHARDING.md``):
 
 * :mod:`repro.shard.partitioning` -- :class:`ShardMap`: hash sharding by
   join key or range sharding by temporal partition, with the map recorded
@@ -17,9 +16,8 @@ pieces (see ``docs/SHARDING.md``):
   degradation rung);
 * :mod:`repro.shard.worker` -- the shard worker process: its own
   :class:`~repro.storage.buffer.BufferPool`,
-  :class:`~repro.service.admission.AdmissionController`, simulated disk
-  and lane pool, executing fragments and reporting per-phase charged-I/O
-  ledgers;
+  :class:`~repro.service.admission.AdmissionController` and simulated
+  disk, executing fragments and reporting per-phase charged-I/O ledgers;
 * :mod:`repro.shard.coordinator` -- :class:`ShardedQueryService`: routes
   fragments by shard map, merges results deterministically (shard rank,
   then fragment emission order), aggregates

@@ -5,9 +5,9 @@ The multi-process sibling of the PR-5
 authoritative :class:`~repro.engine.catalog.VersionedCatalog` (mutations
 bump epochs exactly as before; the shard map is recorded in the catalog so
 every snapshot resolves to one routing), N forked shard worker processes
--- each with its own buffer pool, admission controller, simulated disks
-and lane pool -- and the session/executor surface the single-process
-service exposes, so :class:`~repro.service.session.Session` and the
+-- each with its own buffer pool, admission controller and simulated
+disks -- and the session/executor surface the single-process service
+exposes, so :class:`~repro.service.session.Session` and the
 workload driver run unchanged on top of it.
 
 The query path:
@@ -17,7 +17,8 @@ The query path:
    sent verbatim to every shard);
 2. ship any fragment versions a shard has not seen for the pinned epochs
    (fragments are immutable per ``(name, epoch)``, so shipping is lazy,
-   idempotent, and rebuildable after a respawn);
+   idempotent, and rebuildable after a respawn), evicting the older
+   versions of the same relation the shard still holds;
 3. fan the ``EXECUTE`` out to all shards, then collect ``RESULT`` frames
    in shard-rank order;
 4. merge deterministically: result tuples concatenate by shard rank, then
@@ -26,8 +27,7 @@ The query path:
    charged-I/O ledgers aggregate exactly
    (:meth:`~repro.storage.iostats.IOStatistics.merge`, once per shard).
 
-Supervision reuses the PR-7 shapes: a
-:class:`~repro.resilience.supervisor.SupervisionPolicy` bounds the
+A :class:`~repro.resilience.supervisor.SupervisionPolicy` bounds the
 per-fragment deadline and re-dispatch budget, failures are recorded as
 :class:`~repro.resilience.report.DegradationEvent` entries
 (``shard-death`` / ``shard-hang``), and the degradation ladder is
@@ -59,14 +59,20 @@ from repro.engine.catalog import (
     analyze,
 )
 from repro.engine.optimizer import choose_algorithm
-from repro.model.errors import ServiceError
+from repro.model.errors import QueryDeadlineError, ServiceError
 from repro.model.relation import ValidTimeRelation
 from repro.obs import Observability, ObservabilityConfig
 from repro.resilience.report import ResilienceReport
 from repro.resilience.supervisor import SupervisionPolicy
 from repro.service.executor import QueryExecutor, QueryHandle
-from repro.service.service import _JOIN_METHODS
-from repro.service.session import Rows, Session, SessionConfig, coerce_rows
+from repro.service.session import (
+    JOIN_METHODS,
+    Rows,
+    Session,
+    SessionConfig,
+    coerce_rows,
+    resolve_session_config,
+)
 from repro.shard import transport
 from repro.shard.partitioning import ShardMap, time_range_map
 from repro.shard.transport import Channel, TransportError, transport_counters
@@ -154,7 +160,6 @@ class _ShardHandle:
     channel: Optional[Channel] = None
     loaded: set = field(default_factory=set)
     respawns: int = 0
-    failures: int = 0
     quarantined: bool = False
     inline: Optional[ShardWorker] = None  # the quarantine rung
     last_status: Dict = field(default_factory=dict)
@@ -185,11 +190,10 @@ class ShardedQueryService:
         workers: coordinator executor threads (queries overlap in the
             executor; the shard fan-out itself is serialized per query).
         execution: default partition-join execution mode.
-        supervision: the PR-7 policy bounding the fragment deadline
-            (``lane_timeout_seconds``), the re-dispatch budget
-            (``max_redispatches``), and quarantine
-            (``quarantine_after`` respawns of the same shard retire it to
-            in-process execution).
+        supervision: the policy bounding the fragment deadline
+            (``fragment_timeout_seconds``) and the re-dispatch budget
+            (``max_redispatches``; a shard that exhausts it within one
+            query is quarantined to in-process execution).
         spawn_timeout: seconds to wait for a worker's first heartbeat.
     """
 
@@ -389,28 +393,7 @@ class ShardedQueryService:
         """Open a session (same contract as the single-process service)."""
         if self._closed:
             raise ServiceError("service is closed")
-        if config is None:
-            config = SessionConfig(**overrides)
-        elif overrides:
-            config = dataclasses.replace(config, **overrides)
-        if config.execution is not None and config.execution not in ALL_EXECUTION_MODES:
-            raise ServiceError(
-                f"execution must be one of {ALL_EXECUTION_MODES}, "
-                f"got {config.execution!r}"
-            )
-        if config.method not in _JOIN_METHODS:
-            raise ServiceError(
-                f"method must be one of {_JOIN_METHODS}, got {config.method!r}"
-            )
-        if config.predicate is not None:
-            try:
-                resolve_predicate(config.predicate)
-            except ValueError as error:
-                raise ServiceError(str(error)) from None
-        if config.memory_pages is not None and config.memory_pages < 4:
-            raise ServiceError(
-                f"memory_pages must be >= 4, got {config.memory_pages}"
-            )
+        config = resolve_session_config(config, overrides)
         with self._sessions_lock:
             if len(self._sessions) >= self.max_sessions:
                 raise ServiceError(f"session limit of {self.max_sessions} reached")
@@ -454,9 +437,9 @@ class ShardedQueryService:
         if self._closed:
             raise ServiceError("service is closed")
         effective_method = method if method is not None else session.config.method
-        if effective_method not in _JOIN_METHODS:
+        if effective_method not in JOIN_METHODS:
             raise ServiceError(
-                f"method must be one of {_JOIN_METHODS}, got {effective_method!r}"
+                f"method must be one of {JOIN_METHODS}, got {effective_method!r}"
             )
         predicate = self._session_predicate(session)
         if predicate != NATURAL_PREDICATE:
@@ -508,6 +491,9 @@ class ShardedQueryService:
                 session_id=session.session_id,
                 query_id=handle.query_id,
             )
+        except QueryDeadlineError:
+            self._count_query("deadline", method)
+            raise
         except Exception:
             self._count_query("error", method)
             raise
@@ -544,27 +530,37 @@ class ShardedQueryService:
         metas: List[Dict] = []
         columns_by_rank: List[Optional[Tuple]] = []
         with self._fanout_lock:
+            handle.check_deadline()
             # Ship missing fragment versions, then pipeline the EXECUTEs so
-            # every live shard computes concurrently.
-            dispatched: List[_ShardHandle] = []
+            # every live shard computes concurrently.  ``unread`` holds the
+            # shards whose answer is still on the wire, in rank order.
+            unread: List[_ShardHandle] = []
             for shard in self._shards:
                 if shard.quarantined:
                     continue
                 try:
                     self._ensure_loaded(shard, needed)
                     shard.channel.send_obj(transport.EXECUTE, request)
-                    dispatched.append(shard)
+                    unread.append(shard)
                 except TransportError as error:
-                    query_redispatches += self._recover(shard, needed, error)
-                    dispatched.append(None)  # collect phase re-dispatches
+                    # The collect phase re-dispatches on the fresh worker.
+                    query_redispatches += self._recover(shard, error)
             # Collect in rank order; a dead or hung shard rides the ladder.
-            for shard in self._shards:
-                meta, columns, redispatches = self._collect(
-                    shard, needed, request, shard in dispatched
-                )
-                query_redispatches += redispatches
-                metas.append(meta)
-                columns_by_rank.append(columns)
+            try:
+                for shard in self._shards:
+                    handle.check_deadline()
+                    was_dispatched = bool(unread) and unread[0] is shard
+                    if was_dispatched:
+                        unread.pop(0)  # _collect reads the answer or respawns
+                    meta, columns, redispatches = self._collect(
+                        shard, needed, request, was_dispatched
+                    )
+                    query_redispatches += redispatches
+                    metas.append(meta)
+                    columns_by_rank.append(columns)
+            except Exception:
+                self._drain(unread)
+                raise
         return self._merge(
             outer, inner, epochs, snapshot.epoch, metas, columns_by_rank,
             query_redispatches,
@@ -582,7 +578,7 @@ class ShardedQueryService:
         attempt_pending = was_dispatched and not shard.quarantined
         while True:
             if shard.quarantined:
-                self._ensure_loaded_inline(shard, needed)
+                self._ensure_loaded(shard, needed)
                 meta, columns = shard.inline.execute(request)
                 self._count(
                     "repro_shard_fragments_total",
@@ -599,7 +595,7 @@ class ShardedQueryService:
                     self._ensure_loaded(shard, needed)
                     shard.channel.send_obj(transport.EXECUTE, request)
                 ftype, flags, payload = shard.channel.recv(
-                    timeout=self.supervision.lane_timeout_seconds
+                    timeout=self.supervision.fragment_timeout_seconds
                 )
                 if ftype == transport.ERROR:
                     body = transport.decode_payload(payload, flags)
@@ -613,12 +609,11 @@ class ShardedQueryService:
                         kind="protocol",
                     )
                 meta, columns = transport.unpack_result(payload)
-                shard.failures = 0
                 meta["redispatches"] = redispatches
                 self._count("repro_shard_fragments_total", "Fragments executed.", status="ok")
                 return meta, columns, redispatches
             except TransportError as error:
-                redispatches += self._recover(shard, needed, error)
+                redispatches += self._recover(shard, error)
                 attempt_pending = False
                 if redispatches > self.supervision.max_redispatches:
                     self._quarantine(
@@ -627,10 +622,21 @@ class ShardedQueryService:
                         f"{self.supervision.max_redispatches} re-dispatches: {error}",
                     )
 
-    def _recover(self, shard: _ShardHandle, needed, error: TransportError) -> int:
+    def _drain(self, unread: List[_ShardHandle]) -> None:
+        """Discard the answers of fragments an aborted query will not collect.
+
+        Leaves every channel at a frame boundary, so the next request's
+        answer is the next frame read.
+        """
+        for shard in unread:
+            try:
+                shard.channel.recv(timeout=self.supervision.fragment_timeout_seconds)
+            except TransportError as error:
+                self._recover(shard, error)
+
+    def _recover(self, shard: _ShardHandle, error: TransportError) -> int:
         """Respawn after a death/hang; returns 1 (one re-dispatch consumed)."""
         kind = "shard-hang" if error.kind == "timeout" else "shard-death"
-        shard.failures += 1
         self.resilience.record_degradation(
             kind, f"shard {shard.rank}: {error} (respawn #{shard.respawns + 1})"
         )
@@ -640,60 +646,46 @@ class ShardedQueryService:
             kind=kind,
         )
         self._count("repro_shard_fragments_total", "Fragments executed.", status="redispatch")
-        if (
-            self.supervision.quarantine_after
-            and shard.failures >= self.supervision.quarantine_after
-            and shard.respawns + 1 >= self.supervision.quarantine_after
-        ):
-            # Let the caller's budget check quarantine; here we only respawn.
-            pass
         self._respawn(shard)
         self._gauge_workers()
         return 1
 
     def _ensure_loaded(self, shard: _ShardHandle, needed) -> None:
-        """Ship any fragment versions the worker has not installed yet."""
+        """Ship any fragment versions the shard has not installed yet.
+
+        Each LOAD names the older versions of the same relation the shard
+        holds, which it drops: a write would otherwise leave one more full
+        fragment copy in every worker forever.  A query still pinned to an
+        evicted epoch has it shipped again.  A quarantined shard's
+        in-process stand-in is loaded the same way, without the socket.
+        """
         for name, epoch, relation in needed:
             key = (name, epoch)
             if key in shard.loaded:
                 continue
-            fragment = self.shard_map.fragment(relation, shard.rank)
+            superseded = {
+                held for held in shard.loaded if held[0] == name and held[1] < epoch
+            }
             meta = {
                 "name": name,
                 "epoch": epoch,
                 "schema": schema_to_dict(relation.schema),
+                "evict": sorted(held[1] for held in superseded),
             }
-            payload = transport.pack_result(meta, fragment.to_columns())
-            shard.channel.send(transport.LOAD, payload)
-            ftype, body = shard.channel.recv_obj(
-                timeout=self.supervision.lane_timeout_seconds
-            )
-            if ftype != transport.OK:
-                raise TransportError(
-                    f"shard {shard.rank} failed to load fragment {key}: {body}",
-                    kind="protocol",
+            columns = self.shard_map.fragment(relation, shard.rank).to_columns()
+            if shard.quarantined:
+                shard.inline.load(meta, columns)
+            else:
+                shard.channel.send(transport.LOAD, transport.pack_result(meta, columns))
+                ftype, body = shard.channel.recv_obj(
+                    timeout=self.supervision.fragment_timeout_seconds
                 )
-            shard.loaded.add(key)
-            self._count(
-                "repro_shard_fragment_loads_total",
-                "Fragment versions shipped to workers.",
-            )
-
-    def _ensure_loaded_inline(self, shard: _ShardHandle, needed) -> None:
-        """Quarantine-rung twin of :meth:`_ensure_loaded` (no socket)."""
-        for name, epoch, relation in needed:
-            key = (name, epoch)
-            if key in shard.loaded:
-                continue
-            fragment = self.shard_map.fragment(relation, shard.rank)
-            shard.inline.load(
-                {
-                    "name": name,
-                    "epoch": epoch,
-                    "schema": schema_to_dict(relation.schema),
-                },
-                fragment.to_columns(),
-            )
+                if ftype != transport.OK:
+                    raise TransportError(
+                        f"shard {shard.rank} failed to load fragment {key}: {body}",
+                        kind="protocol",
+                    )
+            shard.loaded -= superseded
             shard.loaded.add(key)
             self._count(
                 "repro_shard_fragment_loads_total",
@@ -896,7 +888,7 @@ class ShardedQueryService:
                     shard.last_status = body
                     statuses.append(body)
                 except TransportError as error:
-                    self._recover(shard, (), error)
+                    self._recover(shard, error)
                     statuses.append({"rank": shard.rank, "respawned": True})
         return statuses
 

@@ -4,11 +4,11 @@ A worker owns the full serving stack for its shard: a private
 :class:`~repro.service.admission.AdmissionController` over its own
 :class:`~repro.storage.buffer.BufferPool`, a fresh simulated disk per
 fragment (created inside :func:`~repro.core.partition_join.partition_join`,
-exactly like the single-process service), and -- for the lane execution
-modes -- its own worker-lane pool.  It speaks the
+exactly like the single-process service).  It speaks the
 :mod:`repro.shard.transport` protocol:
 
-* ``LOAD`` installs a relation fragment under ``(name, epoch)``; fragments
+* ``LOAD`` installs a relation fragment under ``(name, epoch)`` and drops
+  the superseded epochs of that relation the coordinator lists; fragments
   are immutable once installed, so re-sending after a respawn rebuilds
   identical state.
 * ``EXECUTE`` runs one join fragment pinned to explicit epochs and answers
@@ -104,7 +104,8 @@ class ShardWorker:
     # -- frame handlers ------------------------------------------------------
 
     def load(self, meta: Dict, columns) -> Dict:
-        """Install a fragment version (idempotent: same key, same bytes)."""
+        """Install a fragment version (idempotent: same key, same bytes) and
+        drop the epochs of the same relation listed under ``meta["evict"]``."""
         schema = schema_from_dict(meta["schema"])
         key = (str(meta["name"]), int(meta["epoch"]))
         if columns is None:
@@ -112,6 +113,8 @@ class ShardWorker:
         else:
             relation = ValidTimeRelation.from_columns(schema, *columns)
         self._fragments[key] = relation
+        for epoch in meta.get("evict", ()):
+            self._fragments.pop((key[0], int(epoch)), None)
         return {"rank": self.rank, "loaded": list(key), "n_tuples": len(relation)}
 
     def execute(self, request: Dict) -> Tuple[Dict, Optional[Tuple]]:

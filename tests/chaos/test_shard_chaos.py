@@ -63,7 +63,7 @@ def make_service(seed: int, *, shards: int = 2, timeout: float = 2.0):
         shards=shards,
         pool_pages=32,
         supervision=SupervisionPolicy(
-            lane_timeout_seconds=timeout, max_redispatches=3
+            fragment_timeout_seconds=timeout, max_redispatches=3
         ),
     )
 
@@ -188,7 +188,7 @@ class TestSeededKillMatrix:
             pool_pages=32,
             execution=execution,
             supervision=SupervisionPolicy(
-                lane_timeout_seconds=2.0, max_redispatches=3
+                fragment_timeout_seconds=2.0, max_redispatches=3
             ),
         ) as service:
             with service.open_session() as session:

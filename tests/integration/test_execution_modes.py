@@ -13,6 +13,9 @@ predicate-join variants, under both kernel backends.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 import repro.exec.kernels as kernels_module
@@ -218,13 +221,10 @@ class TestPipelinedSweepEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_sweep_worker_count_is_unobservable(
-        self, schema_r, schema_s, backend, workers, monkeypatch
+        self, schema_r, schema_s, backend, workers
     ):
-        """The lane count must never leak into any observable."""
-        import repro.exec.sweep_parallel as sweep_module
-
-        monkeypatch.setattr(sweep_module, "OVERSUBSCRIBE", True)
-        monkeypatch.setattr(sweep_module, "MIN_LANE_ROWS", 0)
+        """``sweep_workers`` survives only for the frozen benchmark suite and
+        must be read by nothing."""
         r = random_relation(schema_r, 500, seed=41, n_keys=24)
         s = random_relation(schema_s, 500, seed=42, n_keys=24)
         runs = [
@@ -237,7 +237,7 @@ class TestPipelinedSweepEquivalence:
                     sweep_workers=w,
                 ),
             )
-            for w in (workers, 1)
+            for w in (workers, None)
         ]
         assert observe(runs[0]) == observe(runs[1])
 
@@ -263,8 +263,8 @@ class TestPipelinedSweepEquivalence:
 
 
 class TestZeroCopySweepEquivalence:
-    """``"zero-copy-sweep"``: the columnar page layout and shared-memory
-    fan-out are pure mechanism.  The mode's every observable -- including
+    """``"zero-copy-sweep"``: the columnar page layout is pure mechanism.
+    The mode's every observable -- including
     the full random/sequential breakdown per phase -- must equal
     ``"batch-parallel-sweep"`` exactly, and its relationship to the tuple
     oracle is exactly the pipelined contract (same op counts, never
@@ -324,62 +324,32 @@ class TestZeroCopySweepEquivalence:
         assert isinstance(next(iter(heap.scan_pages())), ColumnarPage)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="lanes only fan out with numpy workers")
-class TestLanePoolForksOnFirstFanOut:
-    """A page fans out only at >= MIN_LANE_ROWS matching rows, and the pool
-    is asked for only then: at ordinary page capacities a pipelined join
-    forks nothing and reports no dispatch."""
+class TestOneProcessPerJoin:
+    def test_no_mode_imports_multiprocessing(self):
+        """In a fresh interpreter, a multi-partition join in every partition
+        mode leaves ``multiprocessing`` unimported: nothing below the shard
+        coordinator can fork."""
+        script = """
+import sys
+from repro.core.partition_join import EXECUTION_MODES, PartitionJoinConfig, partition_join
+from repro.model.relation import ValidTimeRelation
+from repro.model.schema import RelationSchema
 
-    @staticmethod
-    def run(r, s, monkeypatch):
-        from repro.obs import ObservabilityConfig
-        from repro.resilience.supervisor import LaneSupervisor
-
-        pool_requests = []
-        ensure_pool = LaneSupervisor.ensure_pool
-
-        def spying_ensure_pool(self):
-            pool_requests.append(self.lanes)
-            return ensure_pool(self)
-
-        monkeypatch.setattr(LaneSupervisor, "ensure_pool", spying_ensure_pool)
-        run = partition_join(
-            r,
-            s,
-            PartitionJoinConfig(
-                memory_pages=6,
-                page_spec=PageSpec(8192, 16),  # 512 tuples per page
-                execution="batch-parallel-sweep",
-                sweep_workers=2,
-                observability=ObservabilityConfig(),
-            ),
+r = ValidTimeRelation.from_rows(
+    RelationSchema("r", ("k",), ("a",)), [(i % 5, i, i, i + 9) for i in range(300)]
+)
+s = ValidTimeRelation.from_rows(
+    RelationSchema("s", ("k",), ("b",)), [(i % 5, i, i + 3, i + 7) for i in range(300)]
+)
+for mode in EXECUTION_MODES:
+    run = partition_join(r, s, PartitionJoinConfig(memory_pages=6, execution=mode))
+    assert run.plan.num_partitions > 1 and run.outcome.n_result_tuples == 890, mode
+    assert "multiprocessing" not in sys.modules, mode
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
         )
-        dispatches = (
-            run.observability.metrics_snapshot()
-            .get("repro_pool_dispatches_total", {})
-            .get("series", {})
-            .get("", 0.0)
-        )
-        return run, pool_requests, dispatches
-
-    def test_no_pool_below_the_lane_threshold(self, schema_r, schema_s, monkeypatch):
-        import repro.exec.sweep_parallel as sweep
-
-        monkeypatch.setattr(sweep, "OVERSUBSCRIBE", True)  # 2 lanes on any box
-        r = random_relation(schema_r, 2600, seed=71, n_keys=6)
-        s = random_relation(schema_s, 2600, seed=72, n_keys=6)
-
-        quiet, pool_requests, dispatches = self.run(r, s, monkeypatch)
-        assert quiet.plan.num_partitions > 1
-        assert pool_requests == []  # the supervisor was never asked to spawn
-        assert "lane-pool-start" not in quiet.observability.trace_jsonl()
-        assert dispatches == 0
-
-        monkeypatch.setattr(sweep, "MIN_LANE_ROWS", 1)
-        fanned, pool_requests, dispatches = self.run(r, s, monkeypatch)
-        assert pool_requests and "lane-pool-start" in fanned.observability.trace_jsonl()
-        assert dispatches > 0
-        assert observe(fanned) == observe(quiet)
+        assert done.returncode == 0, done.stderr
 
 
 class TestVariantsAndBaselines:

@@ -7,8 +7,14 @@ import time
 
 import pytest
 
-from repro.model.errors import AdmissionTimeoutError, QueryCancelledError
+from repro.model.errors import (
+    AdmissionTimeoutError,
+    QueryCancelledError,
+    QueryDeadlineError,
+    ServiceError,
+)
 from repro.service import QueryService
+from repro.shard import ShardedQueryService
 
 from tests.service.conftest import make_catalog, make_tuples, outcome_counters
 
@@ -356,3 +362,84 @@ class TestBaselineMethods:
             ]
         cardinalities = {r.outcome.n_result_tuples for r in results}
         assert len(cardinalities) == 1
+
+
+@pytest.fixture(params=["single", "sharded"])
+def either_service(request, catalog):
+    """Both services over the same catalog, each with its query-count family."""
+    if request.param == "single":
+        svc = QueryService(catalog, pool_pages=32, workers=3)
+        family = "repro_service_queries_total"
+    else:
+        svc = ShardedQueryService(catalog, shards=2, pool_pages=32, workers=3)
+        family = "repro_shard_queries_total"
+    with svc:
+        yield svc, family
+
+
+class TestDeadlineBudget:
+    def test_deadline_must_be_positive(self, either_service):
+        service, _ = either_service
+        with pytest.raises(ServiceError):
+            service.open_session(deadline_seconds=0.0)
+        with pytest.raises(ServiceError):
+            service.open_session(deadline_seconds=-1.0)
+
+    def test_tiny_deadline_raises_before_evaluation(self, either_service):
+        service, family = either_service
+        with service.open_session(deadline_seconds=1e-6, label="rushed") as session:
+            with pytest.raises(QueryDeadlineError):
+                session.join("r", "s")
+        deadline_counts = [
+            count
+            for key, count in _series(service, family).items()
+            if "status=deadline" in key
+        ]
+        assert sum(deadline_counts) >= 1.0
+
+    def test_generous_deadline_does_not_interfere(self, either_service):
+        service, _ = either_service
+        with service.open_session(deadline_seconds=60.0) as session:
+            result = session.join("r", "s")
+        assert result.outcome.n_result_tuples > 0
+
+    def test_admission_wait_is_capped_by_the_deadline(self, service):
+        """A saturated pool plus a short budget must surface as a deadline
+        error, not an admission timeout -- the deadline was the binding
+        bound."""
+        hog = service.admission.acquire(32, label="hog")  # the whole pool
+        try:
+            with service.open_session(
+                deadline_seconds=0.3, admission_timeout=30.0, label="queued"
+            ) as session:
+                with pytest.raises(QueryDeadlineError):
+                    session.join("r", "s")
+        finally:
+            hog.release()
+        assert "repro_service_deadline_exceeded_total" in service.metrics_snapshot()
+
+    def test_deadline_between_collects_leaves_the_channels_in_step(self, catalog):
+        """A budget spent while shard 0 computes aborts before shard 1 is
+        collected; shard 1's unread answer must not become the next
+        request's."""
+        with ShardedQueryService(catalog, shards=2, pool_pages=32) as service:
+            with service.open_session() as session:
+                session.join("r", "s", method="partition")
+                collected = _counter(service, "repro_shard_fragments_total", "status=ok")
+                service._arm_chaos_hang(0, 1.0)
+                with service.open_session(deadline_seconds=0.5) as rushed:
+                    with pytest.raises(QueryDeadlineError):
+                        rushed.join("r", "s", method="partition")
+                assert (
+                    _counter(service, "repro_shard_fragments_total", "status=ok")
+                    == collected + 1
+                )  # shard 0 was collected, shard 1 was not
+                session.append("r", make_tuples(10, seed=77))
+                after = session.join("r", "s", method="partition")
+            assert not service.resilience.degradations  # drained, not respawned
+        with QueryService(catalog, pool_pages=32) as reference:
+            with reference.open_session() as session:
+                expected = session.join("r", "s", method="partition")
+        assert sorted(after.relation.tuples, key=repr) == sorted(
+            expected.relation.tuples, key=repr
+        )

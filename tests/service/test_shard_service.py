@@ -122,6 +122,42 @@ class TestMergeAccounting:
         assert after.outcome.n_result_tuples >= before.outcome.n_result_tuples
 
 
+class TestFragmentEviction:
+    def test_writes_do_not_accumulate_fragment_versions(self, sharded, monkeypatch):
+        """Each LOAD evicts the versions it supersedes: after any number of
+        writes a worker holds one fragment per relation, answers stay those
+        of a serial replay, and a query pinned to an evicted epoch is served
+        by shipping that version again."""
+        batch = make_tuples(6, seed=5)
+        with sharded.open_session() as session:
+            pinned = sharded.catalog.snapshot()
+            first = session.join("r", "s", method="partition")
+            for _ in range(4):
+                session.append("r", batch)
+                grown = session.join("r", "s", method="partition")
+                session.delete("r", batch)
+                shrunk = session.join("r", "s", method="partition")
+            assert [status["fragments"] for status in sharded.ping_all()] == [2, 2]
+            assert [w["loaded_fragments"] for w in sharded.report()["workers"]] == [2, 2]
+            assert canonical(shrunk.relation) == canonical(first.relation)
+            assert grown.outcome.n_result_tuples > first.outcome.n_result_tuples
+
+            session.append("r", batch)
+            current = session.join("r", "s", method="partition")
+            with QueryService(sharded.catalog, pool_pages=32) as serial:
+                with serial.open_session() as replay:
+                    expected = replay.join("r", "s", method="partition")
+            assert current.epochs == expected.epochs
+            assert canonical(current.relation) == canonical(expected.relation)
+
+            monkeypatch.setattr(sharded.catalog, "snapshot", lambda: pinned)
+            old = session.join("r", "s", method="partition")
+            assert old.epochs == first.epochs
+            assert canonical(old.relation) == canonical(first.relation)
+            # The re-shipped old epoch sits beside the current one only.
+            assert [status["fragments"] for status in sharded.ping_all()] == [3, 3]
+
+
 class TestTopology:
     def test_report_shape(self, sharded):
         with sharded.open_session() as session:

@@ -11,7 +11,6 @@ from repro.core.planner import (
     estimate_grant_pages,
     estimate_join_cost,
     estimate_pipelined_join_cost,
-    recommend_sweep_workers,
 )
 from repro.model.errors import PlanError
 from repro.model.vtuple import VTTuple
@@ -98,16 +97,6 @@ class TestPipelinedCostModel:
         )
         assert cost == max(10.0, 50.0) + 50.0
 
-    def test_workers_divide_the_compute(self):
-        cost = estimate_pipelined_join_cost(
-            10.0, 80.0, prefetch_depth=10, pages_per_partition=10, workers=4
-        )
-        assert cost == 20.0
-        # Never worse than the serial estimate, never better than the bound.
-        serial = 10.0 + 80.0
-        assert cost <= serial
-        assert cost >= max(10.0, 80.0 / 4)
-
     def test_alpha_clamps_at_one(self):
         a = estimate_pipelined_join_cost(
             60.0, 0.0, prefetch_depth=50, pages_per_partition=10
@@ -136,36 +125,6 @@ class TestPipelinedCostModel:
             estimate_pipelined_join_cost(
                 1.0, 1.0, prefetch_depth=-1, pages_per_partition=1
             )
-        with pytest.raises(PlanError):
-            estimate_pipelined_join_cost(
-                1.0, 1.0, prefetch_depth=1, pages_per_partition=1, workers=0
-            )
-
-
-class TestRecommendSweepWorkers:
-    def test_compute_free_join_needs_one_lane(self):
-        assert recommend_sweep_workers(0.0, 100.0) == 1
-
-    def test_io_free_join_takes_the_machine_limit(self, monkeypatch):
-        import repro.exec.sweep_parallel as sweep
-
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
-        assert recommend_sweep_workers(10.0, 0.0) == 4
-
-    def test_smallest_lane_count_that_hides_compute(self, monkeypatch):
-        import repro.exec.sweep_parallel as sweep
-
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
-        # C_cpu/W <= C_io first at W = ceil(70/20) = 4.
-        assert recommend_sweep_workers(70.0, 20.0, max_workers=8) == 4
-        # Clamped by the machine / explicit ceiling.
-        assert recommend_sweep_workers(900.0, 1.0, max_workers=2) == 2
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(PlanError):
-            recommend_sweep_workers(-1.0, 1.0)
-        with pytest.raises(PlanError):
-            recommend_sweep_workers(1.0, -1.0)
 
 
 class TestDeterminePartIntervals:
