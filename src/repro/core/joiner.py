@@ -57,6 +57,14 @@ pages accumulate until a run holds :data:`RUN_ROWS` rows (or the stream
 ends) and are probed together.  Results may therefore lag the main disk,
 main-disk accesses are never reordered, and a crash drops an unemitted run
 like any other volatile buffer.
+
+**Emission.**  The batch engine hands back each run's matches as one
+:class:`~repro.model.match_block.MatchBlock` -- matched rows plus the
+``starts | ends`` columns -- and for the natural pair function that block is
+appended whole to the result file and the collected relation, which build a
+``VTTuple`` only when someone reads one.  Any other pair function may reject
+or rewrite a pair, so it is called per row of the block; the tuple engine
+always calls it per match (it is the oracle for the block path too).
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
 from repro.exec.batch import CodeTranslator, ColumnarBlock
-from repro.exec.kernels import Match, get_kernels
+from repro.exec.kernels import get_kernels
 from repro.exec.pruned_probe import (
     PrunedProbeIndex,
     PrunedProbeIndexPython,
@@ -76,6 +84,7 @@ from repro.exec.pruned_probe import (
     probe_pruned_python,
 )
 from repro.model.errors import CheckpointError
+from repro.model.match_block import MatchBlock
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
@@ -196,11 +205,12 @@ def join_partitions(
             from each reduction's position on, the sweep runs with the
             smaller buffer, routing the excess through the Section 3.4
             overflow machinery and recording a degradation event.
-        swapped_inputs: True when the caller passed its inputs in swapped
-            orientation and *pair_fn* already compensates (the
-            single-partition shortcut).  Recorded in the sweep context so
-            :func:`~repro.core.partition_join.resume_join` re-applies the
-            same flip to the caller-supplied ``pair_fn`` on replay.
+        swapped_inputs: True when *r_parts* hold the caller's inner relation
+            and *s_parts* its outer one (the single-partition shortcut makes
+            the smaller relation the resident side).  *pair_fn* is then
+            called as ``pair_fn(s_row, r_row, overlap)`` so payloads come out
+            in the caller's order.  Recorded in the sweep context, from which
+            :func:`~repro.core.partition_join.resume_join` passes it back.
         obs: optional :class:`~repro.obs.Observability` runtime.  Purely
             observational: spans, events, and metrics are recorded around
             the sweep, but results, outcome counters, and charged I/O are
@@ -413,6 +423,7 @@ def join_partitions(
                                 outcome,
                                 layout,
                                 pair_fn,
+                                swapped_inputs,
                             )
                             probe_span.set(
                                 pages=pages_n,
@@ -447,6 +458,7 @@ def join_partitions(
                             outcome,
                             layout,
                             pair_fn,
+                            swapped_inputs,
                         )
                         probe_span.set(
                             pages=pages_n,
@@ -885,9 +897,9 @@ class _ProbeEngine:
     def overlapping_rows(self, rows: Sequence[VTTuple], index: int) -> List[int]:
         raise NotImplementedError
 
-    def probe(
-        self, index_obj, pages: Sequence[Sequence[VTTuple]], part_index: int
-    ) -> List[Tuple[VTTuple, VTTuple, Interval]]:
+    def probe(self, index_obj, pages: Sequence[Sequence[VTTuple]], part_index: int):
+        """The run's matches as ``(outer, inner, overlap)`` triples, or as
+        one :class:`~repro.model.match_block.MatchBlock` (outer rows left)."""
         raise NotImplementedError
 
 
@@ -959,36 +971,37 @@ class _BatchEngine(_ProbeEngine):
     def overlapping_rows(self, rows, index):
         return self._kernels.migration_rows(rows, self.boundaries, index)
 
-    def probe(self, index_obj, pages, part_index) -> List[Match]:
+    def probe(self, index_obj, pages, part_index) -> MatchBlock:
         kernels = self._kernels
         batch = kernels.run_batch(pages, self._interner, translator=self._translator)
-        inner = batch.tuples
         if not kernels.use_numpy:
-            pairs = probe_pruned_python(
-                index_obj, inner, self.boundaries, part_index, self._direction
+            columns = probe_pruned_python(
+                index_obj, batch.tuples, self.boundaries, part_index, self._direction
             )
         elif index_obj.csr is not None:
             # The index found nothing to prune (or no room for its key).
-            return kernels.probe(
+            columns = kernels.probe_columns(
                 index_obj.csr, batch, self.boundaries, part_index, self._direction
             )
         else:
-            pairs = zip(
-                *(
-                    column.tolist()
-                    for column in probe_pruned(
-                        index_obj,
-                        batch.key_ids,
-                        batch.starts,
-                        batch.ends,
-                        self.boundaries,
-                        part_index,
-                        self._direction,
-                    )
-                )
+            columns = probe_pruned(
+                index_obj,
+                batch.key_ids,
+                batch.starts,
+                batch.ends,
+                self.boundaries,
+                part_index,
+                self._direction,
             )
-        block = index_obj.block
-        return [(block[o], inner[i], Interval(cs, ce)) for o, i, cs, ce in pairs]
+        outer_rows, inner_rows, common_starts, common_ends = columns
+        # The block keeps the matched rows only -- not the outer block or the
+        # run's pages -- so a result may outlive the layout it came from.
+        return MatchBlock(
+            kernels.take(index_obj.block, outer_rows),
+            kernels.take(batch.tuples, inner_rows),
+            common_starts,
+            common_ends,
+        )
 
 
 def _probe_pages(
@@ -1003,6 +1016,7 @@ def _probe_pages(
     outcome: JoinOutcome,
     layout: DiskLayout,
     pair_fn: PairFn,
+    swapped: bool,
 ) -> Tuple[int, int, int, int]:
     """Join every page of the *pages* stream against the outer block.
 
@@ -1012,17 +1026,32 @@ def _probe_pages(
     so the main disk sees exactly the per-page access sequence.  The probe
     lags behind: pages gather into a run of :data:`RUN_ROWS` rows and are
     matched and emitted together.  The engine decides *how* rows are
-    matched and filtered; emission and migration I/O happen here,
-    identically for every engine.
+    matched and filtered; emission and migration I/O happen here, writing
+    the same result pages for every engine.  With *swapped* the pair
+    function sees ``(inner row, outer row)``.
 
     Returns ``(pages, rows, emitted, migrated)`` counts for the probe span
     -- derived from work already done, never changing what is done.
     """
     def emit(run: List[Sequence[VTTuple]]) -> int:
         """Probe one run; write its matches to the result stream, in order."""
+        matches = engine.probe(probe_index, run, index)
+        if isinstance(matches, MatchBlock):
+            if swapped:
+                matches = matches.flipped()
+            if pair_fn is natural_pair:
+                # The block *is* the natural result rows: O(pages) work.
+                result_file.append_block(matches)
+                if collected is not None:
+                    collected.append_block(matches)
+                outcome.n_result_tuples += len(matches)
+                return len(matches)
+            matches = matches.pairs()
+        elif swapped:
+            matches = ((inner, outer, common) for outer, inner, common in matches)
         emitted = 0
-        for outer_tup, inner_tup, common in engine.probe(probe_index, run, index):
-            joined = pair_fn(outer_tup, inner_tup, common)
+        for x, y, common in matches:
+            joined = pair_fn(x, y, common)
             if joined is None:
                 continue
             emitted += 1

@@ -660,15 +660,6 @@ def resume_join(
 
     context = recovery.context
     checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
-    # A single-partition run may have swapped outer/inner (the smaller
-    # relation becomes the resident side) and compensated inside its own
-    # pair_fn wrapper.  The context's partitions are stored in that swapped
-    # orientation, so the resumed sweep needs the same compensation or every
-    # replayed pair comes out payload-reversed.
-    effective_pair = pair_fn
-    if getattr(context, "swapped", False):
-        def effective_pair(x, y, common, _pair_fn=pair_fn):
-            return _pair_fn(y, x, common)
     try:
         with _phase(layout.tracker, obs, "join"):
             outcome = join_partitions(
@@ -679,7 +670,7 @@ def resume_join(
                 layout,
                 context.result_schema,
                 collect=context.collect,
-                pair_fn=effective_pair,
+                pair_fn=pair_fn,
                 direction=context.direction,
                 cache_memory_tuples=context.cache_memory_tuples,
                 execution=context.execution,
@@ -688,6 +679,9 @@ def resume_join(
                 checkpointer=checkpointer,
                 resume_from=recovery.checkpoint,
                 buffer_reductions=config.buffer_reductions,
+                # A single-partition run may have stored its partitions in
+                # swapped orientation; the replay must flip pairs the same way.
+                swapped_inputs=context.swapped,
                 obs=obs,
             )
         plan = recovery.plan
@@ -900,9 +894,6 @@ def _single_partition_join(
     swap = not (r_file.n_pages <= allocation.buff_size)
     outer_file, inner_file = (s_file, r_file) if swap else (r_file, s_file)
 
-    def oriented_pair(x, y, common):
-        return pair_fn(y, x, common) if swap else pair_fn(x, y, common)
-
     plan = _single_partition_plan(r, s, r_file, s_file, allocation, config)
     partition_map = PartitionMap(list(plan.intervals))
 
@@ -919,7 +910,7 @@ def _single_partition_join(
             layout,
             result_schema,
             collect=config.collect_result,
-            pair_fn=oriented_pair,
+            pair_fn=pair_fn,
             execution=config.execution,
             prefetch_depth=config.prefetch_depth,
             interner=interner,

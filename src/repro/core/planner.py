@@ -52,10 +52,10 @@ from repro.model.errors import PlanError
 from repro.model.vtuple import VTTuple
 from repro.sampling.kolmogorov import required_samples
 from repro.sampling.sampler import SamplePlan, SampleStrategy, plan_sampling
-from repro.storage.columnar_page import ColumnarPage, trusted_interval
+from repro.storage.columnar_page import ColumnarPage
 from repro.storage.heapfile import HeapFile
 from repro.storage.iostats import CostModel
-from repro.time.interval import Interval
+from repro.time.interval import Interval, trusted_interval
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,9 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.algebra.predicates import TemporalPredicate, resolve_predicate
-from repro.storage.columnar_page import ColumnarPage, trusted_interval
+from repro.storage.columnar_page import ColumnarPage
 from repro.time.allen import AllenRelation
+from repro.time.interval import trusted_interval
 from repro.model.vtuple import VTTuple
 
 __all__ = [

@@ -168,6 +168,11 @@ class Kernels:
             if lo < tup.valid.end and tup.valid.start <= hi
         ]
 
+    def take(self, rows: Sequence[VTTuple], positions) -> Sequence[VTTuple]:
+        """The rows of *rows* at *positions* (a probe's row column), in
+        order.  A lazy page or block materializes only the rows named."""
+        return [rows[at] for at in positions]
+
     # -- the kernels -------------------------------------------------------
 
     def build_probe_index(self, block: Sequence[VTTuple], interner: KeyInterner):
@@ -303,20 +308,47 @@ class NumpyKernels(Kernels):
             )
         return PageBatch.from_tuples(page, interner, intern=intern, use_numpy=True)
 
+    def take(self, rows, positions):
+        # Boxing the list costs O(rows) and saves a bytecode loop over the
+        # positions, so it pays exactly when rows repeat among the matches.
+        if isinstance(rows, list) and len(positions) > len(rows):
+            return np.fromiter(rows, object, len(rows)).take(positions)
+        return [rows[at] for at in positions.tolist()]
+
     def build_probe_index(self, block, interner):
         return _NumpyProbeIndex(block, interner)
 
     def probe(self, index, batch, boundaries=None, part_index=None, direction="backward"):
+        block = index.block
+        inner_tuples = batch.tuples
+        return [
+            (block[o], inner_tuples[i], Interval(cs, ce))
+            for o, i, cs, ce in zip(
+                *(
+                    column.tolist()
+                    for column in self.probe_columns(
+                        index, batch, boundaries, part_index, direction
+                    )
+                )
+            )
+        ]
+
+    def probe_columns(
+        self, index, batch, boundaries=None, part_index=None, direction="backward"
+    ) -> Tuple:
+        """:meth:`probe` as flat ``int64`` arrays ``(outer rows, inner rows,
+        common starts, common ends)``, in the same emission order."""
+        nothing = (np.empty(0, np.int64),) * 4
         n = len(batch)
         if n == 0 or index.n_groups == 0 or not index.block:
-            return []
+            return nothing
         key_ids = batch.key_ids
         known = (key_ids >= 0) & (key_ids < index.n_groups)
         safe_ids = np.where(known, key_ids, 0)
         counts = np.where(known, index.counts[safe_ids], 0)
         total = int(counts.sum())
         if total == 0:
-            return []
+            return nothing
 
         # CSR gather: expand every inner row into its key group's CSR
         # positions.  ``pos`` enumerates each group's positions ascending,
@@ -336,7 +368,7 @@ class NumpyKernels(Kernels):
         common_end = np.minimum(index.ends_ordered[pos], inner_ends)
         kept = np.nonzero(common_start <= common_end)[0]
         if kept.size == 0:
-            return []
+            return nothing
 
         common_start = common_start[kept]
         common_end = common_end[kept]
@@ -345,7 +377,7 @@ class NumpyKernels(Kernels):
             lo, hi = boundaries.window(part_index)
             owned = np.nonzero((owner > lo) & (owner <= hi))[0]
             if owned.size == 0:
-                return []
+                return nothing
             kept = kept[owned]
             common_start = common_start[owned]
             common_end = common_end[owned]
@@ -355,18 +387,7 @@ class NumpyKernels(Kernels):
         # surviving pair ``t`` is the group whose cumulative count first
         # exceeds ``t``.
         pair_inner = np.searchsorted(cum, kept, side="right")
-
-        block = index.block
-        inner_tuples = batch.tuples
-        return [
-            (block[o], inner_tuples[i], Interval(cs, ce))
-            for o, i, cs, ce in zip(
-                pair_outer.tolist(),
-                pair_inner.tolist(),
-                common_start.tolist(),
-                common_end.tolist(),
-            )
-        ]
+        return pair_outer, pair_inner, common_start, common_end
 
     def locate(self, chronons, boundaries):
         values = np.asarray(chronons, dtype=np.int64)

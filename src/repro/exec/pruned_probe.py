@@ -225,11 +225,12 @@ def probe_pruned_python(
     boundaries,
     part_index: int,
     direction: str,
-) -> List[Tuple[int, int, int, int]]:
+) -> Tuple[List[int], List[int], List[int], List[int]]:
     """The numpy-free window probe: identical output, bisect windows.
 
-    Returns ``(outer row, inner row, common start, common end)`` tuples in
-    the oracle's emission order.
+    Returns the same four columns as :func:`probe_pruned` -- outer rows,
+    inner rows, common starts, common ends, in the oracle's emission order
+    -- as plain lists.
     """
     backward = direction == "backward"
     lo_own, hi_own = (
@@ -255,7 +256,7 @@ def probe_pruned_python(
                 continue
             out.append((outer_row, row, cs, ce))
     out.sort(key=lambda pair: (pair[1], pair[0]))
-    return out
+    return tuple(map(list, zip(*out))) if out else ([], [], [], [])
 
 
 __all__ = [

@@ -8,6 +8,15 @@ physical, paged representation the cost experiments run against.
 Relations are multisets: the paper's 1NF tuple-timestamped model permits
 duplicate snapshot tuples with different timestamps (and the join algorithms
 are compared by result *multiset* in the test-suite).
+
+**Chunks.**  A relation is a sequence of chunks: plain tuple lists (what
+:meth:`ValidTimeRelation.add` appends to) and lazy row blocks
+(:mod:`repro.model.match_block`, what the batch engine and the shard merge
+append whole).  ``len`` and :meth:`ValidTimeRelation.to_columns` answer from
+the chunks; everything else reads ``_tuples``, which on first touch builds
+every block's rows into one list *aside* and publishes it as the only chunk
+with a single assignment -- so sessions sharing a cached result see either
+the blocks or the finished list, never a half-extended one.
 """
 
 from __future__ import annotations
@@ -15,8 +24,10 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.model.errors import SchemaError
+from repro.model.match_block import ColumnBlock, LazyRows
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
+from repro.time.chronon import BEGINNING, FOREVER
 from repro.time.interval import Interval
 from repro.time.lifespan import Lifespan, lifespan_of
 
@@ -31,10 +42,39 @@ class ValidTimeRelation:
 
     def __init__(self, schema: RelationSchema, tuples: Optional[Iterable[VTTuple]] = None):
         self.schema = schema
-        self._tuples: List[VTTuple] = []
+        self._chunks: list = []
         if tuples is not None:
             for tup in tuples:
                 self.add(tup)
+
+    @property
+    def _tuples(self) -> List[VTTuple]:
+        """The rows as one list, building any lazy chunk first (memoized).
+
+        The returned list *is* the relation's storage: mutating it mutates
+        the relation, exactly as when it was a plain attribute.
+        """
+        chunks = self._chunks
+        if len(chunks) == 1 and type(chunks[0]) is list:
+            return chunks[0]
+        rows: List[VTTuple] = []
+        for chunk in chunks:
+            if type(chunk) is not list:
+                chunk = chunk.rows()
+                for arity in {(len(tup.key), len(tup.payload)) for tup in chunk}:
+                    self._check_arity(*arity)
+            rows.extend(chunk)
+        self._chunks = [rows]
+        return rows
+
+    @_tuples.setter
+    def _tuples(self, rows: List[VTTuple]) -> None:
+        self._chunks = [rows]
+
+    @property
+    def materialized(self) -> bool:
+        """False while some rows exist only as a lazy block's columns."""
+        return all(type(chunk) is list for chunk in self._chunks)
 
     # -- construction -------------------------------------------------------
 
@@ -84,31 +124,90 @@ class ValidTimeRelation:
         return relation
 
     def to_columns(self) -> Tuple[List[Tuple], List[Tuple], List[int], List[int]]:
-        """Decompose into ``(keys, payloads, starts, ends)`` parallel columns."""
+        """Decompose into ``(keys, payloads, starts, ends)`` parallel columns.
+
+        Lazy chunks answer from their own columns: no tuple is built.
+        """
         keys: List[Tuple] = []
         payloads: List[Tuple] = []
         starts: List[int] = []
         ends: List[int] = []
-        for tup in self._tuples:
-            keys.append(tup.key)
-            payloads.append(tup.payload)
-            starts.append(tup.valid.start)
-            ends.append(tup.valid.end)
+        for chunk in self._chunks:
+            if type(chunk) is list:
+                for tup in chunk:
+                    keys.append(tup.key)
+                    payloads.append(tup.payload)
+                    starts.append(tup.valid.start)
+                    ends.append(tup.valid.end)
+            else:
+                for column, part in zip((keys, payloads, starts, ends), chunk.columns()):
+                    column.extend(part)
         return keys, payloads, starts, ends
+
+    def _check_arity(self, n_key: int, n_payload: int) -> None:
+        """Raise unless a row of these arities fits the schema."""
+        if n_key != len(self.schema.join_attributes):
+            raise SchemaError(
+                f"tuple key arity {n_key} does not match schema "
+                f"{self.schema.name!r} join attributes {self.schema.join_attributes}"
+            )
+        if n_payload != len(self.schema.payload_attributes):
+            raise SchemaError(
+                f"tuple payload arity {n_payload} does not match schema "
+                f"{self.schema.name!r} payload attributes {self.schema.payload_attributes}"
+            )
 
     def add(self, tup: VTTuple) -> None:
         """Append *tup* after validating its arity against the schema."""
-        if len(tup.key) != len(self.schema.join_attributes):
-            raise SchemaError(
-                f"tuple key arity {len(tup.key)} does not match schema "
-                f"{self.schema.name!r} join attributes {self.schema.join_attributes}"
-            )
-        if len(tup.payload) != len(self.schema.payload_attributes):
-            raise SchemaError(
-                f"tuple payload arity {len(tup.payload)} does not match schema "
-                f"{self.schema.name!r} payload attributes {self.schema.payload_attributes}"
-            )
-        self._tuples.append(tup)
+        schema = self.schema
+        if len(tup.key) != len(schema.join_attributes) or len(tup.payload) != len(
+            schema.payload_attributes
+        ):
+            self._check_arity(len(tup.key), len(tup.payload))
+        chunks = self._chunks
+        if chunks and type(chunks[-1]) is list:
+            chunks[-1].append(tup)
+        else:
+            chunks.append([tup])
+
+    def append_block(self, block: LazyRows) -> None:
+        """Append a lazy row block (:mod:`repro.model.match_block`) whole.
+
+        The first row's arity is checked now, so a block built for another
+        schema fails at the append; every row is checked when the block is
+        materialized.
+        """
+        if len(block):
+            self._check_arity(*block.arity())
+            self._chunks.append(block)
+
+    def append_columns(
+        self,
+        keys: List[Tuple],
+        payloads: List[Tuple],
+        starts: List[int],
+        ends: List[int],
+    ) -> None:
+        """Append rows given as parallel columns, validated column-wise.
+
+        What the constructors check per tuple -- tuple-typed keys and
+        payloads of the schema's arity, ``int`` chronons on the time-line,
+        ``end >= start`` -- is checked here once per column; the rows stay a
+        lazy :class:`~repro.model.match_block.ColumnBlock` until touched.
+        """
+        if not len(keys) == len(payloads) == len(starts) == len(ends):
+            raise ValueError("column lengths differ")
+        if not all(type(item) is tuple for column in (keys, payloads) for item in column):
+            raise TypeError("key and payload columns must hold tuples")
+        for arity in set(zip(map(len, keys), map(len, payloads))):
+            self._check_arity(*arity)
+        if not all(type(chronon) is int for column in (starts, ends) for chronon in column):
+            raise TypeError("start and end columns must hold int chronons")
+        if keys and not (BEGINNING <= min(starts) and max(ends) <= FOREVER):
+            raise ValueError("chronon outside representable time-line")
+        if any(end < start for start, end in zip(starts, ends)):
+            raise ValueError("an interval's end precedes its start")
+        self.append_block(ColumnBlock(keys, payloads, starts, ends))
 
     def extend(self, tuples: Iterable[VTTuple]) -> None:
         """Append every tuple in *tuples* with validation."""
@@ -121,7 +220,7 @@ class ValidTimeRelation:
         return iter(self._tuples)
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return sum(map(len, self._chunks))
 
     def __contains__(self, tup: object) -> bool:
         return tup in self._tuples

@@ -65,8 +65,8 @@ class SweepContext:
     prefetch_depth: int = 8
     #: True when ``r_parts``/``s_parts`` hold the inputs in *swapped*
     #: orientation (the single-partition shortcut makes the smaller relation
-    #: the outer side).  Resume must re-apply the same argument flip to its
-    #: ``pair_fn`` or replayed results come out payload-reversed.
+    #: the outer side).  Resume passes it back as ``swapped_inputs`` or
+    #: replayed results come out payload-reversed.
     swapped: bool = False
 
 

@@ -114,11 +114,14 @@ class CachedJoin:
     """A completed join, replayable from cache with zero charged I/O.
 
     The relation and outcome are shared, never copied: every producer in
-    this library materializes a fresh result relation per run and nothing
-    mutates one afterwards, so sharing is safe and O(1).
+    this library builds a fresh result relation per run and nothing appends
+    to one afterwards, so sharing is safe and O(1).  A batch-engine result
+    is cached as it was produced -- lazy row blocks -- and the first reader
+    of its tuples publishes the built list once, for every holder
+    (:mod:`repro.model.relation`).
 
     Attributes:
-        relation: the materialized result.
+        relation: the result relation.
         outcome: the run's :class:`~repro.core.joiner.JoinOutcome` (counters
             included, so a cached reply is bit-identical to the run's).
         algorithm: which join algorithm produced it.

@@ -712,8 +712,8 @@ class ShardedQueryService:
             if relation is None:
                 relation = ValidTimeRelation(schema)
             if columns is not None:
-                shard_relation = ValidTimeRelation.from_columns(schema, *columns)
-                relation.extend(shard_relation.tuples)
+                # One lazy chunk per shard, in rank order, validated by column.
+                relation.append_columns(*columns)
 
         n_result = sum(m["outcome"]["n_result_tuples"] for m in metas)
         outcome = JoinOutcome(

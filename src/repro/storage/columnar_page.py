@@ -34,8 +34,8 @@ from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.backend import np
-from repro.model.vtuple import VTTuple
-from repro.time.interval import Interval
+from repro.model.vtuple import VTTuple, trusted_tuple
+from repro.time.interval import Interval, trusted_interval
 
 
 class KeyDictionary:
@@ -68,18 +68,6 @@ class KeyDictionary:
     def key(self, code: int) -> Tuple:
         """The key stored under *code*."""
         return self.keys[code]
-
-
-def trusted_interval(start: int, end: int) -> Interval:
-    """Build an :class:`Interval` without re-validating.
-
-    For values coming back out of a packed column buffer only: they were
-    validated by the real constructor at pack time.
-    """
-    valid = Interval.__new__(Interval)
-    object.__setattr__(valid, "start", start)
-    object.__setattr__(valid, "end", end)
-    return valid
 
 
 class ColumnarPage(Sequence):
@@ -178,19 +166,6 @@ class ColumnarPage(Sequence):
             view = self._view = memoryview(self._buf).cast("q")
         return view
 
-    @staticmethod
-    def _trusted_row(key: Tuple, payload: Tuple, start: int, end: int) -> VTTuple:
-        """Build a row without re-validating: every value in the buffer was
-        validated by :class:`Interval`/:class:`VTTuple` at pack time, so the
-        read path may construct through ``__new__`` (about 2.5x faster than
-        the validating constructors, measured per row)."""
-        valid = trusted_interval(start, end)
-        tup = VTTuple.__new__(VTTuple)
-        object.__setattr__(tup, "key", key)
-        object.__setattr__(tup, "payload", payload)
-        object.__setattr__(tup, "valid", valid)
-        return tup
-
     def span(self, index: int) -> Interval:
         """The valid-time interval of row *index*, without the tuple.
 
@@ -212,7 +187,8 @@ class ColumnarPage(Sequence):
         tup = cache[index]
         if tup is None:
             view = self._cast()
-            tup = self._trusted_row(
+            # Every value in the buffer was validated at pack time.
+            tup = trusted_tuple(
                 self.dictionary.key(view[2 * self._n + index]),
                 self.payloads[index],
                 view[index],
@@ -239,7 +215,7 @@ class ColumnarPage(Sequence):
         ends = view[n : 2 * n].tolist()
         codes = view[2 * n : 3 * n].tolist()
         keys = self.dictionary.keys
-        build = self._trusted_row
+        build = trusted_tuple
         if cache is None:
             rows = [
                 build(keys[c], p, s, e)
@@ -307,4 +283,4 @@ def page_view(payload: object):
     return list(payload)
 
 
-__all__ = ["ColumnarPage", "KeyDictionary", "page_view", "trusted_interval"]
+__all__ = ["ColumnarPage", "KeyDictionary", "page_view"]

@@ -59,14 +59,13 @@ class Extent:
     tuples); the simulator never inspects them.
     """
 
-    __slots__ = ("name", "device", "_segments", "_pages", "_disk")
+    __slots__ = ("name", "device", "_segments", "_pages")
 
-    def __init__(self, name: str, device: int, disk: "SimulatedDisk") -> None:
+    def __init__(self, name: str, device: int) -> None:
         self.name = name
         self.device = device
         self._segments: List[Tuple[int, int]] = []  # (physical base, capacity)
         self._pages: List[object] = []
-        self._disk = disk
 
     @property
     def n_pages(self) -> int:
@@ -155,7 +154,7 @@ class SimulatedDisk:
                 extent=name,
                 device=device,
             )
-        extent = Extent(name, device, self)
+        extent = Extent(name, device)
         self._reserve_segment(extent, capacity)
         self._extents.append(extent)
         return extent

@@ -9,12 +9,57 @@ charged through the owning :class:`SimulatedDisk`.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence as SequenceABC
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.model.match_block import LazyRows
 from repro.model.vtuple import VTTuple
 from repro.storage.columnar_page import ColumnarPage, KeyDictionary, page_view
 from repro.storage.disk import Extent, SimulatedDisk
 from repro.storage.page import PageSpec
+
+
+class LazyPage(SequenceABC):
+    """A heap page assembled from slices of row sequences, not yet rows.
+
+    Each segment is ``(source, lo, hi)``: *source* is a lazy row block
+    (:mod:`repro.model.match_block`) or a plain tuple list.  Slicing a block
+    reads its shared memo, so the rows of a block cut across several pages
+    (and appended to a result relation) are still built once.  Immutable;
+    ``repr`` is content-based for the checksumming disk.
+    """
+
+    __slots__ = ("_segments", "_n")
+
+    def __init__(self, segments: List[Tuple[Sequence[VTTuple], int, int]]) -> None:
+        self._segments = segments
+        self._n = sum(hi - lo for _, lo, hi in segments)
+
+    def tuples(self) -> List[VTTuple]:
+        """Every row materialized, in page order."""
+        rows: List[VTTuple] = []
+        for source, lo, hi in self._segments:
+            rows.extend(source[lo:hi])
+        return rows
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        return self.tuples()[index]
+
+    def __iter__(self) -> Iterator[VTTuple]:
+        return iter(self.tuples())
+
+    def __repr__(self) -> str:
+        return f"LazyPage({self.tuples()!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (LazyPage, list, tuple)):
+            return self.tuples() == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 class HeapFile:
@@ -45,7 +90,12 @@ class HeapFile:
         self.spec = spec
         self.columnar = columnar
         self.dictionary: Optional[KeyDictionary] = KeyDictionary() if columnar else None
+        # The page under construction: lazy segments (see append_block), then
+        # the open tuple list.  ``_room`` is how many tuples that list may
+        # hold before the page is full -- the capacity less the segments' rows.
+        self._write_segments: List[Tuple[Sequence[VTTuple], int, int]] = []
         self._write_page: List[VTTuple] = []
+        self._room = spec.capacity
         self._n_tuples = 0
         # Endpoint-sortedness metadata: True while every tuple has arrived
         # in (start, end) order.  The planner uses it to skip the forward
@@ -141,7 +191,7 @@ class HeapFile:
         """True while every tuple arrived in ``(start, end)`` order.
 
         An empty file is trivially sorted.  The flag is maintained
-        incrementally by :meth:`bulk_load`, :meth:`append` and
+        incrementally by :meth:`bulk_load`, the ``append*`` methods and
         :meth:`append_coded_run` (the columnar bulk path), and is
         conservative: rewinds and abandoned buffers clear it rather than
         re-scanning.
@@ -167,7 +217,7 @@ class HeapFile:
             self._last_span = None
         self._write_page.append(tup)
         self._n_tuples += 1
-        if len(self._write_page) >= self.spec.capacity:
+        if len(self._write_page) >= self._room:
             self.flush()
 
     def append_many(self, tuples: Iterable[VTTuple]) -> None:
@@ -193,24 +243,61 @@ class HeapFile:
             except AttributeError:  # opaque rows carry no timestamps
                 self._endpoint_sorted = False
             self._last_span = last
-        capacity = self.spec.capacity
         at = 0
         while at < len(run):
-            chunk = run[at : at + capacity - len(self._write_page)]
+            chunk = run[at : at + self._room - len(self._write_page)]
             self._write_page.extend(chunk)
             self._n_tuples += len(chunk)
             at += len(chunk)
-            if len(self._write_page) >= capacity:
+            if len(self._write_page) >= self._room:
+                self.flush()
+
+    def append_block(self, block: LazyRows) -> None:
+        """Append a lazy row block (:mod:`repro.model.match_block`) unbuilt.
+
+        Writes exactly the page sequence (and charges) that one
+        :meth:`append` per row would: the block is cut at page boundaries
+        into :class:`LazyPage` segments, O(pages) work, and
+        endpoint-sortedness is maintained from its two time columns.
+        """
+        n = len(block)
+        if n == 0:
+            return
+        if self._endpoint_sorted:
+            self._endpoint_sorted = block.spans_sorted(self._last_span)
+            self._last_span = block.last_span()
+        if self._write_page:
+            # Tuples buffered so far precede the block in page order.
+            self._write_segments.append((self._write_page, 0, len(self._write_page)))
+            self._room -= len(self._write_page)
+            self._write_page = []
+        at = 0
+        while at < n:
+            take = min(n - at, self._room)
+            self._write_segments.append((block, at, at + take))
+            self._room -= take
+            self._n_tuples += take
+            at += take
+            if self._room == 0:
                 self.flush()
 
     def flush(self) -> None:
         """Write the partial page buffer to disk (no-op when empty)."""
-        if self._write_page:
-            payload: object = self._write_page
-            if self.columnar:
-                payload = ColumnarPage.from_tuples(self._write_page, self.dictionary)
-            self.disk.append(self.extent, payload)
-            self._write_page = []
+        payload: object = self._write_page
+        if self._write_segments:
+            tail = [(self._write_page, 0, len(self._write_page))] if self._write_page else []
+            payload = LazyPage(self._write_segments + tail)
+        elif not self._write_page:
+            return
+        if self.columnar:
+            payload = ColumnarPage.from_tuples(payload, self.dictionary)
+        self.disk.append(self.extent, payload)
+        self._reset_buffer()
+
+    def _reset_buffer(self) -> None:
+        self._write_segments = []
+        self._write_page = []
+        self._room = self.spec.capacity
 
     def append_coded_run(
         self,
@@ -232,8 +319,7 @@ class HeapFile:
         """
         if not self.columnar or self.dictionary is None:
             raise ValueError("append_coded_run requires a columnar heap file")
-        if self._write_page:
-            self.flush()
+        self.flush()
         capacity = self.spec.capacity
         n = len(starts)
         for k in range(n):
@@ -257,8 +343,8 @@ class HeapFile:
         disk page simply disappear.  Used by the exception path of the sweep,
         where a charged flush would be I/O issued by a dead process.
         """
-        self._n_tuples -= len(self._write_page)
-        self._write_page = []
+        self._n_tuples -= self.spec.capacity - self._room + len(self._write_page)
+        self._reset_buffer()
         if self._n_tuples > 0:
             # The dropped buffer may have carried the watermark span; without
             # re-scanning we can no longer vouch for the ordering.
@@ -276,7 +362,7 @@ class HeapFile:
         last checkpoint.
         """
         self.disk.truncate(self.extent, keep=n_pages)
-        self._write_page = []
+        self._reset_buffer()
         self._n_tuples = n_tuples
         if n_tuples == 0:
             self._endpoint_sorted = True
@@ -319,6 +405,8 @@ class HeapFile:
         tuples: List[VTTuple] = []
         for index in range(self.extent.n_pages):
             tuples.extend(self.disk.peek(self.extent, index))
+        for source, lo, hi in self._write_segments:
+            tuples.extend(source[lo:hi])
         tuples.extend(self._write_page)
         return tuples
 

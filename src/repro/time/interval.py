@@ -133,6 +133,19 @@ class Interval:
         return Interval(self.start + delta, self.end + delta)
 
 
+def trusted_interval(start: int, end: int) -> Interval:
+    """Build an :class:`Interval` without re-validating.
+
+    Only for endpoints that already passed the validating constructor --
+    values coming back out of a packed column buffer, or the ``max``/``min``
+    of two validated intervals' endpoints.
+    """
+    valid = Interval.__new__(Interval)
+    object.__setattr__(valid, "start", start)
+    object.__setattr__(valid, "end", end)
+    return valid
+
+
 def overlap(u: Optional[Interval], v: Optional[Interval]) -> Optional[Interval]:
     """Module-level ``overlap`` exactly as named in the paper.
 

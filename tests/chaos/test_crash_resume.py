@@ -14,6 +14,7 @@ from repro.core.joiner import RUN_ROWS
 from repro.core.partition_join import partition_join, resume_join
 from repro.model.errors import CheckpointError, SimulatedCrashError
 from repro.resilience import FaultInjector, RecoveryLog
+from repro.storage.heapfile import HeapFile
 from repro.storage.layout import DiskLayout
 
 from tests.chaos.conftest import (
@@ -121,6 +122,37 @@ class TestCrashResume:
             run = resume_join(r, s, config, layout=layout, recovery=recovery)
             assert_same_outcome(run, expected)
 
+    def test_crash_with_a_partly_filled_lazy_result_page(self, monkeypatch):
+        """The batch engine buffers result rows as unbuilt block slices.  A
+        crash drops the open page's slices with the other volatile state;
+        the pages that reached the result disk are rebuilt into the resumed
+        relation, and rows and result file equal the tuple engine's."""
+        expected = oracle("tuple")
+        dropped = []
+        abandon = HeapFile.abandon
+
+        def spy(heap):
+            buffered = heap.n_tuples
+            abandon(heap)
+            dropped.append(buffered - heap.n_tuples)
+
+        monkeypatch.setattr(HeapFile, "abandon", spy)
+        config = chaos_config("batch")
+        probe_layout = crashing_layout()
+        partition_join(R, S, config, layout=probe_layout, recovery=RecoveryLog())
+        total_ops = probe_layout.disk.fault_injector.ops_seen
+        join_ops = probe_layout.tracker.phases["join"].total_ops
+
+        for k in range(total_ops - join_ops + 2, total_ops, max(1, join_ops // 12)):
+            layout = crashing_layout(at_op=k)
+            recovery = RecoveryLog()
+            with pytest.raises(SimulatedCrashError):
+                partition_join(R, S, config, layout=layout, recovery=recovery)
+            run = resume_join(R, S, config, layout=layout, recovery=recovery)
+            assert_same_outcome(run, expected)
+            assert recovery.context.result_file.all_tuples() == list(expected.result.tuples)
+        assert any(dropped)  # some crash did catch a page half full of slices
+
     def test_double_crash_needs_two_resumes(self):
         expected = oracle("tuple")
         layout = crashing_layout()
@@ -195,12 +227,13 @@ class TestSwappedSinglePartitionResume:
     """Crash/resume through the single-partition shortcut's swap.
 
     When one relation fits in the buffer area, ``_single_partition_join``
-    makes the *smaller* side the outer partition and compensates for the
-    argument flip inside its own ``pair_fn`` wrapper.  The checkpointed
-    context stores the partitions in that swapped orientation, so a resume
-    that forgets the flip replays every pair payload-reversed -- identical
-    counters, wrong tuples.  Regression for exactly that: r spans more
-    pages than the buffer, s fits, so swap is forced.
+    makes the *smaller* side the outer partition and tells the sweep so
+    (``swapped_inputs``), which hands the pair function its arguments in the
+    caller's order.  The checkpointed context stores the partitions in that
+    swapped orientation and the flag beside them, so a resume that forgets
+    the flag replays every pair payload-reversed -- identical counters,
+    wrong tuples.  Regression for exactly that: r spans more pages than the
+    buffer, s fits, so swap is forced.
     """
 
     #: 80 tuples = 10 pages of r (exceeds the 5-page outer area) against
@@ -215,6 +248,9 @@ class TestSwappedSinglePartitionResume:
             self.R_SMALL, self.S_SMALL, config, layout=DiskLayout(spec=SPEC)
         )
         assert expected.plan.num_partitions == 1
+        assert expected.outcome.n_result_tuples > 0
+        for tup in expected.result:  # r's payload first, in every mode
+            assert tup.payload[0].startswith("rswap") and tup.payload[1].startswith("sswap")
 
         probe_layout = crashing_layout()
         probe = partition_join(

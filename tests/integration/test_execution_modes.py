@@ -13,6 +13,7 @@ predicate-join variants, under both kernel backends.
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 
@@ -21,10 +22,19 @@ import pytest
 import repro.exec.kernels as kernels_module
 from repro.baselines.nested_loop import nested_loop_join
 from repro.baselines.reference import reference_join
-from repro.core.partition_join import PartitionJoinConfig, partition_join
+from repro.core import joiner
+from repro.core.partition_join import (
+    EXECUTION_MODES,
+    PartitionJoinConfig,
+    partition_join,
+)
 from repro.exec.backend import HAVE_NUMPY
+from repro.model.relation import ValidTimeRelation
+from repro.model.vtuple import VTTuple
+from repro.storage.heapfile import HeapFile
 from repro.storage.page import PageSpec
 from repro.time.allen import AllenRelation
+from repro.time.interval import Interval
 from repro.variants.partitioned import partitioned_predicate_join
 from tests.conftest import random_relation
 
@@ -138,6 +148,146 @@ class TestSweepEquivalence:
             )
 
         run_modes(r, s, make_config)
+
+
+def result_pages(run):
+    """The result file's pages as written, read without charging."""
+    disk = run.layout._result_disk
+    extent = disk.find_extent("join_result")
+    return [list(disk.peek(extent, at)) for at in range(extent.n_pages)]
+
+
+def mixed_probe_pair(schema_r, schema_s):
+    """Early chronons hold one row per key (the index keeps the CSR probe),
+    late ones four keys with short intervals (the pruned window probe)."""
+    rng = random.Random(5)
+    r, s = ValidTimeRelation(schema_r), ValidTimeRelation(schema_s)
+    for i in range(300):
+        r.add(VTTuple((f"u{i}",), (f"p{i}",), Interval(i, i + 3)))
+        s.add(VTTuple((f"u{i}",), (f"q{i}",), Interval(i + 1, i + 6)))
+    for relation, tag in ((r, "p"), (s, "q")):
+        for i in range(300, 800):
+            start = 400 + rng.randrange(300)
+            relation.add(
+                VTTuple(
+                    (f"k{i % 4}",), (f"{tag}{i}",), Interval(start, start + rng.randrange(3))
+                )
+            )
+    return r, s
+
+
+def keep_odd_overlaps(x, y, common):
+    """A pair function that rejects some pairs and rewrites the rest."""
+    if common.duration % 2 == 0:
+        return None
+    return VTTuple(x.key, y.payload + x.payload, common)
+
+
+class TestBlockEmission:
+    """The batch engine appends each run's matches as one lazy block; the
+    tuple engine builds every row itself and is the oracle for both the
+    rows (in emission order) and the result pages they land on."""
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    @pytest.mark.parametrize("mode", EXECUTION_MODES[1:])
+    def test_blocks_land_on_the_tuple_oracles_pages(
+        self, schema_r, schema_s, backend, monkeypatch, mode, direction
+    ):
+        r, s = mixed_probe_pair(schema_r, schema_s)
+        csr_blocks, block_rows = [], []
+        build_index, append_block = joiner._BatchEngine.build_index, HeapFile.append_block
+
+        def spy_index(engine, block):
+            index = build_index(engine, block)
+            csr_blocks.append(getattr(index, "csr", None) is not None)
+            return index
+
+        def spy_append(heap, block):
+            block_rows.append(len(block))
+            append_block(heap, block)
+
+        monkeypatch.setattr(joiner._BatchEngine, "build_index", spy_index)
+        monkeypatch.setattr(HeapFile, "append_block", spy_append)
+
+        def make_config(execution):
+            return PartitionJoinConfig(
+                memory_pages=12, sweep_direction=direction, execution=execution
+            )
+
+        oracle = partition_join(r, s, make_config("tuple"))
+        assert not block_rows  # the oracle never takes the block path
+        run = partition_join(r, s, make_config(mode))
+
+        assert run.plan.num_partitions > 1 and run.outcome.overflow_blocks > 0
+        if backend == "numpy":
+            assert {True, False} <= set(csr_blocks)  # both probes ran
+        capacity = run.layout.spec.capacity
+        assert any(rows % capacity for rows in block_rows[:-1])  # runs end mid page
+        assert sum(block_rows) == oracle.outcome.n_result_tuples
+
+        # Counting and shipping columns build no tuple.
+        assert len(run.result) == len(oracle.result)
+        columns = run.result.to_columns()
+        assert not run.result.materialized
+        assert result_pages(run) == result_pages(oracle)
+        assert stats_tuple(run.layout.result_stats) == stats_tuple(oracle.layout.result_stats)
+        assert run.result.tuples == oracle.result.tuples  # order included
+        assert run.result.materialized
+        assert columns == oracle.result.to_columns() == run.result.to_columns()
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES[1:])
+    def test_rejecting_pair_function_runs_per_row(
+        self, schema_r, schema_s, backend, mode
+    ):
+        r, s = mixed_probe_pair(schema_r, schema_s)
+        runs = {
+            execution: partition_join(
+                r,
+                s,
+                PartitionJoinConfig(memory_pages=12, execution=execution),
+                pair_fn=keep_odd_overlaps,
+            )
+            for execution in ("tuple", mode)
+        }
+        natural = partition_join(r, s, PartitionJoinConfig(memory_pages=12, execution=mode))
+        assert 0 < runs["tuple"].outcome.n_result_tuples < natural.outcome.n_result_tuples
+        assert observe(runs[mode]) == observe(runs["tuple"])
+        assert result_pages(runs[mode]) == result_pages(runs["tuple"])
+
+    @pytest.mark.parametrize("pair_fn", [joiner.natural_pair, keep_odd_overlaps])
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_swapped_single_partition_keeps_the_callers_payload_order(
+        self, schema_r, schema_s, backend, mode, pair_fn
+    ):
+        """``|r| > buffSize >= |s|`` (63 pages of r, 5 of s, 16 of memory): s
+        becomes the resident side, and the pair function must still see
+        ``(r row, s row)``."""
+        r = random_relation(schema_r, 500, seed=71, payload_tag="p")
+        s = random_relation(schema_s, 40, seed=72, payload_tag="q")
+        run = partition_join(
+            r, s, PartitionJoinConfig(memory_pages=16, execution=mode), pair_fn=pair_fn
+        )
+        assert run.plan.num_partitions == 1
+        first, second = ("p", "q") if pair_fn is joiner.natural_pair else ("q", "p")
+        assert run.outcome.n_result_tuples > 0
+        for tup in run.result:
+            assert tup.payload[0].startswith(first) and tup.payload[1].startswith(second)
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES[1:])
+    def test_uncollected_run_writes_the_same_result_pages(
+        self, schema_r, schema_s, backend, mode
+    ):
+        r, s = mixed_probe_pair(schema_r, schema_s)
+        collected = partition_join(r, s, PartitionJoinConfig(memory_pages=12, execution="tuple"))
+        run = partition_join(
+            r, s, PartitionJoinConfig(memory_pages=12, execution=mode, collect_result=False)
+        )
+        assert run.result is None
+        assert run.outcome.n_result_tuples == collected.outcome.n_result_tuples
+        assert result_pages(run) == result_pages(collected)
+        assert stats_tuple(run.layout.result_stats) == stats_tuple(
+            collected.layout.result_stats
+        )
 
 
 class TestPipelinedSweepEquivalence:

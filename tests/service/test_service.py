@@ -45,6 +45,21 @@ class TestResultCache:
         assert second.outcome == first.outcome
         assert second.epochs == first.epochs
 
+    def test_cached_batch_result_is_replayed_unbuilt(self, catalog):
+        """A hit hands another session the very relation the miss produced,
+        its rows still columns; whoever reads tuples first builds them for
+        everyone."""
+        with QueryService(catalog, pool_pages=32, execution="batch") as svc:
+            with svc.open_session() as one, svc.open_session() as two:
+                first = one.join("r", "s")
+                second = two.join("r", "s")
+        assert second.result_cache_hit and second.relation is first.relation
+        assert len(second.relation) == first.outcome.n_result_tuples > 0
+        assert not first.relation.materialized
+        rows = second.relation.tuples
+        assert first.relation.materialized
+        assert all(mine is theirs for mine, theirs in zip(first.relation.tuples, rows))
+
     def test_append_invalidates_and_bumps_epochs(self, service):
         with service.open_session() as session:
             first = session.join("r", "s")

@@ -112,6 +112,20 @@ class TestMergeAccounting:
             expected_totals.merge(IOStatistics(**shard.totals))
         assert result.totals.as_dict() == expected_totals.as_dict()
 
+    def test_merge_appends_each_shards_columns_unbuilt(self, sharded):
+        """One column-validated chunk per shard, in rank order; counting and
+        re-shipping the merged relation builds no tuple."""
+        with sharded.open_session() as session:
+            result = session.join("r", "s", method="partition")
+        relation = result.relation
+        counts = [shard.n_result_tuples for shard in result.shards]
+        assert len(relation) == sum(counts) and all(counts)
+        keys = relation.to_columns()[0]
+        assert not relation.materialized
+        ranks = [sharded.shard_map.shard_of_key(key) for key in keys]
+        assert ranks == [0] * counts[0] + [1] * counts[1]
+        assert [tup.key for tup in relation.tuples] == keys
+
     def test_epochs_pin_the_snapshot(self, sharded):
         with sharded.open_session() as session:
             before = session.join("r", "s")

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.exec.backend import HAVE_NUMPY, np
+from repro.model.match_block import MatchBlock
 from repro.model.vtuple import VTTuple
+from repro.storage.columnar_page import ColumnarPage
 from repro.storage.disk import SimulatedDisk
-from repro.storage.heapfile import HeapFile
+from repro.storage.heapfile import HeapFile, LazyPage
 from repro.storage.iostats import IOStatistics
 from repro.storage.page import PageSpec
 from repro.time.interval import Interval
@@ -12,6 +15,20 @@ from repro.time.interval import Interval
 
 def tuples(n):
     return [VTTuple((f"k{i}",), (i,), Interval(i, i + 1)) for i in range(n)]
+
+
+def match_block(rows, as_arrays=False):
+    """A lazy block whose rows equal *rows*: each matched with a
+    payload-less partner over its own interval."""
+    partners = [VTTuple(tup.key, (), tup.valid) for tup in rows]
+    starts, ends = [tup.vs for tup in rows], [tup.ve for tup in rows]
+    if as_arrays:
+        starts, ends = np.array(starts, np.int64), np.array(ends, np.int64)
+    return MatchBlock(list(rows), partners, starts, ends)
+
+
+def stored_pages(heap):
+    return [heap.disk.peek(heap.extent, i) for i in range(heap.n_pages)]
 
 
 @pytest.fixture
@@ -93,11 +110,109 @@ class TestAppend:
                 assert heap.n_tuples == len(data) + len(tail)
             assert by_slices.endpoint_sorted == one_by_one.endpoint_sorted == (not tail)
             assert by_slices.disk.stats.as_dict() == one_by_one.disk.stats.as_dict()
-            pages = lambda heap: [
-                heap.disk.peek(heap.extent, i) for i in range(heap.n_pages)
-            ]
-            assert pages(by_slices) == pages(one_by_one)
+            assert stored_pages(by_slices) == stored_pages(one_by_one)
             assert by_slices.all_tuples() == one_by_one.all_tuples()
+
+
+class TestAppendBlock:
+    """Lazy blocks and plain tuples fill one write buffer."""
+
+    @pytest.mark.parametrize("as_arrays", [False] + ([True] if HAVE_NUMPY else []))
+    @pytest.mark.parametrize(
+        "chunks", [(10,), (3, 1, 6), (1, 4, 4, 1), (0, 9, 0, 1), (2, 5, 3), (4, 4), (1, 1, 9)]
+    )
+    def test_blocks_fill_pages_like_one_append_per_row(self, spec, chunks, as_arrays):
+        """Blocks alternating with single appends: the same pages, charges,
+        count and sortedness verdict as one append per row -- with the last
+        page still buffered, after the flush, and when the tail breaks the
+        order inside a block or across a block boundary."""
+        data = tuples(sum(chunks))
+        for tail in ([], [data[0]], [data[-1], data[0]]):
+            one_by_one, by_blocks = (
+                HeapFile.create(SimulatedDisk(IOStatistics()), "w", spec, capacity_tuples=4)
+                for _ in range(2)
+            )
+            for tup in data + tail:
+                one_by_one.append(tup)
+            at = 0
+            for number, size in enumerate(chunks):
+                chunk = data[at : at + size]
+                at += size
+                if number % 2:
+                    for tup in chunk:
+                        by_blocks.append(tup)
+                else:
+                    by_blocks.append_block(match_block(chunk, as_arrays))
+            by_blocks.append_block(match_block(tail, as_arrays))
+            for _ in ("last page buffered", "flushed"):
+                assert by_blocks.n_tuples == one_by_one.n_tuples == len(data) + len(tail)
+                assert by_blocks.endpoint_sorted == one_by_one.endpoint_sorted == (not tail)
+                assert by_blocks.disk.stats.as_dict() == one_by_one.disk.stats.as_dict()
+                assert stored_pages(by_blocks) == stored_pages(one_by_one)
+                assert by_blocks.all_tuples() == one_by_one.all_tuples() == data + tail
+                by_blocks.flush()
+                one_by_one.flush()
+
+    def test_page_slices_share_the_blocks_rows(self, disk, spec):
+        """A block cut across pages is built once, and only when read."""
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
+        block = match_block(tuples(10))
+        heap.append_block(block)
+        heap.flush()
+        assert heap.n_pages == 3 and not block.materialized
+        pages = stored_pages(heap)
+        assert all(isinstance(page, LazyPage) for page in pages)
+        assert [len(page) for page in pages] == [4, 4, 2]
+        assert not block.materialized  # len() builds nothing
+        assert pages[1][0] is block[4] and pages[2][1] is block[9]
+        assert heap.read_page(1) == tuples(10)[4:8]
+        assert list(heap.scan()) == tuples(10)
+
+    def test_lazy_page_repr_is_content_based(self, disk, spec):
+        """Equal rows, equal repr -- whatever blocks the page was cut from
+        (the checksumming disk hashes ``repr(page)``)."""
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=8)
+        heap.append_block(match_block(tuples(4)))
+        heap.append(tuples(1)[0])
+        heap.append_block(match_block(tuples(4)[1:]))
+        first, second = stored_pages(heap)
+        assert repr(first) == repr(second) == f"LazyPage({tuples(4)!r})"
+
+    def test_abandon_drops_buffered_block_rows(self, disk, spec):
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
+        heap.append(tuples(1)[0])
+        heap.append_block(match_block(tuples(7)[1:]))
+        assert (heap.n_pages, heap.n_tuples) == (1, 7)
+        heap.abandon()
+        assert heap.n_tuples == 4 and heap.all_tuples() == tuples(4)
+        heap.flush()
+        assert heap.n_pages == 1 and disk.stats.writes == 1
+        # The next page starts empty: a full one takes the whole capacity.
+        heap.append_block(match_block(tuples(4)))
+        assert (heap.n_pages, heap.n_tuples) == (2, 8)
+
+    def test_rewind_discards_buffered_block_rows(self, disk, spec):
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
+        heap.append_block(match_block(tuples(10)))
+        heap.rewind_to(1, 4)
+        assert heap.n_tuples == 4 and heap.all_tuples() == tuples(4)
+        heap.append_block(match_block(tuples(6)[4:]))
+        heap.flush()
+        assert [len(page) for page in stored_pages(heap)] == [4, 2]
+        assert heap.all_tuples() == tuples(6)
+
+    def test_columnar_file_packs_block_rows(self, disk, spec):
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=8, columnar=True)
+        heap.append_block(match_block(tuples(6)))
+        heap.flush()
+        assert all(isinstance(page, ColumnarPage) for page in stored_pages(heap))
+        assert heap.all_tuples() == tuples(6)
+
+    def test_empty_block_is_a_noop(self, disk, spec):
+        heap = HeapFile.create(disk, "w", spec)
+        heap.append_block(match_block([]))
+        heap.flush()
+        assert heap.n_tuples == 0 and disk.stats.total_ops == 0 and heap.endpoint_sorted
 
 
 class TestScan:

@@ -5,7 +5,9 @@ import pytest
 from repro.baselines.reference import reference_join
 from repro.core.intervals import PartitionMap
 from repro.core.joiner import join_partitions
+from repro.core.partition_join import EXECUTION_MODES
 from repro.core.partitioner import do_partitioning
+from repro.model.errors import SchemaError
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
@@ -112,6 +114,28 @@ class TestValidation:
         files = [layout.temp_file(f"p{i}") for i in range(3)]
         with pytest.raises(ValueError, match="result_schema"):
             join_partitions(files, files, pmap, 4, layout, None, collect=True)
+
+
+    @pytest.mark.parametrize("execution", EXECUTION_MODES)
+    def test_result_schema_of_the_wrong_arity_fails_the_call(self, pmap, execution):
+        """Lazily built rows are still checked against the schema they are
+        collected under, from the call that emits them."""
+        layout = DiskLayout(
+            spec=PageSpec(page_bytes=1024, tuple_bytes=256),
+            columnar=execution == "zero-copy-sweep",
+        )
+        files = [
+            [
+                layout.place_relation(
+                    ValidTimeRelation(schema, [VTTuple(("a",), (tag,), Interval(2, 5))])
+                )
+            ]
+            + [layout.temp_file(f"{tag}{i}") for i in (1, 2)]
+            for schema, tag in ((SCHEMA_R, "rv"), (SCHEMA_S, "sv"))
+        ]
+        wrong = RelationSchema("r_join_s", ("k",), ("rv", "sv", "extra"))
+        with pytest.raises(SchemaError, match="payload arity 2"):
+            join_partitions(*files, pmap, 4, layout, wrong, execution=execution)
 
 
 class TestCacheCost:

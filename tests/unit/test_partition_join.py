@@ -1,9 +1,17 @@
 """Unit tests for the top-level partitionJoin driver (Figure 2)."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines.reference import reference_join
-from repro.core.partition_join import PartitionJoinConfig, partition_join
+from repro.core.partition_join import (
+    EXECUTION_MODES,
+    PartitionJoinConfig,
+    partition_join,
+)
 from repro.model.errors import BufferOverflowError, SchemaError
 from repro.model.schema import RelationSchema
 from repro.model.relation import ValidTimeRelation
@@ -133,3 +141,33 @@ class TestDeterminism:
         b = partition_join(big_r, big_s, config)
         assert a.plan.intervals == b.plan.intervals
         assert a.total_cost(config.cost_model) == b.total_cost(config.cost_model)
+
+
+class TestDroppedRunIsFreed:
+    @pytest.mark.parametrize("execution", EXECUTION_MODES)
+    def test_reference_counting_frees_layout_and_result(
+        self, big_r, big_s, config, execution
+    ):
+        """Nothing on the disk points back at it, so a dropped run is freed
+        at once -- not whenever the cyclic collector next happens to run,
+        which it never does for a join that allocates no object per row."""
+        gc.collect()
+        gc.disable()
+        try:
+            run = partition_join(
+                big_r, big_s, dataclasses.replace(config, execution=execution)
+            )
+            held = [
+                weakref.ref(obj) for obj in (run.layout, run.layout.disk, run.result)
+            ]
+            del run
+            assert [ref() for ref in held] == [None, None, None]
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            assert not [
+                obj for obj in gc.garbage if type(obj).__module__.startswith("repro")
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()

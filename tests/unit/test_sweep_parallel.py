@@ -58,6 +58,11 @@ def oracle_probe(kernels, block, page, boundaries, part_index, direction):
     return kernels.probe(index, batch, boundaries, part_index, direction)
 
 
+def engine_probe(engine, index_obj, pages, part_index):
+    """The engine's match block, as the oracle's (outer, inner, overlap) triples."""
+    return list(engine.probe(index_obj, pages, part_index).pairs())
+
+
 class TestProbeMatchesOracle:
     def test_fuzz_bit_identical_to_csr_probe(self, kernels, pmap):
         """Random workloads, both directions, all partitions: same matches
@@ -78,11 +83,11 @@ class TestProbeMatchesOracle:
                 engine._direction = direction
                 for part in range(len(pmap)):
                     want = oracle_probe(kernels, block, page, boundaries, part, direction)
-                    got = engine.probe(index_obj, [page], part)
+                    got = engine_probe(engine, index_obj, [page], part)
                     assert got == want, f"trial {trial} {direction} part {part}"
                     # A run of several pages probes like their concatenation.
                     cut = len(page) // 2
-                    assert engine.probe(index_obj, [page[:cut], page[cut:]], part) == want
+                    assert engine_probe(engine, index_obj, [page[:cut], page[cut:]], part) == want
                     assert engine.overlapping_rows(page, part) == [
                         row
                         for row, tup in enumerate(page)
@@ -93,9 +98,9 @@ class TestProbeMatchesOracle:
     def test_empty_block_and_empty_page(self, kernels, pmap):
         engine = _BatchEngine(pmap, "backward", kernels=kernels)
         index_obj = engine.build_index([])
-        assert engine.probe(index_obj, [[vt("a", 1, 2)]], 0) == []
+        assert engine_probe(engine, index_obj, [[vt("a", 1, 2)]], 0) == []
         index_obj = engine.build_index([vt("a", 1, 2)])
-        assert engine.probe(index_obj, [[]], 0) == []
+        assert engine_probe(engine, index_obj, [[]], 0) == []
 
 
 @needs_numpy
@@ -131,7 +136,7 @@ class TestEngine:
         assert engine.build_index(block[:1] + block[2:]).csr is None  # prunable...
         index_obj = engine.build_index(block)
         assert index_obj.csr is not None  # ...but for the span of its starts
-        got = engine.probe(index_obj, [page], 0)
+        got = engine_probe(engine, index_obj, [page], 0)
         want = oracle_probe(
             kernels, block, page, kernels.prepare_boundaries(pmap), 0, "backward"
         )
