@@ -175,7 +175,15 @@ def _run_serve(argv: List[str]) -> int:
     query service and print the serving summary."""
     import json
 
-    from repro.service.workload import demo_workload, load_workload, run_workload
+    from repro.engine.catalog import VersionedCatalog
+    from repro.service.service import QueryService
+    from repro.service.workload import (
+        apply_setup,
+        demo_workload,
+        load_workload,
+        run_workload,
+        split_statements,
+    )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -221,7 +229,8 @@ def _run_serve(argv: List[str]) -> int:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="additionally dump the repro_service_* metric families",
+        help="additionally dump the service's metric families "
+        "(repro_service_*; with --shards also repro_shard_*)",
     )
     parser.add_argument(
         "--shards",
@@ -244,42 +253,29 @@ def _run_serve(argv: List[str]) -> int:
         statements = load_workload(args.script)
     else:
         statements = demo_workload(sessions=args.sessions)
-    service = None
+    # Setup lands in the catalog before the service exists: a sharded
+    # service forks its workers (and, for time-range routing, computes the
+    # boundaries) at construction.
+    catalog = VersionedCatalog()
+    apply_setup(catalog, split_statements(statements)[0])
+    options = dict(
+        pool_pages=args.pool_pages,
+        workers=args.workers,
+        execution=args.execution,
+        admission_policy=args.admission_policy,
+    )
     if args.shards is not None:
-        from repro.engine.catalog import VersionedCatalog
-        from repro.service.workload import apply_setup, split_statements
         from repro.shard.coordinator import ShardedQueryService
 
-        # Setup must land before the coordinator forks its workers (and,
-        # for time-range routing, before the boundaries are computed).
-        catalog = VersionedCatalog()
-        setup, _per_session = split_statements(statements)
-        apply_setup(catalog, setup)
-        setup_ids = {id(statement) for statement in setup}
-        statements = [s for s in statements if id(s) not in setup_ids]
         service = ShardedQueryService(
-            catalog,
-            shards=args.shards,
-            shard_by=args.shard_by,
-            pool_pages=args.pool_pages,
-            workers=args.workers,
-            execution=args.execution,
-            admission_policy=args.admission_policy,
+            catalog, shards=args.shards, shard_by=args.shard_by, **options
         )
-    try:
-        report = run_workload(
-            statements,
-            service=service,
-            pool_pages=args.pool_pages,
-            workers=args.workers,
-            execution=args.execution,
-            admission_policy=args.admission_policy,
-        )
-    finally:
-        if service is not None:
-            service.close()
+    else:
+        service = QueryService(catalog, **options)
+    with service:
+        report = run_workload(statements, service=service)
     summary = report.summary()
-    if args.metrics and service is not None:
+    if args.metrics:
         summary["metrics"] = service.metrics_snapshot()
     print(json.dumps(summary, indent=2, default=str))
     for line in report.errors:

@@ -14,17 +14,12 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.aggregate.operator import temporal_aggregate
-from repro.baselines.nested_loop import nested_loop_join
-from repro.baselines.sort_merge import sort_merge_join
 from repro.algebra.predicates import NATURAL_PREDICATE, resolve_predicate
-from repro.core.partition_join import (
-    PartitionJoinConfig,
-    partition_join,
-    plan_partition_join,
-)
+from repro.core.partition_join import PartitionJoinConfig, plan_partition_join
 from repro.core.planner import choose_physical_operator
 from repro.engine.catalog import RelationStatistics, analyze
-from repro.engine.optimizer import JoinEstimate, choose_algorithm, estimate_costs
+from repro.engine.optimizer import JoinEstimate, choose_method, estimate_costs
+from repro.engine.runner import run_join
 from repro.model.errors import SchemaError
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
@@ -184,14 +179,16 @@ class TemporalDatabase:
             endpoint_sorted=self._sortedness(outer, inner),
         )
 
-    def _choose(self, outer: str, inner: str) -> str:
-        return choose_algorithm(
-            self.statistics(outer).n_pages,
-            self.statistics(inner).n_pages,
+    def _resolve_method(self, outer: str, inner: str, method: str, predicate: str) -> str:
+        """*method* with ``"auto"`` resolved by the optimizer."""
+        if method != "auto":
+            return method
+        return choose_method(
+            self.statistics(outer),
+            self.statistics(inner),
             self.memory_pages,
             self.cost_model,
-            long_lived_fraction=self.statistics(inner).long_lived_fraction,
-            endpoint_sorted=self._sortedness(outer, inner),
+            predicate=predicate,
         )
 
     def explain(
@@ -230,12 +227,7 @@ class TemporalDatabase:
             predicate if predicate is not None else NATURAL_PREDICATE
         ).name
         estimates = self._estimates(outer, inner)
-        if method != "auto":
-            algorithm = method
-        elif predicate_name != NATURAL_PREDICATE:
-            algorithm = "sweep"
-        else:
-            algorithm = self._choose(outer, inner)
+        algorithm = self._resolve_method(outer, inner, method, predicate_name)
         r = self.relation(outer)
         s = self.relation(inner)
 
@@ -377,11 +369,7 @@ class TemporalDatabase:
             predicate if predicate is not None else NATURAL_PREDICATE
         ).name
         estimates = self._estimates(outer, inner)
-        if method == "auto":
-            if predicate_name != NATURAL_PREDICATE:
-                method = "sweep"
-            else:
-                method = self._choose(outer, inner)
+        method = self._resolve_method(outer, inner, method, predicate_name)
         if predicate_name != NATURAL_PREDICATE and method != "sweep":
             raise ValueError(
                 f"predicate {predicate_name!r} requires method 'sweep' "
@@ -389,69 +377,32 @@ class TemporalDatabase:
                 f"natural join's {NATURAL_PREDICATE!r}"
             )
 
-        report: Optional[ResilienceReport] = None
-        observability: Optional[Observability] = None
+        config = self._join_config(self.memory_pages)
         if method == "sweep":
             config = replace(
-                self._join_config(self.memory_pages),
+                config,
                 execution="forward-sweep",
                 predicate=predicate_name,
                 checkpoint_interval=0,
                 buffer_reductions=(),
             )
-            layout = None
-            if self.resilience is not None:
-                layout = DiskLayout(
-                    spec=self.page_spec,
-                    retry_policy=self.resilience.retry_policy(),
-                    checksums=self.resilience.checksums,
-                )
-            run = partition_join(r, s, config, layout=layout)
-            relation, cost = run.result, run.total_cost(self.cost_model)
-            tracker = run.layout.tracker
-            observability = run.observability
-            if self.resilience is not None:
-                report = run.resilience
-        elif method == "partition":
-            config = self._join_config(self.memory_pages)
-            layout = None
-            if self.resilience is not None:
-                layout = DiskLayout(
-                    spec=self.page_spec,
-                    retry_policy=self.resilience.retry_policy(),
-                    checksums=self.resilience.checksums,
-                )
-            run = partition_join(r, s, config, layout=layout)
-            relation, cost = run.result, run.total_cost(self.cost_model)
-            tracker = run.layout.tracker
-            observability = run.observability
-            if self.resilience is not None:
-                report = run.resilience
-        elif method == "sort_merge":
-            run = sort_merge_join(
-                r, s, self.memory_pages, page_spec=self.page_spec
+        layout = None
+        if self.resilience is not None and method in ("partition", "sweep"):
+            layout = DiskLayout(
+                spec=self.page_spec,
+                retry_policy=self.resilience.retry_policy(),
+                checksums=self.resilience.checksums,
             )
-            relation = run.result
-            cost = run.layout.tracker.stats.cost(self.cost_model)
-            tracker = run.layout.tracker
-        elif method == "nested_loop":
-            run = nested_loop_join(
-                r, s, self.memory_pages, page_spec=self.page_spec
-            )
-            relation = run.result
-            cost = run.layout.tracker.stats.cost(self.cost_model)
-            tracker = run.layout.tracker
-        else:
-            raise ValueError(f"unknown join method {method!r}")
-        assert relation is not None
+        run = run_join(r, s, method, config, self.memory_pages, layout=layout)
+        assert run.relation is not None
         return QueryResult(
-            relation=relation,
+            relation=run.relation,
             algorithm=method,
-            cost=cost,
+            cost=run.cost,
             estimates=estimates,
-            resilience=report,
-            observability=observability,
-            tracker=tracker,
+            resilience=run.resilience if self.resilience is not None else None,
+            observability=run.observability,
+            tracker=run.tracker,
         )
 
     def join_many(self, names: List[str], *, method: str = "auto") -> QueryResult:

@@ -16,6 +16,9 @@ counts and an optional long-lived fraction), deliberately coarse the way a
 
 The chooser picks the minimum; ties favour the partition join (no sort
 order or access-path maintenance, the paper's qualitative tie-breakers).
+:func:`choose_method` is the same choice from two relations' catalog
+statistics and the join predicate -- what ``method="auto"`` means in
+:class:`~repro.engine.database.TemporalDatabase` and in both services.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.algebra.predicates import NATURAL_PREDICATE
 from repro.baselines.nested_loop_cost import nested_loop_cost
 from repro.storage.buffer import JoinBufferAllocation
 from repro.storage.iostats import CostModel
@@ -119,6 +123,35 @@ def choose_algorithm(
     order = {"partition": 0, "sweep": 1, "sort_merge": 2, "nested_loop": 3}
     best = min(estimates.values(), key=lambda e: (e.cost, order[e.algorithm]))
     return best.algorithm
+
+
+def choose_method(
+    outer,
+    inner,
+    memory_pages: int,
+    cost_model: CostModel,
+    *,
+    predicate: str = NATURAL_PREDICATE,
+) -> str:
+    """Resolve ``method="auto"`` from catalog statistics.
+
+    Args:
+        outer / inner: the inputs'
+            :class:`~repro.engine.catalog.RelationStatistics`.
+        predicate: the resolved join predicate name.  Only the forward
+            sweep evaluates a non-intersection Allen predicate, so there is
+            nothing to choose for those.
+    """
+    if predicate != NATURAL_PREDICATE:
+        return "sweep"
+    return choose_algorithm(
+        outer.n_pages,
+        inner.n_pages,
+        memory_pages,
+        cost_model,
+        long_lived_fraction=inner.long_lived_fraction,
+        endpoint_sorted=(outer.endpoint_sorted, inner.endpoint_sorted),
+    )
 
 
 def _nested_loop(

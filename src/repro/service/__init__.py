@@ -3,7 +3,7 @@
 The serving layer the ROADMAP's north star asks for: many concurrent
 sessions evaluating valid-time joins over one
 :class:`~repro.engine.catalog.VersionedCatalog`, sharing one buffer budget
-without ever oversubscribing it.  Five cooperating pieces (see
+without ever oversubscribing it.  Six cooperating pieces (see
 ``docs/SERVICE.md``):
 
 * :mod:`repro.service.admission` -- memory-grant admission control over a
@@ -16,12 +16,17 @@ without ever oversubscribing it.  Five cooperating pieces (see
   run queue, per-query cancellation, and whole-query deadline budgets;
 * :mod:`repro.service.session` -- session lifecycle and per-session
   configuration overrides;
-* :mod:`repro.service.service` -- :class:`QueryService`, tying the above
-  together and exposing the ``repro_service_*`` metric families.
+* :mod:`repro.service.core` -- :class:`~repro.service.core.ServiceCore`:
+  the session lifecycle, writes, query resolution and status metrics this
+  service shares with the sharded one (:mod:`repro.shard`);
+* :mod:`repro.service.service` -- :class:`QueryService`, the core plus how
+  it serves a resolved query (result cache, admission, evaluation),
+  exposing the ``repro_service_*`` metric families.
 
 Snapshot isolation: every query joins against the catalog snapshot it took
 at submission; the property suite proves each result bit-identical to a
-serial replay at the same snapshot epochs, in all four execution modes.
+serial replay at the same snapshot epochs, in each of the four partition
+execution modes (``EXECUTION_MODES``; ``forward-sweep`` is the fifth mode).
 """
 
 from repro.model.errors import (
@@ -34,7 +39,8 @@ from repro.model.errors import (
 from repro.service.admission import AdmissionController, MemoryGrant
 from repro.service.cache import CachedJoin, PlanCache, ResultCache
 from repro.service.executor import QueryExecutor, QueryHandle
-from repro.service.service import QueryService, ServiceQueryResult
+from repro.service.core import ServiceQueryResult
+from repro.service.service import QueryService
 from repro.service.session import Session, SessionConfig
 from repro.service.workload import (
     demo_workload,

@@ -30,7 +30,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.model.errors import ServiceError
 from repro.model.relation import ValidTimeRelation
@@ -318,51 +318,34 @@ def _replay_session(
                     report.errors.append(f"session {session_number} {op}: {error}")
 
 
-def run_workload(
-    statements: Sequence[Dict],
-    *,
-    service: Optional[object] = None,
-    **service_kwargs,
-) -> WorkloadReport:
+def run_workload(statements: Sequence[Dict], service) -> WorkloadReport:
     """Run a workload script concurrently; returns its :class:`WorkloadReport`.
 
-    Builds a fresh :class:`~repro.engine.catalog.VersionedCatalog` and
-    :class:`~repro.service.service.QueryService` (forwarding
-    ``service_kwargs``) unless an open *service* is supplied -- in which
-    case setup statements register into its catalog and the service is
-    left open afterwards.
+    *service* is an open :class:`~repro.service.service.QueryService` or
+    :class:`~repro.shard.coordinator.ShardedQueryService`, left open
+    afterwards.  Only the serve statements are replayed: the setup
+    statements go through :func:`apply_setup` *before* the service is built
+    (a sharded service forks its workers at construction).
     """
-    from repro.engine.catalog import VersionedCatalog
-    from repro.service.service import QueryService
-
-    setup, per_session = split_statements(statements)
-    own_service = service is None
-    if own_service:
-        catalog = VersionedCatalog()
-        service = QueryService(catalog, **service_kwargs)
-    apply_setup(service.catalog, setup)
+    _setup, per_session = split_statements(statements)
 
     report = WorkloadReport(sessions=len(per_session))
     lock = threading.Lock()
-    try:
-        if per_session:
-            barrier = threading.Barrier(len(per_session))
-            threads = [
-                threading.Thread(
-                    target=_replay_session,
-                    args=(service, number, session_statements, report, lock, barrier),
-                    name=f"workload-session-{number}",
-                )
-                for number, session_statements in sorted(per_session.items())
-            ]
-            begin = time.monotonic()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            report.wall_seconds = time.monotonic() - begin
-        report.service_report = service.report()
-    finally:
-        if own_service:
-            service.close()
+    if per_session:
+        barrier = threading.Barrier(len(per_session))
+        threads = [
+            threading.Thread(
+                target=_replay_session,
+                args=(service, number, session_statements, report, lock, barrier),
+                name=f"workload-session-{number}",
+            )
+            for number, session_statements in sorted(per_session.items())
+        ]
+        begin = time.monotonic()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        report.wall_seconds = time.monotonic() - begin
+    report.service_report = service.report()
     return report

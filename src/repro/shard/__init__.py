@@ -12,14 +12,14 @@ cooperating pieces (see ``docs/SHARDING.md``):
   epoch-consistent across shards;
 * :mod:`repro.shard.transport` -- the length-prefixed, CRC-checked socket
   frames carrying query fragments out and span-descriptor-shaped column
-  results back (JSON column spans with the PR-6 pickled fallback as the
-  degradation rung);
+  results back (``i64`` endpoint spans, pickled key and payload spans);
 * :mod:`repro.shard.worker` -- the shard worker process: its own
   :class:`~repro.storage.buffer.BufferPool`,
   :class:`~repro.service.admission.AdmissionController` and simulated
   disk, executing fragments and reporting per-phase charged-I/O ledgers;
-* :mod:`repro.shard.coordinator` -- :class:`ShardedQueryService`: routes
-  fragments by shard map, merges results deterministically (shard rank,
+* :mod:`repro.shard.coordinator` -- :class:`ShardedQueryService`, a
+  :class:`~repro.service.core.ServiceCore` like the single-process service:
+  routes fragments by shard map, merges results deterministically (shard rank,
   then fragment emission order), aggregates
   :class:`~repro.core.joiner.JoinOutcome` counters and I/O ledgers
   exactly, and degrades a SIGKILLed or hung shard to deterministic

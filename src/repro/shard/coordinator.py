@@ -1,20 +1,20 @@
 """:class:`ShardedQueryService`: the coordinator over N shard workers.
 
-The multi-process sibling of the PR-5
-:class:`~repro.service.service.QueryService`.  One coordinator owns the
-authoritative :class:`~repro.engine.catalog.VersionedCatalog` (mutations
-bump epochs exactly as before; the shard map is recorded in the catalog so
-every snapshot resolves to one routing), N forked shard worker processes
--- each with its own buffer pool, admission controller and simulated
-disks -- and the session/executor surface the single-process service
-exposes, so :class:`~repro.service.session.Session` and the
-workload driver run unchanged on top of it.
+The multi-process sibling of
+:class:`~repro.service.service.QueryService`: both are a
+:class:`~repro.service.core.ServiceCore` -- one session, write, query
+resolution and status-metric surface over the authoritative
+:class:`~repro.engine.catalog.VersionedCatalog` -- and differ in how a
+resolved query is served.  This one records its shard map in the catalog
+(so every snapshot resolves to one routing) and owns N forked shard worker
+processes, each with its own buffer pool, admission controller and
+simulated disks; it keeps no result cache.
 
 The query path:
 
-1. take a catalog snapshot; resolve ``"auto"`` against the *global*
-   relation statistics (the same pick the single-process service makes,
-   sent verbatim to every shard);
+1. (the core) take a catalog snapshot; resolve ``"auto"`` against the
+   *global* relation statistics, once, so every shard is sent the same
+   concrete method;
 2. ship any fragment versions a shard has not seen for the pinned epochs
    (fragments are immutable per ``(name, epoch)``, so shipping is lazy,
    idempotent, and rebuildable after a respawn), evicting the older
@@ -42,37 +42,21 @@ every rung reproduces the lost result bit-identically.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import socket
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.algebra.predicates import NATURAL_PREDICATE, resolve_predicate
+from repro.algebra.predicates import NATURAL_PREDICATE
 from repro.core.joiner import JoinOutcome
-from repro.core.partition_join import ALL_EXECUTION_MODES, PartitionJoinConfig
-from repro.engine.catalog import (
-    CatalogSnapshot,
-    RelationStatistics,
-    VersionedCatalog,
-    analyze,
-)
-from repro.engine.optimizer import choose_algorithm
-from repro.model.errors import QueryDeadlineError, ServiceError
+from repro.core.partition_join import PartitionJoinConfig
+from repro.engine.catalog import VersionedCatalog
+from repro.model.errors import ServiceError
 from repro.model.relation import ValidTimeRelation
-from repro.obs import Observability, ObservabilityConfig
 from repro.resilience.report import ResilienceReport
 from repro.resilience.supervisor import SupervisionPolicy
-from repro.service.executor import QueryExecutor, QueryHandle
-from repro.service.session import (
-    JOIN_METHODS,
-    Rows,
-    Session,
-    SessionConfig,
-    coerce_rows,
-    resolve_session_config,
-)
+from repro.service.core import ResolvedQuery, ServiceCore, ServiceQueryResult
 from repro.shard import transport
 from repro.shard.partitioning import ShardMap, time_range_map
 from repro.shard.transport import Channel, TransportError, transport_counters
@@ -102,15 +86,13 @@ class ShardFragmentReport:
     quarantined: bool = False
 
 
-@dataclass(frozen=True)
-class ShardedQueryResult:
+@dataclass(frozen=True, kw_only=True)
+class ShardedQueryResult(ServiceQueryResult):
     """One sharded query: the merged result plus its full fan-out pedigree.
 
-    Field-compatible with
-    :class:`~repro.service.service.ServiceQueryResult` where the workload
-    driver and property suite look (``relation``, ``outcome``,
-    ``algorithm``, ``cost``, ``charged_ops``, epochs, cache/grant flags),
-    plus the shard-specific pedigree:
+    A :class:`~repro.service.core.ServiceQueryResult` (``requested_pages``
+    and ``granted_pages`` sum over shards; ``degraded`` and ``clamped``
+    hold when any shard's grant was) plus the shard-specific pedigree:
 
     Attributes:
         cost: the *total* charged bill, summed over shards (what the work
@@ -126,29 +108,11 @@ class ShardedQueryResult:
         redispatches: supervision re-dispatches this query survived.
     """
 
-    relation: Optional[ValidTimeRelation]
-    outcome: JoinOutcome
-    algorithm: str
-    cost: float
     service_cost: float
-    charged_ops: int
     phases: Dict[str, IOStatistics]
     totals: IOStatistics
-    outer: str
-    inner: str
-    epochs: Tuple[int, int]
-    snapshot_epoch: int
     shards: Tuple[ShardFragmentReport, ...]
     redispatches: int = 0
-    result_cache_hit: bool = False
-    plan_cache_hit: bool = False
-    requested_pages: int = 0
-    granted_pages: int = 0
-    degraded: bool = False
-    clamped: bool = False
-    queue_wait_seconds: float = 0.0
-    session_id: int = 0
-    query_id: int = 0
 
 
 @dataclass
@@ -167,6 +131,15 @@ class _ShardHandle:
     # quarantine rung never inherits them (it must actually answer).
     spawn_chaos: Dict = field(default_factory=dict)
 
+    @property
+    def alive(self) -> bool:
+        """A worker process is serving this shard right now."""
+        return (
+            not self.quarantined
+            and self.process is not None
+            and self.process.is_alive()
+        )
+
 
 def _fork_context():
     try:
@@ -175,7 +148,7 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
-class ShardedQueryService:
+class ShardedQueryService(ServiceCore):
     """Coordinator + N shard worker processes behind the Session API.
 
     Args:
@@ -197,49 +170,21 @@ class ShardedQueryService:
         spawn_timeout: seconds to wait for a worker's first heartbeat.
     """
 
+    _queries_family = "repro_shard_queries_total"
+
     def __init__(
         self,
         catalog: VersionedCatalog,
         *,
         shards: int,
         shard_by: str = "key-hash",
-        pool_pages: int = 64,
-        memory_pages: Optional[int] = None,
-        workers: int = 4,
-        queue_limit: int = 256,
         admission_policy: str = "fifo",
-        execution: str = "tuple",
-        cost_model: Optional[CostModel] = None,
-        page_spec: Optional[PageSpec] = None,
-        observability: Optional[ObservabilityConfig] = None,
-        max_sessions: int = 64,
         supervision: Optional[SupervisionPolicy] = None,
         spawn_timeout: float = 30.0,
+        **core_options,
     ) -> None:
         if shards < 1:
             raise ServiceError(f"shards must be >= 1, got {shards}")
-        if execution not in ALL_EXECUTION_MODES:
-            raise ServiceError(
-                f"execution must be one of {ALL_EXECUTION_MODES}, got {execution!r}"
-            )
-        self.catalog = catalog
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.page_spec = page_spec if page_spec is not None else PageSpec()
-        self.execution = execution
-        self.pool_pages = pool_pages
-        self.default_memory_pages = (
-            memory_pages if memory_pages is not None else pool_pages
-        )
-        if self.default_memory_pages < 4:
-            raise ServiceError(
-                f"memory_pages must be >= 4 (the Figure 3 minimum), "
-                f"got {self.default_memory_pages}"
-            )
-        self.admission_policy = admission_policy
-        self.supervision = (
-            supervision if supervision is not None else SupervisionPolicy()
-        )
-        self.spawn_timeout = spawn_timeout
         if shard_by == "time-range":
             relations = [
                 catalog.current(name).relation for name in catalog.names()
@@ -247,36 +192,30 @@ class ShardedQueryService:
             self.shard_map = time_range_map(shards, *relations)
         else:
             self.shard_map = ShardMap(shards, strategy=shard_by)
-        # Record the routing in the catalog: any snapshot at or after this
-        # epoch resolves to this map, so fragment routing is a pure
-        # function of (snapshot, rank) -- epoch-consistent across shards.
-        catalog.record_shard_map(self.shard_map.as_dict())
+        # Everything that can reject the arguments has run before the first
+        # thread or process starts; from here on a failure goes through close().
+        super().__init__(catalog, **core_options)
+        self.admission_policy = admission_policy
+        self.supervision = (
+            supervision if supervision is not None else SupervisionPolicy()
+        )
+        self.spawn_timeout = spawn_timeout
         self.resilience = ResilienceReport()
-        self.executor = QueryExecutor(
-            workers=workers, queue_limit=queue_limit, name="repro-shard"
-        )
-        self.max_sessions = max_sessions
-        self.obs = Observability(
-            observability
-            if observability is not None
-            else ObservabilityConfig(tracing=False)
-        )
-        self._metrics_lock = threading.Lock()
-        self._sessions_lock = threading.Lock()
-        self._sessions: Dict[int, Session] = {}
-        self._session_ids = 0
-        self._stats_lock = threading.Lock()
-        self._stats_cache: Dict[Tuple[str, int], RelationStatistics] = {}
         self._fanout_lock = threading.Lock()
         self._mp = _fork_context()
-        self._closed = False
         self._shards: List[_ShardHandle] = []
         try:
+            # Record the routing in the catalog: any snapshot at or after
+            # this epoch resolves to this map, so fragment routing is a pure
+            # function of (snapshot, rank) -- epoch-consistent across shards.
+            catalog.record_shard_map(self.shard_map.as_dict())
             for rank in range(shards):
+                # Registered before it is spawned: close() must find the
+                # process and channel of a worker whose handshake failed.
                 handle = _ShardHandle(rank=rank)
-                self._spawn(handle)
                 self._shards.append(handle)
-        except Exception:
+                self._spawn(handle)
+        except BaseException:
             self.close()
             raise
         self._gauge_workers()
@@ -298,6 +237,10 @@ class ShardedQueryService:
     def _spawn(self, handle: _ShardHandle) -> None:
         """Start (or restart) the worker process behind *handle*."""
         parent_sock, child_sock = socket.socketpair()
+        # The handle owns channel and process from the moment each exists,
+        # so whoever stops the handle reaps them even if the handshake fails.
+        handle.channel = channel = Channel(parent_sock, name=f"shard{handle.rank}")
+        handle.loaded = set()
         process = self._mp.Process(
             target=worker_main,
             args=(
@@ -307,12 +250,11 @@ class ShardedQueryService:
             name=f"repro-shard-{handle.rank}",
             daemon=True,
         )
-        process.start()
-        child_sock.close()
-        channel = Channel(parent_sock, name=f"shard{handle.rank}")
+        try:
+            process.start()
+        finally:
+            child_sock.close()
         handle.process = process
-        handle.channel = channel
-        handle.loaded = set()
         # First heartbeat doubles as the HELLO handshake: a worker that
         # cannot answer PING within the spawn timeout is dead on arrival.
         channel.send_obj(transport.PING, {})
@@ -323,28 +265,35 @@ class ShardedQueryService:
             )
         handle.last_status = status
 
-    def _respawn(self, handle: _ShardHandle) -> None:
-        """Kill whatever is left of the worker and start a fresh one."""
-        if handle.channel is not None:
-            handle.channel.close()
+    def _stop(self, handle: _ShardHandle, *, polite: bool = False) -> None:
+        """Close the channel and reap the process behind *handle*.
+
+        *polite* asks first: a SHUTDOWN frame lets an idle worker exit by
+        itself.  Whatever is still alive afterwards is killed.
+        """
+        channel = handle.channel
+        if channel is not None and not channel.closed:
+            if polite:
+                try:
+                    channel.send_obj(transport.SHUTDOWN, {})
+                    channel.recv(timeout=2.0)
+                except TransportError:
+                    pass
+            channel.close()
         process = handle.process
-        if process is not None and process.is_alive():
-            process.kill()
         if process is not None:
+            if polite:
+                process.join(timeout=2)
+            if process.is_alive():
+                process.kill()
             process.join(timeout=10)
-        handle.respawns += 1
-        self._spawn(handle)
 
     def _quarantine(self, handle: _ShardHandle, detail: str) -> None:
         """Retire the shard to in-process execution (the bottom rung)."""
         handle.quarantined = True
         handle.inline = ShardWorker(self._worker_options(handle.rank))
         handle.loaded = set()
-        if handle.channel is not None:
-            handle.channel.close()
-        if handle.process is not None and handle.process.is_alive():
-            handle.process.kill()
-            handle.process.join(timeout=10)
+        self._stop(handle)
         self.resilience.record_degradation("shard-quarantine", detail)
         self._count(
             "repro_shard_quarantines_total",
@@ -352,184 +301,48 @@ class ShardedQueryService:
         )
         self._gauge_workers()
 
-    # -- lifecycle -----------------------------------------------------------
-
     def close(self) -> None:
         """Shut the executor down, stop every worker, close every session."""
         if self._closed:
             return
-        self._closed = True
-        self.executor.shutdown(wait=True, cancel_queued=True, cancel_running=True)
+        super().close()
         for handle in self._shards:
-            channel = handle.channel
-            if channel is not None and not channel.closed:
-                try:
-                    channel.send_obj(transport.SHUTDOWN, {})
-                    channel.recv(timeout=2.0)
-                except TransportError:
-                    pass
-                channel.close()
-            process = handle.process
-            if process is not None:
-                process.join(timeout=2)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=5)
-        with self._sessions_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.close()
+            self._stop(handle, polite=True)
         self._gauge_workers()
 
-    def __enter__(self) -> "ShardedQueryService":
-        return self
+    # -- serving: ship -> fan out -> collect -> merge ------------------------
 
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.close()
-
-    # -- sessions (the QueryService surface Session expects) -----------------
-
-    def open_session(self, config: Optional[SessionConfig] = None, **overrides) -> Session:
-        """Open a session (same contract as the single-process service)."""
-        if self._closed:
-            raise ServiceError("service is closed")
-        config = resolve_session_config(config, overrides)
-        with self._sessions_lock:
-            if len(self._sessions) >= self.max_sessions:
-                raise ServiceError(f"session limit of {self.max_sessions} reached")
-            self._session_ids += 1
-            session = Session(self, self._session_ids, config)
-            self._sessions[session.session_id] = session
-        return session
-
-    def _session_closed(self, session: Session) -> None:
-        with self._sessions_lock:
-            self._sessions.pop(session.session_id, None)
-
-    @property
-    def active_sessions(self) -> int:
-        with self._sessions_lock:
-            return len(self._sessions)
-
-    # -- writes (mutate the authoritative catalog; shipping is lazy) ---------
-
-    def _append(self, session: Session, name: str, rows: Rows) -> int:
-        version = self.catalog.current(name)
-        tuples = coerce_rows(version.schema, rows)
-        return self.catalog.append(name, tuples).epoch
-
-    def _delete(self, session: Session, name: str, rows: Rows) -> int:
-        version = self.catalog.current(name)
-        tuples = coerce_rows(version.schema, rows)
-        return self.catalog.delete(name, tuples).epoch
-
-    # -- queries -------------------------------------------------------------
-
-    def _submit_join(
-        self,
-        session: Session,
-        outer: str,
-        inner: str,
-        *,
-        method: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> QueryHandle:
-        if self._closed:
-            raise ServiceError("service is closed")
-        effective_method = method if method is not None else session.config.method
-        if effective_method not in JOIN_METHODS:
+    def _check_predicate(self, predicate: str, method: str) -> None:
+        super()._check_predicate(predicate, method)
+        if predicate != NATURAL_PREDICATE and self.shard_map.strategy != "key-hash":
             raise ServiceError(
-                f"method must be one of {JOIN_METHODS}, got {effective_method!r}"
+                "time-range sharding evaluates only the natural join's "
+                f"{NATURAL_PREDICATE!r} predicate; got {predicate!r}"
             )
-        predicate = self._session_predicate(session)
-        if predicate != NATURAL_PREDICATE:
-            if effective_method not in ("auto", "sweep"):
-                raise ServiceError(
-                    f"predicate {predicate!r} requires method 'sweep' (or 'auto')"
-                )
-            if self.shard_map.strategy != "key-hash":
-                raise ServiceError(
-                    "time-range sharding evaluates only the natural join's "
-                    f"{NATURAL_PREDICATE!r} predicate; got {predicate!r}"
-                )
-        label = f"s{session.session_id}:{outer}x{inner}"
-        return self.executor.submit(
-            lambda h: self._run_join(session, outer, inner, effective_method, h),
-            label=label,
-            deadline_seconds=session.config.deadline_seconds,
-        )
 
-    def _run_join(
-        self,
-        session: Session,
-        outer: str,
-        inner: str,
-        method: str,
-        handle: QueryHandle,
-    ) -> ShardedQueryResult:
-        try:
-            handle.check_cancelled()
-            snapshot = self.catalog.snapshot()
-            config = self._query_config(session)
-            predicate = self._session_predicate(session)
-            # Resolve "auto" ONCE, against the global statistics -- the
-            # same pick the single-process service makes -- and send the
-            # concrete method to every shard, so all fragments run the
-            # same algorithm and the merge is well-defined.
-            if method == "auto":
-                method = self._choose_method(
-                    snapshot, outer, inner, config, predicate=predicate
-                )
-            if config.execution == "forward-sweep" and method == "partition":
-                method = "sweep"
-            result = self._fan_out(
-                snapshot, outer, inner, method, config, predicate, handle
-            )
-            self._count_query("ok", method)
-            return dataclasses.replace(
-                result,
-                session_id=session.session_id,
-                query_id=handle.query_id,
-            )
-        except QueryDeadlineError:
-            self._count_query("deadline", method)
-            raise
-        except Exception:
-            self._count_query("error", method)
-            raise
-
-    def _fan_out(
-        self,
-        snapshot: CatalogSnapshot,
-        outer: str,
-        inner: str,
-        method: str,
-        config: PartitionJoinConfig,
-        predicate: str,
-        handle: QueryHandle,
-    ) -> ShardedQueryResult:
-        r_version = snapshot.version(outer)
-        s_version = snapshot.version(inner)
-        epochs = (r_version.epoch, s_version.epoch)
+    def _serve(self, query: ResolvedQuery) -> ShardedQueryResult:
+        handle, config = query.handle, query.config
+        epochs = query.epochs
         request = {
             "query_id": handle.query_id,
-            "outer": outer,
+            "outer": query.outer.name,
             "outer_epoch": epochs[0],
-            "inner": inner,
+            "inner": query.inner.name,
             "inner_epoch": epochs[1],
-            "method": method,
+            "method": query.method,
             "execution": config.execution,
             "memory_pages": config.memory_pages,
-            "predicate": predicate if method == "sweep" else None,
+            "predicate": config.predicate if query.method == "sweep" else None,
         }
         needed = (
-            (outer, epochs[0], r_version.relation),
-            (inner, epochs[1], s_version.relation),
+            (query.outer.name, epochs[0], query.outer.relation),
+            (query.inner.name, epochs[1], query.inner.relation),
         )
         query_redispatches = 0
         metas: List[Dict] = []
         columns_by_rank: List[Optional[Tuple]] = []
         with self._fanout_lock:
+            handle.check_cancelled()
             handle.check_deadline()
             # Ship missing fragment versions, then pipeline the EXECUTEs so
             # every live shard computes concurrently.  ``unread`` holds the
@@ -546,8 +359,10 @@ class ShardedQueryService:
                     # The collect phase re-dispatches on the fresh worker.
                     query_redispatches += self._recover(shard, error)
             # Collect in rank order; a dead or hung shard rides the ladder.
+            # A cancelled or overdue query stops between two collects.
             try:
                 for shard in self._shards:
+                    handle.check_cancelled()
                     handle.check_deadline()
                     was_dispatched = bool(unread) and unread[0] is shard
                     if was_dispatched:
@@ -561,10 +376,7 @@ class ShardedQueryService:
             except Exception:
                 self._drain(unread)
                 raise
-        return self._merge(
-            outer, inner, epochs, snapshot.epoch, metas, columns_by_rank,
-            query_redispatches,
-        )
+        return self._merge(query, metas, columns_by_rank, query_redispatches)
 
     def _collect(
         self,
@@ -646,7 +458,9 @@ class ShardedQueryService:
             kind=kind,
         )
         self._count("repro_shard_fragments_total", "Fragments executed.", status="redispatch")
-        self._respawn(shard)
+        self._stop(shard)
+        shard.respawns += 1
+        self._spawn(shard)
         self._gauge_workers()
         return 1
 
@@ -696,10 +510,7 @@ class ShardedQueryService:
 
     def _merge(
         self,
-        outer: str,
-        inner: str,
-        epochs: Tuple[int, int],
-        snapshot_epoch: int,
+        query: ResolvedQuery,
         metas: List[Dict],
         columns_by_rank: List[Optional[Tuple]],
         redispatches: int,
@@ -776,78 +587,13 @@ class ShardedQueryService:
             charged_ops=charged_ops,
             phases=phases,
             totals=totals,
-            outer=outer,
-            inner=inner,
-            epochs=epochs,
-            snapshot_epoch=snapshot_epoch,
             shards=shard_reports,
             redispatches=redispatches,
             requested_pages=sum(m["requested_pages"] for m in metas),
             granted_pages=sum(m["granted_pages"] for m in metas),
             degraded=any(m["degraded"] for m in metas),
-        )
-
-    # -- planning helpers (mirrors of the single-process service) ------------
-
-    def _query_config(self, session: Session) -> PartitionJoinConfig:
-        memory = (
-            session.config.memory_pages
-            if session.config.memory_pages is not None
-            else self.default_memory_pages
-        )
-        execution = (
-            session.config.execution
-            if session.config.execution is not None
-            else self.execution
-        )
-        return PartitionJoinConfig(
-            memory_pages=memory,
-            cost_model=self.cost_model,
-            page_spec=self.page_spec,
-            execution=execution,
-        )
-
-    def _statistics(self, version) -> RelationStatistics:
-        key = (version.name, version.epoch)
-        with self._stats_lock:
-            stats = self._stats_cache.get(key)
-        if stats is None:
-            stats = analyze(version.relation, self.page_spec)
-            with self._stats_lock:
-                if len(self._stats_cache) > 1024:
-                    self._stats_cache.clear()
-                self._stats_cache[key] = stats
-        return stats
-
-    def _session_predicate(self, session: Session) -> str:
-        raw = session.config.predicate
-        if raw is None:
-            return NATURAL_PREDICATE
-        return resolve_predicate(raw).name
-
-    def _choose_method(
-        self,
-        snapshot: CatalogSnapshot,
-        outer: str,
-        inner: str,
-        config: PartitionJoinConfig,
-        *,
-        predicate: str = NATURAL_PREDICATE,
-    ) -> str:
-        if predicate != NATURAL_PREDICATE:
-            return "sweep"
-        outer_stats = self._statistics(snapshot.version(outer))
-        inner_stats = self._statistics(snapshot.version(inner))
-        return choose_algorithm(
-            outer_stats.n_pages,
-            inner_stats.n_pages,
-            config.memory_pages,
-            self.cost_model,
-            long_lived_fraction=inner_stats.long_lived_fraction,
-            endpoint_sorted=(
-                outer_stats.endpoint_sorted,
-                inner_stats.endpoint_sorted,
-            ),
+            clamped=any(m["clamped"] for m in metas),
+            **query.pedigree(),
         )
 
     # -- EXPLAIN support ------------------------------------------------------
@@ -902,13 +648,7 @@ class ShardedQueryService:
         ]
 
     def alive_workers(self) -> int:
-        return sum(
-            1
-            for shard in self._shards
-            if not shard.quarantined
-            and shard.process is not None
-            and shard.process.is_alive()
-        )
+        return sum(1 for shard in self._shards if shard.alive)
 
     def _arm_chaos_hang(self, rank: int, seconds: float) -> None:
         """Arm a deterministic hang in worker *rank* (chaos-test hook)."""
@@ -933,46 +673,26 @@ class ShardedQueryService:
 
     # -- metrics / report ----------------------------------------------------
 
-    def _count(self, name: str, help: str = "", amount: float = 1.0, **labels) -> None:
-        with self._metrics_lock:
-            self.obs.count(name, help, amount=amount, **labels)
-
-    def _count_query(self, status: str, method: str) -> None:
-        self._count(
-            "repro_shard_queries_total",
-            "Sharded queries served, by final status and method.",
-            status=status,
-            method=method,
-        )
-
     def _gauge_workers(self) -> None:
         with self._metrics_lock:
             self.obs.gauge(
                 "repro_shard_workers",
-                float(
-                    sum(
-                        1
-                        for shard in self._shards
-                        if not shard.quarantined
-                        and shard.process is not None
-                        and shard.process.is_alive()
-                    )
-                ),
+                float(self.alive_workers()),
                 "Live shard worker processes.",
             )
 
     def metrics_snapshot(self) -> Dict:
-        """Stable snapshot of every ``repro_shard_*`` family."""
+        """Stable snapshot of every ``repro_shard_*`` family (and the
+        core's session, write and run-queue families)."""
         self._gauge_workers()
-        counters = transport_counters()
         with self._metrics_lock:
-            for name, value in counters.items():
+            for name, value in transport_counters().items():
                 self.obs.gauge(
                     f"repro_shard_transport_{name}",
                     float(value),
                     "Transport counter (process-local).",
                 )
-        return self.obs.metrics_snapshot()
+        return super().metrics_snapshot()
 
     def report(self) -> Dict:
         """A human-sized serving summary (topology, supervision, transport)."""
@@ -985,10 +705,7 @@ class ShardedQueryService:
                 {
                     "rank": shard.rank,
                     "pid": None if shard.process is None else shard.process.pid,
-                    "alive": (
-                        shard.process is not None and shard.process.is_alive()
-                        and not shard.quarantined
-                    ),
+                    "alive": shard.alive,
                     "quarantined": shard.quarantined,
                     "respawns": shard.respawns,
                     "loaded_fragments": len(shard.loaded),

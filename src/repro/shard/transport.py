@@ -22,8 +22,11 @@ Relation-bearing frames (``LOAD`` out, ``RESULT`` back) use a
 span-descriptor shape: one contiguous blob of
 column bytes plus a descriptor of ``(offset, length)`` spans -- one span
 per column, CRC-checked as part of the frame.  Interval endpoints pack as
-big-endian 64-bit integers; key/payload columns are JSON spans with the
-same per-span pickle rung.
+big-endian 64-bit integers; key and payload columns are pickled, the one
+codec that returns every attribute value as the type it was sent (JSON
+turns a tuple-valued attribute into a list and cannot carry ``bytes``).
+Both ends of a channel are this program -- a forked child on a socketpair
+-- so the bytes unpickled here are bytes this program wrote.
 
 Open channels register in a process-local set; chaos tests assert
 :func:`active_channel_count` returns to zero.
@@ -165,28 +168,19 @@ def pack_columns(
 
     The descriptor is a list of
     ``{"column", "offset", "length", "codec"}`` spans into the returned
-    blob.  Endpoint columns pack as ``!{n}q``; key/payload columns are
-    JSON (lists of lists), falling back to pickle per span.
+    blob.  Endpoint columns pack as ``!{n}q`` (``"i64"``); key and payload
+    columns are pickled (``"pickle"``).
     """
-    keys, payloads, starts, ends = columns
     spans: List[Dict] = []
     parts: List[bytes] = []
     offset = 0
-    for name, column in zip(_COLUMN_ORDER, (keys, payloads, starts, ends)):
+    for name, column in zip(_COLUMN_ORDER, columns):
         if name in ("starts", "ends"):
             data = struct.pack(f"!{len(column)}q", *column)
             codec = "i64"
         else:
-            try:
-                data = json.dumps(
-                    [list(item) for item in column], separators=(",", ":")
-                ).encode("utf-8")
-                codec = "json"
-            except (TypeError, ValueError):
-                data = pickle.dumps(list(column), protocol=pickle.HIGHEST_PROTOCOL)
-                codec = "pickle"
-                _count("pickle_fallbacks")
-                _count("bytes_pickled", len(data))
+            data = pickle.dumps(list(column), protocol=pickle.HIGHEST_PROTOCOL)
+            codec = "pickle"
         spans.append(
             {"column": name, "offset": offset, "length": len(data), "codec": codec}
         )
@@ -198,26 +192,19 @@ def pack_columns(
 def unpack_columns(
     spans: List[Dict], blob: bytes
 ) -> Tuple[List[Tuple], List[Tuple], List[int], List[int]]:
-    """Inverse of :func:`pack_columns` (tuples re-tupled for the model layer)."""
+    """Inverse of :func:`pack_columns`: every value as the type it was sent."""
     decoded = {}
     for span in spans:
         data = blob[span["offset"] : span["offset"] + span["length"]]
         codec = span["codec"]
         if codec == "i64":
             decoded[span["column"]] = list(struct.unpack(f"!{len(data) // 8}q", data))
-        elif codec == "json":
-            decoded[span["column"]] = [tuple(item) for item in json.loads(data)]
         elif codec == "pickle":
-            decoded[span["column"]] = [tuple(item) for item in pickle.loads(data)]
+            decoded[span["column"]] = pickle.loads(data)
         else:
             raise TransportError(f"unknown column codec {codec!r}")
     try:
-        return (
-            decoded["keys"],
-            decoded["payloads"],
-            decoded["starts"],
-            decoded["ends"],
-        )
+        return tuple(decoded[name] for name in _COLUMN_ORDER)
     except KeyError as missing:
         raise TransportError(f"result descriptor missing column {missing}") from None
 

@@ -26,14 +26,11 @@ fragment bit-identically.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.baselines.nested_loop import nested_loop_join
-from repro.baselines.sort_merge import sort_merge_join
-from repro.core.partition_join import PartitionJoinConfig, partition_join
-from repro.core.planner import estimate_grant_pages
+from repro.core.partition_join import PartitionJoinConfig
+from repro.engine.runner import grant_request, run_join
 from repro.model.errors import ServiceError
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
@@ -41,7 +38,6 @@ from repro.service.admission import AdmissionController
 from repro.shard import transport
 from repro.shard.partitioning import ShardMap
 from repro.shard.transport import Channel, TransportError
-from repro.storage.buffer import BufferPool
 from repro.storage.iostats import CostModel
 from repro.storage.page import PageSpec
 
@@ -147,51 +143,18 @@ class ShardWorker:
             execution="forward-sweep" if method == "sweep" else execution,
             predicate=predicate,
         )
-        outer_pages = self.page_spec.pages_for_tuples(len(r))
-        inner_pages = self.page_spec.pages_for_tuples(len(s))
-        if method in ("partition", "sweep"):
-            ask = estimate_grant_pages(
-                outer_pages,
-                inner_pages,
-                config.memory_pages,
-                execution=config.execution,
-            )
-        else:
-            ask = config.memory_pages
+        # The same ladder the single-process service rides (ask, grant,
+        # clamp to this worker's pool, replan for what it got), without its
+        # caches: a fragment's bill is a pure function of its inputs.
+        ask = grant_request(r, s, method, config)
         grant = self.admission.acquire(
             max(1, ask), label=f"shard{self.rank}:q{request.get('query_id', 0)}"
         )
         try:
-            pool = BufferPool(grant.pages)
-            if method in ("partition", "sweep"):
-                # A grant clamped to this worker's pool replans for what it
-                # actually got -- the same ladder the single-process
-                # service rides.
-                effective = (
-                    config
-                    if grant.pages >= config.memory_pages
-                    else dataclasses.replace(config, memory_pages=grant.pages)
-                )
-                run = partition_join(r, s, effective, pool=pool)
-                outcome = run.outcome
-                tracker = run.layout.tracker
-                cost = run.total_cost(self.cost_model)
-                algorithm = "forward-sweep" if method == "sweep" else "partition"
-            elif method in ("sort_merge", "nested_loop"):
-                runner = sort_merge_join if method == "sort_merge" else nested_loop_join
-                run = runner(r, s, grant.pages, page_spec=self.page_spec)
-                from repro.core.joiner import JoinOutcome
-
-                outcome = JoinOutcome(
-                    result=run.result, n_result_tuples=run.n_result_tuples
-                )
-                tracker = run.layout.tracker
-                cost = tracker.stats.cost(self.cost_model)
-                algorithm = method
-            else:
-                raise ServiceError(f"unknown join method {method!r}")
+            run = run_join(r, s, method, config, grant.pages)
         finally:
             grant.release()
+        outcome, tracker = run.outcome, run.tracker
         self._queries += 1
 
         result = outcome.result
@@ -210,7 +173,7 @@ class ShardWorker:
         meta = {
             "query_id": request.get("query_id", 0),
             "rank": self.rank,
-            "algorithm": algorithm,
+            "algorithm": run.algorithm,
             "outcome": {
                 "n_result_tuples": n_result,
                 "overflow_blocks": outcome.overflow_blocks,
@@ -221,8 +184,8 @@ class ShardWorker:
                 name: stats.as_dict() for name, stats in tracker.phases.items()
             },
             "totals": tracker.stats.as_dict(),
-            "charged_ops": tracker.stats.total_ops,
-            "cost": cost,
+            "charged_ops": run.charged_ops,
+            "cost": run.cost,
             "requested_pages": ask,
             "granted_pages": grant.pages,
             "degraded": grant.degraded,

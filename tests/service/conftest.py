@@ -10,6 +10,7 @@ from repro.engine.catalog import VersionedCatalog
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.service import QueryService
+from repro.shard import ShardedQueryService
 from repro.time.interval import Interval
 
 
@@ -48,6 +49,27 @@ def catalog() -> VersionedCatalog:
 def service(catalog):
     with QueryService(catalog, pool_pages=32, workers=3) as svc:
         yield svc
+
+
+#: kind -> (service class, extra constructor options, query-count family).
+SERVICE_KINDS = {
+    "single": (QueryService, {}, "repro_service_queries_total"),
+    "sharded": (ShardedQueryService, {"shards": 2}, "repro_shard_queries_total"),
+}
+
+
+def open_service(kind: str, catalog: VersionedCatalog, **options):
+    """Either service over *catalog*: what both constructors accept, plus
+    the two shards of the sharded kind."""
+    cls, extra, _family = SERVICE_KINDS[kind]
+    return cls(catalog, **{**extra, **options})
+
+
+@pytest.fixture(params=list(SERVICE_KINDS))
+def either_service(request, catalog):
+    """Both services over the same catalog, each with its query-count family."""
+    with open_service(request.param, catalog, pool_pages=32, workers=3) as svc:
+        yield svc, SERVICE_KINDS[request.param][2]
 
 
 def outcome_counters(outcome):

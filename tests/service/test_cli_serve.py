@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.service.workload import (
     demo_workload,
@@ -25,6 +27,15 @@ class TestServeCommand:
         assert summary["result_cache_hits"] >= 1  # the demo repeats queries
         assert "queue_wait_p95_seconds" in summary
         assert summary["service"]["admission"]["capacity_pages"] == 32
+
+    @pytest.mark.parametrize("shards", [(), ("--shards", "2")])
+    def test_metrics_flag_dumps_the_families_of_either_service(self, capsys, shards):
+        code = main(["serve", "--sessions", "2", "--pool-pages", "32", "--metrics", *shards])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 0 and summary["errors"] == 0
+        served = "repro_shard_queries_total" if shards else "repro_service_queries_total"
+        assert sum(summary["metrics"][served]["series"].values()) == summary["queries"]
+        assert summary["metrics"]["repro_service_sessions_total"]["series"][""] == 2.0
 
     def test_script_file(self, tmp_path, capsys):
         script = tmp_path / "workload.jsonl"

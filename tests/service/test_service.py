@@ -379,17 +379,15 @@ class TestBaselineMethods:
         assert len(cardinalities) == 1
 
 
-@pytest.fixture(params=["single", "sharded"])
-def either_service(request, catalog):
-    """Both services over the same catalog, each with its query-count family."""
-    if request.param == "single":
-        svc = QueryService(catalog, pool_pages=32, workers=3)
-        family = "repro_service_queries_total"
-    else:
-        svc = ShardedQueryService(catalog, shards=2, pool_pages=32, workers=3)
-        family = "repro_shard_queries_total"
-    with svc:
-        yield svc, family
+class TestGrantPedigree:
+    def test_an_ask_beyond_the_pool_reads_clamped(self, either_service):
+        """sort-merge asks for its whole budget; 64 pages against the 32-page
+        pool (of each shard) is cut to capacity, which is not a degradation."""
+        service, _ = either_service
+        with service.open_session(memory_pages=64) as session:
+            result = session.join("r", "s", method="sort_merge")
+        assert result.clamped and not result.degraded
+        assert result.granted_pages < result.requested_pages
 
 
 class TestDeadlineBudget:
@@ -433,22 +431,48 @@ class TestDeadlineBudget:
             hog.release()
         assert "repro_service_deadline_exceeded_total" in service.metrics_snapshot()
 
-    def test_deadline_between_collects_leaves_the_channels_in_step(self, catalog):
-        """A budget spent while shard 0 computes aborts before shard 1 is
-        collected; shard 1's unread answer must not become the next
-        request's."""
+    @pytest.mark.parametrize("abort", ["deadline", "cancel"])
+    def test_deadline_between_collects_leaves_the_channels_in_step(
+        self, catalog, abort, monkeypatch
+    ):
+        """A budget spent -- or a cancel requested -- while shard 0 computes
+        aborts before shard 1 is collected; shard 1's unread answer must not
+        become the next request's."""
         with ShardedQueryService(catalog, shards=2, pool_pages=32) as service:
             with service.open_session() as session:
                 session.join("r", "s", method="partition")
                 collected = _counter(service, "repro_shard_fragments_total", "status=ok")
                 service._arm_chaos_hang(0, 1.0)
-                with service.open_session(deadline_seconds=0.5) as rushed:
-                    with pytest.raises(QueryDeadlineError):
-                        rushed.join("r", "s", method="partition")
+                if abort == "deadline":
+                    with service.open_session(deadline_seconds=0.5) as rushed:
+                        with pytest.raises(QueryDeadlineError):
+                            rushed.join("r", "s", method="partition")
+                else:
+                    # Cancel once the fan-out is inside shard 0's collect:
+                    # past the check before it, a second short of the next.
+                    collecting = threading.Event()
+                    collect = service._collect
+
+                    def signalling_collect(*args):
+                        collecting.set()
+                        return collect(*args)
+
+                    monkeypatch.setattr(service, "_collect", signalling_collect)
+                    handle = session.submit_join("r", "s", method="partition")
+                    assert collecting.wait(10.0)
+                    assert handle.cancel()
+                    with pytest.raises(QueryCancelledError):
+                        handle.result(10.0)
                 assert (
                     _counter(service, "repro_shard_fragments_total", "status=ok")
                     == collected + 1
                 )  # shard 0 was collected, shard 1 was not
+                status = "cancelled" if abort == "cancel" else "deadline"
+                assert [
+                    count
+                    for key, count in _series(service, "repro_shard_queries_total").items()
+                    if f"status={status}" in key
+                ] == [1.0]
                 session.append("r", make_tuples(10, seed=77))
                 after = session.join("r", "s", method="partition")
             assert not service.resilience.degradations  # drained, not respawned

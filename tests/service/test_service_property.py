@@ -7,8 +7,9 @@ is replayed *serially* against exactly those versions (via
 The concurrent result must match the serial one bit-identically: the same
 result tuples in the same order, and the same JoinOutcome counters.
 
-Runs under three seeds (shiftable via ``SERVICE_STRESS_SEED``) and all
-four execution modes.
+Runs under three seeds (shiftable via ``SERVICE_STRESS_SEED``) and each of
+the four partition execution modes (``EXECUTION_MODES``; the fifth mode,
+``forward-sweep``, is a different operator, served as method ``"sweep"``).
 """
 
 from __future__ import annotations

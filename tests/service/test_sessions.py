@@ -1,4 +1,6 @@
-"""Session lifecycle, per-session overrides, and the session cap."""
+"""Session lifecycle, per-session overrides, the session cap, and the
+constructor checks -- the surface :class:`~repro.service.core.ServiceCore`
+gives both services, so every case runs on both."""
 
 from __future__ import annotations
 
@@ -6,11 +8,28 @@ import pytest
 
 from repro.model.errors import ServiceError, SessionClosedError
 from repro.service import QueryService, SessionConfig
+from repro.service.core import ServiceCore
+from repro.shard import ShardedQueryService
 
-from tests.service.conftest import make_catalog
+from tests.service.conftest import make_catalog, open_service
 
 
-class TestLifecycle:
+class OnEitherService:
+    """Test classes below run on the single-process service; each has a
+    ``...Sharded`` subclass that reruns every case on the sharded one."""
+
+    kind = "single"
+
+    @pytest.fixture
+    def service(self, catalog):
+        with open_service(self.kind, catalog, pool_pages=32, workers=3) as svc:
+            yield svc
+
+    def open(self, **options):
+        return open_service(self.kind, make_catalog(), **options)
+
+
+class TestLifecycle(OnEitherService):
     def test_close_is_idempotent_and_final(self, service):
         session = service.open_session()
         assert not session.closed
@@ -31,7 +50,7 @@ class TestLifecycle:
         assert service.active_sessions == 0
 
     def test_session_cap(self):
-        with QueryService(make_catalog(), pool_pages=16, max_sessions=2) as svc:
+        with self.open(pool_pages=16, max_sessions=2) as svc:
             a = svc.open_session()
             svc.open_session()
             with pytest.raises(ServiceError, match="session limit"):
@@ -40,15 +59,35 @@ class TestLifecycle:
             svc.open_session()  # freed slot is reusable
 
     def test_service_close_closes_sessions(self):
-        svc = QueryService(make_catalog(), pool_pages=16)
+        svc = self.open(pool_pages=16)
         session = svc.open_session()
         svc.close()
         assert session.closed
         with pytest.raises(ServiceError, match="closed"):
             svc.open_session()
 
+    def test_session_population_is_counted(self, service):
+        with service.open_session(), service.open_session():
+            snapshot = service.metrics_snapshot()
+            assert snapshot["repro_service_active_sessions"]["series"][""] == 2.0
+        snapshot = service.metrics_snapshot()
+        assert snapshot["repro_service_sessions_total"]["series"][""] == 2.0
+        assert snapshot["repro_service_active_sessions"]["series"][""] == 0.0
 
-class TestOverrides:
+    def test_constructor_rejects_what_neither_service_can_serve(self):
+        with pytest.raises(ServiceError, match="execution"):
+            self.open(execution="warp")
+        with pytest.raises(ServiceError, match="memory_pages"):
+            self.open(memory_pages=2)
+        with pytest.raises(ServiceError, match="max_sessions"):
+            self.open(max_sessions=0)
+
+
+class TestLifecycleSharded(TestLifecycle):
+    kind = "sharded"
+
+
+class TestOverrides(OnEitherService):
     def test_config_and_keyword_overrides(self, service):
         base = SessionConfig(memory_pages=8, label="cfg")
         with service.open_session(base, execution="batch") as session:
@@ -59,8 +98,10 @@ class TestOverrides:
     def test_memory_override_drives_the_grant(self, service):
         with service.open_session(memory_pages=8) as session:
             result = session.join("r", "s", method="partition")
-            assert result.requested_pages <= 8
-            assert result.granted_pages <= 8
+            # One grant per fragment: the sharded pages sum over shards.
+            fragments = len(result.shards) if self.kind == "sharded" else 1
+            assert result.requested_pages <= 8 * fragments
+            assert result.granted_pages <= 8 * fragments
 
     def test_execution_override_still_bit_identical(self, service):
         with service.open_session(execution="tuple", use_result_cache=False) as a:
@@ -84,3 +125,29 @@ class TestOverrides:
             # The per-call method beats the session default.
             forced = session.join("r", "s", method="nested_loop")
             assert forced.algorithm == "nested_loop"
+
+
+class TestOverridesSharded(TestOverrides):
+    kind = "sharded"
+
+
+#: What the core owns: a service that defined one of these again would be a
+#: second copy free to drift from the first.
+CORE_SURFACE = (
+    "open_session", "_session_closed", "_append", "_delete", "_submit_join",
+    "_run_join", "_query_config", "_statistics", "_session_predicate",
+    "_choose_method", "_count", "_count_query", "__enter__", "__exit__",
+)
+
+
+def test_both_services_share_the_core_implementation():
+    redefined = [
+        name
+        for name in CORE_SURFACE
+        if not (
+            getattr(QueryService, name)
+            is getattr(ShardedQueryService, name)
+            is getattr(ServiceCore, name)
+        )
+    ]
+    assert not redefined

@@ -10,19 +10,31 @@ property tests.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+from collections import Counter
+
 import pytest
 
 from repro.engine.catalog import VersionedCatalog
+from repro.engine.database import TemporalDatabase
 from repro.model.errors import ServiceError
+from repro.model.schema import RelationSchema
+from repro.model.vtuple import VTTuple
 from repro.service import QueryService
-from repro.shard import ShardedQueryService, active_channel_count
+from repro.shard import ShardedQueryService, TransportError, active_channel_count
 from repro.storage.iostats import IOStatistics
+from repro.time.interval import Interval
 
 from tests.service.conftest import make_catalog, make_tuples, outcome_counters
 
 
+def rows(relation):
+    return [(t.key, t.payload, t.vs, t.ve) for t in relation.tuples]
+
+
 def canonical(relation):
-    return sorted((t.key, t.payload, t.vs, t.ve) for t in relation.tuples)
+    return sorted(rows(relation))
 
 
 @pytest.fixture
@@ -43,21 +55,36 @@ def single_process_result(method="partition", execution="tuple"):
             return session.join("r", "s", method=method)
 
 
+def database_result(method, memory_pages):
+    """The same join through ``TemporalDatabase.join``: no service and no
+    admission, so the budget is the pages a service granted."""
+    catalog = make_catalog()
+    db = TemporalDatabase(memory_pages=memory_pages)
+    for name in ("r", "s"):
+        version = catalog.current(name)
+        db.create_relation(version.schema).extend(version.relation.tuples)
+    return db.join("r", "s", method=method)
+
+
 class TestBitIdentity:
-    def test_one_shard_is_literally_the_single_process_service(self):
-        base = single_process_result()
+    @pytest.mark.parametrize("method", ["partition", "sweep", "sort_merge", "nested_loop"])
+    def test_one_shard_is_literally_the_single_process_service(self, method):
+        """The differential check on the one join runner: a fragment on a
+        shard, a whole join in the service and ``TemporalDatabase.join`` are
+        the same call, so tuples in order and the charged bill agree."""
+        base = single_process_result(method=method)
         with ShardedQueryService(make_catalog(), shards=1, pool_pages=32) as svc:
             with svc.open_session() as session:
-                result = session.join("r", "s", method="partition")
+                result = session.join("r", "s", method=method)
+        direct = database_result(method, base.granted_pages)
         # shards=1 is the anchor: the fragment IS the relation, so the
         # result order, counters, and charged I/O match to the bit.
-        assert [(t.key, t.payload, t.vs, t.ve) for t in result.relation.tuples] == [
-            (t.key, t.payload, t.vs, t.ve) for t in base.relation.tuples
-        ]
+        assert rows(result.relation) == rows(base.relation) == rows(direct.relation)
+        assert result.algorithm == base.algorithm
         assert outcome_counters(result.outcome) == outcome_counters(base.outcome)
-        assert result.charged_ops == base.charged_ops
-        assert result.cost == pytest.approx(base.cost)
-        assert result.service_cost == pytest.approx(base.cost)
+        assert result.charged_ops == base.charged_ops == direct.tracker.stats.total_ops
+        assert result.cost == base.cost == direct.cost
+        assert result.service_cost == base.cost
         assert result.totals.total_ops == base.charged_ops
 
     @pytest.mark.parametrize("method", ["partition", "sweep", "sort_merge"])
@@ -67,6 +94,35 @@ class TestBitIdentity:
             result = session.join("r", "s", method=method)
         assert canonical(result.relation) == canonical(base.relation)
         assert result.outcome.n_result_tuples == base.outcome.n_result_tuples
+
+    def test_tuple_valued_and_bytes_attributes_come_back_as_sent(self):
+        """Attribute values JSON would change (a tuple) or refuse (bytes)
+        cross the wire as themselves, in keys as in payloads."""
+
+        def catalog():
+            made = VersionedCatalog()
+            for name, payload in (("r", (1, 2)), ("s", ("x", "y"))):
+                made.register(
+                    RelationSchema(
+                        name, join_attributes=("k",), payload_attributes=(f"p{name}",)
+                    ),
+                    [
+                        VTTuple((key,), (payload,), Interval(0, 9))
+                        for key in ((1, "a"), (2, "b"), b"\x00raw")
+                    ],
+                )
+            return made
+
+        with QueryService(catalog(), pool_pages=32) as svc:
+            with svc.open_session() as session:
+                base = session.join("r", "s", method="partition")
+        with ShardedQueryService(catalog(), shards=2, pool_pages=32) as svc:
+            with svc.open_session() as session:
+                result = session.join("r", "s", method="partition")
+        # Mixed key types have no order: compare as multisets.
+        assert Counter(rows(result.relation)) == Counter(rows(base.relation))
+        assert ((1, "a"),) in {tup.key for tup in result.relation.tuples}
+        assert {tup.payload for tup in result.relation.tuples} == {((1, 2), ("x", "y"))}
 
     def test_time_range_sharding_matches_too(self):
         base = single_process_result()
@@ -82,9 +138,7 @@ class TestBitIdentity:
         with sharded.open_session() as session:
             first = session.join("r", "s", method="partition")
             second = session.join("r", "s", method="partition")
-        assert [(t.key, t.payload, t.vs, t.ve) for t in first.relation.tuples] == [
-            (t.key, t.payload, t.vs, t.ve) for t in second.relation.tuples
-        ]
+        assert rows(first.relation) == rows(second.relation)
 
 
 class TestMergeAccounting:
@@ -214,12 +268,30 @@ class TestTopology:
         assert svc.alive_workers() == 0
 
     def test_rejects_bad_shapes(self):
+        """The shard-only arguments; the ones both services share are
+        rejected in ``test_sessions.py``.  Nothing is left running."""
         with pytest.raises(ServiceError):
             ShardedQueryService(make_catalog(), shards=0)
         with pytest.raises(ServiceError):
-            ShardedQueryService(make_catalog(), shards=2, execution="warp")
-        with pytest.raises(ServiceError):
-            ShardedQueryService(make_catalog(), shards=2, memory_pages=2)
+            ShardedQueryService(make_catalog(), shards=2, shard_by="round-robin")
+        assert not [t for t in threading.enumerate() if t.name.startswith("repro-svc")]
+
+    def test_failed_spawn_handshake_reaps_the_worker(self, monkeypatch):
+        """A worker that never answers the handshake fails the constructor,
+        which stops the process and closes the channel it had opened."""
+        children = set(multiprocessing.active_children())
+        channels = active_channel_count()
+
+        def mute_worker(sock, options):
+            sock.recv(1 << 16)  # reads the PING, answers nothing...
+            sock.recv(1 << 16)  # ...and waits for the coordinator to hang up
+
+        monkeypatch.setattr("repro.shard.coordinator.worker_main", mute_worker)
+        with pytest.raises(TransportError) as info:
+            ShardedQueryService(make_catalog(), shards=2, spawn_timeout=0.3)
+        assert info.value.kind == "timeout"
+        assert set(multiprocessing.active_children()) == children
+        assert active_channel_count() == channels
 
 
 class TestFacadeWiring:

@@ -140,12 +140,22 @@ class TestColumnCodec:
         raw = blob[starts["offset"] : starts["offset"] + starts["length"]]
         assert struct.unpack("!2q", raw) == (100, 200)
 
-    def test_unjsonable_column_falls_back_to_pickle(self):
-        columns = ([(b"raw",)], [(1,)], [0], [1])
-        spans, blob = pack_columns(columns)
-        keys = next(s for s in spans if s["column"] == "keys")
-        assert keys["codec"] == "pickle"
-        assert unpack_columns(spans, blob) == columns
+    def test_values_come_back_as_the_type_they_were_sent(self):
+        """What a JSON span turned into a list (a tuple-valued attribute) or
+        refused (bytes, a set) round-trips exactly, and counts as no fallback."""
+        columns = (
+            [((1, 2), "a"), ((3, 4), "b")],
+            [(b"raw", None), (frozenset({3}), 2.5)],
+            [0, 5],
+            [1, 9],
+        )
+        before = transport_counters()["pickle_fallbacks"]
+        got = unpack_result(pack_result({"rank": 0}, columns))[1]
+        assert got == columns
+        assert [[type(v) for row in column for v in row] for column in got[:2]] == [
+            [type(v) for row in column for v in row] for column in columns[:2]
+        ]
+        assert transport_counters()["pickle_fallbacks"] == before
 
     def test_result_roundtrip_with_and_without_columns(self):
         meta = {"rank": 3, "cost": 1.5}
