@@ -151,13 +151,16 @@ def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) ->
     """
     if not positions:
         return []
+    wanted = sorted(max(1, p) for p in positions)  # one result per position
     if np is not None and isinstance(samples, SampleSpans):
+        lo, hi = int(samples.starts.min()), int(samples.ends.max())
+        if max(len(samples) * (hi - lo + 1), wanted[-1]) < _INT64_HEADROOM:
+            return _coverage_quantiles_columns(samples.starts, samples.ends, wanted)
         starts = np.sort(samples.starts).tolist()
         ends = np.sort(samples.ends).tolist()
     else:
         starts = sorted(tup.vs for tup in samples)
         ends = sorted(tup.ve for tup in samples)
-    wanted = sorted(max(1, p) for p in positions)  # one result per position
     results: List[int] = []
 
     coverage = 0  # intervals covering the current run of chronons
@@ -193,6 +196,40 @@ def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) ->
             coverage -= 1
             ei += 1
     return results
+
+
+#: The column sweep accumulates the coverage multiset's mass -- at most
+#: samples x lifespan -- in ``int64``; anything that could come near
+#: wrapping takes the loop, whose Python integers grow.
+_INT64_HEADROOM = 2**62
+
+
+def _coverage_quantiles_columns(starts, ends, wanted: List[int]) -> List[int]:
+    """:func:`_coverage_quantiles` over ``int64`` columns, whole-array.
+
+    The same endpoint sweep: every start raises the coverage at its
+    chronon, every end lowers it one chronon later (one stable sort, starts
+    first on ties); between two events the coverage is constant, so the
+    multiset's mass up to each event is a cumulative sum and each wanted
+    position is one binary search plus the loop's integer offset into its
+    run.  Positions past the end clamp to the last end, as in the loop.
+    """
+    n = len(starts)
+    events = np.concatenate((starts, ends + 1))
+    order = np.argsort(events, kind="stable")
+    events = events[order]
+    coverage = np.cumsum(np.where(order < n, 1, -1))[:-1]  # over each run
+    run_mass = coverage * np.diff(events)
+    mass = np.cumsum(run_mass)  # multiset elements up to each run's end
+    positions = np.asarray(wanted, dtype=np.int64)
+    run = np.searchsorted(mass, positions, side="left")
+    inside = run < len(mass)
+    # The last run is always covered (by the interval ending last), so
+    # clamped positions divide safely; their value is replaced below.
+    run = np.minimum(run, len(mass) - 1)
+    before = mass[run] - run_mass[run]
+    found = events[run] + (positions - before - 1) // coverage[run]
+    return np.where(inside, found, ends.max()).tolist()
 
 
 class PartitionMap:

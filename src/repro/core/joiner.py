@@ -41,7 +41,7 @@ Two concerns the paper leaves implicit are made explicit here:
 **Execution modes.**  The probe compute -- key-equality probe, interval
 intersection, the exactly-once owner filter -- runs either tuple-at-a-time
 (``execution="tuple"``, the oracle) or through the one batch engine
-(``"batch"`` and both pipelined names), which decomposes each run into a
+(``"batch"`` and both pipelined names), which holds each run as a
 columnar :class:`~repro.exec.batch.PageBatch` and window-searches it
 against the interval-pruned index of :mod:`repro.exec.pruned_probe`
 (numpy-vectorized when numpy is installed, pure-Python fallback
@@ -56,7 +56,18 @@ CACHE head.  So *migration* is decided per page, and the *probe* per run:
 pages accumulate until a run holds :data:`RUN_ROWS` rows (or the stream
 ends) and are probed together.  Results may therefore lag the main disk,
 main-disk accesses are never reordered, and a crash drops an unemitted run
-like any other volatile buffer.
+like any other volatile buffer.  A pass that migrates reads page by page;
+where no other main-disk access can fall between two pages -- the
+outer-partition scan, the passes of overflow blocks and of the last
+partition, the overflow spill's round trip -- the batch engine reads (and
+is charged for) a run in one call, which is the same access sequence.
+
+**Split once.**  The batch engine derives a row's ``(key id, start, end)``
+when its page first passes through memory and carries them with the row
+from then on (see :class:`_BatchEngine`); rows re-read from the tuple cache
+or re-scanned for an overflow block are compared with what is carried, not
+decomposed again.  Carried columns are volatile like the rows' buffers: a
+checkpoint stores rows only.
 
 **Emission.**  The batch engine hands back each run's matches as one
 :class:`~repro.model.match_block.MatchBlock` -- matched rows plus the
@@ -70,12 +81,14 @@ always calls it per match (it is the oracle for the block path too).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
-from repro.exec.batch import CodeTranslator, ColumnarBlock
+from repro.exec.batch import CodeTranslator, ColumnarBlock, PageBatch
 from repro.exec.kernels import get_kernels
 from repro.exec.pruned_probe import (
     PrunedProbeIndex,
@@ -93,7 +106,7 @@ from repro.resilience.checkpoint import SweepCheckpoint, SweepCheckpointer, Swee
 from repro.storage.buffer import BufferPool, Reservation
 from repro.storage.columnar_page import ColumnarPage
 from repro.storage.heapfile import HeapFile
-from repro.storage.layout import DiskLayout
+from repro.storage.layout import Device, DiskLayout
 from repro.storage.prefetch import PrefetchPipeline
 from repro.time.interval import Interval
 
@@ -110,7 +123,8 @@ PairFn = Callable[[VTTuple, VTTuple, Interval], Optional[VTTuple]]
 #: Rows a probe run holds before it is probed and emitted: enough that a
 #: kernel call's fixed cost is amortized (8-tuple pages: 1.7 s at 8 rows,
 #: 0.8 s at 64, flat within noise from 256 to 4096), and exactly one page
-#: under 512-row page geometries.
+#: under 512-row page geometries.  Also the rows one run *read* fetches
+#: where a scan may be charged by run (:func:`_chunks`).
 RUN_ROWS = 512
 
 
@@ -244,6 +258,9 @@ def join_partitions(
 
     spec = layout.spec
     pipeline: Optional[PrefetchPipeline] = None
+    # The tuple engine reads page by page throughout: it is the oracle for
+    # the access sequence too.
+    by_run = execution != "tuple"
     if execution == "tuple":
         engine: _ProbeEngine = _TupleEngine(partition_map, direction)
     else:
@@ -360,12 +377,10 @@ def join_partitions(
 
                 # Purge retained outer tuples that do not reach this
                 # partition, then read the partition itself from disk.
-                outer_pages = (
-                    pipeline.scan_pages(r_parts[index])
-                    if pipeline is not None
-                    else r_parts[index].scan_pages()
+                outer_pages = list(
+                    chain.from_iterable(_chunks(r_parts[index], pipeline, by_run))
                 )
-                outer = _assemble_outer(outer_retained, outer_pages, index, engine)
+                outer = engine.assemble_outer(outer_retained, outer_pages, index)
 
                 new_cache = None
                 if has_next:
@@ -400,30 +415,47 @@ def join_partitions(
                     _charge_spill(blocks[1:], layout, spec, index)
 
                 part_rows = part_matches = part_migrated = 0
+                # The columns each stream's rows were split into when they
+                # first passed: the cache's carried from the partition that
+                # filled it, the inner partition's from this one's first block.
+                seen: Dict[str, Optional[PageBatch]] = {
+                    "cache": cache.carried() if cache is not None else None,
+                    "inner": None,
+                }
                 for block_number, block in enumerate(blocks):
                     probe_index = engine.build_index(block)
-                    migrate = block_number == 0  # migration happens exactly once
+                    # Migration happens exactly once, and only a pass that
+                    # migrates puts another access between two page reads.
+                    into = new_cache if block_number == 0 else None
+                    runs = by_run and into is None
+                    streams = []
                     if cache is not None:
+                        streams.append(("cache", cache.chunks(runs)))
+                    streams.append(("inner", _chunks(s_parts[index], pipeline, runs)))
+                    for source, chunks in streams:
                         with span_or_null(
                             obs,
                             "probe",
-                            source="cache",
+                            source=source,
                             partition=index,
                             block=block_number,
                         ) as probe_span:
-                            pages_n, rows_n, matches_n, migrated_n = _probe_pages(
-                                cache.pages(),
-                                engine,
-                                probe_index,
-                                index,
-                                next_index if has_next else None,
-                                new_cache if migrate else None,
-                                result_file,
-                                collected,
-                                outcome,
-                                layout,
-                                pair_fn,
-                                swapped_inputs,
+                            pages_n, rows_n, matches_n, migrated_n, seen[source] = (
+                                _probe_pages(
+                                    chunks,
+                                    engine,
+                                    probe_index,
+                                    index,
+                                    next_index if has_next else None,
+                                    into,
+                                    result_file,
+                                    collected,
+                                    outcome,
+                                    layout,
+                                    pair_fn,
+                                    swapped_inputs,
+                                    seen[source],
+                                )
                             )
                             probe_span.set(
                                 pages=pages_n,
@@ -434,41 +466,6 @@ def join_partitions(
                         part_rows += rows_n
                         part_matches += matches_n
                         part_migrated += migrated_n
-                    inner_pages = (
-                        pipeline.scan_pages(s_parts[index])
-                        if pipeline is not None
-                        else s_parts[index].scan_pages()
-                    )
-                    with span_or_null(
-                        obs,
-                        "probe",
-                        source="inner",
-                        partition=index,
-                        block=block_number,
-                    ) as probe_span:
-                        pages_n, rows_n, matches_n, migrated_n = _probe_pages(
-                            inner_pages,
-                            engine,
-                            probe_index,
-                            index,
-                            next_index if has_next else None,
-                            new_cache if migrate else None,
-                            result_file,
-                            collected,
-                            outcome,
-                            layout,
-                            pair_fn,
-                            swapped_inputs,
-                        )
-                        probe_span.set(
-                            pages=pages_n,
-                            rows=rows_n,
-                            matches=matches_n,
-                            migrated=migrated_n,
-                        )
-                    part_rows += rows_n
-                    part_matches += matches_n
-                    part_migrated += migrated_n
 
                 if new_cache is not None:
                     new_cache.flush()
@@ -698,6 +695,9 @@ class _TupleCache:
         self._capacity_hint = max(1, capacity_hint)
         self.resident: List[VTTuple] = []
         self.spill: Optional[HeapFile] = None
+        # The columns of the rows held, one batch per stream that filled the
+        # cache, in arrival order.  Volatile: a checkpoint stores rows only.
+        self._columns: List[PageBatch] = []
 
     @classmethod
     def restore(
@@ -712,6 +712,7 @@ class _TupleCache:
         The resident area comes back from the checkpoint record (it was
         persisted with the checkpoint's charged writes); the spill file is
         the on-disk survivor, rolled back to its checkpointed watermarks.
+        No columns come back: the first scan decomposes the rows afresh.
         """
         if checkpoint.cache_name is None:
             return None
@@ -748,13 +749,26 @@ class _TupleCache:
     def n_tuples(self) -> int:
         return len(self.resident) + (self.spill.n_tuples if self.spill else 0)
 
-    def pages(self):
-        """Iterate page-shaped tuple lists: resident first (no I/O charge),
-        then the spill file (charged reads)."""
+    def carry(self, columns: PageBatch) -> None:
+        """Keep the *columns* of the rows one stream has just migrated in."""
+        self._columns.append(columns)
+
+    def carried(self) -> Optional[PageBatch]:
+        """The rows held and their columns, in :meth:`chunks` order (rows
+        arrive resident area first), or None unless every row came with
+        columns -- a restored cache's did not."""
+        if not self._columns or sum(map(len, self._columns)) != self.n_tuples:
+            return None
+        return PageBatch.concat(self._columns)
+
+    def chunks(self, by_run: bool):
+        """Iterate the cache in :func:`_chunks` shape: the resident area
+        first (one page-shaped list, no I/O charge), then the spill file
+        (charged reads)."""
         if self.resident:
-            yield self.resident
+            yield [self.resident]
         if self.spill is not None:
-            yield from self.spill.scan_pages()
+            yield from _chunks(self.spill, None, by_run)
 
 
 class _PipelinedTupleCache(_TupleCache):
@@ -803,35 +817,18 @@ class _PipelinedTupleCache(_TupleCache):
         )
 
 
-def _assemble_outer(outer_retained, outer_pages, index: int, engine) -> Sequence[VTTuple]:
-    """The outer block: purged retained tuples plus the partition's pages.
-
-    When the engine consumes packed blocks and every page is columnar, rows
-    stay in their pages: the purge is vectorized over
-    the column views and no tuple is materialized until something touches
-    the row.  Every other combination builds the row-oriented list exactly
-    as before.  Both shapes hold the same rows in the same order, and the
-    charged page reads happen identically (the scan is consumed up front
-    either way).
-    """
-    pages = list(outer_pages)
-    if engine.supports_columnar_blocks and all(
-        isinstance(page, ColumnarPage) for page in pages
-    ):
-        if isinstance(outer_retained, ColumnarBlock):
-            retained = outer_retained.purged(engine.boundaries, index)._segments
-        elif not outer_retained:
-            retained = []
-        else:
-            retained = None
-        if retained is not None:
-            return ColumnarBlock(retained + [(page, None) for page in pages])
-    outer: List[VTTuple] = [
-        outer_retained[row] for row in engine.overlapping_rows(outer_retained, index)
-    ]
-    for page in pages:
-        outer.extend(page)
-    return outer
+def _chunks(heap: HeapFile, pipeline: Optional[PrefetchPipeline], by_run: bool):
+    """The pages of *heap* as the sweep consumes them: lists of pages read
+    together.  One page at a time -- through the prefetch *pipeline* when
+    there is one -- or, with *by_run*, :data:`RUN_ROWS` rows in one charged
+    call, which is only for scans no other main-disk access falls into."""
+    if pipeline is not None:
+        pages = pipeline.scan_pages(heap)
+    elif by_run:
+        return heap.scan_runs(RUN_ROWS)
+    else:
+        pages = heap.scan_pages()
+    return ([page] for page in pages)
 
 
 def _retained_overlap_count(outer_retained, engine, next_part: int) -> int:
@@ -849,7 +846,7 @@ def _split_blocks(outer: List[VTTuple], block_tuples: int) -> List[List[VTTuple]
 
 
 def _charge_spill(
-    overflow_blocks: List[List[VTTuple]],
+    overflow_blocks: List[Sequence[VTTuple]],
     layout: DiskLayout,
     spec,
     index: int,
@@ -858,15 +855,16 @@ def _charge_spill(
 
     The tuples themselves stay in Python memory (the simulation is of cost,
     not capacity); what matters is that the overflow pays a round trip to
-    the TEMP device, which this spill file records.
+    the TEMP device: one run out, one run back.
     """
-    n_tuples = sum(len(block) for block in overflow_blocks)
-    spill = layout.temp_file(f"overflow_spill_{index}", capacity_tuples=n_tuples)
-    for block in overflow_blocks:
-        spill.append_many(block)
-    spill.flush()
-    for _ in spill.scan_pages():
-        pass
+    rows = list(chain.from_iterable(overflow_blocks))
+    pages = [rows[at : at + spec.capacity] for at in range(0, len(rows), spec.capacity)]
+    disk = layout.disk
+    extent = disk.allocate(
+        f"overflow_spill_{index}", device=Device.TEMP, capacity=max(1, len(pages))
+    )
+    disk.append_run(extent, pages)
+    disk.read_run(extent, 0, len(pages))
 
 
 def _build_index(block: Sequence[VTTuple]) -> Dict[Tuple, List[VTTuple]]:
@@ -880,16 +878,24 @@ def _build_index(block: Sequence[VTTuple]) -> Dict[Tuple, List[VTTuple]]:
 class _ProbeEngine:
     """Strategy for the in-memory compute of the sweep.
 
-    An engine builds an index over the outer block; per *page* it names the
-    rows overlapping a partition (migration into the next cache, and the
-    purge of retained outer tuples), in row order; per *run* of pages it
-    produces the emitted matches, in (inner row, outer insertion order)
-    order.  Engines are pure in-memory compute: all I/O stays in the
-    caller, so the charged statistics cannot depend on the engine.
+    An engine assembles the outer block and builds an index over it; per
+    *page* it names the rows overlapping a partition (migration into the
+    next cache, and the purge of retained outer tuples), in row order; per
+    *run* of pages it produces the emitted matches, in (inner row, outer
+    insertion order) order.  Engines are pure in-memory compute: all I/O
+    stays in the caller, so the charged statistics cannot depend on the
+    engine.
     """
 
-    #: Whether :meth:`build_index` consumes packed ColumnarBlocks.
-    supports_columnar_blocks = False
+    def assemble_outer(self, retained, pages: List[Sequence[VTTuple]], index: int):
+        """The outer block of partition *index*: the *retained* rows that
+        reach it, then the rows of the partition's *pages*, in order."""
+        outer: List[VTTuple] = [
+            retained[row] for row in self.overlapping_rows(retained, index)
+        ]
+        for page in pages:
+            outer.extend(page)
+        return outer
 
     def build_index(self, block: Sequence[VTTuple]):
         raise NotImplementedError
@@ -897,9 +903,14 @@ class _ProbeEngine:
     def overlapping_rows(self, rows: Sequence[VTTuple], index: int) -> List[int]:
         raise NotImplementedError
 
-    def probe(self, index_obj, pages: Sequence[Sequence[VTTuple]], part_index: int):
-        """The run's matches as ``(outer, inner, overlap)`` triples, or as
-        one :class:`~repro.model.match_block.MatchBlock` (outer rows left)."""
+    def decompose(self, pages: Sequence[Sequence[VTTuple]]):
+        """A run of pages in the form :meth:`probe` takes it."""
+        return pages
+
+    def probe(self, index_obj, run, part_index: int):
+        """The matches of a (decomposed) run as ``(outer, inner, overlap)``
+        triples, or as one :class:`~repro.model.match_block.MatchBlock`
+        (outer rows left)."""
         raise NotImplementedError
 
 
@@ -945,8 +956,21 @@ class _TupleEngine(_ProbeEngine):
 class _BatchEngine(_ProbeEngine):
     """The batch engine behind ``"batch"`` and both pipelined names: an
     interval-pruned index per outer block (which carries the CSR index
-    instead where it finds nothing to prune), one columnar decomposition
-    per run, whole-column window search / intersection / owner filter."""
+    instead where it finds nothing to prune), whole-column window search /
+    intersection / owner filter over each run.
+
+    **Split once.**  A row in a tuple-list page is decomposed into ``(key
+    id, start, end)`` when its page first passes through here, and from
+    then on travels with those columns as a
+    :class:`~repro.exec.batch.PageBatch`: the outer block is one (purged by
+    a mask, extended by the new partition's pages, cut into overflow
+    blocks by slicing), the tuple cache keeps the columns of what it holds,
+    and a re-read run gets its columns back by comparing rows
+    (:meth:`PageBatch.matching`) -- so every read, checksum and fault check
+    still happens, and a delivery that differs is decomposed like a first
+    one.  Packed columnar pages are columns already and keep their own
+    block (:class:`~repro.exec.batch.ColumnarBlock`).
+    """
 
     def __init__(
         self, partition_map: PartitionMap, direction: str, kernels=None, interner=None
@@ -961,22 +985,55 @@ class _BatchEngine(_ProbeEngine):
             CodeTranslator(self._interner) if self._kernels.use_numpy else None
         )
         self._direction = direction
-        self.supports_columnar_blocks = self._kernels.use_numpy
+
+    def assemble_outer(self, retained, pages, index):
+        # Packed pages stay packed under numpy: the purge is vectorized
+        # over the column views and no tuple is materialized until something
+        # touches the row.  Same rows, same order either way.
+        if (
+            self._kernels.use_numpy
+            and (not retained or isinstance(retained, ColumnarBlock))
+            and all(isinstance(page, ColumnarPage) for page in pages)
+        ):
+            kept = retained.purged(self.boundaries, index)._segments if retained else []
+            return ColumnarBlock(kept + [(page, None) for page in pages])
+        if not isinstance(retained, PageBatch):  # a checkpoint's rows
+            retained = self.decompose([list(retained)])
+        kept = retained.take(self.overlapping_rows(retained, index))
+        # One flat tuple list, whatever the pages are: build-side keys must
+        # be interned, which a run of packed pages would not do.
+        fresh = self.decompose([list(chain.from_iterable(pages))])
+        return PageBatch.concat([kept, fresh])
 
     def build_index(self, block: Sequence[VTTuple]):
-        if self._kernels.use_numpy:
-            return PrunedProbeIndex(block, self._interner, translator=self._translator)
-        return PrunedProbeIndexPython(block)
+        if not isinstance(block, (PageBatch, ColumnarBlock)):
+            block = self.decompose([block])
+        if not self._kernels.use_numpy:
+            return PrunedProbeIndexPython(block)
+        if isinstance(block, ColumnarBlock):
+            return PrunedProbeIndex(
+                block, self._interner, block.columns(self._translator)
+            )
+        return PrunedProbeIndex(
+            block.tuples, self._interner, (block.key_ids, block.starts, block.ends)
+        )
 
     def overlapping_rows(self, rows, index):
+        if isinstance(rows, PageBatch):
+            return rows.overlapping(self.boundaries.window(index))
         return self._kernels.migration_rows(rows, self.boundaries, index)
 
-    def probe(self, index_obj, pages, part_index) -> MatchBlock:
+    def decompose(self, pages) -> PageBatch:
+        return self._kernels.run_batch(
+            pages, self._interner, translator=self._translator
+        )
+
+    def probe(self, index_obj, run, part_index) -> MatchBlock:
         kernels = self._kernels
-        batch = kernels.run_batch(pages, self._interner, translator=self._translator)
+        batch = run if isinstance(run, PageBatch) else self.decompose(run)
         if not kernels.use_numpy:
             columns = probe_pruned_python(
-                index_obj, batch.tuples, self.boundaries, part_index, self._direction
+                index_obj, batch, self.boundaries, part_index, self._direction
             )
         elif index_obj.csr is not None:
             # The index found nothing to prune (or no room for its key).
@@ -1005,7 +1062,7 @@ class _BatchEngine(_ProbeEngine):
 
 
 def _probe_pages(
-    pages,
+    chunks,
     engine: _ProbeEngine,
     probe_index,
     index: int,
@@ -1017,25 +1074,45 @@ def _probe_pages(
     layout: DiskLayout,
     pair_fn: PairFn,
     swapped: bool,
-) -> Tuple[int, int, int, int]:
-    """Join every page of the *pages* stream against the outer block.
+    carried: Optional[PageBatch] = None,
+) -> Tuple[int, int, int, int, Optional[PageBatch]]:
+    """Join every page of a stream against the outer block.
 
-    When *new_cache* is given, tuples overlapping the sweep's next
-    partition are migrated into it as their page passes through memory
-    (Figure 9's ``newCachePage`` handling) -- before the next page is read,
-    so the main disk sees exactly the per-page access sequence.  The probe
-    lags behind: pages gather into a run of :data:`RUN_ROWS` rows and are
-    matched and emitted together.  The engine decides *how* rows are
-    matched and filtered; emission and migration I/O happen here, writing
-    the same result pages for every engine.  With *swapped* the pair
-    function sees ``(inner row, outer row)``.
+    *chunks* yields the stream's pages in the lists they were read in (see
+    :func:`_chunks`).  When *new_cache* is given, tuples overlapping the
+    sweep's next partition are migrated into it as their page passes
+    through memory (Figure 9's ``newCachePage`` handling) -- before the next
+    page is read, so the main disk sees exactly the per-page access
+    sequence.  The probe lags behind: pages gather into a run of
+    :data:`RUN_ROWS` rows and are matched and emitted together.  The engine
+    decides *how* rows are matched and filtered; emission and migration I/O
+    happen here, writing the same result pages for every engine.  With
+    *swapped* the pair function sees ``(inner row, outer row)``.
 
-    Returns ``(pages, rows, emitted, migrated)`` counts for the probe span
-    -- derived from work already done, never changing what is done.
+    *carried* holds the stream's rows and their columns as an earlier pass
+    split them.  Every page is still read; a delivery that equals the
+    carried rows at its offset takes their columns -- per page before a
+    migration trusts them, per run before a probe does -- and any other is
+    decomposed as on a first pass.
+
+    Returns ``(pages, rows, emitted, migrated, seen)``: counts for the probe
+    span -- derived from work already done, never changing what is done --
+    and the stream as this pass saw it, for the next pass to carry (None
+    when the engine keeps no columns).
     """
-    def emit(run: List[Sequence[VTTuple]]) -> int:
-        """Probe one run; write its matches to the result stream, in order."""
-        matches = engine.probe(probe_index, run, index)
+    parts: List = []  # every run as probed, in stream order
+
+    def emit(run: List[Sequence[VTTuple]], start: int) -> int:
+        """Probe one run, whose first row is the stream's row *start*;
+        write its matches to the result stream, in order."""
+        batch = None
+        if carried is not None:
+            rows = run[0] if len(run) == 1 else list(chain.from_iterable(run))
+            batch = carried.matching(start, rows)
+        if batch is None:
+            batch = engine.decompose(run)
+        parts.append(batch)
+        matches = engine.probe(probe_index, batch, index)
         if isinstance(matches, MatchBlock):
             if swapped:
                 matches = matches.flipped()
@@ -1061,24 +1138,51 @@ def _probe_pages(
         outcome.n_result_tuples += emitted
         return emitted
 
-    n_pages = n_rows = n_emitted = n_migrated = 0
+    n_pages = n_rows = n_emitted = 0
     migrate = new_cache is not None and next_index is not None
+    migrated: List[int] = []  # stream rows that went into the new cache
+    # The carried rows due to migrate, named by one mask over the columns
+    # and handed out page by page below.
+    due = engine.overlapping_rows(carried, next_index) if migrate and carried else None
+    due_at = 0
     run: List[Sequence[VTTuple]] = []
-    run_rows = 0
-    for page in pages:
-        n_pages += 1
-        n_rows += len(page)
-        if migrate:
-            rows = engine.overlapping_rows(page, next_index)
-            if rows:
-                new_cache.extend([page[row] for row in rows])
-                n_migrated += len(rows)
-        run.append(page)
-        run_rows += len(page)
-        if run_rows >= RUN_ROWS:
-            n_emitted += emit(run)
+    run_start = 0
+    for chunk in chunks:
+        for page in chunk:
+            n_pages += 1
+            page_end = n_rows + len(page)
+            if migrate:
+                rows = None
+                if due is not None:
+                    upto = bisect_left(due, page_end, due_at)
+                    if carried.tuples[n_rows:page_end] == page:
+                        rows = [row - n_rows for row in due[due_at:upto]]
+                    due_at = upto
+                if rows is None:
+                    rows = engine.overlapping_rows(page, next_index)
+                if rows:
+                    new_cache.extend([page[row] for row in rows])
+                    migrated.extend(n_rows + row for row in rows)
+            run.append(page)
+            n_rows = page_end
+        if n_rows - run_start >= RUN_ROWS:
+            n_emitted += emit(run, run_start)
             run = []
-            run_rows = 0
+            run_start = n_rows
     if run:
-        n_emitted += emit(run)
-    return n_pages, n_rows, n_emitted, n_migrated
+        n_emitted += emit(run, run_start)
+    seen = _carried_columns(parts)
+    if migrated and seen is not None:
+        new_cache.carry(seen.take(migrated))
+    return n_pages, n_rows, n_emitted, len(migrated), seen
+
+
+def _carried_columns(parts: List) -> Optional[PageBatch]:
+    """The runs of one stream as one batch for a later pass to carry, or
+    None unless every run is a batch of plain rows: the tuple engine
+    decomposes nothing, and packed columnar rows are columns already."""
+    if not parts or not all(
+        isinstance(part, PageBatch) and isinstance(part.tuples, list) for part in parts
+    ):
+        return None
+    return PageBatch.concat(parts)

@@ -43,6 +43,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Sequence
 
 from repro.core.cache_estimate import estimate_cache_sizes
@@ -583,7 +584,10 @@ class _IncrementalSampler:
         random_cost = needed * self._cost_model.io_ran
         if self._allow_scan and (self.scan_done or random_cost >= scan_cost):
             if not self.scan_done:
-                pages = list(self._outer.scan_pages())
+                # Nothing else touches the disk during the scan: one run.
+                pages = list(
+                    chain.from_iterable(self._outer.scan_runs(self._outer.n_tuples))
+                )
                 self.scan_done = True
                 if np is not None and pages:
                     self._column_starts, self._column_ends = _span_columns(pages)

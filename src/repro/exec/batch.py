@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 
 from bisect import bisect_right
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.backend import HAVE_NUMPY, np
@@ -78,10 +79,11 @@ class SharedKeyInterner(KeyInterner):
     """A :class:`KeyInterner` safe to share across a service's sessions.
 
     The service runs concurrent queries on worker threads; two joins over
-    the same relation version may intern simultaneously.  ``intern`` is a
-    read-modify-write on the id dict, so it takes a lock; ``lookup`` stays
-    lock-free (a single ``dict.get``, atomic under the GIL, and ids are
-    never reassigned or removed).
+    the same relation version may intern simultaneously.  Assigning an id
+    is a read-modify-write on the id dict, so it takes a lock; reading one
+    is lock-free, in ``lookup`` and for the keys ``intern`` already knows
+    (a single ``dict.get``, atomic under the GIL, and ids are never
+    reassigned or removed).
     """
 
     __slots__ = ("_lock",)
@@ -91,8 +93,15 @@ class SharedKeyInterner(KeyInterner):
         self._lock = threading.Lock()
 
     def intern(self, key: Tuple) -> int:
+        found = self._ids.get(key)
+        if found is not None:
+            return found
         with self._lock:
             return super().intern(key)
+
+
+def _chained(sequences: Iterable[Sequence]) -> List:
+    return list(chain.from_iterable(sequences))
 
 
 class PageBatch:
@@ -110,6 +119,11 @@ class PageBatch:
 
     Columns are numpy ``int64`` arrays under the numpy backend and plain
     lists under the fallback; the matching kernels consume them natively.
+
+    A batch is also how a row *keeps* its columns after its page has been
+    split: the sweep slices, masks and concatenates batches (the methods
+    below) to carry rows from one partition to the next instead of
+    decomposing them again.  Those methods keep ``tuples`` a plain list.
     """
 
     __slots__ = ("tuples", "key_ids", "starts", "ends")
@@ -122,6 +136,79 @@ class PageBatch:
 
     def __len__(self) -> int:
         return len(self.tuples)
+
+    def __iter__(self) -> Iterator[VTTuple]:
+        return iter(self.tuples)
+
+    def __getitem__(self, index):
+        """Row *index*, or for a slice the sub-batch (column views)."""
+        if not isinstance(index, slice):
+            return self.tuples[index]
+        return self._sliced(self.tuples[index], index)
+
+    def _sliced(self, tuples: List[VTTuple], index: slice) -> "PageBatch":
+        key_ids = self.key_ids
+        return PageBatch(
+            tuples,
+            None if key_ids is None else key_ids[index],
+            self.starts[index],
+            self.ends[index],
+        )
+
+    def matching(self, start: int, rows: List[VTTuple]) -> Optional["PageBatch"]:
+        """The sub-batch from row *start* on if its rows equal *rows*.
+
+        How a re-read page gets its columns back: one list comparison
+        (pointer compares for rows that came back as the objects they went
+        out as) instead of a decomposition.  None when the delivery differs
+        from what is carried -- a torn page, a shifted offset -- and the
+        caller must decompose *rows* itself.
+        """
+        stop = start + len(rows)
+        if self.tuples[start:stop] != rows:
+            return None
+        return self._sliced(rows, slice(start, stop))
+
+    def overlapping(self, window: Tuple[float, float]) -> List[int]:
+        """Rows whose interval overlaps the partition *window*, ascending
+        (:meth:`~repro.exec.kernels.PartitionBoundaries.window` semantics,
+        the whole-column form of ``Kernels.migration_rows``)."""
+        lo, hi = window
+        if isinstance(self.starts, list):
+            return [
+                row
+                for row, (vs, ve) in enumerate(zip(self.starts, self.ends))
+                if lo < ve and vs <= hi
+            ]
+        return np.nonzero((self.ends > lo) & (self.starts <= hi))[0].tolist()
+
+    def take(self, rows: List[int]) -> "PageBatch":
+        """The sub-batch of *rows*, in the order given."""
+        tuples = self.tuples
+        columns = (self.key_ids, self.starts, self.ends)
+        if isinstance(self.starts, list):
+            gathered = [
+                None if column is None else [column[row] for row in rows]
+                for column in columns
+            ]
+        else:
+            at = np.asarray(rows, dtype=np.int64)
+            gathered = [None if column is None else column[at] for column in columns]
+        return PageBatch([tuples[row] for row in rows], *gathered)
+
+    @classmethod
+    def concat(cls, batches: Sequence["PageBatch"]) -> "PageBatch":
+        """*batches* (at least one, of one backend) as one batch, in order."""
+        first = batches[0]
+        if len(batches) == 1 and isinstance(first.tuples, list):
+            return first
+        join = _chained if isinstance(first.starts, list) else np.concatenate
+        return cls(
+            _chained([batch.tuples for batch in batches]),
+            None if first.key_ids is None else join([b.key_ids for b in batches]),
+            join([batch.starts for batch in batches]),
+            join([batch.ends for batch in batches]),
+        )
 
     @classmethod
     def from_tuples(
@@ -148,12 +235,16 @@ class PageBatch:
         key_ids: Optional[Sequence[int]]
         if interner is None:
             key_ids = None
-        elif intern:
-            key_ids = [interner.intern(tup.key) for tup in tuples]
         else:
             # ``lookup`` inlined: one dict probe per row, no method frame.
             get = interner._ids.get
             key_ids = [get(tup.key, -1) for tup in tuples]
+            if intern and -1 in key_ids:
+                intern_one = interner.intern
+                key_ids = [
+                    intern_one(tup.key) if key_id < 0 else key_id
+                    for tup, key_id in zip(tuples, key_ids)
+                ]
         starts: Sequence[int] = [tup.valid.start for tup in tuples]
         ends: Sequence[int] = [tup.valid.end for tup in tuples]
         if use_numpy:

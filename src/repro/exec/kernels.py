@@ -128,21 +128,30 @@ class Kernels:
         *,
         translator: Optional[CodeTranslator] = None,
     ) -> PageBatch:
-        """One probe-side :class:`PageBatch` over a *run* of pages.
+        """One :class:`PageBatch` over a *run* of pages.
 
         A single page is its own run.  Several columnar pages stay packed
         behind a :class:`~repro.exec.batch.ColumnarBlock` (rows materialize
         on emission only) when a *translator* can supply their key ids;
         anything else is flattened into one tuple list.
+
+        Rows in tuple lists get their keys *interned*, on the probe side
+        too: the batch may travel on with its rows (see
+        :class:`~repro.exec.batch.PageBatch`), and an id must mean the same
+        key to every index it later meets.  Both probes ignore ids their
+        index does not hold.  Columnar pages, which are never carried, keep
+        the translator's read-only lookup.
         """
-        if len(pages) == 1:
-            return self.page_batch(pages[0], interner, translator=translator)
         columnar = _columnar_page_type()
-        if translator is not None and all(isinstance(page, columnar) for page in pages):
+        if len(pages) == 1:
+            rows = pages[0]
+        elif translator is not None and all(isinstance(page, columnar) for page in pages):
             rows = ColumnarBlock([(page, None) for page in pages])
             return PageBatch(rows, *rows.columns(translator, intern=False))
+        else:
+            rows = [tup for page in pages for tup in page]
         return self.page_batch(
-            [tup for page in pages for tup in page], interner, translator=translator
+            rows, interner, intern=not isinstance(rows, columnar), translator=translator
         )
 
     def migration_rows(

@@ -65,13 +65,15 @@ class PrunedProbeIndex:
         "csr",
     )
 
-    def __init__(self, block: Sequence[VTTuple], interner, translator=None) -> None:
-        columnar = translator is not None and hasattr(block, "columns")
-        # A ColumnarBlock stays packed (rows materialize on emission only);
-        # anything else is snapshotted into a list as before.
-        self.block = block if columnar else list(block)
+    def __init__(self, block: Sequence[VTTuple], interner, columns) -> None:
+        """Index *block* from its ``(key_ids, starts, ends)`` *columns*.
+
+        The rows are kept as given -- a list, or a packed ColumnarBlock
+        whose rows materialize on emission only -- and never read here.
+        """
+        self.block = block
         self.csr = None
-        n = len(self.block)
+        n = len(block)
         if n == 0:
             self.order = np.empty(0, np.int64)
             self.uniq_ids = np.empty(0, np.int64)
@@ -83,17 +85,7 @@ class PrunedProbeIndex:
             self.min_start = 0
             self.stride = 1
             return
-        if columnar:
-            key_ids, starts, ends = self.block.columns(translator)
-        else:
-            key_ids = np.fromiter(
-                (interner.intern(tup.key) for tup in self.block), np.int64, count=n
-            )
-            starts = np.fromiter(
-                (tup.valid.start for tup in self.block), np.int64, count=n
-            )
-            ends = np.fromiter((tup.valid.end for tup in self.block), np.int64, count=n)
-        columns = (key_ids, starts, ends)
+        key_ids, starts, ends = columns
         # Rows alone in their key group can never be pruned; where they are
         # the majority the verdict is in before the sort below is paid for.
         if 2 * np.count_nonzero(np.bincount(key_ids) == 1) > n:
@@ -203,16 +195,18 @@ class PrunedProbeIndexPython:
 
     __slots__ = ("block", "groups", "maxlen")
 
-    def __init__(self, block: Sequence[VTTuple]) -> None:
-        self.block = list(block)
+    def __init__(self, batch) -> None:
+        """Index the rows of *batch* (a list-backed
+        :class:`~repro.exec.batch.PageBatch`) from its time columns."""
+        self.block = batch.tuples
         #: key -> (starts list, [(start, end, block row)]) sorted by start.
         self.groups: Dict[Tuple, Tuple[List[int], List[Tuple[int, int, int]]]] = {}
         self.maxlen: Dict[Tuple, int] = {}
         staging: Dict[Tuple, List[Tuple[int, int, int]]] = {}
-        for row, tup in enumerate(self.block):
-            staging.setdefault(tup.key, []).append(
-                (tup.valid.start, tup.valid.end, row)
-            )
+        for row, (tup, start, end) in enumerate(
+            zip(self.block, batch.starts, batch.ends)
+        ):
+            staging.setdefault(tup.key, []).append((start, end, row))
         for key, entries in staging.items():
             entries.sort()
             self.groups[key] = ([entry[0] for entry in entries], entries)
@@ -221,29 +215,29 @@ class PrunedProbeIndexPython:
 
 def probe_pruned_python(
     index: PrunedProbeIndexPython,
-    page: Sequence[VTTuple],
+    batch,
     boundaries,
     part_index: int,
     direction: str,
 ) -> Tuple[List[int], List[int], List[int], List[int]]:
     """The numpy-free window probe: identical output, bisect windows.
 
-    Returns the same four columns as :func:`probe_pruned` -- outer rows,
-    inner rows, common starts, common ends, in the oracle's emission order
-    -- as plain lists.
+    Probes the rows of *batch* through its time columns.  Returns the same
+    four columns as :func:`probe_pruned` -- outer rows, inner rows, common
+    starts, common ends, in the oracle's emission order -- as plain lists.
     """
     backward = direction == "backward"
     lo_own, hi_own = (
         boundaries.window(part_index) if boundaries is not None else (None, None)
     )
     out: List[Tuple[int, int, int, int]] = []
-    for row, inner_tup in enumerate(page):
+    for row, (inner_tup, i_start, i_end) in enumerate(
+        zip(batch.tuples, batch.starts, batch.ends)
+    ):
         group = index.groups.get(inner_tup.key)
         if group is None:
             continue
         starts_list, entries = group
-        i_start = inner_tup.valid.start
-        i_end = inner_tup.valid.end
         lo = bisect_left(starts_list, i_start - index.maxlen[inner_tup.key])
         for outer_start, outer_end, outer_row in entries[lo:]:
             if outer_start > i_end:

@@ -18,7 +18,10 @@ of moving them:
   sequentially").
 * Every :meth:`SimulatedDisk.read` / :meth:`SimulatedDisk.write` records one
   I/O operation: sequential when the target page is at or immediately after
-  the device head, random otherwise.
+  the device head, random otherwise.  A scan nothing interleaves with may
+  be charged as one run (:meth:`SimulatedDisk.read_run` /
+  :meth:`SimulatedDisk.append_run`): the same operations, billed in one
+  call -- the paper's "single random seek followed by i-1 sequential reads".
 
 Loading pre-existing base relations uses :meth:`SimulatedDisk.load`, which
 bypasses accounting -- the paper's measurements start with the inputs
@@ -59,12 +62,13 @@ class Extent:
     tuples); the simulator never inspects them.
     """
 
-    __slots__ = ("name", "device", "_segments", "_pages")
+    __slots__ = ("name", "device", "_segments", "_capacity", "_pages")
 
     def __init__(self, name: str, device: int) -> None:
         self.name = name
         self.device = device
         self._segments: List[Tuple[int, int]] = []  # (physical base, capacity)
+        self._capacity = 0  # sum of the segment capacities
         self._pages: List[object] = []
 
     @property
@@ -75,7 +79,7 @@ class Extent:
     @property
     def capacity(self) -> int:
         """Total reserved pages across all segments."""
-        return sum(cap for _, cap in self._segments)
+        return self._capacity
 
     def physical_address(self, index: int) -> int:
         """Physical device address of page *index*."""
@@ -162,6 +166,7 @@ class SimulatedDisk:
     def _reserve_segment(self, extent: Extent, capacity: int) -> None:
         pointer = self._alloc_pointer.get(extent.device, 0)
         extent._segments.append((pointer, capacity))
+        extent._capacity += capacity
         # A one-page guard gap between reservations: two distinct files are
         # never treated as physically adjacent, so finishing one extent and
         # starting the next always costs a seek.
@@ -297,6 +302,47 @@ class SimulatedDisk:
         self.write(extent, index, page)
         return index
 
+    # A run is charged in one call only while nothing needs to see its pages
+    # one by one: a fault injector decides per attempt, checksums verify per
+    # delivery.  Otherwise the run is served through read/write, in order.
+
+    def read_run(self, extent: Extent, index: int, count: int) -> List[object]:
+        """Read the *count* pages of *extent* from *index* on as one run.
+
+        Charges exactly what *count* single reads in ascending order would
+        (see :meth:`_charge`) and returns the pages in that order.
+        """
+        if count < 1:
+            return []
+        if index + count > extent.n_pages:
+            raise StorageError(
+                f"read past end of extent {extent.name!r}: "
+                f"pages {index}..{index + count - 1} of {extent.n_pages}",
+                extent=extent.name,
+                device=extent.device,
+                page_index=index + count - 1,
+            )
+        if self.fault_injector is not None or self.checksums:
+            return [self.read(extent, at) for at in range(index, index + count)]
+        self._charge(extent, index, write=False, count=count)
+        return extent._pages[index : index + count]
+
+    def append_run(self, extent: Extent, pages: List[object]) -> int:
+        """Append *pages* to *extent* as one run; returns the first index.
+
+        Charges, and grows the extent, exactly as one :meth:`append` per
+        page would.
+        """
+        index = extent.n_pages
+        if self.fault_injector is not None or self.checksums:
+            for page in pages:
+                self.append(extent, page)
+        elif pages:
+            self._ensure_capacity(extent, index + len(pages) - 1)
+            self._charge(extent, index, write=True, count=len(pages))
+            extent._pages.extend(pages)
+        return index
+
     def attach_observer(self, obs) -> None:
         """Attach (or with ``None``, detach) an observability runtime.
 
@@ -321,31 +367,87 @@ class SimulatedDisk:
         return _PipelineTagContext(self, reads=reads, writes=writes)
 
     def _charge(
-        self, extent: Extent, index: int, *, write: bool, retry: bool = False
+        self,
+        extent: Extent,
+        index: int,
+        *,
+        write: bool,
+        retry: bool = False,
+        count: int = 1,
     ) -> None:
-        physical = extent.physical_address(index)
+        """Bill the *count* consecutive pages of *extent* from *index* on.
+
+        The only code that moves a head or a main counter (backoff
+        penalties aside); a single access is its ``count=1`` case.  A run
+        costs what the head model says, page for page: the first access is
+        sequential only when the head is on or just before it, every later
+        one is -- except the first page of each further segment the run
+        enters, which pays the seek a file fragment costs.  Started with a
+        seek inside one segment that is ``CostModel.cost_of_run(count)``.
+        """
         head = self._heads.get(extent.device)
-        sequential = head is not None and (physical == head + 1 or physical == head)
-        self._heads[extent.device] = physical
-        self.stats.record(write=write, sequential=sequential, count=1)
-        per_device = self.device_stats.setdefault(extent.device, IOStatistics())
-        per_device.record(write=write, sequential=sequential, count=1)
+        base, cap = extent._segments[0]
+        if 0 <= index and index + count <= cap:
+            # The run lies in the first segment -- every extent that never
+            # outgrew its reservation -- so there is nothing to walk.
+            first = base + index
+            seeks = 0 if head is not None and 0 <= first - head <= 1 else 1
+            head = first + count - 1
+        else:
+            if index < 0:
+                extent.physical_address(index)  # raises
+            seeks = 0
+            skip, left = index, count
+            for base, cap in extent._segments:
+                if skip >= cap:
+                    skip -= cap
+                    continue
+                first = base + skip
+                piece = min(left, cap - skip)
+                if head is None or not 0 <= first - head <= 1:
+                    seeks += 1
+                head = first + piece - 1
+                left -= piece
+                skip = 0
+                if not left:
+                    break
+            else:
+                extent.physical_address(index + count - 1)  # raises: past capacity
+        self._heads[extent.device] = head
+        sequential = count - seeks
+        stats = self.stats
+        per_device = self._device_stats_of(extent.device)
+        if seeks:
+            stats.record(write=write, sequential=False, count=seeks)
+            per_device.record(write=write, sequential=False, count=seeks)
+        if sequential:
+            stats.record(write=write, sequential=True, count=sequential)
+            per_device.record(write=write, sequential=True, count=sequential)
         if retry:
-            self.stats.record_retry(write=write, count=1)
-            per_device.record_retry(write=write, count=1)
+            stats.record_retry(write=write, count=count)
+            per_device.record_retry(write=write, count=count)
         pipelined = self._pipeline_writes if write else self._pipeline_reads
         if pipelined:
-            self.stats.record_pipeline(write=write, count=1)
-            per_device.record_pipeline(write=write, count=1)
+            stats.record_pipeline(write=write, count=count)
+            per_device.record_pipeline(write=write, count=count)
         obs = self._obs
         if obs is not None:
-            obs.on_io(
-                extent.device,
-                write=write,
-                sequential=sequential,
-                retry=retry,
-                pipeline=pipelined,
-            )
+            for is_sequential, ops in ((False, seeks), (True, sequential)):
+                if ops:
+                    obs.on_io(
+                        extent.device,
+                        write=write,
+                        sequential=is_sequential,
+                        retry=retry,
+                        pipeline=pipelined,
+                        count=ops,
+                    )
+
+    def _device_stats_of(self, device: int) -> IOStatistics:
+        per_device = self.device_stats.get(device)
+        if per_device is None:
+            per_device = self.device_stats[device] = IOStatistics()
+        return per_device
 
     def _charge_backoff(self, extent: Extent, attempt: int, *, write: bool) -> None:
         """Charge the deterministic backoff penalty before a retry attempt.
@@ -359,7 +461,7 @@ class SimulatedDisk:
             return
         self.stats.record(write=write, sequential=False, count=penalty)
         self.stats.record_retry(write=write, count=penalty)
-        per_device = self.device_stats.setdefault(extent.device, IOStatistics())
+        per_device = self._device_stats_of(extent.device)
         per_device.record(write=write, sequential=False, count=penalty)
         per_device.record_retry(write=write, count=penalty)
         self.report.backoff_ops += penalty

@@ -393,6 +393,20 @@ class HeapFile:
         for index in range(self.extent.n_pages):
             yield page_view(self.disk.read(self.extent, index))
 
+    def scan_runs(self, rows: int) -> Iterator[List[List[VTTuple]]]:
+        """Scan the file in runs of consecutive pages holding about *rows*
+        rows (at least one page), each run charged in one call.
+
+        The pages and the bill are those of :meth:`scan_pages`; what a run
+        gives up is the chance to touch the disk between two of its pages,
+        so it is for scans nothing else interleaves with.
+        """
+        per_run = max(1, -(-rows // self.spec.capacity))
+        n_pages = self.extent.n_pages
+        for index in range(0, n_pages, per_run):
+            run = self.disk.read_run(self.extent, index, min(per_run, n_pages - index))
+            yield [page_view(page) for page in run]
+
     def scan(self) -> Iterator[VTTuple]:
         """Scan the file tuple by tuple (page I/O charged underneath)."""
         for page in self.scan_pages():

@@ -153,6 +153,49 @@ class TestCrashResume:
             assert recovery.context.result_file.all_tuples() == list(expected.result.tuples)
         assert any(dropped)  # some crash did catch a page half full of slices
 
+    def test_restored_state_carries_rows_not_columns(self, monkeypatch):
+        """The batch engine carries each cached or retained row's columns
+        across partitions; a checkpoint stores the rows only.  A resumed
+        sweep starts from a spilled cache and retained outer tuples without
+        columns, decomposes them as on a first pass, and still reproduces
+        the uninterrupted run -- and the tuple oracle -- exactly."""
+        from repro.core import joiner
+
+        restored = []
+        restore = joiner._TupleCache.restore.__func__
+
+        def spy(cls, *args):
+            cache = restore(cls, *args)
+            restored.append(cache)
+            return cache
+
+        monkeypatch.setattr(joiner._TupleCache, "restore", classmethod(spy))
+        r, s = long_lived_pair()
+        config = long_lived_config("batch")
+        probe_layout = crashing_layout(spec=config.page_spec, checksums=False)
+        expected = partition_join(
+            r, s, config, layout=probe_layout, recovery=RecoveryLog()
+        )
+        tuple_run = partition_join(r, s, long_lived_config("tuple"))
+        assert list(expected.result.tuples) == list(tuple_run.result.tuples)
+        total_ops = probe_layout.disk.fault_injector.ops_seen
+        join_ops = probe_layout.tracker.phases["join"].total_ops
+
+        layout = crashing_layout(
+            at_op=total_ops - join_ops // 2, spec=config.page_spec, checksums=False
+        )
+        recovery = RecoveryLog()
+        with pytest.raises(SimulatedCrashError):
+            partition_join(r, s, config, layout=layout, recovery=recovery)
+        checkpoint = recovery.checkpoint
+        assert checkpoint.outer_retained and checkpoint.cache_spill_tuples > RUN_ROWS
+        assert type(checkpoint.outer_retained) is tuple
+        run = resume_join(r, s, config, layout=layout, recovery=recovery)
+        assert_same_outcome(run, expected)
+        (cache,) = restored
+        assert cache.n_tuples == checkpoint.cache_spill_tuples
+        assert cache.carried() is None
+
     def test_double_crash_needs_two_resumes(self):
         expected = oracle("tuple")
         layout = crashing_layout()

@@ -7,11 +7,14 @@ Every retry attempt and backoff penalty shows up in the
 IOStatistics`, reconciling exactly with the resilience report.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.partition_join import partition_join
+from repro.exec.batch import PageBatch
 from repro.resilience import FaultInjector
-from repro.storage.layout import DiskLayout
+from repro.storage.layout import Device, DiskLayout
 
 from tests.chaos.conftest import (
     CHAOS_SEED,
@@ -19,6 +22,8 @@ from tests.chaos.conftest import (
     SPEC,
     chaos_config,
     chaos_relation,
+    long_lived_config,
+    long_lived_pair,
 )
 
 R = chaos_relation("r", 300, CHAOS_SEED + 3)
@@ -113,3 +118,56 @@ class TestFaultStorm:
             R, S, config, layout=DiskLayout(spec=SPEC)
         )
         assert list(run.result.tuples) == list(clean.result.tuples)
+
+
+class TestTornPagesUnderCarriedColumns:
+    """Without checksums a torn page is delivered as good data: the row it
+    lost is lost to every engine.  The batch engine carries the columns of
+    rows it has split before and must notice that such a delivery is not
+    those rows -- and decompose it -- or it would probe the survivors with
+    their neighbours' intervals."""
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_batch_equals_tuple_under_the_same_tears(self, direction, monkeypatch):
+        fallbacks = []
+        matching = PageBatch.matching
+
+        def spy(batch, start, rows):
+            found = matching(batch, start, rows)
+            fallbacks.append(found is None)
+            return found
+
+        monkeypatch.setattr(PageBatch, "matching", spy)
+
+        def torn_run(execution, corruption_rate):
+            # Tears on the two devices the sweep re-reads: inner partitions
+            # (TEMP) and the tuple cache, in migrating and overflow passes.
+            injector = FaultInjector(
+                seed=CHAOS_SEED,
+                corruption_rate=corruption_rate,
+                devices=(Device.TEMP, Device.CACHE),
+            )
+            config = long_lived_config(
+                execution, checkpoint_interval=0, sweep_direction=direction
+            )
+            layout = DiskLayout(spec=config.page_spec, fault_injector=injector)
+            return partition_join(*long_lived_pair(), config, layout=layout)
+
+        clean = torn_run("batch", 0.0)
+        assert fallbacks and not any(fallbacks)  # columns carried, all verified
+        del fallbacks[:]
+        oracle = torn_run("tuple", 0.01)
+        assert not fallbacks
+        run = torn_run("batch", 0.01)
+        assert any(fallbacks) and not all(fallbacks)
+
+        report = run.layout.resilience_report
+        assert report == oracle.layout.resilience_report
+        assert report.corruptions_undetected > 5 and report.retries == 0
+        assert run.result.tuples == oracle.result.tuples  # order included
+        assert run.result.tuples != clean.result.tuples  # the tears were felt
+        assert dataclasses.replace(run.outcome, result=None) == dataclasses.replace(
+            oracle.outcome, result=None
+        )
+        assert run.layout.tracker.phases == oracle.layout.tracker.phases
+        assert run.layout.disk.device_stats == oracle.layout.disk.device_stats

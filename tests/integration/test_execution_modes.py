@@ -23,19 +23,24 @@ import repro.exec.kernels as kernels_module
 from repro.baselines.nested_loop import nested_loop_join
 from repro.baselines.reference import reference_join
 from repro.core import joiner
+from repro.core.joiner import join_partitions
 from repro.core.partition_join import (
     EXECUTION_MODES,
     PartitionJoinConfig,
     partition_join,
 )
+from repro.core.partitioner import do_partitioning
+from repro.core.planner import determine_part_intervals
 from repro.exec.backend import HAVE_NUMPY
 from repro.model.relation import ValidTimeRelation
 from repro.model.vtuple import VTTuple
 from repro.storage.heapfile import HeapFile
+from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
 from repro.time.allen import AllenRelation
 from repro.time.interval import Interval
 from repro.variants.partitioned import partitioned_predicate_join
+from tests.chaos.conftest import long_lived_config, long_lived_pair
 from tests.conftest import random_relation
 
 BATCH_MODES = ("batch",)
@@ -290,6 +295,127 @@ class TestBlockEmission:
         )
 
 
+def observe_counts(run_observed, tracker):
+    """*run_observed* with the ledgers reduced to the pipelined contract:
+    read/write op counts (write-behind may legally reorder accesses)."""
+    stats = tracker.stats
+    return dict(
+        run_observed,
+        stats=(stats.reads, stats.writes),
+        phases={
+            name: (phase.reads, phase.writes) for name, phase in tracker.phases.items()
+        },
+    )
+
+
+class TestLongLivedOverflowAllNames:
+    """The paper's long-lived regime on 8-tuple pages: a probe run spans
+    dozens of pages, the tuple cache spills thousands of rows and every
+    partition overflows, so the batch engine's carried columns (the retained
+    outer block, the cache, the re-scanned inner partition) and its run
+    charges all do work.  Every name must agree with the tuple oracle on
+    rows in emission order, ``JoinOutcome`` counters and the per-phase
+    ledger -- the pipelined names on op counts, at no higher cost."""
+
+    @staticmethod
+    def assert_agree(observed, trackers, cost_model):
+        oracle = observed["tuple"]
+        assert oracle["overflow_blocks"] >= 1
+        assert oracle["cache_tuples_spilled"] > joiner.RUN_ROWS
+        assert observed["batch"] == oracle
+        oracle_counts = observe_counts(oracle, trackers["tuple"])
+        oracle_cost = trackers["tuple"].stats.cost(cost_model)
+        for mode in ("batch-parallel-sweep", "zero-copy-sweep"):
+            assert observe_counts(observed[mode], trackers[mode]) == oracle_counts, mode
+            assert trackers[mode].stats.cost(cost_model) <= oracle_cost
+            assert trackers[mode].stats.prefetch_reads > 0
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_natural_join(self, backend, direction):
+        r, s = long_lived_pair()
+        runs = {
+            mode: partition_join(
+                r,
+                s,
+                long_lived_config(
+                    mode, checkpoint_interval=0, sweep_direction=direction
+                ),
+            )
+            for mode in EXECUTION_MODES
+        }
+        self.assert_agree(
+            {mode: observe(run) for mode, run in runs.items()},
+            {mode: run.layout.tracker for mode, run in runs.items()},
+            long_lived_config().cost_model,
+        )
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_swapped_inputs_and_a_rejecting_pair_function(self, backend, direction):
+        """The sweep driven phase by phase, told its inputs are swapped: the
+        pair function sees ``(inner row, outer row)`` per row of each block."""
+        r, s = long_lived_pair()
+        placement = "last" if direction == "backward" else "first"
+        observed, trackers = {}, {}
+        for mode in EXECUTION_MODES:
+            config = long_lived_config(mode)
+            layout = DiskLayout(
+                spec=config.page_spec, columnar=mode == "zero-copy-sweep"
+            )
+            r_file, s_file = layout.place_relation(r), layout.place_relation(s)
+            with layout.tracker.phase("sample"):
+                plan = determine_part_intervals(
+                    config.buff_size,
+                    r_file,
+                    inner_tuples=len(s),
+                    cost_model=config.cost_model,
+                    rng=random.Random(config.seed),
+                )
+            partition_map = plan.partition_map()
+            with layout.tracker.phase("partition"):
+                r_parts, s_parts = (
+                    do_partitioning(
+                        source,
+                        partition_map,
+                        layout,
+                        name,
+                        config.memory_pages,
+                        placement=placement,
+                        execution=mode,
+                    )
+                    for source, name in ((r_file, "r"), (s_file, "s"))
+                )
+            with layout.tracker.phase("join"):
+                outcome = join_partitions(
+                    r_parts,
+                    s_parts,
+                    partition_map,
+                    config.buff_size,
+                    layout,
+                    r.schema.join_result_schema(s.schema),
+                    pair_fn=keep_odd_overlaps,
+                    direction=direction,
+                    execution=mode,
+                    swapped_inputs=True,
+                )
+            tracker = layout.tracker
+            trackers[mode] = tracker
+            observed[mode] = {
+                "result": tuple(outcome.result.tuples),
+                "n_result_tuples": outcome.n_result_tuples,
+                "overflow_blocks": outcome.overflow_blocks,
+                "cache_tuples_peak": outcome.cache_tuples_peak,
+                "cache_tuples_spilled": outcome.cache_tuples_spilled,
+                "stats": stats_tuple(tracker.stats),
+                "phases": {
+                    name: stats_tuple(stats) for name, stats in tracker.phases.items()
+                },
+                "result_stats": stats_tuple(layout.result_stats),
+            }
+        result = observed["tuple"]["result"]
+        assert 0 < len(result) and all(tup.valid.duration % 2 for tup in result)
+        self.assert_agree(observed, trackers, config.cost_model)
+
+
 class TestPipelinedSweepEquivalence:
     """``"batch-parallel-sweep"``: results and counters bit-identical, I/O
     *op counts* bit-identical, weighted cost never above the oracle.
@@ -303,14 +429,7 @@ class TestPipelinedSweepEquivalence:
 
     @staticmethod
     def observe_counts(run):
-        obs = observe(run)
-        stats = run.layout.tracker.stats
-        obs["stats"] = (stats.reads, stats.writes)
-        obs["phases"] = {
-            name: (phase.reads, phase.writes)
-            for name, phase in run.layout.tracker.phases.items()
-        }
-        return obs
+        return observe_counts(observe(run), run.layout.tracker)
 
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     def test_sweep_equivalence_with_overflow(
@@ -401,14 +520,7 @@ class TestPipelinedSweepEquivalence:
         for mode in ("tuple", "batch-parallel-sweep"):
             config = PartitionJoinConfig(memory_pages=12, execution=mode)
             run = partitioned_predicate_join(r, s, config, accepted)
-            obs = observe(run)
-            stats = run.layout.tracker.stats
-            obs["stats"] = (stats.reads, stats.writes)
-            obs["phases"] = {
-                name: (phase.reads, phase.writes)
-                for name, phase in run.layout.tracker.phases.items()
-            }
-            runs[mode] = obs
+            runs[mode] = self.observe_counts(run)
         assert runs["batch-parallel-sweep"] == runs["tuple"]
 
 

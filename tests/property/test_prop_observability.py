@@ -180,3 +180,35 @@ class TestDegradationPathUnchanged:
             snapshot["repro_io_ops_total"]["series"].values()
         )
         assert metric_ops == traced.layout.tracker.stats.total_ops
+
+
+class TestRunChargesObserved:
+    def test_metrics_reconcile_when_charges_arrive_as_runs(self, monkeypatch):
+        """The batch engine charges an uninterleaved scan in one call; the
+        observer hears ``count`` ops, and ``repro_io_ops_total`` still holds
+        every charged op exactly once, series by series as under ``tuple``."""
+        from repro.obs import Observability
+
+        join_counts = {}  # the sampling scan is one run under every mode
+        on_io = Observability.on_io
+
+        def spy(self, device, *, count=1, **kinds):
+            if self._phase == "join":
+                join_counts[execution].append(count)
+            on_io(self, device, count=count, **kinds)
+
+        monkeypatch.setattr(Observability, "on_io", spy)
+        r, s = pinned_relations()
+        series = {}
+        for execution in ("tuple", "batch"):
+            join_counts[execution] = []
+            run = partition_join(r, s, observed(config(execution, 6)))
+            assert run.outcome.overflow_blocks > 0
+            series[execution] = run.observability.metrics_snapshot()[
+                "repro_io_ops_total"
+            ]["series"]
+            assert sum(series[execution].values()) == run.layout.tracker.stats.total_ops
+        assert series["batch"] == series["tuple"]
+        # Same ops, heard in fewer calls: the tuple engine scans page by page.
+        assert sum(join_counts["batch"]) == sum(join_counts["tuple"])
+        assert len(join_counts["batch"]) < len(join_counts["tuple"])

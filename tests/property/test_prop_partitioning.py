@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.intervals import PartitionMap, choose_intervals
@@ -55,6 +56,50 @@ class TestChooseIntervalsProperties:
     @prop_settings
     def test_intervals_form_valid_partition_map(self, samples, n):
         PartitionMap(choose_intervals(samples, n))  # no PlanError
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the column sweep needs numpy")
+class TestCoverageQuantilesOnColumns:
+    """The whole-array sweep over a ``SampleSpans`` is the loop: equal
+    chronons for equal positions -- ties between starts and ends,
+    zero-length intervals, a single sample, positions before the first
+    element and past the last."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.sampled_from([0, 0, 1, 2, 7, 40])),
+            min_size=1,
+            max_size=25,
+        ),
+        st.lists(st.integers(-3, 400), min_size=1, max_size=8),
+    )
+    @prop_settings
+    def test_columns_agree_with_the_loop(self, spans, positions):
+        from repro.core.intervals import SampleSpans, _coverage_quantiles
+        from repro.exec.backend import np
+
+        samples = [VTTuple((0,), (), Interval(start, start + extra)) for start, extra in spans]
+        columns = SampleSpans(
+            np.array([tup.vs for tup in samples], dtype=np.int64),
+            np.array([tup.ve for tup in samples], dtype=np.int64),
+        )
+        expected = _coverage_quantiles(samples, positions)
+        assert _coverage_quantiles(columns, positions) == expected
+        assert choose_intervals(columns, 5) == choose_intervals(samples, 5)
+
+    def test_chronons_near_the_int64_edge_take_the_loop(self):
+        from repro.core.intervals import SampleSpans, _coverage_quantiles
+        from repro.exec.backend import np
+
+        far = 2**61
+        samples = [VTTuple((0,), (), Interval(0, far)), VTTuple((0,), (), Interval(5, far + 9))]
+        columns = SampleSpans(
+            np.array([0, 5], dtype=np.int64), np.array([far, far + 9], dtype=np.int64)
+        )
+        positions = [1, far, 2 * far, 2 * far + 20]
+        assert _coverage_quantiles(columns, positions) == _coverage_quantiles(
+            samples, positions
+        )
 
 
 class TestPlacementProperties:

@@ -74,3 +74,145 @@ class TestAccountingInvariants:
                 disk.read(extent, index)
         assert stats.random_reads == n_scans
         assert stats.sequential_reads == n_scans * (pages - 1)
+
+
+def run_operations():
+    """Random interleavings of run and single accesses over three extents on
+    two devices; appends outgrow the small reservations, so runs cross
+    segment boundaries."""
+    return st.lists(
+        st.tuples(
+            st.integers(0, 2),  # which extent
+            st.sampled_from(["append_run", "read_run", "append", "read"]),
+            st.integers(0, 40),  # read position hint
+            st.integers(1, 9),  # run length
+        ),
+        max_size=50,
+    )
+
+
+def replay(operations, *, as_runs, **disk_options):
+    """Issue *operations* with the run calls, or page by page; return the disk."""
+    disk = SimulatedDisk(IOStatistics(), **disk_options)
+    extents = [
+        disk.allocate("a", device=0, capacity=3),
+        disk.allocate("b", device=0, capacity=2),
+        disk.allocate("c", device=1, capacity=1),
+    ]
+    delivered = []
+    for which, op, hint, length in operations:
+        extent = extents[which]
+        if op.startswith("append"):
+            pages = [f"{extent.name}{extent.n_pages + k}" for k in range(length)]
+            if op == "append":
+                disk.append(extent, pages[0])
+            elif as_runs:
+                assert disk.append_run(extent, pages) == extent.n_pages - length
+            else:
+                for page in pages:
+                    disk.append(extent, page)
+        elif extent.n_pages > 0:
+            index = hint % extent.n_pages
+            count = 1 if op == "read" else min(length, extent.n_pages - index)
+            if op == "read":
+                delivered.append(disk.read(extent, index))
+            elif as_runs:
+                delivered.extend(disk.read_run(extent, index, count))
+            else:
+                delivered.extend(disk.read(extent, index + k) for k in range(count))
+    return disk, extents, delivered
+
+
+class TestRunsArePages:
+    """A run charged in one call is the same accesses issued one at a time."""
+
+    @given(run_operations())
+    @prop_settings
+    def test_run_charges_equal_page_charges(self, operations):
+        runs, run_extents, run_pages = replay(operations, as_runs=True)
+        pages, page_extents, page_pages = replay(operations, as_runs=False)
+        assert runs.stats == pages.stats
+        assert runs.device_stats == pages.device_stats
+        assert [runs.head_position(d) for d in (0, 1)] == [
+            pages.head_position(d) for d in (0, 1)
+        ]
+        assert run_pages == page_pages
+        for run_extent, page_extent in zip(run_extents, page_extents):
+            assert run_extent._segments == page_extent._segments
+            assert run_extent._pages == page_extent._pages
+
+    def test_a_run_pays_a_seek_at_every_segment_boundary(self):
+        disk = SimulatedDisk(IOStatistics())
+        extent = disk.allocate("a", capacity=2)
+        disk.allocate("neighbour", capacity=4)  # so growth cannot be adjacent
+        disk.append_run(extent, list(range(8)))  # segments of 2, 2 and 4 pages
+        assert len(extent._segments) == 3
+        assert (disk.stats.random_writes, disk.stats.sequential_writes) == (3, 5)
+        disk.park_heads()
+        assert disk.read_run(extent, 1, 6) == list(range(1, 7))
+        assert (disk.stats.random_reads, disk.stats.sequential_reads) == (3, 3)
+        model = CostModel.with_ratio(5)
+        single = SimulatedDisk(IOStatistics())
+        whole = single.allocate("a", capacity=8)
+        single.append_run(whole, list(range(8)))
+        assert single.stats.cost(model) == model.cost_of_run(8)
+
+    def test_a_tagged_run_tags_every_page(self):
+        disk = SimulatedDisk(IOStatistics())
+        extent = disk.allocate("a", capacity=8)
+        with disk.pipeline_tag(writes=True):
+            disk.append_run(extent, list(range(6)))
+        with disk.pipeline_tag(reads=True):
+            disk.read_run(extent, 2, 4)
+        disk.read_run(extent, 0, 2)
+        stats = disk.stats
+        assert (stats.writeback_writes, stats.prefetch_reads) == (6, 4)
+        assert (stats.writes, stats.reads, stats.total_ops) == (6, 6, 12)
+        assert disk.device_stats[0] == stats
+
+    @given(run_operations(), st.integers(0, 2**16), st.booleans())
+    @prop_settings
+    def test_faulty_runs_are_served_page_by_page(self, operations, seed, checksums):
+        """With an injector or checksums attached a run goes through the
+        retry loop per page: same faults drawn, same retries, same backoff
+        charges, same (possibly torn) deliveries."""
+        from repro.model.errors import PermanentIOFaultError
+        from repro.resilience import FaultInjector
+
+        def attempt(as_runs):
+            injector = FaultInjector(
+                seed, read_fault_rate=0.1, write_fault_rate=0.05, corruption_rate=0.1
+            )
+            disk = SimulatedDisk(
+                IOStatistics(), fault_injector=injector, checksums=checksums
+            )
+            extent = disk.allocate("a", capacity=4)
+            delivered = []
+            try:
+                for _, op, hint, length in operations:
+                    if op.startswith("append"):
+                        pages = [[extent.n_pages + k] for k in range(length)]
+                        if as_runs:
+                            disk.append_run(extent, pages)
+                        else:
+                            for page in pages:
+                                disk.append(extent, page)
+                    elif extent.n_pages > 0:
+                        index = hint % extent.n_pages
+                        count = min(length, extent.n_pages - index)
+                        if as_runs:
+                            delivered.extend(disk.read_run(extent, index, count))
+                        else:  # a run that fails delivers none of its pages
+                            delivered.extend(
+                                [disk.read(extent, index + k) for k in range(count)]
+                            )
+            except PermanentIOFaultError as error:
+                delivered.append(str(error))
+            return disk, delivered
+
+        runs, run_pages = attempt(True)
+        pages, page_pages = attempt(False)
+        assert run_pages == page_pages
+        assert runs.stats == pages.stats
+        assert runs.report == pages.report
+        assert runs.fault_injector.ops_seen == pages.fault_injector.ops_seen

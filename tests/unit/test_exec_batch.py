@@ -6,6 +6,7 @@ from repro.exec.backend import HAVE_NUMPY
 from repro.exec.batch import (
     KeyInterner,
     PageBatch,
+    SharedKeyInterner,
     iter_page_batches,
     tuples_from_columns,
     tuples_to_columns,
@@ -37,6 +38,73 @@ class TestKeyInterner:
         assert len(interner) == 0
 
 
+class TestSharedKeyInterner:
+    def test_two_threads_hammering_one_interner(self):
+        """Known keys are read without the lock and fresh ones assigned
+        under it: whatever the interleaving, ids come out dense, unique and
+        stable -- a lost update would reuse or skip one."""
+        import sys
+        import threading
+
+        interner = SharedKeyInterner()
+        keys = [(f"k{i}",) for i in range(400)]
+        seen = [{}, {}]
+        barrier = threading.Barrier(2)
+
+        def hammer(mine):
+            barrier.wait(timeout=10)
+            for lap in range(5):
+                # Opposite directions, so each thread meets keys the other
+                # has just assigned and keys nobody has.
+                for key in keys if mine is seen[0] else reversed(keys):
+                    key_id = interner.intern(key)
+                    assert mine.setdefault(key, key_id) == key_id  # stable
+                    assert interner.lookup(key) == key_id
+
+        failures = []
+
+        def guarded(mine):
+            try:
+                hammer(mine)
+            except BaseException as error:  # surfaced by the assert below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=guarded, args=(mine,)) for mine in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert seen[0] == seen[1]
+        assert sorted(seen[0].values()) == list(range(len(keys)))  # dense, unique
+        assert len(interner) == interner.version == len(keys)
+        assert interner.keys_in_id_order() == sorted(keys, key=seen[0].get)
+
+    def test_from_tuples_interns_only_the_misses(self):
+        calls = []
+
+        class Counting(SharedKeyInterner):
+            __slots__ = ()
+
+            def intern(self, key):
+                calls.append(key)
+                return super().intern(key)
+
+        counting = Counting()
+        counting.intern(("a",))
+        del calls[:]
+        page = [vt("a", 0, 1), vt("b", 0, 1), vt("a", 2, 3), vt("b", 4, 5)]
+        batch = PageBatch.from_tuples(page, counting, intern=True, use_numpy=False)
+        assert batch.key_ids == [0, 1, 0, 1]
+        assert calls == [("b",), ("b",)]  # the known key never reached intern()
+
+
 class TestPageBatch:
     def test_columns_match_tuples(self):
         page = [vt("a", 1, 5), vt("b", 2, 9), vt("a", 7, 7)]
@@ -55,6 +123,33 @@ class TestPageBatch:
             [vt("a", 0, 1), vt("z", 0, 1)], interner, use_numpy=False
         )
         assert list(batch.key_ids) == [0, -1]
+
+    @pytest.mark.parametrize("use_numpy", [False] + ([True] if HAVE_NUMPY else []))
+    def test_carried_columns_slice_mask_and_concatenate(self, use_numpy):
+        """What the sweep does to a batch that travels with its rows."""
+        rows = [vt("a", 1, 5), vt("b", 2, 9), vt("a", 7, 7), vt("c", 12, 20)]
+        interner = KeyInterner()
+        batch = PageBatch.from_tuples(rows, interner, intern=True, use_numpy=use_numpy)
+
+        def columns(b):
+            return [b.tuples] + [list(c) for c in (b.key_ids, b.starts, b.ends)]
+
+        assert list(batch) == rows and batch[1] is rows[1]
+        assert columns(batch[1:3]) == [rows[1:3], [1, 0], [2, 7], [9, 7]]
+        # Rows overlapping the window (lo, hi]: lo < end and start <= hi.
+        assert batch.overlapping((5, 11)) == [1, 2]
+        assert batch.overlapping((float("-inf"), float("inf"))) == [0, 1, 2, 3]
+        assert columns(batch.take([3, 0])) == [[rows[3], rows[0]], [2, 0], [12, 1], [20, 5]]
+        assert columns(batch.take([])) == [[], [], [], []]
+        assert columns(PageBatch.concat([batch[:1], batch.take([]), batch[1:]])) == columns(batch)
+
+        # A re-read page gets its columns back only if it is the carried rows.
+        again = batch.matching(1, [rows[1], rows[2]])
+        assert columns(again) == columns(batch[1:3])
+        assert batch.matching(1, [rows[1]]) is not None  # a prefix still matches
+        assert batch.matching(1, [rows[2], rows[3]]) is None  # shifted
+        assert batch.matching(3, [rows[3], rows[0]]) is None  # past the end
+        assert batch.matching(0, [vt("a", 1, 5)]) is not None  # equal by value
 
     def test_without_interner_key_column_absent(self):
         batch = PageBatch.from_tuples([vt("a", 0, 1)], use_numpy=False)

@@ -229,6 +229,23 @@ class TestScan:
         assert heap.all_tuples() == tuples(4)
 
 
+    @pytest.mark.parametrize("rows, run_pages", [(1, 1), (4, 1), (5, 2), (9, 3), (100, 5)])
+    def test_scan_runs_reads_the_pages_of_scan_pages(self, disk, spec, rows, run_pages):
+        """Runs of about *rows* rows -- whole pages, at least one -- holding
+        the same page copies for the same bill, one charge per run."""
+        heap = HeapFile.bulk_load(disk, "r", spec, tuples(18))  # 5 pages of <= 4
+        runs = list(heap.scan_runs(rows))
+        assert [len(run) for run in runs] == [run_pages] * (5 // run_pages) + (
+            [5 % run_pages] if 5 % run_pages else []
+        )
+        assert (disk.stats.random_reads, disk.stats.sequential_reads) == (1, 4)
+        disk.park_heads()
+        assert [page for run in runs for page in run] == list(heap.scan_pages())
+        assert (disk.stats.random_reads, disk.stats.sequential_reads) == (2, 8)
+        runs[0][0].clear()
+        assert heap.all_tuples() == tuples(18)
+
+
 class TestPositionalAccess:
     def test_page_of_tuple(self, disk, spec):
         heap = HeapFile.bulk_load(disk, "r", spec, tuples(10))
