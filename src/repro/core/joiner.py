@@ -16,6 +16,12 @@ Every tuple is therefore present in every partition it overlaps exactly
 when that partition's join is computed, without ever being replicated in
 secondary storage.
 
+**State and step.**  The loop's carried variables are a :class:`SweepState`
+and its body is :meth:`PartitionSweep.step`, state before a partition to
+state after it.  A fresh run, a resumed one and the one-partition case all
+reach that one step through :meth:`PartitionSweep.run`, and a checkpoint is
+the state frozen.
+
 The paper's Section 5 future-work idea -- "the paging cost ... can be
 reduced if sufficient buffer space is allocated to retain, with high
 probability, the entire tuple cache in main memory.  Trading off outer
@@ -80,7 +86,6 @@ always calls it per match (it is the oracle for the block path too).
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
@@ -96,7 +101,6 @@ from repro.exec.pruned_probe import (
     probe_pruned,
     probe_pruned_python,
 )
-from repro.model.errors import CheckpointError
 from repro.model.match_block import MatchBlock
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
@@ -176,473 +180,674 @@ def join_partitions(
     interner=None,
     pool: Optional[BufferPool] = None,
     checkpointer: Optional[SweepCheckpointer] = None,
-    resume_from: Optional[SweepCheckpoint] = None,
     buffer_reductions: Sequence["BufferReduction"] = (),
     swapped_inputs: bool = False,
     obs: Optional["Observability"] = None,
 ) -> JoinOutcome:
-    """Join pre-partitioned relations ``r`` and ``s`` (Appendix A.1).
+    """Join pre-partitioned relations ``r`` and ``s`` (Appendix A.1): a
+    fresh :class:`SweepState` driven to the end by one :class:`PartitionSweep`.
 
     Args:
-        r_parts: outer partitions, index-aligned with *partition_map*.
-        s_parts: inner partitions, same alignment.
-        partition_map: the partitioning both sides were built with.
+        r_parts, s_parts: outer and inner partitions, index-aligned with
+            *partition_map*, the partitioning both were built with.
         buff_size: pages of the outer-partition buffer area (Figure 3).
         layout: disk layout (tuple cache goes to the CACHE device, result to
             the excluded RESULT stream).
         result_schema: schema of the result, required when *collect* is True.
         collect: materialize the result relation in memory as well as
             writing it through the result stream.
-        execution: ``"tuple"`` for the tuple-at-a-time oracle loop;
-            ``"batch"`` for the batch engine (the interval-pruned probe of
-            :mod:`repro.exec.pruned_probe`); one of
-            :data:`~repro.exec.PIPELINED_SWEEP_MODES` (identical here; they
-            differ in the page layout the caller built) for the same engine
-            plus partition-barrier prefetch and write-behind.
-        prefetch_depth: pages of read-ahead per partition barrier
-            (pipelined sweeps only; 0 disables read-ahead).
+        direction, cache_memory_tuples, execution, prefetch_depth: the
+            sweep's fixed parameters, see the module docstring.
+        swapped_inputs: *r_parts* hold the caller's inner relation, so
+            *pair_fn* is called as ``pair_fn(s_row, r_row, overlap)``.
         sweep_workers, supervision: ignored (see the signature).
-        interner: a :class:`~repro.exec.batch.KeyInterner` to reuse across
-            joins (the service layer's per-relation-version interner cache).
-            Interner ids never leak into results -- emission order is
-            restored by the final sort -- so sharing is result-identical.
-        pool: when given, the sweep reserves its Figure 3 regions in this
-            :class:`BufferPool` and guarantees -- on success, failure, or
-            simulated crash -- that every reservation is released.
-        checkpointer: when given, boundary checkpoints are written every
-            ``checkpointer.interval`` completed partitions (plus one at
-            position 0), making the sweep resumable.
-        resume_from: a committed checkpoint to restart from (requires
-            *checkpointer*; the call's other arguments must describe the
-            same sweep, normally via the recovery log's context).
-        buffer_reductions: scheduled mid-sweep shrinks of the outer area;
-            from each reduction's position on, the sweep runs with the
-            smaller buffer, routing the excess through the Section 3.4
-            overflow machinery and recording a degradation event.
-        swapped_inputs: True when *r_parts* hold the caller's inner relation
-            and *s_parts* its outer one (the single-partition shortcut makes
-            the smaller relation the resident side).  *pair_fn* is then
-            called as ``pair_fn(s_row, r_row, overlap)`` so payloads come out
-            in the caller's order.  Recorded in the sweep context, from which
-            :func:`~repro.core.partition_join.resume_join` passes it back.
-        obs: optional :class:`~repro.obs.Observability` runtime.  Purely
-            observational: spans, events, and metrics are recorded around
-            the sweep, but results, outcome counters, and charged I/O are
-            bit-identical with or without it.
+        pair_fn, interner, pool, checkpointer, buffer_reductions, obs: the
+            run's collaborators, see :class:`PartitionSweep`.
     """
     if len(r_parts) != len(partition_map) or len(s_parts) != len(partition_map):
         raise ValueError("partition lists must align with the partition map")
     if collect and result_schema is None:
         raise ValueError("collect=True requires a result_schema")
-    if direction not in ("backward", "forward"):
-        raise ValueError(f"direction must be 'backward' or 'forward', got {direction!r}")
-    if execution not in EXECUTION_MODES:
-        raise ValueError(
-            f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
-        )
-    if resume_from is not None and checkpointer is None:
-        raise CheckpointError("resume_from requires the run's checkpointer")
-
-    n = len(partition_map)
-    if direction == "backward":
-        # The paper's order: tuples stored in their last partition, the
-        # sweep runs n..1, migration moves backward, and a pair is owned by
-        # the partition holding its overlap's END chronon.
-        order_list = list(range(n - 1, -1, -1))
-        step = -1
-    else:
-        # Footnote 1's equivalent strategy: first-partition storage, sweep
-        # 1..n, forward migration, ownership by the overlap's START chronon.
-        order_list = list(range(n))
-        step = 1
-
-    spec = layout.spec
-    pipeline: Optional[PrefetchPipeline] = None
-    # The tuple engine reads page by page throughout: it is the oracle for
-    # the access sequence too.
-    by_run = execution != "tuple"
-    if execution == "tuple":
-        engine: _ProbeEngine = _TupleEngine(partition_map, direction)
-    else:
-        engine = _BatchEngine(partition_map, direction, interner=interner)
-        if execution in PIPELINED_SWEEP_MODES:
-            pipeline = PrefetchPipeline(layout, prefetch_depth)
-
-    inner_total = sum(part.n_tuples for part in s_parts)
-    report = layout.disk.report
-
-    if resume_from is None:
-        result_file = layout.result_file("join_result")
-        collected = ValidTimeRelation(result_schema) if collect else None
-        outcome = JoinOutcome(result=collected)
-        outer_retained: List[VTTuple] = []
-        cache: Optional[_TupleCache] = None
-        start_pos = 0
-        if checkpointer is not None:
-            checkpointer.begin(
-                SweepContext(
-                    r_parts=tuple(r_parts),
-                    s_parts=tuple(s_parts),
-                    partition_map=partition_map,
-                    buff_size=buff_size,
-                    result_schema=result_schema,
-                    collect=collect,
-                    direction=direction,
-                    cache_memory_tuples=cache_memory_tuples,
-                    execution=execution,
-                    result_file=result_file,
-                    prefetch_depth=prefetch_depth,
-                    swapped=swapped_inputs,
-                )
-            )
-    else:
-        context = checkpointer.recovery.context
-        if context is None:
-            raise CheckpointError("recovery log has no sweep context to resume")
-        # Discard everything the interrupted run did past the checkpoint.
-        result_file = context.result_file
-        result_file.rewind_to(resume_from.result_pages, resume_from.result_tuples)
-        collected = None
-        if collect:
-            collected = ValidTimeRelation(result_schema)
-            for tup in result_file.all_tuples():
-                collected.add(tup)
-        outcome = JoinOutcome(
-            result=collected,
-            n_result_tuples=resume_from.n_result_tuples,
-            overflow_blocks=resume_from.overflow_blocks,
-            cache_tuples_peak=resume_from.cache_tuples_peak,
-            cache_tuples_spilled=resume_from.cache_tuples_spilled,
-        )
-        outer_retained = list(resume_from.outer_retained)
-        cache = _TupleCache.restore(layout, cache_memory_tuples, inner_total, resume_from)
-        start_pos = resume_from.position
-
-    # The pool reservations of Figure 3: the outer area, the three fixed
-    # in-transit pages, and any resident tuple-cache area.  try/finally below
-    # guarantees they return to the pool however the sweep ends.
-    reservations: List[Reservation] = []
-    outer_reservation: Optional[Reservation] = None
-    if pool is not None:
-        outer_reservation = pool.reserve("outer_partition", buff_size)
-        reservations.append(outer_reservation)
-        for label in ("inner_page", "tuple_cache_page", "result_page"):
-            reservations.append(pool.reserve(label, 1))
-        resident_pages = spec.pages_for_tuples(cache_memory_tuples)
-        if resident_pages:
-            reservations.append(pool.reserve("cache_resident", resident_pages))
-
-    current_buff = buff_size
-    new_cache: Optional[_TupleCache] = None
-    if obs is not None and pool is not None:
-        _pool_gauges(obs, pool)
-    sweep_cm = span_or_null(
-        obs,
-        "sweep",
-        partitions=n,
-        direction=direction,
-        execution=execution,
+    context = SweepContext(
+        r_parts=tuple(r_parts),
+        s_parts=tuple(s_parts),
+        partition_map=partition_map,
         buff_size=buff_size,
-        resume_position=start_pos,
+        result_schema=result_schema,
+        collect=collect,
+        direction=direction,
+        cache_memory_tuples=cache_memory_tuples,
+        execution=execution,
+        result_file=layout.result_file("join_result"),
+        prefetch_depth=prefetch_depth,
+        swapped=swapped_inputs,
     )
-    sweep_span = sweep_cm.__enter__()
-    try:
-        for pos in range(start_pos, n):
-            index = order_list[pos]
-            next_index = index + step  # the partition the sweep visits next
-            has_next = 0 <= next_index < n
+    sweep = PartitionSweep(
+        context,
+        layout,
+        pair_fn=pair_fn,
+        interner=interner,
+        pool=pool,
+        checkpointer=checkpointer,
+        buffer_reductions=buffer_reductions,
+        obs=obs,
+    )
+    state = SweepState.fresh(context)
+    if checkpointer is not None:
+        checkpointer.begin(context, state)
+    return sweep.run(state)
 
-            with span_or_null(
-                obs, "partition", position=pos, partition=index
-            ) as part_span:
-                # Apply any scheduled buffer reductions that start here (or
-                # that started before the resume point -- those shrink
-                # silently, the pre-crash run already recorded them).
-                effective = min(
-                    [buff_size]
-                    + [
-                        red.buff_size
-                        for red in buffer_reductions
-                        if red.at_position <= pos
-                    ]
+
+@dataclass
+class SweepState:
+    """What the sweep carries across a partition boundary -- Figure 9's loop
+    variables -- and nothing else: :meth:`PartitionSweep.step` maps the state
+    before a partition to the state after it.  A checkpoint is this state
+    :meth:`frozen <freeze>`; resuming is :meth:`thaw` and more steps.
+
+    Attributes:
+        position: completed sweep steps (the sweep order is the context's).
+        outer_retained: the outer buffer as the last step left it, with the
+            columns the batch engine carries; the next step purges it.
+        cache: the tuple cache the last step filled (None before the first
+            step and in a one-partition sweep), with its carried columns.
+        result_file: the result stream.
+        outcome: the collected relation and the four counters.
+
+    Durable as they stand: the cache's spill file and the result file, which
+    a checkpoint captures as watermarks.  Volatile: the retained rows, the
+    cache's resident area and the counters, which a checkpoint stores -- as
+    rows; carried columns are never stored -- and the result file's write
+    buffer, flushed before one is written.
+    """
+
+    position: int
+    outer_retained: Sequence[VTTuple]
+    cache: Optional["_TupleCache"]
+    result_file: HeapFile
+    outcome: JoinOutcome
+
+    @classmethod
+    def fresh(cls, context: SweepContext) -> "SweepState":
+        """The state before the first partition."""
+        collected = (
+            ValidTimeRelation(context.result_schema) if context.collect else None
+        )
+        return cls(0, [], None, context.result_file, JoinOutcome(result=collected))
+
+    @classmethod
+    def thaw(
+        cls, context: SweepContext, checkpoint: SweepCheckpoint, layout: DiskLayout
+    ) -> "SweepState":
+        """The state *checkpoint* froze, with everything the interrupted run
+        did past it discarded: the result and spill files are rolled back to
+        their watermarks (uncharged) and the collected relation is re-read
+        from the surviving result pages.  Rows come back, never columns: the
+        first scan decomposes them afresh.
+        """
+        state = cls.fresh(context)
+        state.position = checkpoint.position
+        state.outer_retained = list(checkpoint.outer_retained)
+        state.result_file.rewind_to(checkpoint.result_pages, checkpoint.result_tuples)
+        outcome = state.outcome
+        if outcome.result is not None:
+            for tup in state.result_file.all_tuples():
+                outcome.result.add(tup)
+        outcome.n_result_tuples = checkpoint.n_result_tuples
+        outcome.overflow_blocks = checkpoint.overflow_blocks
+        outcome.cache_tuples_peak = checkpoint.cache_tuples_peak
+        outcome.cache_tuples_spilled = checkpoint.cache_tuples_spilled
+        if checkpoint.cache_name is not None:
+            state.cache = cache = _TupleCache(
+                layout, checkpoint.cache_name, *_cache_shape(context)
+            )
+            cache.resident = list(checkpoint.cache_resident)
+            if checkpoint.cache_spill is not None:
+                checkpoint.cache_spill.rewind_to(
+                    checkpoint.cache_spill_pages, checkpoint.cache_spill_tuples
                 )
-                if effective < current_buff:
-                    current_buff = effective
-                    if outer_reservation is not None:
-                        outer_reservation.resize(current_buff)
-                        if obs is not None and pool is not None:
-                            _pool_gauges(obs, pool)
-                    _note_buffer_reduction(report, pos, current_buff, obs)
-                block_tuples = max(1, current_buff * spec.capacity)
+                cache.spill = checkpoint.cache_spill
+        return state
 
-                # Purge retained outer tuples that do not reach this
-                # partition, then read the partition itself from disk.
-                outer_pages = list(
-                    chain.from_iterable(_chunks(r_parts[index], pipeline, by_run))
-                )
-                outer = engine.assemble_outer(outer_retained, outer_pages, index)
-
-                new_cache = None
-                if has_next:
-                    if pipeline is not None:
-                        new_cache = _PipelinedTupleCache(
-                            layout,
-                            f"tuple_cache_{next_index}",
-                            cache_memory_tuples,
-                            inner_total,
-                            pipeline,
-                        )
-                    else:
-                        new_cache = _TupleCache(
-                            layout,
-                            f"tuple_cache_{next_index}",
-                            cache_memory_tuples,
-                            inner_total,
-                        )
-
-                blocks = _split_blocks(outer, block_tuples)
-                if len(blocks) > 1:
-                    outcome.overflow_blocks += len(blocks) - 1
-                    if obs is not None:
-                        obs.event(
-                            "overflow", partition=index, blocks=len(blocks) - 1
-                        )
-                        obs.count(
-                            "repro_overflow_blocks_total",
-                            "Extra outer blocks forced by partition overflow.",
-                            float(len(blocks) - 1),
-                        )
-                    _charge_spill(blocks[1:], layout, spec, index)
-
-                part_rows = part_matches = part_migrated = 0
-                # The columns each stream's rows were split into when they
-                # first passed: the cache's carried from the partition that
-                # filled it, the inner partition's from this one's first block.
-                seen: Dict[str, Optional[PageBatch]] = {
-                    "cache": cache.carried() if cache is not None else None,
-                    "inner": None,
-                }
-                for block_number, block in enumerate(blocks):
-                    probe_index = engine.build_index(block)
-                    # Migration happens exactly once, and only a pass that
-                    # migrates puts another access between two page reads.
-                    into = new_cache if block_number == 0 else None
-                    runs = by_run and into is None
-                    streams = []
-                    if cache is not None:
-                        streams.append(("cache", cache.chunks(runs)))
-                    streams.append(("inner", _chunks(s_parts[index], pipeline, runs)))
-                    for source, chunks in streams:
-                        with span_or_null(
-                            obs,
-                            "probe",
-                            source=source,
-                            partition=index,
-                            block=block_number,
-                        ) as probe_span:
-                            pages_n, rows_n, matches_n, migrated_n, seen[source] = (
-                                _probe_pages(
-                                    chunks,
-                                    engine,
-                                    probe_index,
-                                    index,
-                                    next_index if has_next else None,
-                                    into,
-                                    result_file,
-                                    collected,
-                                    outcome,
-                                    layout,
-                                    pair_fn,
-                                    swapped_inputs,
-                                    seen[source],
-                                )
-                            )
-                            probe_span.set(
-                                pages=pages_n,
-                                rows=rows_n,
-                                matches=matches_n,
-                                migrated=migrated_n,
-                            )
-                        part_rows += rows_n
-                        part_matches += matches_n
-                        part_migrated += migrated_n
-
-                if new_cache is not None:
-                    new_cache.flush()
-                    outcome.cache_tuples_peak = max(
-                        outcome.cache_tuples_peak, new_cache.n_tuples
-                    )
-                    if new_cache.spill is not None:
-                        outcome.cache_tuples_spilled += new_cache.spill.n_tuples
-                cache = new_cache
-                outer_retained = outer
-                part_span.set(
-                    blocks=len(blocks),
-                    outer_tuples=len(outer),
-                    probe_rows=part_rows,
-                    matches=part_matches,
-                    migrated=part_migrated,
-                )
-                if obs is not None:
-                    obs.observe(
-                        "repro_probe_rows_per_partition",
-                        float(part_rows),
-                        "Rows probed against the outer block, per partition.",
-                    )
-
-            completed = pos + 1
-            if (
-                checkpointer is not None
-                and completed < n
-                and checkpointer.due(completed, start_pos)
-            ):
-                # Durability point: stored watermarks must cover every
-                # emitted tuple, so the result buffer goes out first.
-                result_file.flush()
-                checkpointer.write(
-                    position=completed,
-                    outer_retained=outer_retained,
-                    cache_resident=cache.resident if cache is not None else (),
-                    cache_spill=cache.spill if cache is not None else None,
-                    cache_name=cache.name if cache is not None else None,
-                    result_file=result_file,
-                    n_result_tuples=outcome.n_result_tuples,
-                    overflow_blocks=outcome.overflow_blocks,
-                    cache_tuples_peak=outcome.cache_tuples_peak,
-                    cache_tuples_spilled=outcome.cache_tuples_spilled,
-                )
-                if obs is not None:
-                    obs.event("checkpoint", position=completed)
-                    obs.count(
-                        "repro_checkpoints_total",
-                        "Boundary checkpoints written mid-sweep.",
-                    )
-
-            if pipeline is not None and pos + 1 < n:
-                with span_or_null(
-                    obs, "prefetch", lane="prefetch", next_position=pos + 1
-                ) as prefetch_span:
-                    _prefetch_next_partition(
-                        pipeline,
-                        r_parts,
-                        s_parts,
-                        engine,
-                        order_list[pos + 1],
-                        outer_retained,
-                        buff_size,
-                        buffer_reductions,
-                        pos + 1,
-                        spec,
-                    )
-                    prefetch_span.set(
-                        cached_pages=len(pipeline.cache)
-                        if pipeline.cache is not None
-                        else 0
-                    )
-
-        result_file.flush()
-        sweep_span.set(
-            result_tuples=outcome.n_result_tuples,
+    def freeze(self, epoch: int) -> SweepCheckpoint:
+        """This boundary state as the record a checkpoint commits."""
+        cache, outcome = self.cache, self.outcome
+        spill = cache.spill if cache is not None else None
+        return SweepCheckpoint(
+            position=self.position,
+            outer_retained=tuple(self.outer_retained),
+            cache_resident=tuple(cache.resident) if cache is not None else (),
+            cache_spill=spill,
+            cache_spill_pages=spill.n_pages if spill is not None else 0,
+            cache_spill_tuples=spill.n_tuples if spill is not None else 0,
+            cache_name=cache.name if cache is not None else None,
+            result_pages=self.result_file.n_pages,
+            result_tuples=self.result_file.n_tuples,
+            n_result_tuples=outcome.n_result_tuples,
             overflow_blocks=outcome.overflow_blocks,
             cache_tuples_peak=outcome.cache_tuples_peak,
+            cache_tuples_spilled=outcome.cache_tuples_spilled,
+            epoch=epoch,
         )
-        return outcome
-    except BaseException:
-        # The sweep died (simulated crash, fault, overflow...).  Volatile
-        # buffers vanish with the process: drop them WITHOUT charged I/O --
-        # a dead evaluator issues no writes.  Disk state stays as the crash
-        # left it; resume rewinds it to the last checkpoint's watermarks.
-        result_file.abandon()
-        for c in (cache, new_cache):
-            if c is not None and c.spill is not None:
-                c.spill.abandon()
-        raise
-    finally:
-        sweep_cm.__exit__(*sys.exc_info())
-        if pipeline is not None:
-            if obs is not None:
-                _export_pipeline_metrics(obs, pipeline)
-            pipeline.discard()
-        for reservation in reservations:
-            reservation.release()
-        if obs is not None and pool is not None:
+
+
+class PartitionSweep:
+    """Figure 9's loop: :meth:`step` is its body for one partition,
+    :meth:`barrier` what happens between two, :meth:`run` the shell that
+    drives a :class:`SweepState` -- fresh or thawed, the sweep cannot tell
+    -- to the end.
+
+    Args:
+        context: the sweep's fixed parameters.
+        layout: the disk layout the partitions live on.
+        pair_fn: builds (or rejects) a result tuple per matched pair.
+        interner: a :class:`~repro.exec.batch.KeyInterner` to reuse across
+            joins; its ids never leak into results, so sharing is
+            result-identical.
+        pool: when given, :meth:`run` reserves the Figure 3 regions in this
+            :class:`BufferPool` and guarantees -- on success, failure, or
+            simulated crash -- that every reservation is released.
+        checkpointer: when given, a boundary checkpoint is written every
+            ``checkpointer.interval`` completed partitions.
+        buffer_reductions: scheduled mid-sweep shrinks of the outer area;
+            from each reduction's position on, the sweep runs with the
+            smaller buffer, routing the excess through the Section 3.4
+            overflow machinery and recording a degradation event.
+        obs: optional :class:`~repro.obs.Observability` runtime.  Purely
+            observational: results, outcome counters, and charged I/O are
+            bit-identical with or without it.
+    """
+
+    def __init__(
+        self,
+        context: SweepContext,
+        layout: DiskLayout,
+        *,
+        pair_fn: PairFn = natural_pair,
+        interner=None,
+        pool: Optional[BufferPool] = None,
+        checkpointer: Optional[SweepCheckpointer] = None,
+        buffer_reductions: Sequence["BufferReduction"] = (),
+        obs: Optional["Observability"] = None,
+    ) -> None:
+        direction, execution = context.direction, context.execution
+        if direction not in ("backward", "forward"):
+            raise ValueError(
+                f"direction must be 'backward' or 'forward', got {direction!r}"
+            )
+        if execution not in EXECUTION_MODES:
+            raise ValueError(
+                f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
+            )
+        self._context = context
+        self._layout = layout
+        self._pair_fn = pair_fn
+        self._pool = pool
+        self._checkpointer = checkpointer
+        self._reductions = buffer_reductions
+        self._obs = obs
+        self.n = len(context.partition_map)
+        if direction == "backward":
+            # The paper's order: tuples stored in their last partition, the
+            # sweep runs n..1, migration moves backward, and a pair is owned by
+            # the partition holding its overlap's END chronon.
+            self._order = range(self.n - 1, -1, -1)
+        else:
+            # Footnote 1's equivalent strategy: first-partition storage, sweep
+            # 1..n, forward migration, ownership by the overlap's START chronon.
+            self._order = range(self.n)
+        # The two choices of an execution name: how rows are matched, and how
+        # the sweep reaches storage.  The tuple engine reads page by page
+        # throughout: it is the oracle for the access sequence too.
+        self._by_run = execution != "tuple"
+        if execution == "tuple":
+            self._engine: _ProbeEngine = _TupleEngine(context.partition_map, direction)
+        else:
+            self._engine = _BatchEngine(
+                context.partition_map, direction, interner=interner
+            )
+        pipelined = execution in PIPELINED_SWEEP_MODES
+        self._io = (_PipelinedIO if pipelined else _DemandIO)(layout, context, obs)
+        self._outer_reservation: Optional[Reservation] = None
+        self._filling: Optional[_TupleCache] = None  # the cache a step is in
+
+    def run(self, state: SweepState) -> JoinOutcome:
+        """Step *state* to the end of the sweep and return its outcome."""
+        context, obs, pool = self._context, self._obs, self._pool
+        reservations: List[Reservation] = []
+        try:
+            if pool is not None:
+                # Figure 3: the outer area, the three fixed in-transit pages,
+                # and any resident tuple-cache area.  Taken in here, so a
+                # refused one still returns those before it.
+                self._outer_reservation = pool.reserve(
+                    "outer_partition", context.buff_size
+                )
+                reservations.append(self._outer_reservation)
+                for label in ("inner_page", "tuple_cache_page", "result_page"):
+                    reservations.append(pool.reserve(label, 1))
+                resident_pages = self._layout.spec.pages_for_tuples(
+                    context.cache_memory_tuples
+                )
+                if resident_pages:
+                    reservations.append(pool.reserve("cache_resident", resident_pages))
+                _pool_gauges(obs, pool)
+            with span_or_null(
+                obs,
+                "sweep",
+                partitions=self.n,
+                direction=context.direction,
+                execution=context.execution,
+                buff_size=context.buff_size,
+                resume_position=state.position,
+            ) as sweep_span:
+                while state.position < self.n:
+                    self.step(state)
+                    if state.position < self.n:
+                        self.barrier(state)
+                state.result_file.flush()
+                outcome = state.outcome
+                sweep_span.set(
+                    result_tuples=outcome.n_result_tuples,
+                    overflow_blocks=outcome.overflow_blocks,
+                    cache_tuples_peak=outcome.cache_tuples_peak,
+                )
+            return outcome
+        except BaseException:
+            # The sweep died (simulated crash, fault, overflow...).  Volatile
+            # buffers vanish with the process: drop them WITHOUT charged I/O --
+            # a dead evaluator issues no writes.  Disk state stays as the crash
+            # left it; a thaw rewinds it to the last checkpoint's watermarks.
+            state.result_file.abandon()
+            for cache in (state.cache, self._filling):
+                if cache is not None and cache.spill is not None:
+                    cache.spill.abandon()
+            raise
+        finally:
+            self._io.close()
+            for reservation in reservations:
+                reservation.release()
             _pool_gauges(obs, pool)
 
-
-def _prefetch_next_partition(
-    pipeline: PrefetchPipeline,
-    r_parts: Sequence[HeapFile],
-    s_parts: Sequence[HeapFile],
-    engine: "_ProbeEngine",
-    next_part: int,
-    outer_retained: Sequence[VTTuple],
-    buff_size: int,
-    buffer_reductions: Sequence["BufferReduction"],
-    next_pos: int,
-    spec,
-) -> None:
-    """Read ahead the next partition's pages at the partition barrier.
-
-    The prefix property (see :mod:`repro.storage.prefetch`) needs the
-    prefetched pages to be exactly the first demand reads of the next
-    iteration.  The one thing that can break that on the TEMP device is a
-    partition overflow: its spill round-trip lands between the outer scan
-    and the inner scans.  Whether the next partition overflows is fully
-    determined by state in hand at the barrier -- the retained outer tuples,
-    the partition's cardinality, and the buffer size in force -- so it is
-    predicted here without touching the disk, and on a predicted overflow
-    the read-ahead stops at the outer partition's pages.
-    """
-    kept = _retained_overlap_count(outer_retained, engine, next_part)
-    effective = min(
-        [buff_size]
-        + [red.buff_size for red in buffer_reductions if red.at_position <= next_pos]
-    )
-    block_tuples = max(1, effective * spec.capacity)
-    will_overflow = kept + r_parts[next_part].n_tuples > block_tuples
-    if will_overflow:
-        pipeline.prefetch((r_parts[next_part],))
-    else:
-        pipeline.prefetch((r_parts[next_part], s_parts[next_part]))
-
-
-def _note_buffer_reduction(
-    report, pos: int, buff_size: int, obs: Optional["Observability"] = None
-) -> None:
-    """Record a buffer-reduction degradation once per sweep position."""
-    for event in report.degradations:
-        if event.kind == "buffer-reduction" and event.position == pos:
-            return
-    report.record_degradation(
-        "buffer-reduction",
-        f"outer buffer shrunk to {buff_size} pages at sweep position {pos}",
-        position=pos,
-    )
-    if obs is not None:
-        obs.event(
-            "degradation", kind="buffer-reduction", position=pos, buff_size=buff_size
-        )
-        obs.count(
-            "repro_degradations_total",
-            "Recorded degradation events by kind.",
-            kind="buffer-reduction",
+    def _buffer_in_force(self, pos: int) -> int:
+        """Pages of the outer area at sweep position *pos* (-1: before the
+        sweep): the configured buffer, or the smallest reduction scheduled at
+        or before *pos*."""
+        return min(
+            [self._context.buff_size]
+            + [red.buff_size for red in self._reductions if red.at_position <= pos]
         )
 
+    def _block_tuples(self, pos: int) -> int:
+        """Rows one outer block holds at sweep position *pos*."""
+        return max(1, self._buffer_in_force(pos) * self._layout.spec.capacity)
 
-def _pool_gauges(obs: "Observability", pool: BufferPool) -> None:
+    def step(self, state: SweepState) -> None:
+        """Figure 9's loop body for the partition at ``state.position``:
+        purge and refill the outer buffer, join it with the old tuple cache
+        and with ``s_i``, fill the new cache, advance."""
+        context, engine, obs = self._context, self._engine, self._obs
+        pos, outcome = state.position, state.outcome
+        index = self._order[pos]
+        # The partition the sweep visits next, whose cache this step fills.
+        next_index = self._order[pos + 1] if pos + 1 < self.n else None
+        with span_or_null(obs, "partition", position=pos, partition=index) as part_span:
+            self._shrink_buffer(pos)
+            block_tuples = self._block_tuples(pos)
+
+            # Purge retained outer tuples that do not reach this
+            # partition, then read the partition itself from disk.
+            outer_pages = list(
+                chain.from_iterable(self._io.scan(context.r_parts[index], self._by_run))
+            )
+            outer = engine.assemble_outer(state.outer_retained, outer_pages, index)
+            new_cache = None
+            if next_index is not None:
+                new_cache = self._io.open_cache(f"tuple_cache_{next_index}")
+            self._filling = new_cache
+
+            blocks = _split_blocks(outer, block_tuples)
+            if len(blocks) > 1:
+                outcome.overflow_blocks += len(blocks) - 1
+                if obs is not None:
+                    obs.event("overflow", partition=index, blocks=len(blocks) - 1)
+                    obs.count(
+                        "repro_overflow_blocks_total",
+                        "Extra outer blocks forced by partition overflow.",
+                        float(len(blocks) - 1),
+                    )
+                _charge_spill(blocks[1:], self._layout, index)
+
+            totals = {"rows": 0, "matches": 0, "migrated": 0}
+            # The columns each stream's rows were split into when they
+            # first passed: the cache's carried from the partition that
+            # filled it, the inner partition's from this one's first block.
+            seen: Dict[str, Optional[PageBatch]] = {
+                "cache": state.cache.carried() if state.cache is not None else None,
+                "inner": None,
+            }
+            for block_number, block in enumerate(blocks):
+                probe_index = engine.build_index(block)
+                # Migration happens exactly once, and only a pass that
+                # migrates puts another access between two page reads.
+                into = new_cache if block_number == 0 else None
+                runs = self._by_run and into is None
+                streams = []
+                if state.cache is not None:
+                    streams.append(("cache", state.cache.chunks(runs)))
+                streams.append(("inner", self._io.scan(context.s_parts[index], runs)))
+                for source, chunks in streams:
+                    with span_or_null(
+                        obs, "probe", source=source, partition=index, block=block_number
+                    ) as probe_span:
+                        counts, seen[source] = self._probe_pages(
+                            state,
+                            chunks,
+                            probe_index,
+                            index,
+                            next_index,
+                            into,
+                            seen[source],
+                        )
+                        probe_span.set(**counts)
+                    for key in totals:
+                        totals[key] += counts[key]
+
+            if new_cache is not None:
+                new_cache.flush()
+                outcome.cache_tuples_peak = max(
+                    outcome.cache_tuples_peak, new_cache.n_tuples
+                )
+                if new_cache.spill is not None:
+                    outcome.cache_tuples_spilled += new_cache.spill.n_tuples
+            state.cache = new_cache
+            state.outer_retained = outer
+            part_span.set(
+                blocks=len(blocks),
+                outer_tuples=len(outer),
+                probe_rows=totals["rows"],
+                matches=totals["matches"],
+                migrated=totals["migrated"],
+            )
+            if obs is not None:
+                obs.observe(
+                    "repro_probe_rows_per_partition",
+                    float(totals["rows"]),
+                    "Rows probed against the outer block, per partition.",
+                )
+        state.position = pos + 1
+
+    def _probe_pages(
+        self,
+        state: SweepState,
+        chunks,
+        probe_index,
+        index: int,
+        next_index: Optional[int],
+        new_cache: Optional["_TupleCache"],
+        carried: Optional[PageBatch],
+    ) -> Tuple[Dict[str, int], Optional[PageBatch]]:
+        """Join every page of a stream against the outer block.
+
+        *chunks* yields the stream's pages in the lists they were read in (see
+        :func:`_chunks`).  When *new_cache* is given, tuples overlapping the
+        sweep's next partition are migrated into it as their page passes
+        through memory (Figure 9's ``newCachePage`` handling) -- before the next
+        page is read, so the main disk sees exactly the per-page access
+        sequence.  The probe lags behind: pages gather into a run of
+        :data:`RUN_ROWS` rows and are matched and emitted together
+        (:meth:`_emit`).  The engine decides *how* rows are matched and
+        filtered; emission and migration I/O happen here, writing the same
+        result pages for every engine.
+
+        *carried* holds the stream's rows and their columns as an earlier pass
+        split them.  Every page is still read; a delivery that equals the
+        carried rows at its offset takes their columns -- per page before a
+        migration trusts them, per run before a probe does -- and any other is
+        decomposed as on a first pass.
+
+        Returns ``(counts, seen)``: the pages, rows, matches and migrated
+        rows of this pass for the probe span -- derived from work already
+        done, never changing what is done -- and the stream as this pass saw
+        it, for the next pass to carry (None when the engine keeps no columns).
+        """
+        engine = self._engine
+        parts: List = []  # every run as probed, in stream order
+
+        def probe(run: List[Sequence[VTTuple]], start: int) -> int:
+            """Probe and emit one run, whose first row is the stream's row
+            *start*."""
+            batch = None
+            if carried is not None:
+                rows = run[0] if len(run) == 1 else list(chain.from_iterable(run))
+                batch = carried.matching(start, rows)
+            if batch is None:
+                batch = engine.decompose(run)
+            parts.append(batch)
+            return self._emit(state, engine.probe(probe_index, batch, index))
+
+        n_pages = n_rows = n_emitted = 0
+        migrate = new_cache is not None
+        migrated: List[int] = []  # stream rows that went into the new cache
+        # The carried rows due to migrate, named by one mask over the columns
+        # and handed out page by page below.
+        due = None
+        if migrate and carried:
+            due = engine.overlapping_rows(carried, next_index)
+        due_at = 0
+        run: List[Sequence[VTTuple]] = []
+        run_start = 0
+        for chunk in chunks:
+            for page in chunk:
+                n_pages += 1
+                page_end = n_rows + len(page)
+                if migrate:
+                    rows = None
+                    if due is not None:
+                        upto = bisect_left(due, page_end, due_at)
+                        if carried.tuples[n_rows:page_end] == page:
+                            rows = [row - n_rows for row in due[due_at:upto]]
+                        due_at = upto
+                    if rows is None:
+                        rows = engine.overlapping_rows(page, next_index)
+                    if rows:
+                        new_cache.extend([page[row] for row in rows])
+                        migrated.extend(n_rows + row for row in rows)
+                run.append(page)
+                n_rows = page_end
+            if n_rows - run_start >= RUN_ROWS:
+                n_emitted += probe(run, run_start)
+                run = []
+                run_start = n_rows
+        if run:
+            n_emitted += probe(run, run_start)
+        seen = _carried_columns(parts)
+        if migrated and seen is not None:
+            new_cache.carry(seen.take(migrated))
+        counts = dict(
+            pages=n_pages, rows=n_rows, matches=n_emitted, migrated=len(migrated)
+        )
+        return counts, seen
+
+    def _emit(self, state: SweepState, matches) -> int:
+        """Write one run's *matches* to the result stream, in order; returns
+        how many rows went out.  With swapped inputs the pair function sees
+        ``(inner row, outer row)``, the caller's order."""
+        pair_fn, collected = self._pair_fn, state.outcome.result
+        if isinstance(matches, MatchBlock):
+            if self._context.swapped:
+                matches = matches.flipped()
+            if pair_fn is natural_pair:
+                # The block *is* the natural result rows: O(pages) work.
+                state.result_file.append_block(matches)
+                if collected is not None:
+                    collected.append_block(matches)
+                state.outcome.n_result_tuples += len(matches)
+                return len(matches)
+            matches = matches.pairs()
+        elif self._context.swapped:
+            matches = ((inner, outer, common) for outer, inner, common in matches)
+        emitted = 0
+        for x, y, common in matches:
+            joined = pair_fn(x, y, common)
+            if joined is None:
+                continue
+            emitted += 1
+            self._layout.write_result(state.result_file, joined)
+            if collected is not None:
+                collected.add(joined)
+        state.outcome.n_result_tuples += emitted
+        return emitted
+
+    def _shrink_buffer(self, pos: int) -> None:
+        """Shrink the outer reservation to the buffer in force at *pos*, and
+        record a reduction that starts here.  One that started before a
+        thawed state's position shrinks silently: the interrupted run
+        already recorded it."""
+        reservation, report = self._outer_reservation, self._layout.disk.report
+        buff_size = self._buffer_in_force(pos)
+        if reservation is not None and buff_size < reservation.pages:
+            reservation.resize(buff_size)
+            _pool_gauges(self._obs, self._pool)
+        # Once per position: a step replayed after a crash inside it finds
+        # the event the interrupted run left on the (surviving) report.
+        if buff_size < self._buffer_in_force(pos - 1) and not any(
+            event.kind == "buffer-reduction" and event.position == pos
+            for event in report.degradations
+        ):
+            report.record_degradation(
+                "buffer-reduction",
+                f"outer buffer shrunk to {buff_size} pages at sweep position {pos}",
+                position=pos,
+                obs=self._obs,
+                buff_size=buff_size,
+            )
+
+    def barrier(self, state: SweepState) -> None:
+        """Between two partitions: flush the result and checkpoint *state*
+        when one is due, then read ahead for the next step."""
+        obs, checkpointer = self._obs, self._checkpointer
+        if checkpointer is not None and checkpointer.due(state.position):
+            # Durability point: stored watermarks must cover every
+            # emitted tuple, so the result buffer goes out first.
+            state.result_file.flush()
+            checkpointer.write(state)
+            if obs is not None:
+                obs.event("checkpoint", position=state.position)
+                obs.count(
+                    "repro_checkpoints_total",
+                    "Boundary checkpoints written mid-sweep.",
+                )
+        self._io.read_ahead(self, state)
+
+    def next_scans(self, state: SweepState) -> Tuple[HeapFile, ...]:
+        """The files the next step scans before any other access to their
+        device can fall in between -- what a read-ahead may fetch.
+
+        The prefix property (see :mod:`repro.storage.prefetch`) needs the
+        prefetched pages to be exactly the first demand reads of the next
+        step.  The one thing that can break that on the TEMP device is a
+        partition overflow: its spill round-trip lands between the outer scan
+        and the inner scans.  Whether the next partition overflows is fully
+        determined by state in hand at the barrier -- the retained outer
+        tuples, the partition's cardinality, and the buffer size in force --
+        so it is predicted here without touching the disk, and on a predicted
+        overflow the read-ahead stops at the outer partition's pages.
+        """
+        context = self._context
+        next_part = self._order[state.position]
+        retained = state.outer_retained
+        if isinstance(retained, ColumnarBlock):
+            kept = retained.count_overlapping(self._engine.boundaries, next_part)
+        else:
+            kept = len(self._engine.overlapping_rows(retained, next_part))
+        outer, inner = context.r_parts[next_part], context.s_parts[next_part]
+        if kept + outer.n_tuples > self._block_tuples(state.position):
+            return (outer,)
+        return (outer, inner)
+
+
+def _cache_shape(context: SweepContext) -> Tuple[int, int]:
+    """What every tuple cache of a sweep is built with: the rows of its
+    resident area, and a capacity hint for its spill file."""
+    return context.cache_memory_tuples, sum(part.n_tuples for part in context.s_parts)
+
+
+class _DemandIO:
+    """How the sweep reaches storage, chosen with the engine: every page is
+    read when the step asks for it and every migrant written as its page
+    passes."""
+
+    def __init__(
+        self, layout: DiskLayout, context: SweepContext, obs: Optional["Observability"]
+    ) -> None:
+        self._layout = layout
+        self._obs = obs
+        self._cache_shape = _cache_shape(context)
+
+    def scan(self, heap: HeapFile, by_run: bool):
+        """The pages of *heap* in the lists they are read in."""
+        return _chunks(heap, by_run)
+
+    def open_cache(self, name: str) -> "_TupleCache":
+        """The (empty) tuple cache a step fills."""
+        return _TupleCache(self._layout, name, *self._cache_shape)
+
+    def read_ahead(self, sweep: PartitionSweep, state: SweepState) -> None:
+        """The barrier's I/O; none here."""
+
+    def close(self) -> None:
+        """Teardown at the end of the run, however it ends."""
+
+
+class _PipelinedIO(_DemandIO):
+    """The pipelined sweeps' I/O: the next partition's pages are read ahead
+    at the barrier and the tuple cache writes behind (see
+    :mod:`repro.storage.prefetch`), both tagged on the statistics."""
+
+    def __init__(
+        self, layout: DiskLayout, context: SweepContext, obs: Optional["Observability"]
+    ) -> None:
+        super().__init__(layout, context, obs)
+        self._pipeline = PrefetchPipeline(layout, context.prefetch_depth)
+
+    def scan(self, heap: HeapFile, by_run: bool):
+        # Page by page whatever the caller could afford: the prefetch cache
+        # hands out (and the demand ledger counts) single pages.
+        return ([page] for page in self._pipeline.scan_pages(heap))
+
+    def open_cache(self, name: str) -> "_PipelinedTupleCache":
+        return _PipelinedTupleCache(
+            self._layout, name, *self._cache_shape, self._pipeline
+        )
+
+    def read_ahead(self, sweep: PartitionSweep, state: SweepState) -> None:
+        pipeline = self._pipeline
+        with span_or_null(
+            self._obs, "prefetch", lane="prefetch", next_position=state.position
+        ) as prefetch_span:
+            pipeline.prefetch(sweep.next_scans(state))
+            prefetch_span.set(
+                cached_pages=len(pipeline.cache) if pipeline.cache is not None else 0
+            )
+
+    def close(self) -> None:
+        if self._obs is not None:
+            _export_pipeline_metrics(self._obs, self._pipeline)
+        self._pipeline.discard()
+
+
+def _pool_gauges(obs: Optional["Observability"], pool: Optional[BufferPool]) -> None:
     """Publish the buffer pool's occupancy gauges."""
-    obs.gauge(
-        "repro_buffer_pool_pages",
-        float(pool.used_pages),
-        "Buffer pool occupancy in pages.",
-        state="used",
-    )
-    obs.gauge(
-        "repro_buffer_pool_pages",
-        float(pool.free_pages),
-        "Buffer pool occupancy in pages.",
-        state="free",
-    )
+    if obs is None or pool is None:
+        return
+    for state, pages in (("used", pool.used_pages), ("free", pool.free_pages)):
+        obs.gauge(
+            "repro_buffer_pool_pages",
+            float(pages),
+            "Buffer pool occupancy in pages.",
+            state=state,
+        )
 
 
 def _export_pipeline_metrics(obs: "Observability", pipeline: PrefetchPipeline) -> None:
@@ -699,31 +904,6 @@ class _TupleCache:
         # cache, in arrival order.  Volatile: a checkpoint stores rows only.
         self._columns: List[PageBatch] = []
 
-    @classmethod
-    def restore(
-        cls,
-        layout: DiskLayout,
-        memory_tuples: int,
-        capacity_hint: int,
-        checkpoint: SweepCheckpoint,
-    ) -> Optional["_TupleCache"]:
-        """Rebuild the cache a checkpoint captured (None when it had none).
-
-        The resident area comes back from the checkpoint record (it was
-        persisted with the checkpoint's charged writes); the spill file is
-        the on-disk survivor, rolled back to its checkpointed watermarks.
-        No columns come back: the first scan decomposes the rows afresh.
-        """
-        if checkpoint.cache_name is None:
-            return None
-        cache = cls(layout, checkpoint.cache_name, memory_tuples, capacity_hint)
-        cache.resident = list(checkpoint.cache_resident)
-        if checkpoint.cache_spill is not None:
-            checkpoint.cache_spill.rewind_to(
-                checkpoint.cache_spill_pages, checkpoint.cache_spill_tuples
-            )
-            cache.spill = checkpoint.cache_spill
-        return cache
 
     def extend(self, tuples: List[VTTuple]) -> None:
         """Cache *tuples* in order: the resident area first, the rest spilled."""
@@ -768,7 +948,7 @@ class _TupleCache:
         if self.resident:
             yield [self.resident]
         if self.spill is not None:
-            yield from _chunks(self.spill, None, by_run)
+            yield from _chunks(self.spill, by_run)
 
 
 class _PipelinedTupleCache(_TupleCache):
@@ -817,26 +997,14 @@ class _PipelinedTupleCache(_TupleCache):
         )
 
 
-def _chunks(heap: HeapFile, pipeline: Optional[PrefetchPipeline], by_run: bool):
+def _chunks(heap: HeapFile, by_run: bool):
     """The pages of *heap* as the sweep consumes them: lists of pages read
-    together.  One page at a time -- through the prefetch *pipeline* when
-    there is one -- or, with *by_run*, :data:`RUN_ROWS` rows in one charged
-    call, which is only for scans no other main-disk access falls into."""
-    if pipeline is not None:
-        pages = pipeline.scan_pages(heap)
-    elif by_run:
+    together.  One page at a time or, with *by_run*, :data:`RUN_ROWS` rows in
+    one charged call, which is only for scans no other main-disk access
+    falls into."""
+    if by_run:
         return heap.scan_runs(RUN_ROWS)
-    else:
-        pages = heap.scan_pages()
-    return ([page] for page in pages)
-
-
-def _retained_overlap_count(outer_retained, engine, next_part: int) -> int:
-    """How many retained outer tuples reach *next_part* (overflow predictor)."""
-    if isinstance(outer_retained, ColumnarBlock):
-        return outer_retained.count_overlapping(engine.boundaries, next_part)
-    return len(engine.overlapping_rows(outer_retained, next_part))
-
+    return ([page] for page in heap.scan_pages())
 
 def _split_blocks(outer: List[VTTuple], block_tuples: int) -> List[List[VTTuple]]:
     """Split the outer partition into buffer-sized blocks (usually one)."""
@@ -846,10 +1014,7 @@ def _split_blocks(outer: List[VTTuple], block_tuples: int) -> List[List[VTTuple]
 
 
 def _charge_spill(
-    overflow_blocks: List[Sequence[VTTuple]],
-    layout: DiskLayout,
-    spec,
-    index: int,
+    overflow_blocks: List[Sequence[VTTuple]], layout: DiskLayout, index: int
 ) -> None:
     """Charge the write and read-back of spilled overflow blocks.
 
@@ -858,7 +1023,8 @@ def _charge_spill(
     the TEMP device: one run out, one run back.
     """
     rows = list(chain.from_iterable(overflow_blocks))
-    pages = [rows[at : at + spec.capacity] for at in range(0, len(rows), spec.capacity)]
+    capacity = layout.spec.capacity
+    pages = [rows[at : at + capacity] for at in range(0, len(rows), capacity)]
     disk = layout.disk
     extent = disk.allocate(
         f"overflow_spill_{index}", device=Device.TEMP, capacity=max(1, len(pages))
@@ -1060,121 +1226,6 @@ class _BatchEngine(_ProbeEngine):
             common_ends,
         )
 
-
-def _probe_pages(
-    chunks,
-    engine: _ProbeEngine,
-    probe_index,
-    index: int,
-    next_index: Optional[int],
-    new_cache: Optional["_TupleCache"],
-    result_file: HeapFile,
-    collected: Optional[ValidTimeRelation],
-    outcome: JoinOutcome,
-    layout: DiskLayout,
-    pair_fn: PairFn,
-    swapped: bool,
-    carried: Optional[PageBatch] = None,
-) -> Tuple[int, int, int, int, Optional[PageBatch]]:
-    """Join every page of a stream against the outer block.
-
-    *chunks* yields the stream's pages in the lists they were read in (see
-    :func:`_chunks`).  When *new_cache* is given, tuples overlapping the
-    sweep's next partition are migrated into it as their page passes
-    through memory (Figure 9's ``newCachePage`` handling) -- before the next
-    page is read, so the main disk sees exactly the per-page access
-    sequence.  The probe lags behind: pages gather into a run of
-    :data:`RUN_ROWS` rows and are matched and emitted together.  The engine
-    decides *how* rows are matched and filtered; emission and migration I/O
-    happen here, writing the same result pages for every engine.  With
-    *swapped* the pair function sees ``(inner row, outer row)``.
-
-    *carried* holds the stream's rows and their columns as an earlier pass
-    split them.  Every page is still read; a delivery that equals the
-    carried rows at its offset takes their columns -- per page before a
-    migration trusts them, per run before a probe does -- and any other is
-    decomposed as on a first pass.
-
-    Returns ``(pages, rows, emitted, migrated, seen)``: counts for the probe
-    span -- derived from work already done, never changing what is done --
-    and the stream as this pass saw it, for the next pass to carry (None
-    when the engine keeps no columns).
-    """
-    parts: List = []  # every run as probed, in stream order
-
-    def emit(run: List[Sequence[VTTuple]], start: int) -> int:
-        """Probe one run, whose first row is the stream's row *start*;
-        write its matches to the result stream, in order."""
-        batch = None
-        if carried is not None:
-            rows = run[0] if len(run) == 1 else list(chain.from_iterable(run))
-            batch = carried.matching(start, rows)
-        if batch is None:
-            batch = engine.decompose(run)
-        parts.append(batch)
-        matches = engine.probe(probe_index, batch, index)
-        if isinstance(matches, MatchBlock):
-            if swapped:
-                matches = matches.flipped()
-            if pair_fn is natural_pair:
-                # The block *is* the natural result rows: O(pages) work.
-                result_file.append_block(matches)
-                if collected is not None:
-                    collected.append_block(matches)
-                outcome.n_result_tuples += len(matches)
-                return len(matches)
-            matches = matches.pairs()
-        elif swapped:
-            matches = ((inner, outer, common) for outer, inner, common in matches)
-        emitted = 0
-        for x, y, common in matches:
-            joined = pair_fn(x, y, common)
-            if joined is None:
-                continue
-            emitted += 1
-            layout.write_result(result_file, joined)
-            if collected is not None:
-                collected.add(joined)
-        outcome.n_result_tuples += emitted
-        return emitted
-
-    n_pages = n_rows = n_emitted = 0
-    migrate = new_cache is not None and next_index is not None
-    migrated: List[int] = []  # stream rows that went into the new cache
-    # The carried rows due to migrate, named by one mask over the columns
-    # and handed out page by page below.
-    due = engine.overlapping_rows(carried, next_index) if migrate and carried else None
-    due_at = 0
-    run: List[Sequence[VTTuple]] = []
-    run_start = 0
-    for chunk in chunks:
-        for page in chunk:
-            n_pages += 1
-            page_end = n_rows + len(page)
-            if migrate:
-                rows = None
-                if due is not None:
-                    upto = bisect_left(due, page_end, due_at)
-                    if carried.tuples[n_rows:page_end] == page:
-                        rows = [row - n_rows for row in due[due_at:upto]]
-                    due_at = upto
-                if rows is None:
-                    rows = engine.overlapping_rows(page, next_index)
-                if rows:
-                    new_cache.extend([page[row] for row in rows])
-                    migrated.extend(n_rows + row for row in rows)
-            run.append(page)
-            n_rows = page_end
-        if n_rows - run_start >= RUN_ROWS:
-            n_emitted += emit(run, run_start)
-            run = []
-            run_start = n_rows
-    if run:
-        n_emitted += emit(run, run_start)
-    seen = _carried_columns(parts)
-    if migrated and seen is not None:
-        new_cache.carry(seen.take(migrated))
-    return n_pages, n_rows, n_emitted, len(migrated), seen
 
 
 def _carried_columns(parts: List) -> Optional[PageBatch]:

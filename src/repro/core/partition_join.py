@@ -17,11 +17,19 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
-from repro.core.joiner import JoinOutcome, PairFn, join_partitions, natural_pair
+from repro.core.joiner import (
+    JoinOutcome,
+    PairFn,
+    PartitionSweep,
+    SweepState,
+    join_partitions,
+    natural_pair,
+)
 from repro.core.partitioner import do_partitioning
 from repro.core.planner import PartitionPlan, determine_part_intervals
 from repro.exec import ALL_EXECUTION_MODES, EXECUTION_MODES  # noqa: F401 (re-exported)
@@ -33,6 +41,7 @@ from repro.model.errors import (
     PlanError,
 )
 from repro.model.relation import ValidTimeRelation
+from repro.model.schema import RelationSchema
 from repro.resilience.checkpoint import RecoveryLog, SweepCheckpointer
 from repro.resilience.degrade import BufferReduction, fallback_nested_loop_join
 from repro.resilience.report import ResilienceReport
@@ -41,6 +50,7 @@ from repro.storage.buffer import BufferPool, JoinBufferAllocation
 from repro.storage.iostats import CostModel
 from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
+from repro.time.interval import Interval
 
 #: The temporal predicate the partition machinery evaluates.
 NATURAL_PREDICATE = "intersects"
@@ -276,33 +286,49 @@ class PartitionJoinResult:
         return self.layout.tracker.stats.cost(cost_model)
 
 
-def _build_observability(
-    config: PartitionJoinConfig, layout: DiskLayout
-) -> Optional[Observability]:
-    """The run's observability runtime, attached to the layout's disk.
+@dataclass(frozen=True)
+class _JoinCall:
+    """What one :func:`partition_join` / :func:`resume_join` call hands to
+    every path it can take: the sweep, the forward sweep, the fallback."""
 
-    Reuses a runtime already attached to the disk (a resumed run keeps
-    accumulating into the crashed run's trace and metrics).
+    r: ValidTimeRelation
+    s: ValidTimeRelation
+    config: PartitionJoinConfig
+    layout: DiskLayout
+    pair_fn: PairFn = natural_pair
+    recovery: Optional[RecoveryLog] = None
+    pool: Optional[BufferPool] = None
+    obs: Optional[Observability] = None
+    result_schema: Optional[RelationSchema] = None
+
+
+def _open_call(r, s, config, layout, pair_fn, recovery, pool) -> _JoinCall:
+    """Apply the config's retry bound to *layout* and attach the run's
+    observability runtime to its disk.
+
+    A runtime already attached is reused: a resumed run keeps accumulating
+    into the crashed run's trace and metrics.
     """
-    if config.observability is None:
-        return None
-    existing = getattr(layout.disk, "_obs", None)
-    if existing is not None:
-        return existing
-    obs = Observability(config.observability)
-    layout.disk.attach_observer(obs)
-    return obs
+    result_schema = r.schema.join_result_schema(s.schema)  # or SchemaError
+    if config.retry_limit is not None:
+        layout.disk.retry_policy = RetryPolicy(
+            max_retries=config.retry_limit,
+            backoff_ops=layout.disk.retry_policy.backoff_ops,
+        )
+    obs = None
+    if config.observability is not None:
+        obs = getattr(layout.disk, "_obs", None)
+        if obs is None:
+            obs = Observability(config.observability)
+            layout.disk.attach_observer(obs)
+    return _JoinCall(r, s, config, layout, pair_fn, recovery, pool, obs, result_schema)
 
 
 @contextmanager
 def _phase(tracker, obs: Optional[Observability], name: str) -> Iterator[None]:
     """A tracker phase, mirrored onto the observability runtime when present."""
-    with tracker.phase(name):
-        if obs is not None:
-            with obs.phase(name):
-                yield
-        else:
-            yield
+    with tracker.phase(name), obs.phase(name) if obs is not None else nullcontext():
+        yield
 
 
 def partition_join(
@@ -339,8 +365,8 @@ def partition_join(
             reuse a plan when relations and ``buff_size`` are unchanged;
             results stay bit-identical because the plan fully determines the
             partitioning.  Ignored when a relation fits in the buffer (the
-            single-partition shortcut never samples anyway), and discarded
-            when a smaller *pool* forces a replan.
+            one-partition case never samples anyway), and discarded when a
+            smaller *pool* forces a replan.
         interner: a :class:`~repro.exec.batch.KeyInterner` shared across
             repeated joins of the same relation version (the service
             layer's interner cache).  Interner ids never reach results, so
@@ -352,7 +378,6 @@ def partition_join(
         PermanentIOFaultError: a page failed permanently and
             ``config.degraded_fallback`` is off.
     """
-    result_schema = r.schema.join_result_schema(s.schema)
     if layout is None:
         # The zero-copy mode stores pages in the packed columnar layout so
         # the batch kernels probe buffer views; the layout is readable by
@@ -361,12 +386,9 @@ def partition_join(
             spec=config.page_spec,
             columnar=(config.execution in ("zero-copy-sweep", "forward-sweep")),
         )
-    if config.retry_limit is not None:
-        layout.disk.retry_policy = RetryPolicy(
-            max_retries=config.retry_limit,
-            backoff_ops=layout.disk.retry_policy.backoff_ops,
-        )
-    obs = _build_observability(config, layout)
+    if config.checkpoint_interval > 0 and recovery is None:
+        recovery = RecoveryLog()
+    call = _open_call(r, s, config, layout, pair_fn, recovery, pool)
     if pool is not None and pool.total_pages < config.memory_pages:
         # Graceful degradation: the memory the plan assumed is not there.
         # Re-plan for what the pool can actually grant rather than failing
@@ -375,187 +397,130 @@ def partition_join(
             "replan",
             f"buffer pool grants {pool.total_pages} of {config.memory_pages} "
             f"requested pages; re-planning for the smaller budget",
+            obs=call.obs,
+            granted_pages=pool.total_pages,
+            requested_pages=config.memory_pages,
         )
-        if obs is not None:
-            obs.event(
-                "degradation",
-                kind="replan",
-                granted_pages=pool.total_pages,
-                requested_pages=config.memory_pages,
-            )
-            obs.count(
-                "repro_degradations_total",
-                "Recorded degradation events by kind.",
-                kind="replan",
-            )
         config = dataclasses.replace(config, memory_pages=pool.total_pages)
+        call = dataclasses.replace(call, config=config)
         plan = None  # a cached plan assumed the larger budget
-    if config.checkpoint_interval > 0 and recovery is None:
-        recovery = RecoveryLog()
-
-    allocation = JoinBufferAllocation(config.memory_pages)
-    # The Section 5 trade-off: pages reserved for a resident tuple cache
-    # come out of the outer-partition area (validated by the config).
-    buff_size = config.buff_size
-    rng = random.Random(config.seed)
 
     r_file = layout.place_relation(r)
     s_file = layout.place_relation(s)
-    tracker = layout.tracker
-
     if config.execution == "forward-sweep":
-        return _forward_sweep_eval(
-            r, s, r_file, s_file, result_schema, config, layout, pair_fn,
-            recovery=recovery, pool=pool, obs=obs,
+        evaluate = partial(_forward_sweep_eval, call, r_file, s_file)
+    else:
+        evaluate = partial(_partition_sweep, call, r_file, s_file, plan, interner)
+    return _answer(call, evaluate, config.buff_size)
+
+
+def _partition_sweep(
+    call: _JoinCall, r_file, s_file, cached: Optional[PartitionPlan], interner
+) -> Tuple[JoinOutcome, PartitionPlan]:
+    """Prepare, then sweep (phase ``"join"``): ``(outcome, executed plan)``."""
+    config, layout, recovery = call.config, call.layout, call.recovery
+    plan, partition_map, r_parts, s_parts, swapped, buff_size = _prepare(
+        call, r_file, s_file, cached
+    )
+    checkpointer = None
+    if config.checkpoint_interval > 0:
+        checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
+    # What the outer area leaves of the budget is the resident tuple cache
+    # (the Section 5 trade-off; nothing in the one-partition case).
+    cache_pages = config.memory_pages - JoinBufferAllocation.FIXED_PAGES - buff_size
+    with _phase(layout.tracker, call.obs, "join"):
+        outcome = join_partitions(
+            r_parts,
+            s_parts,
+            partition_map,
+            buff_size,
+            layout,
+            call.result_schema,
+            collect=config.collect_result,
+            pair_fn=call.pair_fn,
+            direction=config.sweep_direction,
+            cache_memory_tuples=cache_pages * layout.spec.capacity,
+            execution=config.execution,
+            prefetch_depth=config.prefetch_depth,
+            interner=interner,
+            pool=call.pool,
+            checkpointer=checkpointer,
+            buffer_reductions=config.buffer_reductions,
+            swapped_inputs=swapped,
+            obs=call.obs,
         )
+    return outcome, plan
 
+
+def _answer(
+    call: _JoinCall, evaluate, buff_size: int, plan: Optional[PartitionPlan] = None
+) -> PartitionJoinResult:
+    """Run *evaluate* -- ``() -> (outcome, plan)`` -- and wrap what the call
+    produced.
+
+    The permanent-failure fallback: a permanently unreadable page means
+    some file of the planned evaluation cannot be trusted; re-placing the
+    base relations and nested-looping over them in *buff_size*-page blocks
+    sidesteps every temporary file.  The fallback emits the same result
+    *set* as the sweep in a different order -- callers comparing materialized
+    results sort first (the sweep's emission order is a partition-ownership
+    artifact, not part of the join's contract) -- and is reported under
+    *plan*, the plan known before *evaluate* ran (a stand-in when None).  It
+    evaluates intersection semantics, so any other predicate (the forward
+    sweep's) re-raises.
+    """
+    config, layout, obs = call.config, call.layout, call.obs
     try:
-        # Degenerate case: a whole relation fits in the outer-partition
-        # area, so a single partition suffices -- no sampling, no Grace
-        # partitioning, one linear scan of each input.  (The trivial "plan"
-        # is one interval covering the inputs' joint lifespan, known from
-        # catalog metadata.)
-        if min(r_file.n_pages, s_file.n_pages) <= buff_size:
-            return _single_partition_join(
-                r,
-                s,
-                r_file,
-                s_file,
-                result_schema,
-                allocation,
-                config,
-                layout,
-                pair_fn,
-                recovery=recovery,
-                pool=pool,
-                obs=obs,
-                interner=interner,
-            )
-
-        if plan is not None and plan.buff_size != buff_size:
-            plan = None  # stale cached plan: planned for a different budget
-        if plan is None:
-            with _phase(tracker, obs, "sample"):
-                plan = determine_part_intervals(
-                    buff_size,
-                    r_file,
-                    inner_tuples=len(s),
-                    cost_model=config.cost_model,
-                    rng=rng,
-                    allow_scan_sampling=config.allow_scan_sampling,
-                    max_candidates=config.max_plan_candidates,
-                    inner=s_file if config.sample_inner_relation else None,
-                )
-        elif obs is not None:
-            obs.event("plan-reused", num_partitions=len(plan.intervals))
-        layout.disk.park_heads()
-        if recovery is not None:
-            recovery.plan = plan
-        if obs is not None and plan.chosen is not None:
-            obs.event(
-                "plan",
-                num_partitions=len(plan.intervals),
-                part_size=plan.part_size,
-                n_samples=plan.chosen.n_samples,
-                c_sample=plan.chosen.c_sample,
-                c_join=plan.chosen.c_join,
-            )
-
-        partition_map = plan.partition_map()
-        placement = "last" if config.sweep_direction == "backward" else "first"
-        with _phase(tracker, obs, "partition"):
-            r_parts = do_partitioning(
-                r_file,
-                partition_map,
-                layout,
-                "r",
-                config.memory_pages,
-                placement=placement,
-                execution=config.execution,
-                obs=obs,
-            )
-            layout.disk.park_heads()
-            s_parts = do_partitioning(
-                s_file,
-                partition_map,
-                layout,
-                "s",
-                config.memory_pages,
-                placement=placement,
-                execution=config.execution,
-                obs=obs,
-            )
-        layout.disk.park_heads()
-
-        checkpointer = None
-        if config.checkpoint_interval > 0:
-            checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
-
-        with _phase(tracker, obs, "join"):
-            outcome = join_partitions(
-                r_parts,
-                s_parts,
-                partition_map,
+        outcome, plan = evaluate()
+    except PermanentIOFaultError as failure:
+        if not config.degraded_fallback or config.predicate != NATURAL_PREDICATE:
+            raise
+        layout.tracker.recover()
+        layout.resilience_report.record_degradation(
+            "nested-loop-fallback",
+            f"permanent page failure ({failure}); re-evaluating as a block "
+            f"nested-loop join",
+            obs=obs,
+            failure=str(failure),
+        )
+        # fallback_nested_loop_join opens its own "degraded-join" tracker
+        # phase; mirror the label for the metrics attribution.
+        with obs.phase("degraded-join") if obs is not None else nullcontext():
+            outcome = fallback_nested_loop_join(
+                call.r,
+                call.s,
                 buff_size,
                 layout,
-                result_schema,
+                call.result_schema,
                 collect=config.collect_result,
-                pair_fn=pair_fn,
-                direction=config.sweep_direction,
-                cache_memory_tuples=config.cache_buffer_pages * layout.spec.capacity,
-                execution=config.execution,
-                prefetch_depth=config.prefetch_depth,
-                interner=interner,
-                pool=pool,
-                checkpointer=checkpointer,
-                buffer_reductions=config.buffer_reductions,
-                obs=obs,
+                pair_fn=call.pair_fn,
             )
-
-        return PartitionJoinResult(
-            outcome=outcome, plan=plan, layout=layout, recovery=recovery,
-            observability=obs,
-        )
-    except PermanentIOFaultError as failure:
-        if not config.degraded_fallback:
-            raise
-        outcome = _degrade_to_nested_loop(
-            r, s, buff_size, layout, result_schema, config, pair_fn, failure, obs=obs
-        )
-        plan = _trivial_plan(r, s, buff_size, config)
-        return PartitionJoinResult(
-            outcome=outcome, plan=plan, layout=layout, recovery=recovery,
-            observability=obs,
-        )
+        if plan is None:
+            plan = _trivial_plan(call, buff_size)
+    return PartitionJoinResult(
+        outcome=outcome,
+        plan=plan,
+        layout=layout,
+        recovery=call.recovery,
+        observability=obs,
+    )
 
 
 def _forward_sweep_eval(
-    r: ValidTimeRelation,
-    s: ValidTimeRelation,
-    r_file,
-    s_file,
-    result_schema,
-    config: PartitionJoinConfig,
-    layout: DiskLayout,
-    pair_fn: PairFn,
-    *,
-    recovery: Optional[RecoveryLog] = None,
-    pool: Optional[BufferPool] = None,
-    obs: Optional[Observability] = None,
-) -> PartitionJoinResult:
-    """Dispatch to the forward-scan sweep operator.
+    call: _JoinCall, r_file, s_file
+) -> Tuple[JoinOutcome, PartitionPlan]:
+    """Dispatch to the forward-scan sweep operator: ``(outcome, plan)``.
 
     The sweep neither samples nor partitions, so its buffer appetite is the
     planner's small fixed grant (:data:`~repro.core.planner.FORWARD_SWEEP_GRANT_PAGES`)
     rather than the Figure 3 allocation; when a pool is present only that
     much is reserved.  A permanent page failure degrades to the nested-loop
-    fallback exactly like the partition path -- but only for the natural
-    join, because the fallback evaluates intersection semantics; any other
-    predicate re-raises.
+    fallback exactly like the partition path (see :func:`_answer`).
     """
     from repro.core.planner import FORWARD_SWEEP_GRANT_PAGES
     from repro.exec.forward_sweep import forward_sweep_join
 
+    config, pool = call.config, call.pool
     reservation = None
     if pool is not None:
         reservation = pool.reserve(
@@ -565,35 +530,20 @@ def _forward_sweep_eval(
         outcome = forward_sweep_join(
             r_file,
             s_file,
-            result_schema,
-            layout,
+            call.result_schema,
+            call.layout,
             predicate=config.predicate,
-            pair_fn=pair_fn,
+            pair_fn=call.pair_fn,
             collect=config.collect_result,
-            obs=obs,
-        )
-        plan = _trivial_plan(r, s, config.buff_size, config)
-        if recovery is not None:
-            recovery.plan = plan
-        return PartitionJoinResult(
-            outcome=outcome, plan=plan, layout=layout, recovery=recovery,
-            observability=obs,
-        )
-    except PermanentIOFaultError as failure:
-        if not config.degraded_fallback or config.predicate != NATURAL_PREDICATE:
-            raise
-        outcome = _degrade_to_nested_loop(
-            r, s, config.buff_size, layout, result_schema, config, pair_fn,
-            failure, obs=obs,
-        )
-        plan = _trivial_plan(r, s, config.buff_size, config)
-        return PartitionJoinResult(
-            outcome=outcome, plan=plan, layout=layout, recovery=recovery,
-            observability=obs,
+            obs=call.obs,
         )
     finally:
         if reservation is not None:
             reservation.release()
+    plan = _trivial_plan(call, config.buff_size)
+    if call.recovery is not None:
+        call.recovery.plan = plan
+    return outcome, plan
 
 
 def resume_join(
@@ -609,14 +559,13 @@ def resume_join(
     """Restart an interrupted partition join from its last checkpoint.
 
     The caller supplies the *same* relations, configuration, layout, and
-    recovery log of the interrupted :func:`partition_join` call.  The sweep
-    replays from the last committed checkpoint: the result and cache-spill
-    files are rewound to the checkpoint's watermarks and the remaining
-    partitions are joined, producing results and a
-    :class:`~repro.core.joiner.JoinOutcome` bit-identical to an
-    uninterrupted run.  I/O performed before the crash stays on the
-    layout's statistics; resumed work accumulates on top, within the same
-    ``"join"`` phase.
+    recovery log of the interrupted :func:`partition_join` call.  The last
+    committed checkpoint is thawed -- the result and cache-spill files
+    rewound to its watermarks -- and the sweep keeps stepping from there,
+    producing results and a :class:`~repro.core.joiner.JoinOutcome`
+    bit-identical to an uninterrupted run.  I/O performed before the crash
+    stays on the layout's statistics; resumed work accumulates on top,
+    within the same ``"join"`` phase.
 
     A crash *before* the first committed checkpoint (during sampling,
     partitioning, or the first sweep steps) leaves nothing to replay; the
@@ -631,80 +580,40 @@ def resume_join(
         raise CheckpointError(
             f"resume requires checkpoint_interval >= 1, got {config.checkpoint_interval}"
         )
-    if not recovery.resumable:
-        # The run died before its sweep committed a checkpoint: recover the
-        # tracker and restart the whole evaluation.
-        layout.tracker.recover()
-        recovery.resumes += 1
-        layout.resilience_report.resumes += 1
-        return partition_join(
-            r, s, config, layout=layout, pair_fn=pair_fn, recovery=recovery, pool=pool
-        )
-    if config.retry_limit is not None:
-        layout.disk.retry_policy = RetryPolicy(
-            max_retries=config.retry_limit,
-            backoff_ops=layout.disk.retry_policy.backoff_ops,
-        )
     # A crash can leave a phase open on the tracker (the context manager
     # closes it when the exception unwinds normally, but a recovery catalog
     # cannot assume a tidy unwind).
     layout.tracker.recover()
     recovery.resumes += 1
     layout.resilience_report.resumes += 1
-    obs = _build_observability(config, layout)
+    if not recovery.resumable:
+        # The run died before its sweep committed a checkpoint: restart the
+        # whole evaluation.
+        return partition_join(
+            r, s, config, layout=layout, pair_fn=pair_fn, recovery=recovery, pool=pool
+        )
+    call = _open_call(r, s, config, layout, pair_fn, recovery, pool)
+    obs = call.obs
     if obs is not None:
         obs.event("resume", position=recovery.checkpoint.position)
-        obs.count(
-            "repro_resumes_total", "Sweep resumes from a committed checkpoint."
-        )
+        obs.count("repro_resumes_total", "Sweep resumes from a committed checkpoint.")
+    sweep = PartitionSweep(
+        recovery.context,
+        layout,
+        pair_fn=pair_fn,
+        pool=pool,
+        checkpointer=SweepCheckpointer(layout, recovery, config.checkpoint_interval),
+        buffer_reductions=config.buffer_reductions,
+        obs=obs,
+    )
 
-    context = recovery.context
-    checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
-    try:
+    def keep_stepping() -> Tuple[JoinOutcome, PartitionPlan]:
         with _phase(layout.tracker, obs, "join"):
-            outcome = join_partitions(
-                context.r_parts,
-                context.s_parts,
-                context.partition_map,
-                context.buff_size,
-                layout,
-                context.result_schema,
-                collect=context.collect,
-                pair_fn=pair_fn,
-                direction=context.direction,
-                cache_memory_tuples=context.cache_memory_tuples,
-                execution=context.execution,
-                prefetch_depth=context.prefetch_depth,
-                pool=pool,
-                checkpointer=checkpointer,
-                resume_from=recovery.checkpoint,
-                buffer_reductions=config.buffer_reductions,
-                # A single-partition run may have stored its partitions in
-                # swapped orientation; the replay must flip pairs the same way.
-                swapped_inputs=context.swapped,
-                obs=obs,
-            )
-        plan = recovery.plan
-        if plan is None:  # a single-partition run interrupted before plan commit
-            plan = _trivial_plan(r, s, context.buff_size, config)
-        return PartitionJoinResult(
-            outcome=outcome, plan=plan, layout=layout, recovery=recovery,
-            observability=obs,
-        )
-    except PermanentIOFaultError as failure:
-        if not config.degraded_fallback:
-            raise
-        outcome = _degrade_to_nested_loop(
-            r, s, context.buff_size, layout, context.result_schema, config,
-            pair_fn, failure, obs=obs,
-        )
-        plan = recovery.plan
-        if plan is None:
-            plan = _trivial_plan(r, s, context.buff_size, config)
-        return PartitionJoinResult(
-            outcome=outcome, plan=plan, layout=layout, recovery=recovery,
-            observability=obs,
-        )
+            state = SweepState.thaw(recovery.context, recovery.checkpoint, layout)
+            return sweep.run(state), recovery.plan
+
+    # The plan was committed before the sweep's first checkpoint was.
+    return _answer(call, keep_stepping, recovery.plan.buff_size, recovery.plan)
 
 
 def plan_partition_join(
@@ -714,9 +623,9 @@ def plan_partition_join(
 ) -> Tuple[PartitionPlan, bool, int, int]:
     """Plan the partition join without executing it (the EXPLAIN entry point).
 
-    Runs exactly the planning path :func:`partition_join` would -- the same
-    single-partition shortcut test, the same seeded RNG, the same
-    ``determinePartIntervals`` call -- on a scratch layout, so the returned
+    Runs the planning step of :func:`partition_join` itself
+    (:func:`_choose_plan`: the one-partition test, the seeded RNG, the
+    ``determinePartIntervals`` call) on a scratch layout, so the returned
     plan is the plan the execution would choose.  The sampling I/O the
     planner charges lands on the scratch layout and is discarded; EXPLAIN
     predicts cost, it does not bill the catalog.
@@ -726,54 +635,117 @@ def plan_partition_join(
     layout = DiskLayout(spec=config.page_spec)
     r_file = layout.place_relation(r)
     s_file = layout.place_relation(s)
+    plan, single = _choose_plan(_JoinCall(r, s, config, layout), r_file, s_file)
+    return plan, single, r_file.n_pages, s_file.n_pages
+
+
+def _choose_plan(
+    call: _JoinCall, r_file, s_file, cached: Optional[PartitionPlan] = None
+) -> Tuple[PartitionPlan, bool]:
+    """The plan the evaluation executes, and whether it is the one-partition
+    case: a whole relation fits in the outer-partition area, so a single
+    partition suffices -- no sampling, no Grace partitioning, one linear
+    scan of each input.  Otherwise *cached*, when it was planned for this
+    budget, or a freshly sampled plan (phase ``"sample"``).
+    """
+    config, obs = call.config, call.obs
     buff_size = config.buff_size
     if min(r_file.n_pages, s_file.n_pages) <= buff_size:
-        allocation = JoinBufferAllocation(config.memory_pages)
-        plan = _single_partition_plan(r, s, r_file, s_file, allocation, config)
-        return plan, True, r_file.n_pages, s_file.n_pages
-    rng = random.Random(config.seed)
-    plan = determine_part_intervals(
-        buff_size,
-        r_file,
-        inner_tuples=len(s),
-        cost_model=config.cost_model,
-        rng=rng,
-        allow_scan_sampling=config.allow_scan_sampling,
-        max_candidates=config.max_plan_candidates,
-        inner=s_file if config.sample_inner_relation else None,
-    )
-    return plan, False, r_file.n_pages, s_file.n_pages
+        return _single_partition_plan(call, r_file, s_file), True
+    if cached is not None and cached.buff_size == buff_size:
+        if obs is not None:
+            obs.event("plan-reused", num_partitions=len(cached.intervals))
+        return cached, False
+    with _phase(call.layout.tracker, obs, "sample"):
+        plan = determine_part_intervals(
+            buff_size,
+            r_file,
+            inner_tuples=len(call.s),
+            cost_model=config.cost_model,
+            rng=random.Random(config.seed),
+            allow_scan_sampling=config.allow_scan_sampling,
+            max_candidates=config.max_plan_candidates,
+            inner=s_file if config.sample_inner_relation else None,
+        )
+    return plan, False
 
 
-def _single_partition_plan(
-    r: ValidTimeRelation,
-    s: ValidTimeRelation,
-    r_file,
-    s_file,
-    allocation: JoinBufferAllocation,
-    config: PartitionJoinConfig,
-) -> PartitionPlan:
-    """The inline plan of the single-partition shortcut (see
-    :func:`_single_partition_join`, which must build the identical plan)."""
-    from repro.core.intervals import PartitionMap
+def _prepare(call: _JoinCall, r_file, s_file, cached: Optional[PartitionPlan]):
+    """Everything before the sweep: ``(plan, partition_map, r_parts, s_parts,
+    swapped, buff_size)``.
+
+    The one-partition case sweeps the placed files as they are, the smaller
+    relation resident (``swapped`` when that is *s*).  It is admitted on
+    ``config.buff_size`` but runs on the plan's ``buff_size``, the whole
+    outer area: a one-partition sweep has no tuple cache to reserve for.
+    Every other plan Grace-partitions both inputs (phase ``"partition"``),
+    heads parked between phases so sequentiality cannot leak across them.
+    """
+    config, layout, obs = call.config, call.layout, call.obs
+    plan, single = _choose_plan(call, r_file, s_file, cached)
+    if call.recovery is not None:
+        call.recovery.plan = plan
+    partition_map = plan.partition_map()
+    if single:
+        swapped = r_file.n_pages > plan.buff_size
+        outer_file, inner_file = (s_file, r_file) if swapped else (r_file, s_file)
+        return plan, partition_map, [outer_file], [inner_file], swapped, plan.buff_size
+    layout.disk.park_heads()
+    if obs is not None and plan.chosen is not None:
+        obs.event(
+            "plan",
+            num_partitions=len(plan.intervals),
+            part_size=plan.part_size,
+            n_samples=plan.chosen.n_samples,
+            c_sample=plan.chosen.c_sample,
+            c_join=plan.chosen.c_join,
+        )
+    placement = "last" if config.sweep_direction == "backward" else "first"
+    parts = []
+    with _phase(layout.tracker, obs, "partition"):
+        for name, heap in (("r", r_file), ("s", s_file)):
+            parts.append(
+                do_partitioning(
+                    heap,
+                    partition_map,
+                    layout,
+                    name,
+                    config.memory_pages,
+                    placement=placement,
+                    execution=config.execution,
+                    obs=obs,
+                )
+            )
+            layout.disk.park_heads()
+    return plan, partition_map, *parts, False, config.buff_size
+
+
+def _joint_lifespan(r: ValidTimeRelation, s: ValidTimeRelation) -> Interval:
+    """One interval covering every timestamp of both inputs (``[0, 0]`` when
+    both are empty), known from catalog metadata."""
+    spans = [span for span in (r.lifespan(), s.lifespan()) if span is not None]
+    if not spans:
+        return Interval(0, 0)
+    return Interval(min(span.start for span in spans), max(span.end for span in spans))
+
+
+def _single_partition_plan(call: _JoinCall, r_file, s_file) -> PartitionPlan:
+    """The inline plan of the one-partition case: one interval over the
+    inputs' joint lifespan, the smaller relation as the outer side, costed
+    as one linear scan of each input."""
     from repro.core.planner import CandidateCost
-    from repro.time.interval import Interval
-    from repro.time.lifespan import lifespan_of
 
-    swap = not (r_file.n_pages <= allocation.buff_size)
+    config = call.config
+    buff_size = JoinBufferAllocation(config.memory_pages).buff_size
+    swap = r_file.n_pages > buff_size
     outer_file, inner_file = (s_file, r_file) if swap else (r_file, s_file)
-    lifespan = lifespan_of(
-        [tup.valid for tup in r.tuples] + [tup.valid for tup in s.tuples]
-    )
-    interval = lifespan if lifespan is not None else Interval(0, 0)
-    partition_map = PartitionMap([Interval(interval.start, interval.end)])
     return PartitionPlan(
-        intervals=list(partition_map.intervals),
+        intervals=[_joint_lifespan(call.r, call.s)],
         part_size=max(1, outer_file.n_pages),
-        buff_size=allocation.buff_size,
+        buff_size=buff_size,
         chosen=CandidateCost(
             part_size=outer_file.n_pages,
-            error_size=allocation.buff_size - outer_file.n_pages,
+            error_size=buff_size - outer_file.n_pages,
             n_samples=0,
             num_partitions=1,
             c_sample=0.0,
@@ -787,142 +759,11 @@ def _single_partition_plan(
     )
 
 
-def _degrade_to_nested_loop(
-    r: ValidTimeRelation,
-    s: ValidTimeRelation,
-    buff_size: int,
-    layout: DiskLayout,
-    result_schema,
-    config: PartitionJoinConfig,
-    pair_fn: PairFn,
-    failure: PermanentIOFaultError,
-    obs: Optional[Observability] = None,
-) -> JoinOutcome:
-    """The permanent-failure fallback: block nested loop over fresh bases.
-
-    A permanently unreadable page means some file of the planned evaluation
-    cannot be trusted; re-placing the base relations and nested-looping over
-    them sidesteps every temporary file.  The fallback emits the same result
-    *set* as the sweep in a different order -- callers comparing materialized
-    results sort first (the sweep's emission order is a partition-ownership
-    artifact, not part of the join's contract).
-    """
-    layout.tracker.recover()
-    layout.resilience_report.record_degradation(
-        "nested-loop-fallback",
-        f"permanent page failure ({failure}); re-evaluating as a block "
-        f"nested-loop join",
-    )
-    if obs is not None:
-        obs.event("degradation", kind="nested-loop-fallback", failure=str(failure))
-        obs.count(
-            "repro_degradations_total",
-            "Recorded degradation events by kind.",
-            kind="nested-loop-fallback",
-        )
-        # fallback_nested_loop_join opens its own "degraded-join" tracker
-        # phase; mirror the label for the metrics attribution.
-        with obs.phase("degraded-join"):
-            return fallback_nested_loop_join(
-                r,
-                s,
-                buff_size,
-                layout,
-                result_schema,
-                collect=config.collect_result,
-                pair_fn=pair_fn,
-            )
-    return fallback_nested_loop_join(
-        r,
-        s,
-        buff_size,
-        layout,
-        result_schema,
-        collect=config.collect_result,
-        pair_fn=pair_fn,
-    )
-
-
-def _trivial_plan(
-    r: ValidTimeRelation,
-    s: ValidTimeRelation,
-    buff_size: int,
-    config: PartitionJoinConfig,
-) -> PartitionPlan:
+def _trivial_plan(call: _JoinCall, buff_size: int) -> PartitionPlan:
     """A one-interval plan standing in when no real plan was executed."""
-    from repro.core.intervals import PartitionMap
-    from repro.time.interval import Interval
-    from repro.time.lifespan import lifespan_of
-
-    lifespan = lifespan_of(
-        [tup.valid for tup in r.tuples] + [tup.valid for tup in s.tuples]
-    )
-    interval = lifespan if lifespan is not None else Interval(0, 0)
     return PartitionPlan(
-        intervals=[Interval(interval.start, interval.end)],
+        intervals=[_joint_lifespan(call.r, call.s)],
         part_size=max(1, buff_size),
         buff_size=max(1, buff_size),
         chosen=None,
-    )
-
-
-def _single_partition_join(
-    r: ValidTimeRelation,
-    s: ValidTimeRelation,
-    r_file,
-    s_file,
-    result_schema,
-    allocation: JoinBufferAllocation,
-    config: PartitionJoinConfig,
-    layout: DiskLayout,
-    pair_fn: PairFn,
-    *,
-    recovery: Optional[RecoveryLog] = None,
-    pool: Optional[BufferPool] = None,
-    obs: Optional[Observability] = None,
-    interner=None,
-) -> PartitionJoinResult:
-    """One-partition evaluation when a relation fits in the buffer.
-
-    The smaller relation becomes the single in-memory "partition"; the other
-    streams through the inner page.  Sampling and partitioning cost nothing,
-    matching what any real system does when the memory budget swallows an
-    input.
-    """
-    from repro.core.intervals import PartitionMap
-
-    swap = not (r_file.n_pages <= allocation.buff_size)
-    outer_file, inner_file = (s_file, r_file) if swap else (r_file, s_file)
-
-    plan = _single_partition_plan(r, s, r_file, s_file, allocation, config)
-    partition_map = PartitionMap(list(plan.intervals))
-
-    checkpointer = None
-    if config.checkpoint_interval > 0 and recovery is not None:
-        checkpointer = SweepCheckpointer(layout, recovery, config.checkpoint_interval)
-
-    with _phase(layout.tracker, obs, "join"):
-        outcome = join_partitions(
-            [outer_file],
-            [inner_file],
-            partition_map,
-            allocation.buff_size,
-            layout,
-            result_schema,
-            collect=config.collect_result,
-            pair_fn=pair_fn,
-            execution=config.execution,
-            prefetch_depth=config.prefetch_depth,
-            interner=interner,
-            pool=pool,
-            checkpointer=checkpointer,
-            buffer_reductions=config.buffer_reductions,
-            swapped_inputs=swap,
-            obs=obs,
-        )
-    if recovery is not None:
-        recovery.plan = plan
-    return PartitionJoinResult(
-        outcome=outcome, plan=plan, layout=layout, recovery=recovery,
-        observability=obs,
     )

@@ -1,11 +1,12 @@
 """Sweep checkpoints: making ``joinPartitions`` resumable after a crash.
 
-The partition sweep is a long sequential pass whose volatile state at a
-partition boundary is small and well-defined: the retained outer tuples,
-the resident part of the tuple cache, and a handful of counters.  Everything
-else it needs -- the input partitions, the cache spill file, the result file
--- is already on (simulated) disk.  A :class:`SweepCheckpointer` therefore
-persists exactly that boundary state every ``interval`` partitions:
+What the partition sweep carries across a partition boundary is small and
+well-defined -- the sweep's :class:`~repro.core.joiner.SweepState`, which
+lists what of it is volatile (retained outer tuples, the resident part of
+the tuple cache, a handful of counters) and what is already on (simulated)
+disk.  A :class:`SweepCheckpointer` persists that state *frozen*
+(``state.freeze()``, a :class:`SweepCheckpoint`) every ``interval``
+partitions, and resume is ``SweepState.thaw`` plus more steps:
 
 * the volatile tuples are written to the CHECKPOINT device as charged page
   I/O (durability is not free), followed by one metadata page;
@@ -32,7 +33,7 @@ caller keeps the log and the layout and hands both to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.model.errors import CheckpointError
 from repro.model.vtuple import VTTuple
@@ -42,8 +43,8 @@ from repro.storage.layout import Device, DiskLayout
 
 @dataclass(frozen=True)
 class SweepContext:
-    """Everything the sweep needs besides checkpointed state, captured when
-    the sweep starts so :func:`resume_join` can rebuild the exact call.
+    """Everything the sweep needs besides its boundary state, fixed when the
+    sweep starts: a fresh and a resumed sweep are both built from it.
 
     ``pair_fn`` is a Python callable: the recovery log models a durable
     catalog, and a real catalog would store the predicate's identifier the
@@ -60,36 +61,27 @@ class SweepContext:
     cache_memory_tuples: int
     execution: str
     result_file: HeapFile
-    #: Pipelined-sweep knob (ignored by the other execution modes); the
-    #: default keeps pre-pipeline recovery logs readable.
-    prefetch_depth: int = 8
+    #: Pages of read-ahead per partition barrier (pipelined sweeps only).
+    prefetch_depth: int
     #: True when ``r_parts``/``s_parts`` hold the inputs in *swapped*
-    #: orientation (the single-partition shortcut makes the smaller relation
-    #: the outer side).  Resume passes it back as ``swapped_inputs`` or
-    #: replayed results come out payload-reversed.
-    swapped: bool = False
+    #: orientation (the one-partition case makes the smaller relation the
+    #: outer side); the pair function is then called with the rows flipped
+    #: back, or results would come out payload-reversed.
+    swapped: bool
 
 
 @dataclass(frozen=True)
 class SweepCheckpoint:
-    """Committed boundary state after ``position`` sweep steps.
+    """Committed boundary state after ``position`` sweep steps (0 = nothing
+    done yet; the sweep order -- backward or forward -- is fixed by the
+    context): a :class:`~repro.core.joiner.SweepState` frozen.
 
-    Attributes:
-        position: completed sweep steps (0 = nothing done yet; the sweep
-            order -- backward or forward -- is fixed by the context).
-        outer_retained: outer tuples retained in the buffer at the boundary.
-        cache_resident: resident tuple-cache area at the boundary.
-        cache_spill: the cache's spill file, or None when nothing spilled.
-        cache_spill_pages: spill-file page watermark.
-        cache_spill_tuples: spill-file tuple watermark.
-        cache_name: name the cache was created under (re-used on restore).
-        result_pages: result-file page watermark.
-        result_tuples: result-file tuple watermark.
-        n_result_tuples: emitted-result counter at the boundary.
-        overflow_blocks: overflow-block counter at the boundary.
-        cache_tuples_peak: cache-population peak at the boundary.
-        cache_tuples_spilled: spilled-tuple counter at the boundary.
-        epoch: how many checkpoints preceded this one in the run.
+    The volatile parts are stored -- the retained outer tuples, the cache's
+    resident area and the name it was created under, the four outcome
+    counters -- and the two files are captured as page/tuple watermarks:
+    the result file's, and the cache spill file's (``cache_spill`` is None
+    when nothing spilled).  ``epoch`` counts the checkpoints that preceded
+    this one in the run.
     """
 
     position: int
@@ -142,53 +134,24 @@ class SweepCheckpointer:
         self._extent = None  # allocated lazily on the first write
         self._epoch = 0
 
-    def due(self, position: int, resume_position: int) -> bool:
-        """Whether a checkpoint is due after completing *position* steps.
+    def due(self, position: int) -> bool:
+        """Whether a checkpoint is due after completing *position* steps
+        (never at 0: that is :meth:`begin`'s job)."""
+        return position > 0 and position % self.interval == 0
 
-        Never due at the resume position itself (that state is already the
-        committed checkpoint) and never at 0 (that is :meth:`begin`'s job).
-        """
-        return (
-            position > 0
-            and position != resume_position
-            and position % self.interval == 0
-        )
-
-    def begin(self, context: SweepContext) -> None:
-        """Record the sweep context and commit the position-0 checkpoint.
+    def begin(self, context: SweepContext, state) -> None:
+        """Record the sweep context and commit the fresh *state* as the
+        position-0 checkpoint.
 
         Guarantees a crash *anywhere* in the sweep leaves something to
         resume from, at the cost of one metadata-page write.
         """
         self.recovery.context = context
-        self.write(
-            position=0,
-            outer_retained=(),
-            cache_resident=(),
-            cache_spill=None,
-            cache_name=None,
-            result_file=context.result_file,
-            n_result_tuples=0,
-            overflow_blocks=0,
-            cache_tuples_peak=0,
-            cache_tuples_spilled=0,
-        )
+        self.write(state)
 
-    def write(
-        self,
-        *,
-        position: int,
-        outer_retained: Sequence[VTTuple],
-        cache_resident: Sequence[VTTuple],
-        cache_spill: Optional[HeapFile],
-        cache_name: Optional[str],
-        result_file: HeapFile,
-        n_result_tuples: int,
-        overflow_blocks: int,
-        cache_tuples_peak: int,
-        cache_tuples_spilled: int,
-    ) -> SweepCheckpoint:
-        """Write and commit one checkpoint; returns it.
+    def write(self, state) -> SweepCheckpoint:
+        """Write and commit *state* frozen (a
+        :class:`~repro.core.joiner.SweepState`); returns the checkpoint.
 
         The volatile tuples are paged out as charged writes before the
         metadata page; the commit into the recovery log happens last, so an
@@ -199,29 +162,16 @@ class SweepCheckpointer:
             self._extent = disk.allocate(
                 "sweep_checkpoint", device=Device.CHECKPOINT, capacity=4
             )
+        checkpoint = state.freeze(self._epoch)
         capacity = self._layout.spec.capacity
-        volatile: List[VTTuple] = list(outer_retained) + list(cache_resident)
+        volatile = list(checkpoint.outer_retained + checkpoint.cache_resident)
         for start in range(0, len(volatile), capacity):
             disk.append(self._extent, volatile[start : start + capacity])
-        checkpoint = SweepCheckpoint(
-            position=position,
-            outer_retained=tuple(outer_retained),
-            cache_resident=tuple(cache_resident),
-            cache_spill=cache_spill,
-            cache_spill_pages=cache_spill.n_pages if cache_spill is not None else 0,
-            cache_spill_tuples=cache_spill.n_tuples if cache_spill is not None else 0,
-            cache_name=cache_name,
-            result_pages=result_file.n_pages,
-            result_tuples=result_file.n_tuples,
-            n_result_tuples=n_result_tuples,
-            overflow_blocks=overflow_blocks,
-            cache_tuples_peak=cache_tuples_peak,
-            cache_tuples_spilled=cache_tuples_spilled,
-            epoch=self._epoch,
-        )
         # The metadata page: what a real system would serialize here is the
         # checkpoint record itself.
-        disk.append(self._extent, [("sweep-checkpoint", position, self._epoch)])
+        disk.append(
+            self._extent, [("sweep-checkpoint", checkpoint.position, self._epoch)]
+        )
         # Commit point -- everything above reached "disk".
         self.recovery.checkpoint = checkpoint
         self._epoch += 1

@@ -84,11 +84,22 @@ class ResilienceReport:
         )
 
     def record_degradation(
-        self, kind: str, detail: str, position: Optional[int] = None
+        self, kind: str, detail: str, position: Optional[int] = None, obs=None, **attrs
     ) -> DegradationEvent:
-        """Append a degradation event and return it."""
+        """Append a degradation event and return it; with an observability
+        runtime *obs*, also narrate it there (a ``degradation`` trace event
+        carrying *position* and *attrs*, and the per-kind counter)."""
         event = DegradationEvent(kind=kind, detail=detail, position=position)
         self.degradations.append(event)
+        if obs is not None:
+            if position is not None:
+                attrs = {"position": position, **attrs}
+            obs.event("degradation", kind=kind, **attrs)
+            obs.count(
+                "repro_degradations_total",
+                "Recorded degradation events by kind.",
+                kind=kind,
+            )
         return event
 
     def summary(self) -> str:

@@ -162,14 +162,14 @@ class TestCrashResume:
         from repro.core import joiner
 
         restored = []
-        restore = joiner._TupleCache.restore.__func__
+        thaw = joiner.SweepState.thaw.__func__
 
         def spy(cls, *args):
-            cache = restore(cls, *args)
-            restored.append(cache)
-            return cache
+            state = thaw(cls, *args)
+            restored.append((state.cache, state.outer_retained))
+            return state
 
-        monkeypatch.setattr(joiner._TupleCache, "restore", classmethod(spy))
+        monkeypatch.setattr(joiner.SweepState, "thaw", classmethod(spy))
         r, s = long_lived_pair()
         config = long_lived_config("batch")
         probe_layout = crashing_layout(spec=config.page_spec, checksums=False)
@@ -192,9 +192,10 @@ class TestCrashResume:
         assert type(checkpoint.outer_retained) is tuple
         run = resume_join(r, s, config, layout=layout, recovery=recovery)
         assert_same_outcome(run, expected)
-        (cache,) = restored
+        ((cache, outer_retained),) = restored
         assert cache.n_tuples == checkpoint.cache_spill_tuples
         assert cache.carried() is None
+        assert outer_retained == list(checkpoint.outer_retained)
 
     def test_double_crash_needs_two_resumes(self):
         expected = oracle("tuple")
@@ -269,7 +270,7 @@ class TestPipelinedSweepCrash:
 class TestSwappedSinglePartitionResume:
     """Crash/resume through the single-partition shortcut's swap.
 
-    When one relation fits in the buffer area, ``_single_partition_join``
+    When one relation fits in the buffer area, ``partition_join._prepare``
     makes the *smaller* side the outer partition and tells the sweep so
     (``swapped_inputs``), which hands the pair function its arguments in the
     caller's order.  The checkpointed context stores the partitions in that

@@ -14,7 +14,11 @@ failed join never leaks buffer-pool reservations:
 import pytest
 
 from repro.core.partition_join import partition_join, resume_join
-from repro.model.errors import PermanentIOFaultError, SimulatedCrashError
+from repro.model.errors import (
+    BufferOverflowError,
+    PermanentIOFaultError,
+    SimulatedCrashError,
+)
 from repro.resilience import BufferReduction, FaultInjector, RecoveryLog
 from repro.storage.buffer import BufferPool
 from repro.storage.layout import DiskLayout
@@ -152,3 +156,24 @@ class TestPoolLeakRegression:
         # The sweep died mid-flight, yet every reservation was returned.
         assert pool.used_pages == 0
         assert pool.free_pages == pool.total_pages
+
+    @pytest.mark.parametrize("execution", ["tuple", "batch"])
+    def test_refused_reservation_returns_the_ones_before_it(self, execution):
+        """Someone else holds two pages of the pool, so the sweep's third
+        reservation is refused: the two it did get must come back -- from a
+        fresh run and from a resumed one."""
+        config = chaos_config(execution)
+        pool = BufferPool(config.memory_pages)
+        pool.reserve("someone-else", 2)
+        with pytest.raises(BufferOverflowError, match="tuple_cache_page"):
+            partition_join(R, S, config, layout=DiskLayout(spec=SPEC), pool=pool)
+        assert pool.used_pages == 2
+
+        injector = FaultInjector(seed=CHAOS_SEED)
+        layout = DiskLayout(spec=SPEC, fault_injector=injector, checksums=True)
+        recovery = RecoveryLog()
+        partition_join(R, S, config, layout=layout, recovery=recovery)
+        assert recovery.resumable
+        with pytest.raises(BufferOverflowError, match="tuple_cache_page"):
+            resume_join(R, S, config, layout=layout, recovery=recovery, pool=pool)
+        assert pool.used_pages == 2

@@ -1,0 +1,70 @@
+"""Hold the shape of the sweep driver (ROADMAP item 5, closed in PR 22).
+
+``core/joiner.py::join_partitions`` once grew to 412 lines and 21
+parameters, re-entered from three hand-assembled call sites in
+``core/partition_join.py``.  These checks keep the next perf PR from
+rebuilding that: no long functions, no wide private signatures, one way
+into the sweep and one place where a call becomes a result.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+CORE = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
+MAX_FUNCTION_LINES = 120
+MAX_PRIVATE_PARAMETERS = 10
+
+
+def functions(path):
+    tree = ast.parse(path.read_text())
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def calls_of(path, name):
+    """Calls of *name* in the code of *path* (docstrings are not code)."""
+    return [
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    ]
+
+
+@pytest.mark.parametrize("module", ["joiner.py", "partition_join.py"])
+def test_no_function_spans_more_than_120_lines(module):
+    too_long = {
+        node.name: node.end_lineno - node.lineno + 1
+        for node in functions(CORE / module)
+        if node.end_lineno - node.lineno + 1 > MAX_FUNCTION_LINES
+    }
+    assert not too_long
+
+
+@pytest.mark.parametrize("module", ["joiner.py", "partition_join.py"])
+def test_no_private_function_takes_more_than_10_parameters(module):
+    def n_parameters(node):
+        args = node.args
+        named = len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
+        return named + (args.vararg is not None) + (args.kwarg is not None)
+
+    too_wide = {
+        node.name: n_parameters(node)
+        for node in functions(CORE / module)
+        if node.name.startswith("_")
+        and not node.name.startswith("__")
+        and n_parameters(node) > MAX_PRIVATE_PARAMETERS
+    }
+    assert not too_wide
+
+
+def test_partition_join_enters_the_sweep_once_and_answers_in_one_place():
+    module = CORE / "partition_join.py"
+    assert len(calls_of(module, "join_partitions")) == 1
+    assert len(calls_of(module, "PartitionJoinResult")) <= 2
