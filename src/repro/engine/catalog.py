@@ -22,11 +22,13 @@ install new versions, and any historical version stays replayable through
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.model.errors import CatalogError, SchemaError
-from repro.model.relation import ValidTimeRelation
+from repro.model.relation import ValidTimeRelation, without_first
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.storage.page import PageSpec
@@ -132,11 +134,20 @@ class RelationVersion:
         name: catalog name of the relation.
         epoch: global catalog epoch at which this version was installed.
         relation: the version's (immutable-by-contract) contents.
+        parent_epoch: epoch of the version the installing write was applied
+            to (None for a registration): ``relation`` is that version's
+            rows without the first occurrence of each of ``removed``, then
+            ``added`` appended.  What incremental views fold in and what a
+            shard holding the parent is shipped instead of the relation.
+        added / removed: the rows the write appended / deleted.
     """
 
     name: str
     epoch: int
     relation: ValidTimeRelation
+    parent_epoch: Optional[int] = None
+    added: Tuple[VTTuple, ...] = ()
+    removed: Tuple[VTTuple, ...] = ()
 
     @property
     def schema(self) -> RelationSchema:
@@ -240,18 +251,13 @@ class VersionedCatalog:
             history = self._history.get(name)
             if not history:
                 raise CatalogError(f"no relation named {name!r}")
-            candidate = None
-            for version in history:
-                if version.epoch <= epoch:
-                    candidate = version
-                else:
-                    break
-            if candidate is None:
+            index = bisect_right(history, epoch, key=attrgetter("epoch"))
+            if index == 0:
                 raise CatalogError(
                     f"relation {name!r} did not exist at epoch {epoch} "
                     f"(registered at epoch {history[0].epoch})"
                 )
-            return candidate
+            return history[index - 1]
 
     # -- shard maps -----------------------------------------------------------
 
@@ -311,38 +317,28 @@ class VersionedCatalog:
         """Install a new version of *name* with *tuples* appended (epoch + 1)."""
         with self._lock:
             old = self.current(name)
-            added = ValidTimeRelation(old.schema, tuples)  # validates arity
-            new_relation = ValidTimeRelation(old.schema)
-            new_relation._tuples = list(old.relation._tuples) + list(added._tuples)
-            version = self._install(name, new_relation)
-            self._maintain_views(name, added._tuples, sign=+1)
-            return version
+            added = ValidTimeRelation(old.schema, tuples)._tuples  # validates arity
+            return self._install(old, old.relation._tuples + added, added=added)
 
     def delete(self, name: str, tuples: Iterable[VTTuple]) -> RelationVersion:
         """Install a new version of *name* with *tuples* removed (epoch + 1).
 
-        Multiset semantics: each given tuple removes one occurrence.
+        Multiset semantics: each given tuple removes one occurrence, the
+        first still present.
 
         Raises:
-            CatalogError: a tuple is not present in the current version.
+            CatalogError: a tuple is not present in the current version (as
+                often as it was given); nothing was installed.
         """
         with self._lock:
             old = self.current(name)
-            remaining = list(old.relation._tuples)
-            removed: List[VTTuple] = []
-            for tup in tuples:
-                try:
-                    remaining.remove(tup)
-                except ValueError:
-                    raise CatalogError(
-                        f"cannot delete {tup!r}: not present in {name!r}"
-                    ) from None
-                removed.append(tup)
-            new_relation = ValidTimeRelation(old.schema)
-            new_relation._tuples = remaining
-            version = self._install(name, new_relation)
-            self._maintain_views(name, removed, sign=-1)
-            return version
+            removed = list(tuples)
+            remaining, missing = without_first(old.relation._tuples, removed)
+            if missing:
+                raise CatalogError(
+                    f"cannot delete {next(iter(missing))!r}: not present in {name!r}"
+                )
+            return self._install(old, remaining, removed=removed)
 
     def drop(self, name: str) -> None:
         """Remove *name* from the catalog (epoch + 1).
@@ -371,11 +367,23 @@ class VersionedCatalog:
             del self._current[name]
             self._epoch += 1
 
-    def _install(self, name: str, relation: ValidTimeRelation) -> RelationVersion:
+    def _install(
+        self, old: RelationVersion, rows: List[VTTuple], *, added=(), removed=()
+    ) -> RelationVersion:
+        """Install *rows* as the next version of *old*'s relation, recording
+        the write that made it, and fold that write into the live views."""
         self._epoch += 1
-        version = RelationVersion(name, self._epoch, relation)
-        self._current[name] = version
-        self._history[name].append(version)
+        version = RelationVersion(
+            old.name,
+            self._epoch,
+            ValidTimeRelation.over(old.schema, rows),
+            old.epoch,
+            tuple(added),
+            tuple(removed),
+        )
+        self._current[old.name] = version
+        self._history[old.name].append(version)
+        self._maintain_views(version)
         return version
 
     # -- incremental views ----------------------------------------------------
@@ -417,13 +425,16 @@ class VersionedCatalog:
                     return binding.view
             return None
 
-    def _maintain_views(self, name: str, tuples: Iterable[VTTuple], *, sign: int) -> None:
+    def _maintain_views(self, version: RelationVersion) -> None:
+        """Fold the write that made *version* into every view it feeds."""
         for binding in self._views.values():
-            if binding.r_name == name:
+            if binding.r_name == version.name:
                 insert, remove = binding.view.insert_r, binding.view.delete_r
-            elif binding.s_name == name:
+            elif binding.s_name == version.name:
                 insert, remove = binding.view.insert_s, binding.view.delete_s
             else:
                 continue
-            for tup in tuples:
-                (insert if sign > 0 else remove)(tup)
+            for tup in version.removed:
+                remove(tup)
+            for tup in version.added:
+                insert(tup)

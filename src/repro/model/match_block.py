@@ -26,6 +26,7 @@ wins.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from typing import Iterator, List, Optional, Tuple
 
@@ -34,7 +35,7 @@ from repro.time.interval import Interval, trusted_interval
 
 
 def _as_list(column) -> list:
-    """A column as a plain list (numpy columns convert in one C call)."""
+    """A column as a plain list (numpy and ``array`` columns convert in one C call)."""
     return column if isinstance(column, list) else column.tolist()
 
 
@@ -43,7 +44,8 @@ class LazyRows(Sequence):
 
     Subclasses hold the columns and implement :meth:`_build`,
     :meth:`columns` and :meth:`arity`.  ``starts``/``ends`` are ``int64``
-    arrays under the numpy backend and plain lists without it.
+    arrays under the numpy backend, plain lists without it, and packed
+    ``array('q')`` when they came off the shard wire.
     """
 
     __slots__ = ("starts", "ends", "_rows")
@@ -80,7 +82,7 @@ class LazyRows(Sequence):
         """True when the rows continue a ``(start, end)``-sorted sequence
         whose latest span is *last* (None: nothing precedes them)."""
         starts, ends = self.starts, self.ends
-        if isinstance(starts, list):
+        if isinstance(starts, (list, array)):
             for span in zip(starts, ends):
                 if last is not None and span < last:
                     return False

@@ -21,6 +21,8 @@ the blocks or the finished list, never a half-extended one.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.model.errors import SchemaError
@@ -30,6 +32,29 @@ from repro.model.vtuple import VTTuple
 from repro.time.chronon import BEGINNING, FOREVER
 from repro.time.interval import Interval
 from repro.time.lifespan import Lifespan, lifespan_of
+
+
+def without_first(
+    rows: Iterable[VTTuple], doomed: Iterable[VTTuple]
+) -> Tuple[List[VTTuple], Dict[VTTuple, int]]:
+    """*rows* without the first occurrence of each *doomed* row, in one pass.
+
+    Multiset semantics -- a row doomed *n* times loses its first *n*
+    occurrences, exactly what *n* ``list.remove`` calls would leave -- and
+    the doomed rows that were not there to remove, with their counts.  Only
+    a row starting where some doomed row starts is hashed whole.
+    """
+    want = Counter(doomed)
+    if not want:
+        return list(rows), want
+    starts = {tup.valid.start for tup in want}
+    kept: List[VTTuple] = []
+    for tup in rows:
+        if tup.valid.start in starts and want.get(tup, 0) > 0:
+            want[tup] -= 1
+        else:
+            kept.append(tup)
+    return kept, +want
 
 
 class ValidTimeRelation:
@@ -77,6 +102,14 @@ class ValidTimeRelation:
         return all(type(chunk) is list for chunk in self._chunks)
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def over(cls, schema: RelationSchema, rows: List[VTTuple]) -> "ValidTimeRelation":
+        """A relation whose storage *is* the list *rows*, which the caller
+        built from rows that already passed this schema's validation."""
+        relation = cls(schema)
+        relation._tuples = rows
+        return relation
 
     @classmethod
     def from_rows(
@@ -201,8 +234,12 @@ class ValidTimeRelation:
             raise TypeError("key and payload columns must hold tuples")
         for arity in set(zip(map(len, keys), map(len, payloads))):
             self._check_arity(*arity)
-        if not all(type(chronon) is int for column in (starts, ends) for chronon in column):
-            raise TypeError("start and end columns must hold int chronons")
+        for column in (starts, ends):
+            # A packed ``array('q')`` (what the shard transport decodes
+            # endpoints to) holds nothing but 64-bit ints by construction.
+            packed = type(column) is array and column.typecode == "q"
+            if not packed and not all(type(chronon) is int for chronon in column):
+                raise TypeError("start and end columns must hold int chronons")
         if keys and not (BEGINNING <= min(starts) and max(ends) <= FOREVER):
             raise ValueError("chronon outside representable time-line")
         if any(end < start for start, end in zip(starts, ends)):
@@ -283,10 +320,7 @@ class ValidTimeRelation:
 
     def sorted_by(self, sort_key: Callable[[VTTuple], Tuple]) -> "ValidTimeRelation":
         """A copy of this relation with tuples ordered by *sort_key*."""
-        ordered = sorted(self._tuples, key=sort_key)
-        result = ValidTimeRelation(self.schema)
-        result._tuples = ordered
-        return result
+        return ValidTimeRelation.over(self.schema, sorted(self._tuples, key=sort_key))
 
     def sorted_by_vs(self) -> "ValidTimeRelation":
         """A copy sorted on valid-time start (the sort-merge baseline order)."""

@@ -167,7 +167,7 @@ class QueryExecutor:
             buffer deep inside.
     """
 
-    def __init__(self, workers: int = 4, queue_limit: int = 256, name: str = "repro-svc") -> None:
+    def __init__(self, workers: int = 4, queue_limit: int = 256) -> None:
         if workers < 1:
             raise ServiceError(f"executor needs >= 1 worker, got {workers}")
         if queue_limit < 1:
@@ -181,7 +181,7 @@ class QueryExecutor:
         self._active = 0
         self._running: Set[QueryHandle] = set()
         self._threads: List[threading.Thread] = [
-            threading.Thread(target=self._work, name=f"{name}-{i}", daemon=True)
+            threading.Thread(target=self._work, name=f"repro-svc-{i}", daemon=True)
             for i in range(workers)
         ]
         for thread in self._threads:

@@ -18,7 +18,9 @@ The query path:
 2. ship any fragment versions a shard has not seen for the pinned epochs
    (fragments are immutable per ``(name, epoch)``, so shipping is lazy,
    idempotent, and rebuildable after a respawn), evicting the older
-   versions of the same relation the shard still holds;
+   versions of the same relation the shard still holds -- as the rows the
+   writes since a version the shard holds removed and added when there is
+   such a version, as the whole fragment otherwise;
 3. fan the ``EXECUTE`` out to all shards, then collect ``RESULT`` frames
    in shard-rank order;
 4. merge deterministically: result tuples concatenate by shard rank, then
@@ -51,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.algebra.predicates import NATURAL_PREDICATE
 from repro.core.joiner import JoinOutcome
 from repro.core.partition_join import PartitionJoinConfig
-from repro.engine.catalog import VersionedCatalog
+from repro.engine.catalog import RelationVersion, VersionedCatalog
 from repro.model.errors import ServiceError
 from repro.model.relation import ValidTimeRelation
 from repro.resilience.report import ResilienceReport
@@ -60,7 +62,7 @@ from repro.service.core import ResolvedQuery, ServiceCore, ServiceQueryResult
 from repro.shard import transport
 from repro.shard.partitioning import ShardMap, time_range_map
 from repro.shard.transport import Channel, TransportError, transport_counters
-from repro.shard.worker import ShardWorker, schema_from_dict, schema_to_dict, worker_main
+from repro.shard.worker import ShardWorker, schema_to_dict, worker_main
 from repro.storage.iostats import CostModel, IOStatistics
 from repro.storage.page import PageSpec
 
@@ -122,7 +124,8 @@ class _ShardHandle:
     rank: int
     process: object = None
     channel: Optional[Channel] = None
-    loaded: set = field(default_factory=set)
+    # (name, epoch) -> rows of the fragment version the worker holds.
+    loaded: Dict[Tuple[str, int], int] = field(default_factory=dict)
     respawns: int = 0
     quarantined: bool = False
     inline: Optional[ShardWorker] = None  # the quarantine rung
@@ -139,6 +142,15 @@ class _ShardHandle:
             and self.process is not None
             and self.process.is_alive()
         )
+
+
+@dataclass
+class _Shipment:
+    """One relation version a query pins on every shard, and its rows per
+    rank once some shard had to be sent the whole fragment."""
+
+    version: RelationVersion
+    parts: Optional[List[List]] = None
 
 
 def _fork_context():
@@ -240,7 +252,7 @@ class ShardedQueryService(ServiceCore):
         # The handle owns channel and process from the moment each exists,
         # so whoever stops the handle reaps them even if the handshake fails.
         handle.channel = channel = Channel(parent_sock, name=f"shard{handle.rank}")
-        handle.loaded = set()
+        handle.loaded = {}
         process = self._mp.Process(
             target=worker_main,
             args=(
@@ -292,7 +304,7 @@ class ShardedQueryService(ServiceCore):
         """Retire the shard to in-process execution (the bottom rung)."""
         handle.quarantined = True
         handle.inline = ShardWorker(self._worker_options(handle.rank))
-        handle.loaded = set()
+        handle.loaded = {}
         self._stop(handle)
         self.resilience.record_degradation("shard-quarantine", detail)
         self._count(
@@ -334,10 +346,7 @@ class ShardedQueryService(ServiceCore):
             "memory_pages": config.memory_pages,
             "predicate": config.predicate if query.method == "sweep" else None,
         }
-        needed = (
-            (query.outer.name, epochs[0], query.outer.relation),
-            (query.inner.name, epochs[1], query.inner.relation),
-        )
+        needed = (_Shipment(query.outer), _Shipment(query.inner))
         query_redispatches = 0
         metas: List[Dict] = []
         columns_by_rank: List[Optional[Tuple]] = []
@@ -467,44 +476,110 @@ class ShardedQueryService(ServiceCore):
     def _ensure_loaded(self, shard: _ShardHandle, needed) -> None:
         """Ship any fragment versions the shard has not installed yet.
 
+        A shard that holds an ancestor of the version is sent the rows the
+        writes in between removed and added, routed through the shard map,
+        and rebuilds the fragment itself; any other shard -- first load,
+        respawned, ancestor evicted, or more delta rows than the relation
+        has rows -- is sent the fragment.  Either way the worker answers its
+        row count, and a delta that did not rebuild the count tracked here
+        is followed by the whole fragment.
+
         Each LOAD names the older versions of the same relation the shard
         holds, which it drops: a write would otherwise leave one more full
         fragment copy in every worker forever.  A query still pinned to an
         evicted epoch has it shipped again.  A quarantined shard's
         in-process stand-in is loaded the same way, without the socket.
         """
-        for name, epoch, relation in needed:
-            key = (name, epoch)
-            if key in shard.loaded:
+        for shipment in needed:
+            version = shipment.version
+            name, epoch = version.name, version.epoch
+            if (name, epoch) in shard.loaded:
                 continue
-            superseded = {
-                held for held in shard.loaded if held[0] == name and held[1] < epoch
-            }
-            meta = {
-                "name": name,
-                "epoch": epoch,
-                "schema": schema_to_dict(relation.schema),
-                "evict": sorted(held[1] for held in superseded),
-            }
-            columns = self.shard_map.fragment(relation, shard.rank).to_columns()
-            if shard.quarantined:
-                shard.inline.load(meta, columns)
-            else:
-                shard.channel.send(transport.LOAD, transport.pack_result(meta, columns))
-                ftype, body = shard.channel.recv_obj(
-                    timeout=self.supervision.fragment_timeout_seconds
+            superseded = sorted(
+                held[1] for held in shard.loaded if held[0] == name and held[1] < epoch
+            )
+            since = self._steps_since(shard.rank, version, superseded)
+            shipped = False
+            if since is not None:
+                base_epoch, steps = since
+                sizes = [[len(removed), len(added)] for removed, added in steps]
+                shipped = self._load(
+                    shard,
+                    version,
+                    superseded,
+                    [row for step in steps for rows in step for row in rows],
+                    shard.loaded[name, base_epoch] + sum(added - removed for removed, added in sizes),
+                    base_epoch=base_epoch,
+                    steps=sizes,
                 )
-                if ftype != transport.OK:
+            if not shipped:
+                if shipment.parts is None:  # routed once for every shard of this query
+                    shipment.parts = self.shard_map.route(version.relation._tuples)
+                rows = shipment.parts[shard.rank]
+                if not self._load(shard, version, superseded, rows, len(rows)):
                     raise TransportError(
-                        f"shard {shard.rank} failed to load fragment {key}: {body}",
+                        f"shard {shard.rank} failed to load fragment {(name, epoch)}",
                         kind="protocol",
                     )
-            shard.loaded -= superseded
-            shard.loaded.add(key)
-            self._count(
-                "repro_shard_fragment_loads_total",
-                "Fragment versions shipped to workers.",
+            for held in superseded:
+                del shard.loaded[name, held]
+
+    def _steps_since(self, rank: int, version: RelationVersion, held: List[int]):
+        """``(base epoch, [(removed, added), ...])``: the writes, oldest
+        first and routed to *rank*, that turn the newest of the *held*
+        epochs on *version*'s chain into *version* -- or None when no held
+        epoch is on the chain, or the writes moved more rows than the
+        relation has (shipping it whole is then the smaller frame)."""
+        route, steps, budget = self.shard_map.route, [], len(version)
+        while held and version.parent_epoch is not None and version.parent_epoch >= held[0]:
+            budget -= len(version.removed) + len(version.added)
+            if budget < 0:
+                break
+            steps.append((route(version.removed)[rank], route(version.added)[rank]))
+            if version.parent_epoch in held:
+                return version.parent_epoch, steps[::-1]
+            version = self.catalog.version_at(version.name, version.parent_epoch)
+        return None
+
+    def _load(
+        self,
+        shard: _ShardHandle,
+        version: RelationVersion,
+        evict: List[int],
+        rows: List,
+        expected: int,
+        **delta,
+    ) -> bool:
+        """One LOAD of *version* carrying *rows* -- its fragment, or with
+        *delta* (``base_epoch``, ``steps``) the rows to rebuild it from;
+        False when the worker refused it or installed a fragment of another
+        size than *expected*."""
+        meta = {
+            "name": version.name,
+            "epoch": version.epoch,
+            "schema": schema_to_dict(version.schema),
+            "evict": evict,
+            **delta,
+        }
+        columns = ValidTimeRelation.over(version.schema, rows).to_columns() if rows else None
+        if shard.quarantined:
+            body = shard.inline.load(meta, columns)
+        else:
+            shard.channel.send(transport.LOAD, transport.pack_result(meta, columns))
+            ftype, body = shard.channel.recv_obj(
+                timeout=self.supervision.fragment_timeout_seconds
             )
+            if ftype != transport.OK:
+                return False
+        self._count(
+            "repro_shard_fragment_loads_total",
+            "Fragment versions shipped to workers.",
+            kind="delta" if delta else "whole",
+        )
+        if body["n_tuples"] != expected:
+            return False
+        shard.loaded[version.name, version.epoch] = expected
+        return True
 
     # -- the deterministic merge ---------------------------------------------
 
@@ -516,15 +591,15 @@ class ShardedQueryService(ServiceCore):
         redispatches: int,
     ) -> ShardedQueryResult:
         relation: Optional[ValidTimeRelation] = None
-        for meta, columns in zip(metas, columns_by_rank):
-            if meta.get("result_schema") is None:
+        for columns in columns_by_rank:
+            if columns is None:
                 continue
-            schema = schema_from_dict(meta["result_schema"])
             if relation is None:
-                relation = ValidTimeRelation(schema)
-            if columns is not None:
-                # One lazy chunk per shard, in rank order, validated by column.
-                relation.append_columns(*columns)
+                relation = ValidTimeRelation(
+                    query.outer.schema.join_result_schema(query.inner.schema)
+                )
+            # One lazy chunk per shard, in rank order, validated by column.
+            relation.append_columns(*columns)
 
         n_result = sum(m["outcome"]["n_result_tuples"] for m in metas)
         outcome = JoinOutcome(
@@ -594,20 +669,6 @@ class ShardedQueryService(ServiceCore):
             degraded=any(m["degraded"] for m in metas),
             clamped=any(m["clamped"] for m in metas),
             **query.pedigree(),
-        )
-
-    # -- EXPLAIN support ------------------------------------------------------
-
-    def shard_fanout(self, outer: str, inner: str) -> Dict:
-        """The EXPLAIN fan-out description with per-shard predicted costs."""
-        snapshot = self.catalog.snapshot()
-        return predict_shard_fanout(
-            self.shard_map,
-            snapshot.version(outer).relation,
-            snapshot.version(inner).relation,
-            memory_pages=self.default_memory_pages,
-            cost_model=self.cost_model,
-            page_spec=self.page_spec,
         )
 
     # -- supervision / introspection -----------------------------------------

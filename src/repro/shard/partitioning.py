@@ -30,8 +30,9 @@ and fragment routing stays epoch-consistent across shards.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.model.errors import ServiceError
 from repro.model.relation import ValidTimeRelation
@@ -114,12 +115,36 @@ class ShardMap:
         """Every shard *tup* routes to (one for key-hash; >= 1 for ranges)."""
         if self.strategy == "key-hash":
             return (self.shard_of_key(tup.key),)
-        ranks = []
-        for rank in range(self.n_shards):
-            lo, hi = self.range_of(rank)
-            if (lo is None or tup.ve >= lo) and (hi is None or tup.vs < hi):
-                ranks.append(rank)
-        return tuple(ranks)
+        # Shard i covers [boundaries[i-1], boundaries[i]): the ranks a
+        # validity interval overlaps are consecutive.
+        valid, boundaries = tup.valid, self.boundaries
+        return tuple(
+            range(bisect_right(boundaries, valid.start), bisect_right(boundaries, valid.end) + 1)
+        )
+
+    def route(self, rows: Iterable[VTTuple]) -> List[List[VTTuple]]:
+        """The rows that route to each rank, in their given order.
+
+        The one routing pass behind :meth:`fragment`, :meth:`fragment_counts`
+        and the coordinator's whole and delta shipping: a relation and a
+        write's delta rows split the same way, and each distinct join key
+        is hashed once per call, not once per row.
+        """
+        parts: List[List[VTTuple]] = [[] for _ in range(self.n_shards)]
+        if self.n_shards == 1:
+            parts[0].extend(rows)
+        elif self.strategy == "key-hash":
+            part_of_key: Dict[Tuple, List[VTTuple]] = {}
+            for tup in rows:
+                part = part_of_key.get(tup.key)
+                if part is None:
+                    part = part_of_key[tup.key] = parts[self.shard_of_key(tup.key)]
+                part.append(tup)
+        else:
+            for tup in rows:
+                for rank in self.shards_of_tuple(tup):
+                    parts[rank].append(tup)
+        return parts
 
     def owns_result(self, rank: int, vs: int) -> bool:
         """True when shard *rank* owns a result whose interval starts at *vs*.
@@ -143,22 +168,13 @@ class ShardMap:
         """
         if not 0 <= rank < self.n_shards:
             raise ServiceError(f"shard rank {rank} out of range 0..{self.n_shards - 1}")
-        if self.n_shards == 1:
-            # The whole relation: the single "fragment" is the identity,
-            # which anchors shards=1 to the single-process service exactly.
-            return ValidTimeRelation(relation.schema, relation.tuples)
-        return ValidTimeRelation(
-            relation.schema,
-            (tup for tup in relation.tuples if rank in self.shards_of_tuple(tup)),
-        )
+        # With one shard the single "fragment" is the whole relation, which
+        # anchors shards=1 to the single-process service exactly.
+        return ValidTimeRelation.over(relation.schema, self.route(relation._tuples)[rank])
 
     def fragment_counts(self, relation: ValidTimeRelation) -> List[int]:
         """Tuples routed to each shard (replicas counted per shard)."""
-        counts = [0] * self.n_shards
-        for tup in relation.tuples:
-            for rank in self.shards_of_tuple(tup):
-                counts[rank] += 1
-        return counts
+        return [len(part) for part in self.route(relation._tuples)]
 
     # -- serialization -------------------------------------------------------
 

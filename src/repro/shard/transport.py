@@ -22,9 +22,10 @@ Relation-bearing frames (``LOAD`` out, ``RESULT`` back) use a
 span-descriptor shape: one contiguous blob of
 column bytes plus a descriptor of ``(offset, length)`` spans -- one span
 per column, CRC-checked as part of the frame.  Interval endpoints pack as
-big-endian 64-bit integers; key and payload columns are pickled, the one
-codec that returns every attribute value as the type it was sent (JSON
-turns a tuple-valued attribute into a list and cannot carry ``bytes``).
+big-endian 64-bit integers and unpack to an ``array('q')``; key and payload
+columns are pickled, the one codec that returns every attribute value as
+the type it was sent (JSON turns a tuple-valued attribute into a list and
+cannot carry ``bytes``).
 Both ends of a channel are this program -- a forked child on a socketpair
 -- so the bytes unpickled here are bytes this program wrote.
 
@@ -38,8 +39,10 @@ import json
 import pickle
 import socket
 import struct
+import sys
 import threading
 import zlib
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.model.errors import ServiceError
@@ -192,13 +195,21 @@ def pack_columns(
 def unpack_columns(
     spans: List[Dict], blob: bytes
 ) -> Tuple[List[Tuple], List[Tuple], List[int], List[int]]:
-    """Inverse of :func:`pack_columns`: every value as the type it was sent."""
+    """Inverse of :func:`pack_columns`: every value as the type it was sent.
+
+    Endpoint columns stay packed: an ``array('q')`` holds 8 bytes a value
+    where a list holds a pointer to a boxed int, and the rows a result
+    keeps until someone reads them are what a coordinator's memory is.
+    """
     decoded = {}
     for span in spans:
         data = blob[span["offset"] : span["offset"] + span["length"]]
         codec = span["codec"]
         if codec == "i64":
-            decoded[span["column"]] = list(struct.unpack(f"!{len(data) // 8}q", data))
+            column = array("q", data)
+            if sys.byteorder == "little":
+                column.byteswap()
+            decoded[span["column"]] = column
         elif codec == "pickle":
             decoded[span["column"]] = pickle.loads(data)
         else:

@@ -8,8 +8,11 @@ exactly like the single-process service).  It speaks the
 :mod:`repro.shard.transport` protocol:
 
 * ``LOAD`` installs a relation fragment under ``(name, epoch)`` and drops
-  the superseded epochs of that relation the coordinator lists; fragments
-  are immutable once installed, so re-sending after a respawn rebuilds
+  the superseded epochs of that relation the coordinator lists.  Its rows
+  are the fragment, or -- when the meta names a ``base_epoch`` this worker
+  holds -- only the rows a chain of writes removed and added since, from
+  which the worker rebuilds the fragment row for row.  Fragments are
+  immutable once installed, so re-sending after a respawn rebuilds
   identical state.
 * ``EXECUTE`` runs one join fragment pinned to explicit epochs and answers
   with a ``RESULT`` frame: the result columns in span-descriptor shape
@@ -27,12 +30,12 @@ fragment bit-identically.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.partition_join import PartitionJoinConfig
 from repro.engine.runner import grant_request, run_join
 from repro.model.errors import ServiceError
-from repro.model.relation import ValidTimeRelation
+from repro.model.relation import ValidTimeRelation, without_first
 from repro.model.schema import RelationSchema
 from repro.service.admission import AdmissionController
 from repro.shard import transport
@@ -101,17 +104,35 @@ class ShardWorker:
 
     def load(self, meta: Dict, columns) -> Dict:
         """Install a fragment version (idempotent: same key, same bytes) and
-        drop the epochs of the same relation listed under ``meta["evict"]``."""
+        drop the epochs of the same relation listed under ``meta["evict"]``.
+
+        *columns* are the fragment's rows -- or, when the meta carries
+        ``base_epoch`` and ``steps``, the delta rows of a chain of writes
+        on top of the fragment held for that epoch: per ``[n_removed,
+        n_added]`` step, the rows to remove (first occurrence each, the
+        catalog's own rule) and then the rows to append.  The answered
+        ``n_tuples`` lets the coordinator check the rebuilt fragment.
+        """
         schema = schema_from_dict(meta["schema"])
-        key = (str(meta["name"]), int(meta["epoch"]))
-        if columns is None:
-            relation = ValidTimeRelation(schema)
-        else:
-            relation = ValidTimeRelation.from_columns(schema, *columns)
-        self._fragments[key] = relation
-        for epoch in meta.get("evict", ()):
-            self._fragments.pop((key[0], int(epoch)), None)
-        return {"rank": self.rank, "loaded": list(key), "n_tuples": len(relation)}
+        name, epoch = str(meta["name"]), int(meta["epoch"])
+        rows: List = []
+        if columns is not None:
+            # Rows of one join key share one key tuple: results gather their
+            # key column from these rows, so its pickle memoises to one copy
+            # per distinct key on the wire and in the coordinator.
+            shared: Dict[Tuple, Tuple] = {}
+            keys = [shared.setdefault(key, key) for key in map(tuple, columns[0])]
+            rows = ValidTimeRelation.from_columns(schema, keys, *columns[1:])._tuples
+        if "base_epoch" in meta:
+            delta, rows = rows, self._fragments[(name, int(meta["base_epoch"]))]._tuples
+            for n_removed, n_added in meta["steps"]:
+                moved = n_removed + n_added
+                rows = without_first(rows, delta[:n_removed])[0] + delta[n_removed:moved]
+                delta = delta[moved:]
+        self._fragments[(name, epoch)] = ValidTimeRelation.over(schema, rows)
+        for evicted in meta.get("evict", ()):
+            self._fragments.pop((name, int(evicted)), None)
+        return {"rank": self.rank, "loaded": [name, epoch], "n_tuples": len(rows)}
 
     def execute(self, request: Dict) -> Tuple[Dict, Optional[Tuple]]:
         """Run one fragment join; returns ``(meta, result_columns)``."""
@@ -192,7 +213,6 @@ class ShardWorker:
             "clamped": grant.clamped,
             "peak_granted_pages": self.admission.peak_granted_pages,
             "fragment_tuples": (len(r), len(s)),
-            "result_schema": schema_to_dict(result.schema) if result is not None else None,
         }
         columns = result.to_columns() if result is not None else None
         return meta, columns

@@ -8,6 +8,9 @@ The coordinator's supervision ladder under deliberate violence, seeded by
   result matches the undisturbed run tuple for tuple;
 * a worker armed to hang (the CHAOS frame sleeps it past the fragment
   deadline) rides the same ladder with ``kind="shard-hang"``;
+* a worker lost between a write and the next join comes back empty and is
+  re-shipped whole fragments; a quarantined shard's stand-in takes deltas;
+  either way the answer is the undisturbed, delta-fed service's;
 * nothing leaks: every socket channel deregisters.
 
 Quick single-shot tests run in tier-1; the seeded kill-matrix is
@@ -152,6 +155,101 @@ class TestHangRecovery:
             with service.open_session() as session:
                 again = session.join("r", "s", method="partition")
             assert fingerprint(again.relation) == fingerprint(baseline.relation)
+
+
+def delta_loads(service) -> int:
+    series = service.metrics_snapshot()["repro_shard_fragment_loads_total"]["series"]
+    return int(series.get("kind=delta", 0))
+
+
+def write_batch(seed: int):
+    """Rows to append to ``r`` (and delete again): some meet ``s`` rows."""
+    rng = random.Random(seed * 31 + 5)
+    return [
+        VTTuple((rng.randrange(10),), (f"w{i}",), Interval(vs, vs + 1 + rng.randrange(50)))
+        for i, vs in enumerate(rng.randrange(400) for _ in range(12))
+    ]
+
+
+def pedigree(result):
+    """Rows in order, counters and ledgers: what no rung may change."""
+    return (
+        fingerprint(result.relation),
+        result.outcome.n_result_tuples,
+        result.charged_ops,
+        result.totals.as_dict(),
+        {name: stats.as_dict() for name, stats in result.phases.items()},
+    )
+
+
+def undisturbed(seed: int, batch):
+    """The join after the same write on a service nothing happens to: its
+    workers are sent the delta and answer undisturbed."""
+    with make_service(seed) as service:
+        with service.open_session() as session:
+            session.join("r", "s", method="partition")
+            session.append("r", batch)
+            return pedigree(session.join("r", "s", method="partition"))
+
+
+class TestFailureBetweenWriteAndJoin:
+    """A worker lost after a write and before the join that would have
+    shipped it the delta holds nothing when it comes back: the respawn is
+    sent the whole fragment, and the answer is the delta-fed one's."""
+
+    def test_sigkill_after_a_write_reships_whole_identically(self):
+        batch = write_batch(CHAOS_SEED)
+        with make_service(CHAOS_SEED) as service:
+            with service.open_session() as session:
+                session.join("r", "s", method="partition")
+                session.append("r", batch)
+                os.kill(service.worker_pids()[1], signal.SIGKILL)
+                recovered = session.join("r", "s", method="partition")
+            assert recovered.redispatches == 1
+            assert delta_loads(service) == 1  # the survivor's; the respawn got fragments
+            assert [w["loaded_fragments"] for w in service.report()["workers"]] == [2, 2]
+        assert pedigree(recovered) == undisturbed(CHAOS_SEED, batch)
+
+    def test_hang_after_a_write_reships_whole_identically(self):
+        """The armed worker installs its delta, then wedges on the EXECUTE;
+        the respawn holds no base to apply a delta to."""
+        batch = write_batch(CHAOS_SEED)
+        with make_service(CHAOS_SEED, timeout=1.0) as service:
+            with service.open_session() as session:
+                session.join("r", "s", method="partition")
+                service._arm_chaos_hang(0, 15.0)
+                session.append("r", batch)
+                recovered = session.join("r", "s", method="partition")
+            assert recovered.redispatches == 1
+            assert delta_loads(service) == 2  # both took the delta before the wedge
+            assert "shard-hang" in [d["kind"] for d in service.report()["degradations"]]
+        assert pedigree(recovered) == undisturbed(CHAOS_SEED, batch)
+
+    def test_quarantined_shard_takes_deltas_like_a_worker(self):
+        """The in-process stand-in is loaded whole once (it starts empty)
+        and from then on rebuilds its fragments from deltas too."""
+        batch = write_batch(CHAOS_SEED)
+        with make_service(CHAOS_SEED, timeout=1.0) as service:
+            with service.open_session() as session:
+                session.join("r", "s", method="partition")
+                service._arm_chaos_respawn_hang(1, 30.0)
+                session.join("r", "s", method="partition", result_timeout=240.0)
+                assert service.report()["workers"][1]["quarantined"]
+                before = delta_loads(service)
+                session.append("r", batch)
+                grown = session.join("r", "s", method="partition")
+                assert delta_loads(service) == before + 2  # the worker and the stand-in
+                session.delete("r", batch)
+                shrunk = session.join("r", "s", method="partition")
+            stand_in = service._shards[1]
+            current = service.catalog.current("r")
+            held = stand_in.inline._fragments["r", current.epoch]
+            assert held.tuples == service.shard_map.fragment(current.relation, 1).tuples
+        assert pedigree(grown) == undisturbed(CHAOS_SEED, batch)
+        with make_service(CHAOS_SEED) as service:
+            with service.open_session() as session:
+                baseline = session.join("r", "s", method="partition")
+        assert fingerprint(shrunk.relation) == fingerprint(baseline.relation)
 
 
 @pytest.mark.shard_slow

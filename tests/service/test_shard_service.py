@@ -22,7 +22,12 @@ from repro.model.errors import ServiceError
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.service import QueryService
-from repro.shard import ShardedQueryService, TransportError, active_channel_count
+from repro.shard import (
+    ShardedQueryService,
+    TransportError,
+    active_channel_count,
+    transport_counters,
+)
 from repro.storage.iostats import IOStatistics
 from repro.time.interval import Interval
 
@@ -224,6 +229,111 @@ class TestFragmentEviction:
             assert canonical(old.relation) == canonical(first.relation)
             # The re-shipped old epoch sits beside the current one only.
             assert [status["fragments"] for status in sharded.ping_all()] == [3, 3]
+
+
+class TestDeltaShipping:
+    """A write reaches a shard that holds the parent version as its delta."""
+
+    @staticmethod
+    def loads(service):
+        series = service.metrics_snapshot()["repro_shard_fragment_loads_total"]["series"]
+        return {kind: int(series.get(f"kind={kind}", 0)) for kind in ("whole", "delta")}
+
+    @staticmethod
+    def whole_shipped(catalog, result, **options):
+        """*result*'s join at its epochs on a fresh service, whose first
+        loads are whole by construction."""
+        replay = VersionedCatalog()
+        for name, epoch in zip(("r", "s"), result.epochs):
+            version = catalog.version_at(name, epoch)
+            replay.register(version.schema, version.relation.tuples)
+        with ShardedQueryService(replay, shards=2, pool_pages=32, **options) as fresh:
+            with fresh.open_session() as session:
+                return session.join("r", "s", method="partition")
+
+    @staticmethod
+    def pedigree(result):
+        return (
+            rows(result.relation),
+            outcome_counters(result.outcome),
+            {name: stats.as_dict() for name, stats in result.phases.items()},
+            [(shard.fragment_tuples, shard.phases, shard.totals) for shard in result.shards],
+        )
+
+    def test_a_small_write_ships_no_relation_columns(self):
+        """32 rows against 20k: the frames of the join after the write are
+        under 5 % of one relation's whole-ship bytes, and the load counter
+        tells the two kinds apart."""
+        catalog = VersionedCatalog()
+        for name, seed in (("r", 1), ("s", 2)):
+            catalog.register(
+                RelationSchema(name, join_attributes=("k",), payload_attributes=(f"p{name}",)),
+                make_tuples(20_000, seed=seed, n_keys=64, lifespan=50_000),
+            )
+        batch = make_tuples(32, seed=3, n_keys=64, lifespan=50_000)
+        with ShardedQueryService(catalog, shards=2, pool_pages=32, execution="batch") as svc:
+            with svc.open_session() as session:
+                sent = [transport_counters()["bytes_sent"]]
+                session.join("r", "s", method="partition")
+                sent.append(transport_counters()["bytes_sent"])
+                session.append("r", batch)
+                grown = session.join("r", "s", method="partition")
+                sent.append(transport_counters()["bytes_sent"])
+                session.delete("r", batch)
+                session.join("r", "s", method="partition")
+                sent.append(transport_counters()["bytes_sent"])
+            one_relation_whole = (sent[1] - sent[0]) / 2
+            assert sent[2] - sent[1] < 0.05 * one_relation_whole
+            assert sent[3] - sent[2] < 0.05 * one_relation_whole
+            assert self.loads(svc) == {"whole": 4, "delta": 4}
+        assert grown.relation.schema == catalog.current("r").schema.join_result_schema(
+            catalog.current("s").schema
+        )
+        whole = self.whole_shipped(catalog, grown, execution="batch")
+        assert self.pedigree(grown) == self.pedigree(whole)
+
+    def test_writes_with_no_join_between_them_ship_as_ordered_steps(self, sharded):
+        """Append, delete one copy of a duplicated row, append again, and
+        only then join: one delta LOAD per shard replays all three steps."""
+        catalog = sharded.catalog
+        twin = catalog.current("r").relation.tuples[0]
+        with sharded.open_session() as session:
+            session.join("r", "s", method="partition")
+            session.append("r", [twin, *make_tuples(5, seed=11)])
+            session.delete("r", [twin])  # the first copy goes, the appended one stays
+            session.append("r", make_tuples(3, seed=12))
+            session.append("s", make_tuples(2, seed=13))
+            result = session.join("r", "s", method="partition")
+        assert self.loads(sharded) == {"whole": 4, "delta": 4}
+        assert self.pedigree(result) == self.pedigree(self.whole_shipped(catalog, result))
+        assert catalog.current("r").relation.tuples[0] != twin
+
+    def test_more_delta_rows_than_relation_rows_ship_whole(self, sharded):
+        with sharded.open_session() as session:
+            session.join("r", "s", method="partition")
+            session.append("s", make_tuples(60, seed=21))  # 60 onto 45: still a delta
+            session.join("r", "s", method="partition")
+            assert self.loads(sharded) == {"whole": 4, "delta": 2}
+            session.append("r", make_tuples(80, seed=22))
+            session.delete("r", make_tuples(80, seed=22))  # 160 moved, 60 rows stand
+            result = session.join("r", "s", method="partition")
+        assert self.loads(sharded) == {"whole": 6, "delta": 2}
+        assert self.pedigree(result) == self.pedigree(self.whole_shipped(sharded.catalog, result))
+
+    def test_a_delta_rebuilding_another_row_count_is_followed_by_the_fragment(self, sharded):
+        """The worker answers the size of what it rebuilt; when that is not
+        the size the coordinator tracks, the fragment is shipped whole."""
+        with sharded.open_session() as session:
+            session.join("r", "s", method="partition")
+            shard = sharded._shards[0]
+            shard.loaded["r", sharded.catalog.current("r").epoch] += 1  # mis-track the base
+            session.append("r", make_tuples(4, seed=31))
+            result = session.join("r", "s", method="partition")
+        # Shard 0 took a refused delta and then the fragment; shard 1 a delta.
+        assert self.loads(sharded) == {"whole": 5, "delta": 2}
+        assert self.pedigree(result) == self.pedigree(self.whole_shipped(sharded.catalog, result))
+        routed = sharded.shard_map.fragment(sharded.catalog.current("r").relation, 0)
+        assert shard.loaded["r", sharded.catalog.current("r").epoch] == len(routed)
 
 
 class TestTopology:

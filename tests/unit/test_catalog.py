@@ -194,6 +194,98 @@ class TestVersionedCatalog:
         with pytest.raises(CatalogError, match="not present"):
             catalog.delete("vr", [VTTuple(("zz",), (0,), Interval(0, 0))])
 
+    def test_failed_delete_installs_nothing(self):
+        """An absent row, or one copy more than present, raises having
+        bumped no epoch, installed no version and touched no view -- even
+        when other rows of the same call were there to remove."""
+        from repro.model.errors import CatalogError
+        from repro.model.vtuple import VTTuple
+        from repro.time.interval import Interval
+
+        class RecordingView:
+            def __init__(self):
+                self.calls = []
+
+            def __getattr__(self, name):
+                return lambda tup: self.calls.append((name, tup))
+
+        catalog = self._catalog()
+        view = RecordingView()
+        catalog.attach_view("v", view, "vr", "vs")
+        present = catalog.current("vr").relation.tuples[0]
+        catalog.append("vr", [present])  # two copies now
+        view.calls.clear()
+        before = (catalog.epoch, catalog.current("vr"), catalog.snapshot())
+        for doomed in (
+            [present, VTTuple(("zz",), (0,), Interval(0, 0))],
+            [present, present, present],
+        ):
+            with pytest.raises(CatalogError, match="not present"):
+                catalog.delete("vr", doomed)
+            assert catalog.epoch == before[0]
+            assert catalog.current("vr") is before[1]
+            assert catalog.version_at("vr", catalog.epoch) is before[1]
+            assert catalog.snapshot() == before[2]
+            assert view.calls == []
+        catalog.delete("vr", [present, present])  # as many as present: fine
+        assert [name for name, _ in view.calls] == ["delete_r", "delete_r"]
+
+    def test_delete_removes_first_occurrences_like_list_remove(self):
+        """Multiset semantics on duplicates: the one-pass removal leaves the
+        rows, in the order, that one ``list.remove`` per doomed row left."""
+        import random
+
+        from repro.engine.catalog import VersionedCatalog
+        from repro.model.vtuple import VTTuple
+        from repro.time.interval import Interval
+
+        r_schema, _ = self._schemas()
+        for seed in range(20):
+            rng = random.Random(seed)
+            contents = [
+                VTTuple((rng.choice("ab"),), (rng.randrange(2),), Interval(s, s + rng.randrange(2)))
+                for s in (rng.randrange(3) for _ in range(40))
+            ]
+            doomed = rng.sample(contents, 12)  # by position: copies repeat
+            expected = list(contents)
+            for tup in doomed:
+                expected.remove(tup)
+            catalog = VersionedCatalog()
+            catalog.register(r_schema, contents)
+            version = catalog.delete("vr", doomed)
+            assert list(version.relation.tuples) == expected
+            assert len(set(contents)) < len(contents)  # the input did hold duplicates
+
+    def test_versions_record_the_write_that_made_them(self):
+        from repro.model.vtuple import VTTuple
+        from repro.time.interval import Interval
+
+        catalog = self._catalog()
+        registered = catalog.current("vr")
+        assert (registered.parent_epoch, registered.added, registered.removed) == (None, (), ())
+        extra = [VTTuple(("c",), (3,), Interval(1, 2)), VTTuple(("d",), (4,), Interval(2, 3))]
+        catalog.append("vs", extra[:1])  # another relation's write sits between
+        grown = catalog.append("vr", extra)
+        assert (grown.parent_epoch, grown.added, grown.removed) == (registered.epoch, tuple(extra), ())
+        shrunk = catalog.delete("vr", extra[1:])
+        assert (shrunk.parent_epoch, shrunk.added, shrunk.removed) == (grown.epoch, (), (extra[1],))
+        assert catalog.version_at("vr", shrunk.parent_epoch) is grown
+
+    def test_version_at_resolves_every_epoch_of_a_long_history(self):
+        from repro.model.vtuple import VTTuple
+        from repro.time.interval import Interval
+
+        catalog = self._catalog()
+        installed = [catalog.current("vr")]
+        for number in range(30):
+            name = "vr" if number % 3 else "vs"  # epochs of "vr" have gaps
+            version = catalog.append(name, [VTTuple(("c",), (number,), Interval(1, 2))])
+            if name == "vr":
+                installed.append(version)
+        for epoch in range(1, catalog.epoch + 1):
+            expected = [v for v in installed if v.epoch <= epoch][-1]
+            assert catalog.version_at("vr", epoch) is expected
+
     def test_drop_with_live_incremental_view_raises(self):
         from repro.core.intervals import PartitionMap
         from repro.incremental.view import MaterializedVTJoin

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import struct
+from array import array
 
 import pytest
 
@@ -128,10 +129,41 @@ class TestColumnCodec:
         [150, 250],
     )
 
+    @staticmethod
+    def _as_lists(columns):
+        """Endpoint columns come back packed; compare every column by value."""
+        return tuple(list(column) for column in columns)
+
     def test_roundtrip(self):
         spans, blob = pack_columns(self.COLUMNS)
         assert [s["column"] for s in spans] == ["keys", "payloads", "starts", "ends"]
-        assert unpack_columns(spans, blob) == self.COLUMNS
+        assert self._as_lists(unpack_columns(spans, blob)) == self.COLUMNS
+
+    def test_endpoints_unpack_packed_and_repack_to_the_same_bytes(self):
+        """``array('q')`` (stdlib, so no numpy needed): 8 bytes a value where
+        a list holds a boxed int; negative and 63-bit values survive, and
+        what was unpacked packs again to the bytes it came from."""
+        columns = ([("k",)] * 3, [()] * 3, [-5, 0, 2**62], [-1, 7, 2**63 - 1])
+        spans, blob = pack_columns(columns)
+        got = unpack_columns(spans, blob)
+        assert [type(column) for column in got[2:]] == [array, array]
+        assert [column.typecode for column in got[2:]] == ["q", "q"]
+        assert self._as_lists(got) == columns
+        assert pack_columns(got) == (spans, blob)
+
+    def test_result_keys_shared_by_the_sender_are_shared_after_unpack(self):
+        """Pickle memoises by identity: a key column built from rows that
+        share one key tuple costs one tuple on the wire and one in the
+        receiver, and the frame is smaller than with a private tuple a row."""
+        shared_key = ("k7", 7)
+        n = 200
+        rest = ([(number,) for number in range(n)], list(range(n)), list(range(n)))
+        shared = pack_result({"rank": 0}, ([shared_key] * n, *rest))
+        private = pack_result({"rank": 0}, ([tuple(["k7", 7]) for _ in range(n)], *rest))
+        keys = unpack_result(shared)[1][0]
+        assert keys == [shared_key] * n
+        assert all(key is keys[0] for key in keys)
+        assert len(shared) < len(private)
 
     def test_endpoints_pack_as_i64(self):
         spans, blob = pack_columns(self.COLUMNS)
@@ -150,7 +182,7 @@ class TestColumnCodec:
             [1, 9],
         )
         before = transport_counters()["pickle_fallbacks"]
-        got = unpack_result(pack_result({"rank": 0}, columns))[1]
+        got = self._as_lists(unpack_result(pack_result({"rank": 0}, columns))[1])
         assert got == columns
         assert [[type(v) for row in column for v in row] for column in got[:2]] == [
             [type(v) for row in column for v in row] for column in columns[:2]
@@ -162,7 +194,7 @@ class TestColumnCodec:
         payload = pack_result(meta, self.COLUMNS)
         got_meta, got_columns = unpack_result(payload)
         assert got_meta == meta
-        assert got_columns == self.COLUMNS
+        assert self._as_lists(got_columns) == self.COLUMNS
         got_meta, got_columns = unpack_result(pack_result(meta, None))
         assert (got_meta, got_columns) == (meta, None)
 
