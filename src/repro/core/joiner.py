@@ -68,12 +68,14 @@ outer-partition scan, the passes of overflow blocks and of the last
 partition, the overflow spill's round trip -- the batch engine reads (and
 is charged for) a run in one call, which is the same access sequence.
 
-**Split once.**  The batch engine derives a row's ``(key id, start, end)``
-when its page first passes through memory and carries them with the row
-from then on (see :class:`_BatchEngine`); rows re-read from the tuple cache
-or re-scanned for an overflow block are compared with what is carried, not
-decomposed again.  Carried columns are volatile like the rows' buffers: a
-checkpoint stores rows only.
+**Split once.**  A row's ``(key, start, end)`` columns are derived once
+per relation version and arrive here on the partition files
+(:attr:`~repro.storage.heapfile.HeapFile.carried`); the batch engine
+carries them with the row from then on (see :class:`_BatchEngine`), and any
+delivery -- a first scan, a re-read from the tuple cache, a re-scan for an
+overflow block -- is compared with what is carried, not decomposed again.
+Carried columns are volatile like the rows' buffers: a checkpoint stores
+rows only.
 
 **Emission.**  The batch engine hands back each run's matches as one
 :class:`~repro.model.match_block.MatchBlock` -- matched rows plus the
@@ -177,7 +179,6 @@ def join_partitions(
     # benchmarks/suite/library.py::_replay passes both.
     sweep_workers: Optional[int] = None,
     supervision=None,
-    interner=None,
     pool: Optional[BufferPool] = None,
     checkpointer: Optional[SweepCheckpointer] = None,
     buffer_reductions: Sequence["BufferReduction"] = (),
@@ -201,8 +202,8 @@ def join_partitions(
         swapped_inputs: *r_parts* hold the caller's inner relation, so
             *pair_fn* is called as ``pair_fn(s_row, r_row, overlap)``.
         sweep_workers, supervision: ignored (see the signature).
-        pair_fn, interner, pool, checkpointer, buffer_reductions, obs: the
-            run's collaborators, see :class:`PartitionSweep`.
+        pair_fn, pool, checkpointer, buffer_reductions, obs: the run's
+            collaborators, see :class:`PartitionSweep`.
     """
     if len(r_parts) != len(partition_map) or len(s_parts) != len(partition_map):
         raise ValueError("partition lists must align with the partition map")
@@ -226,7 +227,6 @@ def join_partitions(
         context,
         layout,
         pair_fn=pair_fn,
-        interner=interner,
         pool=pool,
         checkpointer=checkpointer,
         buffer_reductions=buffer_reductions,
@@ -341,9 +341,6 @@ class PartitionSweep:
         context: the sweep's fixed parameters.
         layout: the disk layout the partitions live on.
         pair_fn: builds (or rejects) a result tuple per matched pair.
-        interner: a :class:`~repro.exec.batch.KeyInterner` to reuse across
-            joins; its ids never leak into results, so sharing is
-            result-identical.
         pool: when given, :meth:`run` reserves the Figure 3 regions in this
             :class:`BufferPool` and guarantees -- on success, failure, or
             simulated crash -- that every reservation is released.
@@ -364,7 +361,6 @@ class PartitionSweep:
         layout: DiskLayout,
         *,
         pair_fn: PairFn = natural_pair,
-        interner=None,
         pool: Optional[BufferPool] = None,
         checkpointer: Optional[SweepCheckpointer] = None,
         buffer_reductions: Sequence["BufferReduction"] = (),
@@ -403,9 +399,7 @@ class PartitionSweep:
         if execution == "tuple":
             self._engine: _ProbeEngine = _TupleEngine(context.partition_map, direction)
         else:
-            self._engine = _BatchEngine(
-                context.partition_map, direction, interner=interner
-            )
+            self._engine = _BatchEngine(context.partition_map, direction)
         pipelined = execution in PIPELINED_SWEEP_MODES
         self._io = (_PipelinedIO if pipelined else _DemandIO)(layout, context, obs)
         self._outer_reservation: Optional[Reservation] = None
@@ -497,10 +491,13 @@ class PartitionSweep:
 
             # Purge retained outer tuples that do not reach this
             # partition, then read the partition itself from disk.
+            outer_file = context.r_parts[index]
             outer_pages = list(
-                chain.from_iterable(self._io.scan(context.r_parts[index], self._by_run))
+                chain.from_iterable(self._io.scan(outer_file, self._by_run))
             )
-            outer = engine.assemble_outer(state.outer_retained, outer_pages, index)
+            outer = engine.assemble_outer(
+                state.outer_retained, outer_pages, index, engine.carried(outer_file)
+            )
             new_cache = None
             if next_index is not None:
                 new_cache = self._io.open_cache(f"tuple_cache_{next_index}")
@@ -519,12 +516,12 @@ class PartitionSweep:
                 _charge_spill(blocks[1:], self._layout, index)
 
             totals = {"rows": 0, "matches": 0, "migrated": 0}
-            # The columns each stream's rows were split into when they
-            # first passed: the cache's carried from the partition that
-            # filled it, the inner partition's from this one's first block.
+            # The columns each stream's rows were split into: the cache's
+            # carried from the partition that filled it, the inner
+            # partition's on its file.
             seen: Dict[str, Optional[PageBatch]] = {
                 "cache": state.cache.carried() if state.cache is not None else None,
-                "inner": None,
+                "inner": engine.carried(context.s_parts[index]),
             }
             for block_number, block in enumerate(blocks):
                 probe_index = engine.build_index(block)
@@ -600,11 +597,11 @@ class PartitionSweep:
         filtered; emission and migration I/O happen here, writing the same
         result pages for every engine.
 
-        *carried* holds the stream's rows and their columns as an earlier pass
-        split them.  Every page is still read; a delivery that equals the
-        carried rows at its offset takes their columns -- per page before a
-        migration trusts them, per run before a probe does -- and any other is
-        decomposed as on a first pass.
+        *carried* holds the stream's rows and their columns as they were
+        split before (handed down on the file, or by an earlier pass).  Every
+        page is still read; a delivery that equals the carried rows at its
+        offset takes their columns -- per page before a migration trusts
+        them, per run before a probe does -- and any other is decomposed.
 
         Returns ``(counts, seen)``: the pages, rows, matches and migrated
         rows of this pass for the probe span -- derived from work already
@@ -645,7 +642,7 @@ class PartitionSweep:
                     rows = None
                     if due is not None:
                         upto = bisect_left(due, page_end, due_at)
-                        if carried.tuples[n_rows:page_end] == page:
+                        if carried.holds(n_rows, page):
                             rows = [row - n_rows for row in due[due_at:upto]]
                         due_at = upto
                     if rows is None:
@@ -1053,9 +1050,17 @@ class _ProbeEngine:
     engine.
     """
 
-    def assemble_outer(self, retained, pages: List[Sequence[VTTuple]], index: int):
+    def carried(self, heap: HeapFile) -> Optional[PageBatch]:
+        """The columns *heap* carries, in the form this engine probes, or
+        None: what a scan of *heap* checks its deliveries against."""
+        return None
+
+    def assemble_outer(
+        self, retained, pages: List[Sequence[VTTuple]], index: int, carried=None
+    ):
         """The outer block of partition *index*: the *retained* rows that
-        reach it, then the rows of the partition's *pages*, in order."""
+        reach it, then the rows of the partition's *pages* (whose columns
+        are *carried*, if the delivery is those rows), in order."""
         outer: List[VTTuple] = [
             retained[row] for row in self.overlapping_rows(retained, index)
         ]
@@ -1125,34 +1130,42 @@ class _BatchEngine(_ProbeEngine):
     instead where it finds nothing to prune), whole-column window search /
     intersection / owner filter over each run.
 
-    **Split once.**  A row in a tuple-list page is decomposed into ``(key
-    id, start, end)`` when its page first passes through here, and from
-    then on travels with those columns as a
-    :class:`~repro.exec.batch.PageBatch`: the outer block is one (purged by
-    a mask, extended by the new partition's pages, cut into overflow
-    blocks by slicing), the tuple cache keeps the columns of what it holds,
-    and a re-read run gets its columns back by comparing rows
-    (:meth:`PageBatch.matching`) -- so every read, checksum and fault check
-    still happens, and a delivery that differs is decomposed like a first
-    one.  Packed columnar pages are columns already and keep their own
-    block (:class:`~repro.exec.batch.ColumnarBlock`).
+    **Split once.**  A row in a tuple-list page travels with its ``(key
+    id, start, end)`` columns as a :class:`~repro.exec.batch.PageBatch`: the
+    outer block is one (purged by a mask, extended by the new partition's
+    pages, cut into overflow blocks by slicing), the tuple cache keeps the
+    columns of what it holds, and a delivered run gets its columns by
+    comparing rows (:meth:`PageBatch.matching`) with what its file or its
+    cache carries -- so every read, checksum and fault check still happens,
+    and only a delivery that differs, or a file that carries nothing, is
+    decomposed here.  A file carries key *codes*; :meth:`carried` turns them
+    into this join's ids through one table per dictionary.  Packed columnar
+    pages are columns already and keep their own block
+    (:class:`~repro.exec.batch.ColumnarBlock`).
     """
 
-    def __init__(
-        self, partition_map: PartitionMap, direction: str, kernels=None, interner=None
-    ) -> None:
+    def __init__(self, partition_map: PartitionMap, direction: str, kernels=None) -> None:
         self._kernels = kernels if kernels is not None else get_kernels()
         self.boundaries = self._kernels.prepare_boundaries(partition_map)
-        # An injected interner (the service's epoch-keyed shared one) skips
-        # the rebuild-per-join churn; id values never affect results, so
-        # sharing is sound (see KeyInterner docstring).
-        self._interner = interner if interner is not None else self._kernels.make_interner()
+        self._interner = self._kernels.make_interner()
         self._translator = (
             CodeTranslator(self._interner) if self._kernels.use_numpy else None
         )
         self._direction = direction
 
-    def assemble_outer(self, retained, pages, index):
+    def carried(self, heap):
+        batch = heap.carried
+        if batch is None or isinstance(batch.starts, list) == self._kernels.use_numpy:
+            return None  # nothing carried, or columns of the other backend
+        if not self._kernels.use_numpy:
+            return batch  # the fallback kernels read keys off the rows
+        if batch.keys is None:
+            return None
+        self._translator.ensure_interned(batch.keys)
+        ids = self._translator.table_for(batch.keys)[batch.key_ids]
+        return PageBatch(batch.tuples, ids, batch.starts, batch.ends, self._interner)
+
+    def assemble_outer(self, retained, pages, index, carried=None):
         # Packed pages stay packed under numpy: the purge is vectorized
         # over the column views and no tuple is materialized until something
         # touches the row.  Same rows, same order either way.
@@ -1168,7 +1181,10 @@ class _BatchEngine(_ProbeEngine):
         kept = retained.take(self.overlapping_rows(retained, index))
         # One flat tuple list, whatever the pages are: build-side keys must
         # be interned, which a run of packed pages would not do.
-        fresh = self.decompose([list(chain.from_iterable(pages))])
+        rows = list(chain.from_iterable(pages))
+        fresh = carried.matching(0, rows) if carried is not None else None
+        if fresh is None:
+            fresh = self.decompose([rows])
         return PageBatch.concat([kept, fresh])
 
     def build_index(self, block: Sequence[VTTuple]):

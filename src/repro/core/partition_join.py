@@ -341,7 +341,6 @@ def partition_join(
     recovery: Optional[RecoveryLog] = None,
     pool: Optional[BufferPool] = None,
     plan: Optional[PartitionPlan] = None,
-    interner=None,
 ) -> PartitionJoinResult:
     """Evaluate the valid-time natural join ``r JOIN_V s`` by partitioning.
 
@@ -367,10 +366,6 @@ def partition_join(
             partitioning.  Ignored when a relation fits in the buffer (the
             one-partition case never samples anyway), and discarded when a
             smaller *pool* forces a replan.
-        interner: a :class:`~repro.exec.batch.KeyInterner` shared across
-            repeated joins of the same relation version (the service
-            layer's interner cache).  Interner ids never reach results, so
-            sharing is result-identical; None builds a fresh one per run.
 
     Raises:
         SchemaError: if the schemas are not join-compatible.
@@ -410,12 +405,12 @@ def partition_join(
     if config.execution == "forward-sweep":
         evaluate = partial(_forward_sweep_eval, call, r_file, s_file)
     else:
-        evaluate = partial(_partition_sweep, call, r_file, s_file, plan, interner)
+        evaluate = partial(_partition_sweep, call, r_file, s_file, plan)
     return _answer(call, evaluate, config.buff_size)
 
 
 def _partition_sweep(
-    call: _JoinCall, r_file, s_file, cached: Optional[PartitionPlan], interner
+    call: _JoinCall, r_file, s_file, cached: Optional[PartitionPlan]
 ) -> Tuple[JoinOutcome, PartitionPlan]:
     """Prepare, then sweep (phase ``"join"``): ``(outcome, executed plan)``."""
     config, layout, recovery = call.config, call.layout, call.recovery
@@ -442,7 +437,6 @@ def _partition_sweep(
             cache_memory_tuples=cache_pages * layout.spec.capacity,
             execution=config.execution,
             prefetch_depth=config.prefetch_depth,
-            interner=interner,
             pool=call.pool,
             checkpointer=checkpointer,
             buffer_reductions=config.buffer_reductions,

@@ -13,17 +13,22 @@ exactly the partitioning-phase effect Section 4.2 reports.
 
 **Execution modes.**  Tuple placement -- ``index_of_chronon`` of the
 storage chronon -- is the CPU-bound part of this phase and runs in two
-ways: per tuple (``"tuple"``, the oracle) or per page through the batch
-``locate`` kernel (every other mode).  Either way the charged I/O -- the
-input scan and the bucket flush sequence -- is issued by this function in
-the identical serial order, so partition contents and
+ways: per tuple (``"tuple"``, the oracle) or through the batch kernels
+(every other mode): one ``route`` call over the chronon column the source
+carries, every flushed bucket handing its sub-batch on to the partition
+file (:func:`_route_carried`) -- and per tuple after all from the first
+delivery that is not the carried rows, or when nothing is carried.  Either
+way the charged I/O -- the input scan and the bucket flush sequence -- is
+issued in the identical serial order, so partition contents and
 :class:`~repro.storage.iostats.PhaseTracker` counters are bit-identical
 across modes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES
@@ -66,8 +71,8 @@ def do_partitioning(
             ``"first"`` in the first (footnote 1's equivalent strategy,
             paired with the forward sweep).
         execution: ``"tuple"`` locates per tuple; every other partition
-            mode locates per page via the batch ``locate`` kernel (the
-            pipelined sweeps differ from ``"batch"`` only in the join phase).
+            mode locates by column via the batch kernels (the pipelined
+            sweeps differ from ``"batch"`` only in the join phase).
 
     Returns:
         One heap file per partition, index-aligned with *partition_map*.
@@ -108,20 +113,13 @@ def do_partitioning(
                 _flush(partitions[index], bucket)
                 buffers[index] = []
 
-        if execution == "tuple":
-            locate = (
-                partition_map.last_overlapping
-                if placement == "last"
-                else partition_map.first_overlapping
-            )
-            for page in source.scan_pages():
-                for tup in page:
-                    route(tup, locate(tup.valid))
-        else:
+        pages: Iterable = source.scan_pages()
+        if execution != "tuple":
             from repro.exec.kernels import get_kernels
 
             kernels = get_kernels()
             boundaries = kernels.prepare_boundaries(partition_map)
+            carried = source.carried
             if source.columnar and source.dictionary is not None:
                 # Columnar source: locate straight off the packed chronon
                 # column and move (start, end, code, payload) column
@@ -138,12 +136,23 @@ def do_partitioning(
                 _route_columns(
                     located_pages(), partitions, source.dictionary, flush_threshold
                 )
-            else:
-                for page in source.scan_pages():
-                    batch = kernels.page_batch(page)
-                    chronons = batch.ends if placement == "last" else batch.starts
-                    for tup, index in zip(page, kernels.locate(chronons, boundaries)):
-                        route(tup, index)
+                pages = ()
+            elif carried is not None and len(carried) == source.n_tuples:
+                chronons = carried.ends if placement == "last" else carried.starts
+                groups = kernels.route(chronons, boundaries)
+                pages = _route_carried(
+                    carried, groups, pages, partitions, buffers, flush_threshold
+                )
+        # Row by row: the oracle, a file that carries nothing, and the rest
+        # of a scan from the first delivery that is not the carried rows.
+        locate = (
+            partition_map.last_overlapping
+            if placement == "last"
+            else partition_map.first_overlapping
+        )
+        for page in pages:
+            for tup in page:
+                route(tup, locate(tup.valid))
 
         for index, bucket in enumerate(buffers):
             if bucket:
@@ -155,10 +164,66 @@ def do_partitioning(
         return partitions
 
 
-def _flush(partition: HeapFile, bucket: List) -> None:
+def _flush(partition: HeapFile, bucket: List, columns=None) -> None:
     """Write a bucket's tuples as one contiguous run of pages."""
-    partition.append_many(bucket)
+    partition.append_many(bucket, columns)
     partition.flush()
+
+
+def _route_carried(
+    carried,
+    groups: List[List[int]],
+    pages: Iterator[List],
+    partitions: List[HeapFile],
+    buffers: List[List],
+    flush_threshold: int,
+) -> Iterable[List]:
+    """Route a source by the columns it carries, as far as its *pages* bear
+    them out.
+
+    *groups* places every carried row (``Kernels.route``: per partition the
+    rows it receives), which fixes the flush schedule: a bucket flushes
+    right after the row that fills it.  The scan then checks each delivered
+    page against the carried rows and performs the flushes that fall inside
+    it before the next page is read -- the writes of routing row by row, at
+    the same points of the scan -- each handing the partition file its
+    sub-batch.
+
+    Returns the pages still to route row by row: none when the scan bore out
+    every carried row (final flushes done); otherwise -- a torn delivery --
+    the first page that is not the carried rows and the rest of *pages* (none,
+    if it was the last page that came short), with the rows that did arrive
+    and are not yet flushed put in *buffers*.
+    """
+    buckets = [carried.take(rows) for rows in groups]
+    # (the row that fills the bucket, partition, first row of the flush)
+    schedule = sorted(
+        (rows[first + flush_threshold - 1], index, first)
+        for index, rows in enumerate(groups)
+        for first in range(0, len(rows) - flush_threshold + 1, flush_threshold)
+    )
+    flushed = [0] * len(groups)
+    offset = due = 0
+    rest: Iterable[List] = ()
+    for page in pages:
+        if not carried.holds(offset, page):
+            rest = chain([page], pages)
+            break
+        offset += len(page)
+        while due < len(schedule) and schedule[due][0] < offset:
+            _, index, first = schedule[due]
+            due += 1
+            flushed[index] = first + flush_threshold
+            batch = buckets[index][first : flushed[index]]
+            _flush(partitions[index], batch.tuples, batch)
+    for index, rows in enumerate(groups):
+        arrived = bisect_left(rows, offset, flushed[index])
+        batch = buckets[index][flushed[index] : arrived]
+        if offset < len(carried):
+            buffers[index] = batch.tuples
+        elif len(batch):
+            _flush(partitions[index], batch.tuples, batch)
+    return rest
 
 
 def _route_columns(

@@ -514,18 +514,23 @@ class _SpanSample:
         return self.valid.end
 
 
-def _span_columns(pages: Sequence) -> tuple:
+def _span_columns(pages: Sequence, carried=None) -> tuple:
     """``(starts, ends)`` int64 columns of a scanned relation, in row order.
 
-    Columnar pages concatenate their buffer views; list pages decompose
-    once, here, so with numpy the plan is made on columns whatever the
-    page layout.
+    Columnar pages concatenate their buffer views; list pages take the
+    columns their file carries (*carried*) when the scan delivered exactly
+    those rows, and are decomposed here otherwise, so with numpy the plan
+    is made on columns whatever the page layout.
     """
     if all(isinstance(page, ColumnarPage) for page in pages):
         return (
             np.concatenate([page.starts_view() for page in pages]),
             np.concatenate([page.ends_view() for page in pages]),
         )
+    if carried is not None and not isinstance(carried.starts, list):
+        batch = carried.matching(0, list(chain.from_iterable(pages)))
+        if batch is not None:
+            return batch.starts, batch.ends
     valids = [tup.valid for page in pages for tup in page]
     return (
         np.fromiter((valid.start for valid in valids), np.int64, count=len(valids)),
@@ -567,7 +572,7 @@ class _IncrementalSampler:
 
     def prefix(self, needed: int) -> List[VTTuple]:
         """The first *needed* samples, drawing (and charging) as required."""
-        needed = min(needed, self._outer.n_tuples)
+        needed = min(needed, len(self._positions))
         if self._column_starts is not None:
             # Scanned with numpy: the whole relation's span columns are
             # already concatenated, so a prefix is one vectorized gather at
@@ -589,8 +594,17 @@ class _IncrementalSampler:
                     chain.from_iterable(self._outer.scan_runs(self._outer.n_tuples))
                 )
                 self.scan_done = True
+                delivered = sum(map(len, pages))
+                if delivered < self._outer.n_tuples:
+                    # Torn deliveries lost rows: sample among those that came.
+                    drawn = len(self._samples)
+                    self._positions[drawn:] = [
+                        at for at in self._positions[drawn:] if at < delivered
+                    ]
                 if np is not None and pages:
-                    self._column_starts, self._column_ends = _span_columns(pages)
+                    self._column_starts, self._column_ends = _span_columns(
+                        pages, self._outer.carried
+                    )
                     self._position_array = np.asarray(
                         self._positions, dtype=np.int64
                     )

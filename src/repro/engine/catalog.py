@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.model.errors import CatalogError, SchemaError
-from repro.model.relation import ValidTimeRelation, without_first
+from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.storage.page import PageSpec
@@ -318,7 +318,7 @@ class VersionedCatalog:
         with self._lock:
             old = self.current(name)
             added = ValidTimeRelation(old.schema, tuples)._tuples  # validates arity
-            return self._install(old, old.relation._tuples + added, added=added)
+            return self._install(old, old.relation.with_rows(added), added=added)
 
     def delete(self, name: str, tuples: Iterable[VTTuple]) -> RelationVersion:
         """Install a new version of *name* with *tuples* removed (epoch + 1).
@@ -333,7 +333,7 @@ class VersionedCatalog:
         with self._lock:
             old = self.current(name)
             removed = list(tuples)
-            remaining, missing = without_first(old.relation._tuples, removed)
+            remaining, missing = old.relation.without_rows(removed)
             if missing:
                 raise CatalogError(
                     f"cannot delete {next(iter(missing))!r}: not present in {name!r}"
@@ -368,15 +368,17 @@ class VersionedCatalog:
             self._epoch += 1
 
     def _install(
-        self, old: RelationVersion, rows: List[VTTuple], *, added=(), removed=()
+        self, old: RelationVersion, relation: ValidTimeRelation, *, added=(), removed=()
     ) -> RelationVersion:
-        """Install *rows* as the next version of *old*'s relation, recording
-        the write that made it, and fold that write into the live views."""
+        """Install *relation* (derived from *old*'s, which took over its
+        columns: history keeps a superseded version's rows only) as the next
+        version, recording the write that made it, and fold that write into
+        the live views."""
         self._epoch += 1
         version = RelationVersion(
             old.name,
             self._epoch,
-            ValidTimeRelation.over(old.schema, rows),
+            relation,
             old.epoch,
             tuple(added),
             tuple(removed),

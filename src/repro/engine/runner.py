@@ -104,7 +104,6 @@ def run_join(
     granted_pages: int,
     *,
     plan: Optional[PartitionPlan] = None,
-    interner=None,
     layout: Optional[DiskLayout] = None,
 ) -> JoinRun:
     """Evaluate ``r JOIN_V s`` by *method* under *granted_pages* of memory.
@@ -116,9 +115,9 @@ def run_join(
             :func:`repro.engine.optimizer.choose_method`.
         config: the evaluation knobs; its ``cost_model`` prices the bill.
         granted_pages: the buffer pages the run may use.
-        plan / interner / layout: forwarded to
+        plan / layout: forwarded to
             :func:`~repro.core.partition_join.partition_join` (a cached
-            plan, a shared key interner, a pre-built resilient layout).
+            plan, a pre-built resilient layout).
 
     Raises:
         ValueError: *method* names no algorithm.
@@ -131,7 +130,6 @@ def run_join(
             layout=layout,
             pool=BufferPool(granted_pages),
             plan=plan,
-            interner=interner,
         )
         tracker = run.layout.tracker
         return JoinRun(

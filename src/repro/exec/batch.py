@@ -26,8 +26,6 @@ Python dict lookup per tuple.
 
 from __future__ import annotations
 
-import threading
-
 from bisect import bisect_right
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -43,8 +41,11 @@ class KeyInterner:
     ``version`` counts fresh interns; translation-table caches keyed on it
     (:class:`CodeTranslator`) invalidate exactly when the id space grew.
     The concrete id *values* never influence join results -- match sets are
-    id-agnostic and emission order is restored by a final row-index sort --
-    which is what makes sharing one interner across queries sound.
+    id-agnostic and emission order is restored by a final row-index sort.
+    A join grows one of its own; a relation version's dictionary (the
+    ``keys`` of its :meth:`~repro.model.relation.ValidTimeRelation.columns`)
+    is this too, read-only once built, and the join translates its codes
+    through a :class:`CodeTranslator` table.
     """
 
     __slots__ = ("_ids", "version")
@@ -74,30 +75,15 @@ class KeyInterner:
         """Every interned key, ordered by assigned id (snapshot copy)."""
         return list(self._ids)
 
-
-class SharedKeyInterner(KeyInterner):
-    """A :class:`KeyInterner` safe to share across a service's sessions.
-
-    The service runs concurrent queries on worker threads; two joins over
-    the same relation version may intern simultaneously.  Assigning an id
-    is a read-modify-write on the id dict, so it takes a lock; reading one
-    is lock-free, in ``lookup`` and for the keys ``intern`` already knows
-    (a single ``dict.get``, atomic under the GIL, and ids are never
-    reassigned or removed).
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def intern(self, key: Tuple) -> int:
-        found = self._ids.get(key)
-        if found is not None:
-            return found
-        with self._lock:
-            return super().intern(key)
+    def grown(self, keys: Iterable[Tuple]) -> "KeyInterner":
+        """These ids plus every key of *keys*: this interner when it knows
+        them all, else a copy that learnt the rest (one in use is never
+        written to)."""
+        grown = KeyInterner()
+        grown._ids, grown.version = dict(self._ids), self.version
+        for key in keys:
+            grown.intern(key)
+        return grown if len(grown) > len(self) else self
 
 
 def _chained(sequences: Iterable[Sequence]) -> List:
@@ -112,10 +98,11 @@ class PageBatch:
             into this list; emission still hands whole :class:`VTTuple`
             objects to the pair function).
         key_ids: per-row interned key id (``-1`` = key unknown to the build
-            side), or None when built without an interner (the partitioner
-            only needs the time columns).
+            side), or None when built without an interner.
         starts: per-row valid-time start chronon.
         ends: per-row valid-time end chronon.
+        keys: the :class:`KeyInterner` that ``key_ids`` are ids of: a
+            join's own, or a relation version's dictionary.
 
     Columns are numpy ``int64`` arrays under the numpy backend and plain
     lists under the fallback; the matching kernels consume them natively.
@@ -124,15 +111,19 @@ class PageBatch:
     split: the sweep slices, masks and concatenates batches (the methods
     below) to carry rows from one partition to the next instead of
     decomposing them again.  Those methods keep ``tuples`` a plain list.
+    Across files too: a heap file carries the batch of what was written to
+    it (:attr:`~repro.storage.heapfile.HeapFile.carried`), and a scan takes
+    a delivered page's columns from it once :meth:`matching` says so.
     """
 
-    __slots__ = ("tuples", "key_ids", "starts", "ends")
+    __slots__ = ("tuples", "key_ids", "starts", "ends", "keys")
 
-    def __init__(self, tuples, key_ids, starts, ends) -> None:
+    def __init__(self, tuples, key_ids, starts, ends, keys=None) -> None:
         self.tuples = tuples
         self.key_ids = key_ids
         self.starts = starts
         self.ends = ends
+        self.keys = keys
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -153,21 +144,24 @@ class PageBatch:
             None if key_ids is None else key_ids[index],
             self.starts[index],
             self.ends[index],
+            self.keys,
         )
 
-    def matching(self, start: int, rows: List[VTTuple]) -> Optional["PageBatch"]:
-        """The sub-batch from row *start* on if its rows equal *rows*.
+    def holds(self, start: int, rows: List[VTTuple]) -> bool:
+        """True when the rows from row *start* on equal *rows* (pointer
+        compares for rows that came back as the objects they went out as)."""
+        return self.tuples[start : start + len(rows)] == rows
 
-        How a re-read page gets its columns back: one list comparison
-        (pointer compares for rows that came back as the objects they went
-        out as) instead of a decomposition.  None when the delivery differs
-        from what is carried -- a torn page, a shifted offset -- and the
-        caller must decompose *rows* itself.
+    def matching(self, start: int, rows: List[VTTuple]) -> Optional["PageBatch"]:
+        """The sub-batch from row *start* on if it :meth:`holds` *rows*.
+
+        How a delivered page gets its columns back without a decomposition.
+        None when the delivery differs from what is carried -- a torn page,
+        a shifted offset -- and the caller must decompose *rows* itself.
         """
-        stop = start + len(rows)
-        if self.tuples[start:stop] != rows:
+        if not self.holds(start, rows):
             return None
-        return self._sliced(rows, slice(start, stop))
+        return self._sliced(rows, slice(start, start + len(rows)))
 
     def overlapping(self, window: Tuple[float, float]) -> List[int]:
         """Rows whose interval overlaps the partition *window*, ascending
@@ -194,20 +188,41 @@ class PageBatch:
         else:
             at = np.asarray(rows, dtype=np.int64)
             gathered = [None if column is None else column[at] for column in columns]
-        return PageBatch([tuples[row] for row in rows], *gathered)
+        return PageBatch([tuples[row] for row in rows], *gathered, self.keys)
+
+    def without(self, rows: List[int], tuples: List[VTTuple]) -> "PageBatch":
+        """This batch less the rows at the ascending positions *rows*;
+        *tuples* is what is left of its rows (kept, not copied)."""
+
+        def less(column):
+            if column is None or not rows:
+                return column
+            if not isinstance(column, list):
+                return np.delete(column, rows)
+            column = list(column)
+            for row in reversed(rows):
+                del column[row]
+            return column
+
+        return PageBatch(
+            tuples, less(self.key_ids), less(self.starts), less(self.ends), self.keys
+        )
 
     @classmethod
-    def concat(cls, batches: Sequence["PageBatch"]) -> "PageBatch":
-        """*batches* (at least one, of one backend) as one batch, in order."""
+    def concat(cls, batches: Sequence["PageBatch"], tuples=None) -> "PageBatch":
+        """*batches* (at least one, of one backend) as one batch, in order;
+        the last one's ``keys`` must know every id (:meth:`KeyInterner.grown`).
+        *tuples* is their rows as one list, when the caller holds it already."""
         first = batches[0]
         if len(batches) == 1 and isinstance(first.tuples, list):
             return first
         join = _chained if isinstance(first.starts, list) else np.concatenate
         return cls(
-            _chained([batch.tuples for batch in batches]),
+            tuples if tuples is not None else _chained([batch.tuples for batch in batches]),
             None if first.key_ids is None else join([b.key_ids for b in batches]),
             join([batch.starts for batch in batches]),
             join([batch.ends for batch in batches]),
+            batches[-1].keys,
         )
 
     @classmethod
@@ -263,7 +278,20 @@ class PageBatch:
                 ends = np.empty(0, np.int64)
                 if key_ids is not None:
                     key_ids = np.empty(0, np.int64)
-        return cls(list(tuples), key_ids, starts, ends)
+        return cls(list(tuples), key_ids, starts, ends, interner)
+
+    @classmethod
+    def keyed(cls, tuples: List[VTTuple], keys=None, starts=None, ends=None) -> "PageBatch":
+        """*tuples* split against a dictionary of their own (``batch.keys``;
+        the fallback backend keeps neither ids nor dictionary).  Given the
+        rows' *keys*, *starts* and *ends* columns, no row is read."""
+        dictionary = KeyInterner() if HAVE_NUMPY else None
+        if keys is None:
+            return cls.from_tuples(tuples, dictionary, intern=True)
+        if dictionary is None:
+            return cls(tuples, None, list(starts), list(ends))
+        columns = (list(map(dictionary.intern, keys)), starts, ends)
+        return cls(tuples, *(np.array(column, np.int64) for column in columns), dictionary)
 
     @classmethod
     def from_columnar(
@@ -316,7 +344,15 @@ class PageBatch:
             key_ids = np.array(ids, dtype=np.int64) if use_numpy and n else (
                 np.empty(0, np.int64) if use_numpy else ids
             )
-        return cls(page, key_ids, starts, ends)
+        return cls(page, key_ids, starts, ends, interner)
+
+
+def _keys_by_code(dictionary) -> Sequence[Tuple]:
+    """The keys of a file's ``KeyDictionary`` or of a relation's
+    :class:`KeyInterner`, indexed by code."""
+    if isinstance(dictionary, KeyInterner):
+        return dictionary.keys_in_id_order()
+    return dictionary.keys
 
 
 class CodeTranslator:
@@ -354,7 +390,7 @@ class CodeTranslator:
         if seen is not None and seen[0] is dictionary and seen[1] == n:
             return
         intern = self._interner.intern
-        for key in dictionary.keys:
+        for key in _keys_by_code(dictionary):
             intern(key)
         self._interned[cache_key] = (dictionary, n)
 
@@ -369,7 +405,7 @@ class CodeTranslator:
             if dict_ref is dictionary and cached_version == version and len(table) == n:
                 return table
         lookup = self._interner.lookup
-        ids = [lookup(key) for key in dictionary.keys]
+        ids = [lookup(key) for key in _keys_by_code(dictionary)]
         table: Sequence[int]
         if use_numpy:
             table = np.array(ids, dtype=np.int64) if n else np.empty(0, np.int64)

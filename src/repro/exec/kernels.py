@@ -160,9 +160,13 @@ class Kernels:
         """Rows of *page* whose interval overlaps partition *next_index*
         (clamped semantics), in page order.
 
-        Two comparisons per row against the partition's window; plain
-        Python on purpose -- it runs once per page, where a numpy call's
-        fixed cost exceeds the work of a small page.
+        Two comparisons per row against the partition's window, in plain
+        Python: this is the form for a page nobody holds columns of (the
+        tuple engine's, a delivery that failed
+        :meth:`~repro.exec.batch.PageBatch.matching`), where a numpy call's
+        fixed cost exceeds the work of a small page.  Rows whose columns are
+        carried are masked a stream at a time instead
+        (:meth:`~repro.exec.batch.PageBatch.overlapping`).
         """
         lo, hi = boundaries.window(next_index)
         if isinstance(page, _columnar_page_type()):
@@ -206,6 +210,16 @@ class Kernels:
     ) -> List[int]:
         """Partition index of each chronon (clamped ``index_of_chronon``)."""
         raise NotImplementedError
+
+    def route(
+        self, chronons: Sequence[int], boundaries: PartitionBoundaries
+    ) -> List[List[int]]:
+        """:meth:`locate`, grouped: per partition the rows it receives,
+        ascending -- a whole relation's Grace routing in one call."""
+        groups: List[List[int]] = [[] for _ in range(boundaries.n)]
+        for row, index in enumerate(self.locate(chronons, boundaries)):
+            groups[index].append(row)
+        return groups
 
 
 class PythonKernels(Kernels):
@@ -398,14 +412,23 @@ class NumpyKernels(Kernels):
         pair_inner = np.searchsorted(cum, kept, side="right")
         return pair_outer, pair_inner, common_start, common_end
 
-    def locate(self, chronons, boundaries):
-        values = np.asarray(chronons, dtype=np.int64)
-        if values.size == 0:
-            return []
+    def _located(self, chronons, boundaries):
         return np.minimum(
-            np.searchsorted(boundaries.ends_np, values, side="left"),
+            np.searchsorted(
+                boundaries.ends_np, np.asarray(chronons, dtype=np.int64), side="left"
+            ),
             boundaries.n - 1,
-        ).tolist()
+        )
+
+    def locate(self, chronons, boundaries):
+        return self._located(chronons, boundaries).tolist()
+
+    def route(self, chronons, boundaries):
+        located = self._located(chronons, boundaries)
+        # The stable sort keeps each partition's rows in input order.
+        rows = np.argsort(located, kind="stable").tolist()
+        stops = np.cumsum(np.bincount(located, minlength=boundaries.n)).tolist()
+        return [rows[start:stop] for start, stop in zip([0] + stops, stops)]
 
 
 _DEFAULT: Optional[Kernels] = None

@@ -26,7 +26,6 @@ wins.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from typing import Iterator, List, Optional, Tuple
 
@@ -37,6 +36,24 @@ from repro.time.interval import Interval, trusted_interval
 def _as_list(column) -> list:
     """A column as a plain list (numpy and ``array`` columns convert in one C call)."""
     return column if isinstance(column, list) else column.tolist()
+
+
+def spans_sorted(starts, ends, last: Optional[Tuple[int, int]]) -> bool:
+    """True when the rows of two endpoint columns continue a ``(start,
+    end)``-sorted sequence whose latest span is *last* (None: nothing
+    precedes them).  Lists stop at the first violation; arrays compare whole."""
+    if not hasattr(starts, "shape"):  # lists, packed arrays, any iterable
+        for span in zip(starts, ends):
+            if last is not None and span < last:
+                return False
+            last = span
+        return True
+    if len(starts) == 0:
+        return True
+    if last is not None and (starts[0], ends[0]) < last:
+        return False
+    rise, tie = starts[1:] > starts[:-1], starts[1:] == starts[:-1]
+    return bool((rise | (tie & (ends[1:] >= ends[:-1]))).all())
 
 
 class LazyRows(Sequence):
@@ -79,19 +96,8 @@ class LazyRows(Sequence):
         return rows
 
     def spans_sorted(self, last: Optional[Tuple[int, int]]) -> bool:
-        """True when the rows continue a ``(start, end)``-sorted sequence
-        whose latest span is *last* (None: nothing precedes them)."""
-        starts, ends = self.starts, self.ends
-        if isinstance(starts, (list, array)):
-            for span in zip(starts, ends):
-                if last is not None and span < last:
-                    return False
-                last = span
-            return True
-        if last is not None and (starts[0], ends[0]) < last:
-            return False
-        rise, tie = starts[1:] > starts[:-1], starts[1:] == starts[:-1]
-        return bool((rise | (tie & (ends[1:] >= ends[:-1]))).all())
+        """:func:`spans_sorted` of this block's rows."""
+        return spans_sorted(self.starts, self.ends, last)
 
     def last_span(self) -> Tuple[int, int]:
         return int(self.starts[-1]), int(self.ends[-1])

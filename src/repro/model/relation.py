@@ -17,6 +17,12 @@ the chunks; everything else reads ``_tuples``, which on first touch builds
 every block's rows into one list *aside* and publishes it as the only chunk
 with a single assignment -- so sessions sharing a cached result see either
 the blocks or the finished list, never a half-extended one.
+
+**Columns.**  :meth:`ValidTimeRelation.columns` is the relation split once
+into ``(key code, start, end)`` columns, memoised until the next write; a
+relation built from columns or derived from a split one
+(:meth:`~ValidTimeRelation.with_rows`, :meth:`~ValidTimeRelation.without_rows`)
+gets its columns from those.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from collections import Counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.model.errors import SchemaError
-from repro.model.match_block import ColumnBlock, LazyRows
+from repro.model.match_block import ColumnBlock, LazyRows, spans_sorted
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.time.chronon import BEGINNING, FOREVER
@@ -36,25 +42,28 @@ from repro.time.lifespan import Lifespan, lifespan_of
 
 def without_first(
     rows: Iterable[VTTuple], doomed: Iterable[VTTuple]
-) -> Tuple[List[VTTuple], Dict[VTTuple, int]]:
+) -> Tuple[List[VTTuple], List[int], Dict[VTTuple, int]]:
     """*rows* without the first occurrence of each *doomed* row, in one pass.
 
     Multiset semantics -- a row doomed *n* times loses its first *n*
-    occurrences, exactly what *n* ``list.remove`` calls would leave -- and
-    the doomed rows that were not there to remove, with their counts.  Only
-    a row starting where some doomed row starts is hashed whole.
+    occurrences, exactly what *n* ``list.remove`` calls would leave.
+    Returns the rows kept, the (ascending) positions dropped, and the doomed
+    rows that were not there to remove, with their counts.  Only a row
+    starting where some doomed row starts is hashed whole.
     """
     want = Counter(doomed)
     if not want:
-        return list(rows), want
+        return list(rows), [], want
     starts = {tup.valid.start for tup in want}
     kept: List[VTTuple] = []
-    for tup in rows:
+    dropped: List[int] = []
+    for position, tup in enumerate(rows):
         if tup.valid.start in starts and want.get(tup, 0) > 0:
             want[tup] -= 1
+            dropped.append(position)
         else:
             kept.append(tup)
-    return kept, +want
+    return kept, dropped, +want
 
 
 class ValidTimeRelation:
@@ -68,6 +77,7 @@ class ValidTimeRelation:
     def __init__(self, schema: RelationSchema, tuples: Optional[Iterable[VTTuple]] = None):
         self.schema = schema
         self._chunks: list = []
+        self._columns = None  # the memo of columns(); every write clears it
         if tuples is not None:
             for tup in tuples:
                 self.add(tup)
@@ -95,6 +105,7 @@ class ValidTimeRelation:
     @_tuples.setter
     def _tuples(self, rows: List[VTTuple]) -> None:
         self._chunks = [rows]
+        self._columns = None
 
     @property
     def materialized(self) -> bool:
@@ -151,10 +162,67 @@ class ValidTimeRelation:
         the execution layer's :class:`~repro.exec.batch.PageBatch` share
         this representation.
         """
+        from repro.exec.batch import PageBatch
+
         relation = cls(schema)
+        keys = [tuple(key) for key in keys]
+        starts = [int(vs) for vs in starts]
+        ends = [int(ve) for ve in ends]
         for key, payload, vs, ve in zip(keys, payloads, starts, ends):
-            relation.add(VTTuple(tuple(key), tuple(payload), Interval(int(vs), int(ve))))
+            relation.add(VTTuple(key, tuple(payload), Interval(vs, ve)))
+        rows = relation._tuples
+        if len(rows) == len(keys) == len(starts) == len(ends):
+            relation._columns = PageBatch.keyed(list(rows), keys, starts, ends)
         return relation
+
+    def columns(self, split: bool = True):
+        """The rows as one shared, immutable :class:`~repro.exec.batch.PageBatch`
+        (``(key code, start, end)`` and the codes' dictionary), split once
+        and kept until the next write or until a derived relation takes it
+        over; with *split* off, only what is memoised already (or None).  The
+        memo is a benign race: threads that find it empty each publish a
+        finished batch with one assignment, and the last writer wins.
+        """
+        columns = self._columns
+        if columns is None and split:
+            from repro.exec.batch import PageBatch
+
+            columns = self._columns = PageBatch.keyed(self._tuples)
+        return columns
+
+    def with_rows(self, added: List[VTTuple]) -> "ValidTimeRelation":
+        """A new relation: these rows, then *added* (valid under this
+        schema).  Its columns extend this one's, if split -- and replace
+        them: a superseded version that is joined again splits again."""
+        rows = self._tuples + added
+        relation = ValidTimeRelation.over(self.schema, rows)
+        columns, self._columns = self._columns, None
+        if columns is not None:
+            from repro.exec.batch import PageBatch
+
+            keys = None if columns.keys is None else columns.keys.grown(
+                tup.key for tup in added
+            )
+            # The derived batch shares the new relation's row list: a second
+            # list per write is what fragments a long-running catalog's heap.
+            relation._columns = PageBatch.concat(
+                [columns, PageBatch.from_tuples(added, keys)], rows
+            )
+        return relation
+
+    def without_rows(
+        self, doomed: Iterable[VTTuple]
+    ) -> Tuple["ValidTimeRelation", Dict[VTTuple, int]]:
+        """A new relation without the first occurrence of each *doomed* row
+        (:func:`without_first`), and the doomed rows that were missing.  When
+        none was, its columns are this one's less the dropped rows, taken
+        over as by :meth:`with_rows`."""
+        kept, dropped, missing = without_first(self._tuples, doomed)
+        relation = ValidTimeRelation.over(self.schema, kept)
+        if self._columns is not None and not missing:
+            columns, self._columns = self._columns, None
+            relation._columns = columns.without(dropped, kept)
+        return relation, missing
 
     def to_columns(self) -> Tuple[List[Tuple], List[Tuple], List[int], List[int]]:
         """Decompose into ``(keys, payloads, starts, ends)`` parallel columns.
@@ -197,6 +265,7 @@ class ValidTimeRelation:
             schema.payload_attributes
         ):
             self._check_arity(len(tup.key), len(tup.payload))
+        self._columns = None
         chunks = self._chunks
         if chunks and type(chunks[-1]) is list:
             chunks[-1].append(tup)
@@ -213,6 +282,7 @@ class ValidTimeRelation:
         if len(block):
             self._check_arity(*block.arity())
             self._chunks.append(block)
+            self._columns = None
 
     def append_columns(
         self,
@@ -285,13 +355,8 @@ class ValidTimeRelation:
         (:attr:`~repro.storage.heapfile.HeapFile.endpoint_sorted`).  An
         empty relation is trivially sorted.
         """
-        last: Optional[Tuple[int, int]] = None
-        for tup in self._tuples:
-            span = (tup.vs, tup.ve)
-            if last is not None and span < last:
-                return False
-            last = span
-        return True
+        rows = self._tuples
+        return spans_sorted((tup.vs for tup in rows), (tup.ve for tup in rows), None)
 
     def overlapping(self, interval: Interval) -> Iterator[VTTuple]:
         """Iterate over tuples whose validity overlaps *interval*."""

@@ -191,54 +191,6 @@ class PlanCache(EpochKeyedCache):
         self.put(plan_key(outer, inner, epochs, config), plan, names=(outer, inner))
 
 
-class InternerCache(EpochKeyedCache):
-    """Cached :class:`~repro.exec.batch.SharedKeyInterner` per relation version.
-
-    The batch kernels intern every join key of the *outer* (build-side)
-    relation into dense ids, and before this cache each join rebuilt that
-    map from scratch -- pure churn when a session re-joins the same
-    relation version.  The interner keys on ``(outer, epoch, backend)``:
-    the epoch discipline makes staleness impossible (a mutation installs a
-    new epoch, so the next query misses and interns fresh), and the backend
-    tag keeps a pure-python run from feeding numpy id tables.
-
-    Sharing is result-identical by construction: interner ids are a
-    private, order-dependent encoding that the final emission sort erases,
-    which is also why a *shared* (lock-guarded) interner can serve
-    concurrent queries -- whatever order their interleaved interns assign
-    ids in, every query's output is the same.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        super().__init__(capacity, name="interner")
-
-    def lookup_or_create(self, outer: str, epoch: int, backend: str):
-        """The relation version's shared interner, created on first use.
-
-        Atomic under the cache lock: concurrent queries on the same version
-        always receive the *same* interner object (two private interners
-        would still be correct, just churn).
-        """
-        from repro.exec.batch import SharedKeyInterner
-
-        key = ("interner", outer, epoch, backend)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
-            self.stats.misses += 1
-            entry = SharedKeyInterner()
-            while len(self._entries) >= self.capacity:
-                victim, _ = self._entries.popitem(last=False)
-                self._names.pop(victim, None)
-                self.stats.evictions += 1
-            self._entries[key] = entry
-            self._names[key] = (outer,)
-            return entry
-
-
 class ResultCache(EpochKeyedCache):
     """Cached :class:`CachedJoin` per (epochs, method, config)."""
 

@@ -37,7 +37,7 @@ from repro.engine.catalog import VersionedCatalog
 from repro.engine.runner import JoinRun, effective_config, grant_request, run_join
 from repro.model.errors import AdmissionTimeoutError, QueryDeadlineError
 from repro.service.admission import AdmissionController, MemoryGrant
-from repro.service.cache import CachedJoin, InternerCache, PlanCache, ResultCache
+from repro.service.cache import CachedJoin, PlanCache, ResultCache
 from repro.service.core import ResolvedQuery, ServiceCore, ServiceQueryResult
 
 #: Queue-wait histogram bounds, in seconds.
@@ -88,18 +88,9 @@ class QueryService(ServiceCore):
         self.result_cache = (
             ResultCache(result_cache_entries) if result_cache_entries else None
         )
-        # Per-relation-version key interners for the batch kernels: epoch
-        # keyed like the plan cache, so repeated joins of an unchanged
-        # relation stop re-interning its keys from scratch.  Sized with the
-        # plan cache (0 disables both).
-        self.interner_cache = (
-            InternerCache(max(1, plan_cache_entries // 4))
-            if plan_cache_entries
-            else None
-        )
 
     def _on_mutation(self, name: str, kind: str) -> None:
-        for cache in (self.plan_cache, self.result_cache, self.interner_cache):
+        for cache in (self.plan_cache, self.result_cache):
             if cache is not None:
                 count = cache.invalidate_relation(name)
                 if count:
@@ -201,14 +192,13 @@ class QueryService(ServiceCore):
     def _evaluate(
         self, query: ResolvedQuery, request: int, grant: MemoryGrant
     ) -> Tuple[JoinRun, bool]:
-        """Run the join under *grant* through the plan, interner and result
-        caches; returns the run and whether a cached plan served it."""
+        """Run the join under *grant* through the plan and result caches;
+        returns the run and whether a cached plan served it."""
         session, method, config = query.session, query.method, query.config
         outer, inner, epochs = query.outer.name, query.inner.name, query.epochs
-        plan = interner = None
+        plan = None
         use_plan_cache = plan_cache_hit = False
-        # The forward sweep neither samples a plan nor interns keys, and the
-        # baselines do neither: only the partition join consults these two.
+        # Only the partition join samples a plan.
         if method == "partition":
             # A cached plan keys on the *effective* budget, and is served or
             # stored for a full grant only.  (The ask may sit below
@@ -233,18 +223,9 @@ class QueryService(ServiceCore):
                         "repro_service_plan_cache_misses",
                         "Partition joins that had to sample a plan.",
                     )
-            if self.interner_cache is not None and config.execution != "tuple":
-                from repro.exec.backend import backend_name
-
-                # Epoch-keyed, so repeated joins of the same relation
-                # version skip the per-join interner rebuild.  Ids never
-                # reach results; see InternerCache.
-                interner = self.interner_cache.lookup_or_create(
-                    outer, epochs[0], backend_name()
-                )
         run = run_join(
             query.outer.relation, query.inner.relation, method, config, grant.pages,
-            plan=plan, interner=interner,
+            plan=plan,
         )
         if use_plan_cache and not plan_cache_hit:
             self.plan_cache.store(outer, inner, epochs, plan_config, run.plan)

@@ -30,12 +30,12 @@ fragment bit-identically.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.partition_join import PartitionJoinConfig
 from repro.engine.runner import grant_request, run_join
 from repro.model.errors import ServiceError
-from repro.model.relation import ValidTimeRelation, without_first
+from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.service.admission import AdmissionController
 from repro.shard import transport
@@ -115,24 +115,28 @@ class ShardWorker:
         """
         schema = schema_from_dict(meta["schema"])
         name, epoch = str(meta["name"]), int(meta["epoch"])
-        rows: List = []
+        fragment = ValidTimeRelation(schema)
         if columns is not None:
             # Rows of one join key share one key tuple: results gather their
             # key column from these rows, so its pickle memoises to one copy
             # per distinct key on the wire and in the coordinator.
             shared: Dict[Tuple, Tuple] = {}
             keys = [shared.setdefault(key, key) for key in map(tuple, columns[0])]
-            rows = ValidTimeRelation.from_columns(schema, keys, *columns[1:])._tuples
+            # Built from columns, derived by steps: a fragment arrives split.
+            fragment = ValidTimeRelation.from_columns(schema, keys, *columns[1:])
         if "base_epoch" in meta:
-            delta, rows = rows, self._fragments[(name, int(meta["base_epoch"]))]._tuples
+            delta = fragment._tuples
+            fragment = self._fragments[(name, int(meta["base_epoch"]))]
             for n_removed, n_added in meta["steps"]:
                 moved = n_removed + n_added
-                rows = without_first(rows, delta[:n_removed])[0] + delta[n_removed:moved]
+                fragment = fragment.without_rows(delta[:n_removed])[0].with_rows(
+                    delta[n_removed:moved]
+                )
                 delta = delta[moved:]
-        self._fragments[(name, epoch)] = ValidTimeRelation.over(schema, rows)
+        self._fragments[(name, epoch)] = fragment
         for evicted in meta.get("evict", ()):
             self._fragments.pop((name, int(evicted)), None)
-        return {"rank": self.rank, "loaded": [name, epoch], "n_tuples": len(rows)}
+        return {"rank": self.rank, "loaded": [name, epoch], "n_tuples": len(fragment)}
 
     def execute(self, request: Dict) -> Tuple[Dict, Optional[Tuple]]:
         """Run one fragment join; returns ``(meta, result_columns)``."""

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence as SequenceABC
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.model.match_block import LazyRows
+from repro.exec.batch import PageBatch
+from repro.model.match_block import LazyRows, spans_sorted
 from repro.model.vtuple import VTTuple
 from repro.storage.columnar_page import ColumnarPage, KeyDictionary, page_view
 from repro.storage.disk import Extent, SimulatedDisk
@@ -62,6 +64,14 @@ class LazyPage(SequenceABC):
     __hash__ = None
 
 
+def _endpoints(rows: List[VTTuple], columns: Optional[PageBatch]):
+    """``(starts, ends)`` of *rows* to read sortedness off: their batch's
+    columns, or each row's own, lazily."""
+    if columns is not None:
+        return columns.starts, columns.ends
+    return map(attrgetter("vs"), rows), map(attrgetter("ve"), rows)
+
+
 class HeapFile:
     """A paged file of tuples.
 
@@ -75,6 +85,13 @@ class HeapFile:
             page is a Sequence of the same tuples -- but batch consumers
             get ``np.frombuffer`` column views instead of re-decomposing
             each page tuple by tuple.
+
+    **Carried columns.**  A tuple-list file also keeps, beside its pages, the
+    columns of the rows written to it when the writer had them
+    (:attr:`carried`): a placed relation's split, a Grace bucket's sub-batch.
+    They describe every row of the file, in file order, or are dropped: by a
+    write that comes without columns, a rewind, an abandoned buffer.  Readers
+    check every delivery (:meth:`~repro.exec.batch.PageBatch.matching`).
     """
 
     def __init__(
@@ -103,6 +120,9 @@ class HeapFile:
         # it permanently (cheap incremental check, never a re-scan).
         self._endpoint_sorted = True
         self._last_span: Optional[Tuple[int, int]] = None
+        # Carried columns, one batch per write: [] for an empty file, None
+        # once some row arrived without columns.
+        self._carried: Optional[List[PageBatch]] = None if columnar else []
 
     # -- construction ----------------------------------------------------------
 
@@ -132,13 +152,16 @@ class HeapFile:
         *,
         device: int = 0,
         columnar: bool = False,
+        columns: Optional[PageBatch] = None,
     ) -> "HeapFile":
         """Create a file already containing *tuples*, without charging I/O.
 
         This is how base relations enter an experiment: the paper's
         measurements assume the inputs are on disk before evaluation begins.
+        *columns* is the batch of exactly these rows, when the caller holds
+        it: the file carries it and reads endpoint-sortedness off it.
         """
-        tuple_list = list(tuples)
+        tuple_list = tuples if isinstance(tuples, list) else list(tuples)
         heap = cls.create(
             disk,
             name,
@@ -160,18 +183,11 @@ class HeapFile:
             pages = list(chunks)
         disk.load(heap.extent, pages)
         heap._n_tuples = len(tuple_list)
-        last: Optional[Tuple[int, int]] = None
-        sorted_so_far = True
-        for tup in tuple_list:
-            span = (tup.vs, tup.ve)
-            if last is not None and span < last:
-                sorted_so_far = False
-                break
-            last = span
-        heap._endpoint_sorted = sorted_so_far
-        heap._last_span = (
-            (tuple_list[-1].vs, tuple_list[-1].ve) if tuple_list else None
-        )
+        if columns is not None and not columnar:
+            heap._carried = [columns]
+        heap._endpoint_sorted = spans_sorted(*_endpoints(tuple_list, columns), None)
+        if tuple_list:
+            heap._last_span = (tuple_list[-1].vs, tuple_list[-1].ve)
         return heap
 
     # -- geometry -----------------------------------------------------------------
@@ -198,6 +214,17 @@ class HeapFile:
         """
         return self._endpoint_sorted
 
+    @property
+    def carried(self) -> Optional[PageBatch]:
+        """The columns of every row in the file, as one batch in file order,
+        or None when some row was written without (or there are no rows)."""
+        parts = self._carried
+        if not parts:
+            return None
+        if len(parts) > 1:
+            parts[:] = [PageBatch.concat(parts)]
+        return parts[0]
+
     def _note_span(self, start: int, end: int) -> None:
         span = (start, end)
         if self._last_span is not None and span < self._last_span:
@@ -215,34 +242,40 @@ class HeapFile:
             # timestamps; without spans the flag cannot be maintained.
             self._endpoint_sorted = False
             self._last_span = None
+        self._carried = None
         self._write_page.append(tup)
         self._n_tuples += 1
         if len(self._write_page) >= self._room:
             self.flush()
 
-    def append_many(self, tuples: Iterable[VTTuple]) -> None:
+    def append_many(
+        self, tuples: Iterable[VTTuple], columns: Optional[PageBatch] = None
+    ) -> None:
         """Append every tuple of *tuples*, filling pages by slice.
 
         Writes exactly the page sequence (and charges) that one
         :meth:`append` per tuple would, with one endpoint-sortedness pass
-        over the run instead of a check per tuple.
+        over the run instead of a check per tuple.  *columns* is the batch
+        of exactly these rows, for the file to carry; without it the file
+        carries nothing from here on.
         """
         run = tuples if isinstance(tuples, list) else list(tuples)
-        if self._endpoint_sorted:
+        if self._carried is not None:
+            if columns is None:
+                self._carried = None
+            elif run:
+                self._carried.append(columns)
+        if self._endpoint_sorted and run:
             # An unsorted file stays unsorted until it is emptied, and
             # ``_last_span`` is only read while the flag holds, so the pass
             # is skipped from the first violation on.
-            last = self._last_span
             try:
-                for tup in run:
-                    span = (tup.vs, tup.ve)
-                    if last is not None and span < last:
-                        self._endpoint_sorted = False
-                        break
-                    last = span
+                self._endpoint_sorted = spans_sorted(
+                    *_endpoints(run, columns), self._last_span
+                )
+                self._last_span = (run[-1].vs, run[-1].ve)
             except AttributeError:  # opaque rows carry no timestamps
                 self._endpoint_sorted = False
-            self._last_span = last
         at = 0
         while at < len(run):
             chunk = run[at : at + self._room - len(self._write_page)]
@@ -263,6 +296,7 @@ class HeapFile:
         n = len(block)
         if n == 0:
             return
+        self._carried = None  # a block's rows are not rows yet
         if self._endpoint_sorted:
             self._endpoint_sorted = block.spans_sorted(self._last_span)
             self._last_span = block.last_span()
@@ -344,14 +378,7 @@ class HeapFile:
         where a charged flush would be I/O issued by a dead process.
         """
         self._n_tuples -= self.spec.capacity - self._room + len(self._write_page)
-        self._reset_buffer()
-        if self._n_tuples > 0:
-            # The dropped buffer may have carried the watermark span; without
-            # re-scanning we can no longer vouch for the ordering.
-            self._endpoint_sorted = False
-        else:
-            self._endpoint_sorted = True
-            self._last_span = None
+        self._cut_back()
 
     def rewind_to(self, n_pages: int, n_tuples: int) -> None:
         """Roll the file back to a recorded watermark (uncharged).
@@ -362,15 +389,19 @@ class HeapFile:
         last checkpoint.
         """
         self.disk.truncate(self.extent, keep=n_pages)
-        self._reset_buffer()
         self._n_tuples = n_tuples
-        if n_tuples == 0:
-            self._endpoint_sorted = True
+        self._cut_back()
+
+    def _cut_back(self) -> None:
+        """The file lost rows off its end: empty the write buffer and stop
+        vouching for what only a re-scan could (the watermark span of the
+        surviving prefix, the rows carried columns describe).  An emptied
+        file starts over."""
+        self._reset_buffer()
+        self._endpoint_sorted = self._n_tuples == 0
+        self._carried = [] if self._n_tuples == 0 and not self.columnar else None
+        if self._n_tuples == 0:
             self._last_span = None
-        else:
-            # Conservative: the watermark span of the surviving prefix is
-            # unknown without a re-scan.
-            self._endpoint_sorted = False
 
     # -- reading --------------------------------------------------------------------
 

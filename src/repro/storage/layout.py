@@ -100,14 +100,17 @@ class DiskLayout:
     # -- relation placement -----------------------------------------------------
 
     def place_relation(self, relation: ValidTimeRelation) -> HeapFile:
-        """Store *relation* on the BASE device without charging I/O."""
+        """Store *relation* on the BASE device without charging I/O; a
+        tuple-list file carries the relation's (memoised) columns."""
+        columns = relation.columns(split=not self.columnar)
         return HeapFile.bulk_load(
             self.disk,
             relation.schema.name,
             self.spec,
-            relation.tuples,
+            list(relation) if columns is None else columns.tuples,
             device=Device.BASE,
             columnar=self.columnar,
+            columns=columns,
         )
 
     def temp_file(self, name: str, capacity_tuples: int = 0) -> HeapFile:

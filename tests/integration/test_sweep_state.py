@@ -66,9 +66,12 @@ def observe(outcome, layout):
     }
 
 
-def stepped_by_hand(r, s, config, pair_fn=natural_pair):
+def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
     """``partition_join`` with the sweep taken apart: prepare as it does,
     then thaw -> step -> barrier per partition, each in a new sweep object.
+    With *carried* off the partition files reach the sweep without the
+    columns the partitioner handed them, as files of a resumed process that
+    kept none would.
 
     Returns ``(observation, layout, checkpoints thawed)``.
     """
@@ -82,6 +85,16 @@ def stepped_by_hand(r, s, config, pair_fn=natural_pair):
     resident_pages = (
         config.memory_pages - JoinBufferAllocation.FIXED_PAGES - buff_size
     )
+    if config.execution in ("batch", "batch-parallel-sweep") and len(r_parts) > 1:
+        # Grace partitioning handed every bucket's columns on to its file.
+        assert all(
+            part.carried is not None and len(part.carried) == part.n_tuples
+            for part in (*r_parts, *s_parts)
+            if part.n_tuples
+        )
+    if not carried:
+        for part in (*r_parts, *s_parts):
+            part._carried = None
     context = SweepContext(
         r_parts=tuple(r_parts),
         s_parts=tuple(s_parts),
@@ -158,6 +171,23 @@ class TestEveryBoundary:
         assert len(thawed) > 4 and overflow_blocks > 0 and spilled > 0
         assert any(checkpoint.outer_retained for checkpoint in thawed)
         assert any(checkpoint.cache_spill_tuples for checkpoint in thawed)
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("mode", ["batch", "batch-parallel-sweep"])
+    def test_thawed_with_nothing_carried_equals_the_uninterrupted_run(
+        self, mode, direction
+    ):
+        """Carried columns are an accelerator, not state: a sweep resumed at
+        every boundary over files that carry nothing decomposes each
+        delivery itself and lands on the same run."""
+        r, s = long_lived_pair()
+        config = long_lived_config(
+            mode, checkpoint_interval=1, sweep_direction=direction
+        )
+        expected, _ = uninterrupted(r, s, config)
+        stepped, _, thawed = stepped_by_hand(r, s, config, carried=False)
+        assert stepped == expected
+        assert len(thawed) > 4
 
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_a_reduction_before_a_thaw_point_is_recorded_once(self, mode):

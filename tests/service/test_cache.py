@@ -112,71 +112,39 @@ class TestTypedCaches:
         assert cache.lookup("x", "y", (3, 4), CONFIG) is not None
 
 
-class TestInternerCache:
-    def make(self, capacity=4):
-        from repro.service.cache import InternerCache
+class TestSplitOnceInService:
+    """What the interner cache was for is now a property of the relation
+    version: its columns are split once, and a write derives the next
+    version's from them."""
 
-        return InternerCache(capacity)
+    def test_repeat_joins_split_nothing_and_a_write_derives(self, service, monkeypatch):
+        from repro.exec.batch import PageBatch
+        from tests.service.conftest import make_tuples
 
-    def test_same_version_shares_one_interner(self):
-        cache = self.make()
-        first = cache.lookup_or_create("r", 1, "numpy")
-        assert cache.lookup_or_create("r", 1, "numpy") is first
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        split = []
+        from_tuples = PageBatch.from_tuples.__func__
 
-    def test_epoch_and_backend_partition_the_space(self):
-        cache = self.make()
-        base = cache.lookup_or_create("r", 1, "numpy")
-        assert cache.lookup_or_create("r", 2, "numpy") is not base
-        assert cache.lookup_or_create("r", 1, "python") is not base
-        assert cache.stats.misses == 3
+        def spy(cls, tuples, *args, **kwargs):
+            split.append(len(tuples))
+            return from_tuples(cls, tuples, *args, **kwargs)
 
-    def test_lru_eviction_at_capacity(self):
-        cache = self.make(capacity=2)
-        first = cache.lookup_or_create("a", 1, "numpy")
-        cache.lookup_or_create("b", 1, "numpy")
-        cache.lookup_or_create("c", 1, "numpy")  # evicts "a"
-        assert cache.stats.evictions == 1
-        assert cache.lookup_or_create("a", 1, "numpy") is not first
-
-    def test_lookup_refreshes_recency(self):
-        cache = self.make(capacity=2)
-        first = cache.lookup_or_create("a", 1, "numpy")
-        cache.lookup_or_create("b", 1, "numpy")
-        cache.lookup_or_create("a", 1, "numpy")  # "b" is now the victim
-        cache.lookup_or_create("c", 1, "numpy")
-        assert cache.lookup_or_create("a", 1, "numpy") is first
-
-    def test_invalidate_relation_drops_only_that_outer(self):
-        cache = self.make()
-        stale = cache.lookup_or_create("r", 1, "numpy")
-        kept = cache.lookup_or_create("s", 1, "numpy")
-        assert cache.invalidate_relation("r") == 1
-        assert cache.lookup_or_create("r", 1, "numpy") is not stale
-        assert cache.lookup_or_create("s", 1, "numpy") is kept
-
-
-class TestInternerCacheInService:
-    def test_repeat_joins_hit_and_mutations_invalidate(self, service):
-        """A session's repeated batch joins of one relation version reuse
-        the interner; an append installs a new epoch and invalidates."""
-        with service.open_session(
-            use_result_cache=False, execution="batch"
-        ) as session:
-            session.join("r", "s")
-            session.join("r", "s")
-            assert service.interner_cache.stats.misses == 1
-            assert service.interner_cache.stats.hits == 1
-
-            from tests.service.conftest import make_tuples
+        monkeypatch.setattr(PageBatch, "from_tuples", classmethod(spy))
+        with service.open_session(use_result_cache=False, execution="batch") as session:
+            first = session.join("r", "s")
+            assert 0 < sum(split) <= 60 + 45
+            del split[:]
+            assert session.join("r", "s").relation.tuples == first.relation.tuples
+            assert sum(split) == 0
 
             session.append("r", make_tuples(5, seed=123))
-            assert service.interner_cache.stats.invalidations >= 1
+            version = service.catalog.current("r").relation
+            derived = version._columns
+            assert derived is not None and derived.tuples == list(version)
             session.join("r", "s")
-            assert service.interner_cache.stats.misses == 2
-
-    def test_tuple_mode_never_touches_the_cache(self, service):
-        with service.open_session(use_result_cache=False) as session:
-            session.join("r", "s")
-        assert service.interner_cache.stats.misses == 0
-        assert service.interner_cache.stats.hits == 0
+            assert sum(split) == 5  # the appended rows, at the write
+            fresh = PageBatch.keyed(list(version))
+            assert list(derived.starts) == list(fresh.starts)
+            assert list(derived.ends) == list(fresh.ends)
+            if derived.keys is not None:
+                keys = derived.keys.keys_in_id_order()
+                assert [keys[code] for code in derived.key_ids] == [t.key for t in version]

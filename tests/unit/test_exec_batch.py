@@ -6,7 +6,6 @@ from repro.exec.backend import HAVE_NUMPY
 from repro.exec.batch import (
     KeyInterner,
     PageBatch,
-    SharedKeyInterner,
     iter_page_batches,
     tuples_from_columns,
     tuples_to_columns,
@@ -37,59 +36,10 @@ class TestKeyInterner:
         assert interner.lookup(("missing",)) == -1
         assert len(interner) == 0
 
-
-class TestSharedKeyInterner:
-    def test_two_threads_hammering_one_interner(self):
-        """Known keys are read without the lock and fresh ones assigned
-        under it: whatever the interleaving, ids come out dense, unique and
-        stable -- a lost update would reuse or skip one."""
-        import sys
-        import threading
-
-        interner = SharedKeyInterner()
-        keys = [(f"k{i}",) for i in range(400)]
-        seen = [{}, {}]
-        barrier = threading.Barrier(2)
-
-        def hammer(mine):
-            barrier.wait(timeout=10)
-            for lap in range(5):
-                # Opposite directions, so each thread meets keys the other
-                # has just assigned and keys nobody has.
-                for key in keys if mine is seen[0] else reversed(keys):
-                    key_id = interner.intern(key)
-                    assert mine.setdefault(key, key_id) == key_id  # stable
-                    assert interner.lookup(key) == key_id
-
-        failures = []
-
-        def guarded(mine):
-            try:
-                hammer(mine)
-            except BaseException as error:  # surfaced by the assert below
-                failures.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=guarded, args=(mine,)) for mine in seen]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not failures
-        assert seen[0] == seen[1]
-        assert sorted(seen[0].values()) == list(range(len(keys)))  # dense, unique
-        assert len(interner) == interner.version == len(keys)
-        assert interner.keys_in_id_order() == sorted(keys, key=seen[0].get)
-
     def test_from_tuples_interns_only_the_misses(self):
         calls = []
 
-        class Counting(SharedKeyInterner):
+        class Counting(KeyInterner):
             __slots__ = ()
 
             def intern(self, key):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exec.backend import HAVE_NUMPY, np
+from repro.exec.batch import PageBatch
 from repro.model.match_block import MatchBlock
 from repro.model.vtuple import VTTuple
 from repro.storage.columnar_page import ColumnarPage
@@ -213,6 +214,121 @@ class TestAppendBlock:
         heap.append_block(match_block([]))
         heap.flush()
         assert heap.n_tuples == 0 and disk.stats.total_ops == 0 and heap.endpoint_sorted
+
+
+def keyed(rows):
+    """The batch a relation of *rows* would memoise."""
+    return PageBatch.keyed(list(rows))
+
+
+def carried_rows_are_the_files(heap):
+    """The invariant of carried columns: they describe every row the file
+    holds -- on disk and buffered -- in file order, or nothing at all."""
+    carried = heap.carried
+    if carried is None:
+        return False
+    rows = heap.all_tuples()
+    assert len(carried) == heap.n_tuples == len(rows)
+    assert carried.tuples == rows
+    assert list(carried.starts) == [tup.vs for tup in rows]
+    assert list(carried.ends) == [tup.ve for tup in rows]
+    return True
+
+
+class TestCarriedColumns:
+    def test_bulk_load_carries_the_batch_it_was_given(self, disk, spec):
+        batch = keyed(tuples(10))
+        heap = HeapFile.bulk_load(disk, "r", spec, batch.tuples, columns=batch)
+        assert heap.carried is batch and carried_rows_are_the_files(heap)
+        assert heap.endpoint_sorted
+        assert HeapFile.bulk_load(disk, "bare", spec, tuples(10)).carried is None
+
+    def test_bulk_load_reads_sortedness_off_the_columns(self, disk, spec):
+        rows = tuples(6)[::-1]
+        batch = keyed(rows)
+        heap = HeapFile.bulk_load(disk, "r", spec, rows, columns=batch)
+        bare = HeapFile.bulk_load(disk, "bare", spec, rows)
+        assert not heap.endpoint_sorted and not bare.endpoint_sorted
+        assert heap._last_span == bare._last_span == (rows[-1].vs, rows[-1].ve)
+
+    def test_columnar_file_carries_nothing(self, disk, spec):
+        batch = keyed(tuples(6))
+        heap = HeapFile.bulk_load(
+            disk, "c", spec, batch.tuples, columnar=True, columns=batch
+        )
+        assert heap.carried is None and heap.endpoint_sorted
+
+    def test_appends_with_columns_accumulate_in_file_order(self, disk, spec):
+        rows = tuples(11)
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
+        assert heap.carried is None  # no rows, nothing to describe
+        for lo, hi in ((0, 3), (3, 9), (9, 11)):
+            heap.append_many(rows[lo:hi], keyed(rows)[lo:hi])
+            assert carried_rows_are_the_files(heap)
+        assert heap.endpoint_sorted and (heap.n_pages, heap.n_tuples) == (2, 11)
+
+    @pytest.mark.parametrize("write", ["append", "append_many", "append_block"])
+    def test_a_write_without_columns_drops_them_for_good(self, disk, spec, write):
+        rows = tuples(9)
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
+        heap.append_many(rows[:5], keyed(rows[:5]))
+        if write == "append":
+            heap.append(rows[5])
+        elif write == "append_many":
+            heap.append_many(rows[5:6])
+        else:
+            # A block's rows reach the disk as LazyPage segments: no columns.
+            heap.append_block(match_block(rows[5:6]))
+            heap.flush()
+            assert isinstance(stored_pages(heap)[-1], LazyPage)
+        assert heap.carried is None
+        heap.append_many(rows[6:], keyed(rows[6:]))
+        assert heap.carried is None and heap.all_tuples() == rows
+
+    def test_abandon_drops_them_with_the_buffer(self, disk, spec):
+        rows = tuples(7)
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
+        heap.append_many(rows, keyed(rows))
+        assert (heap.n_pages, heap.n_tuples) == (1, 7)
+        heap.abandon()
+        assert heap.n_tuples == 4 and heap.carried is None
+        heap.append_many(rows[4:], keyed(rows[4:]))
+        assert heap.carried is None and heap.all_tuples() == rows
+
+    def test_an_emptied_file_starts_over(self, disk, spec):
+        rows = tuples(3)
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
+        heap.append(rows[0])  # no columns: nothing carried ...
+        heap.abandon()  # ... until the file is empty again
+        assert heap.n_tuples == 0 and heap.carried is None
+        heap.append_many(rows, keyed(rows))
+        assert carried_rows_are_the_files(heap)
+
+    def test_rewind_drops_them_with_the_pages(self, disk, spec):
+        rows = tuples(10)
+        heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
+        heap.append_many(rows, keyed(rows))
+        assert carried_rows_are_the_files(heap)
+        heap.rewind_to(1, 4)
+        assert heap.n_tuples == 4 and heap.carried is None
+        heap.rewind_to(0, 0)
+        heap.append_many(rows[:2], keyed(rows[:2]))
+        assert carried_rows_are_the_files(heap)
+
+    def test_a_delivery_is_checked_against_them(self, disk, spec):
+        batch = keyed(tuples(10))
+        heap = HeapFile.bulk_load(disk, "r", spec, batch.tuples, columns=batch)
+        offset = 0
+        for page in heap.scan_pages():
+            found = heap.carried.matching(offset, page)
+            assert found.tuples == page
+            assert list(found.starts) == [tup.vs for tup in page]
+            offset += len(page)
+        # A torn page lost its last row: what came is still rows 4..6, but
+        # everything behind it arrives one row early and matches nothing.
+        torn = heap.carried.matching(4, tuples(10)[4:7])
+        assert torn.tuples == tuples(10)[4:7] and list(torn.starts) == [4, 5, 6]
+        assert heap.carried.matching(7, tuples(10)[8:]) is None
 
 
 class TestScan:
