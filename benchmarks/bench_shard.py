@@ -198,6 +198,7 @@ def _sharded(n_tuples: int, shards: int) -> Dict:
         memory_pages=MEMORY_PAGES,
         workers=1,
         execution="batch",
+        result_cache_entries=0,
     ) as service:
         with service.open_session() as session:
             begin = time.perf_counter()

@@ -17,10 +17,10 @@ without ever oversubscribing it.  Six cooperating pieces (see
 * :mod:`repro.service.session` -- session lifecycle and per-session
   configuration overrides;
 * :mod:`repro.service.core` -- :class:`~repro.service.core.ServiceCore`:
-  the session lifecycle, writes, query resolution and status metrics this
-  service shares with the sharded one (:mod:`repro.shard`);
+  the session lifecycle, writes, query resolution, result cache and status
+  metrics this service shares with the sharded one (:mod:`repro.shard`);
 * :mod:`repro.service.service` -- :class:`QueryService`, the core plus how
-  it serves a resolved query (result cache, admission, evaluation),
+  it evaluates a resolved query (plan cache, admission, evaluation),
   exposing the ``repro_service_*`` metric families.
 
 Snapshot isolation: every query joins against the catalog snapshot it took

@@ -221,3 +221,10 @@ class ResultCache(EpochKeyedCache):
             value,
             names=(outer, inner),
         )
+
+    def discard(self, *key) -> None:
+        """Drop the entry :meth:`store` put under the same arguments."""
+        key = result_key(*key)
+        with self._lock:
+            if self._entries.pop(key, None) is not None:
+                del self._names[key]

@@ -5,12 +5,12 @@
 :class:`~repro.service.session.Session` surface over the same
 :class:`~repro.engine.catalog.VersionedCatalog`, and they resolve a
 submitted join the same way: take a snapshot, build the session's config,
-resolve ``"auto"`` against the global statistics, and count the final
-status.  All of that lives here once.  A service adds one step,
-:meth:`ServiceCore._serve` -- how a :class:`ResolvedQuery` is turned into a
-result: result cache, admission and an in-process evaluation for the
-single-process service; ship, fan out, collect and merge for the sharded
-one.
+resolve ``"auto"`` against the global statistics, answer a repeated join
+from the result cache, and count the final status.  All of that lives here
+once.  A service adds one step, :meth:`ServiceCore._serve` -- how a
+:class:`ResolvedQuery` the cache could not answer is turned into a result:
+admission and an in-process evaluation for the single-process service;
+ship, fan out, collect and merge for the sharded one.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.model.errors import (
 )
 from repro.model.relation import ValidTimeRelation
 from repro.obs import Observability, ObservabilityConfig
+from repro.service.cache import CachedJoin, ResultCache
 from repro.service.executor import QueryExecutor, QueryHandle
 from repro.service.session import (
     JOIN_METHODS,
@@ -128,6 +129,11 @@ class ResolvedQuery:
     def epochs(self) -> Tuple[int, int]:
         return (self.outer.epoch, self.inner.epoch)
 
+    @property
+    def cache_key(self) -> Tuple:
+        """What the result cache keys this query on."""
+        return (self.outer.name, self.inner.name, self.epochs, self.method, self.config)
+
     def pedigree(self) -> Dict:
         """The identity fields every result of this query carries."""
         return dict(
@@ -141,7 +147,8 @@ class ResolvedQuery:
 
 
 class ServiceCore:
-    """Sessions, writes, query resolution and status metrics of a service.
+    """Sessions, writes, query resolution, the result cache and status
+    metrics of a service.
 
     Both services forward these arguments, so they accept the same ones
     with the same defaults.
@@ -158,10 +165,13 @@ class ServiceCore:
         cost_model / page_spec: the served cost environment.
         observability: optional tracing config; metrics are always on.
         max_sessions: open-session cap.
+        result_cache_entries: result-cache capacity (0 disables it).
     """
 
     #: The ``{status, method}`` counter family every finished query lands in.
     _queries_family = "repro_service_queries_total"
+    #: What :meth:`_serve` returns, and so what a cache hit is built as.
+    _result_type = ServiceQueryResult
 
     def __init__(
         self,
@@ -176,6 +186,7 @@ class ServiceCore:
         page_spec: Optional[PageSpec] = None,
         observability: Optional[ObservabilityConfig] = None,
         max_sessions: int = 64,
+        result_cache_entries: int = 256,
     ) -> None:
         if execution not in ALL_EXECUTION_MODES:
             raise ServiceError(
@@ -210,6 +221,9 @@ class ServiceCore:
         self._session_ids = 0
         self._stats_lock = threading.Lock()
         self._stats_cache: Dict[Tuple[str, int], RelationStatistics] = {}
+        self.result_cache = (
+            ResultCache(result_cache_entries) if result_cache_entries else None
+        )
         self._closed = False
         self.executor = QueryExecutor(workers=workers, queue_limit=queue_limit)
 
@@ -293,13 +307,24 @@ class ServiceCore:
         return epoch
 
     def _on_mutation(self, name: str, kind: str) -> None:
-        """A write to relation *name* was installed (a service that caches
-        per relation version evicts here)."""
+        """A write to relation *name* was installed: evict the results that
+        mention it (a service with more caches evicts those too)."""
+        self._evict(self.result_cache, name)
         self._count(
             "repro_service_writes_total",
             "Catalog mutations served.",
             kind=kind,
         )
+
+    def _evict(self, cache, name: str) -> None:
+        count = cache.invalidate_relation(name) if cache is not None else 0
+        if count:
+            self._count(
+                "repro_service_cache_invalidations_total",
+                "Cache entries evicted by relation mutations.",
+                amount=count,
+                cache=cache.name,
+            )
 
     # -- queries -------------------------------------------------------------
 
@@ -374,7 +399,7 @@ class ServiceCore:
                     )
                 if timeout is None:
                     timeout = session.config.admission_timeout
-                result = self._serve(
+                result = self._answer(
                     ResolvedQuery(
                         session=session,
                         handle=handle,
@@ -410,12 +435,55 @@ class ServiceCore:
         return result
 
     def _serve(self, query: ResolvedQuery) -> ServiceQueryResult:
-        """Produce the result of a resolved query (the one step a service adds).
+        """Evaluate a resolved query the result cache did not answer (the one
+        step a service adds).
 
         Runs inside the ``service:query`` span; the caller counts the final
         status, so an implementation only raises or returns.
         """
         raise NotImplementedError
+
+    def _answer(self, query: ResolvedQuery) -> ServiceQueryResult:
+        """*query*'s result: the result cache's at zero charged I/O, else
+        :meth:`_serve`'s, stored for the next identical query.
+
+        The key holds the input epochs, method and config, so a hit shares
+        the relation and outcome of the run that stored it.  Two results are
+        not kept: a degraded grant's (its counters are not the full-budget
+        answer the key promises) and one whose input was replaced while it
+        ran (no later snapshot reaches its epochs).  The latter is dropped
+        *after* the store, so a write landing in between is either seen
+        here or evicts the entry itself.
+        """
+        cache = self.result_cache
+        if cache is None or not query.session.config.use_result_cache:
+            return self._serve(query)
+        cached = cache.lookup(*query.cache_key)
+        if cached is not None:
+            self._count(
+                "repro_service_result_cache_hits",
+                "Queries served entirely from the result cache.",
+            )
+            return self._result_type(
+                relation=cached.relation,
+                outcome=cached.outcome,
+                algorithm=cached.algorithm,
+                cost=0.0,
+                charged_ops=0,
+                result_cache_hit=True,
+                **query.pedigree(),
+            )
+        self._count("repro_service_result_cache_misses", "Queries that had to be evaluated.")
+        result = self._serve(query)
+        if not result.degraded and result.relation is not None:
+            cache.store(*query.cache_key, CachedJoin(
+                relation=result.relation, outcome=result.outcome, algorithm=result.algorithm,
+                cost=result.cost, charged_ops=result.charged_ops, epochs=query.epochs,
+            ))
+            current = self.catalog.snapshot().versions
+            if any(current.get(v.name) is not v for v in (query.outer, query.inner)):
+                cache.discard(*query.cache_key)
+        return result
 
     # -- planning helpers ----------------------------------------------------
 
@@ -497,3 +565,18 @@ class ServiceCore:
         """Stable snapshot of every metric family the service collects."""
         self._gauge_queue_depth()
         return self.obs.metrics_snapshot()
+
+    def _cache_reports(self, **caches) -> Dict:
+        """The ``report()`` block of each enabled cache, by label."""
+        return {
+            label: {
+                "entries": len(cache),
+                "hits": cache.stats.hits,
+                "misses": cache.stats.misses,
+                "hit_ratio": round(cache.stats.hit_ratio, 4),
+                "evictions": cache.stats.evictions,
+                "invalidations": cache.stats.invalidations,
+            }
+            for label, cache in caches.items()
+            if cache is not None
+        }

@@ -3,7 +3,7 @@
 One service owns a :class:`~repro.engine.catalog.VersionedCatalog`, a
 shared memory budget under an
 :class:`~repro.service.admission.AdmissionController`, the epoch-keyed
-plan/result caches, and a bounded worker-thread
+plan cache, and a bounded worker-thread
 :class:`~repro.service.executor.QueryExecutor`.  The query path:
 
 1. take a catalog snapshot (snapshot isolation: writers never affect it);
@@ -17,9 +17,10 @@ plan/result caches, and a bounded worker-thread
 6. populate the caches, release the grant, record ``repro_service_*``
    metrics.
 
-Steps 2-6 are :meth:`QueryService._serve`; step 1, the session and write
-surface and the status metrics are the :class:`~repro.service.core.ServiceCore`
-this service shares with the sharded one, and step 5 is the one join runner
+Steps 3-5 and the plan cache are :meth:`QueryService._serve`; steps 1-2, the
+result cache's store, the session and write surface and the status metrics
+are the :class:`~repro.service.core.ServiceCore` this service shares with
+the sharded one, and step 5 is the one join runner
 (:func:`repro.engine.runner.run_join`).
 
 Every query's result is bit-identical to a serial replay of the same
@@ -37,7 +38,7 @@ from repro.engine.catalog import VersionedCatalog
 from repro.engine.runner import JoinRun, effective_config, grant_request, run_join
 from repro.model.errors import AdmissionTimeoutError, QueryDeadlineError
 from repro.service.admission import AdmissionController, MemoryGrant
-from repro.service.cache import CachedJoin, PlanCache, ResultCache
+from repro.service.cache import PlanCache
 from repro.service.core import ResolvedQuery, ServiceCore, ServiceQueryResult
 
 #: Queue-wait histogram bounds, in seconds.
@@ -58,8 +59,9 @@ class QueryService(ServiceCore):
         admission_timeout: default seconds a query may queue for memory.
         degrade_after: seconds of queueing after which a smaller grant is
             accepted (None: queue until timeout).
-        plan_cache_entries / result_cache_entries: cache capacities
-            (0 disables the respective cache).
+        plan_cache_entries: plan-cache capacity (0 disables it).
+        result_cache_entries: result-cache capacity (0 disables it; the
+            cache is the core's).
         execution: default partition-join execution mode.
         cost_model / page_spec: the served cost environment.
         observability: optional tracing config; metrics are always on.
@@ -74,7 +76,6 @@ class QueryService(ServiceCore):
         admission_timeout: float = 30.0,
         degrade_after: Optional[float] = None,
         plan_cache_entries: int = 256,
-        result_cache_entries: int = 256,
         **core_options,
     ) -> None:
         super().__init__(catalog, **core_options)
@@ -85,55 +86,19 @@ class QueryService(ServiceCore):
             degrade_after=degrade_after,
         )
         self.plan_cache = PlanCache(plan_cache_entries) if plan_cache_entries else None
-        self.result_cache = (
-            ResultCache(result_cache_entries) if result_cache_entries else None
-        )
 
     def _on_mutation(self, name: str, kind: str) -> None:
-        for cache in (self.plan_cache, self.result_cache):
-            if cache is not None:
-                count = cache.invalidate_relation(name)
-                if count:
-                    self._count(
-                        "repro_service_cache_invalidations_total",
-                        "Cache entries evicted by relation mutations.",
-                        amount=count,
-                        cache=cache.name,
-                    )
+        self._evict(self.plan_cache, name)
         super()._on_mutation(name, kind)
 
-    # -- serving: result cache -> admission -> evaluate ----------------------
+    # -- serving: admission -> evaluate --------------------------------------
 
     def _serve(self, query: ResolvedQuery) -> ServiceQueryResult:
         session, handle = query.session, query.handle
         outer, inner = query.outer, query.inner
         method, config = query.method, query.config
 
-        # 1. Result cache: a hit charges nothing at all.
-        if self.result_cache is not None and session.config.use_result_cache:
-            cached = self.result_cache.lookup(
-                outer.name, inner.name, query.epochs, method, config
-            )
-            if cached is not None:
-                self._count(
-                    "repro_service_result_cache_hits",
-                    "Queries served entirely from the result cache.",
-                )
-                return ServiceQueryResult(
-                    relation=cached.relation,
-                    outcome=cached.outcome,
-                    algorithm=cached.algorithm,
-                    cost=0.0,
-                    charged_ops=0,
-                    result_cache_hit=True,
-                    **query.pedigree(),
-                )
-            self._count(
-                "repro_service_result_cache_misses",
-                "Queries that had to be evaluated.",
-            )
-
-        # 2. Admission: the planner bounds the useful ask.
+        # 1. Admission: the planner bounds the useful ask.
         request = grant_request(outer.relation, inner.relation, method, config)
         admission_timeout = query.timeout
         handle.check_cancelled()
@@ -166,7 +131,7 @@ class QueryService(ServiceCore):
         self._observe_queue_wait(grant.queue_wait_seconds)
         self._gauge_pool()
 
-        # 3. Evaluate under the grant.
+        # 2. Evaluate under the grant.
         try:
             handle.check_cancelled()
             handle.check_deadline()
@@ -192,8 +157,8 @@ class QueryService(ServiceCore):
     def _evaluate(
         self, query: ResolvedQuery, request: int, grant: MemoryGrant
     ) -> Tuple[JoinRun, bool]:
-        """Run the join under *grant* through the plan and result caches;
-        returns the run and whether a cached plan served it."""
+        """Run the join under *grant* through the plan cache; returns the run
+        and whether a cached plan served it."""
         session, method, config = query.session, query.method, query.config
         outer, inner, epochs = query.outer.name, query.inner.name, query.epochs
         plan = None
@@ -229,35 +194,6 @@ class QueryService(ServiceCore):
         )
         if use_plan_cache and not plan_cache_hit:
             self.plan_cache.store(outer, inner, epochs, plan_config, run.plan)
-
-        # A degraded grant ran with a nondeterministic, pressure-dependent
-        # budget: its outcome counters (and potentially tuple order) are not
-        # the full-budget answer, so storing it under the full-budget config
-        # key would break bit-identity for later full-grant hits.  Mirror
-        # the plan cache's full-grant guard and skip the store.  (The
-        # config carries the sweep's predicate, so the key -- which includes
-        # the config -- distinguishes predicates.)
-        if (
-            self.result_cache is not None
-            and session.config.use_result_cache
-            and not grant.degraded
-            and run.relation is not None
-        ):
-            self.result_cache.store(
-                outer,
-                inner,
-                epochs,
-                method,
-                config,
-                CachedJoin(
-                    relation=run.relation,
-                    outcome=run.outcome,
-                    algorithm=run.algorithm,
-                    cost=run.cost,
-                    charged_ops=run.charged_ops,
-                    epochs=epochs,
-                ),
-            )
         return run, plan_cache_hit
 
     # -- metrics -------------------------------------------------------------
@@ -305,17 +241,7 @@ class QueryService(ServiceCore):
                 "per_session_peak_pages": self.admission.owner_peak_pages(),
             },
         }
-        for label, cache in (
-            ("plan_cache", self.plan_cache),
-            ("result_cache", self.result_cache),
-        ):
-            if cache is not None:
-                summary[label] = {
-                    "entries": len(cache),
-                    "hits": cache.stats.hits,
-                    "misses": cache.stats.misses,
-                    "hit_ratio": round(cache.stats.hit_ratio, 4),
-                    "evictions": cache.stats.evictions,
-                    "invalidations": cache.stats.invalidations,
-                }
+        summary.update(
+            self._cache_reports(plan_cache=self.plan_cache, result_cache=self.result_cache)
+        )
         return summary

@@ -3,18 +3,19 @@
 The multi-process sibling of
 :class:`~repro.service.service.QueryService`: both are a
 :class:`~repro.service.core.ServiceCore` -- one session, write, query
-resolution and status-metric surface over the authoritative
+resolution, result-cache and status-metric surface over the authoritative
 :class:`~repro.engine.catalog.VersionedCatalog` -- and differ in how a
-resolved query is served.  This one records its shard map in the catalog
+resolved query is evaluated.  This one records its shard map in the catalog
 (so every snapshot resolves to one routing) and owns N forked shard worker
 processes, each with its own buffer pool, admission controller and
-simulated disks; it keeps no result cache.
+simulated disks.
 
 The query path:
 
 1. (the core) take a catalog snapshot; resolve ``"auto"`` against the
    *global* relation statistics, once, so every shard is sent the same
-   concrete method;
+   concrete method; answer a join repeated at the same epochs from the
+   result cache, with no fan-out, no frame and no fan-out lock;
 2. ship any fragment versions a shard has not seen for the pinned epochs
    (fragments are immutable per ``(name, epoch)``, so shipping is lazy,
    idempotent, and rebuildable after a respawn), evicting the older
@@ -108,12 +109,14 @@ class ShardedQueryResult(ServiceQueryResult):
         totals: the merged whole-query ledger.
         shards: per-shard fragment reports, in rank order.
         redispatches: supervision re-dispatches this query survived.
+
+    A result-cache hit ran no fragment: its bill is all zeros and empty.
     """
 
-    service_cost: float
-    phases: Dict[str, IOStatistics]
-    totals: IOStatistics
-    shards: Tuple[ShardFragmentReport, ...]
+    service_cost: float = 0.0
+    phases: Dict[str, IOStatistics] = field(default_factory=dict)
+    totals: IOStatistics = field(default_factory=IOStatistics)
+    shards: Tuple[ShardFragmentReport, ...] = ()
     redispatches: int = 0
 
 
@@ -183,6 +186,7 @@ class ShardedQueryService(ServiceCore):
     """
 
     _queries_family = "repro_shard_queries_total"
+    _result_type = ShardedQueryResult
 
     def __init__(
         self,
@@ -756,7 +760,8 @@ class ShardedQueryService(ServiceCore):
         return super().metrics_snapshot()
 
     def report(self) -> Dict:
-        """A human-sized serving summary (topology, supervision, transport)."""
+        """A human-sized serving summary (topology, supervision, transport,
+        result cache)."""
         return {
             "shards": self.shard_map.n_shards,
             "strategy": self.shard_map.strategy,
@@ -786,6 +791,7 @@ class ShardedQueryService(ServiceCore):
                 for event in self.resilience.degradations
             ],
             "transport": transport_counters(),
+            **self._cache_reports(result_cache=self.result_cache),
         }
 
 

@@ -29,6 +29,7 @@ fragment bit-identically.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Dict, Optional, Tuple
 
@@ -240,6 +241,9 @@ class ShardWorker:
 
 def worker_main(sock, options: Dict) -> None:
     """Child-process entry point: serve frames until SHUTDOWN or EOF."""
+    # Every object alive here is the coordinator's, inherited by fork: each
+    # collection would walk -- and copy on write -- that whole heap.
+    gc.freeze()
     worker = ShardWorker(options)
     channel = Channel(sock, name=f"coordinator<-shard{worker.rank}")
     try:

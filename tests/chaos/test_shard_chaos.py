@@ -61,10 +61,13 @@ def fingerprint(relation):
 
 
 def make_service(seed: int, *, shards: int = 2, timeout: float = 2.0):
+    """A service whose every join fans out: a repeated join must meet the
+    armed failure, not the result cache."""
     return ShardedQueryService(
         shard_catalog(seed),
         shards=shards,
         pool_pages=32,
+        result_cache_entries=0,
         supervision=SupervisionPolicy(
             fragment_timeout_seconds=timeout, max_redispatches=3
         ),
@@ -285,6 +288,7 @@ class TestSeededKillMatrix:
             shards=2,
             pool_pages=32,
             execution=execution,
+            result_cache_entries=0,
             supervision=SupervisionPolicy(
                 fragment_timeout_seconds=2.0, max_redispatches=3
             ),

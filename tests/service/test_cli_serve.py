@@ -36,6 +36,10 @@ class TestServeCommand:
         served = "repro_shard_queries_total" if shards else "repro_service_queries_total"
         assert sum(summary["metrics"][served]["series"].values()) == summary["queries"]
         assert summary["metrics"]["repro_service_sessions_total"]["series"][""] == 2.0
+        # Both services answer the demo's repeated joins from the one cache.
+        assert summary["result_cache_hits"] >= 1
+        hits = summary["metrics"]["repro_service_result_cache_hits"]["series"][""]
+        assert hits == summary["result_cache_hits"]
 
     def test_script_file(self, tmp_path, capsys):
         script = tmp_path / "workload.jsonl"

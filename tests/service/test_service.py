@@ -96,6 +96,26 @@ class TestResultCache:
         assert not again.result_cache_hit
         assert again.charged_ops > 0
 
+    def test_a_result_whose_input_moved_while_it_ran_is_not_kept(
+        self, either_service, monkeypatch
+    ):
+        """A write lands after the query pinned its epochs and before it
+        finished: no later snapshot reaches those epochs, so the answer is
+        returned but not stored."""
+        service, _ = either_service
+        serve = service._serve
+
+        def serve_after_a_write(query):
+            query.session.append("r", make_tuples(3, seed=41))
+            return serve(query)
+
+        monkeypatch.setattr(service, "_serve", serve_after_a_write)
+        with service.open_session() as session:
+            raced = session.join("r", "s", method="partition")
+        assert not raced.result_cache_hit
+        assert raced.epochs[0] < service.catalog.current("r").epoch
+        assert len(service.result_cache) == 0
+
     def test_caches_can_be_disabled_service_wide(self):
         with QueryService(
             make_catalog(),
@@ -437,8 +457,11 @@ class TestDeadlineBudget:
     ):
         """A budget spent -- or a cancel requested -- while shard 0 computes
         aborts before shard 1 is collected; shard 1's unread answer must not
-        become the next request's."""
-        with ShardedQueryService(catalog, shards=2, pool_pages=32) as service:
+        become the next request's.  The repeated join must fan out, so the
+        result cache is off."""
+        with ShardedQueryService(
+            catalog, shards=2, pool_pages=32, result_cache_entries=0
+        ) as service:
             with service.open_session() as session:
                 session.join("r", "s", method="partition")
                 collected = _counter(service, "repro_shard_fragments_total", "status=ok")

@@ -149,6 +149,7 @@ def test_concurrent_equals_serial_replay(seed: int, execution: str):
 # processes, and the *merged* result must still equal a serial replay of
 # the same fragment decomposition -- tuples in order, JoinOutcome
 # counters, and the per-phase charged-I/O ledgers, at every shard count.
+# A result-cache hit owes the replay's tuples and counters at a zero bill.
 # The full shard-count x execution-mode matrix is `shard_slow` (the CI
 # shard-stress job runs it, optionally overriding SHARD_COUNTS); an
 # unmarked 2-shard smoke keeps the property in tier-1.
@@ -236,6 +237,12 @@ def _run_sharded_property(seed: int, execution: str, shards: int) -> None:
             f"sharded bit-identity violated at epochs {record.epochs} "
             f"(seed {seed}, execution {execution!r}, shards {shards})"
         )
+        if record.result_cache_hit:
+            # A hit replays the stored answer and ran no fragment: zero bill.
+            assert record.charged_ops == 0
+            assert record.cost == record.service_cost == 0.0
+            assert record.phases == {}
+            continue
         # The merged per-phase charged-I/O ledgers replay exactly too.
         assert serial.charged_ops == record.charged_ops
         assert set(serial.phases) == set(record.phases)

@@ -137,6 +137,7 @@ CORE_SURFACE = (
     "open_session", "_session_closed", "_append", "_delete", "_submit_join",
     "_run_join", "_query_config", "_statistics", "_session_predicate",
     "_choose_method", "_count", "_count_query", "__enter__", "__exit__",
+    "_answer", "_evict", "_cache_reports",
 )
 
 

@@ -140,7 +140,8 @@ class TestBitIdentity:
         assert result.outcome.n_result_tuples == base.outcome.n_result_tuples
 
     def test_merge_is_deterministic_across_runs(self, sharded):
-        with sharded.open_session() as session:
+        # Both joins must fan out and merge: the second may not be a hit.
+        with sharded.open_session(use_result_cache=False) as session:
             first = session.join("r", "s", method="partition")
             second = session.join("r", "s", method="partition")
         assert rows(first.relation) == rows(second.relation)
@@ -193,6 +194,46 @@ class TestMergeAccounting:
         assert before.epochs[0] < after.epochs[0]
         assert before.epochs[1] == after.epochs[1]
         assert after.outcome.n_result_tuples >= before.outcome.n_result_tuples
+
+
+class TestResultCache:
+    """The core's result cache answers a repeated join with no fan-out."""
+
+    def test_a_repeat_is_a_hit_that_sends_no_frame(self, sharded):
+        with sharded.open_session() as session:
+            first = session.join("r", "s", method="partition")
+            sent = transport_counters()
+            again = session.join("r", "s", method="partition")
+            assert transport_counters() == sent
+        assert not first.result_cache_hit and again.result_cache_hit
+        assert again.relation is first.relation and again.outcome is first.outcome
+        assert (again.cost, again.service_cost, again.charged_ops) == (0.0, 0.0, 0)
+        assert again.phases == {} and again.shards == ()
+
+    @pytest.mark.parametrize("name", ["r", "s"])
+    def test_an_append_to_either_input_makes_the_next_join_a_miss(self, sharded, name):
+        with sharded.open_session() as session:
+            first = session.join("r", "s", method="partition")
+            session.append(name, make_tuples(4, seed=51))
+            after = session.join("r", "s", method="partition")
+        assert not after.result_cache_hit and after.epochs != first.epochs
+        assert len(after.shards) == 2 and after.charged_ops > 0
+
+    def test_an_opted_out_session_always_fans_out(self, sharded):
+        with sharded.open_session(use_result_cache=False) as session:
+            results = [session.join("r", "s", method="partition") for _ in range(2)]
+        assert not any(result.result_cache_hit for result in results)
+        assert all(len(result.shards) == 2 for result in results)
+        assert len(sharded.result_cache) == 0
+
+    def test_a_hit_never_takes_the_fanout_lock(self, sharded):
+        """The test thread holds the lock every fan-out takes: a hit that
+        wanted it would time out instead of answering."""
+        with sharded.open_session() as session:
+            first = session.join("r", "s", method="partition")
+            with sharded._fanout_lock:
+                again = session.join("r", "s", method="partition", result_timeout=30.0)
+        assert again.result_cache_hit and again.relation is first.relation
 
 
 class TestFragmentEviction:
