@@ -18,6 +18,7 @@ tuples in the outer and inner relations is similar", the caller passes the
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Sequence
 
 from repro.core.intervals import PartitionMap, SampleSpans
@@ -35,7 +36,8 @@ def estimate_cache_sizes(
     """Estimate tuple-cache pages per partition.
 
     Args:
-        samples: sampled tuples (drawn from the outer relation).
+        samples: sampled tuples (drawn from the outer relation), or their
+            :class:`~repro.core.intervals.SampleSpans`.
         population_tuples: cardinality of the relation whose tuples will be
             cached (the inner relation).
         partition_map: the candidate partitioning.
@@ -50,33 +52,24 @@ def estimate_cache_sizes(
         raise ValueError(f"negative population {population_tuples}")
     if not len(samples):
         return [0] * len(partition_map)
-    if np is not None and isinstance(samples, SampleSpans):
-        # Vectorized replay of the loop below: ``index_of_chronon`` is a
-        # clamped ``bisect_left``, i.e. a clamped left ``searchsorted``,
-        # and the per-tuple ``counts[first:last] += 1`` is a difference
-        # array accumulated once.
-        boundary_ends = np.asarray(
-            [interval.end for interval in partition_map.intervals], dtype=np.int64
-        )
-        clamp = len(partition_map) - 1
-        first = np.minimum(
-            np.searchsorted(boundary_ends, samples.starts, side="left"), clamp
-        )
-        last = np.minimum(
-            np.searchsorted(boundary_ends, samples.ends, side="left"), clamp
-        )
-        deltas = np.zeros(len(partition_map) + 1, dtype=np.int64)
-        np.add.at(deltas, first, 1)
-        np.add.at(deltas, last, -1)
-        counts = np.cumsum(deltas[:-1]).tolist()
+    # A tuple overlapping partitions first..last is cached for every one
+    # but its last, where it is read from the partition itself (Figure 9).
+    # Partition i < k-1 ends at b_i, and first <= i < last exactly when
+    # start <= b_i < end; since start <= end, the count is
+    # #(start <= b_i) - #(end <= b_i): two binary searches of b_i into the
+    # sorted columns.  The last partition caches nothing.
+    spans = SampleSpans.of(samples)
+    bounds = [interval.end for interval in partition_map.intervals[:-1]]
+    if np is not None:
+        counts = (
+            np.searchsorted(spans.starts, bounds, side="right")
+            - np.searchsorted(spans.ends, bounds, side="right")
+        ).tolist()
     else:
-        counts = [0] * len(partition_map)
-        for tup in samples:
-            first = partition_map.first_overlapping(tup.valid)
-            last = partition_map.last_overlapping(tup.valid)
-            # The tuple is cached for every overlapped partition except its
-            # last, where it is read from the partition itself (Figure 9).
-            for index in range(first, last):
-                counts[index] += 1
-    scale = population_tuples / len(samples)
+        counts = [
+            bisect_right(spans.starts, bound) - bisect_right(spans.ends, bound)
+            for bound in bounds
+        ]
+    counts.append(0)
+    scale = population_tuples / len(spans)
     return [spec.pages_for_tuples(round(count * scale)) for count in counts]

@@ -11,11 +11,13 @@ sampled tuple-chronon mass, which is what makes the resulting partitions of
 Enumerating the multiset explicitly is linear in total tuple *duration* and
 infeasible for long-lived tuples at paper scale, so
 :func:`_coverage_quantiles` computes the same chosen chronons with an
-endpoint sweep: sort interval starts and ends, walk the chronon line
-maintaining the number of intervals covering the current run, and locate the
-multiset positions arithmetically inside runs of constant coverage.  A
-property test checks the sweep against the naive multiset construction on
-small inputs.
+endpoint sweep: walk the sorted interval starts and ends along the chronon
+line, maintaining the number of intervals covering the current run, and
+locate the multiset positions arithmetically inside runs of constant
+coverage.  A property test checks the sweep against the naive multiset
+construction on small inputs.  The sweep reads the sample only through its
+two endpoint multisets, which is why a sample is held as a
+:class:`SampleSpans` of sorted columns.
 
 The returned intervals are non-overlapping, ascending, and tile the sampled
 lifespan exactly.  Tuples outside the sampled lifespan are handled by
@@ -36,57 +38,108 @@ from repro.time.interval import Interval
 
 
 class SampleSpans:
-    """A planner sample held as two parallel chronon columns.
+    """A planner sample as its two endpoint multisets: sorted start and end
+    columns (``int64`` arrays with numpy, lists without).
 
-    The scan sampler over columnar pages produces this instead of a list of
-    tuples: the plan consumers (:func:`choose_intervals`,
-    :func:`estimate_cache_sizes`) only ever read interval endpoints, and
-    holding those as ``int64`` arrays lets both run vectorized.  The
-    sequence protocol hands out per-sample span objects for any consumer
-    that still iterates, so the two representations are interchangeable.
+    The plan consumers (:func:`choose_intervals`,
+    :func:`estimate_cache_sizes`) depend on a sample only through the
+    multiset of its starts and the multiset of its ends, never on which
+    start belongs to which end.  Sorted columns make the lifespan two reads,
+    the coverage sweep a merge of two sorted runs, and a partition's cache
+    count two binary searches.  The sweep is computed at most once per
+    object (:meth:`sweep`), so every planner candidate handed the same
+    prefix shares it.  Constructing one directly is a promise that both
+    columns are sorted; :meth:`of` sorts.
     """
 
-    __slots__ = ("starts", "ends")
+    __slots__ = ("starts", "ends", "_sweep")
 
     def __init__(self, starts, ends) -> None:
         self.starts = starts
         self.ends = ends
+        self._sweep = None
+
+    @classmethod
+    def of(cls, samples) -> "SampleSpans":
+        """*samples* -- anything with ``vs``/``ve`` -- as sorted columns."""
+        if isinstance(samples, SampleSpans):
+            return samples
+        empty = cls(_column(()), _column(()))
+        return empty.grown([tup.vs for tup in samples], [tup.ve for tup in samples])
+
+    def grown(self, starts, ends) -> "SampleSpans":
+        """This sample plus the rows with *starts* / *ends* (in any order).
+
+        Only the new rows are sorted; each column is then one merge of two
+        sorted runs (``list.sort`` and numpy's stable sort are timsort,
+        which finds the runs).  ``self`` is left as it was.
+        """
+        return SampleSpans(_merged(self.starts, starts), _merged(self.ends, ends))
 
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SampleSpans(self.starts[index], self.ends[index])
-        return _SpanItem(Interval(int(self.starts[index]), int(self.ends[index])))
+    def lifespan(self) -> tuple:
+        """``(first start, last end)`` as Python integers."""
+        return int(self.starts[0]), int(self.ends[-1])
 
-    def __iter__(self):
-        for start, end in zip(self.starts.tolist(), self.ends.tolist()):
-            yield _SpanItem(Interval(start, end))
+    def lists(self) -> tuple:
+        """Both columns as lists of Python integers."""
+        if isinstance(self.starts, list):
+            return self.starts, self.ends
+        return self.starts.tolist(), self.ends.tolist()
+
+    def mass(self) -> int:
+        """Size of the coverage multiset: the summed interval durations."""
+        sweep = self.sweep()
+        if sweep is not None:
+            return int(sweep[3][-1])
+        starts, ends = self.lists()
+        return sum(ends) - sum(starts) + len(starts)
+
+    def sweep(self):
+        """``(events, coverage, run_mass, mass)`` of the array sweep; None
+        for list columns or when ``int64`` could wrap (the loop's Python
+        integers grow instead).
+
+        Every start raises the coverage at its chronon and every end lowers
+        it one chronon later: one stable sort of the two sorted event runs,
+        starts first on ties.  Between two events the coverage is constant,
+        so the multiset's mass up to each run's end is a cumulative sum.
+        """
+        if self._sweep is None:
+            lo, hi = self.lifespan()
+            bound = len(self) * (hi - lo + 1)
+            if isinstance(self.starts, list) or bound >= _INT64_HEADROOM:
+                return None
+            events = np.concatenate((self.starts, self.ends + 1))
+            order = np.argsort(events, kind="stable")
+            events = events[order]
+            coverage = np.cumsum(np.where(order < len(self), 1, -1))[:-1]
+            run_mass = coverage * np.diff(events)
+            self._sweep = (events, coverage, run_mass, np.cumsum(run_mass))
+        return self._sweep
 
 
-class _SpanItem:
-    """One sample of a :class:`SampleSpans`, for tuple-at-a-time consumers."""
+def _column(values):
+    return np.asarray(values, dtype=np.int64) if np is not None else list(values)
 
-    __slots__ = ("valid",)
 
-    def __init__(self, valid: Interval) -> None:
-        self.valid = valid
-
-    @property
-    def vs(self) -> int:
-        return self.valid.start
-
-    @property
-    def ve(self) -> int:
-        return self.valid.end
+def _merged(held, new):
+    """Sorted *held* and unsorted *new* as one sorted column."""
+    if np is None:
+        return sorted(held + sorted(new))
+    merged = np.concatenate((held, np.sort(_column(new))))
+    merged.sort(kind="stable")
+    return merged
 
 
 def choose_intervals(samples: Sequence[VTTuple], num_partitions: int) -> List[Interval]:
     """Choose ``num_partitions`` partitioning intervals from *samples*.
 
     Args:
-        samples: sampled tuples of the outer relation.
+        samples: sampled tuples of the outer relation, or their
+            :class:`SampleSpans`.
         num_partitions: desired number of partitions (>= 1).
 
     Returns:
@@ -103,18 +156,15 @@ def choose_intervals(samples: Sequence[VTTuple], num_partitions: int) -> List[In
     if not len(samples):
         raise PlanError("cannot choose partitioning intervals from an empty sample")
 
-    if np is not None and isinstance(samples, SampleSpans):
-        lo = int(samples.starts.min())
-        hi = int(samples.ends.max())
-    else:
-        lo = min(tup.vs for tup in samples)
-        hi = max(tup.ve for tup in samples)
+    spans = SampleSpans.of(samples)
+    lo, hi = spans.lifespan()
     if num_partitions == 1 or lo == hi:
         return [Interval(lo, hi)]
 
     # Interior boundaries at equal shares of the coverage multiset.
-    positions = _equal_depth_positions(samples, num_partitions)
-    boundaries = _coverage_quantiles(samples, positions)
+    step = spans.mass() / num_partitions
+    positions = [int(round(i * step)) for i in range(1, num_partitions)]
+    boundaries = _coverage_quantiles(spans, positions)
 
     # Deduplicate and drop degenerate boundaries at the lifespan edges.
     cut_points: List[int] = []
@@ -131,17 +181,6 @@ def choose_intervals(samples: Sequence[VTTuple], num_partitions: int) -> List[In
     return intervals
 
 
-def _equal_depth_positions(samples: Sequence[VTTuple], num_partitions: int) -> List[int]:
-    """1-based multiset positions of the interior boundary chronons."""
-    if np is not None and isinstance(samples, SampleSpans):
-        # duration = end - start + 1, summed over the sample columns.
-        total = int((samples.ends - samples.starts).sum()) + len(samples)
-    else:
-        total = sum(tup.valid.duration for tup in samples)
-    step = total / num_partitions
-    return [int(round(i * step)) for i in range(1, num_partitions)]
-
-
 def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) -> List[int]:
     """Chronons at the given 1-based positions of the coverage multiset.
 
@@ -152,15 +191,11 @@ def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) ->
     if not positions:
         return []
     wanted = sorted(max(1, p) for p in positions)  # one result per position
-    if np is not None and isinstance(samples, SampleSpans):
-        lo, hi = int(samples.starts.min()), int(samples.ends.max())
-        if max(len(samples) * (hi - lo + 1), wanted[-1]) < _INT64_HEADROOM:
-            return _coverage_quantiles_columns(samples.starts, samples.ends, wanted)
-        starts = np.sort(samples.starts).tolist()
-        ends = np.sort(samples.ends).tolist()
-    else:
-        starts = sorted(tup.vs for tup in samples)
-        ends = sorted(tup.ve for tup in samples)
+    spans = SampleSpans.of(samples)
+    sweep = spans.sweep()
+    if sweep is not None and wanted[-1] < _INT64_HEADROOM:
+        return _sweep_quantiles(sweep, wanted, spans.ends[-1])
+    starts, ends = spans.lists()
     results: List[int] = []
 
     coverage = 0  # intervals covering the current run of chronons
@@ -168,7 +203,7 @@ def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) ->
     run_start = starts[0]
     si = ei = 0
     wi = 0
-    n = len(samples)
+    n = len(starts)
     while wi < len(wanted):
         # The current run extends until the next endpoint event.
         next_start = starts[si] if si < n else None
@@ -204,23 +239,14 @@ def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) ->
 _INT64_HEADROOM = 2**62
 
 
-def _coverage_quantiles_columns(starts, ends, wanted: List[int]) -> List[int]:
-    """:func:`_coverage_quantiles` over ``int64`` columns, whole-array.
+def _sweep_quantiles(sweep, wanted: List[int], last_end) -> List[int]:
+    """:func:`_coverage_quantiles` over a :meth:`SampleSpans.sweep`.
 
-    The same endpoint sweep: every start raises the coverage at its
-    chronon, every end lowers it one chronon later (one stable sort, starts
-    first on ties); between two events the coverage is constant, so the
-    multiset's mass up to each event is a cumulative sum and each wanted
-    position is one binary search plus the loop's integer offset into its
-    run.  Positions past the end clamp to the last end, as in the loop.
+    Each wanted position is one binary search into the cumulative mass plus
+    the loop's integer offset into its run.  Positions past the end clamp
+    to the last end, as in the loop.
     """
-    n = len(starts)
-    events = np.concatenate((starts, ends + 1))
-    order = np.argsort(events, kind="stable")
-    events = events[order]
-    coverage = np.cumsum(np.where(order < n, 1, -1))[:-1]  # over each run
-    run_mass = coverage * np.diff(events)
-    mass = np.cumsum(run_mass)  # multiset elements up to each run's end
+    events, coverage, run_mass, mass = sweep
     positions = np.asarray(wanted, dtype=np.int64)
     run = np.searchsorted(mass, positions, side="left")
     inside = run < len(mass)
@@ -229,7 +255,7 @@ def _coverage_quantiles_columns(starts, ends, wanted: List[int]) -> List[int]:
     run = np.minimum(run, len(mass) - 1)
     before = mass[run] - run_mass[run]
     found = events[run] + (positions - before - 1) // coverage[run]
-    return np.where(inside, found, ends.max()).tolist()
+    return np.where(inside, found, last_end).tolist()
 
 
 class PartitionMap:

@@ -19,6 +19,12 @@ The planner sweeps candidate outer-partition sizes ``partSize`` from 1 to
 The candidate minimizing ``C_sample + C_join`` wins; the full per-candidate
 curve is retained because it *is* Figure 4.
 
+Step 3's consumers read a sample only through its two endpoint multisets,
+so every prefix is one :class:`~repro.core.intervals.SampleSpans` of sorted
+start and end columns: a longer prefix merges only its new draws in, and
+candidates handed the same prefix share its coverage sweep.  The plans are
+those of the unsorted sample, bit for bit.
+
 Deviations from the appendix, all documented in DESIGN.md:
 
 * Samples are drawn incrementally as in the appendix (each candidate only
@@ -41,7 +47,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import List, Optional, Sequence
@@ -50,13 +55,12 @@ from repro.core.cache_estimate import estimate_cache_sizes
 from repro.core.intervals import PartitionMap, SampleSpans, choose_intervals
 from repro.exec.backend import np
 from repro.model.errors import PlanError
-from repro.model.vtuple import VTTuple
 from repro.sampling.kolmogorov import required_samples
 from repro.sampling.sampler import SamplePlan, SampleStrategy, plan_sampling
 from repro.storage.columnar_page import ColumnarPage
 from repro.storage.heapfile import HeapFile
 from repro.storage.iostats import CostModel
-from repro.time.interval import Interval, trusted_interval
+from repro.time.interval import Interval
 
 
 @dataclass(frozen=True)
@@ -491,38 +495,35 @@ def choose_physical_operator(
     )
 
 
-class _SpanSample:
-    """A sampled row reduced to its interval.
+def _shuffled_positions(n: int, rng: random.Random) -> List[int]:
+    """``list(range(n))`` in the order ``rng.shuffle`` leaves it.
 
-    The planner's sample consumers (:func:`choose_intervals`,
-    :func:`estimate_cache_sizes`) read only ``vs``/``ve``/``valid``, so the
-    scan sampler over columnar pages hands out these instead of
-    materializing whole tuples the plan never looks at.
+    The same Fisher-Yates, drawing each swap index with ``getrandbits``
+    exactly as ``Random._randbelow`` does, so the permutation and the
+    generator's state afterwards are ``rng.shuffle``'s -- without a method
+    call per position.
     """
-
-    __slots__ = ("valid",)
-
-    def __init__(self, valid) -> None:
-        self.valid = valid
-
-    @property
-    def vs(self) -> int:
-        return self.valid.start
-
-    @property
-    def ve(self) -> int:
-        return self.valid.end
+    positions = list(range(n))
+    getrandbits = rng.getrandbits
+    for i in range(n - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        positions[i], positions[j] = positions[j], positions[i]
+    return positions
 
 
 def _span_columns(pages: Sequence, carried=None) -> tuple:
-    """``(starts, ends)`` int64 columns of a scanned relation, in row order.
+    """``(starts, ends)`` columns of a scanned relation, in row order:
+    ``int64`` arrays with numpy, lists without.
 
     Columnar pages concatenate their buffer views; list pages take the
     columns their file carries (*carried*) when the scan delivered exactly
-    those rows, and are decomposed here otherwise, so with numpy the plan
-    is made on columns whatever the page layout.
+    those rows, and are decomposed here otherwise.  Columnar pages decode
+    only their span columns: keys and payloads stay packed.
     """
-    if all(isinstance(page, ColumnarPage) for page in pages):
+    if np is not None and pages and all(isinstance(p, ColumnarPage) for p in pages):
         return (
             np.concatenate([page.starts_view() for page in pages]),
             np.concatenate([page.ends_view() for page in pages]),
@@ -531,11 +532,18 @@ def _span_columns(pages: Sequence, carried=None) -> tuple:
         batch = carried.matching(0, list(chain.from_iterable(pages)))
         if batch is not None:
             return batch.starts, batch.ends
-    valids = [tup.valid for page in pages for tup in page]
-    return (
-        np.fromiter((valid.start for valid in valids), np.int64, count=len(valids)),
-        np.fromiter((valid.end for valid in valids), np.int64, count=len(valids)),
-    )
+    starts: List[int] = []
+    ends: List[int] = []
+    for page in pages:
+        if isinstance(page, ColumnarPage):
+            starts += page.starts_list()
+            ends += page.ends_list()
+        else:
+            starts += [tup.vs for tup in page]
+            ends += [tup.ve for tup in page]
+    if np is None:
+        return starts, ends
+    return np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
 
 
 class _IncrementalSampler:
@@ -546,6 +554,13 @@ class _IncrementalSampler:
     head model); the scan charges one linear pass of the relation and
     supplies every later increment for free -- the Section 4.2 optimization
     applied to the cumulative requirement.
+
+    A prefix is handed out as one :class:`SampleSpans` whose start and end
+    columns are sorted: the plan consumers read only those two multisets.
+    Growing the prefix from m1 to m2 draws sorts only the m2 - m1 new draws
+    and merges them into the held columns; asking again for the same length
+    returns the same object, so the candidates that share a prefix share
+    its coverage sweep.  Nothing outlives the planning call.
     """
 
     def __init__(
@@ -558,92 +573,56 @@ class _IncrementalSampler:
         self._outer = outer
         self._cost_model = cost_model
         self._allow_scan = allow_scan
-        self._positions = list(range(outer.n_tuples))
-        rng.shuffle(self._positions)
-        self._samples: List[VTTuple] = []
-        self._scanned_pages: Optional[List] = None
-        self._page_offsets: List[int] = []
-        self._page_spans: dict = {}
-        self._column_starts = None
-        self._column_ends = None
-        self._position_array = None
-        self._n_drawn = 0
+        self._positions = _shuffled_positions(outer.n_tuples, rng)
+        self._prefix = SampleSpans.of(())
+        self._columns = None  # the scan's (starts, ends) by row
         self.scan_done = False
 
-    def prefix(self, needed: int) -> List[VTTuple]:
-        """The first *needed* samples, drawing (and charging) as required."""
+    def prefix(self, needed: int) -> SampleSpans:
+        """The first *needed* samples, drawing (and charging) as required.
+
+        Requests never shrink: the candidates' requirements grow with
+        ``partSize``.
+        """
         needed = min(needed, len(self._positions))
-        if self._column_starts is not None:
-            # Scanned with numpy: the whole relation's span columns are
-            # already concatenated, so a prefix is one vectorized gather at
-            # the pre-shuffled positions -- no per-sample work at all.
-            if needed > self._n_drawn:
-                self._n_drawn = needed
-            positions = self._position_array[:needed]
-            return SampleSpans(
-                self._column_starts[positions], self._column_ends[positions]
-            )
-        if needed <= len(self._samples):
-            return self._samples[:needed]
+        held = len(self._prefix)
+        assert needed >= held, "sample prefixes only grow"
+        if needed == held:
+            return self._prefix
         scan_cost = self._cost_model.cost_of_run(self._outer.n_pages)
         random_cost = needed * self._cost_model.io_ran
         if self._allow_scan and (self.scan_done or random_cost >= scan_cost):
             if not self.scan_done:
-                # Nothing else touches the disk during the scan: one run.
-                pages = list(
-                    chain.from_iterable(self._outer.scan_runs(self._outer.n_tuples))
-                )
-                self.scan_done = True
-                delivered = sum(map(len, pages))
-                if delivered < self._outer.n_tuples:
-                    # Torn deliveries lost rows: sample among those that came.
-                    drawn = len(self._samples)
-                    self._positions[drawn:] = [
-                        at for at in self._positions[drawn:] if at < delivered
-                    ]
-                if np is not None and pages:
-                    self._column_starts, self._column_ends = _span_columns(
-                        pages, self._outer.carried
-                    )
-                    self._position_array = np.asarray(
-                        self._positions, dtype=np.int64
-                    )
-                    return self.prefix(needed)
-                # Without numpy, keep the scanned pages; only the sampled
-                # positions are ever materialized (columnar pages build rows
-                # lazily, so flattening the whole relation here would pay a
-                # per-tuple cost the sample never looks at).
-                self._scanned_pages = pages
-                offset = 0
-                for page in pages:
-                    self._page_offsets.append(offset)
-                    offset += len(page)
-            assert self._scanned_pages is not None
-            while len(self._samples) < needed:
-                position = self._positions[len(self._samples)]
-                index = bisect_right(self._page_offsets, position) - 1
-                page = self._scanned_pages[index]
-                offset = position - self._page_offsets[index]
-                if isinstance(page, ColumnarPage):
-                    # The planner only ever reads a sample's interval, so
-                    # columnar pages hand out spans without building tuples
-                    # (keys and payloads stay packed); the page's span
-                    # columns decode once, to plain lists.
-                    spans = self._page_spans.get(index)
-                    if spans is None:
-                        spans = (page.starts_list(), page.ends_list())
-                        self._page_spans[index] = spans
-                    valid = trusted_interval(spans[0][offset], spans[1][offset])
-                    self._samples.append(_SpanSample(valid))
-                else:
-                    self._samples.append(page[offset])
+                self._scan(held)
+                needed = min(needed, len(self._positions))
+            at = self._positions[held:needed]
+            if np is not None:
+                at = np.asarray(at, dtype=np.int64)
+                starts, ends = self._columns[0][at], self._columns[1][at]
+            else:
+                starts = [self._columns[0][row] for row in at]
+                ends = [self._columns[1][row] for row in at]
         else:
-            while len(self._samples) < needed:
-                position = self._positions[len(self._samples)]
-                tup = self._outer.read_tuple(position)
+            starts, ends = [], []
+            while held + len(starts) < needed:
+                tup = self._outer.read_tuple(self._positions[held + len(starts)])
                 if tup is not None:
-                    self._samples.append(tup)
-        return self._samples[:needed]
+                    starts.append(tup.vs)
+                    ends.append(tup.ve)
+        self._prefix = self._prefix.grown(starts, ends)
+        return self._prefix
+
+    def _scan(self, held: int) -> None:
+        # Nothing else touches the disk during the scan: one run.
+        pages = list(chain.from_iterable(self._outer.scan_runs(self._outer.n_tuples)))
+        self.scan_done = True
+        delivered = sum(map(len, pages))
+        if delivered < self._outer.n_tuples:
+            # Torn deliveries lost rows: sample among those that came.
+            self._positions[held:] = [
+                at for at in self._positions[held:] if at < delivered
+            ]
+        self._columns = _span_columns(pages, self._outer.carried)
 
     def estimate_cost(self, needed: int) -> float:
         """Estimated ``C_sample`` for a candidate needing *needed* samples."""
@@ -657,7 +636,7 @@ class _IncrementalSampler:
     def executed_plan(self) -> SamplePlan:
         """How the draw actually went, for the plan record."""
         strategy = SampleStrategy.SCAN if self.scan_done else SampleStrategy.RANDOM
-        n_samples = max(len(self._samples), self._n_drawn)
+        n_samples = len(self._prefix)
         cost = (
             self._cost_model.cost_of_run(self._outer.n_pages)
             if self.scan_done

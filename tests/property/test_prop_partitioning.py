@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.intervals import PartitionMap, choose_intervals
+from repro.core.cache_estimate import estimate_cache_sizes
+from repro.core.intervals import (
+    PartitionMap,
+    SampleSpans,
+    _coverage_quantiles,
+    choose_intervals,
+)
 from repro.core.partitioner import do_partitioning
 from repro.exec.backend import HAVE_NUMPY
 from repro.exec.kernels import get_kernels
@@ -14,6 +20,7 @@ from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
+from repro.time.chronon import BEGINNING, FOREVER
 from repro.time.interval import Interval
 from repro.time.lifespan import covers_lifespan, lifespan_of
 
@@ -58,48 +65,131 @@ class TestChooseIntervalsProperties:
         PartitionMap(choose_intervals(samples, n))  # no PlanError
 
 
+def partition_maps():
+    """Random tilings, one-partition maps included."""
+    return st.builds(
+        lambda start, widths: PartitionMap(
+            [
+                Interval(start + sum(widths[:i]), start + sum(widths[: i + 1]) - 1)
+                for i in range(len(widths))
+            ]
+        ),
+        start=st.integers(-50, 50),
+        widths=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+    )
+
+
+def list_columns(rows):
+    """Sorted list columns: the loop sweep, whatever the backend."""
+    return SampleSpans(sorted(tup.vs for tup in rows), sorted(tup.ve for tup in rows))
+
+
+def span_rows(scale=1):
+    """Rows over a narrow chronon range (ties between starts, ends and
+    partition boundaries are common), one-chronon intervals included."""
+    return st.lists(
+        st.tuples(st.integers(0, 30), st.sampled_from([0, 0, 1, 2, 7, 40])).map(
+            lambda span: VTTuple(
+                (0,), (), Interval(span[0] * scale, (span[0] + span[1]) * scale)
+            )
+        ),
+        min_size=1,
+        max_size=25,
+    )
+
+
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the column sweep needs numpy")
 class TestCoverageQuantilesOnColumns:
-    """The whole-array sweep over a ``SampleSpans`` is the loop: equal
-    chronons for equal positions -- ties between starts and ends,
-    zero-length intervals, a single sample, positions before the first
-    element and past the last."""
+    """The whole-array sweep over sorted ``int64`` columns is the loop over
+    sorted lists: equal chronons for equal positions -- ties between starts
+    and ends, zero-length intervals, a single sample, positions before the
+    first element and past the last."""
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 30), st.sampled_from([0, 0, 1, 2, 7, 40])),
-            min_size=1,
-            max_size=25,
-        ),
-        st.lists(st.integers(-3, 400), min_size=1, max_size=8),
-    )
+    @given(span_rows(), st.lists(st.integers(-3, 400), min_size=1, max_size=8))
     @prop_settings
-    def test_columns_agree_with_the_loop(self, spans, positions):
-        from repro.core.intervals import SampleSpans, _coverage_quantiles
-        from repro.exec.backend import np
-
-        samples = [VTTuple((0,), (), Interval(start, start + extra)) for start, extra in spans]
-        columns = SampleSpans(
-            np.array([tup.vs for tup in samples], dtype=np.int64),
-            np.array([tup.ve for tup in samples], dtype=np.int64),
-        )
-        expected = _coverage_quantiles(samples, positions)
+    def test_columns_agree_with_the_loop(self, rows, positions):
+        columns = SampleSpans.of(rows)
+        assert columns.sweep() is not None
+        expected = _coverage_quantiles(list_columns(rows), positions)
         assert _coverage_quantiles(columns, positions) == expected
-        assert choose_intervals(columns, 5) == choose_intervals(samples, 5)
+        assert choose_intervals(columns, 5) == choose_intervals(list_columns(rows), 5)
 
     def test_chronons_near_the_int64_edge_take_the_loop(self):
-        from repro.core.intervals import SampleSpans, _coverage_quantiles
-        from repro.exec.backend import np
-
         far = 2**61
         samples = [VTTuple((0,), (), Interval(0, far)), VTTuple((0,), (), Interval(5, far + 9))]
-        columns = SampleSpans(
-            np.array([0, 5], dtype=np.int64), np.array([far, far + 9], dtype=np.int64)
-        )
+        columns = SampleSpans.of(samples)
+        assert columns.sweep() is None
         positions = [1, far, 2 * far, 2 * far + 20]
         assert _coverage_quantiles(columns, positions) == _coverage_quantiles(
-            samples, positions
+            list_columns(samples), positions
         )
+
+
+def naive_cache_counts(rows, pmap):
+    """Appendix A.4 per tuple: cached in every overlapped partition but its
+    last."""
+    counts = [0] * len(pmap)
+    for tup in rows:
+        first = pmap.first_overlapping(tup.valid)
+        for index in range(first, pmap.last_overlapping(tup.valid)):
+            counts[index] += 1
+    return counts
+
+
+class TestSampleConsumers:
+    """``choose_intervals`` and ``estimate_cache_sizes`` read a sample only
+    through its two endpoint multisets: rows in any order, sorted list
+    columns and sorted array columns all give the same answer, and the
+    cache estimate is the per-tuple definition."""
+
+    @given(span_rows(), st.integers(1, 8), st.randoms(use_true_random=False))
+    @prop_settings
+    def test_both_consumers_ignore_row_order(self, rows, n, rnd):
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        forms = [rows, shuffled, list_columns(rows), SampleSpans.of(rows)]
+        intervals = choose_intervals(rows, n)
+        assert all(choose_intervals(form, n) == intervals for form in forms)
+        # Boundaries chosen from the rows themselves tie with their endpoints.
+        pmap = PartitionMap(intervals)
+        population = 7 * len(rows)
+        expected = [
+            SPEC.pages_for_tuples(round(count * population / len(rows)))
+            for count in naive_cache_counts(rows, pmap)
+        ]
+        for form in forms:
+            assert estimate_cache_sizes(form, population, pmap, SPEC) == expected
+
+    @given(span_rows(), partition_maps())
+    @prop_settings
+    def test_cache_counts_on_any_tiling(self, rows, pmap):
+        counts = naive_cache_counts(rows, pmap)
+        expected = [SPEC.pages_for_tuples(count) for count in counts]
+        for form in (rows, list_columns(rows), SampleSpans.of(rows)):
+            assert estimate_cache_sizes(form, len(rows), pmap, SPEC) == expected
+
+    @given(span_rows(scale=2**55), st.integers(2, 8))
+    @prop_settings
+    def test_int64_headroom_takes_the_loop(self, rows, n):
+        columns = SampleSpans.of(rows)
+        lo, hi = columns.lifespan()
+        if len(rows) * (hi - lo + 1) >= 2**62:
+            assert columns.sweep() is None
+        intervals = choose_intervals(rows, n)
+        assert choose_intervals(list_columns(rows), n) == intervals
+        assert choose_intervals(list(reversed(rows)), n) == intervals
+        pmap = PartitionMap(intervals)
+        assert estimate_cache_sizes(columns, len(rows), pmap, SPEC) == [
+            SPEC.pages_for_tuples(count) for count in naive_cache_counts(rows, pmap)
+        ]
+
+    def test_forever_intervals_keep_an_exact_mass(self):
+        """Three rows over the whole time-line hold more chronons than
+        ``int64`` counts; the plan is still the loop's."""
+        whole = VTTuple((0,), (), Interval(BEGINNING, FOREVER))
+        rows = [whole, whole, whole, VTTuple((0,), (), Interval(0, 10))]
+        assert SampleSpans.of(rows).mass() == 3 * (FOREVER - BEGINNING + 1) + 11
+        assert choose_intervals(rows, 4) == choose_intervals(list_columns(rows), 4)
 
 
 class TestPlacementProperties:
@@ -151,20 +241,6 @@ class TestPlacementProperties:
                         )
                     )
                     assert shared
-
-
-def partition_maps():
-    """Random tilings, one-partition maps included."""
-    return st.builds(
-        lambda start, widths: PartitionMap(
-            [
-                Interval(start + sum(widths[:i]), start + sum(widths[: i + 1]) - 1)
-                for i in range(len(widths))
-            ]
-        ),
-        start=st.integers(-50, 50),
-        widths=st.lists(st.integers(1, 30), min_size=1, max_size=8),
-    )
 
 
 class TestPartitionWindows:

@@ -11,6 +11,12 @@ from repro.model.errors import QueryCancelledError, ServiceError
 from repro.service.executor import QueryExecutor
 
 
+def blocking(entered, release):
+    """A query body that signals it is running, then holds its worker."""
+    entered.set()
+    return release.wait(10.0)
+
+
 @pytest.fixture
 def executor():
     ex = QueryExecutor(workers=2, queue_limit=4)
@@ -52,10 +58,9 @@ class TestBoundedQueue:
     def test_submit_rejects_beyond_queue_limit(self):
         executor = QueryExecutor(workers=1, queue_limit=2)
         try:
-            release = threading.Event()
-            blocker = executor.submit(lambda h: release.wait(10.0))
-            while executor.active < 1:
-                time.sleep(0.001)
+            entered, release = threading.Event(), threading.Event()
+            blocker = executor.submit(lambda h: blocking(entered, release))
+            assert entered.wait(5.0)
             executor.submit(lambda h: None)
             executor.submit(lambda h: None)
             with pytest.raises(ServiceError, match="run queue full"):
@@ -76,11 +81,10 @@ class TestCancellation:
     def test_cancel_while_queued_skips_the_work(self):
         executor = QueryExecutor(workers=1, queue_limit=8)
         try:
-            release = threading.Event()
+            entered, release = threading.Event(), threading.Event()
             ran = []
-            blocker = executor.submit(lambda h: release.wait(10.0))
-            while executor.active < 1:
-                time.sleep(0.001)
+            blocker = executor.submit(lambda h: blocking(entered, release))
+            assert entered.wait(5.0)
             queued = executor.submit(lambda h: ran.append(1))
             assert queued.cancel()
             release.set()
@@ -97,13 +101,12 @@ class TestCancellation:
 
         def cooperative(handle):
             entered.set()
-            for _ in range(200):
-                handle.check_cancelled()
-                time.sleep(0.005)
+            handle.cancel_event.wait(10.0)
+            handle.check_cancelled()
             return "finished"
 
         handle = executor.submit(cooperative)
-        entered.wait(5.0)
+        assert entered.wait(5.0)
         assert handle.cancel()
         with pytest.raises(QueryCancelledError):
             handle.result(5.0)
@@ -136,13 +139,15 @@ class TestCancellation:
 
     def test_shutdown_cancels_backlog(self):
         executor = QueryExecutor(workers=1, queue_limit=8)
-        release = threading.Event()
-        blocker = executor.submit(lambda h: release.wait(10.0))
-        while executor.active < 1:
-            time.sleep(0.001)
+        entered, release = threading.Event(), threading.Event()
+        blocker = executor.submit(lambda h: blocking(entered, release))
+        assert entered.wait(5.0)
         queued = executor.submit(lambda h: "never")
+        # Cancel the backlog while the single worker is still busy, so it
+        # cannot pop ``queued`` first; only then let the blocker finish.
+        executor.shutdown(wait=False, cancel_queued=True)
         release.set()
-        executor.shutdown(wait=True, cancel_queued=True)
+        executor.shutdown(wait=True)
         blocker.result(1.0)
         with pytest.raises(QueryCancelledError):
             queued.result(1.0)
