@@ -15,8 +15,8 @@ exactly the partitioning-phase effect Section 4.2 reports.
 storage chronon -- is the CPU-bound part of this phase and runs in two
 ways: per tuple (``"tuple"``, the oracle) or through the batch kernels
 (every other mode): one ``route`` call over the chronon column the source
-carries, every flushed bucket handing its sub-batch on to the partition
-file (:func:`_route_carried`) -- and per tuple after all from the first
+carries, whose one permutation makes every bucket a contiguous slice
+(:func:`_route_carried`) -- and per tuple after all from the first
 delivery that is not the carried rows, or when nothing is carried.  Either
 way the charged I/O -- the input scan and the bucket flush sequence -- is
 issued in the identical serial order, so partition contents and
@@ -27,7 +27,7 @@ across modes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
+from itertools import accumulate, chain, pairwise
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import PartitionMap
@@ -139,9 +139,9 @@ def do_partitioning(
                 pages = ()
             elif carried is not None and len(carried) == source.n_tuples:
                 chronons = carried.ends if placement == "last" else carried.starts
-                groups = kernels.route(chronons, boundaries)
+                perm, counts = kernels.route(chronons, boundaries)
                 pages = _route_carried(
-                    carried, groups, pages, partitions, buffers, flush_threshold
+                    carried, perm, counts, pages, partitions, buffers, flush_threshold
                 )
         # Row by row: the oracle, a file that carries nothing, and the rest
         # of a scan from the first delivery that is not the carried rows.
@@ -172,7 +172,8 @@ def _flush(partition: HeapFile, bucket: List, columns=None) -> None:
 
 def _route_carried(
     carried,
-    groups: List[List[int]],
+    perm: Sequence[int],
+    counts: List[int],
     pages: Iterator[List],
     partitions: List[HeapFile],
     buffers: List[List],
@@ -181,13 +182,14 @@ def _route_carried(
     """Route a source by the columns it carries, as far as its *pages* bear
     them out.
 
-    *groups* places every carried row (``Kernels.route``: per partition the
-    rows it receives), which fixes the flush schedule: a bucket flushes
-    right after the row that fills it.  The scan then checks each delivered
-    page against the carried rows and performs the flushes that fall inside
-    it before the next page is read -- the writes of routing row by row, at
-    the same points of the scan -- each handing the partition file its
-    sub-batch.
+    *perm* and *counts* place every carried row (``Kernels.route``): one
+    gather lays the rows out bucket by bucket, in input order within each,
+    and fixes the flush schedule -- a bucket flushes right after the row
+    that fills it.  The scan then checks each delivered page against the
+    carried rows and performs the flushes that fall inside it before the
+    next page is read -- the writes of routing row by row, at the same
+    points of the scan -- and each partition file carries its bucket's
+    slice of the gathered batch.
 
     Returns the pages still to route row by row: none when the scan bore out
     every carried row (final flushes done); otherwise -- a torn delivery --
@@ -195,14 +197,15 @@ def _route_carried(
     if it was the last page that came short), with the rows that did arrive
     and are not yet flushed put in *buffers*.
     """
-    buckets = [carried.take(rows) for rows in groups]
-    # (the row that fills the bucket, partition, first row of the flush)
+    routed = carried.take(perm)
+    bounds = list(accumulate(counts, initial=0))  # bucket i: routed[bounds[i]:bounds[i + 1]]
+    # (the row that fills the bucket, partition, end of the flush in routed)
     schedule = sorted(
-        (rows[first + flush_threshold - 1], index, first)
-        for index, rows in enumerate(groups)
-        for first in range(0, len(rows) - flush_threshold + 1, flush_threshold)
+        (int(perm[stop - 1]), index, stop)
+        for index, (first, last) in enumerate(pairwise(bounds))
+        for stop in range(first + flush_threshold, last + 1, flush_threshold)
     )
-    flushed = [0] * len(groups)
+    flushed = bounds[:-1]
     offset = due = 0
     rest: Iterable[List] = ()
     for page in pages:
@@ -211,18 +214,18 @@ def _route_carried(
             break
         offset += len(page)
         while due < len(schedule) and schedule[due][0] < offset:
-            _, index, first = schedule[due]
+            _, index, stop = schedule[due]
             due += 1
-            flushed[index] = first + flush_threshold
-            batch = buckets[index][first : flushed[index]]
+            batch = routed[flushed[index] : stop]
             _flush(partitions[index], batch.tuples, batch)
-    for index, rows in enumerate(groups):
-        arrived = bisect_left(rows, offset, flushed[index])
-        batch = buckets[index][flushed[index] : arrived]
+            flushed[index] = stop
+    for index, (first, last) in enumerate(pairwise(bounds)):
+        batch = routed[flushed[index] : bisect_left(perm, offset, flushed[index], last)]
         if offset < len(carried):
             buffers[index] = batch.tuples
-        elif len(batch):
-            _flush(partitions[index], batch.tuples, batch)
+            continue
+        _flush(partitions[index], batch.tuples, batch)  # a no-op when empty
+        partitions[index].carry(routed[first:last])
     return rest
 
 

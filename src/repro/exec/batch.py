@@ -176,8 +176,8 @@ class PageBatch:
             ]
         return np.nonzero((self.ends > lo) & (self.starts <= hi))[0].tolist()
 
-    def take(self, rows: List[int]) -> "PageBatch":
-        """The sub-batch of *rows*, in the order given."""
+    def take(self, rows) -> "PageBatch":
+        """The sub-batch of *rows* (a list or an index array), in order."""
         tuples = self.tuples
         columns = (self.key_ids, self.starts, self.ends)
         if isinstance(self.starts, list):
@@ -188,6 +188,7 @@ class PageBatch:
         else:
             at = np.asarray(rows, dtype=np.int64)
             gathered = [None if column is None else column[at] for column in columns]
+            rows = at.tolist()  # plain ints index the row list fastest
         return PageBatch([tuples[row] for row in rows], *gathered, self.keys)
 
     def without(self, rows: List[int], tuples: List[VTTuple]) -> "PageBatch":

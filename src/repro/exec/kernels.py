@@ -213,13 +213,14 @@ class Kernels:
 
     def route(
         self, chronons: Sequence[int], boundaries: PartitionBoundaries
-    ) -> List[List[int]]:
-        """:meth:`locate`, grouped: per partition the rows it receives,
-        ascending -- a whole relation's Grace routing in one call."""
+    ) -> Tuple[Sequence[int], List[int]]:
+        """:meth:`locate` as one stable counting sort, a whole relation's
+        Grace routing: ``(perm, counts)`` -- the rows partition by partition,
+        in input order within each, and how many each partition receives."""
         groups: List[List[int]] = [[] for _ in range(boundaries.n)]
         for row, index in enumerate(self.locate(chronons, boundaries)):
             groups[index].append(row)
-        return groups
+        return [row for group in groups for row in group], list(map(len, groups))
 
 
 class PythonKernels(Kernels):
@@ -424,11 +425,11 @@ class NumpyKernels(Kernels):
         return self._located(chronons, boundaries).tolist()
 
     def route(self, chronons, boundaries):
-        located = self._located(chronons, boundaries)
-        # The stable sort keeps each partition's rows in input order.
-        rows = np.argsort(located, kind="stable").tolist()
-        stops = np.cumsum(np.bincount(located, minlength=boundaries.n)).tolist()
-        return [rows[start:stop] for start, stop in zip([0] + stops, stops)]
+        # numpy's stable sort of a narrow unsigned key is a radix sort.
+        narrow = np.min_scalar_type(boundaries.n - 1)
+        located = self._located(chronons, boundaries).astype(narrow)
+        counts = np.bincount(located, minlength=boundaries.n).tolist()
+        return np.argsort(located, kind="stable"), counts
 
 
 _DEFAULT: Optional[Kernels] = None

@@ -4,12 +4,12 @@ intersect.
 The CSR kernels of :mod:`repro.exec.kernels` expand every inner row against
 *every* outer row of its key group and filter afterwards; on temporally
 wide partitions with short intervals almost all candidates die in the
-intersection filter.  Here the outer block is sorted by ``(key group,
-start chronon)`` once per block, each group's maximum interval length is
-reduced with ``np.maximum.reduceat``, and each inner row then probes only
-the start-window ``[inner.start - maxlen, inner.end]`` of its group,
-located with two ``searchsorted`` calls on a composite ``group * stride +
-(start - min_start)`` key.  The exact intersection, the exactly-once owner
+intersection filter.  Here the outer block is sorted once per block by one
+composite ``key_id * stride + (start - min_start)`` key, each key group's
+maximum interval length is reduced with ``np.maximum.reduceat``, and each
+inner row then probes only the start-window ``[inner.start - maxlen,
+inner.end]`` of its group, located with two ``searchsorted`` calls on the
+sorted composite.  The exact intersection, the exactly-once owner
 filter, and the (inner row, outer insertion order) emission sort still run
 afterwards, so results are bit-identical to the oracle.
 
@@ -35,8 +35,9 @@ from repro.exec.backend import np
 from repro.exec.kernels import _NumpyProbeIndex
 from repro.model.vtuple import VTTuple
 
-#: Composite-key headroom guard: ``n_groups * stride`` must stay below this
-#: bound or the pruned index falls back to the unpruned CSR probe.
+#: Composite-key headroom guard: ``(largest key id + 1) * stride * rows``
+#: must stay below this bound or the pruned index falls back to the
+#: unpruned CSR probe.
 _COMPOSITE_LIMIT = 2**62
 
 
@@ -86,37 +87,36 @@ class PrunedProbeIndex:
             self.stride = 1
             return
         key_ids, starts, ends = columns
+        self.min_start = int(starts.min())
+        self.stride = int(starts.max()) - self.min_start + 2
         # Rows alone in their key group can never be pruned; where they are
-        # the majority the verdict is in before the sort below is paid for.
-        if 2 * np.count_nonzero(np.bincount(key_ids) == 1) > n:
+        # the majority, or the composite key cannot fit, the verdict is in
+        # before the sort is paid for.
+        id_counts = np.bincount(key_ids)
+        singles = np.count_nonzero(id_counts == 1)
+        if 2 * singles > n or id_counts.size * self.stride * n >= _COMPOSITE_LIMIT:
             self.csr = _NumpyProbeIndex(self.block, interner, columns=columns)
             return
-        # Sort by (group, start); ties keep arbitrary relative order -- the
-        # emission sort restores block insertion order from ``order``.
-        self.order = np.lexsort((starts, key_ids))
+        # The row as the lowest digit of the composite key makes every key
+        # distinct, so one plain sort yields the order and the sorted key,
+        # equal (key, start) pairs in block order: the order the emission
+        # sort restores, which then finds its input presorted.
+        comp = key_ids * self.stride + (starts - self.min_start)
+        self.comp, self.order = np.divmod(np.sort(comp * n + np.arange(n)), n)
         ids_sorted = key_ids[self.order]
         self.starts_sorted = starts[self.order]
         self.ends_sorted = ends[self.order]
-        self.uniq_ids, group_first, counts = np.unique(
-            ids_sorted, return_index=True, return_counts=True
-        )
-        self.n_groups = int(self.uniq_ids.size)
+        group_first = np.flatnonzero(np.diff(ids_sorted, prepend=-1))
+        self.uniq_ids = ids_sorted[group_first]
+        self.n_groups = int(group_first.size)
         self.grp_maxlen = np.maximum.reduceat(
             self.ends_sorted - self.starts_sorted, group_first
         )
-        self.min_start = int(self.starts_sorted.min())
-        span = int(self.starts_sorted.max()) - self.min_start
-        self.stride = span + 2
-        group_last = group_first + counts - 1
+        group_last = np.append(group_first[1:], n) - 1
         group_span = self.starts_sorted[group_last] - self.starts_sorted[group_first]
-        prunable_rows = int(counts[self.grp_maxlen < group_span].sum())
-        if 2 * prunable_rows < n or self.n_groups * self.stride >= _COMPOSITE_LIMIT:
+        prunable_rows = int(id_counts[self.uniq_ids[self.grp_maxlen < group_span]].sum())
+        if 2 * prunable_rows < n:
             self.csr = _NumpyProbeIndex(self.block, interner, columns=columns)
-            return
-        rank = np.repeat(
-            np.arange(self.n_groups, dtype=np.int64), counts.astype(np.int64)
-        )
-        self.comp = rank * self.stride + (self.starts_sorted - self.min_start)
 
 
 def probe_pruned(
@@ -157,7 +157,7 @@ def probe_pruned(
         np.maximum(i_starts - index.grp_maxlen[g] - min_start, 0), stride - 1
     )
     hi_off = np.minimum(np.maximum(i_ends - min_start, -1), stride - 2)
-    base = g * stride
+    base = index.uniq_ids[g] * stride
     lo = np.searchsorted(index.comp, base + lo_off, side="left")
     hi = np.searchsorted(index.comp, base + hi_off, side="right")
     counts = np.maximum(hi - lo, 0)

@@ -87,11 +87,11 @@ class HeapFile:
             each page tuple by tuple.
 
     **Carried columns.**  A tuple-list file also keeps, beside its pages, the
-    columns of the rows written to it when the writer had them
-    (:attr:`carried`): a placed relation's split, a Grace bucket's sub-batch.
-    They describe every row of the file, in file order, or are dropped: by a
-    write that comes without columns, a rewind, an abandoned buffer.  Readers
-    check every delivery (:meth:`~repro.exec.batch.PageBatch.matching`).
+    columns of its rows as one batch when the writer had them (:attr:`carried`):
+    a placed relation's split, a Grace bucket's slice of the routed relation.
+    They describe every row of the file, in file order, or are dropped: by
+    any later write, a rewind, an abandoned buffer.  Readers check every
+    delivery (:meth:`~repro.exec.batch.PageBatch.matching`).
     """
 
     def __init__(
@@ -120,9 +120,7 @@ class HeapFile:
         # it permanently (cheap incremental check, never a re-scan).
         self._endpoint_sorted = True
         self._last_span: Optional[Tuple[int, int]] = None
-        # Carried columns, one batch per write: [] for an empty file, None
-        # once some row arrived without columns.
-        self._carried: Optional[List[PageBatch]] = None if columnar else []
+        self.carried: Optional[PageBatch] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -184,7 +182,7 @@ class HeapFile:
         disk.load(heap.extent, pages)
         heap._n_tuples = len(tuple_list)
         if columns is not None and not columnar:
-            heap._carried = [columns]
+            heap.carried = columns
         heap._endpoint_sorted = spans_sorted(*_endpoints(tuple_list, columns), None)
         if tuple_list:
             heap._last_span = (tuple_list[-1].vs, tuple_list[-1].ve)
@@ -214,16 +212,14 @@ class HeapFile:
         """
         return self._endpoint_sorted
 
-    @property
-    def carried(self) -> Optional[PageBatch]:
-        """The columns of every row in the file, as one batch in file order,
-        or None when some row was written without (or there are no rows)."""
-        parts = self._carried
-        if not parts:
-            return None
-        if len(parts) > 1:
-            parts[:] = [PageBatch.concat(parts)]
-        return parts[0]
+    def carry(self, columns: PageBatch) -> None:
+        """Carry *columns*, the batch of every row written to the file so
+        far, in file order: how a writer that wrote them all from one batch
+        names it once, not per write.  A columnar file carries nothing."""
+        if len(columns) != self._n_tuples:
+            raise ValueError(f"{len(columns)} carried rows, {self._n_tuples} in the file")
+        if not self.columnar:
+            self.carried = columns
 
     def _note_span(self, start: int, end: int) -> None:
         span = (start, end)
@@ -242,7 +238,7 @@ class HeapFile:
             # timestamps; without spans the flag cannot be maintained.
             self._endpoint_sorted = False
             self._last_span = None
-        self._carried = None
+        self.carried = None
         self._write_page.append(tup)
         self._n_tuples += 1
         if len(self._write_page) >= self._room:
@@ -255,16 +251,13 @@ class HeapFile:
 
         Writes exactly the page sequence (and charges) that one
         :meth:`append` per tuple would, with one endpoint-sortedness pass
-        over the run instead of a check per tuple.  *columns* is the batch
-        of exactly these rows, for the file to carry; without it the file
-        carries nothing from here on.
+        over the run instead of a check per tuple, read off *columns* -- the
+        batch of exactly these rows -- when the writer holds it.  The file
+        carries nothing from here on until :meth:`carry`.
         """
         run = tuples if isinstance(tuples, list) else list(tuples)
-        if self._carried is not None:
-            if columns is None:
-                self._carried = None
-            elif run:
-                self._carried.append(columns)
+        if run:
+            self.carried = None
         if self._endpoint_sorted and run:
             # An unsorted file stays unsorted until it is emptied, and
             # ``_last_span`` is only read while the flag holds, so the pass
@@ -296,7 +289,7 @@ class HeapFile:
         n = len(block)
         if n == 0:
             return
-        self._carried = None  # a block's rows are not rows yet
+        self.carried = None  # a block's rows are not rows yet
         if self._endpoint_sorted:
             self._endpoint_sorted = block.spans_sorted(self._last_span)
             self._last_span = block.last_span()
@@ -399,7 +392,7 @@ class HeapFile:
         file starts over."""
         self._reset_buffer()
         self._endpoint_sorted = self._n_tuples == 0
-        self._carried = [] if self._n_tuples == 0 and not self.columnar else None
+        self.carried = None
         if self._n_tuples == 0:
             self._last_span = None
 

@@ -94,7 +94,7 @@ def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
         )
     if not carried:
         for part in (*r_parts, *s_parts):
-            part._carried = None
+            part.carried = None
     context = SweepContext(
         r_parts=tuple(r_parts),
         s_parts=tuple(s_parts),

@@ -104,8 +104,12 @@ class TestPolicies:
             time.sleep(0.001)
         small = threading.Thread(target=waiter, args=("small", 1))
         small.start()
-        # 1 page is free, but FIFO holds "small" behind "big".
-        time.sleep(0.05)
+        # 1 page is free, but FIFO holds "small" behind "big": it queues
+        # instead of being granted.
+        deadline = time.monotonic() + 5.0
+        while controller.queue_length < 2 and not order and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert controller.queue_length == 2
         assert order == []
         holder.release()
         big.join()

@@ -257,21 +257,30 @@ class TestCarriedColumns:
             disk, "c", spec, batch.tuples, columnar=True, columns=batch
         )
         assert heap.carried is None and heap.endpoint_sorted
+        heap.carry(batch)  # nor when it is named the columns
+        assert heap.carried is None
 
-    def test_appends_with_columns_accumulate_in_file_order(self, disk, spec):
+    def test_carry_names_the_columns_of_every_row_written(self, disk, spec):
         rows = tuples(11)
+        batch = keyed(rows)
         heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
         assert heap.carried is None  # no rows, nothing to describe
         for lo, hi in ((0, 3), (3, 9), (9, 11)):
-            heap.append_many(rows[lo:hi], keyed(rows)[lo:hi])
-            assert carried_rows_are_the_files(heap)
+            heap.append_many(rows[lo:hi], batch[lo:hi])
+            assert heap.carried is None  # a write names no columns for the file
+        with pytest.raises(ValueError):
+            heap.carry(batch[:10])  # not every row
+        heap.carry(batch)
+        assert heap.carried is batch and carried_rows_are_the_files(heap)
         assert heap.endpoint_sorted and (heap.n_pages, heap.n_tuples) == (2, 11)
 
     @pytest.mark.parametrize("write", ["append", "append_many", "append_block"])
     def test_a_write_without_columns_drops_them_for_good(self, disk, spec, write):
         rows = tuples(9)
         heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
-        heap.append_many(rows[:5], keyed(rows[:5]))
+        heap.append_many(rows[:5])
+        heap.carry(keyed(rows[:5]))
+        assert carried_rows_are_the_files(heap)
         if write == "append":
             heap.append(rows[5])
         elif write == "append_many":
@@ -288,7 +297,8 @@ class TestCarriedColumns:
     def test_abandon_drops_them_with_the_buffer(self, disk, spec):
         rows = tuples(7)
         heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
-        heap.append_many(rows, keyed(rows))
+        heap.append_many(rows)
+        heap.carry(keyed(rows))
         assert (heap.n_pages, heap.n_tuples) == (1, 7)
         heap.abandon()
         assert heap.n_tuples == 4 and heap.carried is None
@@ -298,21 +308,25 @@ class TestCarriedColumns:
     def test_an_emptied_file_starts_over(self, disk, spec):
         rows = tuples(3)
         heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
-        heap.append(rows[0])  # no columns: nothing carried ...
-        heap.abandon()  # ... until the file is empty again
+        heap.append(rows[0])
+        heap.carry(keyed(rows[:1]))
+        heap.abandon()  # the row and its columns are gone ...
         assert heap.n_tuples == 0 and heap.carried is None
-        heap.append_many(rows, keyed(rows))
+        heap.append_many(rows)  # ... and the emptied file is written afresh
+        heap.carry(keyed(rows))
         assert carried_rows_are_the_files(heap)
 
     def test_rewind_drops_them_with_the_pages(self, disk, spec):
         rows = tuples(10)
         heap = HeapFile.create(disk, "w", spec, capacity_tuples=12)
-        heap.append_many(rows, keyed(rows))
+        heap.append_many(rows)
+        heap.carry(keyed(rows))
         assert carried_rows_are_the_files(heap)
         heap.rewind_to(1, 4)
         assert heap.n_tuples == 4 and heap.carried is None
         heap.rewind_to(0, 0)
-        heap.append_many(rows[:2], keyed(rows[:2]))
+        heap.append_many(rows[:2])
+        heap.carry(keyed(rows[:2]))
         assert carried_rows_are_the_files(heap)
 
     def test_a_delivery_is_checked_against_them(self, disk, spec):

@@ -6,6 +6,7 @@ emission order) to the PR-1 kernels' CSR probe, for every backend,
 whichever probe the index picks for a block.
 """
 
+import itertools
 import random
 
 import pytest
@@ -13,9 +14,9 @@ import pytest
 from repro.core.intervals import PartitionMap
 from repro.core.joiner import _BatchEngine
 from repro.core.partition_join import PartitionJoinConfig, partition_join
-from repro.exec import kernels as kernels_module
+from repro.exec import kernels as kernels_module, pruned_probe
 from repro.exec.backend import HAVE_NUMPY
-from repro.exec.kernels import PythonKernels, get_kernels
+from repro.exec.kernels import PythonKernels, _NumpyProbeIndex, get_kernels
 from repro.exec.pruned_probe import PrunedProbeIndex, PrunedProbeIndexPython
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
@@ -123,6 +124,55 @@ class TestEngine:
         assert engine.build_index(singles).csr is not None
         covering = [vt("a", start, 59) for start in range(0, 50, 5)]
         assert engine.build_index(covering).csr is not None
+
+    @pytest.mark.parametrize("case", ["dense ties", "one key", "past the limit"])
+    def test_fuzz_tie_heavy_blocks_probe_like_csr(self, pmap, case, monkeypatch):
+        """The index sorts on one composite key: the four output columns
+        must equal the CSR probe's, row for row -- on blocks dense in equal
+        ``(key, start)`` pairs, on blocks of one key, and where the composite
+        reaches ``_COMPOSITE_LIMIT`` and the block must take the CSR path."""
+        kernels = get_kernels("numpy")
+        rng = random.Random(0x71E5)
+        for trial in range(12):
+            keys = ["a"] if case == "one key" else ["a", "b", "c"]
+            # A few distinct starts, at least 5 chronons from the anchors at
+            # 0, so every key group spans more than its longest interval.
+            starts = [rng.randrange(5, 55) for _ in range(rng.randint(1, 4))]
+            block = [
+                vt(rng.choice(keys), start, start + rng.choice((0, 1, 2)), tag=i)
+                for i, start in enumerate(rng.choice(starts) for _ in range(60))
+            ]
+            block += [vt(key, 0, 0, "anchor") for key in keys]
+            page = random_tuples(rng, 30, keys + ["ghost"])
+            engine = _BatchEngine(pmap, "backward", kernels=kernels)
+            outer = engine.decompose([block])
+            inner = engine.decompose([page])
+            columns = (outer.key_ids, outer.starts, outer.ends)
+            csr = _NumpyProbeIndex(block, engine._interner, columns=columns)
+            # The composite key, rows included, reaches (largest id + 1) *
+            # stride * rows.
+            stride = int(outer.starts.max()) - int(outer.starts.min()) + 2
+            composite = (int(outer.key_ids.max()) + 1) * stride * len(block)
+            limit = composite if case == "past the limit" else composite + 1
+            monkeypatch.setattr(pruned_probe, "_COMPOSITE_LIMIT", limit)
+            index = engine.build_index(outer)
+            assert (index.csr is not None) == (case == "past the limit")
+            for direction, part in itertools.product(("backward", "forward"), range(3)):
+                want = kernels.probe_columns(
+                    csr, inner, engine.boundaries, part, direction
+                )
+                if index.csr is None:
+                    got = pruned_probe.probe_pruned(
+                        index, inner.key_ids, inner.starts, inner.ends,
+                        engine.boundaries, part, direction,
+                    )
+                else:
+                    got = kernels.probe_columns(
+                        index.csr, inner, engine.boundaries, part, direction
+                    )
+                assert [column.tolist() for column in got] == [
+                    column.tolist() for column in want
+                ], f"{case} trial {trial} {direction} part {part}"
 
     def test_composite_overflow_falls_back_to_csr(self, pmap, monkeypatch):
         """Starts spread over ~2^61 chronons overflow the composite key;
