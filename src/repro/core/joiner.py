@@ -66,7 +66,11 @@ like any other volatile buffer.  A pass that migrates reads page by page;
 where no other main-disk access can fall between two pages -- the
 outer-partition scan, the passes of overflow blocks and of the last
 partition, the overflow spill's round trip -- the batch engine reads (and
-is charged for) a run in one call, which is the same access sequence.
+is charged for) a run in one call, which is the same access sequence.  On
+demand I/O over a disk with no faults and no checksums, the batch engine
+need not walk a pass at all: once it has checked, uncharged, that the
+stream's stored pages are the rows it carries, it bills the walk's charges
+in the walk's order from those rows (:meth:`PartitionSweep._pass`).
 
 **Split once.**  A row's ``(key, start, end)`` columns are derived once
 per relation version and arrive here on the partition files
@@ -88,7 +92,7 @@ always calls it per match (it is the oracle for the block path too).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -525,26 +529,14 @@ class PartitionSweep:
             }
             for block_number, block in enumerate(blocks):
                 probe_index = engine.build_index(block)
-                # Migration happens exactly once, and only a pass that
-                # migrates puts another access between two page reads.
+                # Migration happens exactly once.
                 into = new_cache if block_number == 0 else None
-                runs = self._by_run and into is None
-                streams = []
-                if state.cache is not None:
-                    streams.append(("cache", state.cache.chunks(runs)))
-                streams.append(("inner", self._io.scan(context.s_parts[index], runs)))
-                for source, chunks in streams:
+                for source in ("cache", "inner") if state.cache is not None else ("inner",):
                     with span_or_null(
                         obs, "probe", source=source, partition=index, block=block_number
                     ) as probe_span:
-                        counts, seen[source] = self._probe_pages(
-                            state,
-                            chunks,
-                            probe_index,
-                            index,
-                            next_index,
-                            into,
-                            seen[source],
+                        counts, seen[source] = self._pass(
+                            state, source, probe_index, index, next_index, into, seen[source]
                         )
                         probe_span.set(**counts)
                     for key in totals:
@@ -573,6 +565,79 @@ class PartitionSweep:
                     "Rows probed against the outer block, per partition.",
                 )
         state.position = pos + 1
+
+    def _pass(
+        self,
+        state: SweepState,
+        source: str,
+        probe_index,
+        index: int,
+        next_index: Optional[int],
+        new_cache: Optional["_TupleCache"],
+        carried: Optional[PageBatch],
+    ) -> Tuple[Dict[str, int], Optional[PageBatch]]:
+        """One pass of the outer block over a stream -- ``"cache"``, the old
+        tuple cache's resident rows then its spill file, or ``"inner"``, the
+        partition ``s_i`` -- whose rows were split into *carried* before:
+        walked (:meth:`_probe_pages`, by run unless it migrates), or billed
+        when the I/O finds the stored pages to be the carried rows.
+
+        A billed pass delivers nothing.  A *unit* is what the walk reads at
+        once -- the resident area (no read), a page if the pass migrates, a
+        :meth:`HeapFile.scan_runs` run if not -- and after a unit the walk
+        may write the new-cache page its migrants fill and emit a run of
+        :data:`RUN_ROWS` rows.  The reads up to the next such unit go out in
+        one call, then its migrants (whose write falls where the walk's
+        does), then the run.
+        """
+        if source == "cache":
+            resident, heap = state.cache.resident, state.cache.spill
+        else:
+            resident, heap = [], self._context.s_parts[index]
+        bounds = self._io.stored_bounds(resident, heap, carried)
+        if bounds is None:
+            runs = self._by_run and new_cache is None
+            chunks = state.cache.chunks(runs) if source == "cache" else self._io.scan(heap, runs)
+            return self._probe_pages(
+                state, chunks, probe_index, index, next_index, new_cache, carried
+            )
+        engine = self._engine
+        migrate = new_cache is not None
+        n_pages = len(bounds) - 1
+        per_unit = 1 if migrate else heap.pages_per_run(RUN_ROWS)
+        pages_at = list(range(per_unit, n_pages, per_unit)) + [n_pages] if n_pages else []
+        if resident:
+            pages_at.insert(0, 0)
+        ends = [len(resident) + bounds[pages] for pages in pages_at]  # rows through a unit
+        due = engine.overlapping_rows(carried, next_index) if migrate else []
+        migrants = carried.take(due) if due else None
+        read = moved = run_start = n_emitted = 0
+        unit, last = 0, len(ends) - 1
+        while unit <= last:
+            event = bisect_left(ends, run_start + RUN_ROWS, unit)
+            if moved < len(due):
+                fill = moved + new_cache.room() - 1  # the migrant that writes a page
+                if fill < len(due):
+                    event = min(event, bisect_right(ends, due[fill], unit))
+            unit = min(event, last)
+            heap.disk.read_run(heap.extent, read, pages_at[unit] - read)
+            read = pages_at[unit]
+            upto = bisect_left(due, ends[unit], moved)
+            if upto > moved:
+                new_cache.extend(migrants.tuples[moved:upto])
+                moved = upto
+            if ends[unit] - run_start >= RUN_ROWS or unit == last:
+                if ends[unit] > run_start:
+                    run = carried[run_start : ends[unit]]
+                    n_emitted += self._emit(state, engine.probe(probe_index, run, index))
+                run_start = ends[unit]
+            unit += 1
+        if due:
+            new_cache.carry(migrants)
+        counts = dict(
+            pages=n_pages + bool(resident), rows=len(carried), matches=n_emitted, migrated=len(due)
+        )
+        return counts, carried if ends else None
 
     def _probe_pages(
         self,
@@ -786,6 +851,14 @@ class _DemandIO:
         """The pages of *heap* in the lists they are read in."""
         return _chunks(heap, by_run)
 
+    def stored_bounds(self, resident, heap, carried) -> Optional[List[int]]:
+        """How *heap*'s stored pages split the rows *carried* holds after the
+        *resident* ones (:meth:`HeapFile.stored_bounds`) when a pass over the
+        stream may be billed; else None."""
+        if carried is None or heap is None or carried.tuples[: len(resident)] != resident:
+            return None
+        return heap.stored_bounds(carried.tuples[len(resident) :] if resident else carried.tuples)
+
     def open_cache(self, name: str) -> "_TupleCache":
         """The (empty) tuple cache a step fills."""
         return _TupleCache(self._layout, name, *self._cache_shape)
@@ -812,6 +885,10 @@ class _PipelinedIO(_DemandIO):
         # Page by page whatever the caller could afford: the prefetch cache
         # hands out (and the demand ledger counts) single pages.
         return ([page] for page in self._pipeline.scan_pages(heap))
+
+    def stored_bounds(self, resident, heap, carried) -> None:
+        # Never billed: what the prefetch cache holds decides what is read.
+        return None
 
     def open_cache(self, name: str) -> "_PipelinedTupleCache":
         return _PipelinedTupleCache(
@@ -925,6 +1002,12 @@ class _TupleCache:
     @property
     def n_tuples(self) -> int:
         return len(self.resident) + (self.spill.n_tuples if self.spill else 0)
+
+    def room(self) -> int:
+        """Rows :meth:`extend` takes before it writes a spill page."""
+        spill = self.spill
+        open_room = spill.open_room if spill is not None else self._layout.spec.capacity
+        return max(0, self._memory_tuples - len(self.resident)) + open_room
 
     def carry(self, columns: PageBatch) -> None:
         """Keep the *columns* of the rows one stream has just migrated in."""

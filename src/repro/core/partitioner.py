@@ -16,7 +16,8 @@ storage chronon -- is the CPU-bound part of this phase and runs in two
 ways: per tuple (``"tuple"``, the oracle) or through the batch kernels
 (every other mode): one ``route`` call over the chronon column the source
 carries, whose one permutation makes every bucket a contiguous slice
-(:func:`_route_carried`) -- and per tuple after all from the first
+(:func:`_route_carried`), whose scan is billed between the flushes when the
+stored pages are the carried rows -- and per tuple after all from the first
 delivery that is not the carried rows, or when nothing is carried.  Either
 way the charged I/O -- the input scan and the bucket flush sequence -- is
 issued in the identical serial order, so partition contents and
@@ -26,7 +27,7 @@ across modes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, pairwise
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -141,7 +142,7 @@ def do_partitioning(
                 chronons = carried.ends if placement == "last" else carried.starts
                 perm, counts = kernels.route(chronons, boundaries)
                 pages = _route_carried(
-                    carried, perm, counts, pages, partitions, buffers, flush_threshold
+                    source, perm, counts, pages, partitions, buffers, flush_threshold
                 )
         # Row by row: the oracle, a file that carries nothing, and the rest
         # of a scan from the first delivery that is not the carried rows.
@@ -171,7 +172,7 @@ def _flush(partition: HeapFile, bucket: List, columns=None) -> None:
 
 
 def _route_carried(
-    carried,
+    source: HeapFile,
     perm: Sequence[int],
     counts: List[int],
     pages: Iterator[List],
@@ -179,17 +180,18 @@ def _route_carried(
     buffers: List[List],
     flush_threshold: int,
 ) -> Iterable[List]:
-    """Route a source by the columns it carries, as far as its *pages* bear
+    """Route *source* by the columns it carries, as far as its pages bear
     them out.
 
     *perm* and *counts* place every carried row (``Kernels.route``): one
     gather lays the rows out bucket by bucket, in input order within each,
-    and fixes the flush schedule -- a bucket flushes right after the row
-    that fills it.  The scan then checks each delivered page against the
-    carried rows and performs the flushes that fall inside it before the
-    next page is read -- the writes of routing row by row, at the same
-    points of the scan -- and each partition file carries its bucket's
-    slice of the gathered batch.
+    and fixes the flush schedule -- a bucket flushes right after the read of
+    the page holding the row that fills it, as routing row by row does --
+    and each partition file carries its bucket's slice of the gathered
+    batch.  When the stored pages are the carried rows
+    (:meth:`HeapFile.stored_bounds`) the scan is billed, the reads between
+    two flushes as one run; otherwise *pages* is walked, each delivered page
+    checked against the carried rows.
 
     Returns the pages still to route row by row: none when the scan bore out
     every carried row (final flushes done); otherwise -- a torn delivery --
@@ -197,6 +199,7 @@ def _route_carried(
     if it was the last page that came short), with the rows that did arrive
     and are not yet flushed put in *buffers*.
     """
+    carried = source.carried
     routed = carried.take(perm)
     bounds = list(accumulate(counts, initial=0))  # bucket i: routed[bounds[i]:bounds[i + 1]]
     # (the row that fills the bucket, partition, end of the flush in routed)
@@ -207,18 +210,35 @@ def _route_carried(
     )
     flushed = bounds[:-1]
     offset = due = 0
-    rest: Iterable[List] = ()
-    for page in pages:
-        if not carried.holds(offset, page):
-            rest = chain([page], pages)
-            break
-        offset += len(page)
-        while due < len(schedule) and schedule[due][0] < offset:
+
+    def flush_before(end: int) -> None:
+        """The scheduled flushes of buckets filled before row *end*."""
+        nonlocal due
+        while due < len(schedule) and schedule[due][0] < end:
             _, index, stop = schedule[due]
             due += 1
             batch = routed[flushed[index] : stop]
             _flush(partitions[index], batch.tuples, batch)
             flushed[index] = stop
+
+    rest: Iterable[List] = ()
+    stored = source.stored_bounds(carried.tuples)
+    if stored is not None:
+        read = 0  # pages billed so far
+        while due < len(schedule):
+            upto = bisect_right(stored, schedule[due][0])  # through the filling page
+            source.disk.read_run(source.extent, read, upto - read)
+            read = upto
+            flush_before(stored[upto])
+        source.disk.read_run(source.extent, read, len(stored) - 1 - read)
+        offset = len(carried)
+    else:
+        for page in pages:
+            if not carried.holds(offset, page):
+                rest = chain([page], pages)
+                break
+            offset += len(page)
+            flush_before(offset)
     for index, (first, last) in enumerate(pairwise(bounds)):
         batch = routed[flushed[index] : bisect_left(perm, offset, flushed[index], last)]
         if offset < len(carried):

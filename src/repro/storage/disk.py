@@ -500,6 +500,13 @@ class SimulatedDisk:
                 return extent
         return None
 
+    def stored(self, extent: Extent) -> Optional[List[object]]:
+        """The pages of *extent* as stored, uncharged, or None where a read
+        must be served page by page (see :meth:`read_run`)."""
+        if self.fault_injector is not None or self.checksums:
+            return None
+        return list(extent._pages)
+
     def peek(self, extent: Extent, index: int) -> object:
         """Read a page without charging (test and verification use only)."""
         if index >= extent.n_pages:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence as SequenceABC
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -212,6 +213,11 @@ class HeapFile:
         """
         return self._endpoint_sorted
 
+    @property
+    def open_room(self) -> int:
+        """Rows the open page takes before it is full and written."""
+        return self._room - len(self._write_page)
+
     def carry(self, columns: PageBatch) -> None:
         """Carry *columns*, the batch of every row written to the file so
         far, in file order: how a writer that wrote them all from one batch
@@ -250,10 +256,12 @@ class HeapFile:
         """Append every tuple of *tuples*, filling pages by slice.
 
         Writes exactly the page sequence (and charges) that one
-        :meth:`append` per tuple would, with one endpoint-sortedness pass
-        over the run instead of a check per tuple, read off *columns* -- the
-        batch of exactly these rows -- when the writer holds it.  The file
-        carries nothing from here on until :meth:`carry`.
+        :meth:`append` per tuple would -- the pages it fills in one
+        :meth:`~repro.storage.disk.SimulatedDisk.append_run`, the open one
+        left buffered -- with one endpoint-sortedness pass over the run
+        instead of a check per tuple, read off *columns* -- the batch of
+        exactly these rows -- when the writer holds it.  The file carries
+        nothing from here on until :meth:`carry`.
         """
         run = tuples if isinstance(tuples, list) else list(tuples)
         if run:
@@ -269,14 +277,16 @@ class HeapFile:
                 self._last_span = (run[-1].vs, run[-1].ve)
             except AttributeError:  # opaque rows carry no timestamps
                 self._endpoint_sorted = False
+        full = []
         at = 0
         while at < len(run):
-            chunk = run[at : at + self._room - len(self._write_page)]
+            chunk = run[at : at + self.open_room]
             self._write_page.extend(chunk)
-            self._n_tuples += len(chunk)
             at += len(chunk)
-            if len(self._write_page) >= self._room:
-                self.flush()
+            if not self.open_room:
+                full.append(self._take_page())
+        self._n_tuples += len(run)
+        self._write(full)
 
     def append_block(self, block: LazyRows) -> None:
         """Append a lazy row block (:mod:`repro.model.match_block`) unbuilt.
@@ -284,7 +294,8 @@ class HeapFile:
         Writes exactly the page sequence (and charges) that one
         :meth:`append` per row would: the block is cut at page boundaries
         into :class:`LazyPage` segments, O(pages) work, and
-        endpoint-sortedness is maintained from its two time columns.
+        endpoint-sortedness is maintained from its two time columns.  The
+        pages it fills go out as one run, like :meth:`append_many`'s.
         """
         n = len(block)
         if n == 0:
@@ -298,6 +309,7 @@ class HeapFile:
             self._write_segments.append((self._write_page, 0, len(self._write_page)))
             self._room -= len(self._write_page)
             self._write_page = []
+        full = []
         at = 0
         while at < n:
             take = min(n - at, self._room)
@@ -306,20 +318,31 @@ class HeapFile:
             self._n_tuples += take
             at += take
             if self._room == 0:
-                self.flush()
+                full.append(self._take_page())
+        self._write(full)
 
     def flush(self) -> None:
         """Write the partial page buffer to disk (no-op when empty)."""
+        if self._write_segments or self._write_page:
+            self._write([self._take_page()])
+
+    def _take_page(self) -> object:
+        """The write buffer as one page, the buffer emptied."""
         payload: object = self._write_page
         if self._write_segments:
             tail = [(self._write_page, 0, len(self._write_page))] if self._write_page else []
             payload = LazyPage(self._write_segments + tail)
-        elif not self._write_page:
-            return
-        if self.columnar:
-            payload = ColumnarPage.from_tuples(payload, self.dictionary)
-        self.disk.append(self.extent, payload)
         self._reset_buffer()
+        return payload
+
+    def _write(self, pages: List[object]) -> None:
+        """Append *pages* taken off the write buffer: one run, or page by page
+        into a columnar file."""
+        if not self.columnar:
+            self.disk.append_run(self.extent, pages)
+            return
+        for page in pages:
+            self.disk.append(self.extent, ColumnarPage.from_tuples(page, self.dictionary))
 
     def _reset_buffer(self) -> None:
         self._write_segments = []
@@ -417,6 +440,10 @@ class HeapFile:
         for index in range(self.extent.n_pages):
             yield page_view(self.disk.read(self.extent, index))
 
+    def pages_per_run(self, rows: int) -> int:
+        """Pages one :meth:`scan_runs` run of about *rows* rows reads."""
+        return max(1, -(-rows // self.spec.capacity))
+
     def scan_runs(self, rows: int) -> Iterator[List[List[VTTuple]]]:
         """Scan the file in runs of consecutive pages holding about *rows*
         rows (at least one page), each run charged in one call.
@@ -425,7 +452,7 @@ class HeapFile:
         gives up is the chance to touch the disk between two of its pages,
         so it is for scans nothing else interleaves with.
         """
-        per_run = max(1, -(-rows // self.spec.capacity))
+        per_run = self.pages_per_run(rows)
         n_pages = self.extent.n_pages
         for index in range(0, n_pages, per_run):
             run = self.disk.read_run(self.extent, index, min(per_run, n_pages - index))
@@ -435,6 +462,16 @@ class HeapFile:
         """Scan the file tuple by tuple (page I/O charged underneath)."""
         for page in self.scan_pages():
             yield from page
+
+    def stored_bounds(self, rows: List[VTTuple]) -> Optional[List[int]]:
+        """``[0, end of page 0, end of page 1, ...]`` in *rows* when the
+        stored pages hold exactly *rows* and the disk bills a run without
+        looking at it (:meth:`~repro.storage.disk.SimulatedDisk.stored`),
+        else None: the uncharged check before a scan is billed, not read."""
+        pages = self.disk.stored(self.extent)
+        if pages is None or list(chain.from_iterable(pages)) != rows:
+            return None
+        return list(accumulate(map(len, pages), initial=0))
 
     # -- verification (uncharged) -------------------------------------------------------
 

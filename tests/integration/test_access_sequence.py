@@ -11,23 +11,35 @@ The batch engine charges an uninterleaved scan as one run; a run of
 ``count`` pages is recorded as the ``count`` single accesses it stands
 for, so a run used where another access belongs between two of its pages
 -- across a migrating pass -- shows up as a reordering too.
+
+On a disk with no fault injector and no checksums the batch engine does not
+walk a pass whose stored pages are the rows it carries: it bills the walk's
+sequence from those rows.  The cases below pin that billed path where it is
+easiest to get wrong -- a resident cache area, a damaged page it must notice
+before billing -- and check that it is the path actually taken.
 """
+
+from dataclasses import replace
+from itertools import chain
 
 import pytest
 
-from repro.core.joiner import RUN_ROWS
+from repro.core import joiner
+from repro.core.intervals import PartitionMap
+from repro.core.joiner import RUN_ROWS, PartitionSweep, join_partitions
 from repro.core.partition_join import partition_join
+from repro.core.partitioner import do_partitioning
+from repro.resilience import FaultInjector
+from repro.storage.disk import SimulatedDisk
 from repro.storage.layout import DiskLayout
+from repro.time.interval import Interval
 
-from tests.chaos.conftest import long_lived_config, long_lived_pair
+from tests.chaos.conftest import CHAOS_SEED, long_lived_config, long_lived_pair
 
 
-def charged_accesses(execution, direction):
-    """``(run, [(device, extent, page, write), ...], charge calls)`` of one join."""
-    config = long_lived_config(
-        execution, checkpoint_interval=0, sweep_direction=direction
-    )
-    layout = DiskLayout(spec=config.page_spec)
+def record_charges(layout):
+    """``(accesses, calls)`` the main disk of *layout* charges from here on:
+    ``(device, extent, page, write)`` per page, and each call's page count."""
     accesses = []
     calls = []
     charge = layout.disk._charge
@@ -41,6 +53,16 @@ def charged_accesses(execution, direction):
         charge(extent, index, write=write, retry=retry, count=count)
 
     layout.disk._charge = recording_charge
+    return accesses, calls
+
+
+def charged_accesses(execution, direction):
+    """``(run, [(device, extent, page, write), ...], charge calls)`` of one join."""
+    config = long_lived_config(
+        execution, checkpoint_interval=0, sweep_direction=direction
+    )
+    layout = DiskLayout(spec=config.page_spec)
+    accesses, calls = record_charges(layout)
     run = partition_join(*long_lived_pair(), config, layout=layout)
     return run, accesses, len(calls)
 
@@ -67,3 +89,164 @@ def test_batch_charges_the_access_sequence_of_tuple(direction):
         batch_run.layout.result_stats.as_dict()
         == tuple_run.layout.result_stats.as_dict()
     )
+
+
+#: The hand-driven sweep's shape: partitions, Grace buffer pages, outer area.
+N_PARTITIONS, MEMORY_PAGES, BUFF_SIZE = 8, 64, 40
+
+
+def tearing_the_first_spill(flush, disk, torn):
+    """``_TupleCache.flush``, then -- once -- a tear in the middle of the first
+    spill file of more than one page, which the next step re-reads."""
+
+    def flush_and_tear(cache):
+        flush(cache)
+        spill = cache.spill
+        if not torn and spill is not None and spill.n_pages > 1:
+            disk.corrupt_stored(spill.extent, spill.n_pages // 2)
+            torn.append(spill.extent.name)
+
+    return flush_and_tear
+
+
+def by_hand(execution, direction, *, cache_memory_tuples=0, damage=None):
+    """``(outcome, layout, accesses, passes)`` of a join driven phase by phase,
+    as the benchmark suite's replay drives one, on a disk with no fault
+    injector and no checksums.  *damage* tears a stored page the sweep
+    re-reads: the middle page of the largest inner partition
+    (``"partition"``), or of the first multi-page cache spill
+    (``"cache"``).  *passes* is ``(passes made, passes walked)``."""
+    r, s = long_lived_pair()
+    layout = DiskLayout(spec=long_lived_config().page_spec)
+    r_file, s_file = layout.place_relation(r), layout.place_relation(s)
+    accesses, _ = record_charges(layout)
+    spans = [tup.valid for tup in chain(r, s)]
+    lo, hi = min(span.start for span in spans), max(span.end for span in spans)
+    width = -(-(hi - lo + 1) // N_PARTITIONS)
+    partition_map = PartitionMap(
+        [Interval(lo + i * width, lo + (i + 1) * width - 1) for i in range(N_PARTITIONS)]
+    )
+    placement = "last" if direction == "backward" else "first"
+    parts = []
+    for name, heap in (("r", r_file), ("s", s_file)):
+        parts.append(
+            do_partitioning(
+                heap, partition_map, layout, name, MEMORY_PAGES,
+                placement=placement, execution=execution,
+            )
+        )
+        layout.disk.park_heads()
+    r_parts, s_parts = parts
+    calls, torn = dict.fromkeys(("_pass", "_probe_pages"), 0), []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+
+            def counting(*args, name=name, method=getattr(PartitionSweep, name)):
+                calls[name] += 1
+                return method(*args)
+
+            patch.setattr(PartitionSweep, name, counting)
+        if damage == "partition":
+            inner = max(s_parts, key=lambda part: part.n_pages)
+            layout.disk.corrupt_stored(inner.extent, inner.n_pages // 2)
+        elif damage == "cache":
+            flush = joiner._TupleCache.flush
+            patch.setattr(
+                joiner._TupleCache, "flush", tearing_the_first_spill(flush, layout.disk, torn)
+            )
+        outcome = join_partitions(
+            r_parts,
+            s_parts,
+            partition_map,
+            BUFF_SIZE,
+            layout,
+            r.schema.join_result_schema(s.schema),
+            direction=direction,
+            cache_memory_tuples=cache_memory_tuples,
+            execution=execution,
+        )
+    assert (damage == "cache") == bool(torn)
+    return outcome, layout, accesses, (calls["_pass"], calls["_probe_pages"])
+
+
+def assert_batch_bills_what_tuple_walks(direction, **kwargs):
+    """The batch run's charged accesses, rows in emission order, counters and
+    result stream equal the oracle's; returns the batch run's ``(passes
+    made, passes walked)``."""
+    oracle, oracle_layout, oracle_accesses, _ = by_hand("tuple", direction, **kwargs)
+    outcome, layout, accesses, passes = by_hand("batch", direction, **kwargs)
+    assert oracle.overflow_blocks >= 1 and oracle.cache_tuples_spilled > RUN_ROWS
+    assert accesses == oracle_accesses
+    assert list(outcome.result.tuples) == list(oracle.result.tuples)
+    assert replace(outcome, result=None) == replace(oracle, result=None)
+    assert layout.disk.device_stats == oracle_layout.disk.device_stats
+    assert layout.result_stats.as_dict() == oracle_layout.result_stats.as_dict()
+    return passes
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_a_resident_cache_area_fills_before_the_billed_spill(direction, monkeypatch):
+    """Migrants go resident before any spill write, and a pass over the
+    old cache starts with its resident rows, which are read from no page."""
+    resident_passes = []
+    stored_bounds = joiner._DemandIO.stored_bounds
+
+    def noting_resident(io, resident, heap, carried):
+        bounds = stored_bounds(io, resident, heap, carried)
+        if bounds is not None:
+            resident_passes.append(len(resident))
+        return bounds
+
+    monkeypatch.setattr(joiner._DemandIO, "stored_bounds", noting_resident)
+    _, walked = assert_batch_bills_what_tuple_walks(direction, cache_memory_tuples=3 * 8)
+    assert walked == 0
+    assert any(resident_passes)
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+@pytest.mark.parametrize("damage", ["partition", "cache"])
+def test_a_damaged_page_is_walked_not_billed(direction, damage):
+    """A stored page torn on a disk that cannot notice: the stream is no
+    longer the rows carried, so its pass must walk -- decided before it
+    bills anything -- and see what the tuple engine sees."""
+    passes, walked = assert_batch_bills_what_tuple_walks(direction, damage=damage)
+    assert 0 < walked < passes
+
+
+def reads_by_phase(injector):
+    """``(reads per phase, run)``: calls of ``SimulatedDisk.read`` in each
+    phase of a batch join of the chaos long-lived fixture."""
+    config = long_lived_config("batch", checkpoint_interval=0)
+    layout = DiskLayout(spec=config.page_spec, fault_injector=injector)
+    calls = {}
+    read = SimulatedDisk.read
+
+    def counting_read(disk, extent, index):
+        phase = layout.tracker._current
+        calls[phase] = calls.get(phase, 0) + 1
+        return read(disk, extent, index)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimulatedDisk, "read", counting_read)
+        run = partition_join(*long_lived_pair(), config, layout=layout)
+    return calls, run
+
+
+def test_a_fault_free_batch_join_reads_no_page_one_by_one():
+    """Every partition-phase and join-phase scan is billed (or read by
+    run): a silent fall-back to walking would still pass the sequence
+    tests, and fails here."""
+    calls, run = reads_by_phase(None)
+    phases = run.layout.tracker.phases
+    assert phases["partition"].reads > 0 and phases["join"].reads > 0
+    assert calls.get("partition", 0) == calls.get("join", 0) == 0
+
+
+def test_a_fault_injector_sends_every_read_through_read():
+    """With an injector -- even one that never fires -- each page read is a
+    ``read`` call the injector can act on."""
+    calls, run = reads_by_phase(FaultInjector(seed=CHAOS_SEED))
+    phases = run.layout.tracker.phases
+    assert run.layout.resilience_report.retries == 0
+    for phase in ("partition", "join"):
+        assert calls[phase] == phases[phase].reads > 0

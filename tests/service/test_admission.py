@@ -21,6 +21,17 @@ from repro.model.errors import (
 from repro.service.admission import AdmissionController
 
 
+def wait_until(condition, what, timeout=5.0):
+    """Poll *condition* until it holds, failing with *what* was awaited once
+    *timeout* seconds pass: a waiter that dies before it queues fails the
+    test instead of hanging it."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            pytest.fail(f"gave up after {timeout} s waiting for {what}")
+        time.sleep(0.001)
+
+
 class TestGrantInvariant:
     def test_granted_never_exceeds_capacity_under_stress(self):
         seed = int(os.environ.get("SERVICE_STRESS_SEED", "0"))
@@ -100,15 +111,12 @@ class TestPolicies:
 
         big = threading.Thread(target=waiter, args=("big", 8))
         big.start()
-        while controller.queue_length < 1:
-            time.sleep(0.001)
+        wait_until(lambda: controller.queue_length >= 1, "the first waiter to queue")
         small = threading.Thread(target=waiter, args=("small", 1))
         small.start()
         # 1 page is free, but FIFO holds "small" behind "big": it queues
         # instead of being granted.
-        deadline = time.monotonic() + 5.0
-        while controller.queue_length < 2 and not order and time.monotonic() < deadline:
-            time.sleep(0.001)
+        wait_until(lambda: controller.queue_length >= 2 or order, "a second waiter or a grant")
         assert controller.queue_length == 2
         assert order == []
         holder.release()
@@ -128,8 +136,7 @@ class TestPolicies:
 
         big = threading.Thread(target=waiter, args=("big", 8))
         big.start()
-        while controller.queue_length < 1:
-            time.sleep(0.001)
+        wait_until(lambda: controller.queue_length >= 1, "the first waiter to queue")
         small = threading.Thread(target=waiter, args=("small", 1))
         small.start()
         small.join(timeout=2.0)
@@ -213,8 +220,7 @@ class TestDegradationAndTimeout:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        while controller.queue_length < 1:
-            time.sleep(0.001)
+        wait_until(lambda: controller.queue_length >= 1, "the first waiter to queue")
         cancelled.set()
         thread.join(timeout=2.0)
         assert failures == ["cancelled"]

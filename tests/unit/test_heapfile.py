@@ -32,6 +32,31 @@ def stored_pages(heap):
     return [heap.disk.peek(heap.extent, i) for i in range(heap.n_pages)]
 
 
+def record_charges(heap):
+    """Record what *heap*'s disk charges from here on: ``(calls, accesses)``,
+    a call as its page count and an access, page by page, as ``(page,
+    write)``."""
+    calls, accesses = [], []
+    charge = heap.disk._charge
+
+    def recording_charge(extent, index, *, write, retry=False, count=1):
+        calls.append(count)
+        accesses.extend((page, write) for page in range(index, index + count))
+        charge(extent, index, write=write, retry=retry, count=count)
+
+    heap.disk._charge = recording_charge
+    return calls, accesses
+
+
+def calls_that_fill_a_page(sizes, capacity):
+    """How many of a run of appends of *sizes* rows complete a page."""
+    filled = buffered = 0
+    for size in sizes:
+        filled += buffered + size >= capacity
+        buffered = (buffered + size) % capacity
+    return filled
+
+
 @pytest.fixture
 def disk():
     return SimulatedDisk(IOStatistics())
@@ -92,14 +117,17 @@ class TestAppend:
 
     @pytest.mark.parametrize("chunks", [(10,), (3, 1, 6), (1, 4, 4, 1), (0, 9, 0, 1)])
     def test_append_many_fills_pages_like_one_append_per_tuple(self, spec, chunks):
-        """Same page sequence, same charges, same sortedness verdict --
-        sorted data, then one out-of-order tuple, then an opaque row."""
+        """Same page sequence, same charged accesses page by page, same
+        sortedness verdict -- sorted data, then one out-of-order tuple, then
+        an opaque row -- with the pages one call fills written as one run."""
         data = tuples(sum(chunks))
         for tail in ([], [data[0]], ["opaque"]):
             one_by_one, by_slices = (
                 HeapFile.create(SimulatedDisk(IOStatistics()), "w", spec, capacity_tuples=4)
                 for _ in range(2)
             )
+            _, expected = record_charges(one_by_one)
+            calls, accesses = record_charges(by_slices)
             for tup in data + tail:
                 one_by_one.append(tup)
             at = 0
@@ -110,6 +138,8 @@ class TestAppend:
             for heap in (one_by_one, by_slices):
                 assert heap.n_tuples == len(data) + len(tail)
             assert by_slices.endpoint_sorted == one_by_one.endpoint_sorted == (not tail)
+            assert accesses == expected
+            assert len(calls) == calls_that_fill_a_page((*chunks, len(tail)), spec.capacity)
             assert by_slices.disk.stats.as_dict() == one_by_one.disk.stats.as_dict()
             assert stored_pages(by_slices) == stored_pages(one_by_one)
             assert by_slices.all_tuples() == one_by_one.all_tuples()
@@ -153,6 +183,34 @@ class TestAppendBlock:
                 assert by_blocks.all_tuples() == one_by_one.all_tuples() == data + tail
                 by_blocks.flush()
                 one_by_one.flush()
+
+    @pytest.mark.parametrize("as_arrays", [False] + ([True] if HAVE_NUMPY else []))
+    @pytest.mark.parametrize("chunks", [(10,), (3, 1, 6), (1, 4, 4, 1), (0, 9, 0, 1)])
+    def test_append_block_fills_pages_like_one_append_per_tuple(self, spec, chunks, as_arrays):
+        """``append_many``'s twin: block after block, the same pages and
+        charged accesses page by page as one append per row, with the pages
+        one call fills written as one run."""
+        data = tuples(sum(chunks))
+        for tail in ([], [data[0]]):
+            one_by_one, by_blocks = (
+                HeapFile.create(SimulatedDisk(IOStatistics()), "w", spec, capacity_tuples=4)
+                for _ in range(2)
+            )
+            _, expected = record_charges(one_by_one)
+            calls, accesses = record_charges(by_blocks)
+            for tup in data + tail:
+                one_by_one.append(tup)
+            at = 0
+            for size in chunks:
+                by_blocks.append_block(match_block(data[at : at + size], as_arrays))
+                at += size
+            by_blocks.append_block(match_block(tail, as_arrays))
+            assert by_blocks.n_tuples == one_by_one.n_tuples == len(data) + len(tail)
+            assert by_blocks.endpoint_sorted == one_by_one.endpoint_sorted == (not tail)
+            assert accesses == expected
+            assert len(calls) == calls_that_fill_a_page((*chunks, len(tail)), spec.capacity)
+            assert stored_pages(by_blocks) == stored_pages(one_by_one)
+            assert by_blocks.all_tuples() == one_by_one.all_tuples() == data + tail
 
     def test_page_slices_share_the_blocks_rows(self, disk, spec):
         """A block cut across pages is built once, and only when read."""

@@ -4,7 +4,8 @@
 parameters, re-entered from three hand-assembled call sites in
 ``core/partition_join.py``.  These checks keep the next perf PR from
 rebuilding that: no long functions, no wide private signatures, one way
-into the sweep and one place where a call becomes a result.
+into the sweep and one place where a call becomes a result.  The Grace
+partitioner (``core/partitioner.py``) is held to the same two shape rules.
 """
 
 import ast
@@ -37,7 +38,7 @@ def calls_of(path, name):
     ]
 
 
-@pytest.mark.parametrize("module", ["joiner.py", "partition_join.py"])
+@pytest.mark.parametrize("module", ["joiner.py", "partition_join.py", "partitioner.py"])
 def test_no_function_spans_more_than_120_lines(module):
     too_long = {
         node.name: node.end_lineno - node.lineno + 1
@@ -47,7 +48,7 @@ def test_no_function_spans_more_than_120_lines(module):
     assert not too_long
 
 
-@pytest.mark.parametrize("module", ["joiner.py", "partition_join.py"])
+@pytest.mark.parametrize("module", ["joiner.py", "partition_join.py", "partitioner.py"])
 def test_no_private_function_takes_more_than_10_parameters(module):
     def n_parameters(node):
         args = node.args
