@@ -70,7 +70,11 @@ is charged for) a run in one call, which is the same access sequence.  On
 demand I/O over a disk with no faults and no checksums, the batch engine
 need not walk a pass at all: once it has checked, uncharged, that the
 stream's stored pages are the rows it carries, it bills the walk's charges
-in the walk's order from those rows (:meth:`PartitionSweep._pass`).
+in the walk's order from those rows (:meth:`PartitionSweep._pass`).  Where
+the walk would fill a new-cache page or emit a run is known up front
+(:func:`_stretches`), so each stretch up to an emission is one
+:meth:`~repro.storage.disk.SimulatedDisk.charge_runs` call, and the new
+cache takes the pass's migrants whole, its pages stored uncharged.
 
 **Split once.**  A row's ``(key, start, end)`` columns are derived once
 per relation version and arrive here on the partition files
@@ -585,10 +589,11 @@ class PartitionSweep:
         A billed pass delivers nothing.  A *unit* is what the walk reads at
         once -- the resident area (no read), a page if the pass migrates, a
         :meth:`HeapFile.scan_runs` run if not -- and after a unit the walk
-        may write the new-cache page its migrants fill and emit a run of
-        :data:`RUN_ROWS` rows.  The reads up to the next such unit go out in
-        one call, then its migrants (whose write falls where the walk's
-        does), then the run.
+        may write the new-cache pages its migrants fill and emit a run of
+        :data:`RUN_ROWS` rows.  Both are known up front (:func:`_stretches`),
+        so each stretch of the walk up to an emission is billed in one
+        :meth:`~repro.storage.disk.SimulatedDisk.charge_runs` call, then its
+        run is emitted; the new cache takes the migrants whole at the end.
         """
         if source == "cache":
             resident, heap = state.cache.resident, state.cache.spill
@@ -610,30 +615,17 @@ class PartitionSweep:
             pages_at.insert(0, 0)
         ends = [len(resident) + bounds[pages] for pages in pages_at]  # rows through a unit
         due = engine.overlapping_rows(carried, next_index) if migrate else []
-        migrants = carried.take(due) if due else None
-        read = moved = run_start = n_emitted = 0
-        unit, last = 0, len(ends) - 1
-        while unit <= last:
-            event = bisect_left(ends, run_start + RUN_ROWS, unit)
-            if moved < len(due):
-                fill = moved + new_cache.room() - 1  # the migrant that writes a page
-                if fill < len(due):
-                    event = min(event, bisect_right(ends, due[fill], unit))
-            unit = min(event, last)
-            heap.disk.read_run(heap.extent, read, pages_at[unit] - read)
-            read = pages_at[unit]
-            upto = bisect_left(due, ends[unit], moved)
-            if upto > moved:
-                new_cache.extend(migrants.tuples[moved:upto])
-                moved = upto
-            if ends[unit] - run_start >= RUN_ROWS or unit == last:
-                if ends[unit] > run_start:
-                    run = carried[run_start : ends[unit]]
-                    n_emitted += self._emit(state, engine.probe(probe_index, run, index))
-                run_start = ends[unit]
-            unit += 1
+        fills, spill = new_cache.fills(len(due)) if due else ([], None)
+        fill_units = [bisect_right(ends, due[fill]) for fill in fills]
+        run_start = n_emitted = 0
+        for runs, end in _stretches(heap.extent, pages_at, ends, fill_units, spill):
+            heap.disk.charge_runs(runs)
+            if end > run_start:
+                run = carried[run_start:end]
+                n_emitted += self._emit(state, engine.probe(probe_index, run, index))
+            run_start = end
         if due:
-            new_cache.carry(migrants)
+            new_cache.take(carried.take(due))
         counts = dict(
             pages=n_pages + bool(resident), rows=len(carried), matches=n_emitted, migrated=len(due)
         )
@@ -829,6 +821,34 @@ class PartitionSweep:
         return (outer, inner)
 
 
+def _stretches(extent, pages_at: List[int], ends: List[int], fill_units: List[int], spill):
+    """A billed pass over *extent* as a schedule: per stretch of the walk
+    that ends in an emission, its reads and new-cache writes as
+    :meth:`~repro.storage.disk.SimulatedDisk.charge_runs` runs in the walk's
+    order, and the stream row the emitted run ends at.
+
+    Unit ``u`` of the walk reads the stream through page ``pages_at[u]``
+    and row ``ends[u]``.  After unit ``fill_units[k]`` the new cache writes
+    its ``k``-th page of the pass, page ``spill[1] + k`` of extent
+    ``spill[0]``; after a unit that brings the run to :data:`RUN_ROWS` rows,
+    or the last, the run is emitted.  Empty read runs bill nothing.
+    """
+    last = len(ends) - 1
+    read = fill = unit = run_start = 0
+    while unit <= last:
+        unit = min(bisect_left(ends, run_start + RUN_ROWS, unit), last)
+        runs = []
+        while fill < len(fill_units) and fill_units[fill] <= unit:
+            upto = pages_at[fill_units[fill]]
+            runs.append((extent, read, upto - read, False))
+            runs.append((spill[0], spill[1] + fill, 1, True))
+            read, fill = upto, fill + 1
+        runs.append((extent, read, pages_at[unit] - read, False))
+        read, run_start = pages_at[unit], ends[unit]
+        yield runs, run_start
+        unit += 1
+
+
 def _cache_shape(context: SweepContext) -> Tuple[int, int]:
     """What every tuple cache of a sweep is built with: the rows of its
     resident area, and a capacity hint for its spill file."""
@@ -981,19 +1001,47 @@ class _TupleCache:
 
     def extend(self, tuples: List[VTTuple]) -> None:
         """Cache *tuples* in order: the resident area first, the rest spilled."""
-        room = self._memory_tuples - len(self.resident)
-        if room > 0:
-            self.resident.extend(tuples[:room])
-            tuples = tuples[room:]
-        if tuples:
-            self._spill(tuples)
+        room = self._resident_room()
+        self.resident.extend(tuples[:room])
+        if len(tuples) > room:
+            self._spill(tuples[room:])
 
-    def _spill(self, tuples: List[VTTuple]) -> None:
+    def fills(self, n: int) -> Tuple[List[int], Optional[Tuple[object, int]]]:
+        """Where :meth:`take` of *n* migrants writes spill pages, in closed
+        form: the migrants whose arrival fills a page -- the first once the
+        resident area and the open page are full, then every page
+        capacity-th -- and ``(spill extent, index of the first page they
+        write)``."""
+        room = self._resident_room()
+        if n <= room:
+            return [], None
+        spill = self._spill_file()
+        first = room + spill.open_room - 1
+        return list(range(first, n, spill.spec.capacity)), (spill.extent, spill.n_pages)
+
+    def take(self, migrants: PageBatch) -> None:
+        """Cache a billed pass's *migrants* whole, as :meth:`extend` would
+        and with their columns: the spill pages they fill are stored
+        uncharged, their writes being in the pass's schedule (:meth:`fills`)."""
+        room = self._resident_room()
+        self.resident.extend(migrants.tuples[:room])
+        if len(migrants) > room:
+            spilled = migrants[room:] if room else migrants
+            self._spill_file().install(spilled.tuples, spilled)
+        self.carry(migrants)
+
+    def _resident_room(self) -> int:
+        return max(0, self._memory_tuples - len(self.resident))
+
+    def _spill_file(self) -> HeapFile:
         if self.spill is None:
             self.spill = self._layout.cache_file(
                 self.name, capacity_tuples=self._capacity_hint
             )
-        self.spill.append_many(tuples)
+        return self.spill
+
+    def _spill(self, tuples: List[VTTuple]) -> None:
+        self._spill_file().append_many(tuples)
 
     def flush(self) -> None:
         if self.spill is not None:
@@ -1002,12 +1050,6 @@ class _TupleCache:
     @property
     def n_tuples(self) -> int:
         return len(self.resident) + (self.spill.n_tuples if self.spill else 0)
-
-    def room(self) -> int:
-        """Rows :meth:`extend` takes before it writes a spill page."""
-        spill = self.spill
-        open_room = spill.open_room if spill is not None else self._layout.spec.capacity
-        return max(0, self._memory_tuples - len(self.resident)) + open_room
 
     def carry(self, columns: PageBatch) -> None:
         """Keep the *columns* of the rows one stream has just migrated in."""

@@ -16,9 +16,10 @@ storage chronon -- is the CPU-bound part of this phase and runs in two
 ways: per tuple (``"tuple"``, the oracle) or through the batch kernels
 (every other mode): one ``route`` call over the chronon column the source
 carries, whose one permutation makes every bucket a contiguous slice
-(:func:`_route_carried`), whose scan is billed between the flushes when the
-stored pages are the carried rows -- and per tuple after all from the first
-delivery that is not the carried rows, or when nothing is carried.  Either
+(:func:`_route_carried`), whose scan and flushes are billed as one
+schedule when the stored pages are the carried rows -- and per tuple after
+all from the first delivery that is not the carried rows, or when nothing
+is carried.  Either
 way the charged I/O -- the input scan and the bucket flush sequence -- is
 issued in the identical serial order, so partition contents and
 :class:`~repro.storage.iostats.PhaseTracker` counters are bit-identical
@@ -189,9 +190,9 @@ def _route_carried(
     the page holding the row that fills it, as routing row by row does --
     and each partition file carries its bucket's slice of the gathered
     batch.  When the stored pages are the carried rows
-    (:meth:`HeapFile.stored_bounds`) the scan is billed, the reads between
-    two flushes as one run; otherwise *pages* is walked, each delivered page
-    checked against the carried rows.
+    (:meth:`HeapFile.stored_bounds`) the scan is billed, reads and flushes
+    in one schedule (:func:`_bill_routing`); otherwise *pages* is walked,
+    each delivered page checked against the carried rows.
 
     Returns the pages still to route row by row: none when the scan bore out
     every carried row (final flushes done); otherwise -- a torn delivery --
@@ -208,37 +209,24 @@ def _route_carried(
         for index, (first, last) in enumerate(pairwise(bounds))
         for stop in range(first + flush_threshold, last + 1, flush_threshold)
     )
+    stored = source.stored_bounds(carried.tuples)
+    if stored is not None:
+        _bill_routing(source, stored, schedule, routed, bounds, partitions)
+        return ()
     flushed = bounds[:-1]
     offset = due = 0
-
-    def flush_before(end: int) -> None:
-        """The scheduled flushes of buckets filled before row *end*."""
-        nonlocal due
-        while due < len(schedule) and schedule[due][0] < end:
+    rest: Iterable[List] = ()
+    for page in pages:
+        if not carried.holds(offset, page):
+            rest = chain([page], pages)
+            break
+        offset += len(page)
+        while due < len(schedule) and schedule[due][0] < offset:  # filled by now
             _, index, stop = schedule[due]
             due += 1
             batch = routed[flushed[index] : stop]
             _flush(partitions[index], batch.tuples, batch)
             flushed[index] = stop
-
-    rest: Iterable[List] = ()
-    stored = source.stored_bounds(carried.tuples)
-    if stored is not None:
-        read = 0  # pages billed so far
-        while due < len(schedule):
-            upto = bisect_right(stored, schedule[due][0])  # through the filling page
-            source.disk.read_run(source.extent, read, upto - read)
-            read = upto
-            flush_before(stored[upto])
-        source.disk.read_run(source.extent, read, len(stored) - 1 - read)
-        offset = len(carried)
-    else:
-        for page in pages:
-            if not carried.holds(offset, page):
-                rest = chain([page], pages)
-                break
-            offset += len(page)
-            flush_before(offset)
     for index, (first, last) in enumerate(pairwise(bounds)):
         batch = routed[flushed[index] : bisect_left(perm, offset, flushed[index], last)]
         if offset < len(carried):
@@ -247,6 +235,33 @@ def _route_carried(
         _flush(partitions[index], batch.tuples, batch)  # a no-op when empty
         partitions[index].carry(routed[first:last])
     return rest
+
+
+def _bill_routing(source: HeapFile, stored, schedule, routed, bounds, partitions) -> None:
+    """Route a scan whose stored pages (split at *stored*) are the carried
+    rows without reading a page: the walk's reads and bucket flushes go out
+    as one :meth:`~repro.storage.disk.SimulatedDisk.charge_runs` schedule --
+    each *schedule* flush right after the read of its filling page, the
+    final flushes after the last read, by partition -- and then each
+    partition file takes its bucket whole, uncharged.  A bucket flushes
+    whole pages until its last flush, so its pages are its rows cut by the
+    page capacity, as the flushes cut them.
+    """
+    capacity, n_pages = partitions[0].spec.capacity, len(stored) - 1
+    finals = [(bounds[-1], index, last) for index, last in enumerate(bounds[1:])]
+    flushed = bounds[:-1]
+    runs, read = [], 0
+    for row, index, stop in schedule + finals:
+        upto = min(bisect_right(stored, row), n_pages)  # through the filling page
+        runs.append((source.extent, read, upto - read, False))
+        page, rows = (flushed[index] - bounds[index]) // capacity, stop - flushed[index]
+        runs.append((partitions[index].extent, page, -(-rows // capacity), True))
+        read, flushed[index] = upto, stop
+    source.disk.charge_runs(runs)
+    for index, (first, last) in enumerate(pairwise(bounds)):
+        bucket = routed[first:last]
+        partitions[index].install(bucket.tuples, bucket, flush=True)
+        partitions[index].carry(bucket)
 
 
 def _route_columns(

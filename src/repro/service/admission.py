@@ -268,6 +268,7 @@ class AdmissionController:
             self._tickets += 1
             waiter = _Waiter(self._tickets, requested, floor, label)
             self._queue.append(waiter)
+            self._condition.notify_all()  # the queue changed: wake its watchers
             try:
                 while True:
                     if cancelled is not None and cancelled.is_set():

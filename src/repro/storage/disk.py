@@ -22,6 +22,11 @@ of moving them:
   be charged as one run (:meth:`SimulatedDisk.read_run` /
   :meth:`SimulatedDisk.append_run`): the same operations, billed in one
   call -- the paper's "single random seek followed by i-1 sequential reads".
+  An ordered list of such runs, reads and writes over several extents and
+  devices, is billed in one call too (:meth:`SimulatedDisk.charge_runs`,
+  of which a single run is the one-element case): a pass whose access
+  sequence is known up front charges it that way, then stores the pages it
+  wrote uncharged (:meth:`SimulatedDisk.install`).
 
 Loading pre-existing base relations uses :meth:`SimulatedDisk.load`, which
 bypasses accounting -- the paper's measurements start with the inputs
@@ -40,7 +45,7 @@ charges exactly as before.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.model.errors import PermanentIOFaultError, StorageError
 from repro.resilience.faults import FaultInjector
@@ -375,73 +380,94 @@ class SimulatedDisk:
         retry: bool = False,
         count: int = 1,
     ) -> None:
-        """Bill the *count* consecutive pages of *extent* from *index* on.
+        """Bill the *count* consecutive pages of *extent* from *index* on:
+        the one-run case of :meth:`charge_runs`."""
+        self.charge_runs(((extent, index, count, write),), retry=retry)
+
+    def charge_runs(
+        self, runs: Iterable[Tuple[Extent, int, int, bool]], *, retry: bool = False
+    ) -> None:
+        """Bill *runs* -- ``(extent, first page, count, write)`` each -- in
+        order, exactly as one :meth:`_charge` per run would, recording each
+        ``(device, op, sequential)`` total once.  A write run past an
+        extent's reservation grows it first, as :meth:`write` would; an
+        empty run bills nothing.
 
         The only code that moves a head or a main counter (backoff
-        penalties aside); a single access is its ``count=1`` case.  A run
-        costs what the head model says, page for page: the first access is
-        sequential only when the head is on or just before it, every later
-        one is -- except the first page of each further segment the run
-        enters, which pays the seek a file fragment costs.  Started with a
-        seek inside one segment that is ``CostModel.cost_of_run(count)``.
+        penalties aside).  A run costs what the head model says, page for
+        page: the first access is sequential only when the head is on or
+        just before it, every later one is -- except the first page of each
+        further segment the run enters, which pays the seek a file fragment
+        costs.  Started with a seek inside one segment that is
+        ``CostModel.cost_of_run(count)``.
         """
-        head = self._heads.get(extent.device)
-        base, cap = extent._segments[0]
-        if 0 <= index and index + count <= cap:
-            # The run lies in the first segment -- every extent that never
-            # outgrew its reservation -- so there is nothing to walk.
-            first = base + index
-            seeks = 0 if head is not None and 0 <= first - head <= 1 else 1
-            head = first + count - 1
-        else:
-            if index < 0:
-                extent.physical_address(index)  # raises
-            seeks = 0
-            skip, left = index, count
-            for base, cap in extent._segments:
-                if skip >= cap:
-                    skip -= cap
-                    continue
-                first = base + skip
-                piece = min(left, cap - skip)
-                if head is None or not 0 <= first - head <= 1:
-                    seeks += 1
-                head = first + piece - 1
-                left -= piece
-                skip = 0
-                if not left:
-                    break
+        heads = self._heads
+        totals: Dict[Tuple[int, bool], List[int]] = {}  # -> [seeks, accesses]
+        for extent, index, count, write in runs:
+            if count < 1:
+                continue
+            if write and index + count > extent._capacity:
+                self._ensure_capacity(extent, index + count - 1)
+            head = heads.get(extent.device)
+            base, cap = extent._segments[0]
+            if 0 <= index and index + count <= cap:
+                # The run lies in the first segment -- every extent that never
+                # outgrew its reservation -- so there is nothing to walk.
+                first = base + index
+                seeks = 0 if head is not None and 0 <= first - head <= 1 else 1
+                head = first + count - 1
             else:
-                extent.physical_address(index + count - 1)  # raises: past capacity
-        self._heads[extent.device] = head
-        sequential = count - seeks
-        stats = self.stats
-        per_device = self._device_stats_of(extent.device)
-        if seeks:
-            stats.record(write=write, sequential=False, count=seeks)
-            per_device.record(write=write, sequential=False, count=seeks)
-        if sequential:
-            stats.record(write=write, sequential=True, count=sequential)
-            per_device.record(write=write, sequential=True, count=sequential)
-        if retry:
-            stats.record_retry(write=write, count=count)
-            per_device.record_retry(write=write, count=count)
-        pipelined = self._pipeline_writes if write else self._pipeline_reads
-        if pipelined:
-            stats.record_pipeline(write=write, count=count)
-            per_device.record_pipeline(write=write, count=count)
-        obs = self._obs
-        if obs is not None:
-            for is_sequential, ops in ((False, seeks), (True, sequential)):
-                if ops:
-                    obs.on_io(
-                        extent.device,
-                        write=write,
-                        sequential=is_sequential,
-                        retry=retry,
-                        pipeline=pipelined,
-                        count=ops,
-                    )
+                if index < 0:
+                    extent.physical_address(index)  # raises
+                seeks = 0
+                skip, left = index, count
+                for base, cap in extent._segments:
+                    if skip >= cap:
+                        skip -= cap
+                        continue
+                    first = base + skip
+                    piece = min(left, cap - skip)
+                    if head is None or not 0 <= first - head <= 1:
+                        seeks += 1
+                    head = first + piece - 1
+                    left -= piece
+                    skip = 0
+                    if not left:
+                        break
+                else:
+                    extent.physical_address(index + count - 1)  # raises: past capacity
+            heads[extent.device] = head
+            total = totals.setdefault((extent.device, write), [0, 0])
+            total[0] += seeks
+            total[1] += count
+        for (device, write), (seeks, count) in totals.items():
+            sequential = count - seeks
+            stats, per_device = self.stats, self._device_stats_of(device)
+            if seeks:
+                stats.record(write=write, sequential=False, count=seeks)
+                per_device.record(write=write, sequential=False, count=seeks)
+            if sequential:
+                stats.record(write=write, sequential=True, count=sequential)
+                per_device.record(write=write, sequential=True, count=sequential)
+            if retry:
+                stats.record_retry(write=write, count=count)
+                per_device.record_retry(write=write, count=count)
+            pipelined = self._pipeline_writes if write else self._pipeline_reads
+            if pipelined:
+                stats.record_pipeline(write=write, count=count)
+                per_device.record_pipeline(write=write, count=count)
+            obs = self._obs
+            if obs is not None:
+                for is_sequential, ops in ((False, seeks), (True, sequential)):
+                    if ops:
+                        obs.on_io(
+                            device,
+                            write=write,
+                            sequential=is_sequential,
+                            retry=retry,
+                            pipeline=pipelined,
+                            count=ops,
+                        )
 
     def _device_stats_of(self, device: int) -> IOStatistics:
         per_device = self.device_stats.get(device)
@@ -488,6 +514,13 @@ class SimulatedDisk:
             extent._pages = [frame_page(page) for page in pages]
         else:
             extent._pages = list(pages)
+
+    def install(self, extent: Extent, pages: List[object]) -> None:
+        """Append *pages* to *extent* without charging: for a writer whose
+        schedule billed their writes already (:meth:`charge_runs`)."""
+        if pages:
+            self._ensure_capacity(extent, extent.n_pages + len(pages) - 1)
+            extent._pages.extend(map(frame_page, pages) if self.checksums else pages)
 
     def find_extent(self, name: str) -> Optional[Extent]:
         """The extent allocated under *name*, if any.

@@ -263,7 +263,23 @@ class HeapFile:
         exactly these rows -- when the writer holds it.  The file carries
         nothing from here on until :meth:`carry`.
         """
-        run = tuples if isinstance(tuples, list) else list(tuples)
+        self._write(self._fill(tuples if isinstance(tuples, list) else list(tuples), columns))
+
+    def install(
+        self, rows: List[VTTuple], columns: Optional[PageBatch] = None, *, flush: bool = False
+    ) -> None:
+        """:meth:`append_many` *rows* -- then, with *flush*, :meth:`flush` --
+        storing the pages they fill uncharged: for a writer whose schedule
+        billed those writes already
+        (:meth:`~repro.storage.disk.SimulatedDisk.charge_runs`)."""
+        pages = self._fill(rows, columns)
+        if flush and (self._write_segments or self._write_page):
+            pages.append(self._take_page())
+        self._write(pages, billed=True)
+
+    def _fill(self, run: List[VTTuple], columns: Optional[PageBatch]) -> List[object]:
+        """Buffer *run* as :meth:`append_many` does; returns the pages it
+        fills, taken off the buffer and not yet written."""
         if run:
             self.carried = None
         if self._endpoint_sorted and run:
@@ -277,16 +293,18 @@ class HeapFile:
                 self._last_span = (run[-1].vs, run[-1].ve)
             except AttributeError:  # opaque rows carry no timestamps
                 self._endpoint_sorted = False
-        full = []
-        at = 0
-        while at < len(run):
-            chunk = run[at : at + self.open_room]
-            self._write_page.extend(chunk)
-            at += len(chunk)
-            if not self.open_room:
-                full.append(self._take_page())
+        room, capacity = self.open_room, self.spec.capacity
         self._n_tuples += len(run)
-        self._write(full)
+        if len(run) < room:
+            self._write_page.extend(run)
+            return []
+        # The open page, then whole pages by slice, then the new open page.
+        self._write_page.extend(run[:room])
+        cut = len(run) - (len(run) - room) % capacity
+        full = [self._take_page()]
+        full += [run[at : at + capacity] for at in range(room, cut, capacity)]
+        self._write_page = run[cut:]
+        return full
 
     def append_block(self, block: LazyRows) -> None:
         """Append a lazy row block (:mod:`repro.model.match_block`) unbuilt.
@@ -335,14 +353,18 @@ class HeapFile:
         self._reset_buffer()
         return payload
 
-    def _write(self, pages: List[object]) -> None:
+    def _write(self, pages: List[object], *, billed: bool = False) -> None:
         """Append *pages* taken off the write buffer: one run, or page by page
-        into a columnar file."""
-        if not self.columnar:
+        into a columnar file -- uncharged where a schedule *billed* them."""
+        if self.columnar:
+            pages = [ColumnarPage.from_tuples(page, self.dictionary) for page in pages]
+        if billed:
+            self.disk.install(self.extent, pages)
+        elif not self.columnar:
             self.disk.append_run(self.extent, pages)
-            return
-        for page in pages:
-            self.disk.append(self.extent, ColumnarPage.from_tuples(page, self.dictionary))
+        else:
+            for page in pages:
+                self.disk.append(self.extent, page)
 
     def _reset_buffer(self) -> None:
         self._write_segments = []

@@ -32,6 +32,7 @@ from repro.core.partitioner import do_partitioning
 from repro.resilience import FaultInjector
 from repro.storage.disk import SimulatedDisk
 from repro.storage.layout import DiskLayout
+from repro.storage.page import PageSpec
 from repro.time.interval import Interval
 
 from tests.chaos.conftest import CHAOS_SEED, long_lived_config, long_lived_pair
@@ -39,20 +40,25 @@ from tests.chaos.conftest import CHAOS_SEED, long_lived_config, long_lived_pair
 
 def record_charges(layout):
     """``(accesses, calls)`` the main disk of *layout* charges from here on:
-    ``(device, extent, page, write)`` per page, and each call's page count."""
+    ``(device, extent, page, write)`` per page, and each call's page count.
+    Every charge goes through ``SimulatedDisk.charge_runs`` -- a single run
+    (``_charge``) as its one-run case -- and each run of a call is expanded
+    into its single accesses, in order."""
     accesses = []
     calls = []
-    charge = layout.disk._charge
+    charge_runs = layout.disk.charge_runs
 
-    def recording_charge(extent, index, *, write, retry=False, count=1):
-        calls.append(count)
+    def recording_charge_runs(runs, *, retry=False):
+        runs = list(runs)
+        calls.append(sum(count for _, _, count, _ in runs))
         accesses.extend(
             (extent.device, extent.name, page, write)
+            for extent, index, count, write in runs
             for page in range(index, index + count)
         )
-        charge(extent, index, write=write, retry=retry, count=count)
+        charge_runs(runs, retry=retry)
 
-    layout.disk._charge = recording_charge
+    layout.disk.charge_runs = recording_charge_runs
     return accesses, calls
 
 
@@ -109,15 +115,16 @@ def tearing_the_first_spill(flush, disk, torn):
     return flush_and_tear
 
 
-def by_hand(execution, direction, *, cache_memory_tuples=0, damage=None):
+def by_hand(execution, direction, *, cache_memory_tuples=0, damage=None, page_spec=None):
     """``(outcome, layout, accesses, passes)`` of a join driven phase by phase,
     as the benchmark suite's replay drives one, on a disk with no fault
-    injector and no checksums.  *damage* tears a stored page the sweep
+    injector and no checksums, with the fixture's pages unless *page_spec*
+    is given.  *damage* tears a stored page the sweep
     re-reads: the middle page of the largest inner partition
     (``"partition"``), or of the first multi-page cache spill
     (``"cache"``).  *passes* is ``(passes made, passes walked)``."""
     r, s = long_lived_pair()
-    layout = DiskLayout(spec=long_lived_config().page_spec)
+    layout = DiskLayout(spec=page_spec or long_lived_config().page_spec)
     r_file, s_file = layout.place_relation(r), layout.place_relation(s)
     accesses, _ = record_charges(layout)
     spans = [tup.valid for tup in chain(r, s)]
@@ -201,6 +208,30 @@ def test_a_resident_cache_area_fills_before_the_billed_spill(direction, monkeypa
     _, walked = assert_batch_bills_what_tuple_walks(direction, cache_memory_tuples=3 * 8)
     assert walked == 0
     assert any(resident_passes)
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_odd_pages_and_a_small_resident_area_fill_where_the_walk_does(direction, monkeypatch):
+    """Pages of 7 rows and a resident area of 5 rows: the area fills a few
+    migrants into a pass, so the spill pages fill at migrants in the middle
+    of a page, and a pass can leave the new cache's open page part-full
+    for the next pass to fill."""
+    capacity, seen = 7, []
+    fills = joiner._TupleCache.fills
+
+    def noting_fills(cache, n):
+        open_room = cache.spill.open_room if cache.spill is not None else capacity
+        seen.append((5 - len(cache.resident), open_room, n))
+        return fills(cache, n)
+
+    monkeypatch.setattr(joiner._TupleCache, "fills", noting_fills)
+    spec = PageSpec(page_bytes=capacity * 128, tuple_bytes=128)
+    _, walked = assert_batch_bills_what_tuple_walks(
+        direction, cache_memory_tuples=5, page_spec=spec
+    )
+    assert walked == 0
+    assert any(0 < room < n for room, _, n in seen)
+    assert any(open_room < capacity for _, open_room, _ in seen)
 
 
 @pytest.mark.parametrize("direction", ["backward", "forward"])

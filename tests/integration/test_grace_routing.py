@@ -80,16 +80,18 @@ def partitioned(relation, pmap, memory_pages, placement, execution, torn_page=No
     layout = DiskLayout(spec=SPEC, fault_injector=injector)
     source = layout.place_relation(relation)
     accesses = []
-    charge = layout.disk._charge
+    charge_runs = layout.disk.charge_runs
 
-    def recording_charge(extent, index, *, write, retry=False, count=1):
+    def recording_charge_runs(runs, *, retry=False):
+        runs = list(runs)
         accesses.extend(
             (extent.device, extent.name, page, write)
+            for extent, index, count, write in runs
             for page in range(index, index + count)
         )
-        charge(extent, index, write=write, retry=retry, count=count)
+        charge_runs(runs, retry=retry)
 
-    layout.disk._charge = recording_charge
+    layout.disk.charge_runs = recording_charge_runs
     parts = do_partitioning(
         source, pmap, layout, "r", memory_pages, placement=placement, execution=execution
     )

@@ -21,15 +21,14 @@ from repro.model.errors import (
 from repro.service.admission import AdmissionController
 
 
-def wait_until(condition, what, timeout=5.0):
-    """Poll *condition* until it holds, failing with *what* was awaited once
-    *timeout* seconds pass: a waiter that dies before it queues fails the
-    test instead of hanging it."""
-    deadline = time.monotonic() + timeout
-    while not condition():
-        if time.monotonic() > deadline:
+def wait_until(controller, condition, what, timeout=5.0):
+    """Wait on *controller*'s condition -- notified whenever a waiter joins,
+    leaves or is granted -- until *condition* holds, failing with *what* was
+    awaited once *timeout* seconds pass: a waiter that dies before it queues
+    fails the test instead of hanging it."""
+    with controller._condition:
+        if not controller._condition.wait_for(condition, timeout):
             pytest.fail(f"gave up after {timeout} s waiting for {what}")
-        time.sleep(0.001)
 
 
 class TestGrantInvariant:
@@ -111,12 +110,18 @@ class TestPolicies:
 
         big = threading.Thread(target=waiter, args=("big", 8))
         big.start()
-        wait_until(lambda: controller.queue_length >= 1, "the first waiter to queue")
+        wait_until(
+            controller, lambda: controller.queue_length >= 1, "the first waiter to queue"
+        )
         small = threading.Thread(target=waiter, args=("small", 1))
         small.start()
         # 1 page is free, but FIFO holds "small" behind "big": it queues
         # instead of being granted.
-        wait_until(lambda: controller.queue_length >= 2 or order, "a second waiter or a grant")
+        wait_until(
+            controller,
+            lambda: controller.queue_length >= 2 or order,
+            "a second waiter or a grant",
+        )
         assert controller.queue_length == 2
         assert order == []
         holder.release()
@@ -136,7 +141,9 @@ class TestPolicies:
 
         big = threading.Thread(target=waiter, args=("big", 8))
         big.start()
-        wait_until(lambda: controller.queue_length >= 1, "the first waiter to queue")
+        wait_until(
+            controller, lambda: controller.queue_length >= 1, "the first waiter to queue"
+        )
         small = threading.Thread(target=waiter, args=("small", 1))
         small.start()
         small.join(timeout=2.0)
@@ -220,7 +227,9 @@ class TestDegradationAndTimeout:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        wait_until(lambda: controller.queue_length >= 1, "the first waiter to queue")
+        wait_until(
+            controller, lambda: controller.queue_length >= 1, "the first waiter to queue"
+        )
         cancelled.set()
         thread.join(timeout=2.0)
         assert failures == ["cancelled"]
