@@ -59,22 +59,26 @@ outcomes and per-phase statistics.
 main disk's access sequence: a migrant must reach the new cache before the
 next page is read, because old-cache reads and new-cache writes share the
 CACHE head.  So *migration* is decided per page, and the *probe* per run:
-pages accumulate until a run holds :data:`RUN_ROWS` rows (or the stream
-ends) and are probed together.  Results may therefore lag the main disk,
-main-disk accesses are never reordered, and a crash drops an unemitted run
-like any other volatile buffer.  A pass that migrates reads page by page;
-where no other main-disk access can fall between two pages -- the
-outer-partition scan, the passes of overflow blocks and of the last
+a walked pass gathers pages until a run holds :data:`RUN_ROWS` rows (or
+the stream ends) and probes them together.  Results may therefore lag the
+main disk, main-disk accesses are never reordered, and a crash drops an
+unemitted run like any other volatile buffer.  A pass that migrates reads
+page by page; where no other main-disk access can fall between two pages
+-- the outer-partition scan, the passes of overflow blocks and of the last
 partition, the overflow spill's round trip -- the batch engine reads (and
 is charged for) a run in one call, which is the same access sequence.  On
 demand I/O over a disk with no faults and no checksums, the batch engine
 need not walk a pass at all: once it has checked, uncharged, that the
 stream's stored pages are the rows it carries, it bills the walk's charges
 in the walk's order from those rows (:meth:`PartitionSweep._pass`).  Where
-the walk would fill a new-cache page or emit a run is known up front
-(:func:`_stretches`), so each stretch up to an emission is one
-:meth:`~repro.storage.disk.SimulatedDisk.charge_runs` call, and the new
-cache takes the pass's migrants whole, its pages stored uncharged.
+the walk would fill a new-cache page is known up front, so the whole pass
+is one :meth:`~repro.storage.disk.SimulatedDisk.charge_runs` call
+(:func:`_schedule`); its rows are then probed in one kernel call that
+emits a block per chunk of candidates
+(:data:`~repro.exec.kernels.CANDIDATE_BUDGET`), and the new cache takes
+the pass's migrants whole, its pages stored uncharged.  Results go to a
+disk of their own, so how emission is grouped never shows on the main
+disk.
 
 **Split once.**  A row's ``(key, start, end)`` columns are derived once
 per relation version and arrive here on the partition files
@@ -85,13 +89,14 @@ overflow block -- is compared with what is carried, not decomposed again.
 Carried columns are volatile like the rows' buffers: a checkpoint stores
 rows only.
 
-**Emission.**  The batch engine hands back each run's matches as one
-:class:`~repro.model.match_block.MatchBlock` -- matched rows plus the
-``starts | ends`` columns -- and for the natural pair function that block is
-appended whole to the result file and the collected relation, which build a
-``VTTuple`` only when someone reads one.  Any other pair function may reject
-or rewrite a pair, so it is called per row of the block; the tuple engine
-always calls it per match (it is the oracle for the block path too).
+**Emission.**  The batch engine hands back each run's (or chunk's)
+matches as one :class:`~repro.model.match_block.MatchBlock` -- matched
+rows plus the ``starts | ends`` columns -- and for the natural pair
+function that block is appended whole to the result file and the
+collected relation, which build a ``VTTuple`` only when someone reads one.
+Any other pair function may reject or rewrite a pair, so it is called per
+row of the block; the tuple engine always calls it per match (it is the
+oracle for the block path too).
 """
 
 from __future__ import annotations
@@ -104,11 +109,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
 from repro.exec.batch import CodeTranslator, ColumnarBlock, PageBatch
-from repro.exec.kernels import get_kernels
+from repro.exec.kernels import concat_chunks, get_kernels
 from repro.exec.pruned_probe import (
     PrunedProbeIndex,
     PrunedProbeIndexPython,
-    probe_pruned,
+    probe_pruned_chunks,
     probe_pruned_python,
 )
 from repro.model.match_block import MatchBlock
@@ -134,11 +139,12 @@ if TYPE_CHECKING:  # degrade imports this module; annotation-only the other way
 PairFn = Callable[[VTTuple, VTTuple, Interval], Optional[VTTuple]]
 
 
-#: Rows a probe run holds before it is probed and emitted: enough that a
-#: kernel call's fixed cost is amortized (8-tuple pages: 1.7 s at 8 rows,
+#: Rows a walked pass gathers before it probes and emits them: enough that
+#: a kernel call's fixed cost is amortized (8-tuple pages: 1.7 s at 8 rows,
 #: 0.8 s at 64, flat within noise from 256 to 4096), and exactly one page
 #: under 512-row page geometries.  Also the rows one run *read* fetches
-#: where a scan may be charged by run (:func:`_chunks`).
+#: where a scan may be charged by run (:func:`_chunks`).  A billed pass
+#: probes all its rows at once.
 RUN_ROWS = 512
 
 
@@ -586,14 +592,14 @@ class PartitionSweep:
         walked (:meth:`_probe_pages`, by run unless it migrates), or billed
         when the I/O finds the stored pages to be the carried rows.
 
-        A billed pass delivers nothing.  A *unit* is what the walk reads at
-        once -- the resident area (no read), a page if the pass migrates, a
-        :meth:`HeapFile.scan_runs` run if not -- and after a unit the walk
-        may write the new-cache pages its migrants fill and emit a run of
-        :data:`RUN_ROWS` rows.  Both are known up front (:func:`_stretches`),
-        so each stretch of the walk up to an emission is billed in one
-        :meth:`~repro.storage.disk.SimulatedDisk.charge_runs` call, then its
-        run is emitted; the new cache takes the migrants whole at the end.
+        A billed pass delivers nothing.  Where the walk would write a
+        new-cache page is known up front -- after the page holding a migrant
+        that fills one (:meth:`_TupleCache.fills`) -- so the whole walk is
+        billed in one :meth:`~repro.storage.disk.SimulatedDisk.charge_runs`
+        call (:func:`_schedule`); the engine then probes all carried rows in
+        one call, emitting a block per chunk, and the new cache takes the
+        migrants whole.  The result stream has its own disk, so when it is
+        written leaves the main disk's sequence as the walk's.
         """
         if source == "cache":
             resident, heap = state.cache.resident, state.cache.spill
@@ -607,29 +613,19 @@ class PartitionSweep:
                 state, chunks, probe_index, index, next_index, new_cache, carried
             )
         engine = self._engine
-        migrate = new_cache is not None
-        n_pages = len(bounds) - 1
-        per_unit = 1 if migrate else heap.pages_per_run(RUN_ROWS)
-        pages_at = list(range(per_unit, n_pages, per_unit)) + [n_pages] if n_pages else []
-        if resident:
-            pages_at.insert(0, 0)
-        ends = [len(resident) + bounds[pages] for pages in pages_at]  # rows through a unit
-        due = engine.overlapping_rows(carried, next_index) if migrate else []
+        due = engine.overlapping_rows(carried, next_index) if new_cache is not None else []
         fills, spill = new_cache.fills(len(due)) if due else ([], None)
-        fill_units = [bisect_right(ends, due[fill]) for fill in fills]
-        run_start = n_emitted = 0
-        for runs, end in _stretches(heap.extent, pages_at, ends, fill_units, spill):
-            heap.disk.charge_runs(runs)
-            if end > run_start:
-                run = carried[run_start:end]
-                n_emitted += self._emit(state, engine.probe(probe_index, run, index))
-            run_start = end
+        # The pages the walk has read when each filling migrant arrives.
+        reads = [bisect_right(bounds, due[fill] - len(resident)) for fill in fills]
+        heap.disk.charge_runs(_schedule(heap.extent, reads, len(bounds) - 1, spill))
+        n_emitted = sum(
+            self._emit(state, block) for block in engine.probe_pass(probe_index, carried, index)
+        )
         if due:
             new_cache.take(carried.take(due))
-        counts = dict(
-            pages=n_pages + bool(resident), rows=len(carried), matches=n_emitted, migrated=len(due)
-        )
-        return counts, carried if ends else None
+        n_pages = len(bounds) - 1 + bool(resident)
+        counts = dict(pages=n_pages, rows=len(carried), matches=n_emitted, migrated=len(due))
+        return counts, carried if n_pages else None
 
     def _probe_pages(
         self,
@@ -821,32 +817,18 @@ class PartitionSweep:
         return (outer, inner)
 
 
-def _stretches(extent, pages_at: List[int], ends: List[int], fill_units: List[int], spill):
-    """A billed pass over *extent* as a schedule: per stretch of the walk
-    that ends in an emission, its reads and new-cache writes as
-    :meth:`~repro.storage.disk.SimulatedDisk.charge_runs` runs in the walk's
-    order, and the stream row the emitted run ends at.
-
-    Unit ``u`` of the walk reads the stream through page ``pages_at[u]``
-    and row ``ends[u]``.  After unit ``fill_units[k]`` the new cache writes
-    its ``k``-th page of the pass, page ``spill[1] + k`` of extent
-    ``spill[0]``; after a unit that brings the run to :data:`RUN_ROWS` rows,
-    or the last, the run is emitted.  Empty read runs bill nothing.
-    """
-    last = len(ends) - 1
-    read = fill = unit = run_start = 0
-    while unit <= last:
-        unit = min(bisect_left(ends, run_start + RUN_ROWS, unit), last)
-        runs = []
-        while fill < len(fill_units) and fill_units[fill] <= unit:
-            upto = pages_at[fill_units[fill]]
-            runs.append((extent, read, upto - read, False))
-            runs.append((spill[0], spill[1] + fill, 1, True))
-            read, fill = upto, fill + 1
-        runs.append((extent, read, pages_at[unit] - read, False))
-        read, run_start = pages_at[unit], ends[unit]
-        yield runs, run_start
-        unit += 1
+def _schedule(extent, reads: List[int], n_pages: int, spill) -> List[Tuple]:
+    """A billed pass over the *n_pages* of *extent* as one
+    :meth:`~repro.storage.disk.SimulatedDisk.charge_runs` schedule, in the
+    walk's order: the ``k``-th new-cache page, page ``spill[1] + k`` of
+    extent ``spill[0]``, is written once ``reads[k]`` pages are read."""
+    runs, read = [], 0
+    for fill, upto in enumerate(reads):
+        runs.append((extent, read, upto - read, False))
+        runs.append((spill[0], spill[1] + fill, 1, True))
+        read = upto
+    runs.append((extent, read, n_pages - read, False))
+    return runs
 
 
 def _cache_shape(context: SweepContext) -> Tuple[int, int]:
@@ -1253,7 +1235,7 @@ class _BatchEngine(_ProbeEngine):
     """The batch engine behind ``"batch"`` and both pipelined names: an
     interval-pruned index per outer block (which carries the CSR index
     instead where it finds nothing to prune), whole-column window search /
-    intersection / owner filter over each run.
+    intersection / owner filter over each run or billed pass.
 
     **Split once.**  A row in a tuple-list page travels with its ``(key
     id, start, end)`` columns as a :class:`~repro.exec.batch.PageBatch`: the
@@ -1336,35 +1318,48 @@ class _BatchEngine(_ProbeEngine):
         )
 
     def probe(self, index_obj, run, part_index) -> MatchBlock:
-        kernels = self._kernels
         batch = run if isinstance(run, PageBatch) else self.decompose(run)
-        if not kernels.use_numpy:
+        if not self._kernels.use_numpy:
             columns = probe_pruned_python(
                 index_obj, batch, self.boundaries, part_index, self._direction
             )
-        elif index_obj.csr is not None:
+        else:
+            columns = concat_chunks(self._chunks(index_obj, batch, part_index))
+        return self._block(index_obj.block, batch.tuples, columns)
+
+    def probe_pass(self, index_obj, batch: PageBatch, part_index):
+        """A billed pass's matches, its rows probed in one kernel call: one
+        block per chunk of at most
+        :data:`~repro.exec.kernels.CANDIDATE_BUDGET` candidates (one block
+        without numpy), in :meth:`probe`'s order."""
+        if not self._kernels.use_numpy:
+            yield self.probe(index_obj, batch, part_index)
+            return
+        outer, inner = index_obj.block, batch.tuples
+        for columns in self._chunks(index_obj, batch, part_index):
+            # Rows boxed for one chunk stay boxed for the next.
+            outer = self._kernels.boxed(outer, columns[0])
+            inner = self._kernels.boxed(inner, columns[1])
+            yield self._block(outer, inner, columns)
+
+    def _chunks(self, index_obj, batch: PageBatch, part_index):
+        if index_obj.csr is not None:
             # The index found nothing to prune (or no room for its key).
-            columns = kernels.probe_columns(
+            return self._kernels.probe_column_chunks(
                 index_obj.csr, batch, self.boundaries, part_index, self._direction
             )
-        else:
-            columns = probe_pruned(
-                index_obj,
-                batch.key_ids,
-                batch.starts,
-                batch.ends,
-                self.boundaries,
-                part_index,
-                self._direction,
-            )
+        return probe_pruned_chunks(
+            index_obj, batch.key_ids, batch.starts, batch.ends,
+            self.boundaries, part_index, self._direction,
+        )
+
+    def _block(self, outer, inner, columns) -> MatchBlock:
+        take = self._kernels.take
         outer_rows, inner_rows, common_starts, common_ends = columns
         # The block keeps the matched rows only -- not the outer block or the
         # run's pages -- so a result may outlive the layout it came from.
         return MatchBlock(
-            kernels.take(index_obj.block, outer_rows),
-            kernels.take(batch.tuples, inner_rows),
-            common_starts,
-            common_ends,
+            take(outer, outer_rows), take(inner, inner_rows), common_starts, common_ends
         )
 
 

@@ -13,7 +13,8 @@ a vectorized numpy implementation and a pure-Python fallback here:
 * **migration rows** -- ``overlaps_partition`` as the same two comparisons
   per row, deciding which tuples continue into the next sweep iteration's
   cache.  It runs per *page* (the main disk's access order depends on it),
-  so it never pays a numpy call; the probe runs per *run* of pages.
+  so it never pays a numpy call; the probe runs per *run* of pages, or once
+  per billed pass in chunks of at most :data:`CANDIDATE_BUDGET` candidates.
 
 The partitioner's per-tuple placement (``index_of_chronon`` of the storage
 chronon) is the fifth kernel, :meth:`Kernels.locate`.
@@ -47,6 +48,66 @@ def _columnar_page_type():
     from repro.storage.columnar_page import ColumnarPage
 
     return ColumnarPage
+
+#: Candidate slots one expansion may materialize: a probe over many rows
+#: computes their windows or group counts once, then expands consecutive
+#: rows in chunks of at most this many candidates (a row above it alone),
+#: so its temporaries scale with the work, not with a row count.  The
+#: fastest of 2^13 .. 2^17 on a 4k x 4k long-interval join (EXPERIMENTS.md).
+CANDIDATE_BUDGET = 2**14
+
+
+def candidate_chunks(counts) -> List[Tuple[int, int]]:
+    """``(first row, end row)`` of consecutive rows expanding to at most
+    :data:`CANDIDATE_BUDGET` of *counts* candidates each, a row above the
+    budget alone."""
+    cum = np.cumsum(counts)
+    bounds: List[Tuple[int, int]] = []
+    start = below = 0
+    while start < cum.size:
+        end = int(np.searchsorted(cum, below + CANDIDATE_BUDGET, side="right"))
+        end = max(end, start + 1)
+        bounds.append((start, end))
+        start, below = end, int(cum[end - 1])
+    return bounds
+
+
+def expand_candidates(first, counts, starts, ends, outer, boundaries, part_index, direction):
+    """Expand consecutive rows into candidate slots and filter them.
+
+    Row ``r`` takes positions ``first[r] .. first[r] + counts[r] - 1`` of
+    the sorted *outer* ``(starts, ends)`` columns; a slot survives when the
+    intervals intersect and, given *boundaries*, partition *part_index*
+    owns the overlap.  Returns the survivors' ``(outer positions, rows,
+    common starts, common ends)``, slot order kept.
+    """
+    cum = np.cumsum(counts)
+    total = int(cum[-1]) if cum.size else 0
+    pos = np.repeat(first - (cum - counts), counts) + np.arange(total, dtype=np.int64)
+    common_start = np.maximum(outer[0][pos], np.repeat(starts, counts))
+    common_end = np.minimum(outer[1][pos], np.repeat(ends, counts))
+    kept = common_start <= common_end
+    if boundaries is not None:
+        owner = common_end if direction == "backward" else common_start
+        lo, hi = boundaries.window(part_index)
+        kept &= (owner > lo) & (owner <= hi)
+    kept = np.flatnonzero(kept)
+    # Slots are laid out by row: slot ``t`` is of the first row whose
+    # running count exceeds ``t``.
+    rows = np.searchsorted(cum, kept, side="right")
+    return pos[kept], rows, common_start[kept], common_end[kept]
+
+
+def concat_chunks(chunks) -> Tuple:
+    """A chunked probe's ``(outer rows, inner rows, common starts, common
+    ends)`` as one set of columns, in chunk order."""
+    parts = list(chunks)
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return (np.empty(0, np.int64),) * 4
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
 
 #: A matched pair ready for the pair function: (outer tuple, inner tuple,
 #: overlap interval).  Emission order is (inner row, outer insertion order),
@@ -333,11 +394,18 @@ class NumpyKernels(Kernels):
         return PageBatch.from_tuples(page, interner, intern=intern, use_numpy=True)
 
     def take(self, rows, positions):
-        # Boxing the list costs O(rows) and saves a bytecode loop over the
-        # positions, so it pays exactly when rows repeat among the matches.
-        if isinstance(rows, list) and len(positions) > len(rows):
-            return np.fromiter(rows, object, len(rows)).take(positions)
+        rows = self.boxed(rows, positions)
+        if isinstance(rows, np.ndarray):
+            return rows.take(positions)
         return [rows[at] for at in positions.tolist()]
+
+    def boxed(self, rows, positions):
+        """*rows* as :meth:`take` reads them fastest at *positions*: boxing a
+        list costs O(rows) and saves a bytecode loop over the positions, so
+        it pays exactly when rows repeat among the matches."""
+        if isinstance(rows, list) and len(positions) > len(rows):
+            return np.fromiter(rows, object, len(rows))
+        return rows
 
     def build_probe_index(self, block, interner):
         return _NumpyProbeIndex(block, interner)
@@ -362,56 +430,32 @@ class NumpyKernels(Kernels):
     ) -> Tuple:
         """:meth:`probe` as flat ``int64`` arrays ``(outer rows, inner rows,
         common starts, common ends)``, in the same emission order."""
-        nothing = (np.empty(0, np.int64),) * 4
-        n = len(batch)
-        if n == 0 or index.n_groups == 0 or not index.block:
-            return nothing
+        return concat_chunks(
+            self.probe_column_chunks(index, batch, boundaries, part_index, direction)
+        )
+
+    def probe_column_chunks(
+        self, index, batch, boundaries=None, part_index=None, direction="backward"
+    ):
+        """:meth:`probe_columns` per :func:`candidate_chunks` chunk of
+        *batch*'s rows: the group counts once, then one expansion per chunk,
+        yielding its surviving pairs (inner rows numbered in *batch*)."""
+        if len(batch) == 0 or index.n_groups == 0 or not index.block:
+            return
         key_ids = batch.key_ids
         known = (key_ids >= 0) & (key_ids < index.n_groups)
         safe_ids = np.where(known, key_ids, 0)
         counts = np.where(known, index.counts[safe_ids], 0)
-        total = int(counts.sum())
-        if total == 0:
-            return nothing
-
-        # CSR gather: expand every inner row into its key group's CSR
-        # positions.  ``pos`` enumerates each group's positions ascending,
-        # which (via the stable sort) is block insertion order -- the hot
-        # path works purely in position space and defers both the
-        # ``order`` dereference and the inner-row expansion until after
-        # the filters, when only a handful of pairs remain.
-        cum = np.cumsum(counts)
-        group_start = cum - counts
-        pos = np.repeat(index.offsets[safe_ids] - group_start, counts) + np.arange(
-            total, dtype=np.int64
-        )
-
-        inner_starts = np.repeat(batch.starts, counts)
-        inner_ends = np.repeat(batch.ends, counts)
-        common_start = np.maximum(index.starts_ordered[pos], inner_starts)
-        common_end = np.minimum(index.ends_ordered[pos], inner_ends)
-        kept = np.nonzero(common_start <= common_end)[0]
-        if kept.size == 0:
-            return nothing
-
-        common_start = common_start[kept]
-        common_end = common_end[kept]
-        if boundaries is not None:
-            owner = common_end if direction == "backward" else common_start
-            lo, hi = boundaries.window(part_index)
-            owned = np.nonzero((owner > lo) & (owner <= hi))[0]
-            if owned.size == 0:
-                return nothing
-            kept = kept[owned]
-            common_start = common_start[owned]
-            common_end = common_end[owned]
-
-        pair_outer = index.order[pos[kept]]
-        # Pair slots are laid out by inner row (CSR), so the inner row of
-        # surviving pair ``t`` is the group whose cumulative count first
-        # exceeds ``t``.
-        pair_inner = np.searchsorted(cum, kept, side="right")
-        return pair_outer, pair_inner, common_start, common_end
+        first = index.offsets[safe_ids]
+        outer = (index.starts_ordered, index.ends_ordered)
+        for lo, hi in candidate_chunks(counts):
+            # Positions enumerate each group ascending, which (via the
+            # stable sort) is block insertion order: the emission order.
+            pos, rows, common_start, common_end = expand_candidates(
+                first[lo:hi], counts[lo:hi], batch.starts[lo:hi], batch.ends[lo:hi],
+                outer, boundaries, part_index, direction,
+            )
+            yield index.order[pos], rows + lo, common_start, common_end
 
     def _located(self, chronons, boundaries):
         return np.minimum(
@@ -456,6 +500,7 @@ def get_kernels(backend: Optional[str] = None) -> Kernels:
 
 
 __all__ = [
+    "CANDIDATE_BUDGET",
     "Kernels",
     "Match",
     "NumpyKernels",

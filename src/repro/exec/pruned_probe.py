@@ -6,21 +6,25 @@ The CSR kernels of :mod:`repro.exec.kernels` expand every inner row against
 wide partitions with short intervals almost all candidates die in the
 intersection filter.  Here the outer block is sorted once per block by one
 composite ``key_id * stride + (start - min_start)`` key, each key group's
-maximum interval length is reduced with ``np.maximum.reduceat``, and each
-inner row then probes only the start-window ``[inner.start - maxlen,
+maximum interval length is reduced with ``np.maximum.reduceat``, and a
+dense table maps key ids to groups (its last slot meaning "no group").
+Each inner row then probes only the start-window ``[inner.start - maxlen,
 inner.end]`` of its group, located with two ``searchsorted`` calls on the
-sorted composite.  The exact intersection, the exactly-once owner
-filter, and the (inner row, outer insertion order) emission sort still run
-afterwards, so results are bit-identical to the oracle.
+sorted composite, its needles sorted first (a billed sweep pass probes
+tens of thousands of rows in random order at once) and the windows
+scattered back to row order.  The exact intersection, the exactly-once
+owner filter, and the (inner row, outer insertion order) emission sort
+then run per chunk of consecutive rows holding at most
+:data:`~repro.exec.kernels.CANDIDATE_BUDGET` candidates, so results are
+bit-identical to the oracle and no expansion outgrows the budget.
 
-The window search costs a fixed ~20 numpy calls per run more than the CSR
-probe, which only pays where windows exclude something.  So the index
-decides per block, from what it has just computed: a key group whose
-longest interval covers its whole span of starts cannot be pruned (a
-single-row group never can), and a block with most of its rows in such
-groups -- the paper's long-lived regime, ~1.2 rows per key -- carries the
-CSR index instead.  So does a block whose composite key would overflow
-``int64``.
+The window search costs a fixed ~20 numpy calls more than the CSR probe,
+which only pays where windows exclude something.  So the index decides per
+block, from what it has just computed: a key group whose longest interval
+covers its whole span of starts cannot be pruned (a single-row group never
+can), and a block with most of its rows in such groups -- the paper's
+long-lived regime, ~1.2 rows per key -- carries the CSR index instead.  So
+does a block whose composite key would overflow ``int64``.
 
 Like the kernels, everything here is pure in-memory compute: all charged
 I/O stays in the caller (the sweep loop of :mod:`repro.core.joiner`).
@@ -32,7 +36,7 @@ from bisect import bisect_left
 from typing import Dict, List, Sequence, Tuple
 
 from repro.exec.backend import np
-from repro.exec.kernels import _NumpyProbeIndex
+from repro.exec.kernels import _NumpyProbeIndex, candidate_chunks, concat_chunks, expand_candidates
 from repro.model.vtuple import VTTuple
 
 #: Composite-key headroom guard: ``(largest key id + 1) * stride * rows``
@@ -56,6 +60,7 @@ class PrunedProbeIndex:
         "block",
         "order",
         "uniq_ids",
+        "group_of",
         "n_groups",
         "starts_sorted",
         "ends_sorted",
@@ -78,6 +83,7 @@ class PrunedProbeIndex:
         if n == 0:
             self.order = np.empty(0, np.int64)
             self.uniq_ids = np.empty(0, np.int64)
+            self.group_of = np.zeros(1, np.int64)
             self.n_groups = 0
             self.starts_sorted = np.empty(0, np.int64)
             self.ends_sorted = np.empty(0, np.int64)
@@ -109,6 +115,9 @@ class PrunedProbeIndex:
         group_first = np.flatnonzero(np.diff(ids_sorted, prepend=-1))
         self.uniq_ids = ids_sorted[group_first]
         self.n_groups = int(group_first.size)
+        # Key id -> group, dense; the extra last slot is "no group".
+        self.group_of = np.full(id_counts.size + 1, self.n_groups, np.int64)
+        self.group_of[self.uniq_ids] = np.arange(self.n_groups)
         self.grp_maxlen = np.maximum.reduceat(
             self.ends_sorted - self.starts_sorted, group_first
         )
@@ -128,24 +137,33 @@ def probe_pruned(
     part_index: int,
     direction: str,
 ) -> Tuple:
-    """Probe one run's columns against a pruned index.
+    """Probe rows given as columns against a pruned index.
 
     Window-search each inner row in its key group, expand, intersect, apply
     the owner filter.  Returns ``(pair_outer_rows, pair_inner_rows,
     common_starts, common_ends)`` in the oracle's emission order -- (inner
     row, outer block insertion order) -- as flat arrays.
-
-    A run holds a few hundred rows, so the fixed cost of each numpy call
-    counts: no ``np.clip`` (several times a ``minimum``/``maximum`` pair on
-    small arrays), one ``argsort`` on a combined key for the emission order.
     """
-    empty = np.empty(0, np.int64)
+    return concat_chunks(
+        probe_pruned_chunks(index, key_ids, starts, ends, boundaries, part_index, direction)
+    )
+
+
+def probe_pruned_chunks(
+    index: PrunedProbeIndex, key_ids, starts, ends, boundaries, part_index: int, direction: str
+):
+    """:func:`probe_pruned` per :func:`~repro.exec.kernels.candidate_chunks`
+    chunk: the windows of all rows once, then one expansion per chunk,
+    yielding its surviving pairs (inner rows numbered in the input)."""
     if len(key_ids) == 0 or index.n_groups == 0:
-        return empty, empty, empty, empty
-    g = np.minimum(np.searchsorted(index.uniq_ids, key_ids), index.n_groups - 1)
-    rows = np.nonzero(index.uniq_ids[g] == key_ids)[0]
+        return
+    # -1 (a key the block never saw) indexes the table's last slot, the
+    # no-group sentinel, and so does every id past the block's largest.
+    table = index.group_of
+    g = table[np.minimum(key_ids, table.size - 1)]
+    rows = np.flatnonzero(g < index.n_groups)
     if rows.size == 0:
-        return empty, empty, empty, empty
+        return
     g = g[rows]
     i_starts = np.asarray(starts, dtype=np.int64)[rows]
     i_ends = np.asarray(ends, dtype=np.int64)[rows]
@@ -158,33 +176,26 @@ def probe_pruned(
     )
     hi_off = np.minimum(np.maximum(i_ends - min_start, -1), stride - 2)
     base = index.uniq_ids[g] * stride
-    lo = np.searchsorted(index.comp, base + lo_off, side="left")
-    hi = np.searchsorted(index.comp, base + hi_off, side="right")
+    lo_needles, hi_needles = base + lo_off, base + hi_off
+    # Sorted needles walk the composite key once instead of jumping about
+    # it; the lower ends' order nearly sorts the upper ends too.
+    order = np.argsort(lo_needles)
+    lo, hi = np.empty_like(order), np.empty_like(order)
+    lo[order] = np.searchsorted(index.comp, lo_needles[order], side="left")
+    hi[order] = np.searchsorted(index.comp, hi_needles[order], side="right")
     counts = np.maximum(hi - lo, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return empty, empty, empty, empty
-    cum = np.cumsum(counts)
-    pos = np.repeat(lo - (cum - counts), counts) + np.arange(total, dtype=np.int64)
-    common_start = np.maximum(index.starts_sorted[pos], np.repeat(i_starts, counts))
-    common_end = np.minimum(index.ends_sorted[pos], np.repeat(i_ends, counts))
-    kept = common_start <= common_end
-    if boundaries is not None:
-        owner = common_end if direction == "backward" else common_start
-        own_lo, own_hi = boundaries.window(part_index)
-        kept &= (owner > own_lo) & (owner <= own_hi)
-    kept = np.nonzero(kept)[0]
-    if kept.size == 0:
-        return empty, empty, empty, empty
-    # Candidate slots are laid out by inner row, so the inner row of slot
-    # ``t`` is the first whose cumulative count exceeds ``t``.
-    pair_inner = rows[np.searchsorted(cum, kept, side="right")]
-    pair_outer = index.order[pos[kept]]
-    # Restore the oracle's emission order: inner row ascending, then outer
-    # block insertion order (the start-sorted windows scrambled it).
-    perm = np.argsort(pair_inner * len(index.block) + pair_outer)
-    kept = kept[perm]
-    return pair_outer[perm], pair_inner[perm], common_start[kept], common_end[kept]
+    outer, n_block = (index.starts_sorted, index.ends_sorted), len(index.block)
+    for first, last in candidate_chunks(counts):
+        pos, chunk_rows, common_start, common_end = expand_candidates(
+            lo[first:last], counts[first:last], i_starts[first:last], i_ends[first:last],
+            outer, boundaries, part_index, direction,
+        )
+        pair_inner = rows[chunk_rows + first]
+        pair_outer = index.order[pos]
+        # Restore the oracle's emission order: inner row ascending, then
+        # outer block insertion order (the start-sorted windows scrambled it).
+        perm = np.argsort(pair_inner * n_block + pair_outer)
+        yield pair_outer[perm], pair_inner[perm], common_start[perm], common_end[perm]
 
 
 # -- pure-Python pruned index ------------------------------------------------
@@ -257,5 +268,6 @@ __all__ = [
     "PrunedProbeIndex",
     "PrunedProbeIndexPython",
     "probe_pruned",
+    "probe_pruned_chunks",
     "probe_pruned_python",
 ]

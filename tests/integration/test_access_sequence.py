@@ -29,6 +29,8 @@ from repro.core.intervals import PartitionMap
 from repro.core.joiner import RUN_ROWS, PartitionSweep, join_partitions
 from repro.core.partition_join import partition_join
 from repro.core.partitioner import do_partitioning
+from repro.exec import kernels, pruned_probe
+from repro.exec.kernels import NumpyKernels
 from repro.resilience import FaultInjector
 from repro.storage.disk import SimulatedDisk
 from repro.storage.layout import DiskLayout
@@ -281,3 +283,59 @@ def test_a_fault_injector_sends_every_read_through_read():
     assert run.layout.resilience_report.retries == 0
     for phase in ("partition", "join"):
         assert calls[phase] == phases[phase].reads > 0
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_a_billed_pass_charges_once_and_probes_once(direction, monkeypatch):
+    """A billed pass bills its whole walk in one ``charge_runs`` call and
+    probes all its rows in one kernel call, which expands each chunk of
+    candidates once -- and the walk's access sequence is still billed."""
+    config = long_lived_config("batch", checkpoint_interval=0, sweep_direction=direction)
+    layout = DiskLayout(spec=config.page_spec)
+    accesses, calls = record_charges(layout)
+    seen = dict.fromkeys(("walked", "kernel", "chunks", "expansions"), 0)
+
+    def counting(key, fn, size=lambda result: 1):
+        def counted(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen[key] += size(result)
+            return result
+
+        return counted
+
+    monkeypatch.setattr(
+        PartitionSweep, "_probe_pages", counting("walked", PartitionSweep._probe_pages)
+    )
+    for name in ("probe_pruned_chunks", "probe_pruned_python"):
+        monkeypatch.setattr(joiner, name, counting("kernel", getattr(joiner, name)))
+    monkeypatch.setattr(
+        NumpyKernels, "probe_column_chunks",
+        counting("kernel", NumpyKernels.probe_column_chunks),
+    )
+    for module in (kernels, pruned_probe):
+        monkeypatch.setattr(
+            module, "candidate_chunks", counting("chunks", module.candidate_chunks, len)
+        )
+        monkeypatch.setattr(
+            module, "expand_candidates", counting("expansions", module.expand_candidates)
+        )
+    billed = []
+    pass_ = PartitionSweep._pass
+
+    def noting_pass(sweep, *args):
+        before, n_calls = dict(seen), len(calls)
+        result = pass_(sweep, *args)
+        delta = {key: seen[key] - before[key] for key in seen}
+        if not delta.pop("walked"):
+            billed.append((len(calls) - n_calls, *delta.values()))
+        return result
+
+    monkeypatch.setattr(PartitionSweep, "_pass", noting_pass)
+    partition_join(*long_lived_pair(), config, layout=layout)
+    monkeypatch.undo()
+
+    assert len(billed) > 2 * N_PARTITIONS
+    assert {(charges, kernel) for charges, kernel, _, _ in billed} == {(1, 1)}
+    assert all(chunks == expansions for _, _, chunks, expansions in billed)
+    _, tuple_accesses, _ = charged_accesses("tuple", direction)
+    assert accesses == tuple_accesses
