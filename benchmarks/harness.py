@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Dict, Sequence, Tuple
 
 from repro.core.partition_join import PartitionJoinConfig, partition_join
-from repro.exec import HAVE_NUMPY, backend_name
+from repro.exec import backend_name
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
@@ -131,7 +131,6 @@ def time_modes(
 def environment() -> Dict:
     return {
         "backend": backend_name(),
-        "have_numpy": HAVE_NUMPY,
         "python": platform.python_version(),
     }
 

@@ -55,7 +55,7 @@ from repro.baselines import (
 from repro.aggregate import AggregationTree, temporal_aggregate
 from repro.bitemporal import BitemporalRelation, bitemporal_join
 from repro.engine import TemporalDatabase
-from repro.exec import HAVE_NUMPY, backend_name, get_kernels
+from repro.exec import backend_name, get_kernels
 
 __version__ = "1.0.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "BitemporalRelation",
     "bitemporal_join",
     "TemporalDatabase",
-    "HAVE_NUMPY",
     "backend_name",
     "get_kernels",
     "__version__",

@@ -18,11 +18,11 @@ tuples in the outer and inner relations is similar", the caller passes the
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.core.intervals import PartitionMap, SampleSpans
-from repro.exec.backend import np
 from repro.model.vtuple import VTTuple
 from repro.storage.page import PageSpec
 
@@ -60,16 +60,10 @@ def estimate_cache_sizes(
     # sorted columns.  The last partition caches nothing.
     spans = SampleSpans.of(samples)
     bounds = [interval.end for interval in partition_map.intervals[:-1]]
-    if np is not None:
-        counts = (
-            np.searchsorted(spans.starts, bounds, side="right")
-            - np.searchsorted(spans.ends, bounds, side="right")
-        ).tolist()
-    else:
-        counts = [
-            bisect_right(spans.starts, bound) - bisect_right(spans.ends, bound)
-            for bound in bounds
-        ]
+    counts = (
+        np.searchsorted(spans.starts, bounds, side="right")
+        - np.searchsorted(spans.ends, bounds, side="right")
+    ).tolist()
     counts.append(0)
     scale = population_tuples / len(spans)
     return [spec.pages_for_tuples(round(count * scale)) for count in counts]

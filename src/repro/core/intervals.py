@@ -31,7 +31,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import List, Sequence
 
-from repro.exec.backend import np
+import numpy as np
+
 from repro.model.errors import PlanError
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
@@ -39,7 +40,7 @@ from repro.time.interval import Interval
 
 class SampleSpans:
     """A planner sample as its two endpoint multisets: sorted start and end
-    columns (``int64`` arrays with numpy, lists without).
+    columns (``int64`` arrays; lists take the integer loop).
 
     The plan consumers (:func:`choose_intervals`,
     :func:`estimate_cache_sizes`) depend on a sample only through the
@@ -71,8 +72,8 @@ class SampleSpans:
         """This sample plus the rows with *starts* / *ends* (in any order).
 
         Only the new rows are sorted; each column is then one merge of two
-        sorted runs (``list.sort`` and numpy's stable sort are timsort,
-        which finds the runs).  ``self`` is left as it was.
+        sorted runs (numpy's stable sort is timsort, which finds the
+        runs).  ``self`` is left as it was.
         """
         return SampleSpans(_merged(self.starts, starts), _merged(self.ends, ends))
 
@@ -122,13 +123,11 @@ class SampleSpans:
 
 
 def _column(values):
-    return np.asarray(values, dtype=np.int64) if np is not None else list(values)
+    return np.asarray(values, dtype=np.int64)
 
 
 def _merged(held, new):
     """Sorted *held* and unsorted *new* as one sorted column."""
-    if np is None:
-        return sorted(held + sorted(new))
     merged = np.concatenate((held, np.sort(_column(new))))
     merged.sort(kind="stable")
     return merged

@@ -49,11 +49,10 @@ intersection, the exactly-once owner filter -- runs either tuple-at-a-time
 (``execution="tuple"``, the oracle) or through the one batch engine
 (``"batch"`` and both pipelined names), which holds each run as a
 columnar :class:`~repro.exec.batch.PageBatch` and window-searches it
-against the interval-pruned index of :mod:`repro.exec.pruned_probe`
-(numpy-vectorized when numpy is installed, pure-Python fallback
-otherwise).  Both paths emit identical matches in identical order and
-charge identical I/O; the integration tests assert bit-equality of
-outcomes and per-phase statistics.
+against the numpy-vectorized interval-pruned index of
+:mod:`repro.exec.pruned_probe`.  Both paths emit identical matches in
+identical order and charge identical I/O; the integration tests assert
+bit-equality of outcomes and per-phase statistics.
 
 **Pages and runs.**  What ties the sweep to page granularity is only the
 main disk's access sequence: a migrant must reach the new cache before the
@@ -110,12 +109,7 @@ from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
 from repro.exec.batch import CodeTranslator, ColumnarBlock, PageBatch
 from repro.exec.kernels import concat_chunks, get_kernels
-from repro.exec.pruned_probe import (
-    PrunedProbeIndex,
-    PrunedProbeIndexPython,
-    probe_pruned_chunks,
-    probe_pruned_python,
-)
+from repro.exec.pruned_probe import PrunedProbeIndex, probe_pruned_chunks
 from repro.model.match_block import MatchBlock
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
@@ -1251,35 +1245,27 @@ class _BatchEngine(_ProbeEngine):
     (:class:`~repro.exec.batch.ColumnarBlock`).
     """
 
-    def __init__(self, partition_map: PartitionMap, direction: str, kernels=None) -> None:
-        self._kernels = kernels if kernels is not None else get_kernels()
+    def __init__(self, partition_map: PartitionMap, direction: str) -> None:
+        self._kernels = get_kernels()
         self.boundaries = self._kernels.prepare_boundaries(partition_map)
         self._interner = self._kernels.make_interner()
-        self._translator = (
-            CodeTranslator(self._interner) if self._kernels.use_numpy else None
-        )
+        self._translator = CodeTranslator(self._interner)
         self._direction = direction
 
     def carried(self, heap):
         batch = heap.carried
-        if batch is None or isinstance(batch.starts, list) == self._kernels.use_numpy:
-            return None  # nothing carried, or columns of the other backend
-        if not self._kernels.use_numpy:
-            return batch  # the fallback kernels read keys off the rows
-        if batch.keys is None:
+        if batch is None or batch.keys is None:
             return None
         self._translator.ensure_interned(batch.keys)
         ids = self._translator.table_for(batch.keys)[batch.key_ids]
         return PageBatch(batch.tuples, ids, batch.starts, batch.ends, self._interner)
 
     def assemble_outer(self, retained, pages, index, carried=None):
-        # Packed pages stay packed under numpy: the purge is vectorized
-        # over the column views and no tuple is materialized until something
-        # touches the row.  Same rows, same order either way.
-        if (
-            self._kernels.use_numpy
-            and (not retained or isinstance(retained, ColumnarBlock))
-            and all(isinstance(page, ColumnarPage) for page in pages)
+        # Packed pages stay packed: the purge is vectorized over the column
+        # views and no tuple is materialized until something touches the
+        # row.  Same rows, same order either way.
+        if (not retained or isinstance(retained, ColumnarBlock)) and all(
+            isinstance(page, ColumnarPage) for page in pages
         ):
             kept = retained.purged(self.boundaries, index)._segments if retained else []
             return ColumnarBlock(kept + [(page, None) for page in pages])
@@ -1297,8 +1283,6 @@ class _BatchEngine(_ProbeEngine):
     def build_index(self, block: Sequence[VTTuple]):
         if not isinstance(block, (PageBatch, ColumnarBlock)):
             block = self.decompose([block])
-        if not self._kernels.use_numpy:
-            return PrunedProbeIndexPython(block)
         if isinstance(block, ColumnarBlock):
             return PrunedProbeIndex(
                 block, self._interner, block.columns(self._translator)
@@ -1319,22 +1303,14 @@ class _BatchEngine(_ProbeEngine):
 
     def probe(self, index_obj, run, part_index) -> MatchBlock:
         batch = run if isinstance(run, PageBatch) else self.decompose(run)
-        if not self._kernels.use_numpy:
-            columns = probe_pruned_python(
-                index_obj, batch, self.boundaries, part_index, self._direction
-            )
-        else:
-            columns = concat_chunks(self._chunks(index_obj, batch, part_index))
+        columns = concat_chunks(self._chunks(index_obj, batch, part_index))
         return self._block(index_obj.block, batch.tuples, columns)
 
     def probe_pass(self, index_obj, batch: PageBatch, part_index):
         """A billed pass's matches, its rows probed in one kernel call: one
         block per chunk of at most
-        :data:`~repro.exec.kernels.CANDIDATE_BUDGET` candidates (one block
-        without numpy), in :meth:`probe`'s order."""
-        if not self._kernels.use_numpy:
-            yield self.probe(index_obj, batch, part_index)
-            return
+        :data:`~repro.exec.kernels.CANDIDATE_BUDGET` candidates, in
+        :meth:`probe`'s order."""
         outer, inner = index_obj.block, batch.tuples
         for columns in self._chunks(index_obj, batch, part_index):
             # Rows boxed for one chunk stay boxed for the next.

@@ -32,6 +32,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, pairwise
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES
 from repro.model.errors import PlanError
@@ -277,56 +279,22 @@ def _route_columns(
     :meth:`HeapFile.append_coded_run`.  The partitions *share the source
     file's dictionary*, so key codes pass through untranslated: no
     ``dictionary.code`` lookup, no tuple re-decomposition on the write
-    side.  Rows are processed in exactly the input order and buckets flush
-    at exactly the thresholds of the tuple-routing path, so the charged
-    TEMP-device access sequence is bit-identical.
-    """
-    for partition in partitions:
-        partition.dictionary = dictionary
-    from repro.exec.backend import HAVE_NUMPY
+    side.  Buckets flush at exactly the thresholds of the tuple-routing
+    path, so the charged TEMP-device access sequence is bit-identical.
 
-    if HAVE_NUMPY:
-        _route_columns_numpy(located_pages, partitions, flush_threshold)
-        return
-    buffers = [([], [], [], []) for _ in partitions]
-    for page, page_located in located_pages:
-        for start, end, code, payload, index in zip(
-            page.starts_list(),
-            page.ends_list(),
-            page.codes_list(),
-            page.payloads,
-            page_located,
-        ):
-            bucket = buffers[index]
-            bucket[0].append(start)
-            bucket[1].append(end)
-            bucket[2].append(code)
-            bucket[3].append(payload)
-            if len(bucket[0]) >= flush_threshold:
-                partitions[index].append_coded_run(*bucket)
-                buffers[index] = ([], [], [], [])
-    for index, bucket in enumerate(buffers):
-        if bucket[0]:
-            partitions[index].append_coded_run(*bucket)
-
-
-def _route_columns_numpy(
-    located_pages, partitions: List[HeapFile], flush_threshold: int
-) -> None:
-    """Vectorized bucket routing: group each page's rows by partition index.
-
-    A bucket holds its pending rows as ``(page, row-index array)`` segments
-    instead of appending row by row; a flush gathers the column runs from
-    the segments at once.  Flush *order* is what the serial loop defines, so
-    it is replayed exactly: within one page a bucket can cross the flush
+    Each page's rows are grouped by partition index at once: a bucket holds
+    its pending rows as ``(page, row-index array)`` segments instead of
+    appending row by row; a flush gathers the column runs from the segments
+    at once.  Flush *order* is what a row-by-row loop defines, so it is
+    replayed exactly: within one page a bucket can cross the flush
     threshold at most once (a page holds at most ``spec.capacity`` rows and
     ``flush_threshold >= spec.capacity`` since every bucket has at least one
     buffer page), so the crossings are totally ordered by the input-row
     position at which each bucket fills -- flushing in that order issues the
     identical TEMP-device access sequence.
     """
-    from repro.exec.backend import np
-
+    for partition in partitions:
+        partition.dictionary = dictionary
     segments: List[List] = [[] for _ in partitions]
     sizes = [0] * len(partitions)
 

@@ -51,9 +51,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.cache_estimate import estimate_cache_sizes
 from repro.core.intervals import PartitionMap, SampleSpans, choose_intervals
-from repro.exec.backend import np
 from repro.model.errors import PlanError
 from repro.sampling.kolmogorov import required_samples
 from repro.sampling.sampler import SamplePlan, SampleStrategy, plan_sampling
@@ -515,20 +516,20 @@ def _shuffled_positions(n: int, rng: random.Random) -> List[int]:
 
 
 def _span_columns(pages: Sequence, carried=None) -> tuple:
-    """``(starts, ends)`` columns of a scanned relation, in row order:
-    ``int64`` arrays with numpy, lists without.
+    """``(starts, ends)`` ``int64`` columns of a scanned relation, in row
+    order.
 
     Columnar pages concatenate their buffer views; list pages take the
     columns their file carries (*carried*) when the scan delivered exactly
     those rows, and are decomposed here otherwise.  Columnar pages decode
     only their span columns: keys and payloads stay packed.
     """
-    if np is not None and pages and all(isinstance(p, ColumnarPage) for p in pages):
+    if pages and all(isinstance(p, ColumnarPage) for p in pages):
         return (
             np.concatenate([page.starts_view() for page in pages]),
             np.concatenate([page.ends_view() for page in pages]),
         )
-    if carried is not None and not isinstance(carried.starts, list):
+    if carried is not None:
         batch = carried.matching(0, list(chain.from_iterable(pages)))
         if batch is not None:
             return batch.starts, batch.ends
@@ -541,8 +542,6 @@ def _span_columns(pages: Sequence, carried=None) -> tuple:
         else:
             starts += [tup.vs for tup in page]
             ends += [tup.ve for tup in page]
-    if np is None:
-        return starts, ends
     return np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
 
 
@@ -595,13 +594,8 @@ class _IncrementalSampler:
             if not self.scan_done:
                 self._scan(held)
                 needed = min(needed, len(self._positions))
-            at = self._positions[held:needed]
-            if np is not None:
-                at = np.asarray(at, dtype=np.int64)
-                starts, ends = self._columns[0][at], self._columns[1][at]
-            else:
-                starts = [self._columns[0][row] for row in at]
-                ends = [self._columns[1][row] for row in at]
+            at = np.asarray(self._positions[held:needed], dtype=np.int64)
+            starts, ends = self._columns[0][at], self._columns[1][at]
         else:
             starts, ends = [], []
             while held + len(starts) < needed:

@@ -6,8 +6,7 @@ package is how the same algorithms run fast.  Three pieces:
 * :mod:`repro.exec.batch` -- :class:`PageBatch`, the columnar page
   representation built once per page;
 * :mod:`repro.exec.kernels` -- the probe / intersection / owner-filter /
-  migration / locate kernels, numpy-vectorized with pure-Python fallbacks
-  selected at import (numpy is the optional ``repro[fast]`` extra);
+  migration / locate kernels, vectorized with numpy;
 * :mod:`repro.exec.pruned_probe` -- the interval-pruned index and probe
   the batch engine of :mod:`repro.core.joiner` runs on.
 
@@ -21,21 +20,14 @@ endpoint-sorted forward-scan sweep with gapless hash maps, selected via
 ``execution="forward-sweep"``.
 """
 
-from repro.exec.backend import BACKEND_ENV_VAR, HAVE_NUMPY, backend_name
-from repro.exec.batch import (
-    KeyInterner,
-    PageBatch,
-    iter_page_batches,
-    tuples_from_columns,
-    tuples_to_columns,
-)
-from repro.exec.kernels import (
-    Kernels,
-    NumpyKernels,
-    PartitionBoundaries,
-    PythonKernels,
-    get_kernels,
-)
+from repro.exec.batch import KeyInterner, PageBatch
+from repro.exec.kernels import Kernels, PartitionBoundaries, get_kernels
+
+
+def backend_name() -> str:
+    """The kernel backend benchmark reports record: always ``"numpy"``."""
+    return "numpy"
+
 
 #: The pipelined sweeps: the batch engine plus partition-barrier prefetch
 #: and write-behind.  They differ only in the heap-page layout
@@ -54,14 +46,9 @@ EXECUTION_MODES = ("tuple", "batch") + PIPELINED_SWEEP_MODES
 ALL_EXECUTION_MODES = EXECUTION_MODES + ("forward-sweep",)
 
 # The forward sweep operates on storage.columnar_page buffers, and the
-# storage layer imports repro.exec.backend -- so re-export it lazily
+# storage layer imports repro.exec.batch -- so re-export it lazily
 # (PEP 562) to keep this package importable from inside that cycle.
-_FORWARD_SWEEP_EXPORTS = (
-    "SWEEP_BACKENDS",
-    "GaplessHashMap",
-    "forward_sweep_join",
-    "resolve_sweep_backend",
-)
+_FORWARD_SWEEP_EXPORTS = ("GaplessHashMap", "forward_sweep_join")
 
 
 def __getattr__(name: str):
@@ -76,21 +63,12 @@ __all__ = [
     "ALL_EXECUTION_MODES",
     "EXECUTION_MODES",
     "PIPELINED_SWEEP_MODES",
-    "SWEEP_BACKENDS",
     "GaplessHashMap",
     "forward_sweep_join",
-    "resolve_sweep_backend",
-    "BACKEND_ENV_VAR",
-    "HAVE_NUMPY",
     "KeyInterner",
     "Kernels",
-    "NumpyKernels",
     "PageBatch",
     "PartitionBoundaries",
-    "PythonKernels",
     "backend_name",
     "get_kernels",
-    "iter_page_batches",
-    "tuples_from_columns",
-    "tuples_to_columns",
 ]

@@ -14,10 +14,8 @@ distinct key to a small integer id; the build side of a join *interns*
 and can never match, which is exactly the hash-join semantics of
 ``probe_index.get(key, ())``).
 
-The module also provides the batch (de)composition helpers shared by the
-model layer and the columnar serialization format
-(:func:`tuples_to_columns` / :func:`tuples_from_columns`), plus the
-zero-copy batch path: :meth:`PageBatch.from_columnar` lifts a
+The module also provides the zero-copy batch path:
+:meth:`PageBatch.from_columnar` lifts a
 :class:`~repro.storage.columnar_page.ColumnarPage` into a batch whose time
 columns are views over the page buffer and whose key ids come from one
 vectorized gather through a :class:`CodeTranslator` table instead of a
@@ -30,9 +28,9 @@ from bisect import bisect_right
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exec.backend import HAVE_NUMPY, np
+import numpy as np
+
 from repro.model.vtuple import VTTuple
-from repro.time.interval import Interval
 
 
 class KeyInterner:
@@ -104,8 +102,7 @@ class PageBatch:
         keys: the :class:`KeyInterner` that ``key_ids`` are ids of: a
             join's own, or a relation version's dictionary.
 
-    Columns are numpy ``int64`` arrays under the numpy backend and plain
-    lists under the fallback; the matching kernels consume them natively.
+    Columns are numpy ``int64`` arrays.
 
     A batch is also how a row *keeps* its columns after its page has been
     split: the sweep slices, masks and concatenates batches (the methods
@@ -168,28 +165,18 @@ class PageBatch:
         (:meth:`~repro.exec.kernels.PartitionBoundaries.window` semantics,
         the whole-column form of ``Kernels.migration_rows``)."""
         lo, hi = window
-        if isinstance(self.starts, list):
-            return [
-                row
-                for row, (vs, ve) in enumerate(zip(self.starts, self.ends))
-                if lo < ve and vs <= hi
-            ]
         return np.nonzero((self.ends > lo) & (self.starts <= hi))[0].tolist()
 
     def take(self, rows) -> "PageBatch":
         """The sub-batch of *rows* (a list or an index array), in order."""
         tuples = self.tuples
-        columns = (self.key_ids, self.starts, self.ends)
-        if isinstance(self.starts, list):
-            gathered = [
-                None if column is None else [column[row] for row in rows]
-                for column in columns
-            ]
-        else:
-            at = np.asarray(rows, dtype=np.int64)
-            gathered = [None if column is None else column[at] for column in columns]
-            rows = at.tolist()  # plain ints index the row list fastest
-        return PageBatch([tuples[row] for row in rows], *gathered, self.keys)
+        at = np.asarray(rows, dtype=np.int64)
+        gathered = [
+            None if column is None else column[at]
+            for column in (self.key_ids, self.starts, self.ends)
+        ]
+        # Plain ints index the row list fastest.
+        return PageBatch([tuples[row] for row in at.tolist()], *gathered, self.keys)
 
     def without(self, rows: List[int], tuples: List[VTTuple]) -> "PageBatch":
         """This batch less the rows at the ascending positions *rows*;
@@ -198,12 +185,7 @@ class PageBatch:
         def less(column):
             if column is None or not rows:
                 return column
-            if not isinstance(column, list):
-                return np.delete(column, rows)
-            column = list(column)
-            for row in reversed(rows):
-                del column[row]
-            return column
+            return np.delete(column, rows)
 
         return PageBatch(
             tuples, less(self.key_ids), less(self.starts), less(self.ends), self.keys
@@ -211,18 +193,17 @@ class PageBatch:
 
     @classmethod
     def concat(cls, batches: Sequence["PageBatch"], tuples=None) -> "PageBatch":
-        """*batches* (at least one, of one backend) as one batch, in order;
-        the last one's ``keys`` must know every id (:meth:`KeyInterner.grown`).
-        *tuples* is their rows as one list, when the caller holds it already."""
+        """*batches* (at least one) as one batch, in order; the last one's
+        ``keys`` must know every id (:meth:`KeyInterner.grown`).  *tuples*
+        is their rows as one list, when the caller holds it already."""
         first = batches[0]
         if len(batches) == 1 and isinstance(first.tuples, list):
             return first
-        join = _chained if isinstance(first.starts, list) else np.concatenate
         return cls(
             tuples if tuples is not None else _chained([batch.tuples for batch in batches]),
-            None if first.key_ids is None else join([b.key_ids for b in batches]),
-            join([batch.starts for batch in batches]),
-            join([batch.ends for batch in batches]),
+            None if first.key_ids is None else np.concatenate([b.key_ids for b in batches]),
+            np.concatenate([batch.starts for batch in batches]),
+            np.concatenate([batch.ends for batch in batches]),
             batches[-1].keys,
         )
 
@@ -233,7 +214,6 @@ class PageBatch:
         interner: Optional[KeyInterner] = None,
         *,
         intern: bool = False,
-        use_numpy: bool = HAVE_NUMPY,
     ) -> "PageBatch":
         """Decompose *tuples* into columns.
 
@@ -243,11 +223,7 @@ class PageBatch:
                 join; omit when key columns are not needed.
             intern: assign fresh ids for unseen keys (build side) instead of
                 mapping them to ``-1`` (probe side).
-            use_numpy: emit numpy columns; callers pass their kernels'
-                backend so explicitly-chosen fallback kernels get lists even
-                when numpy is importable.
         """
-        n = len(tuples)
         key_ids: Optional[Sequence[int]]
         if interner is None:
             key_ids = None
@@ -261,36 +237,21 @@ class PageBatch:
                     intern_one(tup.key) if key_id < 0 else key_id
                     for tup, key_id in zip(tuples, key_ids)
                 ]
-        starts: Sequence[int] = [tup.valid.start for tup in tuples]
-        ends: Sequence[int] = [tup.valid.end for tup in tuples]
-        if use_numpy:
-            if not HAVE_NUMPY:
-                raise RuntimeError("numpy batches requested but numpy is unavailable")
-            if n:
-                starts = np.array(starts, dtype=np.int64)
-                ends = np.array(ends, dtype=np.int64)
-                if key_ids is not None:
-                    key_ids = np.array(key_ids, dtype=np.int64)
-            else:
-                # Normalized empty columns: every column is int64 even when
-                # the page is empty, so downstream concatenation/sorting
-                # never sees a stray float64 from ``np.array([])``.
-                starts = np.empty(0, np.int64)
-                ends = np.empty(0, np.int64)
-                if key_ids is not None:
-                    key_ids = np.empty(0, np.int64)
+        # Every column is int64 even when the page is empty, so downstream
+        # concatenation/sorting never sees a stray float64 from ``np.array([])``.
+        starts = np.array([tup.valid.start for tup in tuples], dtype=np.int64)
+        ends = np.array([tup.valid.end for tup in tuples], dtype=np.int64)
+        if key_ids is not None:
+            key_ids = np.array(key_ids, dtype=np.int64)
         return cls(list(tuples), key_ids, starts, ends, interner)
 
     @classmethod
     def keyed(cls, tuples: List[VTTuple], keys=None, starts=None, ends=None) -> "PageBatch":
-        """*tuples* split against a dictionary of their own (``batch.keys``;
-        the fallback backend keeps neither ids nor dictionary).  Given the
-        rows' *keys*, *starts* and *ends* columns, no row is read."""
-        dictionary = KeyInterner() if HAVE_NUMPY else None
+        """*tuples* split against a dictionary of their own (``batch.keys``).
+        Given the rows' *keys*, *starts* and *ends* columns, no row is read."""
+        dictionary = KeyInterner()
         if keys is None:
             return cls.from_tuples(tuples, dictionary, intern=True)
-        if dictionary is None:
-            return cls(tuples, None, list(starts), list(ends))
         columns = (list(map(dictionary.intern, keys)), starts, ends)
         return cls(tuples, *(np.array(column, np.int64) for column in columns), dictionary)
 
@@ -301,29 +262,21 @@ class PageBatch:
         interner: Optional[KeyInterner] = None,
         *,
         intern: bool = False,
-        use_numpy: bool = HAVE_NUMPY,
         translator: Optional["CodeTranslator"] = None,
     ) -> "PageBatch":
         """Lift a :class:`~repro.storage.columnar_page.ColumnarPage` into a
         batch without per-tuple work.
 
         The time columns are ``np.frombuffer`` views straight over the page
-        buffer (plain lists under the fallback backend).  Key ids come from
-        one vectorized gather ``table[codes]`` through the *translator*'s
-        per-dictionary code->id table on the probe side; the build side
-        interns row by row, in page order, exactly like the tuple path.
+        buffer.  Key ids come from one vectorized gather ``table[codes]``
+        through the *translator*'s per-dictionary code->id table on the
+        probe side; the build side interns row by row, in page order,
+        exactly like the tuple path.
         The batch's ``tuples`` **is the page itself** -- a lazy Sequence
         that materializes a ``VTTuple`` only when a row is emitted.
         """
-        n = page.n_rows
-        if use_numpy:
-            if not HAVE_NUMPY:
-                raise RuntimeError("numpy batches requested but numpy is unavailable")
-            starts = page.starts_view()
-            ends = page.ends_view()
-        else:
-            starts = page.starts_list()
-            ends = page.ends_list()
+        starts = page.starts_view()
+        ends = page.ends_view()
         key_ids: Optional[Sequence[int]]
         if interner is None:
             key_ids = None
@@ -333,18 +286,14 @@ class PageBatch:
             intern_one = interner.intern
             key_of = page.dictionary.key
             ids = [intern_one(key_of(code)) for code in page.codes_list()]
-            key_ids = np.array(ids, dtype=np.int64) if use_numpy and n else (
-                np.empty(0, np.int64) if use_numpy else ids
-            )
+            key_ids = np.array(ids, dtype=np.int64)
         elif translator is not None:
-            key_ids = translator.translate(page, use_numpy=use_numpy)
+            key_ids = translator.translate(page)
         else:
             lookup = interner.lookup
             key_of = page.dictionary.key
             ids = [lookup(key_of(code)) for code in page.codes_list()]
-            key_ids = np.array(ids, dtype=np.int64) if use_numpy and n else (
-                np.empty(0, np.int64) if use_numpy else ids
-            )
+            key_ids = np.array(ids, dtype=np.int64)
         return cls(page, key_ids, starts, ends, interner)
 
 
@@ -395,7 +344,7 @@ class CodeTranslator:
             intern(key)
         self._interned[cache_key] = (dictionary, n)
 
-    def table_for(self, dictionary, *, use_numpy: bool = HAVE_NUMPY) -> Sequence[int]:
+    def table_for(self, dictionary) -> Sequence[int]:
         """The code->id table of *dictionary* (cached until stale)."""
         cache_key = id(dictionary)
         version = self._interner.version
@@ -407,22 +356,15 @@ class CodeTranslator:
                 return table
         lookup = self._interner.lookup
         ids = [lookup(key) for key in _keys_by_code(dictionary)]
-        table: Sequence[int]
-        if use_numpy:
-            table = np.array(ids, dtype=np.int64) if n else np.empty(0, np.int64)
-        else:
-            table = ids
+        table = np.array(ids, dtype=np.int64)
         self._tables[cache_key] = (dictionary, version, table)
         return table
 
-    def translate(self, page, *, use_numpy: bool = HAVE_NUMPY) -> Sequence[int]:
+    def translate(self, page) -> Sequence[int]:
         """Per-row join ids of *page* via one gather through the table."""
-        table = self.table_for(page.dictionary, use_numpy=use_numpy)
-        if use_numpy:
-            if page.n_rows == 0:
-                return np.empty(0, np.int64)
-            return table[page.codes_view()]
-        return [table[code] for code in page.codes_list()]
+        if page.n_rows == 0:
+            return np.empty(0, np.int64)
+        return self.table_for(page.dictionary)[page.codes_view()]
 
 
 class ColumnarBlock(Sequence):
@@ -553,56 +495,3 @@ class ColumnarBlock(Sequence):
             int(self._overlap_mask(page, rows, window).sum())
             for page, rows in self._segments
         )
-
-
-def iter_page_batches(
-    pages: Iterable[Sequence[VTTuple]],
-    interner: Optional[KeyInterner] = None,
-    *,
-    intern: bool = False,
-    use_numpy: bool = HAVE_NUMPY,
-) -> Iterator[PageBatch]:
-    """Wrap a page stream (e.g. ``HeapFile.scan_pages()``) into batches.
-
-    I/O accounting is untouched: the underlying stream charges page reads
-    exactly as it would tuple-at-a-time; only the in-memory representation
-    changes.
-    """
-    for page in pages:
-        yield PageBatch.from_tuples(
-            page, interner, intern=intern, use_numpy=use_numpy
-        )
-
-
-# -- batch (de)composition of tuple sequences --------------------------------------
-
-
-def tuples_to_columns(
-    tuples: Iterable[VTTuple],
-) -> Tuple[List[Tuple], List[Tuple], List[int], List[int]]:
-    """Decompose *tuples* into ``(keys, payloads, starts, ends)`` columns."""
-    keys: List[Tuple] = []
-    payloads: List[Tuple] = []
-    starts: List[int] = []
-    ends: List[int] = []
-    for tup in tuples:
-        keys.append(tup.key)
-        payloads.append(tup.payload)
-        starts.append(tup.valid.start)
-        ends.append(tup.valid.end)
-    return keys, payloads, starts, ends
-
-
-def tuples_from_columns(
-    keys: Sequence[Tuple],
-    payloads: Sequence[Tuple],
-    starts: Sequence[int],
-    ends: Sequence[int],
-) -> List[VTTuple]:
-    """Recompose columns produced by :func:`tuples_to_columns`."""
-    if not (len(keys) == len(payloads) == len(starts) == len(ends)):
-        raise ValueError("column lengths differ")
-    return [
-        VTTuple(tuple(key), tuple(payload), Interval(int(vs), int(ve)))
-        for key, payload, vs, ve in zip(keys, payloads, starts, ends)
-    ]

@@ -14,11 +14,10 @@ single forward scan over the two relations' merged endpoint streams:
 
 * A **gapless hash map** per side maintains the open intervals: an
   open-addressing code table points at dense per-key entry runs, and lazy
-  deletion keeps the runs gapless -- the pure-Python twin swaps expired
-  entries with the last one, the numpy twin compacts a whole run with one
-  boolean mask (batched swap-with-last).  Each arriving row probes the
-  *other* side's map (expiring entries that end before the row starts),
-  so every intersecting pair is found exactly once, then inserts itself.
+  deletion keeps the runs gapless -- one boolean mask compacts a whole run
+  (batched swap-with-last).  Each arriving row probes the *other* side's
+  map (expiring entries that end before the row starts), so every
+  intersecting pair is found exactly once, then inserts itself.
 
 * Because every active-map candidate intersects the probing interval,
   the probe evaluates the predicate with the 3x3 **sign grid** of
@@ -33,12 +32,12 @@ single forward scan over the two relations' merged endpoint streams:
 
 Result tuples are materialized only at emission.  Matched row ids are
 sorted per probe, so the emission order -- and therefore the result, the
-counters, and every ``repro_sweep_*`` metric -- is identical across the
-numpy and pure-Python twins.  For the natural-join predicate
-(``"intersects"``) the result *multiset* and cardinality are identical
-with every partition execution mode; the emission order differs (scan
-order here, partition-ownership order there), so compare sorted, exactly
-as with the degraded nested-loop fallback.
+counters, and every ``repro_sweep_*`` metric -- is deterministic.  For the
+natural-join predicate (``"intersects"``) the result *multiset* and
+cardinality are identical with every partition execution mode; the
+emission order differs (scan order here, partition-ownership order
+there), so compare sorted, exactly as with the degraded nested-loop
+fallback.
 """
 
 from __future__ import annotations
@@ -46,6 +45,8 @@ from __future__ import annotations
 import bisect
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.algebra.predicates import TemporalPredicate, resolve_predicate
 from repro.storage.columnar_page import ColumnarPage
@@ -56,32 +57,7 @@ from repro.model.vtuple import VTTuple
 __all__ = [
     "GaplessHashMap",
     "forward_sweep_join",
-    "resolve_sweep_backend",
 ]
-
-#: Legal explicit backend names (None / "auto" pick numpy when available).
-SWEEP_BACKENDS: Tuple[str, ...] = ("numpy", "python")
-
-
-def resolve_sweep_backend(backend: Optional[str]) -> str:
-    """Normalize a backend override against what the process can run."""
-    from repro.exec.backend import np
-
-    if backend in (None, "auto"):
-        return "numpy" if np is not None else "python"
-    if backend not in SWEEP_BACKENDS:
-        raise ValueError(
-            f"sweep backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
-        )
-    if backend == "numpy" and np is None:
-        raise ValueError("numpy sweep backend requested but numpy is unavailable")
-    return backend
-
-
-def _np():
-    from repro.exec.backend import np
-
-    return np
 
 
 @contextmanager
@@ -97,82 +73,37 @@ def _phase(tracker, obs, name: str) -> Iterator[None]:
             yield
 
 
-def _sign(a: int, b: int) -> int:
-    return (a > b) - (a < b)
-
-
 # ---------------------------------------------------------------------------
 # The gapless hash map
 # ---------------------------------------------------------------------------
 
 
-class _PythonRun:
-    """A dense per-key entry run; deletion swaps with the last entry."""
-
-    __slots__ = ("starts", "ends", "rows")
-
-    def __init__(self) -> None:
-        self.starts: List[int] = []
-        self.ends: List[int] = []
-        self.rows: List[int] = []
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def insert(self, start: int, end: int, row: int) -> None:
-        self.starts.append(start)
-        self.ends.append(end)
-        self.rows.append(row)
-
-    def expire(self, boundary: int) -> int:
-        """Swap-with-last every entry ending before *boundary*; count them."""
-        starts, ends, rows = self.starts, self.ends, self.rows
-        n = len(rows)
-        i = 0
-        while i < n:
-            if ends[i] < boundary:
-                n -= 1
-                starts[i] = starts[n]
-                ends[i] = ends[n]
-                rows[i] = rows[n]
-            else:
-                i += 1
-        removed = len(rows) - n
-        if removed:
-            del starts[n:]
-            del ends[n:]
-            del rows[n:]
-        return removed
-
-    def live(self):
-        return self.starts, self.ends, self.rows, len(self.rows)
-
-
-class _NumpyRun:
-    """The numpy twin: capacity-doubling columns, mask-batched deletion."""
+class _Run:
+    """A dense per-key entry run: capacity-doubling columns, mask-batched
+    deletion."""
 
     __slots__ = ("starts", "ends", "rows", "n")
 
-    def __init__(self, np_mod) -> None:
-        self.starts = np_mod.empty(8, dtype=np_mod.int64)
-        self.ends = np_mod.empty(8, dtype=np_mod.int64)
-        self.rows = np_mod.empty(8, dtype=np_mod.int64)
+    def __init__(self) -> None:
+        self.starts = np.empty(8, dtype=np.int64)
+        self.ends = np.empty(8, dtype=np.int64)
+        self.rows = np.empty(8, dtype=np.int64)
         self.n = 0
 
     def __len__(self) -> int:
         return self.n
 
-    def _grow(self, np_mod) -> None:
+    def _grow(self) -> None:
         cap = len(self.starts) * 2
         for name in ("starts", "ends", "rows"):
             old = getattr(self, name)
-            new = np_mod.empty(cap, dtype=np_mod.int64)
+            new = np.empty(cap, dtype=np.int64)
             new[: self.n] = old[: self.n]
             setattr(self, name, new)
 
     def insert(self, start: int, end: int, row: int) -> None:
         if self.n == len(self.starts):
-            self._grow(_np())
+            self._grow()
         i = self.n
         self.starts[i] = start
         self.ends[i] = end
@@ -204,21 +135,15 @@ class GaplessHashMap:
     The table maps a joint key code to its entry run with linear probing
     (codes hash to themselves -- they are dense dictionary codes).  Runs
     stay dense under lazy deletion; ``expired`` counts entries removed,
-    ``peak`` tracks the largest live population -- both backend-identical
-    because expiry is driven by the same probe boundaries.
+    ``peak`` tracks the largest live population.
     """
 
     _MIN_TABLE = 8
 
-    __slots__ = ("_table", "_codes", "_runs", "_mask", "_n_keys", "backend",
+    __slots__ = ("_table", "_codes", "_runs", "_mask", "_n_keys",
                  "size", "peak", "expired")
 
-    def __init__(self, backend: str = "python") -> None:
-        if backend not in SWEEP_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
-            )
-        self.backend = backend
+    def __init__(self) -> None:
         self._mask = self._MIN_TABLE - 1
         self._table = [-1] * self._MIN_TABLE
         self._codes = [0] * self._MIN_TABLE
@@ -258,7 +183,7 @@ class GaplessHashMap:
         if (self._n_keys + 1) * 4 > (self._mask + 1) * 3:
             self._resize()
             slot = self._slot(code)
-        run = _NumpyRun(_np()) if self.backend == "numpy" else _PythonRun()
+        run = _Run()
         self._table[slot] = len(self._runs)
         self._codes[slot] = code
         self._runs.append(run)
@@ -317,25 +242,18 @@ class _SideColumns:
         return self.pages[index // self.capacity].row(index % self.capacity)
 
 
-def _gather(heap_file, joint, backend: str) -> _SideColumns:
+def _gather(heap_file, joint) -> _SideColumns:
     """Scan *heap_file* (charged) into joint-coded columns.
 
-    Each columnar page contributes its packed column views (numpy) or
-    memoryview-cast lists (python); its file-local key codes are gathered
-    through a per-file translation into the shared *joint* dictionary.
-    List pages fall back to a per-tuple loop.
+    Each columnar page contributes its packed column views; its file-local
+    key codes are gathered through a per-file translation into the shared
+    *joint* dictionary.  List pages are decomposed per tuple.
     """
-    np = _np() if backend == "numpy" else None
     capacity = heap_file.spec.capacity
     translation: Optional[List[int]] = None
     pages: List[object] = []
     rows: Optional[List[VTTuple]] = None
-    if np is not None:
-        start_chunks, end_chunks, code_chunks = [], [], []
-    else:
-        starts: List[int] = []
-        ends: List[int] = []
-        codes: List[int] = []
+    start_chunks, end_chunks, code_chunks = [], [], []
     columnar = True
     for page in heap_file.scan_pages():
         pages.append(page)
@@ -343,33 +261,19 @@ def _gather(heap_file, joint, backend: str) -> _SideColumns:
             dictionary = heap_file.dictionary
             if translation is None or len(translation) < len(dictionary.keys):
                 translation = [joint.code(key) for key in dictionary.keys]
-            if np is not None:
-                table = np.asarray(translation, dtype=np.int64)
-                start_chunks.append(page.starts_view())
-                end_chunks.append(page.ends_view())
-                code_chunks.append(table[page.codes_view()])
-            else:
-                starts.extend(page.starts_list())
-                ends.extend(page.ends_list())
-                codes.extend(translation[c] for c in page.codes_list())
+            table = np.asarray(translation, dtype=np.int64)
+            start_chunks.append(page.starts_view())
+            end_chunks.append(page.ends_view())
+            code_chunks.append(table[page.codes_view()])
         else:
             columnar = False
             if rows is None:
                 rows = []
-            if np is not None and not isinstance(page, ColumnarPage):
-                # A list page inside a numpy gather: decompose per tuple,
-                # buffer as one chunk.
-                ps = [t.vs for t in page]
-                pe = [t.ve for t in page]
-                pc = [joint.code(t.key) for t in page]
-                start_chunks.append(np.asarray(ps, dtype=np.int64))
-                end_chunks.append(np.asarray(pe, dtype=np.int64))
-                code_chunks.append(np.asarray(pc, dtype=np.int64))
-            else:
-                for tup in page:
-                    starts.append(tup.vs)
-                    ends.append(tup.ve)
-                    codes.append(joint.code(tup.key))
+            start_chunks.append(np.asarray([t.vs for t in page], dtype=np.int64))
+            end_chunks.append(np.asarray([t.ve for t in page], dtype=np.int64))
+            code_chunks.append(
+                np.asarray([joint.code(t.key) for t in page], dtype=np.int64)
+            )
             rows.extend(page)
     if not columnar and rows is not None and len(pages) and any(
         isinstance(p, ColumnarPage) for p in pages
@@ -380,31 +284,23 @@ def _gather(heap_file, joint, backend: str) -> _SideColumns:
         for page in pages:
             rows.extend(page.row(i) if isinstance(page, ColumnarPage) else page[i]
                         for i in range(len(page)))
-    if np is not None:
-        cat = (lambda chunks: np.concatenate(chunks)
-               if chunks else np.empty(0, dtype=np.int64))
-        starts_arr, ends_arr, codes_arr = (
-            cat(start_chunks), cat(end_chunks), cat(code_chunks)
-        )
-        n = int(len(starts_arr))
-        return _SideColumns(
-            starts_arr, ends_arr, codes_arr, n,
-            pages=pages if columnar else None, capacity=capacity, rows=rows,
-        )
-    n = len(starts)
+    cat = (lambda chunks: np.concatenate(chunks)
+           if chunks else np.empty(0, dtype=np.int64))
+    starts_arr, ends_arr, codes_arr = (
+        cat(start_chunks), cat(end_chunks), cat(code_chunks)
+    )
     return _SideColumns(
-        starts, ends, codes, n,
+        starts_arr, ends_arr, codes_arr, int(len(starts_arr)),
         pages=pages if columnar else None, capacity=capacity, rows=rows,
     )
 
 
-def _write_sorted_run(heap_file, layout, name: str, backend: str):
+def _write_sorted_run(heap_file, layout, name: str):
     """One external-sort pass: charged base scan, charged sorted TEMP run.
 
     Returns the run file; the join phase re-scans it sequentially, so an
     unsorted input costs three passes where a sorted one costs one.
     """
-    np = _np() if backend == "numpy" else None
     run = layout.temp_file(name, capacity_tuples=heap_file.n_tuples)
     if heap_file.columnar and run.columnar:
         starts: List[int] = []
@@ -416,14 +312,11 @@ def _write_sorted_run(heap_file, layout, name: str, backend: str):
             ends.extend(page.ends_list())
             fcodes.extend(page.codes_list())
             payloads.extend(page.payloads)
-        if np is not None:
-            order = np.lexsort((
-                np.asarray(ends, dtype=np.int64),
-                np.asarray(starts, dtype=np.int64),
-            ))
-            order = [int(i) for i in order]
-        else:
-            order = sorted(range(len(starts)), key=lambda i: (starts[i], ends[i]))
+        order = np.lexsort((
+            np.asarray(ends, dtype=np.int64),
+            np.asarray(starts, dtype=np.int64),
+        ))
+        order = [int(i) for i in order]
         run.dictionary = heap_file.dictionary
         run.append_coded_run(
             [starts[i] for i in order],
@@ -448,7 +341,6 @@ def _sweep_intersecting(
     rc: _SideColumns,
     sc: _SideColumns,
     pred: TemporalPredicate,
-    backend: str,
     stats: Dict[str, int],
 ) -> List[Tuple[int, int]]:
     """Merged forward scan; returns accepted ``(r_row, s_row)`` pairs.
@@ -459,11 +351,9 @@ def _sweep_intersecting(
     sign grid of the predicate is evaluated over the live run -- the
     probing interval and every candidate are guaranteed to intersect.
     """
-    np = _np() if backend == "numpy" else None
-    table = pred.sign_table
-    np_table = np.asarray(table, dtype=bool) if np is not None else None
-    r_map = GaplessHashMap(backend)
-    s_map = GaplessHashMap(backend)
+    sign_table = np.asarray(pred.sign_table, dtype=bool)
+    r_map = GaplessHashMap()
+    s_map = GaplessHashMap()
     pairs: List[Tuple[int, int]] = []
     probes = 0
     rs, re_, rcodes = rc.starts, rc.ends, rc.codes
@@ -483,23 +373,13 @@ def _sweep_intersecting(
             live = s_map.probe(code, start)
             probes += 1
             if live is not None:
-                cs, ce, crows, n_live = live
-                if np is not None:
-                    ds = np.sign(start - cs)
-                    de = np.sign(end - ce)
-                    matched = crows[np_table[ds + 1, de + 1]]
-                    if matched.size:
-                        matched = np.sort(matched)
-                        pairs.extend((i, int(m)) for m in matched)
-                else:
-                    hits = [
-                        crows[k]
-                        for k in range(n_live)
-                        if table[_sign(start, cs[k]) + 1][_sign(end, ce[k]) + 1]
-                    ]
-                    if hits:
-                        hits.sort()
-                        pairs.extend((i, m) for m in hits)
+                cs, ce, crows, _ = live
+                ds = np.sign(start - cs)
+                de = np.sign(end - ce)
+                matched = crows[sign_table[ds + 1, de + 1]]
+                if matched.size:
+                    matched = np.sort(matched)
+                    pairs.extend((i, int(m)) for m in matched)
             r_map.insert(code, start, end, i)
             i += 1
         else:
@@ -507,23 +387,13 @@ def _sweep_intersecting(
             live = r_map.probe(code, start)
             probes += 1
             if live is not None:
-                cs, ce, crows, n_live = live
-                if np is not None:
-                    ds = np.sign(cs - start)
-                    de = np.sign(ce - end)
-                    matched = crows[np_table[ds + 1, de + 1]]
-                    if matched.size:
-                        matched = np.sort(matched)
-                        pairs.extend((int(m), j) for m in matched)
-                else:
-                    hits = [
-                        crows[k]
-                        for k in range(n_live)
-                        if table[_sign(cs[k], start) + 1][_sign(ce[k], end) + 1]
-                    ]
-                    if hits:
-                        hits.sort()
-                        pairs.extend((m, j) for m in hits)
+                cs, ce, crows, _ = live
+                ds = np.sign(cs - start)
+                de = np.sign(ce - end)
+                matched = crows[sign_table[ds + 1, de + 1]]
+                if matched.size:
+                    matched = np.sort(matched)
+                    pairs.extend((int(m), j) for m in matched)
             s_map.insert(code, start, end, j)
             j += 1
         combined = r_map.size + s_map.size
@@ -548,8 +418,7 @@ def _window_disjoint(
     active map, so they are answered against per-key row indexes: a
     start-sorted run (prefix/point windows on ``s.start``) and an
     end-sorted run (for met_by/after windows on ``s.end``).  Emission is
-    R-major with sorted window contents -- deterministic and
-    backend-independent.
+    R-major with sorted window contents -- deterministic.
     """
     wanted = pred.disjoint_relations
     need_start = bool(wanted & {AllenRelation.BEFORE, AllenRelation.MEETS})
@@ -621,7 +490,6 @@ def forward_sweep_join(
     predicate="intersects",
     pair_fn=None,
     collect: bool = True,
-    backend: Optional[str] = None,
     obs=None,
 ):
     """Evaluate ``r PRED s`` with the forward-scan sweep.
@@ -636,8 +504,6 @@ def forward_sweep_join(
         pair_fn: result constructor ``(x, y, stamp) -> VTTuple | None``;
             defaults to the natural join's pair shape.
         collect: materialize the result relation in memory.
-        backend: ``"numpy"``, ``"python"``, or None/"auto" for the process
-            default -- results are bit-identical either way.
         obs: optional :class:`~repro.obs.Observability` runtime; receives
             the ``repro_sweep_*`` metrics and the sweep span.
 
@@ -655,22 +521,21 @@ def forward_sweep_join(
     )
     if pair_fn is None:
         pair_fn = natural_pair
-    backend = resolve_sweep_backend(backend)
     tracker = layout.tracker
     stats: Dict[str, int] = {}
 
-    with span_or_null(obs, "sweep:forward", predicate=pred.name, backend=backend):
+    with span_or_null(obs, "sweep:forward", predicate=pred.name):
         sort_pages = 0
         r_source, s_source = r_file, s_file
         if not (r_file.endpoint_sorted and s_file.endpoint_sorted):
             with _phase(tracker, obs, "sort"):
                 if not r_file.endpoint_sorted:
-                    r_source = _write_sorted_run(r_file, layout, "r_sweep_run", backend)
+                    r_source = _write_sorted_run(r_file, layout, "r_sweep_run")
                     sort_pages += r_file.n_pages + r_source.n_pages
                     stats["sort_runs"] = stats.get("sort_runs", 0) + 1
                     layout.disk.park_heads()
                 if not s_file.endpoint_sorted:
-                    s_source = _write_sorted_run(s_file, layout, "s_sweep_run", backend)
+                    s_source = _write_sorted_run(s_file, layout, "s_sweep_run")
                     sort_pages += s_file.n_pages + s_source.n_pages
                     stats["sort_runs"] = stats.get("sort_runs", 0) + 1
             layout.disk.park_heads()
@@ -680,13 +545,13 @@ def forward_sweep_join(
             from repro.storage.columnar_page import KeyDictionary
 
             joint = KeyDictionary()
-            rc = _gather(r_source, joint, backend)
-            sc = _gather(s_source, joint, backend)
+            rc = _gather(r_source, joint)
+            sc = _gather(s_source, joint)
             stats["scan_pages"] = r_source.extent.n_pages + s_source.extent.n_pages
 
             pairs: List[Tuple[int, int]] = []
             if pred.intersecting_relations:
-                pairs.extend(_sweep_intersecting(rc, sc, pred, backend, stats))
+                pairs.extend(_sweep_intersecting(rc, sc, pred, stats))
             if pred.disjoint_relations:
                 pairs.extend(_window_disjoint(rc, sc, pred, stats))
 
@@ -719,7 +584,7 @@ def forward_sweep_join(
         layout.disk.park_heads()
 
         if obs is not None:
-            _emit_metrics(obs, pred, backend, stats, n_result)
+            _emit_metrics(obs, pred, stats, n_result)
         return JoinOutcome(
             result=result,
             n_result_tuples=n_result,
@@ -729,7 +594,7 @@ def forward_sweep_join(
         )
 
 
-def _emit_metrics(obs, pred, backend, stats, n_result) -> None:
+def _emit_metrics(obs, pred, stats, n_result) -> None:
     """Record the run's ``repro_sweep_*`` metric family.
 
     The page counters reconcile exactly with the layout's phase-tracked
@@ -766,7 +631,6 @@ def _emit_metrics(obs, pred, backend, stats, n_result) -> None:
     obs.event(
         "sweep-summary",
         predicate=pred.name,
-        backend=backend,
         probes=stats.get("probes", 0),
         expired=stats.get("expired", 0),
         active_peak=stats.get("active_peak", 0),

@@ -1,7 +1,7 @@
 """Batch join kernels: the compute core of the ``"batch"`` execution modes.
 
-Four operations dominate the partition sweep's in-memory work, and each has
-a vectorized numpy implementation and a pure-Python fallback here:
+Four operations dominate the partition sweep's in-memory work, each
+vectorized over ``int64`` columns here:
 
 * **key-equality probe** -- expand an inner page against the hash index of
   the outer block into candidate pairs (CSR gather over interned key ids);
@@ -19,19 +19,19 @@ a vectorized numpy implementation and a pure-Python fallback here:
 The partitioner's per-tuple placement (``index_of_chronon`` of the storage
 chronon) is the fifth kernel, :meth:`Kernels.locate`.
 
-Both implementations emit **identical values in identical order** -- pairs
+The kernels emit the tuple-at-a-time loops' values in their order -- pairs
 ordered by (inner row, outer insertion order), migrations in page order --
 so the surrounding sweep produces bit-identical results, cache contents,
-and I/O charges whichever backend is active.  The tuple-at-a-time path in
-:mod:`repro.core.joiner` remains the oracle both are tested against.
+and I/O charges.  The tuple engine of :mod:`repro.core.joiner` remains the
+stdlib oracle they are tested against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.exec.backend import HAVE_NUMPY, backend_name, np
+import numpy as np
+
 from repro.exec.batch import CodeTranslator, ColumnarBlock, KeyInterner, PageBatch
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
@@ -40,10 +40,10 @@ from repro.time.interval import Interval
 def _columnar_page_type():
     """The ColumnarPage class, imported lazily.
 
-    ``storage.columnar_page`` itself imports :mod:`repro.exec.backend`, so a
-    top-level import here would be circular (storage -> exec -> kernels ->
-    storage).  By the time a page reaches a kernel both packages are fully
-    initialized and this is a ``sys.modules`` hit.
+    The storage layer imports :mod:`repro.exec.batch`, so a top-level
+    import here would be circular (storage -> exec -> kernels -> storage).
+    By the time a page reaches a kernel both packages are fully initialized
+    and this is a ``sys.modules`` hit.
     """
     from repro.storage.columnar_page import ColumnarPage
 
@@ -116,7 +116,7 @@ Match = Tuple[VTTuple, VTTuple, Interval]
 
 
 class PartitionBoundaries:
-    """Partition end chronons in both backend representations.
+    """Partition end chronons, as a list and as an ``int64`` array.
 
     Prepared once per join from the :class:`~repro.core.intervals.PartitionMap`
     and shared by every kernel call; ``index_of_chronon`` is
@@ -127,12 +127,12 @@ class PartitionBoundaries:
 
     __slots__ = ("ends", "ends_np", "n")
 
-    def __init__(self, ends: Sequence[int], use_numpy: bool) -> None:
+    def __init__(self, ends: Sequence[int]) -> None:
         self.ends: List[int] = list(ends)
         self.n = len(self.ends)
         if self.n == 0:
             raise ValueError("a partitioning needs at least one boundary")
-        self.ends_np = np.array(self.ends, dtype=np.int64) if use_numpy else None
+        self.ends_np = np.array(self.ends, dtype=np.int64)
 
     def window(self, index: int) -> Tuple[float, float]:
         """``(lo, hi)`` of partition *index* under the map's edge clamping.
@@ -146,14 +146,57 @@ class PartitionBoundaries:
         return lo, hi
 
 
+class _CsrProbeIndex:
+    """CSR grouping of an outer block by interned key id.
+
+    *columns* hands over the block's ``(key_ids, starts, ends)`` when the
+    caller already holds them; the block is then kept as given (it may be
+    a packed :class:`~repro.exec.batch.ColumnarBlock`).
+    """
+
+    __slots__ = (
+        "block",
+        "order",
+        "offsets",
+        "counts",
+        "starts_ordered",
+        "ends_ordered",
+        "n_groups",
+    )
+
+    def __init__(
+        self, block: Sequence[VTTuple], interner: KeyInterner, columns=None
+    ) -> None:
+        if columns is not None:
+            self.block = block
+            key_ids, starts, ends = columns
+        else:
+            self.block = list(block)
+            n = len(self.block)
+            key_ids = np.fromiter(
+                (interner.intern(tup.key) for tup in self.block), np.int64, count=n
+            )
+            starts = np.fromiter(
+                (tup.valid.start for tup in self.block), np.int64, count=n
+            )
+            ends = np.fromiter(
+                (tup.valid.end for tup in self.block), np.int64, count=n
+            )
+        self.n_groups = len(interner)
+        # Stable sort keeps each key group in block (insertion) order, so
+        # CSR gathers reproduce the probe_index list order exactly.
+        self.order = np.argsort(key_ids, kind="stable")
+        self.counts = np.bincount(key_ids, minlength=self.n_groups).astype(np.int64)
+        self.offsets = np.cumsum(self.counts) - self.counts
+        # Interval columns pre-permuted into CSR position order, so the
+        # probe's hot path gathers by contiguous-ish CSR positions and only
+        # dereferences ``order`` for pairs that survive the filters.
+        self.starts_ordered = starts[self.order]
+        self.ends_ordered = ends[self.order]
+
+
 class Kernels:
-    """Common interface of both kernel implementations."""
-
-    use_numpy: bool = False
-
-    @property
-    def name(self) -> str:
-        return "numpy" if self.use_numpy else "python"
+    """Vectorized kernels over ``int64`` columns."""
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -163,7 +206,7 @@ class Kernels:
     def prepare_boundaries(self, partition_map) -> PartitionBoundaries:
         """Lift *partition_map* (or a plain end-chronon list) for batch use."""
         ends = getattr(partition_map, "_ends", partition_map)
-        return PartitionBoundaries(ends, self.use_numpy)
+        return PartitionBoundaries(ends)
 
     def page_batch(
         self,
@@ -173,14 +216,18 @@ class Kernels:
         intern: bool = False,
         translator: Optional[CodeTranslator] = None,
     ) -> PageBatch:
-        """Build the backend-native :class:`PageBatch` for *page*.
+        """The :class:`PageBatch` of *page*.
 
         A :class:`~repro.storage.columnar_page.ColumnarPage` takes the
         zero-copy path (column views over the page buffer, key ids via the
         *translator*'s gather table); any other sequence is decomposed
-        tuple by tuple as before.
+        tuple by tuple.
         """
-        raise NotImplementedError
+        if isinstance(page, _columnar_page_type()):
+            return PageBatch.from_columnar(
+                page, interner, intern=intern, translator=translator
+            )
+        return PageBatch.from_tuples(page, interner, intern=intern)
 
     def run_batch(
         self,
@@ -245,155 +292,6 @@ class Kernels:
     def take(self, rows: Sequence[VTTuple], positions) -> Sequence[VTTuple]:
         """The rows of *rows* at *positions* (a probe's row column), in
         order.  A lazy page or block materializes only the rows named."""
-        return [rows[at] for at in positions]
-
-    # -- the kernels -------------------------------------------------------
-
-    def build_probe_index(self, block: Sequence[VTTuple], interner: KeyInterner):
-        """Hash the outer *block* on the explicit join attributes."""
-        raise NotImplementedError
-
-    def probe(
-        self,
-        index,
-        batch: PageBatch,
-        boundaries: Optional[PartitionBoundaries] = None,
-        part_index: Optional[int] = None,
-        direction: str = "backward",
-    ) -> List[Match]:
-        """Probe *batch* against *index*: key equality + interval
-        intersection, then (when *boundaries* is given) the exactly-once
-        owner-chronon filter for partition *part_index*."""
-        raise NotImplementedError
-
-    def locate(
-        self, chronons: Sequence[int], boundaries: PartitionBoundaries
-    ) -> List[int]:
-        """Partition index of each chronon (clamped ``index_of_chronon``)."""
-        raise NotImplementedError
-
-    def route(
-        self, chronons: Sequence[int], boundaries: PartitionBoundaries
-    ) -> Tuple[Sequence[int], List[int]]:
-        """:meth:`locate` as one stable counting sort, a whole relation's
-        Grace routing: ``(perm, counts)`` -- the rows partition by partition,
-        in input order within each, and how many each partition receives."""
-        groups: List[List[int]] = [[] for _ in range(boundaries.n)]
-        for row, index in enumerate(self.locate(chronons, boundaries)):
-            groups[index].append(row)
-        return [row for group in groups for row in group], list(map(len, groups))
-
-
-class PythonKernels(Kernels):
-    """Pure-Python fallback: identical semantics, loop-at-a-time compute.
-
-    Keys stay raw tuples (no interning -- a dict on the key is cheaper than
-    an id indirection without vector gathers to feed).
-    """
-
-    use_numpy = False
-
-    def page_batch(self, page, interner=None, *, intern=False, translator=None):
-        # Key-id columns buy nothing without vector ops; skip them.
-        if isinstance(page, _columnar_page_type()):
-            return PageBatch.from_columnar(page, None, use_numpy=False)
-        return PageBatch.from_tuples(page, None, use_numpy=False)
-
-    def build_probe_index(self, block, interner):
-        index: Dict[Tuple, List[VTTuple]] = {}
-        for tup in block:
-            index.setdefault(tup.key, []).append(tup)
-        return index
-
-    def probe(self, index, batch, boundaries=None, part_index=None, direction="backward"):
-        matches: List[Match] = []
-        lo, hi = boundaries.window(part_index) if boundaries is not None else (None, None)
-        backward = direction == "backward"
-        for inner_tup in batch.tuples:
-            for outer_tup in index.get(inner_tup.key, ()):
-                cs = max(outer_tup.valid.start, inner_tup.valid.start)
-                ce = min(outer_tup.valid.end, inner_tup.valid.end)
-                if cs > ce:
-                    continue
-                if lo is not None and not lo < (ce if backward else cs) <= hi:
-                    continue
-                matches.append((outer_tup, inner_tup, Interval(cs, ce)))
-        return matches
-
-    def locate(self, chronons, boundaries):
-        ends = boundaries.ends
-        last = boundaries.n - 1
-        return [min(bisect_left(ends, c), last) for c in chronons]
-
-
-class _NumpyProbeIndex:
-    """CSR grouping of an outer block by interned key id.
-
-    *columns* hands over the block's ``(key_ids, starts, ends)`` when the
-    caller already holds them; the block is then kept as given (it may be
-    a packed :class:`~repro.exec.batch.ColumnarBlock`).
-    """
-
-    __slots__ = (
-        "block",
-        "order",
-        "offsets",
-        "counts",
-        "starts_ordered",
-        "ends_ordered",
-        "n_groups",
-    )
-
-    def __init__(
-        self, block: Sequence[VTTuple], interner: KeyInterner, columns=None
-    ) -> None:
-        if columns is not None:
-            self.block = block
-            key_ids, starts, ends = columns
-        else:
-            self.block = list(block)
-            n = len(self.block)
-            key_ids = np.fromiter(
-                (interner.intern(tup.key) for tup in self.block), np.int64, count=n
-            )
-            starts = np.fromiter(
-                (tup.valid.start for tup in self.block), np.int64, count=n
-            )
-            ends = np.fromiter(
-                (tup.valid.end for tup in self.block), np.int64, count=n
-            )
-        self.n_groups = len(interner)
-        # Stable sort keeps each key group in block (insertion) order, so
-        # CSR gathers reproduce the probe_index list order exactly.
-        self.order = np.argsort(key_ids, kind="stable")
-        self.counts = np.bincount(key_ids, minlength=self.n_groups).astype(np.int64)
-        self.offsets = np.cumsum(self.counts) - self.counts
-        # Interval columns pre-permuted into CSR position order, so the
-        # probe's hot path gathers by contiguous-ish CSR positions and only
-        # dereferences ``order`` for pairs that survive the filters.
-        self.starts_ordered = starts[self.order]
-        self.ends_ordered = ends[self.order]
-
-
-class NumpyKernels(Kernels):
-    """Vectorized kernels over ``int64`` columns."""
-
-    use_numpy = True
-
-    def __init__(self) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "NumpyKernels requires numpy; install the repro[fast] extra"
-            )
-
-    def page_batch(self, page, interner=None, *, intern=False, translator=None):
-        if isinstance(page, _columnar_page_type()):
-            return PageBatch.from_columnar(
-                page, interner, intern=intern, use_numpy=True, translator=translator
-            )
-        return PageBatch.from_tuples(page, interner, intern=intern, use_numpy=True)
-
-    def take(self, rows, positions):
         rows = self.boxed(rows, positions)
         if isinstance(rows, np.ndarray):
             return rows.take(positions)
@@ -407,10 +305,23 @@ class NumpyKernels(Kernels):
             return np.fromiter(rows, object, len(rows))
         return rows
 
-    def build_probe_index(self, block, interner):
-        return _NumpyProbeIndex(block, interner)
+    # -- the kernels -------------------------------------------------------
 
-    def probe(self, index, batch, boundaries=None, part_index=None, direction="backward"):
+    def build_probe_index(self, block: Sequence[VTTuple], interner: KeyInterner):
+        """Hash the outer *block* on the explicit join attributes."""
+        return _CsrProbeIndex(block, interner)
+
+    def probe(
+        self,
+        index,
+        batch: PageBatch,
+        boundaries: Optional[PartitionBoundaries] = None,
+        part_index: Optional[int] = None,
+        direction: str = "backward",
+    ) -> List[Match]:
+        """Probe *batch* against *index*: key equality + interval
+        intersection, then (when *boundaries* is given) the exactly-once
+        owner-chronon filter for partition *part_index*."""
         block = index.block
         inner_tuples = batch.tuples
         return [
@@ -465,10 +376,18 @@ class NumpyKernels(Kernels):
             boundaries.n - 1,
         )
 
-    def locate(self, chronons, boundaries):
+    def locate(
+        self, chronons: Sequence[int], boundaries: PartitionBoundaries
+    ) -> List[int]:
+        """Partition index of each chronon (clamped ``index_of_chronon``)."""
         return self._located(chronons, boundaries).tolist()
 
-    def route(self, chronons, boundaries):
+    def route(
+        self, chronons: Sequence[int], boundaries: PartitionBoundaries
+    ) -> Tuple[Sequence[int], List[int]]:
+        """:meth:`locate` as one stable counting sort, a whole relation's
+        Grace routing: ``(perm, counts)`` -- the rows partition by partition,
+        in input order within each, and how many each partition receives."""
         # numpy's stable sort of a narrow unsigned key is a radix sort.
         narrow = np.min_scalar_type(boundaries.n - 1)
         located = self._located(chronons, boundaries).astype(narrow)
@@ -476,36 +395,18 @@ class NumpyKernels(Kernels):
         return np.argsort(located, kind="stable"), counts
 
 
-_DEFAULT: Optional[Kernels] = None
+_KERNELS = Kernels()
 
 
-def get_kernels(backend: Optional[str] = None) -> Kernels:
-    """The kernels for *backend* (default: the import-time selection).
-
-    Args:
-        backend: ``"numpy"``, ``"python"``, or None for the process default
-            (numpy when importable and not overridden via
-            ``REPRO_EXEC_BACKEND``).
-    """
-    global _DEFAULT
-    if backend is None:
-        if _DEFAULT is None:
-            _DEFAULT = NumpyKernels() if HAVE_NUMPY else PythonKernels()
-        return _DEFAULT
-    if backend == "numpy":
-        return NumpyKernels()
-    if backend == "python":
-        return PythonKernels()
-    raise ValueError(f"unknown kernel backend {backend!r}")
+def get_kernels() -> Kernels:
+    """The process's kernels (stateless, so one instance serves every join)."""
+    return _KERNELS
 
 
 __all__ = [
     "CANDIDATE_BUDGET",
     "Kernels",
     "Match",
-    "NumpyKernels",
     "PartitionBoundaries",
-    "PythonKernels",
-    "backend_name",
     "get_kernels",
 ]

@@ -32,20 +32,17 @@ I/O stays in the caller (the sweep loop of :mod:`repro.core.joiner`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.exec.backend import np
-from repro.exec.kernels import _NumpyProbeIndex, candidate_chunks, concat_chunks, expand_candidates
+import numpy as np
+
+from repro.exec.kernels import _CsrProbeIndex, candidate_chunks, concat_chunks, expand_candidates
 from repro.model.vtuple import VTTuple
 
 #: Composite-key headroom guard: ``(largest key id + 1) * stride * rows``
 #: must stay below this bound or the pruned index falls back to the
 #: unpruned CSR probe.
 _COMPOSITE_LIMIT = 2**62
-
-
-# -- numpy pruned index ------------------------------------------------------
 
 
 class PrunedProbeIndex:
@@ -101,7 +98,7 @@ class PrunedProbeIndex:
         id_counts = np.bincount(key_ids)
         singles = np.count_nonzero(id_counts == 1)
         if 2 * singles > n or id_counts.size * self.stride * n >= _COMPOSITE_LIMIT:
-            self.csr = _NumpyProbeIndex(self.block, interner, columns=columns)
+            self.csr = _CsrProbeIndex(self.block, interner, columns=columns)
             return
         # The row as the lowest digit of the composite key makes every key
         # distinct, so one plain sort yields the order and the sorted key,
@@ -125,7 +122,7 @@ class PrunedProbeIndex:
         group_span = self.starts_sorted[group_last] - self.starts_sorted[group_first]
         prunable_rows = int(id_counts[self.uniq_ids[self.grp_maxlen < group_span]].sum())
         if 2 * prunable_rows < n:
-            self.csr = _NumpyProbeIndex(self.block, interner, columns=columns)
+            self.csr = _CsrProbeIndex(self.block, interner, columns=columns)
 
 
 def probe_pruned(
@@ -198,76 +195,8 @@ def probe_pruned_chunks(
         yield pair_outer[perm], pair_inner[perm], common_start[perm], common_end[perm]
 
 
-# -- pure-Python pruned index ------------------------------------------------
-
-
-class PrunedProbeIndexPython:
-    """Per-key start-sorted entry lists with window metadata (no numpy)."""
-
-    __slots__ = ("block", "groups", "maxlen")
-
-    def __init__(self, batch) -> None:
-        """Index the rows of *batch* (a list-backed
-        :class:`~repro.exec.batch.PageBatch`) from its time columns."""
-        self.block = batch.tuples
-        #: key -> (starts list, [(start, end, block row)]) sorted by start.
-        self.groups: Dict[Tuple, Tuple[List[int], List[Tuple[int, int, int]]]] = {}
-        self.maxlen: Dict[Tuple, int] = {}
-        staging: Dict[Tuple, List[Tuple[int, int, int]]] = {}
-        for row, (tup, start, end) in enumerate(
-            zip(self.block, batch.starts, batch.ends)
-        ):
-            staging.setdefault(tup.key, []).append((start, end, row))
-        for key, entries in staging.items():
-            entries.sort()
-            self.groups[key] = ([entry[0] for entry in entries], entries)
-            self.maxlen[key] = max(end - start for start, end, _ in entries)
-
-
-def probe_pruned_python(
-    index: PrunedProbeIndexPython,
-    batch,
-    boundaries,
-    part_index: int,
-    direction: str,
-) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """The numpy-free window probe: identical output, bisect windows.
-
-    Probes the rows of *batch* through its time columns.  Returns the same
-    four columns as :func:`probe_pruned` -- outer rows, inner rows, common
-    starts, common ends, in the oracle's emission order -- as plain lists.
-    """
-    backward = direction == "backward"
-    lo_own, hi_own = (
-        boundaries.window(part_index) if boundaries is not None else (None, None)
-    )
-    out: List[Tuple[int, int, int, int]] = []
-    for row, (inner_tup, i_start, i_end) in enumerate(
-        zip(batch.tuples, batch.starts, batch.ends)
-    ):
-        group = index.groups.get(inner_tup.key)
-        if group is None:
-            continue
-        starts_list, entries = group
-        lo = bisect_left(starts_list, i_start - index.maxlen[inner_tup.key])
-        for outer_start, outer_end, outer_row in entries[lo:]:
-            if outer_start > i_end:
-                break
-            cs = outer_start if outer_start > i_start else i_start
-            ce = outer_end if outer_end < i_end else i_end
-            if cs > ce:
-                continue
-            if lo_own is not None and not lo_own < (ce if backward else cs) <= hi_own:
-                continue
-            out.append((outer_row, row, cs, ce))
-    out.sort(key=lambda pair: (pair[1], pair[0]))
-    return tuple(map(list, zip(*out))) if out else ([], [], [], [])
-
-
 __all__ = [
     "PrunedProbeIndex",
-    "PrunedProbeIndexPython",
     "probe_pruned",
     "probe_pruned_chunks",
-    "probe_pruned_python",
 ]

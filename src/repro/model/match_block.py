@@ -61,8 +61,8 @@ class LazyRows(Sequence):
 
     Subclasses hold the columns and implement :meth:`_build`,
     :meth:`columns` and :meth:`arity`.  ``starts``/``ends`` are ``int64``
-    arrays under the numpy backend, plain lists without it, and packed
-    ``array('q')`` when they came off the shard wire.
+    arrays from the batch engine, packed ``array('q')`` when they came off
+    the shard wire, or any other integer sequence.
     """
 
     __slots__ = ("starts", "ends", "_rows")

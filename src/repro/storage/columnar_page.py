@@ -33,7 +33,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exec.backend import np
+import numpy as np
+
 from repro.model.vtuple import VTTuple, trusted_tuple
 from repro.time.interval import Interval, trusted_interval
 
@@ -141,15 +142,15 @@ class ColumnarPage(Sequence):
         )
 
     def starts_list(self) -> List[int]:
-        """Start chronons as a plain list (pure-Python backend)."""
+        """Start chronons as a plain list (for per-row loops)."""
         return memoryview(self._buf).cast("q")[: self._n].tolist()
 
     def ends_list(self) -> List[int]:
-        """End chronons as a plain list (pure-Python backend)."""
+        """End chronons as a plain list (for per-row loops)."""
         return memoryview(self._buf).cast("q")[self._n : 2 * self._n].tolist()
 
     def codes_list(self) -> List[int]:
-        """Key codes as a plain list (pure-Python backend)."""
+        """Key codes as a plain list (for per-row loops)."""
         return memoryview(self._buf).cast("q")[2 * self._n : 3 * self._n].tolist()
 
     @property

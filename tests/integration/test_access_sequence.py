@@ -30,7 +30,7 @@ from repro.core.joiner import RUN_ROWS, PartitionSweep, join_partitions
 from repro.core.partition_join import partition_join
 from repro.core.partitioner import do_partitioning
 from repro.exec import kernels, pruned_probe
-from repro.exec.kernels import NumpyKernels
+from repro.exec.kernels import Kernels
 from repro.resilience import FaultInjector
 from repro.storage.disk import SimulatedDisk
 from repro.storage.layout import DiskLayout
@@ -306,11 +306,12 @@ def test_a_billed_pass_charges_once_and_probes_once(direction, monkeypatch):
     monkeypatch.setattr(
         PartitionSweep, "_probe_pages", counting("walked", PartitionSweep._probe_pages)
     )
-    for name in ("probe_pruned_chunks", "probe_pruned_python"):
-        monkeypatch.setattr(joiner, name, counting("kernel", getattr(joiner, name)))
     monkeypatch.setattr(
-        NumpyKernels, "probe_column_chunks",
-        counting("kernel", NumpyKernels.probe_column_chunks),
+        joiner, "probe_pruned_chunks", counting("kernel", joiner.probe_pruned_chunks)
+    )
+    monkeypatch.setattr(
+        Kernels, "probe_column_chunks",
+        counting("kernel", Kernels.probe_column_chunks),
     )
     for module in (kernels, pruned_probe):
         monkeypatch.setattr(

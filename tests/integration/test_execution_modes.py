@@ -8,7 +8,7 @@ approximately, not merely as multisets.  These tests drive the equivalence
 through the paths the unit tests cannot reach: the overflow/"thrashing"
 path (``overflow_blocks > 0``), both sweep directions, the tuple-cache
 spill and residency trade-off, the single-partition shortcut, and the
-predicate-join variants, under both kernel backends.
+predicate-join variants.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 
 import pytest
 
-import repro.exec.kernels as kernels_module
 from repro.baselines.nested_loop import nested_loop_join
 from repro.baselines.reference import reference_join
 from repro.core import joiner
@@ -31,7 +30,6 @@ from repro.core.partition_join import (
 )
 from repro.core.partitioner import do_partitioning
 from repro.core.planner import determine_part_intervals
-from repro.exec.backend import HAVE_NUMPY
 from repro.model.relation import ValidTimeRelation
 from repro.model.vtuple import VTTuple
 from repro.storage.heapfile import HeapFile
@@ -44,15 +42,12 @@ from tests.chaos.conftest import long_lived_config, long_lived_pair
 from tests.conftest import random_relation
 
 BATCH_MODES = ("batch",)
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+#: The one kernel backend, named in the case ids.
+BACKENDS = ["numpy"]
 
 
 @pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Pin the process-default kernels to one backend for the test."""
-    monkeypatch.setattr(
-        kernels_module, "_DEFAULT", kernels_module.get_kernels(request.param)
-    )
+def backend(request):
     return request.param
 
 
@@ -224,8 +219,7 @@ class TestBlockEmission:
         run = partition_join(r, s, make_config(mode))
 
         assert run.plan.num_partitions > 1 and run.outcome.overflow_blocks > 0
-        if backend == "numpy":
-            assert {True, False} <= set(csr_blocks)  # both probes ran
+        assert {True, False} <= set(csr_blocks)  # both probes ran
         capacity = run.layout.spec.capacity
         assert any(rows % capacity for rows in block_rows[:-1])  # runs end mid page
         assert sum(block_rows) == oracle.outcome.n_result_tuples

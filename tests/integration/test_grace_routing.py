@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.intervals import PartitionMap
 from repro.core.partitioner import do_partitioning
-from repro.exec.kernels import get_kernels
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.resilience import FaultInjector
@@ -108,13 +107,10 @@ def assert_carries_its_rows(part):
     assert carried is not None and carried.tuples == rows
     assert list(carried.starts) == [tup.vs for tup in rows]
     assert list(carried.ends) == [tup.ve for tup in rows]
-    if get_kernels().use_numpy:
-        keys = carried.keys.keys_in_id_order()
-        assert [keys[code] for code in carried.key_ids.tolist()] == [
-            tup.key for tup in rows
-        ]
-    else:  # the fallback kernels keep no key column
-        assert carried.key_ids is None
+    keys = carried.keys.keys_in_id_order()
+    assert [keys[code] for code in carried.key_ids.tolist()] == [
+        tup.key for tup in rows
+    ]
 
 
 @pytest.mark.parametrize("placement", ["last", "first"])

@@ -6,8 +6,8 @@ interval distributions:
 * Every registry predicate (the 13 Allen relations plus the
   ``intersects`` and ``covers`` disjunctions) produces exactly the
   brute-force :func:`repro.variants.allen_joins.allen_join` multiset.
-* The numpy and pure-Python sweep twins are bit-identical: same tuples in
-  the same order, same outcome counters.
+* Packed columnar pages and plain tuple pages sweep bit-identically: same
+  tuples in the same order, same outcome counters.
 * For the natural predicate (``intersects``) the sweep's result multiset
   and cardinality match every partition execution mode, and
   endpoint-sorted inputs never charge a sort phase.
@@ -23,7 +23,6 @@ from repro.core.partition_join import (
     PartitionJoinConfig,
     partition_join,
 )
-from repro.exec.backend import HAVE_NUMPY
 from repro.exec.forward_sweep import forward_sweep_join
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
@@ -36,7 +35,9 @@ SCHEMA_R = RelationSchema("r", ("k",), ("a",), tuple_bytes=128)
 SCHEMA_S = RelationSchema("s", ("k",), ("b",), tuple_bytes=128)
 SPEC = PageSpec(page_bytes=512, tuple_bytes=128)  # 4 tuples/page
 
-BACKENDS = ("numpy", "python") if HAVE_NUMPY else ("python",)
+#: Page layouts the sweep gathers its columns from: packed columnar pages
+#: and plain tuple pages.
+LAYOUTS = (True, False)
 
 prop_settings = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -91,14 +92,12 @@ def oracle(r, s, name):
     return allen_join(r, s, pred.relations, timestamp=pred.timestamp)
 
 
-def sweep(r, s, name, backend):
-    layout = DiskLayout(spec=SPEC, columnar=True)
+def sweep(r, s, name, columnar=True):
+    layout = DiskLayout(spec=SPEC, columnar=columnar)
     r_file = layout.place_relation(r)
     s_file = layout.place_relation(s)
     schema = r.schema.join_result_schema(s.schema)
-    outcome = forward_sweep_join(
-        r_file, s_file, schema, layout, predicate=name, backend=backend
-    )
+    outcome = forward_sweep_join(r_file, s_file, schema, layout, predicate=name)
     return outcome, layout
 
 
@@ -122,18 +121,18 @@ class TestPredicatesMatchOracle:
     def test_every_predicate(self, r, s, name):
         expected = multiset(oracle(r, s, name))
         results = {}
-        for backend in BACKENDS:
-            outcome, _ = sweep(r, s, name, backend)
-            assert multiset(outcome.result) == expected, (name, backend)
+        for columnar in LAYOUTS:
+            outcome, _ = sweep(r, s, name, columnar)
+            assert multiset(outcome.result) == expected, (name, columnar)
             assert outcome.n_result_tuples == len(outcome.result.tuples)
             assert outcome.overflow_blocks == 0
             assert outcome.cache_tuples_spilled == 0
-            results[backend] = (
+            results[columnar] = (
                 list(outcome.result.tuples),
                 outcome.n_result_tuples,
                 outcome.cache_tuples_peak,
             )
-        # Bit identity across backends: same tuples in the same order,
+        # Bit identity across page layouts: same tuples in the same order,
         # same counters -- not just the same multiset.
         assert len(set(map(repr, results.values()))) == 1
 
@@ -145,9 +144,8 @@ class TestPredicatesMatchOracle:
     @prop_settings
     def test_skewed_long_lived(self, r, s, name):
         expected = multiset(oracle(r, s, name))
-        for backend in BACKENDS:
-            outcome, _ = sweep(r, s, name, backend)
-            assert multiset(outcome.result) == expected, (name, backend)
+        outcome, _ = sweep(r, s, name)
+        assert multiset(outcome.result) == expected, name
 
 
 class TestNaturalJoinParity:
@@ -172,9 +170,8 @@ class TestNaturalJoinParity:
     def test_sorted_inputs_never_charge_a_sort_phase(self, r, s):
         r_sorted = r.sorted_by(lambda tup: (tup.vs, tup.ve, tup.key, tup.payload))
         s_sorted = s.sorted_by(lambda tup: (tup.vs, tup.ve, tup.key, tup.payload))
-        for backend in BACKENDS:
-            outcome, layout = sweep(r_sorted, s_sorted, NATURAL_PREDICATE, backend)
-            assert "sort" not in layout.tracker.phases
-            assert multiset(outcome.result) == multiset(
-                oracle(r_sorted, s_sorted, NATURAL_PREDICATE)
-            )
+        outcome, layout = sweep(r_sorted, s_sorted, NATURAL_PREDICATE)
+        assert "sort" not in layout.tracker.phases
+        assert multiset(outcome.result) == multiset(
+            oracle(r_sorted, s_sorted, NATURAL_PREDICATE)
+        )

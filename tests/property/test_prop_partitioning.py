@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.cache_estimate import estimate_cache_sizes
@@ -13,7 +12,6 @@ from repro.core.intervals import (
     choose_intervals,
 )
 from repro.core.partitioner import do_partitioning
-from repro.exec.backend import HAVE_NUMPY
 from repro.exec.kernels import get_kernels
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
@@ -24,7 +22,6 @@ from repro.time.chronon import BEGINNING, FOREVER
 from repro.time.interval import Interval
 from repro.time.lifespan import covers_lifespan, lifespan_of
 
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 SCHEMA = RelationSchema("r", ("k",), (), tuple_bytes=128)
 SPEC = PageSpec(page_bytes=512, tuple_bytes=128)
 
@@ -80,7 +77,7 @@ def partition_maps():
 
 
 def list_columns(rows):
-    """Sorted list columns: the loop sweep, whatever the backend."""
+    """Sorted list columns: the planner's integer loop."""
     return SampleSpans(sorted(tup.vs for tup in rows), sorted(tup.ve for tup in rows))
 
 
@@ -98,7 +95,6 @@ def span_rows(scale=1):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the column sweep needs numpy")
 class TestCoverageQuantilesOnColumns:
     """The whole-array sweep over sorted ``int64`` columns is the loop over
     sorted lists: equal chronons for equal positions -- ties between starts
@@ -251,7 +247,7 @@ class TestPartitionWindows:
     @given(partition_maps(), st.lists(st.integers(-120, 350), max_size=40))
     @prop_settings
     def test_owner_window_is_index_of_chronon(self, pmap, chronons):
-        boundaries = get_kernels("python").prepare_boundaries(pmap)
+        boundaries = get_kernels().prepare_boundaries(pmap)
         for index in range(len(pmap)):
             lo, hi = boundaries.window(index)
             for chronon in chronons:
@@ -264,15 +260,14 @@ class TestPartitionWindows:
     @prop_settings
     def test_migration_window_is_overlaps_partition(self, pmap, spans):
         page = [VTTuple((0,), (), Interval(vs, vs + length)) for vs, length in spans]
-        for backend in BACKENDS:
-            kernels = get_kernels(backend)
-            boundaries = kernels.prepare_boundaries(pmap)
-            for index in range(len(pmap)):
-                assert kernels.migration_rows(page, boundaries, index) == [
-                    row
-                    for row, tup in enumerate(page)
-                    if pmap.overlaps_partition(tup.valid, index)
-                ]
+        kernels = get_kernels()
+        boundaries = kernels.prepare_boundaries(pmap)
+        for index in range(len(pmap)):
+            assert kernels.migration_rows(page, boundaries, index) == [
+                row
+                for row, tup in enumerate(page)
+                if pmap.overlaps_partition(tup.valid, index)
+            ]
 
     @given(
         partition_maps(),
@@ -283,24 +278,23 @@ class TestPartitionWindows:
     def test_probe_owner_filter_in_both_directions(self, pmap, outer, inner):
         block = [VTTuple((0,), (i,), Interval(vs, vs + n)) for i, (vs, n) in enumerate(outer)]
         page = [VTTuple((0,), (i,), Interval(vs, vs + n)) for i, (vs, n) in enumerate(inner)]
-        for backend in BACKENDS:
-            kernels = get_kernels(backend)
-            interner = kernels.make_interner()
-            index = kernels.build_probe_index(block, interner)
-            batch = kernels.page_batch(page, interner)
-            boundaries = kernels.prepare_boundaries(pmap)
-            for direction in ("backward", "forward"):
-                for part in range(len(pmap)):
-                    want = []
-                    for inner_tup in page:
-                        for outer_tup in block:
-                            common = outer_tup.valid.intersect(inner_tup.valid)
-                            if common is None:
-                                continue
-                            owner = common.end if direction == "backward" else common.start
-                            if pmap.index_of_chronon(owner) == part:
-                                want.append((outer_tup, inner_tup, common))
-                    assert kernels.probe(index, batch, boundaries, part, direction) == want
+        kernels = get_kernels()
+        interner = kernels.make_interner()
+        index = kernels.build_probe_index(block, interner)
+        batch = kernels.page_batch(page, interner)
+        boundaries = kernels.prepare_boundaries(pmap)
+        for direction in ("backward", "forward"):
+            for part in range(len(pmap)):
+                want = []
+                for inner_tup in page:
+                    for outer_tup in block:
+                        common = outer_tup.valid.intersect(inner_tup.valid)
+                        if common is None:
+                            continue
+                        owner = common.end if direction == "backward" else common.start
+                        if pmap.index_of_chronon(owner) == part:
+                            want.append((outer_tup, inner_tup, common))
+                assert kernels.probe(index, batch, boundaries, part, direction) == want
 
 
 class TestKolmogorovAccuracy:

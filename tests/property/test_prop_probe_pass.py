@@ -7,7 +7,7 @@ one expansion per chunk of consecutive rows holding at most
 ``CANDIDATE_BUDGET`` candidates (a row above the budget alone).  Whatever
 the budget, the chunks' outputs laid end to end must be the outputs of the
 walked path's ``RUN_ROWS``-row runs, inner rows offset by each run's first
-row, and those of the numpy-free ``probe_pruned_python`` -- for both index
+row, and the pairs of the tuple engine's probe loop -- for both index
 kinds, on blocks dense in tied starts, made of single-row key groups or of
 one key, against inner rows whose keys the block lacks (ids of ``-1`` and
 above the block's largest) or whose windows are empty.
@@ -19,22 +19,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.intervals import PartitionMap
-from repro.core.joiner import RUN_ROWS, _BatchEngine
+from repro.core.joiner import RUN_ROWS, _BatchEngine, _build_index, _TupleEngine
 from repro.exec import kernels as kernels_module
-from repro.exec.backend import HAVE_NUMPY
 from repro.exec.batch import PageBatch
-from repro.exec.kernels import _NumpyProbeIndex, get_kernels
-from repro.exec.pruned_probe import (
-    PrunedProbeIndex,
-    PrunedProbeIndexPython,
-    probe_pruned,
-    probe_pruned_chunks,
-    probe_pruned_python,
-)
+from repro.exec.kernels import _CsrProbeIndex
+from repro.exec.pruned_probe import PrunedProbeIndex, probe_pruned, probe_pruned_chunks
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
 
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+#: The one kernel backend, named in the case ids.
+BACKENDS = ["numpy"]
 BUDGETS = (1, 7, 2**20)
 PMAP = PartitionMap([Interval(0, 39), Interval(40, 79), Interval(80, 119)])
 
@@ -78,11 +72,11 @@ def rows_of(shape):
     return block, inner
 
 
-def numpy_batches(block, inner, rng):
-    """The numpy engine's outer and inner batches; half the ghost rows
-    carry ``-1`` (a key the probe side never interned), the rest the fresh
-    ids interning gave them, above the block's largest."""
-    engine = _BatchEngine(PMAP, "backward", kernels=get_kernels("numpy"))
+def engine_batches(block, inner, rng):
+    """The engine's outer and inner batches; half the ghost rows carry
+    ``-1`` (a key the probe side never interned), the rest the fresh ids
+    interning gave them, above the block's largest."""
+    engine = _BatchEngine(PMAP, "backward")
     outer = engine.decompose([block])
     top = int(outer.key_ids.max())
     batch = engine.decompose([inner])
@@ -92,6 +86,20 @@ def numpy_batches(block, inner, rng):
             ids[row] = -1
     inner_batch = PageBatch(batch.tuples, ids, batch.starts, batch.ends, batch.keys)
     return engine, outer, inner_batch
+
+
+def tuple_probe(block, inner, part, direction):
+    """The tuple engine's matches as the kernels' four columns: outer row,
+    inner row, overlap start, overlap end."""
+    outer_row = {id(tup): row for row, tup in enumerate(block)}
+    inner_row = {id(tup): row for row, tup in enumerate(inner)}
+    matches = _TupleEngine(PMAP, direction).probe(_build_index(block), [inner], part)
+    return [
+        [outer_row[id(outer)] for outer, _, _ in matches],
+        [inner_row[id(tup)] for _, tup, _ in matches],
+        [common.start for _, _, common in matches],
+        [common.end for _, _, common in matches],
+    ]
 
 
 def as_lists(columns):
@@ -118,22 +126,18 @@ def by_run(probe, batch):
     return out
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @prop_settings
 @given(shape=shapes())
-def test_chunked_pass_is_runs_and_the_python_probe(shape):
+def test_chunked_pass_is_runs_and_the_tuple_probe(shape):
     block, inner = rows_of(shape)
-    engine, outer, batch = numpy_batches(block, inner, random.Random(shape[0]))
+    engine, outer, batch = engine_batches(block, inner, random.Random(shape[0]))
     kernels, bounds = engine._kernels, engine.boundaries
     columns = (outer.key_ids, outer.starts, outer.ends)
-    csr = _NumpyProbeIndex(outer.tuples, engine._interner, columns=columns)
+    csr = _CsrProbeIndex(outer.tuples, engine._interner, columns=columns)
     pruned = PrunedProbeIndex(outer.tuples, engine._interner, columns)
-    py = get_kernels("python")
-    py_index = PrunedProbeIndexPython(py.page_batch(block))
-    py_batch = py.page_batch(inner)
     for direction in ("backward", "forward"):
         for part in range(len(PMAP)):
-            want = as_lists(probe_pruned_python(py_index, py_batch, bounds, part, direction))
+            want = tuple_probe(block, inner, part, direction)
             runs_csr = by_run(
                 lambda run: kernels.probe_columns(csr, run, bounds, part, direction), batch
             )
@@ -168,9 +172,9 @@ def test_chunked_pass_is_runs_and_the_python_probe(shape):
 @given(shape=shapes())
 def test_engine_probes_a_pass_as_its_runs(backend, shape):
     """``_BatchEngine.probe_pass`` -- the billed pass's one call -- emits the
-    pairs ``probe`` emits run by run, in order, under either backend."""
+    pairs ``probe`` emits run by run, in order."""
     block, inner = rows_of(shape)
-    engine = _BatchEngine(PMAP, "backward", kernels=get_kernels(backend))
+    engine = _BatchEngine(PMAP, "backward")
     index = engine.build_index(block)
     batch = engine.decompose([inner])
     for direction in ("backward", "forward"):

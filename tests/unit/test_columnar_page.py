@@ -10,8 +10,9 @@ import zlib
 
 import pytest
 
-from repro.exec.backend import HAVE_NUMPY
-from repro.exec.kernels import PythonKernels, get_kernels
+import numpy as np
+
+from repro.exec.kernels import get_kernels
 from repro.model.vtuple import VTTuple
 from repro.storage.columnar_page import ColumnarPage, KeyDictionary, page_view
 from repro.storage.heapfile import HeapFile
@@ -19,7 +20,8 @@ from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
 from repro.time.interval import Interval
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
+#: The one kernel backend, named in the case ids.
+BACKENDS = ["numpy"]
 
 
 def vt(key, start, end, tag="x"):
@@ -70,10 +72,7 @@ class TestColumnarPage:
             t.key for t in TUPLES
         ]
 
-    @needs_numpy
     def test_views_are_zero_copy(self):
-        import numpy as np
-
         page = ColumnarPage.from_tuples(TUPLES, KeyDictionary())
         starts = page.starts_view()
         assert starts.dtype == np.dtype("<i8")
@@ -156,8 +155,7 @@ class TestColumnarHeapFile:
 
 class TestKernelsOverColumnarPages:
     """Satellite regression: the batch kernels accept columnar pages and
-    produce columns identical to the tuple-list path, on both backends --
-    including the empty-page dtype normalization."""
+    produce columns identical to the tuple-list path -- including the empty-page dtype normalization."""
 
     def _batches(self, kernels, page_tuples, dictionary=None):
         d = dictionary if dictionary is not None else KeyDictionary()
@@ -169,20 +167,16 @@ class TestKernelsOverColumnarPages:
             kernels.page_batch(columnar, interner_b),
         )
 
-    @pytest.mark.parametrize("backend", ["python"] + (["numpy"] if HAVE_NUMPY else []))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_columns_identical_to_list_path(self, backend):
-        kernels = get_kernels(backend)
+        kernels = get_kernels()
         plain, packed = self._batches(kernels, TUPLES)
         assert list(plain.starts) == list(packed.starts)
         assert list(plain.ends) == list(packed.ends)
-        # The python backend skips key-id columns on both paths.
-        assert (plain.key_ids is None) == (packed.key_ids is None)
-        if plain.key_ids is not None:
-            assert list(plain.key_ids) == list(packed.key_ids)
+        assert list(plain.key_ids) == list(packed.key_ids)
 
-    @needs_numpy
     def test_build_side_interning_matches_tuple_path(self):
-        kernels = get_kernels("numpy")
+        kernels = get_kernels()
         columnar = ColumnarPage.from_tuples(TUPLES, KeyDictionary())
         a, b = kernels.make_interner(), kernels.make_interner()
         plain = kernels.page_batch(list(TUPLES), a, intern=True)
@@ -190,20 +184,17 @@ class TestKernelsOverColumnarPages:
         assert list(plain.key_ids) == list(packed.key_ids)
         assert a.keys_in_id_order() == b.keys_in_id_order()
 
-    @pytest.mark.parametrize("backend", ["python"] + (["numpy"] if HAVE_NUMPY else []))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_page_batch(self, backend):
-        kernels = get_kernels(backend)
+        kernels = get_kernels()
         plain, packed = self._batches(kernels, [])
         assert len(plain.starts) == len(packed.starts) == 0
         assert len(plain) == len(packed) == 0
 
-    @needs_numpy
     def test_empty_columns_are_int64(self):
         """The from_tuples empty path must normalize every column's dtype;
         an object-dtype empty column poisons later concatenation."""
-        import numpy as np
-
-        kernels = get_kernels("numpy")
+        kernels = get_kernels()
         batch = kernels.page_batch([], kernels.make_interner())
         for column in (batch.starts, batch.ends, batch.key_ids):
             assert column.dtype == np.int64

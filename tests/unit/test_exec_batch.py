@@ -1,15 +1,8 @@
-"""Unit tests for columnar batches, column helpers, and columnar serialization."""
+"""Unit tests for columnar batches, relation columns, and columnar serialization."""
 
-import pytest
+import numpy as np
 
-from repro.exec.backend import HAVE_NUMPY
-from repro.exec.batch import (
-    KeyInterner,
-    PageBatch,
-    iter_page_batches,
-    tuples_from_columns,
-    tuples_to_columns,
-)
+from repro.exec.batch import KeyInterner, PageBatch
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
@@ -50,8 +43,8 @@ class TestKeyInterner:
         counting.intern(("a",))
         del calls[:]
         page = [vt("a", 0, 1), vt("b", 0, 1), vt("a", 2, 3), vt("b", 4, 5)]
-        batch = PageBatch.from_tuples(page, counting, intern=True, use_numpy=False)
-        assert batch.key_ids == [0, 1, 0, 1]
+        batch = PageBatch.from_tuples(page, counting, intern=True)
+        assert batch.key_ids.tolist() == [0, 1, 0, 1]
         assert calls == [("b",), ("b",)]  # the known key never reached intern()
 
 
@@ -59,7 +52,7 @@ class TestPageBatch:
     def test_columns_match_tuples(self):
         page = [vt("a", 1, 5), vt("b", 2, 9), vt("a", 7, 7)]
         interner = KeyInterner()
-        batch = PageBatch.from_tuples(page, interner, intern=True, use_numpy=False)
+        batch = PageBatch.from_tuples(page, interner, intern=True)
         assert len(batch) == 3
         assert list(batch.starts) == [1, 2, 7]
         assert list(batch.ends) == [5, 9, 7]
@@ -69,17 +62,14 @@ class TestPageBatch:
     def test_lookup_mode_maps_unknown_to_minus_one(self):
         interner = KeyInterner()
         interner.intern(("a",))
-        batch = PageBatch.from_tuples(
-            [vt("a", 0, 1), vt("z", 0, 1)], interner, use_numpy=False
-        )
+        batch = PageBatch.from_tuples([vt("a", 0, 1), vt("z", 0, 1)], interner)
         assert list(batch.key_ids) == [0, -1]
 
-    @pytest.mark.parametrize("use_numpy", [False] + ([True] if HAVE_NUMPY else []))
-    def test_carried_columns_slice_mask_and_concatenate(self, use_numpy):
+    def test_carried_columns_slice_mask_and_concatenate(self):
         """What the sweep does to a batch that travels with its rows."""
         rows = [vt("a", 1, 5), vt("b", 2, 9), vt("a", 7, 7), vt("c", 12, 20)]
         interner = KeyInterner()
-        batch = PageBatch.from_tuples(rows, interner, intern=True, use_numpy=use_numpy)
+        batch = PageBatch.from_tuples(rows, interner, intern=True)
 
         def columns(b):
             return [b.tuples] + [list(c) for c in (b.key_ids, b.starts, b.ends)]
@@ -102,37 +92,18 @@ class TestPageBatch:
         assert batch.matching(0, [vt("a", 1, 5)]) is not None  # equal by value
 
     def test_without_interner_key_column_absent(self):
-        batch = PageBatch.from_tuples([vt("a", 0, 1)], use_numpy=False)
+        batch = PageBatch.from_tuples([vt("a", 0, 1)])
         assert batch.key_ids is None
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_numpy_columns(self):
-        import numpy as np
-
         interner = KeyInterner()
-        batch = PageBatch.from_tuples(
-            [vt("a", 3, 4)], interner, intern=True, use_numpy=True
-        )
+        batch = PageBatch.from_tuples([vt("a", 3, 4)], interner, intern=True)
         assert isinstance(batch.starts, np.ndarray)
         assert batch.starts.dtype == np.int64
         assert batch.key_ids.tolist() == [0]
 
-    def test_iter_page_batches_preserves_pages(self):
-        pages = [[vt("a", 0, 1)], [vt("b", 2, 3), vt("c", 4, 5)]]
-        batches = list(iter_page_batches(pages, use_numpy=False))
-        assert [len(b) for b in batches] == [1, 2]
-        assert batches[1].tuples == pages[1]
-
 
 class TestColumns:
-    def test_tuple_columns_round_trip(self):
-        tuples = [vt("a", 1, 2, "p"), vt("b", 3, 9, "q")]
-        assert tuples_from_columns(*tuples_to_columns(tuples)) == tuples
-
-    def test_ragged_columns_rejected(self):
-        with pytest.raises(ValueError):
-            tuples_from_columns([("a",)], [], [1], [2])
-
     def test_relation_columns_round_trip(self):
         relation = ValidTimeRelation(SCHEMA, [vt("a", 0, 4), vt("a", 2, 2)])
         rebuilt = ValidTimeRelation.from_columns(SCHEMA, *relation.to_columns())

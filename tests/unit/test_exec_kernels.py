@@ -1,25 +1,26 @@
-"""Unit tests for the batch join kernels (both backends).
+"""Unit tests for the batch join kernels.
 
-Every test runs against the pure-Python kernels and, when numpy is
-importable, the vectorized kernels -- asserting not just the same match
-*sets* but the same emission *order*, because the sweep's bit-identical
-I/O guarantee rests on it.
+Every test asserts not just the oracle's match *sets* but its emission
+*order*, because the sweep's bit-identical I/O guarantee rests on it.
 """
+
+import random
 
 import pytest
 
 from repro.core.intervals import PartitionMap
-from repro.exec.backend import HAVE_NUMPY
+from repro.core.joiner import _build_index, _TupleEngine
 from repro.exec.kernels import get_kernels
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
 
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+#: The one kernel backend, named in the case ids.
+BACKENDS = ["numpy"]
 
 
 @pytest.fixture(params=BACKENDS)
 def kernels(request):
-    return get_kernels(request.param)
+    return get_kernels()
 
 
 def vt(key, start, end, tag="x"):
@@ -145,23 +146,22 @@ class TestMigrationAndLocate:
         assert kernels.locate([], kernels.prepare_boundaries(pmap)) == []
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-class TestBackendParity:
-    def test_numpy_and_python_agree_on_random_input(self, pmap):
-        import random
-
+class TestTupleEngineParity:
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_kernels_match_the_tuple_engine(self, pmap, direction):
         rng = random.Random(42)
         block = [vt(f"k{rng.randrange(6)}", *sorted((rng.randrange(35), rng.randrange(35)))) for _ in range(80)]
         page = [vt(f"k{rng.randrange(8)}", *sorted((rng.randrange(35), rng.randrange(35)))) for _ in range(40)]
-        results = {}
-        for backend in BACKENDS:
-            kern = get_kernels(backend)
-            interner = kern.make_interner()
-            index = kern.build_probe_index(block, interner)
-            boundaries = kern.prepare_boundaries(pmap)
-            batch = kern.page_batch(page, interner)
-            results[backend] = (
-                [kern.probe(index, batch, boundaries, part) for part in range(len(pmap))],
-                [kern.migration_rows(page, boundaries, part) for part in range(len(pmap))],
+        kern = get_kernels()
+        interner = kern.make_interner()
+        index = kern.build_probe_index(block, interner)
+        boundaries = kern.prepare_boundaries(pmap)
+        batch = kern.page_batch(page, interner)
+        oracle = _TupleEngine(pmap, direction)
+        for part in range(len(pmap)):
+            assert kern.probe(index, batch, boundaries, part, direction) == oracle.probe(
+                _build_index(block), [page], part
             )
-        assert results["numpy"] == results["python"]
+            assert kern.migration_rows(page, boundaries, part) == oracle.overlapping_rows(
+                page, part
+            )

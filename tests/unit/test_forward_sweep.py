@@ -2,7 +2,7 @@
 
 Covers the pieces the property suite (tests/property/test_prop_allen.py)
 exercises only end to end: the gapless hash map's open-addressing and
-swap-with-last mechanics on both backends, the Allen predicate registry,
+swap-with-last mechanics, the Allen predicate registry,
 the endpoint-sortedness metadata, the planner's grant clamp and crossover
 model, EXPLAIN's operator surfacing, and the ledger/metrics
 reconciliation of a sweep run.
@@ -38,12 +38,7 @@ from repro.core.planner import (
 from repro.engine.catalog import analyze
 from repro.engine.database import TemporalDatabase
 from repro.engine.optimizer import choose_algorithm, estimate_costs
-from repro.exec.backend import HAVE_NUMPY
-from repro.exec.forward_sweep import (
-    GaplessHashMap,
-    forward_sweep_join,
-    resolve_sweep_backend,
-)
+from repro.exec.forward_sweep import GaplessHashMap, forward_sweep_join
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
@@ -55,7 +50,8 @@ from repro.storage.page import PageSpec
 from repro.time.allen import AllenRelation
 from repro.time.interval import Interval
 
-BACKENDS = ("numpy", "python") if HAVE_NUMPY else ("python",)
+#: The one kernel backend, named in the case ids.
+BACKENDS = ("numpy",)
 SPEC = PageSpec(page_bytes=512, tuple_bytes=128)
 SCHEMA_R = RelationSchema("r", ("k",), ("a",), tuple_bytes=128)
 SCHEMA_S = RelationSchema("s", ("k",), ("b",), tuple_bytes=128)
@@ -114,7 +110,7 @@ class TestPredicateRegistry:
 class TestGaplessHashMap:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_insert_probe_expire(self, backend):
-        gmap = GaplessHashMap(backend)
+        gmap = GaplessHashMap()
         gmap.insert(7, 0, 5, 0)
         gmap.insert(7, 2, 3, 1)
         gmap.insert(9, 0, 9, 2)
@@ -129,7 +125,7 @@ class TestGaplessHashMap:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_table_resizes_past_initial_capacity(self, backend):
-        gmap = GaplessHashMap(backend)
+        gmap = GaplessHashMap()
         for code in range(100):
             gmap.insert(code, code, code + 1, code)
         assert gmap.size == 100 and gmap.peak == 100
@@ -139,19 +135,11 @@ class TestGaplessHashMap:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_peak_survives_expiration(self, backend):
-        gmap = GaplessHashMap(backend)
+        gmap = GaplessHashMap()
         for i in range(10):
             gmap.insert(1, 0, i, i)
         gmap.probe(1, boundary=100)
         assert gmap.size == 0 and gmap.peak == 10 and gmap.expired == 10
-
-    def test_backend_resolution(self):
-        assert resolve_sweep_backend("python") == "python"
-        auto = resolve_sweep_backend(None)
-        assert auto == ("numpy" if HAVE_NUMPY else "python")
-        if not HAVE_NUMPY:
-            with pytest.raises(ValueError, match="numpy"):
-                resolve_sweep_backend("numpy")
 
 
 # -- configuration validation --------------------------------------------------

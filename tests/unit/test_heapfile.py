@@ -1,8 +1,8 @@
 """Unit tests for heap files over the simulated disk."""
 
+import numpy as np
 import pytest
 
-from repro.exec.backend import HAVE_NUMPY, np
 from repro.exec.batch import PageBatch
 from repro.model.match_block import MatchBlock
 from repro.model.vtuple import VTTuple
@@ -148,7 +148,7 @@ class TestAppend:
 class TestAppendBlock:
     """Lazy blocks and plain tuples fill one write buffer."""
 
-    @pytest.mark.parametrize("as_arrays", [False] + ([True] if HAVE_NUMPY else []))
+    @pytest.mark.parametrize("as_arrays", [False, True])
     @pytest.mark.parametrize(
         "chunks", [(10,), (3, 1, 6), (1, 4, 4, 1), (0, 9, 0, 1), (2, 5, 3), (4, 4), (1, 1, 9)]
     )
@@ -184,7 +184,7 @@ class TestAppendBlock:
                 by_blocks.flush()
                 one_by_one.flush()
 
-    @pytest.mark.parametrize("as_arrays", [False] + ([True] if HAVE_NUMPY else []))
+    @pytest.mark.parametrize("as_arrays", [False, True])
     @pytest.mark.parametrize("chunks", [(10,), (3, 1, 6), (1, 4, 4, 1), (0, 9, 0, 1)])
     def test_append_block_fills_pages_like_one_append_per_tuple(self, spec, chunks, as_arrays):
         """``append_many``'s twin: block after block, the same pages and

@@ -4,7 +4,7 @@ The planner (``determinePartIntervals``, Appendix A.2) may change how it
 computes a plan, never which plan it computes: intervals, chosen candidate,
 the whole cost curve, cache pages and the executed sample plan all feed the
 charged-I/O ledger.  The digest below was computed before the planner's
-sample became a sorted multiset; both backends must keep reproducing it.
+sample became a sorted multiset; the planner must keep reproducing it.
 
 A mismatch means some plan changed.  To find which, print
 ``_plan_fingerprint(point)`` for every grid point on this commit and on the

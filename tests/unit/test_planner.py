@@ -194,9 +194,9 @@ class TestDeterminePartIntervals:
 
 
 class TestPageLayoutDoesNotChangeThePlan:
-    """The scan sampler plans on columns whenever numpy is there; list
-    pages, columnar pages and the tuple-at-a-time fallback must agree on
-    the whole plan -- intervals, curve, cache estimate, sample record."""
+    """The scan sampler plans on columns; list pages and columnar pages
+    must agree on the whole plan -- intervals, curve, cache estimate,
+    sample record."""
 
     @staticmethod
     def plan_of(tuples, **heap_options):
@@ -207,14 +207,10 @@ class TestPageLayoutDoesNotChangeThePlan:
         return plan, disk.stats.as_dict()
 
     @pytest.mark.parametrize("long_lived", [0, 300])
-    def test_list_and_columnar_scans_yield_the_same_plan(self, long_lived, monkeypatch):
+    def test_list_and_columnar_scans_yield_the_same_plan(self, long_lived):
         tuples = uniform_tuples(1200, long_lived=long_lived)
         from_lists = self.plan_of(tuples)
         assert from_lists[0].sample_plan.strategy.name == "SCAN"
-        assert from_lists == self.plan_of(tuples, columnar=True)
-        # And the vectorised branches equal the loops they replace.
-        monkeypatch.setattr("repro.core.planner.np", None)
-        assert from_lists == self.plan_of(tuples)
         assert from_lists == self.plan_of(tuples, columnar=True)
 
 

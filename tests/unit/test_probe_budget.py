@@ -10,20 +10,14 @@ builds more slots than that on such a block, while the join stays right.
 import random
 from dataclasses import replace
 
-import pytest
-
 from repro.core.partition_join import PartitionJoinConfig, partition_join
 from repro.exec import kernels, pruned_probe
-from repro.exec.backend import HAVE_NUMPY
 from repro.exec.kernels import CANDIDATE_BUDGET
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.storage.page import PageSpec
 from repro.time.interval import Interval
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-
 
 def long_intervals(name, attribute, seed, n=2000, keys=16):
     """*n* rows on *keys* keys, each interval a quarter to half the span."""

@@ -2,9 +2,8 @@
 
 The batch engine's ``(key, start, end)`` columns are derived by
 :meth:`PageBatch.from_tuples`; these tests spy on it and count the rows it
-is handed.  They hold on whichever backend ``REPRO_EXEC_BACKEND`` selects
-(CI runs the suite on both): with numpy the memo holds key codes and a
-dictionary, without it the two time columns as lists.
+is handed.  The memo holds key codes, a dictionary and the two time
+columns.
 """
 
 import dataclasses
@@ -58,12 +57,10 @@ def same_columns(got: PageBatch, rows) -> bool:
     assert got.tuples == want.tuples == list(rows)
     assert list(got.starts) == list(want.starts)
     assert list(got.ends) == list(want.ends)
-    assert (got.keys is None) == (want.keys is None)
-    if got.keys is not None:
-        keys = got.keys.keys_in_id_order()
-        # Distinct, and at least the keys in use (a delete forgets none).
-        assert len(set(keys)) == len(keys) and set(keys) >= {tup.key for tup in rows}
-        assert [keys[code] for code in got.key_ids.tolist()] == [tup.key for tup in rows]
+    keys = got.keys.keys_in_id_order()
+    # Distinct, and at least the keys in use (a delete forgets none).
+    assert len(set(keys)) == len(keys) and set(keys) >= {tup.key for tup in rows}
+    assert [keys[code] for code in got.key_ids.tolist()] == [tup.key for tup in rows]
     return True
 
 

@@ -6,6 +6,9 @@ parameters, re-entered from three hand-assembled call sites in
 rebuilding that: no long functions, no wide private signatures, one way
 into the sweep and one place where a call becomes a result.  The Grace
 partitioner (``core/partitioner.py``) is held to the same two shape rules.
+
+The kernels have one backend, numpy: no module may switch on numpy's
+presence or define a pure-Python twin of a kernel again.
 """
 
 import ast
@@ -13,9 +16,13 @@ from pathlib import Path
 
 import pytest
 
-CORE = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+CORE = SRC / "core"
 MAX_FUNCTION_LINES = 120
 MAX_PRIVATE_PARAMETERS = 10
+#: What selected a kernel backend, and the twins it selected between.
+BACKEND_SWITCH = ("HAVE_NUMPY", "use_numpy", "REPRO_EXEC_BACKEND", "np is None")
+KERNEL_TWINS = ("PythonKernels", "PrunedProbeIndexPython", "probe_pruned_python", "_PythonRun")
 
 
 def functions(path):
@@ -69,3 +76,19 @@ def test_partition_join_enters_the_sweep_once_and_answers_in_one_place():
     module = CORE / "partition_join.py"
     assert len(calls_of(module, "join_partitions")) == 1
     assert len(calls_of(module, "PartitionJoinResult")) <= 2
+
+
+def test_one_kernel_backend():
+    """No backend switch and no pure-Python kernel twin anywhere in the package."""
+    switches, twins = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        name = path.relative_to(SRC).as_posix()
+        switches += [(name, word) for word in BACKEND_SWITCH if word in text]
+        twins += [
+            (name, node.name)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in KERNEL_TWINS
+        ]
+    assert not switches
+    assert not twins

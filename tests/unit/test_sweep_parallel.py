@@ -2,7 +2,7 @@
 
 The contract under test: the batch engine and the pruned probe functions
 produce matches and migration rows **bit-identical** (same pairs, same
-emission order) to the PR-1 kernels' CSR probe, for every backend,
+emission order) to the tuple engine's probe and to the kernels' CSR probe,
 whichever probe the index picks for a block.
 """
 
@@ -12,25 +12,23 @@ import random
 import pytest
 
 from repro.core.intervals import PartitionMap
-from repro.core.joiner import _BatchEngine
+from repro.core.joiner import _BatchEngine, _build_index, _TupleEngine
 from repro.core.partition_join import PartitionJoinConfig, partition_join
-from repro.exec import kernels as kernels_module, pruned_probe
-from repro.exec.backend import HAVE_NUMPY
-from repro.exec.kernels import PythonKernels, _NumpyProbeIndex, get_kernels
-from repro.exec.pruned_probe import PrunedProbeIndex, PrunedProbeIndexPython
+from repro.exec import pruned_probe
+from repro.exec.kernels import _CsrProbeIndex, get_kernels
+from repro.exec.pruned_probe import PrunedProbeIndex
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
 
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
+#: The one kernel backend, named in the case ids.
+BACKENDS = ["numpy"]
 
 
 @pytest.fixture(params=BACKENDS)
 def kernels(request):
-    return get_kernels(request.param)
+    return get_kernels()
 
 
 def vt(key, start, end, tag="x"):
@@ -51,8 +49,13 @@ def random_tuples(rng, n, keys, hi=59):
     return out
 
 
-def oracle_probe(kernels, block, page, boundaries, part_index, direction):
-    """The PR-1 CSR probe, with its own interner (the ground truth)."""
+def oracle_probe(pmap, block, page, part_index, direction):
+    """The tuple engine's probe loop (the ground truth)."""
+    return _TupleEngine(pmap, direction).probe(_build_index(block), [page], part_index)
+
+
+def csr_probe(kernels, block, page, boundaries, part_index, direction):
+    """The kernels' CSR probe, with its own interner."""
     interner = kernels.make_interner()
     index = kernels.build_probe_index(block, interner)
     batch = kernels.page_batch(page, interner)
@@ -68,7 +71,7 @@ class TestProbeMatchesOracle:
     def test_fuzz_bit_identical_to_csr_probe(self, kernels, pmap):
         """Random workloads, both directions, all partitions: same matches
         in the same emission order -- page by page and as a multi-page run
-        -- and the same migration rows."""
+        -- and the same migration rows; the CSR probe agrees."""
         rng = random.Random(0x5EED)
         boundaries = kernels.prepare_boundaries(pmap)
         pruned_trials = 0
@@ -77,15 +80,16 @@ class TestProbeMatchesOracle:
             block = random_tuples(rng, rng.randrange(0, 40), keys)
             # Pages include keys absent from the block.
             page = random_tuples(rng, rng.randrange(0, 24), keys + ["ghost"])
-            engine = _BatchEngine(pmap, "backward", kernels=kernels)
+            engine = _BatchEngine(pmap, "backward")
             index_obj = engine.build_index(block)
             pruned_trials += getattr(index_obj, "csr", None) is None and bool(block)
             for direction in ("backward", "forward"):
                 engine._direction = direction
                 for part in range(len(pmap)):
-                    want = oracle_probe(kernels, block, page, boundaries, part, direction)
+                    want = oracle_probe(pmap, block, page, part, direction)
                     got = engine_probe(engine, index_obj, [page], part)
                     assert got == want, f"trial {trial} {direction} part {part}"
+                    assert csr_probe(kernels, block, page, boundaries, part, direction) == want
                     # A run of several pages probes like their concatenation.
                     cut = len(page) // 2
                     assert engine_probe(engine, index_obj, [page[:cut], page[cut:]], part) == want
@@ -97,26 +101,19 @@ class TestProbeMatchesOracle:
         assert pruned_trials >= 15  # the fuzz is about the pruned probe
 
     def test_empty_block_and_empty_page(self, kernels, pmap):
-        engine = _BatchEngine(pmap, "backward", kernels=kernels)
+        engine = _BatchEngine(pmap, "backward")
         index_obj = engine.build_index([])
         assert engine_probe(engine, index_obj, [[vt("a", 1, 2)]], 0) == []
         index_obj = engine.build_index([vt("a", 1, 2)])
         assert engine_probe(engine, index_obj, [[]], 0) == []
 
 
-@needs_numpy
 class TestEngine:
-    def test_honors_default_kernels_monkeypatch(self, pmap, monkeypatch):
-        monkeypatch.setattr(kernels_module, "_DEFAULT", PythonKernels())
-        engine = _BatchEngine(pmap, "backward")
-        assert engine._kernels.use_numpy is False
-        assert isinstance(engine.build_index([vt("a", 1, 2)]), PrunedProbeIndexPython)
-
     def test_index_prunes_only_where_windows_can_exclude(self, pmap):
         """Short intervals spread over a wide span are pruned; one row per
         key, or intervals covering their group's whole span, leave nothing
         to prune and take the CSR probe."""
-        engine = _BatchEngine(pmap, "backward", kernels=get_kernels("numpy"))
+        engine = _BatchEngine(pmap, "backward")
         spread = [vt("a", start, start + 1) for start in range(0, 50, 5)]
         assert engine.build_index(spread).csr is None
         assert engine.build_index(spread + [vt("b", 3, 4)]).csr is None  # a majority
@@ -131,7 +128,7 @@ class TestEngine:
         must equal the CSR probe's, row for row -- on blocks dense in equal
         ``(key, start)`` pairs, on blocks of one key, and where the composite
         reaches ``_COMPOSITE_LIMIT`` and the block must take the CSR path."""
-        kernels = get_kernels("numpy")
+        kernels = get_kernels()
         rng = random.Random(0x71E5)
         for trial in range(12):
             keys = ["a"] if case == "one key" else ["a", "b", "c"]
@@ -144,11 +141,11 @@ class TestEngine:
             ]
             block += [vt(key, 0, 0, "anchor") for key in keys]
             page = random_tuples(rng, 30, keys + ["ghost"])
-            engine = _BatchEngine(pmap, "backward", kernels=kernels)
+            engine = _BatchEngine(pmap, "backward")
             outer = engine.decompose([block])
             inner = engine.decompose([page])
             columns = (outer.key_ids, outer.starts, outer.ends)
-            csr = _NumpyProbeIndex(block, engine._interner, columns=columns)
+            csr = _CsrProbeIndex(block, engine._interner, columns=columns)
             # The composite key, rows included, reaches (largest id + 1) *
             # stride * rows.
             stride = int(outer.starts.max()) - int(outer.starts.min()) + 2
@@ -178,19 +175,15 @@ class TestEngine:
         """Starts spread over ~2^61 chronons overflow the composite key;
         the index must carry a CSR fallback and stay correct through it --
         probed directly, and through a whole ``batch`` join."""
-        kernels = get_kernels("numpy")
         far = 2**61
         block = [vt("a", 0, 3), vt("a", far, far + 5), vt("a", 5, 6), vt("b", 1, 4)]
         page = [vt("a", 2, far + 2), vt("b", 0, 9)]
-        engine = _BatchEngine(pmap, "backward", kernels=kernels)
+        engine = _BatchEngine(pmap, "backward")
         assert engine.build_index(block[:1] + block[2:]).csr is None  # prunable...
         index_obj = engine.build_index(block)
         assert index_obj.csr is not None  # ...but for the span of its starts
         got = engine_probe(engine, index_obj, [page], 0)
-        want = oracle_probe(
-            kernels, block, page, kernels.prepare_boundaries(pmap), 0, "backward"
-        )
-        assert got == want
+        assert got == oracle_probe(pmap, block, page, 0, "backward")
 
         fell_back = []
         build = PrunedProbeIndex.__init__
