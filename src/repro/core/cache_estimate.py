@@ -48,10 +48,19 @@ def estimate_cache_sizes(
         ``partition_map``); partition ``i``'s entry is the cache expected
         while ``r_i JOIN s_i`` is computed.
     """
+    bounds = [interval.end for interval in partition_map.intervals[:-1]]
+    return cache_pages_at(samples, population_tuples, bounds, spec).tolist()
+
+
+def cache_pages_at(samples, population_tuples: int, bounds, spec: PageSpec) -> np.ndarray:
+    """:func:`estimate_cache_sizes` for the tiling whose partitions but the
+    last end at the ascending *bounds*, as an ``int64`` column -- what the
+    planner prices a candidate with before it builds any interval."""
     if population_tuples < 0:
         raise ValueError(f"negative population {population_tuples}")
+    counts = np.zeros(len(bounds) + 1, dtype=np.int64)
     if not len(samples):
-        return [0] * len(partition_map)
+        return counts
     # A tuple overlapping partitions first..last is cached for every one
     # but its last, where it is read from the partition itself (Figure 9).
     # Partition i < k-1 ends at b_i, and first <= i < last exactly when
@@ -59,11 +68,8 @@ def estimate_cache_sizes(
     # #(start <= b_i) - #(end <= b_i): two binary searches of b_i into the
     # sorted columns.  The last partition caches nothing.
     spans = SampleSpans.of(samples)
-    bounds = [interval.end for interval in partition_map.intervals[:-1]]
-    counts = (
-        np.searchsorted(spans.starts, bounds, side="right")
-        - np.searchsorted(spans.ends, bounds, side="right")
-    ).tolist()
-    counts.append(0)
-    scale = population_tuples / len(spans)
-    return [spec.pages_for_tuples(round(count * scale)) for count in counts]
+    counts[:-1] = np.searchsorted(spans.starts, bounds, side="right")
+    counts[:-1] -= np.searchsorted(spans.ends, bounds, side="right")
+    # ``round`` then ``PageSpec.pages_for_tuples``, element by element.
+    tuples = np.rint(counts * (population_tuples / len(spans)))
+    return np.ceil(tuples / spec.capacity).astype(np.int64)

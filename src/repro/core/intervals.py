@@ -104,8 +104,10 @@ class SampleSpans:
         integers grow instead).
 
         Every start raises the coverage at its chronon and every end lowers
-        it one chronon later: one stable sort of the two sorted event runs,
-        starts first on ties.  Between two events the coverage is constant,
+        it one chronon later.  The two sorted event runs are merged, not
+        argsorted: a key is an event's offset from the first start plus a
+        tag bit (0, first on ties, for a start), and a stable sort of two
+        runs is one merge.  Between two events the coverage is constant,
         so the multiset's mass up to each run's end is a cumulative sum.
         """
         if self._sweep is None:
@@ -113,10 +115,11 @@ class SampleSpans:
             bound = len(self) * (hi - lo + 1)
             if isinstance(self.starts, list) or bound >= _INT64_HEADROOM:
                 return None
-            events = np.concatenate((self.starts, self.ends + 1))
-            order = np.argsort(events, kind="stable")
-            events = events[order]
-            coverage = np.cumsum(np.where(order < len(self), 1, -1))[:-1]
+            # Offsets are below the headroom, so the doubled keys fit.
+            keys = np.concatenate(((self.starts - lo) << 1, (self.ends - lo + 1) << 1 | 1))
+            keys.sort(kind="stable")
+            events = (keys >> 1) + lo
+            coverage = np.cumsum(1 - ((keys & 1) << 1))[:-1]
             run_mass = coverage * np.diff(events)
             self._sweep = (events, coverage, run_mass, np.cumsum(run_mass))
         return self._sweep
@@ -150,34 +153,39 @@ def choose_intervals(samples: Sequence[VTTuple], num_partitions: int) -> List[In
     Raises:
         PlanError: if *samples* is empty or *num_partitions* < 1.
     """
+    spans = SampleSpans.of(samples)
+    cuts = choose_cuts(spans, num_partitions)
+    return tile(spans.lifespan(), cuts)
+
+
+def choose_cuts(samples, num_partitions: int) -> np.ndarray:
+    """Where :func:`choose_intervals`' partitions but the first start, as an
+    ascending ``int64`` column: what the planner prices candidates on."""
     if num_partitions < 1:
         raise PlanError(f"num_partitions must be >= 1, got {num_partitions}")
     if not len(samples):
         raise PlanError("cannot choose partitioning intervals from an empty sample")
-
     spans = SampleSpans.of(samples)
     lo, hi = spans.lifespan()
     if num_partitions == 1 or lo == hi:
-        return [Interval(lo, hi)]
-
-    # Interior boundaries at equal shares of the coverage multiset.
+        return _column(())
+    # Interior boundaries at equal shares of the coverage multiset, rounded
+    # half to even as ``round`` does.
     step = spans.mass() / num_partitions
-    positions = [int(round(i * step)) for i in range(1, num_partitions)]
-    boundaries = _coverage_quantiles(spans, positions)
+    wanted = np.maximum(np.rint(np.arange(1, num_partitions) * step), 1)
+    cuts = _quantiles(spans, wanted)
+    # Each boundary once, in (lo, hi]: the quantiles ascend with their positions.
+    keep = (lo < cuts) & (cuts <= hi)
+    keep[1:] &= cuts[1:] != cuts[:-1]
+    return cuts[keep]
 
-    # Deduplicate and drop degenerate boundaries at the lifespan edges.
-    cut_points: List[int] = []
-    for chronon in boundaries:
-        if lo < chronon <= hi and (not cut_points or chronon > cut_points[-1]):
-            cut_points.append(chronon)
 
-    intervals: List[Interval] = []
-    start = lo
-    for cut in cut_points:
-        intervals.append(Interval(start, cut - 1))
-        start = cut
-    intervals.append(Interval(start, hi))
-    return intervals
+def tile(lifespan: tuple, cuts) -> List[Interval]:
+    """The intervals tiling *lifespan* ``(lo, hi)``, starting at *lo* and at each cut."""
+    lo, hi = lifespan
+    starts = [lo] + [int(cut) for cut in cuts]
+    ends = [start - 1 for start in starts[1:]] + [hi]
+    return [Interval(start, end) for start, end in zip(starts, ends)]
 
 
 def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) -> List[int]:
@@ -190,11 +198,16 @@ def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) ->
     if not positions:
         return []
     wanted = sorted(max(1, p) for p in positions)  # one result per position
-    spans = SampleSpans.of(samples)
+    return _quantiles(SampleSpans.of(samples), wanted).tolist()
+
+
+def _quantiles(spans: SampleSpans, wanted) -> np.ndarray:
+    """:func:`_coverage_quantiles` at sorted positions >= 1, as a column."""
     sweep = spans.sweep()
     if sweep is not None and wanted[-1] < _INT64_HEADROOM:
-        return _sweep_quantiles(sweep, wanted, spans.ends[-1])
+        return _sweep_quantiles(sweep, np.asarray(wanted, dtype=np.int64), spans.ends[-1])
     starts, ends = spans.lists()
+    wanted = [int(p) for p in wanted]
     results: List[int] = []
 
     coverage = 0  # intervals covering the current run of chronons
@@ -229,7 +242,7 @@ def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) ->
         else:
             coverage -= 1
             ei += 1
-    return results
+    return _column(results)
 
 
 #: The column sweep accumulates the coverage multiset's mass -- at most
@@ -238,15 +251,14 @@ def _coverage_quantiles(samples: Sequence[VTTuple], positions: Sequence[int]) ->
 _INT64_HEADROOM = 2**62
 
 
-def _sweep_quantiles(sweep, wanted: List[int], last_end) -> List[int]:
-    """:func:`_coverage_quantiles` over a :meth:`SampleSpans.sweep`.
+def _sweep_quantiles(sweep, positions: np.ndarray, last_end) -> np.ndarray:
+    """:func:`_quantiles` over a :meth:`SampleSpans.sweep`.
 
     Each wanted position is one binary search into the cumulative mass plus
     the loop's integer offset into its run.  Positions past the end clamp
     to the last end, as in the loop.
     """
     events, coverage, run_mass, mass = sweep
-    positions = np.asarray(wanted, dtype=np.int64)
     run = np.searchsorted(mass, positions, side="left")
     inside = run < len(mass)
     # The last run is always covered (by the interval ending last), so
@@ -254,7 +266,7 @@ def _sweep_quantiles(sweep, wanted: List[int], last_end) -> List[int]:
     run = np.minimum(run, len(mass) - 1)
     before = mass[run] - run_mass[run]
     found = events[run] + (positions - before - 1) // coverage[run]
-    return np.where(inside, found, last_end).tolist()
+    return np.where(inside, found, last_end)
 
 
 class PartitionMap:

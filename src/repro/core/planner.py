@@ -47,14 +47,16 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.cache_estimate import estimate_cache_sizes
-from repro.core.intervals import PartitionMap, SampleSpans, choose_intervals
+from repro.core.cache_estimate import cache_pages_at
+from repro.core.intervals import PartitionMap, SampleSpans, choose_cuts, tile
 from repro.model.errors import PlanError
 from repro.sampling.kolmogorov import required_samples
 from repro.sampling.sampler import SamplePlan, SampleStrategy, plan_sampling
@@ -197,10 +199,10 @@ def estimate_join_cost(
         num_partitions * cost_model.io_ran
         + max(0, relation_pages - num_partitions) * cost_model.io_seq
     )
-    cache = 0.0
-    for pages in cache_pages:
-        if pages > 0:
-            cache += 2 * (cost_model.io_ran + cost_model.io_seq * (pages - 1))
+    pages = np.asarray(cache_pages, dtype=np.int64)
+    terms = 2 * (cost_model.io_ran + cost_model.io_seq * (pages[pages > 0] - 1))
+    # Left to right, as a loop adds (``np.sum`` pairs terms up): ties compare totals.
+    cache = float(np.add.accumulate(terms, dtype=float)[-1]) if len(terms) else 0.0
     return scan, cache
 
 
@@ -502,7 +504,7 @@ def _shuffled_positions(n: int, rng: random.Random) -> List[int]:
     The same Fisher-Yates, drawing each swap index with ``getrandbits``
     exactly as ``Random._randbelow`` does, so the permutation and the
     generator's state afterwards are ``rng.shuffle``'s -- without a method
-    call per position.
+    call per position.  The sampler keeps what it draws (:class:`_Permutations`).
     """
     positions = list(range(n))
     getrandbits = rng.getrandbits
@@ -513,6 +515,45 @@ def _shuffled_positions(n: int, rng: random.Random) -> List[int]:
             j = getrandbits(bits)
         positions[i], positions[j] = positions[j], positions[i]
     return positions
+
+
+class _Permutations:
+    """Shuffled positions by ``(n, generator state)``, on which alone a
+    permutation depends: every plan seeds a fresh generator, so the calls,
+    served misses and shards planning one relation size share one.  An
+    entry is a read-only ``int32`` column and the generator's post-shuffle
+    state, which a hit restores.  At most *budget* positions are held,
+    least recently used out; executor threads plan at once, hence the lock.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.held = 0  # positions in all entries
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def draw(self, n: int, rng: random.Random) -> np.ndarray:
+        key = (n, rng.getstate())
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                positions, after = self._entries[key]
+                rng.setstate(after)
+                return positions
+        positions = np.array(_shuffled_positions(n, rng), dtype=np.int32)
+        positions.flags.writeable = False
+        with self._lock:
+            if n <= self.budget and key not in self._entries:
+                self._entries[key] = (positions, rng.getstate())
+                self.held += n
+                while self.held > self.budget:
+                    self.held -= len(self._entries.popitem(last=False)[1][0])
+        return positions
+
+
+#: The permutation cache's bound, in positions: 8 MiB of ``int32``.
+PERMUTATION_BUDGET = 2**21
+_PERMUTATIONS = _Permutations(PERMUTATION_BUDGET)
 
 
 def _span_columns(pages: Sequence, carried=None) -> tuple:
@@ -548,11 +589,13 @@ def _span_columns(pages: Sequence, carried=None) -> tuple:
 class _IncrementalSampler:
     """Draws ever-larger sample prefixes, switching to one scan when cheaper.
 
-    Positions are pre-shuffled so every prefix is a uniform without-
-    replacement sample.  Random draws charge one page read each (through the
-    head model); the scan charges one linear pass of the relation and
-    supplies every later increment for free -- the Section 4.2 optimization
-    applied to the cumulative requirement.
+    Positions are pre-shuffled (:class:`_Permutations`, never written) so
+    every prefix is a uniform without-replacement sample.  Random draws
+    charge one page read each (through the head model); the scan charges
+    one linear pass of the relation and supplies every later increment for
+    free -- the Section 4.2 optimization applied to the cumulative
+    requirement.  Draw or scan, a position whose row did not arrive (a torn
+    page) is passed over: the sample is among the rows that came.
 
     A prefix is handed out as one :class:`SampleSpans` whose start and end
     columns are sorted: the plan consumers read only those two multisets.
@@ -572,7 +615,8 @@ class _IncrementalSampler:
         self._outer = outer
         self._cost_model = cost_model
         self._allow_scan = allow_scan
-        self._positions = _shuffled_positions(outer.n_tuples, rng)
+        self._positions = _PERMUTATIONS.draw(outer.n_tuples, rng)
+        self._cursor = 0  # positions drawn, whether their row came or not
         self._prefix = SampleSpans.of(())
         self._columns = None  # the scan's (starts, ends) by row
         self.scan_done = False
@@ -583,8 +627,8 @@ class _IncrementalSampler:
         Requests never shrink: the candidates' requirements grow with
         ``partSize``.
         """
-        needed = min(needed, len(self._positions))
         held = len(self._prefix)
+        needed = min(needed, held + len(self._positions) - self._cursor)
         assert needed >= held, "sample prefixes only grow"
         if needed == held:
             return self._prefix
@@ -592,30 +636,30 @@ class _IncrementalSampler:
         random_cost = needed * self._cost_model.io_ran
         if self._allow_scan and (self.scan_done or random_cost >= scan_cost):
             if not self.scan_done:
-                self._scan(held)
-                needed = min(needed, len(self._positions))
-            at = np.asarray(self._positions[held:needed], dtype=np.int64)
+                self._scan()
+            at = self._positions[self._cursor : self._cursor + needed - held]
+            self._cursor += len(at)
             starts, ends = self._columns[0][at], self._columns[1][at]
         else:
             starts, ends = [], []
-            while held + len(starts) < needed:
-                tup = self._outer.read_tuple(self._positions[held + len(starts)])
+            while held + len(starts) < needed and self._cursor < len(self._positions):
+                tup = self._outer.read_tuple(int(self._positions[self._cursor]))
+                self._cursor += 1
                 if tup is not None:
                     starts.append(tup.vs)
                     ends.append(tup.ve)
         self._prefix = self._prefix.grown(starts, ends)
         return self._prefix
 
-    def _scan(self, held: int) -> None:
+    def _scan(self) -> None:
         # Nothing else touches the disk during the scan: one run.
         pages = list(chain.from_iterable(self._outer.scan_runs(self._outer.n_tuples)))
         self.scan_done = True
         delivered = sum(map(len, pages))
         if delivered < self._outer.n_tuples:
             # Torn deliveries lost rows: sample among those that came.
-            self._positions[held:] = [
-                at for at in self._positions[held:] if at < delivered
-            ]
+            rest = self._positions[self._cursor :]
+            self._positions, self._cursor = rest[rest < delivered], 0
         self._columns = _span_columns(pages, self._outer.carried)
 
     def estimate_cost(self, needed: int) -> float:
@@ -687,8 +731,6 @@ def determine_part_intervals(
         inner_sampler = _IncrementalSampler(inner, cost_model, rng, allow_scan_sampling)
 
     best: Optional[CandidateCost] = None
-    best_intervals: Optional[List[Interval]] = None
-    best_cache: List[int] = []
     curve: List[CandidateCost] = []
     for part_size in sizes:
         needed = required_samples(relation_pages, buff_size - part_size)
@@ -722,25 +764,17 @@ def determine_part_intervals(
         # against a relation scan at realistic sizes.
         estimate_floor = min(_MIN_ESTIMATE_SAMPLES, outer.n_tuples)
         prefix = sampler.prefix(max(needed, estimate_floor))
-        intervals = choose_intervals(prefix, num_partitions)
-        partition_map = PartitionMap(intervals)
+        cuts = choose_cuts(prefix, num_partitions)
+        cache_basis = prefix
         if inner_sampler is not None:
-            cache_basis = inner_sampler.prefix(
-                min(_MIN_ESTIMATE_SAMPLES, inner_tuples)
-            )
-        else:
-            cache_basis = prefix
-        cache_pages = estimate_cache_sizes(
-            cache_basis, inner_tuples, partition_map, outer.spec
-        )
-        scan, cache = estimate_join_cost(
-            relation_pages, num_partitions, cache_pages, cost_model
-        )
+            cache_basis = inner_sampler.prefix(min(_MIN_ESTIMATE_SAMPLES, inner_tuples))
+        cache_pages = cache_pages_at(cache_basis, inner_tuples, cuts - 1, outer.spec)
+        scan, cache = estimate_join_cost(relation_pages, num_partitions, cache_pages, cost_model)
         candidate = CandidateCost(
             part_size=part_size,
             error_size=buff_size - part_size,
             n_samples=needed,
-            num_partitions=len(intervals),
+            num_partitions=len(cuts) + 1,
             c_sample=c_sample,
             c_join_scan=scan,
             c_join_cache=cache,
@@ -750,17 +784,15 @@ def determine_part_intervals(
         # "if cost <= minCost" in the appendix: later (larger) candidates win
         # ties, preferring fewer, larger partitions.
         if best is None or candidate.total <= best.total:
-            best = candidate
-            best_intervals = intervals
-            best_cache = cache_pages
+            best, best_prefix, best_cuts, best_cache = candidate, prefix, cuts, cache_pages
 
-    assert best is not None and best_intervals is not None
+    assert best is not None
     return PartitionPlan(
-        intervals=best_intervals,
+        intervals=tile(best_prefix.lifespan(), best_cuts),
         part_size=best.part_size,
         buff_size=buff_size,
         chosen=best,
         curve=curve,
         sample_plan=sampler.executed_plan(),
-        cache_pages=best_cache,
+        cache_pages=best_cache.tolist(),
     )

@@ -8,13 +8,17 @@ IOStatistics`, reconciling exactly with the resilience report.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.core.partition_join import partition_join
+from repro.core.planner import _IncrementalSampler
 from repro.exec.batch import PageBatch
 from repro.model.relation import ValidTimeRelation
 from repro.resilience import FaultInjector
+from repro.storage.heapfile import HeapFile
+from repro.storage.iostats import CostModel
 from repro.storage.layout import Device, DiskLayout
 
 from tests.chaos.conftest import (
@@ -208,3 +212,41 @@ class TestTornPagesUnderCarriedColumns:
         assert run.result.tuples == oracle.result.tuples
         assert run.layout.tracker.phases == oracle.layout.tracker.phases
         assert run.layout.disk.device_stats == oracle.layout.disk.device_stats
+
+
+class TestSamplerOverAShortenedBasePage:
+    """A base page damaged in storage, on a disk without checksums, is
+    delivered short at every read: the row it lost never arrives.  The
+    planner's random draws pass over its position, as the scan does, and
+    sample among the rows that came -- they must not re-read it for ever."""
+
+    def test_random_draws_read_each_position_once(self, monkeypatch):
+        relation = chaos_relation("r", 400, CHAOS_SEED + 6)
+        layout = DiskLayout(spec=SPEC)
+        heap = layout.place_relation(relation)
+        rows = heap.all_tuples()
+        layout.disk.corrupt_stored(heap.extent, 3)
+        lost = 4 * SPEC.capacity - 1  # a torn page loses its last row
+
+        reads = []
+        read_tuple = HeapFile.read_tuple
+
+        def deadline(file, position):
+            # A read budget in place of a clock: past one read a position,
+            # the sampler is re-reading a row that will never arrive.
+            reads.append(position)
+            if len(reads) > len(rows):
+                pytest.fail(f"the sampler re-read position {position}")
+            return read_tuple(file, position)
+
+        monkeypatch.setattr(HeapFile, "read_tuple", deadline)
+        sampler = _IncrementalSampler(
+            heap, CostModel(), random.Random(CHAOS_SEED), allow_scan=False
+        )
+        prefix = sampler.prefix(len(rows))
+        assert sorted(reads) == list(range(len(rows)))
+        came = [tup for at, tup in enumerate(rows) if at != lost]
+        assert list(prefix.starts) == sorted(tup.vs for tup in came)
+        assert list(prefix.ends) == sorted(tup.ve for tup in came)
+        assert sampler.prefix(len(rows)) is prefix  # nothing left to draw
+        assert len(reads) == len(rows)

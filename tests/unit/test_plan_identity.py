@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
+import sys
+import threading
 
 import pytest
 
+from repro.core import intervals, planner
 from repro.core.partition_join import PartitionJoinConfig, plan_partition_join
-from repro.core.planner import _IncrementalSampler, _shuffled_positions
+from repro.core.planner import _IncrementalSampler, _Permutations, _shuffled_positions
 from repro.model.schema import RelationSchema
 from repro.storage.iostats import CostModel
 from repro.storage.layout import DiskLayout
@@ -119,3 +123,133 @@ def test_shuffled_positions_is_random_shuffle(n, seed):
     rng = random.Random(seed)
     assert _shuffled_positions(n, rng) == expected
     assert rng.getstate() == expected_rng.getstate()
+
+
+@pytest.fixture
+def permutations(monkeypatch):
+    """A cold permutation cache for the test; the process's is left alone."""
+    cache = _Permutations(planner.PERMUTATION_BUDGET)
+    monkeypatch.setattr(planner, "_PERMUTATIONS", cache)
+    return cache
+
+
+def _shuffle(n, rng):
+    positions = list(range(n))
+    rng.shuffle(positions)
+    return positions
+
+
+def test_cached_draws_are_random_shuffle(permutations):
+    """Cold and warm, an outer draw and the inner draw after it give
+    ``Random.shuffle``'s permutation and leave the generator where the
+    shuffle leaves it."""
+    for _attempt in ("cold", "warm"):
+        rng, expected_rng = random.Random(1994), random.Random(1994)
+        for n in (4000, 3999):  # the outer relation's, then the inner's
+            drawn = permutations.draw(n, rng)
+            assert drawn.tolist() == _shuffle(n, expected_rng)
+            assert rng.getstate() == expected_rng.getstate()
+        assert permutations.held == 4000 + 3999
+
+
+def test_held_permutation_is_read_only(permutations):
+    drawn = permutations.draw(64, random.Random(3))
+    with pytest.raises(ValueError):
+        drawn[0] = 1
+    assert permutations.draw(64, random.Random(3)) is drawn
+
+
+def test_torn_scan_leaves_the_cached_permutation_whole(permutations):
+    """A torn base scan samples among the rows that came; the permutation
+    the next plan draws is still the whole shuffle."""
+    r, _ = _relations("long_lived", 7)
+    layout = DiskLayout(spec=PageSpec(page_bytes=1024, tuple_bytes=128))
+    heap = layout.place_relation(r)
+    layout.disk.corrupt_stored(heap.extent, heap.n_pages // 2)
+    sampler = _IncrementalSampler(heap, CostModel(), random.Random(3), allow_scan=True)
+    assert len(sampler.prefix(len(r))) == len(r) - 1
+    assert sampler.scan_done
+    assert permutations.draw(len(r), random.Random(3)).tolist() == _shuffle(
+        len(r), random.Random(3)
+    )
+
+
+def test_cache_keeps_within_its_position_budget():
+    """Least recently used out; a permutation over the budget is drawn,
+    right, and not kept."""
+    cache = _Permutations(100)
+    for n in (40, 30, 20):
+        cache.draw(n, random.Random(n))
+    cache.draw(40, random.Random(40))  # a hit: 40 is now the most recent
+    cache.draw(25, random.Random(25))  # 115 positions: 30 goes
+    assert cache.held == 85 and [key[0] for key in cache._entries] == [20, 40, 25]
+    cache.draw(30, random.Random(30))  # 115 again: 20 goes
+    assert cache.held == 95 and [key[0] for key in cache._entries] == [40, 25, 30]
+    assert cache.draw(101, random.Random(5)).tolist() == _shuffle(101, random.Random(5))
+    assert cache.held == 95 and len(cache._entries) == 3
+    for n in range(1, 60):
+        cache.draw(n, random.Random(n))
+        assert cache.held <= cache.budget
+
+
+#: Shifted by the CI service-stress job, which varies thread interleavings.
+STRESS_SEED = 1994 + int(os.environ.get("SERVICE_STRESS_SEED", "0"))
+#: Planning threads: more than the cores CI gives a job.
+THREADS = 4
+
+
+def test_concurrent_plans_share_the_cache(permutations, monkeypatch):
+    """The cache is planner state shared by a service's executor threads:
+    plans of one ``(seed, n)`` made at once, by more threads than cores,
+    are all the serial plan, and no entry is counted twice or lost."""
+    r, s = _relations("few_keys_short", STRESS_SEED)
+    point = (r, s, PartitionJoinConfig(memory_pages=16, seed=STRESS_SEED, sample_inner_relation=True))
+    serial = _plan_fingerprint(point)
+    permutations.__init__(planner.PERMUTATION_BUDGET)  # cold again
+    together = threading.Barrier(THREADS, timeout=60)
+    shuffle = planner._shuffled_positions
+
+    def missing_together(n, rng):
+        together.wait()  # every thread is inside a miss of the same draw
+        return shuffle(n, rng)
+
+    monkeypatch.setattr(planner, "_shuffled_positions", missing_together)
+    found = []
+    threads = [
+        threading.Thread(target=lambda: found.append(_plan_fingerprint(point)))
+        for _ in range(THREADS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == [serial] * THREADS
+    held = [len(positions) for positions, _after in permutations._entries.values()]
+    assert permutations.held == sum(held) == len(r) + len(s)
+
+
+def test_only_the_winning_candidate_builds_intervals(monkeypatch):
+    """Candidates are priced on cut arrays: a plan builds its own intervals
+    and nothing else, and no partition map."""
+    r, s = _relations("long_lived", 1994)
+    built = {"Interval": 0, "PartitionMap": 0}
+    for cls in (intervals.Interval, intervals.PartitionMap):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    config = PartitionJoinConfig(
+        memory_pages=16, page_spec=PageSpec(page_bytes=1024, tuple_bytes=128), seed=1994
+    )
+    plan, single, _outer_pages, _inner_pages = plan_partition_join(r, s, config)
+    assert not single and len(plan.curve) > 1
+    assert built == {"Interval": len(plan.intervals), "PartitionMap": 0}

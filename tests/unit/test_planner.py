@@ -71,6 +71,19 @@ class TestEstimateJoinCost:
         _, cache = estimate_join_cost(100, 2, [3, 0], model)
         assert cache == 2 * (5 + 2)  # one random + 2 sequential, written and read
 
+    def test_cache_component_adds_left_to_right(self):
+        """The column sum is the loop's, to the bit: candidates tie on
+        ``<=`` of totals, so a pairwise sum could change a plan."""
+        model = CostModel(io_ran=7.3, io_seq=1.1)
+        rng = random.Random(5)
+        for _ in range(200):
+            pages = [rng.choice([0, rng.randrange(1, 10**6)]) for _ in range(rng.randrange(40))]
+            loop = 0.0
+            for count in pages:
+                if count > 0:
+                    loop += 2 * (model.io_ran + model.io_seq * (count - 1))
+            assert estimate_join_cost(10, 4, pages, model)[1] == loop
+
 
 class TestPipelinedCostModel:
     def test_zero_depth_degrades_to_serial_plus_cpu(self):
