@@ -119,6 +119,7 @@ from repro.resilience.checkpoint import SweepCheckpoint, SweepCheckpointer, Swee
 from repro.storage.buffer import BufferPool, Reservation
 from repro.storage.columnar_page import ColumnarPage
 from repro.storage.heapfile import HeapFile
+from repro.storage.disk import PageRun
 from repro.storage.layout import Device, DiskLayout
 from repro.storage.prefetch import PrefetchPipeline
 from repro.time.interval import Interval
@@ -500,11 +501,12 @@ class PartitionSweep:
             # Purge retained outer tuples that do not reach this
             # partition, then read the partition itself from disk.
             outer_file = context.r_parts[index]
+            outer_carried = engine.carried(outer_file)
             outer_pages = list(
-                chain.from_iterable(self._io.scan(outer_file, self._by_run))
+                chain.from_iterable(self._io.scan(outer_file, self._by_run, outer_carried))
             )
             outer = engine.assemble_outer(
-                state.outer_retained, outer_pages, index, engine.carried(outer_file)
+                state.outer_retained, outer_pages, index, outer_carried
             )
             new_cache = None
             if next_index is not None:
@@ -843,8 +845,12 @@ class _DemandIO:
         self._obs = obs
         self._cache_shape = _cache_shape(context)
 
-    def scan(self, heap: HeapFile, by_run: bool):
-        """The pages of *heap* in the lists they are read in."""
+    def scan(self, heap: HeapFile, by_run: bool, carried=None):
+        """The pages of *heap* in the lists they are read in -- billed, the
+        rows *carried* holds as one page, when the stored pages are those
+        rows (:meth:`HeapFile.bill_scan`)."""
+        if carried is not None and heap.bill_scan(carried.tuples):
+            return [[carried.tuples]]
         return _chunks(heap, by_run)
 
     def stored_bounds(self, resident, heap, carried) -> Optional[List[int]]:
@@ -877,7 +883,7 @@ class _PipelinedIO(_DemandIO):
         super().__init__(layout, context, obs)
         self._pipeline = PrefetchPipeline(layout, context.prefetch_depth)
 
-    def scan(self, heap: HeapFile, by_run: bool):
+    def scan(self, heap: HeapFile, by_run: bool, carried=None):
         # Page by page whatever the caller could afford: the prefetch cache
         # hands out (and the demand ledger counts) single pages.
         return ([page] for page in self._pipeline.scan_pages(heap))
@@ -1118,17 +1124,19 @@ def _charge_spill(
 
     The tuples themselves stay in Python memory (the simulation is of cost,
     not capacity); what matters is that the overflow pays a round trip to
-    the TEMP device: one run out, one run back.
+    the TEMP device: one run out, one run back -- billed, building no page,
+    unless the disk must see the pages one by one.
     """
-    rows = list(chain.from_iterable(overflow_blocks))
-    capacity = layout.spec.capacity
-    pages = [rows[at : at + capacity] for at in range(0, len(rows), capacity)]
+    pages = PageRun(list(chain.from_iterable(overflow_blocks)), layout.spec.capacity)
     disk = layout.disk
     extent = disk.allocate(
         f"overflow_spill_{index}", device=Device.TEMP, capacity=max(1, len(pages))
     )
     disk.append_run(extent, pages)
-    disk.read_run(extent, 0, len(pages))
+    if disk.stored(extent) is None:
+        disk.read_run(extent, 0, len(pages))
+    else:
+        disk.charge_runs(((extent, 0, len(pages), False),))
 
 
 def _build_index(block: Sequence[VTTuple]) -> Dict[Tuple, List[VTTuple]]:

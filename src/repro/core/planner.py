@@ -652,9 +652,13 @@ class _IncrementalSampler:
         return self._prefix
 
     def _scan(self) -> None:
+        self.scan_done = True
+        carried = self._outer.carried
+        if carried is not None and self._outer.bill_scan(carried.tuples):
+            self._columns = carried.starts, carried.ends
+            return
         # Nothing else touches the disk during the scan: one run.
         pages = list(chain.from_iterable(self._outer.scan_runs(self._outer.n_tuples)))
-        self.scan_done = True
         delivered = sum(map(len, pages))
         if delivered < self._outer.n_tuples:
             # Torn deliveries lost rows: sample among those that came.

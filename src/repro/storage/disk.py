@@ -1,8 +1,8 @@
 """The simulated disk: contiguous extents and head-position cost accounting.
 
 The reproduction's equivalent of the paper's "main-memory simulations"
-(Section 4.1).  Pages live in Python lists; what is simulated is the *cost*
-of moving them:
+(Section 4.1).  Pages live in Python memory, a written run as its rows
+(:class:`PageRun`); what is simulated is the *cost* of moving them:
 
 * The address space is divided into **devices**, each with its own
   independent head.  Placing base relations, temporary partitions, the tuple
@@ -26,7 +26,8 @@ of moving them:
   devices, is billed in one call too (:meth:`SimulatedDisk.charge_runs`,
   of which a single run is the one-element case): a pass whose access
   sequence is known up front charges it that way, then stores the pages it
-  wrote uncharged (:meth:`SimulatedDisk.install`).
+  wrote uncharged (:meth:`SimulatedDisk.install`), and may check what is
+  stored run by run (:meth:`SimulatedDisk.stored`) instead of reading it.
 
 Loading pre-existing base relations uses :meth:`SimulatedDisk.load`, which
 bypasses accounting -- the paper's measurements start with the inputs
@@ -45,7 +46,8 @@ charges exactly as before.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.errors import PermanentIOFaultError, StorageError
 from repro.resilience.faults import FaultInjector
@@ -53,6 +55,33 @@ from repro.resilience.report import ResilienceReport
 from repro.resilience.retry import RetryPolicy
 from repro.storage.iostats import IOStatistics
 from repro.storage.page import PageFrame, frame_page, torn_copy
+
+
+class PageRun:
+    """Pages cut from one row sequence: page *k* is the *capacity* rows
+    from ``k * capacity`` on, the last page possibly short.
+
+    How a writer hands the disk a run of pages without building them: the
+    disk stores the run as given and builds a page only when something
+    reads it page by page.
+    """
+
+    __slots__ = ("rows", "capacity")
+
+    def __init__(self, rows: Sequence[object], capacity: int) -> None:
+        self.rows = rows
+        self.capacity = capacity
+
+    def __len__(self) -> int:
+        return -(-len(self.rows) // self.capacity)
+
+    def __getitem__(self, index: int) -> object:
+        at = index * self.capacity
+        return self.rows[at : at + self.capacity]
+
+    def __iter__(self) -> Iterator[object]:
+        rows, capacity = self.rows, self.capacity
+        return (rows[at : at + capacity] for at in range(0, len(rows), capacity))
 
 
 class Extent:
@@ -64,22 +93,25 @@ class Extent:
     boundary costs a seek, exactly as a physical file fragment would.
 
     Page contents are arbitrary Python objects (the library stores lists of
-    tuples); the simulator never inspects them.
+    tuples); the simulator never inspects them.  They are stored as runs:
+    :class:`PageRun` runs as handed over, or lists of pages stored whole.
     """
 
-    __slots__ = ("name", "device", "_segments", "_capacity", "_pages")
+    __slots__ = ("name", "device", "_segments", "_capacity", "_runs", "_firsts", "_n_pages")
 
     def __init__(self, name: str, device: int) -> None:
         self.name = name
         self.device = device
         self._segments: List[Tuple[int, int]] = []  # (physical base, capacity)
         self._capacity = 0  # sum of the segment capacities
-        self._pages: List[object] = []
+        self._runs: List[Sequence[object]] = []
+        self._firsts: List[int] = []  # the index of each run's first page
+        self._n_pages = 0
 
     @property
     def n_pages(self) -> int:
         """Number of pages currently stored in the extent."""
-        return len(self._pages)
+        return self._n_pages
 
     @property
     def capacity(self) -> int:
@@ -106,6 +138,42 @@ class Extent:
             device=self.device,
             page_index=index,
         )
+
+    # The store.  A run's page is built (sliced) when it is read; a run a
+    # page is replaced or cut off in is built into its pages first.
+
+    def _page(self, index: int) -> object:
+        run = bisect_right(self._firsts, index) - 1
+        return self._runs[run][index - self._firsts[run]]
+
+    def _cell(self, index: int) -> Tuple[int, int]:
+        """``(run, position in it)`` of page *index*, its run a page list."""
+        run = bisect_right(self._firsts, index) - 1
+        if isinstance(self._runs[run], PageRun):
+            self._runs[run] = list(self._runs[run])
+        return run, index - self._firsts[run]
+
+    def _add(self, pages: Sequence[object]) -> None:
+        """Store *pages* last: a :class:`PageRun` as handed over, else whole."""
+        if not len(pages):
+            return
+        if type(pages) is not PageRun and self._runs and type(self._runs[-1]) is list:
+            self._runs[-1].extend(pages)
+        else:
+            self._runs.append(pages if type(pages) is PageRun else list(pages))
+            self._firsts.append(self._n_pages)
+        self._n_pages += len(pages)
+
+    def _keep(self, keep: int) -> None:
+        """Drop every page from *keep* on."""
+        if keep < self._n_pages:
+            run = bisect_right(self._firsts, keep) - 1
+            if keep > self._firsts[run]:  # inside a run: keep its head
+                run, at = self._cell(keep)
+                del self._runs[run][at:]
+                run += 1
+            del self._runs[run:], self._firsts[run:]
+            self._n_pages = keep
 
     def __repr__(self) -> str:
         return (
@@ -217,7 +285,7 @@ class SimulatedDisk:
                 self.report.transient_read_faults += 1
                 failed_attempt = True
             else:
-                stored = extent._pages[index]
+                stored = extent._page(index)
                 if self.checksums:
                     frame = stored
                     if fault is not None and fault.kind == "corrupt":
@@ -280,9 +348,10 @@ class SimulatedDisk:
             if fault is None:
                 stored = frame_page(page) if self.checksums else page
                 if index == extent.n_pages:
-                    extent._pages.append(stored)
+                    extent._add([stored])
                 else:
-                    extent._pages[index] = stored
+                    run, at = extent._cell(index)
+                    extent._runs[run][at] = stored
                 return
             self.report.transient_write_faults += 1
             attempts += 1
@@ -330,10 +399,11 @@ class SimulatedDisk:
         if self.fault_injector is not None or self.checksums:
             return [self.read(extent, at) for at in range(index, index + count)]
         self._charge(extent, index, write=False, count=count)
-        return extent._pages[index : index + count]
+        return [extent._page(at) for at in range(index, index + count)]
 
-    def append_run(self, extent: Extent, pages: List[object]) -> int:
-        """Append *pages* to *extent* as one run; returns the first index.
+    def append_run(self, extent: Extent, pages: Sequence[object]) -> int:
+        """Append *pages* -- a list, or a :class:`PageRun` stored as such --
+        to *extent* as one run; returns the first index.
 
         Charges, and grows the extent, exactly as one :meth:`append` per
         page would.
@@ -345,7 +415,7 @@ class SimulatedDisk:
         elif pages:
             self._ensure_capacity(extent, index + len(pages) - 1)
             self._charge(extent, index, write=True, count=len(pages))
-            extent._pages.extend(pages)
+            extent._add(pages)
         return index
 
     def attach_observer(self, obs) -> None:
@@ -503,24 +573,22 @@ class SimulatedDisk:
 
     # -- uncharged access ---------------------------------------------------------
 
-    def load(self, extent: Extent, pages: List[object]) -> None:
-        """Install *pages* into *extent* without charging I/O.
+    def load(self, extent: Extent, pages: Sequence[object]) -> None:
+        """Install *pages* into *extent*, replacing it, without charging I/O.
 
         Used to place pre-existing base relations on disk before an
         experiment starts measuring.
         """
-        self._ensure_capacity(extent, max(len(pages) - 1, 0))
-        if self.checksums:
-            extent._pages = [frame_page(page) for page in pages]
-        else:
-            extent._pages = list(pages)
+        extent._keep(0)
+        self.install(extent, pages)
 
-    def install(self, extent: Extent, pages: List[object]) -> None:
+    def install(self, extent: Extent, pages: Sequence[object]) -> None:
         """Append *pages* to *extent* without charging: for a writer whose
-        schedule billed their writes already (:meth:`charge_runs`)."""
-        if pages:
-            self._ensure_capacity(extent, extent.n_pages + len(pages) - 1)
-            extent._pages.extend(map(frame_page, pages) if self.checksums else pages)
+        schedule billed their writes already (:meth:`charge_runs`).  With
+        checksums every page is built and framed; otherwise a
+        :class:`PageRun` is stored as handed over."""
+        self._ensure_capacity(extent, max(extent.n_pages + len(pages) - 1, 0))
+        extent._add([frame_page(page) for page in pages] if self.checksums else pages)
 
     def find_extent(self, name: str) -> Optional[Extent]:
         """The extent allocated under *name*, if any.
@@ -533,12 +601,13 @@ class SimulatedDisk:
                 return extent
         return None
 
-    def stored(self, extent: Extent) -> Optional[List[object]]:
-        """The pages of *extent* as stored, uncharged, or None where a read
+    def stored(self, extent: Extent) -> Optional[List[Sequence[object]]]:
+        """The runs *extent* stores its pages in, in page order, uncharged --
+        each a :class:`PageRun` or a list of pages -- or None where a read
         must be served page by page (see :meth:`read_run`)."""
         if self.fault_injector is not None or self.checksums:
             return None
-        return list(extent._pages)
+        return list(extent._runs)
 
     def peek(self, extent: Extent, index: int) -> object:
         """Read a page without charging (test and verification use only)."""
@@ -550,7 +619,7 @@ class SimulatedDisk:
                 device=extent.device,
                 page_index=index,
             )
-        stored = extent._pages[index]
+        stored = extent._page(index)
         if isinstance(stored, PageFrame):
             return stored.payload
         return stored
@@ -575,7 +644,7 @@ class SimulatedDisk:
                 extent=extent.name,
                 device=extent.device,
             )
-        del extent._pages[keep:]
+        extent._keep(keep)
 
     def corrupt_stored(self, extent: Extent, index: int) -> None:
         """Damage the *stored* copy of a page (chaos-test hook, uncharged).
@@ -592,11 +661,12 @@ class SimulatedDisk:
                 device=extent.device,
                 page_index=index,
             )
-        stored = extent._pages[index]
-        if isinstance(stored, PageFrame):
-            extent._pages[index] = PageFrame(torn_copy(stored.payload), stored.checksum)
+        run, at = extent._cell(index)
+        pages = extent._runs[run]
+        if isinstance(pages[at], PageFrame):
+            pages[at] = PageFrame(torn_copy(pages[at].payload), pages[at].checksum)
         else:
-            extent._pages[index] = torn_copy(stored)
+            pages[at] = torn_copy(pages[at])
 
     # -- head control ----------------------------------------------------------------
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence as SequenceABC
-from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -18,17 +17,19 @@ from repro.exec.batch import PageBatch
 from repro.model.match_block import LazyRows, spans_sorted
 from repro.model.vtuple import VTTuple
 from repro.storage.columnar_page import ColumnarPage, KeyDictionary, page_view
-from repro.storage.disk import Extent, SimulatedDisk
+from repro.storage.disk import Extent, PageRun, SimulatedDisk
 from repro.storage.page import PageSpec
 
 
 class LazyPage(SequenceABC):
-    """A heap page assembled from slices of row sequences, not yet rows.
+    """Heap rows assembled from slices of row sequences, not yet rows: a
+    page, or the rows of a run of pages whose slices are its pages.
 
     Each segment is ``(source, lo, hi)``: *source* is a lazy row block
     (:mod:`repro.model.match_block`) or a plain tuple list.  Slicing a block
     reads its shared memo, so the rows of a block cut across several pages
-    (and appended to a result relation) are still built once.  Immutable;
+    (and appended to a result relation) are still built once, and slicing
+    a lazy page gives a lazy page over the same sources.  Immutable;
     ``repr`` is content-based for the checksumming disk.
     """
 
@@ -49,7 +50,16 @@ class LazyPage(SequenceABC):
         return self._n
 
     def __getitem__(self, index):
-        return self.tuples()[index]
+        if not isinstance(index, slice):
+            return self.tuples()[index]
+        start, stop, _ = index.indices(self._n)  # a run's page: a contiguous slice
+        segments, at = [], 0
+        for source, lo, hi in self._segments:
+            first, last = max(lo, lo + start - at), min(hi, lo + stop - at)
+            if first < last:
+                segments.append((source, first, last))
+            at += hi - lo
+        return LazyPage(segments)
 
     def __iter__(self) -> Iterator[VTTuple]:
         return iter(self.tuples())
@@ -169,17 +179,9 @@ class HeapFile:
             capacity_tuples=max(1, len(tuple_list)),
             columnar=columnar,
         )
-        capacity = spec.capacity
-        chunks = [
-            tuple_list[i : i + capacity] for i in range(0, len(tuple_list), capacity)
-        ]
-        pages: List[object]
+        pages = PageRun(list(tuple_list), spec.capacity)
         if columnar:
-            pages = [
-                ColumnarPage.from_tuples(chunk, heap.dictionary) for chunk in chunks
-            ]
-        else:
-            pages = list(chunks)
+            pages = [ColumnarPage.from_tuples(page, heap.dictionary) for page in pages]
         disk.load(heap.extent, pages)
         heap._n_tuples = len(tuple_list)
         if columns is not None and not columnar:
@@ -272,14 +274,15 @@ class HeapFile:
         storing the pages they fill uncharged: for a writer whose schedule
         billed those writes already
         (:meth:`~repro.storage.disk.SimulatedDisk.charge_runs`)."""
-        pages = self._fill(rows, columns)
-        if flush and (self._write_segments or self._write_page):
-            pages.append(self._take_page())
-        self._write(pages, billed=True)
+        self._write(self._fill(rows, columns, flush=flush), billed=True)
 
-    def _fill(self, run: List[VTTuple], columns: Optional[PageBatch]) -> List[object]:
-        """Buffer *run* as :meth:`append_many` does; returns the pages it
-        fills, taken off the buffer and not yet written."""
+    def _fill(
+        self, run: List[VTTuple], columns: Optional[PageBatch], *, flush: bool = False
+    ) -> List[Sequence[object]]:
+        """Buffer *run* as :meth:`append_many` does; returns the runs of pages
+        it fills (with *flush*, the open page too), taken off the buffer and
+        not yet written: one :class:`~repro.storage.disk.PageRun`, after the
+        open page alone if it held block rows."""
         if run:
             self.carried = None
         if self._endpoint_sorted and run:
@@ -295,25 +298,30 @@ class HeapFile:
                 self._endpoint_sorted = False
         room, capacity = self.open_room, self.spec.capacity
         self._n_tuples += len(run)
-        if len(run) < room:
+        if len(run) < room and not flush:
             self._write_page.extend(run)
             return []
-        # The open page, then whole pages by slice, then the new open page.
-        self._write_page.extend(run[:room])
-        cut = len(run) - (len(run) - room) % capacity
-        full = [self._take_page()]
-        full += [run[at : at + capacity] for at in range(room, cut, capacity)]
+        cut = len(run) if flush else len(run) - (len(run) - room) % capacity
+        runs: List[Sequence[object]] = []
+        lo = 0
+        if self._write_segments:
+            # The open page holds block rows: it is written as their LazyPage.
+            lo = min(room, cut)
+            self._write_page.extend(run[:lo])
+            runs.append([self._take_page()])
+        rows = self._write_page + run[lo:cut] if self._write_page else run[lo:cut]
+        if rows:
+            runs.append(PageRun(rows, capacity))
         self._write_page = run[cut:]
-        return full
+        return runs
 
     def append_block(self, block: LazyRows) -> None:
         """Append a lazy row block (:mod:`repro.model.match_block`) unbuilt.
 
         Writes exactly the page sequence (and charges) that one
-        :meth:`append` per row would: the block is cut at page boundaries
-        into :class:`LazyPage` segments, O(pages) work, and
-        endpoint-sortedness is maintained from its two time columns.  The
-        pages it fills go out as one run, like :meth:`append_many`'s.
+        :meth:`append` per row would: the pages the block fills go out as
+        one run over a :class:`LazyPage` of the buffered rows and the block,
+        and endpoint-sortedness is maintained from its two time columns.
         """
         n = len(block)
         if n == 0:
@@ -327,22 +335,24 @@ class HeapFile:
             self._write_segments.append((self._write_page, 0, len(self._write_page)))
             self._room -= len(self._write_page)
             self._write_page = []
-        full = []
-        at = 0
-        while at < n:
-            take = min(n - at, self._room)
-            self._write_segments.append((block, at, at + take))
-            self._room -= take
-            self._n_tuples += take
-            at += take
-            if self._room == 0:
-                full.append(self._take_page())
-        self._write(full)
+        self._n_tuples += n
+        room, capacity = self._room, self.spec.capacity
+        if n < room:
+            self._write_segments.append((block, 0, n))
+            self._room -= n
+            return
+        cut = n - (n - room) % capacity  # the block's rows through its last full page
+        rows = LazyPage(self._write_segments + [(block, 0, cut)])
+        self._reset_buffer()
+        if cut < n:
+            self._write_segments.append((block, cut, n))
+            self._room -= n - cut
+        self._write([PageRun(rows, capacity)])
 
     def flush(self) -> None:
         """Write the partial page buffer to disk (no-op when empty)."""
         if self._write_segments or self._write_page:
-            self._write([self._take_page()])
+            self._write([[self._take_page()]])
 
     def _take_page(self) -> object:
         """The write buffer as one page, the buffer emptied."""
@@ -353,18 +363,19 @@ class HeapFile:
         self._reset_buffer()
         return payload
 
-    def _write(self, pages: List[object], *, billed: bool = False) -> None:
-        """Append *pages* taken off the write buffer: one run, or page by page
-        into a columnar file -- uncharged where a schedule *billed* them."""
-        if self.columnar:
-            pages = [ColumnarPage.from_tuples(page, self.dictionary) for page in pages]
-        if billed:
-            self.disk.install(self.extent, pages)
-        elif not self.columnar:
-            self.disk.append_run(self.extent, pages)
-        else:
-            for page in pages:
-                self.disk.append(self.extent, page)
+    def _write(self, runs: List[Sequence[object]], *, billed: bool = False) -> None:
+        """Append the *runs* of pages taken off the write buffer: each one run,
+        or page by page into a columnar file -- uncharged where *billed*."""
+        for pages in runs:
+            if self.columnar:
+                pages = [ColumnarPage.from_tuples(page, self.dictionary) for page in pages]
+            if billed:
+                self.disk.install(self.extent, pages)
+            elif not self.columnar:
+                self.disk.append_run(self.extent, pages)
+            else:
+                for page in pages:
+                    self.disk.append(self.extent, page)
 
     def _reset_buffer(self) -> None:
         self._write_segments = []
@@ -489,11 +500,37 @@ class HeapFile:
         """``[0, end of page 0, end of page 1, ...]`` in *rows* when the
         stored pages hold exactly *rows* and the disk bills a run without
         looking at it (:meth:`~repro.storage.disk.SimulatedDisk.stored`),
-        else None: the uncharged check before a scan is billed, not read."""
-        pages = self.disk.stored(self.extent)
-        if pages is None or list(chain.from_iterable(pages)) != rows:
+        else None: the uncharged check, one comparison per stored run,
+        before a scan is billed, not read."""
+        runs = self.disk.stored(self.extent)
+        if runs is None:
             return None
-        return list(accumulate(map(len, pages), initial=0))
+        bounds, at = [0], 0
+        for run in runs:
+            if isinstance(run, PageRun):
+                n = len(run.rows)
+                if run.rows != (rows if at == 0 and n == len(rows) else rows[at : at + n]):
+                    return None
+                bounds += range(at + run.capacity, at + n, run.capacity)
+                at += n
+                bounds.append(at)
+                continue
+            for page in run:
+                if page != rows[at : at + len(page)]:
+                    return None
+                at += len(page)
+                bounds.append(at)
+        return bounds if at == len(rows) else None
+
+    def bill_scan(self, rows: List[VTTuple]) -> bool:
+        """Charge a scan of the file -- what :meth:`scan_runs` charges --
+        without reading a page, when the stored pages hold exactly *rows*
+        (:meth:`stored_bounds`); else charge nothing and return False: the
+        scan must be read."""
+        if self.stored_bounds(rows) is None:
+            return False
+        self.disk.charge_runs(((self.extent, 0, self.n_pages, False),))
+        return True
 
     # -- verification (uncharged) -------------------------------------------------------
 

@@ -19,6 +19,8 @@ easiest to get wrong -- a resident cache area, a damaged page it must notice
 before billing -- and check that it is the path actually taken.
 """
 
+import gc
+import types
 from dataclasses import replace
 from itertools import chain
 
@@ -36,6 +38,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
 from repro.time.interval import Interval
+from repro.workloads import fig8_spec, generate_pair
 
 from tests.chaos.conftest import CHAOS_SEED, long_lived_config, long_lived_pair
 
@@ -273,6 +276,47 @@ def test_a_fault_free_batch_join_reads_no_page_one_by_one():
     phases = run.layout.tracker.phases
     assert phases["partition"].reads > 0 and phases["join"].reads > 0
     assert calls.get("partition", 0) == calls.get("join", 0) == 0
+
+
+#: GC-tracked objects a join may keep per file and per emitted block.
+OBJECTS_PER_FILE_OR_BLOCK = 16
+
+
+def tracked_reachable(roots, exclude=frozenset()):
+    """``(ids, count)``: the objects reachable from *roots* -- classes,
+    modules and code left out, and not through the ids in *exclude* -- and
+    how many of them the collector tracks."""
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, tracked = set(), list(roots), 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in exclude or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        tracked += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return seen, tracked
+
+
+@pytest.mark.parametrize("scale", [32, 16])
+def test_a_billed_join_keeps_no_object_per_page(scale):
+    """A fault-free batch join on 8-row pages stores each written run as
+    its rows, not as a list per page: what its layout and result keep
+    alive is O(files + emitted blocks), at the fixture's size and at twice
+    its rows -- a writer that slices pages again keeps one object a page."""
+    spec = replace(fig8_spec(64_000).scaled(scale), seed=CHAOS_SEED + 5)
+    r, s = generate_pair(spec)
+    config = long_lived_config("batch", checkpoint_interval=0)
+    partition_join(r, s, config)  # the relations split their columns once
+    run = partition_join(r, s, config)
+    inputs, _ = tracked_reachable([r, s])
+    _, kept = tracked_reachable([run.layout, run.result], inputs)
+    disks = (run.layout.disk, run.layout._result_disk)
+    files = sum(len(disk._extents) for disk in disks)
+    blocks = len(run.result._chunks)
+    pages = sum(extent.n_pages for disk in disks for extent in disk._extents)
+    assert blocks > 1 and pages > 10 * (files + blocks)
+    assert kept <= OBJECTS_PER_FILE_OR_BLOCK * (files + blocks)
 
 
 def test_a_fault_injector_sends_every_read_through_read():

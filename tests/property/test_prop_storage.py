@@ -1,9 +1,14 @@
 """Property tests for the storage substrate's accounting invariants."""
 
+import os
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.storage.disk import SimulatedDisk
 from repro.storage.iostats import CostModel, IOStatistics
+
+#: Shifts the fault injectors' seeds (the chaos CI job sets it).
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 prop_settings = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -123,6 +128,11 @@ def replay(operations, *, as_runs, **disk_options):
     return disk, extents, delivered
 
 
+def stored_contents(disk, extent):
+    """Every page *extent* stores, uncharged, in page order."""
+    return [disk.peek(extent, index) for index in range(extent.n_pages)]
+
+
 class TestRunsArePages:
     """A run charged in one call is the same accesses issued one at a time."""
 
@@ -139,7 +149,7 @@ class TestRunsArePages:
         assert run_pages == page_pages
         for run_extent, page_extent in zip(run_extents, page_extents):
             assert run_extent._segments == page_extent._segments
-            assert run_extent._pages == page_extent._pages
+            assert stored_contents(runs, run_extent) == stored_contents(pages, page_extent)
 
     def test_a_run_pays_a_seek_at_every_segment_boundary(self):
         disk = SimulatedDisk(IOStatistics())
@@ -216,3 +226,166 @@ class TestRunsArePages:
         assert runs.stats == pages.stats
         assert runs.report == pages.report
         assert runs.fault_injector.ops_seen == pages.fault_injector.ops_seen
+
+
+def store_operations():
+    """Random interleavings of every way to put pages on an extent and get
+    them back, over two extents on two devices with small reservations."""
+    return st.lists(
+        st.tuples(
+            st.integers(0, 1),  # which extent
+            st.sampled_from(
+                [
+                    "load",
+                    "install",
+                    "append_run",
+                    "append",
+                    "write",
+                    "truncate",
+                    "corrupt_stored",
+                    "read",
+                    "read_run",
+                    "peek",
+                    "stored",
+                ]
+            ),
+            st.integers(0, 40),  # position hint
+            st.integers(0, 9),  # rows of a run
+            st.integers(1, 4),  # rows per page
+        ),
+        max_size=40,
+    )
+
+
+def page_run(serial, rows, per_page):
+    """A run of fresh pages of *per_page* distinct rows each (the last
+    possibly short), cut out of one row list."""
+    from repro.storage.disk import PageRun
+
+    return PageRun([f"r{serial}.{k}" for k in range(rows)], per_page)
+
+
+def replay_store(operations, *, as_runs, seed=None, checksums=False):
+    """Issue *operations*, handing runs over as :class:`PageRun` or as lists
+    of their pages; returns the disk, its extents and everything delivered."""
+    from repro.model.errors import PermanentIOFaultError
+    from repro.resilience import FaultInjector
+
+    injector = None
+    if seed is not None:
+        injector = FaultInjector(
+            seed, read_fault_rate=0.1, write_fault_rate=0.05, corruption_rate=0.1
+        )
+    disk = SimulatedDisk(IOStatistics(), fault_injector=injector, checksums=checksums)
+    extents = [disk.allocate("a", device=0, capacity=2), disk.allocate("b", device=1, capacity=3)]
+    delivered = []
+    try:
+        for serial, (which, op, hint, rows, per_page) in enumerate(operations):
+            extent = extents[which]
+            n = extent.n_pages
+            if op in ("load", "install", "append_run"):
+                run = page_run(serial, rows, per_page)
+                getattr(disk, op)(extent, run if as_runs else list(run))
+            elif op == "append":
+                disk.append(extent, [f"p{serial}"])
+            elif op == "truncate":
+                disk.truncate(extent, hint % (n + 1))
+            elif op == "stored":
+                runs = disk.stored(extent)
+                delivered.append(None if runs is None else [page for run in runs for page in run])
+            elif n == 0:
+                continue
+            elif op == "write":
+                disk.write(extent, hint % n, [f"w{serial}"])
+            elif op == "corrupt_stored":
+                disk.corrupt_stored(extent, hint % n)
+            elif op == "read_run":
+                index = hint % n
+                delivered.extend(disk.read_run(extent, index, min(rows + 1, n - index)))
+            else:  # read, peek
+                delivered.append(getattr(disk, op)(extent, hint % n))
+    except PermanentIOFaultError as error:
+        delivered.append(str(error))
+    return disk, extents, delivered
+
+
+def page_list_model(operations):
+    """What a plain list of pages per extent holds after *operations*
+    (fault-free)."""
+    from repro.storage.page import torn_copy
+
+    model = [[], []]
+    for serial, (which, op, hint, rows, per_page) in enumerate(operations):
+        pages = model[which]
+        if op in ("load", "install", "append_run"):
+            run = [list(page) for page in page_run(serial, rows, per_page)]
+            if op == "load":
+                pages.clear()
+            pages.extend(run)
+        elif op == "append":
+            pages.append([f"p{serial}"])
+        elif op == "truncate":
+            del pages[hint % (len(pages) + 1) :]
+        elif op == "write" and pages:
+            pages[hint % len(pages)] = [f"w{serial}"]
+        elif op == "corrupt_stored" and pages:
+            pages[hint % len(pages)] = torn_copy(pages[hint % len(pages)])
+    return model
+
+
+class TestStoredRunsArePageLists:
+    """An extent that keeps runs as their rows and page bounds delivers page
+    for page, and charges access for access, what a page-list extent does."""
+
+    def assert_same(self, operations, **disk_options):
+        runs, run_extents, run_delivered = replay_store(operations, as_runs=True, **disk_options)
+        pages, page_extents, page_delivered = replay_store(
+            operations, as_runs=False, **disk_options
+        )
+        assert run_delivered == page_delivered
+        assert runs.stats == pages.stats
+        assert runs.device_stats == pages.device_stats
+        assert runs.report == pages.report
+        assert [runs.head_position(d) for d in (0, 1)] == [
+            pages.head_position(d) for d in (0, 1)
+        ]
+        contents = [
+            [list(page) for page in stored_contents(disk, extent)]
+            for disk, extents in ((runs, run_extents), (pages, page_extents))
+            for extent in extents
+        ]
+        assert contents[:2] == contents[2:]
+        return contents[:2]
+
+    @given(store_operations())
+    @prop_settings
+    def test_plain(self, operations):
+        assert self.assert_same(operations) == page_list_model(operations)
+
+    @given(store_operations())
+    @prop_settings
+    def test_with_checksums(self, operations):
+        self.assert_same(operations, checksums=True)
+
+    @given(store_operations(), st.integers(0, 2**16), st.booleans())
+    @prop_settings
+    def test_under_a_fault_injector(self, operations, seed, checksums):
+        self.assert_same(operations, seed=seed + CHAOS_SEED, checksums=checksums)
+
+    def test_a_run_is_stored_whole_and_built_on_read(self):
+        from repro.storage.disk import PageRun
+
+        disk = SimulatedDisk(IOStatistics())
+        extent = disk.allocate("a", capacity=4)
+        rows = list(range(10))
+        disk.install(extent, PageRun(rows, 4))
+        (run,) = disk.stored(extent)
+        assert run.rows is rows and len(run) == 3
+        assert disk.read(extent, 1) == [4, 5, 6, 7]
+        disk.truncate(extent, 3)  # past the run: it stays whole
+        (run,) = disk.stored(extent)
+        assert run.rows is rows
+        disk.truncate(extent, 2)  # inside the run: its pages are built
+        assert disk.stored(extent) == [[[0, 1, 2, 3], [4, 5, 6, 7]]]
+        disk.write(extent, 0, ["x"])
+        assert stored_contents(disk, extent) == [["x"], [4, 5, 6, 7]]
