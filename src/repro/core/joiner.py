@@ -107,7 +107,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
-from repro.exec.batch import CodeTranslator, ColumnarBlock, PageBatch
+from repro.exec.batch import CodeTranslator, ColumnarBlock, PageBatch, RowRefs, extended
 from repro.exec.kernels import concat_chunks, get_kernels
 from repro.exec.pruned_probe import PrunedProbeIndex, probe_pruned_chunks
 from repro.model.match_block import MatchBlock
@@ -974,7 +974,8 @@ class _TupleCache:
         self.name = name
         self._memory_tuples = memory_tuples
         self._capacity_hint = max(1, capacity_hint)
-        self.resident: List[VTTuple] = []
+        # A list, or -- once a billed pass migrated rows in -- references.
+        self.resident: Sequence[VTTuple] = []
         self.spill: Optional[HeapFile] = None
         # The columns of the rows held, one batch per stream that filled the
         # cache, in arrival order.  Volatile: a checkpoint stores rows only.
@@ -984,7 +985,7 @@ class _TupleCache:
     def extend(self, tuples: List[VTTuple]) -> None:
         """Cache *tuples* in order: the resident area first, the rest spilled."""
         room = self._resident_room()
-        self.resident.extend(tuples[:room])
+        self.resident = extended(self.resident, tuples[:room])
         if len(tuples) > room:
             self._spill(tuples[room:])
 
@@ -1006,7 +1007,7 @@ class _TupleCache:
         and with their columns: the spill pages they fill are stored
         uncharged, their writes being in the pass's schedule (:meth:`fills`)."""
         room = self._resident_room()
-        self.resident.extend(migrants.tuples[:room])
+        self.resident = extended(self.resident, migrants.tuples[:room])
         if len(migrants) > room:
             spilled = migrants[room:] if room else migrants
             self._spill_file().install(spilled.tuples, spilled)
@@ -1127,7 +1128,8 @@ def _charge_spill(
     the TEMP device: one run out, one run back -- billed, building no page,
     unless the disk must see the pages one by one.
     """
-    pages = PageRun(list(chain.from_iterable(overflow_blocks)), layout.spec.capacity)
+    rows = [block.tuples if isinstance(block, PageBatch) else block for block in overflow_blocks]
+    pages = PageRun(RowRefs.concat(rows), layout.spec.capacity)
     disk = layout.disk
     extent = disk.allocate(
         f"overflow_spill_{index}", device=Device.TEMP, capacity=max(1, len(pages))
@@ -1280,9 +1282,10 @@ class _BatchEngine(_ProbeEngine):
         if not isinstance(retained, PageBatch):  # a checkpoint's rows
             retained = self.decompose([list(retained)])
         kept = retained.take(self.overlapping_rows(retained, index))
-        # One flat tuple list, whatever the pages are: build-side keys must
-        # be interned, which a run of packed pages would not do.
-        rows = list(chain.from_iterable(pages))
+        # One flat row sequence (a billed scan's one page of references as it
+        # is): build-side keys must be interned, which packed pages are not.
+        refs = len(pages) == 1 and isinstance(pages[0], RowRefs)
+        rows = pages[0] if refs else list(chain.from_iterable(pages))
         fresh = carried.matching(0, rows) if carried is not None else None
         if fresh is None:
             fresh = self.decompose([rows])
@@ -1319,12 +1322,8 @@ class _BatchEngine(_ProbeEngine):
         block per chunk of at most
         :data:`~repro.exec.kernels.CANDIDATE_BUDGET` candidates, in
         :meth:`probe`'s order."""
-        outer, inner = index_obj.block, batch.tuples
         for columns in self._chunks(index_obj, batch, part_index):
-            # Rows boxed for one chunk stay boxed for the next.
-            outer = self._kernels.boxed(outer, columns[0])
-            inner = self._kernels.boxed(inner, columns[1])
-            yield self._block(outer, inner, columns)
+            yield self._block(index_obj.block, batch.tuples, columns)
 
     def _chunks(self, index_obj, batch: PageBatch, part_index):
         if index_obj.csr is not None:
@@ -1353,7 +1352,7 @@ def _carried_columns(parts: List) -> Optional[PageBatch]:
     None unless every run is a batch of plain rows: the tuple engine
     decomposes nothing, and packed columnar rows are columns already."""
     if not parts or not all(
-        isinstance(part, PageBatch) and isinstance(part.tuples, list) for part in parts
+        isinstance(part, PageBatch) and isinstance(part.tuples, (list, RowRefs)) for part in parts
     ):
         return None
     return PageBatch.concat(parts)

@@ -187,11 +187,11 @@ def _route_carried(
     them out.
 
     *perm* and *counts* place every carried row (``Kernels.route``): one
-    gather lays the rows out bucket by bucket, in input order within each,
-    and fixes the flush schedule -- a bucket flushes right after the read of
-    the page holding the row that fills it, as routing row by row does --
-    and each partition file carries its bucket's slice of the gathered
-    batch.  When the stored pages are the carried rows
+    gather of positions lays the rows out bucket by bucket, in input order
+    within each, and fixes the flush schedule -- a bucket flushes right
+    after the read of the page holding the row that fills it, as routing
+    row by row does -- and each partition file carries its bucket's slice
+    of the gathered batch.  When the stored pages are the carried rows
     (:meth:`HeapFile.stored_bounds`) the scan is billed, reads and flushes
     in one schedule (:func:`_bill_routing`); otherwise *pages* is walked,
     each delivered page checked against the carried rows.
@@ -232,7 +232,7 @@ def _route_carried(
     for index, (first, last) in enumerate(pairwise(bounds)):
         batch = routed[flushed[index] : bisect_left(perm, offset, flushed[index], last)]
         if offset < len(carried):
-            buffers[index] = batch.tuples
+            buffers[index] = list(batch.tuples)
             continue
         _flush(partitions[index], batch.tuples, batch)  # a no-op when empty
         partitions[index].carry(routed[first:last])

@@ -25,7 +25,7 @@ Python dict lookup per tuple.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
+from collections.abc import Sequence as SequenceABC
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,8 +84,104 @@ class KeyInterner:
         return grown if len(grown) > len(self) else self
 
 
-def _chained(sequences: Iterable[Sequence]) -> List:
-    return list(chain.from_iterable(sequences))
+class RowRefs(SequenceABC):
+    """Rows named by their positions (a ``range``, else ``int64``) in one
+    object array *source* they were boxed into once (a relation version's,
+    :meth:`~repro.model.relation.ValidTimeRelation.columns`): a carried row
+    moves as an int.  Slicing, :meth:`take`, :meth:`without` and a
+    one-source :meth:`concat` move positions only.  It iterates, reprs and
+    compares as the list it names, read by :meth:`tolist` -- the one place
+    rows are fetched together; a stored page cut from it is that list
+    (:meth:`page`).  It has no ``+``: buffers grow by :func:`extended`.
+    """
+
+    __slots__ = ("source", "positions")
+
+    def __init__(self, source: np.ndarray, positions=None) -> None:
+        self.source = source
+        self.positions = range(len(source)) if positions is None else positions
+
+    @classmethod
+    def of(cls, rows: Sequence[VTTuple]) -> "RowRefs":
+        """*rows* as references: these as they are, any other sequence boxed."""
+        if isinstance(rows, RowRefs):
+            return rows
+        return cls(np.fromiter(rows, object, len(rows)))
+
+    @classmethod
+    def concat(cls, parts: Sequence[Sequence[VTTuple]]) -> "RowRefs":
+        """*parts* -- references or plain rows -- one after another."""
+        parts = [part for part in parts if len(part)]
+        if len(parts) <= 1:
+            return cls.of(parts[0] if parts else [])
+        source = parts[0].source if isinstance(parts[0], RowRefs) else None
+        if all(isinstance(part, RowRefs) and part.source is source for part in parts):
+            return cls(parts[0].source, np.concatenate([part.array() for part in parts]))
+        return cls(np.concatenate([cls.of(part).objects() for part in parts]))
+
+    def array(self) -> np.ndarray:
+        """The positions as an ``int64`` array."""
+        at = self.positions
+        return np.arange(at.start, at.stop, dtype=np.int64) if type(at) is range else at
+
+    def objects(self) -> np.ndarray:
+        """The rows named, as an object array (a view of a contiguous stretch)."""
+        at = self.positions
+        return self.source[at.start : at.stop] if type(at) is range else self.source.take(at)
+
+    def tolist(self) -> List[VTTuple]:
+        """The rows named, as a list."""
+        return self.objects().tolist()
+
+    def take(self, rows) -> "RowRefs":
+        """The rows at the positions *rows* of this sequence, in order."""
+        return RowRefs(self.source, self.array()[rows])
+
+    def without(self, rows: List[int]) -> "RowRefs":
+        """This sequence less the rows at the ascending positions *rows*."""
+        return RowRefs(self.source, np.delete(self.array(), rows)) if rows else self
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index):
+        at = self.positions[index]
+        if not isinstance(index, slice):
+            return self.source[at]
+        stepped = type(at) is range and at.step != 1
+        return RowRefs(self.source, np.array(at, np.int64) if stepped else at)
+
+    def __iter__(self) -> Iterator[VTTuple]:
+        return iter(self.tolist())
+
+    def __repr__(self) -> str:
+        return repr(self.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RowRefs, list)) and (len(other) != len(self) or not len(self)):
+            return len(other) == len(self)
+        if isinstance(other, RowRefs):
+            if other.source is self.source and np.array_equal(self.array(), other.array()):
+                return True
+            other = other.tolist()
+        return self.tolist() == other
+
+    __hash__ = None
+
+    def page(self, lo: int, hi: int) -> List[VTTuple]:
+        """Rows *lo* to *hi* as a stored page is read: a plain list."""
+        return self[lo:hi].tolist()
+
+
+def extended(rows: Sequence[VTTuple], more: Sequence[VTTuple]) -> Sequence[VTTuple]:
+    """*rows* then *more*: *rows* extended in place while both are lists,
+    else their :meth:`RowRefs.concat` -- how a buffer of rows grows."""
+    if not len(more):
+        return rows
+    if type(rows) is list and type(more) is list:
+        rows.extend(more)
+        return rows
+    return RowRefs.concat([rows, more])
 
 
 class PageBatch:
@@ -93,8 +189,9 @@ class PageBatch:
 
     Attributes:
         tuples: the page's tuples, in page order (kernels return row indices
-            into this list; emission still hands whole :class:`VTTuple`
-            objects to the pair function).
+            into this sequence; emission still hands whole :class:`VTTuple`
+            objects to the pair function): a list as decomposed, or a
+            :class:`RowRefs` on the carried path.
         key_ids: per-row interned key id (``-1`` = key unknown to the build
             side), or None when built without an interner.
         starts: per-row valid-time start chronon.
@@ -107,10 +204,11 @@ class PageBatch:
     A batch is also how a row *keeps* its columns after its page has been
     split: the sweep slices, masks and concatenates batches (the methods
     below) to carry rows from one partition to the next instead of
-    decomposing them again.  Those methods keep ``tuples`` a plain list.
-    Across files too: a heap file carries the batch of what was written to
-    it (:attr:`~repro.storage.heapfile.HeapFile.carried`), and a scan takes
-    a delivered page's columns from it once :meth:`matching` says so.
+    decomposing them again; they make ``tuples`` :class:`RowRefs`, so a
+    carried row moves as its position.  Across files too: a heap file
+    carries the batch of what was written to it
+    (:attr:`~repro.storage.heapfile.HeapFile.carried`), and a scan takes a
+    delivered page's columns from it once :meth:`matching` says so.
     """
 
     __slots__ = ("tuples", "key_ids", "starts", "ends", "keys")
@@ -144,21 +242,20 @@ class PageBatch:
             self.keys,
         )
 
-    def holds(self, start: int, rows: List[VTTuple]) -> bool:
-        """True when the rows from row *start* on equal *rows* (pointer
-        compares for rows that came back as the objects they went out as)."""
+    def holds(self, start: int, rows: Sequence[VTTuple]) -> bool:
+        """True when the rows from row *start* on equal *rows* (positions
+        compared for references, else pointers, as :class:`RowRefs` does)."""
         return self.tuples[start : start + len(rows)] == rows
 
-    def matching(self, start: int, rows: List[VTTuple]) -> Optional["PageBatch"]:
+    def matching(self, start: int, rows: Sequence[VTTuple]) -> Optional["PageBatch"]:
         """The sub-batch from row *start* on if it :meth:`holds` *rows*.
 
         How a delivered page gets its columns back without a decomposition.
         None when the delivery differs from what is carried -- a torn page,
         a shifted offset -- and the caller must decompose *rows* itself.
         """
-        if not self.holds(start, rows):
-            return None
-        return self._sliced(rows, slice(start, start + len(rows)))
+        part = self[start : start + len(rows)]
+        return part if part.tuples == rows else None
 
     def overlapping(self, window: Tuple[float, float]) -> List[int]:
         """Rows whose interval overlaps the partition *window*, ascending
@@ -169,38 +266,33 @@ class PageBatch:
 
     def take(self, rows) -> "PageBatch":
         """The sub-batch of *rows* (a list or an index array), in order."""
-        tuples = self.tuples
         at = np.asarray(rows, dtype=np.int64)
         gathered = [
             None if column is None else column[at]
             for column in (self.key_ids, self.starts, self.ends)
         ]
-        # Plain ints index the row list fastest.
-        return PageBatch([tuples[row] for row in at.tolist()], *gathered, self.keys)
+        return PageBatch(RowRefs.of(self.tuples).take(at), *gathered, self.keys)
 
-    def without(self, rows: List[int], tuples: List[VTTuple]) -> "PageBatch":
-        """This batch less the rows at the ascending positions *rows*;
-        *tuples* is what is left of its rows (kept, not copied)."""
+    def without(self, rows: List[int]) -> "PageBatch":
+        """This batch less the rows at the ascending positions *rows*."""
 
         def less(column):
             if column is None or not rows:
                 return column
             return np.delete(column, rows)
 
-        return PageBatch(
-            tuples, less(self.key_ids), less(self.starts), less(self.ends), self.keys
-        )
+        refs = RowRefs.of(self.tuples).without(rows)
+        return PageBatch(refs, less(self.key_ids), less(self.starts), less(self.ends), self.keys)
 
     @classmethod
-    def concat(cls, batches: Sequence["PageBatch"], tuples=None) -> "PageBatch":
+    def concat(cls, batches: Sequence["PageBatch"]) -> "PageBatch":
         """*batches* (at least one) as one batch, in order; the last one's
-        ``keys`` must know every id (:meth:`KeyInterner.grown`).  *tuples*
-        is their rows as one list, when the caller holds it already."""
+        ``keys`` must know every id (:meth:`KeyInterner.grown`)."""
         first = batches[0]
-        if len(batches) == 1 and isinstance(first.tuples, list):
+        if len(batches) == 1:
             return first
         return cls(
-            tuples if tuples is not None else _chained([batch.tuples for batch in batches]),
+            RowRefs.concat([batch.tuples for batch in batches]),
             None if first.key_ids is None else np.concatenate([b.key_ids for b in batches]),
             np.concatenate([batch.starts for batch in batches]),
             np.concatenate([batch.ends for batch in batches]),
@@ -247,13 +339,15 @@ class PageBatch:
 
     @classmethod
     def keyed(cls, tuples: List[VTTuple], keys=None, starts=None, ends=None) -> "PageBatch":
-        """*tuples* split against a dictionary of their own (``batch.keys``).
-        Given the rows' *keys*, *starts* and *ends* columns, no row is read."""
-        dictionary = KeyInterner()
+        """*tuples* -- boxed once, as :class:`RowRefs` -- split against a
+        dictionary of their own (``batch.keys``).  Given the rows' *keys*,
+        *starts* and *ends* columns, no row is read."""
+        dictionary, refs = KeyInterner(), RowRefs.of(tuples)
         if keys is None:
-            return cls.from_tuples(tuples, dictionary, intern=True)
+            batch = cls.from_tuples(tuples, dictionary, intern=True)
+            return cls(refs, batch.key_ids, batch.starts, batch.ends, dictionary)
         columns = (list(map(dictionary.intern, keys)), starts, ends)
-        return cls(tuples, *(np.array(column, np.int64) for column in columns), dictionary)
+        return cls(refs, *(np.array(column, np.int64) for column in columns), dictionary)
 
     @classmethod
     def from_columnar(

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.batch import CodeTranslator, ColumnarBlock, KeyInterner, PageBatch
+from repro.exec.batch import CodeTranslator, ColumnarBlock, KeyInterner, PageBatch, RowRefs
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
 
@@ -291,19 +291,12 @@ class Kernels:
 
     def take(self, rows: Sequence[VTTuple], positions) -> Sequence[VTTuple]:
         """The rows of *rows* at *positions* (a probe's row column), in
-        order.  A lazy page or block materializes only the rows named."""
-        rows = self.boxed(rows, positions)
-        if isinstance(rows, np.ndarray):
-            return rows.take(positions)
+        order: where the row objects are fetched.  References gather from
+        their source in one object-array take; a lazy page or block
+        materializes only the rows named."""
+        if isinstance(rows, RowRefs):
+            return rows.take(positions).objects()
         return [rows[at] for at in positions.tolist()]
-
-    def boxed(self, rows, positions):
-        """*rows* as :meth:`take` reads them fastest at *positions*: boxing a
-        list costs O(rows) and saves a bytecode loop over the positions, so
-        it pays exactly when rows repeat among the matches."""
-        if isinstance(rows, list) and len(positions) > len(rows):
-            return np.fromiter(rows, object, len(rows))
-        return rows
 
     # -- the kernels -------------------------------------------------------
 

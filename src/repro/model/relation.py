@@ -177,7 +177,8 @@ class ValidTimeRelation:
 
     def columns(self, split: bool = True):
         """The rows as one shared, immutable :class:`~repro.exec.batch.PageBatch`
-        (``(key code, start, end)`` and the codes' dictionary), split once
+        (``(key code, start, end)``, the codes' dictionary, the rows boxed
+        once as references), split once
         and kept until the next write or until a derived relation takes it
         over; with *split* off, only what is memoised already (or None).  The
         memo is a benign race: threads that find it empty each publish a
@@ -194,8 +195,7 @@ class ValidTimeRelation:
         """A new relation: these rows, then *added* (valid under this
         schema).  Its columns extend this one's, if split -- and replace
         them: a superseded version that is joined again splits again."""
-        rows = self._tuples + added
-        relation = ValidTimeRelation.over(self.schema, rows)
+        relation = ValidTimeRelation.over(self.schema, self._tuples + added)
         columns, self._columns = self._columns, None
         if columns is not None:
             from repro.exec.batch import PageBatch
@@ -203,10 +203,10 @@ class ValidTimeRelation:
             keys = None if columns.keys is None else columns.keys.grown(
                 tup.key for tup in added
             )
-            # The derived batch shares the new relation's row list: a second
-            # list per write is what fragments a long-running catalog's heap.
+            # The rows are boxed into one new source; the parent's goes with
+            # the parent's memo, so a chain of writes pins no ancestor's.
             relation._columns = PageBatch.concat(
-                [columns, PageBatch.from_tuples(added, keys)], rows
+                [columns, PageBatch.from_tuples(added, keys)]
             )
         return relation
 
@@ -221,7 +221,7 @@ class ValidTimeRelation:
         relation = ValidTimeRelation.over(self.schema, kept)
         if self._columns is not None and not missing:
             columns, self._columns = self._columns, None
-            relation._columns = columns.without(dropped, kept)
+            relation._columns = columns.without(dropped)
         return relation, missing
 
     def to_columns(self) -> Tuple[List[Tuple], List[Tuple], List[int], List[int]]:

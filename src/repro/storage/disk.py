@@ -63,7 +63,9 @@ class PageRun:
 
     How a writer hands the disk a run of pages without building them: the
     disk stores the run as given and builds a page only when something
-    reads it page by page.
+    reads it page by page.  Rows that cut their own pages (a ``page(lo,
+    hi)`` method: references, :class:`~repro.exec.batch.RowRefs`) are read
+    through it, so such a page is a plain list.
     """
 
     __slots__ = ("rows", "capacity")
@@ -76,12 +78,14 @@ class PageRun:
         return -(-len(self.rows) // self.capacity)
 
     def __getitem__(self, index: int) -> object:
-        at = index * self.capacity
-        return self.rows[at : at + self.capacity]
+        return self._page(index * self.capacity)
 
     def __iter__(self) -> Iterator[object]:
-        rows, capacity = self.rows, self.capacity
-        return (rows[at : at + capacity] for at in range(0, len(rows), capacity))
+        return map(self._page, range(0, len(self.rows), self.capacity))
+
+    def _page(self, at: int) -> object:
+        rows, end = self.rows, at + self.capacity
+        return rows.page(at, end) if hasattr(rows, "page") else rows[at:end]
 
 
 class Extent:

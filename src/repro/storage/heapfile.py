@@ -13,7 +13,7 @@ from collections.abc import Sequence as SequenceABC
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exec.batch import PageBatch
+from repro.exec.batch import PageBatch, RowRefs, extended
 from repro.model.match_block import LazyRows, spans_sorted
 from repro.model.vtuple import VTTuple
 from repro.storage.columnar_page import ColumnarPage, KeyDictionary, page_view
@@ -168,9 +168,9 @@ class HeapFile:
         This is how base relations enter an experiment: the paper's
         measurements assume the inputs are on disk before evaluation begins.
         *columns* is the batch of exactly these rows, when the caller holds
-        it: the file carries it and reads endpoint-sortedness off it.
-        """
-        tuple_list = tuples if isinstance(tuples, list) else list(tuples)
+        it: the file carries it and reads endpoint-sortedness off it.  Rows
+        are copied unless they are (immutable) references."""
+        tuple_list = tuples if isinstance(tuples, RowRefs) else list(tuples)
         heap = cls.create(
             disk,
             name,
@@ -179,7 +179,7 @@ class HeapFile:
             capacity_tuples=max(1, len(tuple_list)),
             columnar=columnar,
         )
-        pages = PageRun(list(tuple_list), spec.capacity)
+        pages = PageRun(tuple_list, spec.capacity)
         if columnar:
             pages = [ColumnarPage.from_tuples(page, heap.dictionary) for page in pages]
         disk.load(heap.extent, pages)
@@ -247,6 +247,8 @@ class HeapFile:
             self._endpoint_sorted = False
             self._last_span = None
         self.carried = None
+        if not isinstance(self._write_page, list):  # references a run left open
+            self._write_page = self._write_page.tolist()
         self._write_page.append(tup)
         self._n_tuples += 1
         if len(self._write_page) >= self._room:
@@ -265,10 +267,11 @@ class HeapFile:
         exactly these rows -- when the writer holds it.  The file carries
         nothing from here on until :meth:`carry`.
         """
-        self._write(self._fill(tuples if isinstance(tuples, list) else list(tuples), columns))
+        run = tuples if isinstance(tuples, (list, RowRefs)) else list(tuples)
+        self._write(self._fill(run, columns))
 
     def install(
-        self, rows: List[VTTuple], columns: Optional[PageBatch] = None, *, flush: bool = False
+        self, rows: Sequence[VTTuple], columns: Optional[PageBatch] = None, *, flush: bool = False
     ) -> None:
         """:meth:`append_many` *rows* -- then, with *flush*, :meth:`flush` --
         storing the pages they fill uncharged: for a writer whose schedule
@@ -277,12 +280,12 @@ class HeapFile:
         self._write(self._fill(rows, columns, flush=flush), billed=True)
 
     def _fill(
-        self, run: List[VTTuple], columns: Optional[PageBatch], *, flush: bool = False
+        self, run: Sequence[VTTuple], columns: Optional[PageBatch], *, flush: bool = False
     ) -> List[Sequence[object]]:
-        """Buffer *run* as :meth:`append_many` does; returns the runs of pages
-        it fills (with *flush*, the open page too), taken off the buffer and
-        not yet written: one :class:`~repro.storage.disk.PageRun`, after the
-        open page alone if it held block rows."""
+        """Buffer *run* (a list, or references) as :meth:`append_many` does;
+        returns the runs of pages it fills (with *flush*, the open page too),
+        taken off the buffer and not yet written: one :class:`PageRun`,
+        after the open page alone if it held block rows."""
         if run:
             self.carried = None
         if self._endpoint_sorted and run:
@@ -299,7 +302,7 @@ class HeapFile:
         room, capacity = self.open_room, self.spec.capacity
         self._n_tuples += len(run)
         if len(run) < room and not flush:
-            self._write_page.extend(run)
+            self._write_page = extended(self._write_page, run)
             return []
         cut = len(run) if flush else len(run) - (len(run) - room) % capacity
         runs: List[Sequence[object]] = []
@@ -307,9 +310,9 @@ class HeapFile:
         if self._write_segments:
             # The open page holds block rows: it is written as their LazyPage.
             lo = min(room, cut)
-            self._write_page.extend(run[:lo])
-            runs.append([self._take_page()])
-        rows = self._write_page + run[lo:cut] if self._write_page else run[lo:cut]
+            self._write_page = extended(self._write_page, run[:lo])
+            runs.append(self._take_run())
+        rows = extended(self._write_page, run[lo:cut]) if self._write_page else run[lo:cut]
         if rows:
             runs.append(PageRun(rows, capacity))
         self._write_page = run[cut:]
@@ -352,16 +355,17 @@ class HeapFile:
     def flush(self) -> None:
         """Write the partial page buffer to disk (no-op when empty)."""
         if self._write_segments or self._write_page:
-            self._write([[self._take_page()]])
+            self._write([self._take_run()])
 
-    def _take_page(self) -> object:
-        """The write buffer as one page, the buffer emptied."""
-        payload: object = self._write_page
+    def _take_run(self) -> Sequence[object]:
+        """The write buffer as a run of one page (a :class:`PageRun` of
+        references, if it holds them), the buffer emptied."""
+        page: object = self._write_page
         if self._write_segments:
-            tail = [(self._write_page, 0, len(self._write_page))] if self._write_page else []
-            payload = LazyPage(self._write_segments + tail)
+            tail = [(page, 0, len(page))] if page else []
+            page = LazyPage(self._write_segments + tail)
         self._reset_buffer()
-        return payload
+        return PageRun(page, self.spec.capacity) if isinstance(page, RowRefs) else [page]
 
     def _write(self, runs: List[Sequence[object]], *, billed: bool = False) -> None:
         """Append the *runs* of pages taken off the write buffer: each one run,
@@ -496,31 +500,37 @@ class HeapFile:
         for page in self.scan_pages():
             yield from page
 
-    def stored_bounds(self, rows: List[VTTuple]) -> Optional[List[int]]:
+    def stored_bounds(self, rows: Sequence[VTTuple]) -> Optional[List[int]]:
         """``[0, end of page 0, end of page 1, ...]`` in *rows* when the
         stored pages hold exactly *rows* and the disk bills a run without
         looking at it (:meth:`~repro.storage.disk.SimulatedDisk.stored`),
-        else None: the uncharged check, one comparison per stored run,
-        before a scan is billed, not read."""
+        else None: the uncharged check before a scan is billed, not read.
+        One comparison of positions when every run and *rows* are references
+        into one source; else run by run, up to the first that differs."""
         runs = self.disk.stored(self.extent)
         if runs is None:
             return None
-        bounds, at = [0], 0
+        bounds, parts, at = [0], [], 0
         for run in runs:
             if isinstance(run, PageRun):
-                n = len(run.rows)
-                if run.rows != (rows if at == 0 and n == len(rows) else rows[at : at + n]):
-                    return None
-                bounds += range(at + run.capacity, at + n, run.capacity)
-                at += n
+                parts.append((at, run.rows))
+                bounds += range(at + run.capacity, at + len(run.rows), run.capacity)
+                at += len(run.rows)
                 bounds.append(at)
                 continue
             for page in run:
-                if page != rows[at : at + len(page)]:
-                    return None
+                parts.append((at, page))
                 at += len(page)
                 bounds.append(at)
-        return bounds if at == len(rows) else None
+        if at != len(rows):
+            return None
+        source = rows.source if isinstance(rows, RowRefs) else None
+        if source is not None and all(getattr(part, "source", None) is source for _, part in parts):
+            return bounds if RowRefs.concat([part for _, part in parts]) == rows else None
+        for lo, part in parts:
+            if part != (rows if lo == 0 and len(part) == len(rows) else rows[lo : lo + len(part)]):
+                return None
+        return bounds
 
     def bill_scan(self, rows: List[VTTuple]) -> bool:
         """Charge a scan of the file -- what :meth:`scan_runs` charges --

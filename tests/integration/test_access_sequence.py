@@ -20,6 +20,8 @@ before billing -- and check that it is the path actually taken.
 """
 
 import gc
+import random
+import sys
 import types
 from dataclasses import replace
 from itertools import chain
@@ -32,7 +34,11 @@ from repro.core.joiner import RUN_ROWS, PartitionSweep, join_partitions
 from repro.core.partition_join import partition_join
 from repro.core.partitioner import do_partitioning
 from repro.exec import kernels, pruned_probe
+from repro.exec.batch import RowRefs
 from repro.exec.kernels import Kernels
+from repro.model.relation import ValidTimeRelation
+from repro.model.schema import RelationSchema
+from repro.model.vtuple import VTTuple
 from repro.resilience import FaultInjector
 from repro.storage.disk import SimulatedDisk
 from repro.storage.layout import DiskLayout
@@ -384,3 +390,88 @@ def test_a_billed_pass_charges_once_and_probes_once(direction, monkeypatch):
     assert all(chunks == expansions for _, _, chunks, expansions in billed)
     _, tuple_accesses, _ = charged_accesses("tuple", direction)
     assert accesses == tuple_accesses
+
+
+def few_keys_short_intervals():
+    """Two relations on four keys with intervals of at most three chronons:
+    key groups far longer than any interval, so the outer blocks keep the
+    pruned window probe."""
+    rng = random.Random(CHAOS_SEED + 11)
+    pair = []
+    for name in ("r", "s"):
+        rows = []
+        for number in range(3000):
+            start = rng.randrange(2000)
+            span = Interval(start, start + rng.randrange(3))
+            rows.append(VTTuple((f"k{rng.randrange(4)}",), (f"{name}{number}",), span))
+        schema = RelationSchema(name, join_attributes=("k",), payload_attributes=(name,))
+        pair.append(ValidTimeRelation(schema, rows))
+    return pair
+
+
+def materialisations(join):
+    """``(rows per call, pruned, walked pages, run)``: the reference
+    sequences *join* materialises outside emission (``MatchBlock``), whether
+    an outer block kept the pruned probe, and how many pages passes walked
+    (an empty tuple cache is walked, reading nothing)."""
+    calls, pruned, walked = [], [], []
+    tolist = RowRefs.tolist
+    build_index, probe_pages = joiner._BatchEngine.build_index, PartitionSweep._probe_pages
+
+    def counting(refs):
+        frame = sys._getframe(1)
+        while frame is not None and not frame.f_code.co_filename.endswith("match_block.py"):
+            frame = frame.f_back
+        if frame is None:
+            calls.append(len(refs))
+        return tolist(refs)
+
+    def noting_index(engine, block):
+        index = build_index(engine, block)
+        pruned.append(index.csr is None)
+        return index
+
+    def noting_walk(*args):
+        counts, seen = probe_pages(*args)
+        walked.append(counts["pages"])
+        return counts, seen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RowRefs, "tolist", counting)
+        patch.setattr(joiner._BatchEngine, "build_index", noting_index)
+        patch.setattr(PartitionSweep, "_probe_pages", noting_walk)
+        run = join()
+    return calls, any(pruned), sum(walked), run
+
+
+@pytest.mark.parametrize(
+    "fixture", ["long_lived", "long_lived_resident", "few_keys_short_intervals"]
+)
+def test_a_billed_join_fetches_row_objects_only_to_emit(fixture, monkeypatch):
+    """A fault-free batch join carries rows as positions: routing them to
+    their Grace buckets, checking the stored runs, purging the outer buffer,
+    migrating into the tuple cache (its resident area too) and spilling an
+    overflow block move ints, and a row object is fetched only where a
+    match block takes it."""
+    r, s = few_keys_short_intervals() if fixture.startswith("few") else long_lived_pair()
+    resident_pages = 4 if fixture == "long_lived_resident" else 0
+    config = long_lived_config(
+        "batch", checkpoint_interval=0, cache_buffer_pages=resident_pages
+    )
+    oracle = partition_join(r, s, replace(config, execution="tuple"))
+    partition_join(r, s, config)  # the relations box their rows once
+    residents, take = [], joiner._TupleCache.take
+
+    def noting_resident(cache, migrants):
+        take(cache, migrants)
+        residents.append(len(cache.resident))
+
+    monkeypatch.setattr(joiner._TupleCache, "take", noting_resident)
+    calls, pruned, walked, run = materialisations(lambda: partition_join(r, s, config))
+    assert max(residents) == resident_pages * 8  # the area filled
+    assert calls == []
+    assert walked == 0 and run.plan.num_partitions > 1
+    assert pruned == (fixture == "few_keys_short_intervals")
+    assert list(run.result.tuples) == list(oracle.result.tuples)
+    if fixture == "long_lived":
+        assert run.outcome.overflow_blocks >= 1 and run.outcome.cache_tuples_spilled > 0

@@ -11,10 +11,11 @@ from the uninterrupted run: in the rows and their order, the
 """
 
 import dataclasses
+import random
 
 import pytest
 
-from repro.core.joiner import PartitionSweep, SweepState, natural_pair
+from repro.core.joiner import PartitionSweep, SweepState, _BatchEngine, natural_pair
 from repro.core.partition_join import (
     EXECUTION_MODES,
     PartitionJoinConfig,
@@ -22,9 +23,12 @@ from repro.core.partition_join import (
     _prepare,
     partition_join,
 )
+from repro.model.relation import ValidTimeRelation
+from repro.model.schema import RelationSchema
 from repro.resilience import BufferReduction, RecoveryLog
 from repro.resilience.checkpoint import SweepCheckpointer, SweepContext
 from repro.storage.buffer import JoinBufferAllocation
+from repro.storage.columnar_page import ColumnarPage
 from repro.storage.layout import DiskLayout
 
 from tests.chaos.conftest import (
@@ -233,3 +237,50 @@ class TestOnePartition:
         assert 0 < expected["counters"][0] < uninterrupted(r, s, config)[0]["counters"][0]
         for tup in expected["rows"]:
             assert tup.payload[0].startswith("s") and tup.payload[1].startswith("r")
+
+
+def keyed_relation(name, n_tuples, seed):
+    """``chaos_relation`` with one key per two rows instead of twelve keys in
+    all, so a partition can hold keys that no earlier one did."""
+    schema = RelationSchema(
+        name, join_attributes=("emp",), payload_attributes=(f"p_{name}",)
+    )
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n_tuples):
+        vs = rng.randrange(480)
+        key = rng.randrange(n_tuples // 2)
+        rows.append((key, f"{name}{i}", vs, vs + 1 + rng.randrange(64)))
+    return ValidTimeRelation.from_rows(schema, rows)
+
+
+class TestColumnarThaw:
+    def test_a_thawed_columnar_sweep_interns_a_one_page_outer_partition(
+        self, monkeypatch
+    ):
+        """A columnar sweep thawed at a boundary holds its retained outer rows
+        as a list, so the next outer partition is not kept packed.  When that
+        partition is a single page, its keys must still be interned for the
+        outer index: an id the index does not hold matches nothing."""
+        r, s = keyed_relation("r", 40, 3), keyed_relation("s", 40, 1003)
+        config = PartitionJoinConfig(
+            memory_pages=5,
+            page_spec=SPEC,
+            checkpoint_interval=1,
+            execution="zero-copy-sweep",
+        )
+        shapes = []
+        assemble = _BatchEngine.assemble_outer
+
+        def recording(engine, retained, pages, index, carried=None):
+            shapes.append((type(retained), bool(retained), len(pages), type(pages[0])))
+            return assemble(engine, retained, pages, index, carried)
+
+        monkeypatch.setattr(_BatchEngine, "assemble_outer", recording)
+        stepped, _, thawed = stepped_by_hand(r, s, config)
+        monkeypatch.undo()
+        # Retained rows thawed as a list met a one-page packed partition.
+        assert (list, True, 1, ColumnarPage) in shapes
+        oracle, _ = uninterrupted(r, s, dataclasses.replace(config, execution="tuple"))
+        assert stepped["rows"] == oracle["rows"]
+        assert stepped == uninterrupted(r, s, config)[0]

@@ -389,3 +389,112 @@ class TestStoredRunsArePageLists:
         assert disk.stored(extent) == [[[0, 1, 2, 3], [4, 5, 6, 7]]]
         disk.write(extent, 0, ["x"])
         assert stored_contents(disk, extent) == [["x"], [4, 5, 6, 7]]
+
+
+def value_rows(n, tag=""):
+    """*n* distinct row objects over six values: rows six positions apart
+    are equal, so equal rows sit at different positions."""
+    from repro.model.vtuple import VTTuple
+    from repro.time.interval import Interval
+
+    return [VTTuple((f"{tag}{k % 3}",), (), Interval(k % 2, 2)) for k in range(n)]
+
+
+def ref_operations():
+    """What the engine does to references: slices (with steps too), takes,
+    drops, and concatenations within one source and across sources."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["slice", "take", "without", "concat_same", "concat_list", "concat_other"]),
+            st.lists(st.integers(0, 40), max_size=12),
+            st.sampled_from([None, 1, 2, -1, -3]),
+        ),
+        max_size=6,
+    )
+
+
+def derive(base, base_rows, operations):
+    """``(references, the list they must name)`` after *operations*, each
+    applied to the references and to a plain list alike."""
+    from repro.exec.batch import RowRefs
+
+    refs, model = base, list(base_rows)
+    for op, numbers, step in operations:
+        n = len(model)
+        at = [k % n for k in numbers] if n else []
+        if op == "slice":
+            lo, hi = (numbers + [0, n])[:2]
+            refs, model = refs[lo - 5 : hi : step], model[lo - 5 : hi : step]
+        elif op == "take":
+            refs, model = refs.take(at), [model[k] for k in at]
+        elif op == "without":
+            drop = sorted(set(at))
+            refs, model = refs.without(drop), [row for k, row in enumerate(model) if k not in drop]
+        elif op == "concat_same":
+            part = slice(*(numbers + [0, len(base_rows)])[:2])
+            refs, model = RowRefs.concat([refs, base[part]]), model + base_rows[part]
+        else:
+            rows = value_rows(len(numbers), tag="x")
+            other = rows if op == "concat_list" else RowRefs.of(rows)
+            refs, model = RowRefs.concat([other, refs, []]), rows + model
+    return refs, model
+
+
+class TestRowRefsAreTheirList:
+    """A reference sequence behaves exactly like the list of rows it names:
+    length, indexing, iteration (the same objects), ``repr`` (what the
+    checksumming disk hashes), comparison with lists and with references,
+    and the pages a :class:`PageRun` cuts from it."""
+
+    @given(st.integers(0, 30), ref_operations(), ref_operations())
+    @prop_settings
+    def test_derived_references_name_their_list(self, n, ops, other_ops):
+        from repro.exec.batch import RowRefs
+        from repro.storage.disk import PageRun
+        from repro.storage.heapfile import LazyPage
+
+        rows = value_rows(n)
+        base = RowRefs.of(rows)
+        refs, model = derive(base, rows, ops)
+        assert len(refs) == len(model)
+        assert all(got is want for got, want in zip(refs, model))
+        assert all(got is want for got, want in zip(refs.tolist(), model))
+        assert all(refs[k] is model[k] for k in range(-len(model), len(model)))
+        assert repr(refs) == repr(model)
+        assert refs == model and model == refs and not refs != model
+        assert refs != tuple(model) and refs == LazyPage([(model, 0, len(model))])
+        for capacity in (1, 3, 4):
+            pages = list(PageRun(refs, capacity))
+            assert all(type(page) is list for page in pages)
+            assert pages == [model[k : k + capacity] for k in range(0, len(model), capacity)]
+            assert [PageRun(refs, capacity)[k] for k in range(len(pages))] == pages
+
+        other, other_model = derive(base, rows, other_ops)
+        assert (refs == other) == (model == other_model)
+        assert (refs != other) == (model != other_model)
+        assert (refs == other_model) == (model == other_model)
+        assert (other_model != refs) == (other_model != model)
+
+    def test_equal_rows_at_other_positions_are_equal(self):
+        from repro.exec.batch import RowRefs
+
+        rows = value_rows(12)
+        refs = RowRefs.of(rows)
+        assert refs[0:3] == refs[6:9] and refs[0:3] != refs[1:4]
+        assert refs.take([0, 6]) == refs[0:12:6] == [rows[0], rows[0]]
+        assert RowRefs.of(value_rows(4)) == refs[:4]  # another source, equal rows
+        assert refs[:4] != refs[:5] and refs[:0] == [] == refs[5:5]
+
+    def test_a_buffer_grows_in_place_until_references_join_it(self):
+        from repro.exec.batch import RowRefs, extended
+
+        rows = value_rows(6)
+        buffer = rows[:2]
+        assert extended(buffer, rows[2:3]) is buffer == rows[:3]
+        refs = RowRefs.of(rows)
+        assert extended(buffer, refs[:0]) is buffer  # nothing to add
+        grown = extended(buffer, refs[3:5])
+        assert type(grown) is RowRefs and grown == rows[:5]
+        assert extended([], refs[1:4]) == rows[1:4]
+        grown = extended(refs[:2], refs[2:6])
+        assert grown.source is refs.source and grown == rows

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec.batch import PageBatch
+from repro.exec.batch import PageBatch, RowRefs
 from repro.model.match_block import MatchBlock
 from repro.model.vtuple import VTTuple
 from repro.storage.columnar_page import ColumnarPage
@@ -143,6 +143,29 @@ class TestAppend:
             assert by_slices.disk.stats.as_dict() == one_by_one.disk.stats.as_dict()
             assert stored_pages(by_slices) == stored_pages(one_by_one)
             assert by_slices.all_tuples() == one_by_one.all_tuples()
+
+    @pytest.mark.parametrize("billed", [False, True])
+    def test_references_write_what_their_rows_write(self, spec, billed):
+        """Rows handed over as references (a ``RowRefs``) leave the pages,
+        page types and charges their list leaves -- their part-full page
+        too, which a later single ``append`` and ``flush`` complete."""
+        data = tuples(14)
+        refs = RowRefs.of(data)
+        heaps = []
+        for rows in (data, refs):
+            heap = HeapFile.create(SimulatedDisk(IOStatistics()), "w", spec, capacity_tuples=4)
+            write = heap.install if billed else heap.append_many
+            write(rows[:2])
+            write(rows.take([7, 3, 5, 9, 11]) if rows is refs else [data[k] for k in (7, 3, 5, 9, 11)])
+            heap.append(data[0])
+            write(rows[10:13])
+            heap.flush()
+            heaps.append(heap)
+        lists, references = heaps
+        assert [type(page) for page in stored_pages(references)] == [list] * 3
+        assert stored_pages(references) == stored_pages(lists)
+        assert references.all_tuples() == lists.all_tuples()
+        assert references.disk.stats.as_dict() == lists.disk.stats.as_dict()
 
 
 class TestAppendBlock:

@@ -9,6 +9,10 @@ partitioner (``core/partitioner.py``) is held to the same two shape rules.
 
 The kernels have one backend, numpy: no module may switch on numpy's
 presence or define a pure-Python twin of a kernel again.
+
+A carried row moves as its position: ``PageBatch.take`` -- how routing,
+migration and the outer purge move rows -- gathers columns and positions,
+never loops over the rows it moves.
 """
 
 import ast
@@ -18,6 +22,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 CORE = SRC / "core"
+BATCH = SRC / "exec" / "batch.py"
 MAX_FUNCTION_LINES = 120
 MAX_PRIVATE_PARAMETERS = 10
 #: What selected a kernel backend, and the twins it selected between.
@@ -92,3 +97,31 @@ def test_one_kernel_backend():
         ]
     assert not switches
     assert not twins
+
+
+def method(path, class_name, name):
+    """The definition of *class_name*.*name* in *path*."""
+    (cls,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+    ]
+    (found,) = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return found
+
+
+@pytest.mark.parametrize("class_name", ["PageBatch", "RowRefs"])
+def test_a_take_moves_positions_not_rows(class_name):
+    """No loop in ``take`` but one over a literal tuple of columns, and no
+    row list read (``tolist``): a per-row gather would be both."""
+    take = method(BATCH, class_name, "take")
+    loops = [
+        node
+        for node in ast.walk(take)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+        and not isinstance(getattr(node, "iter", None), ast.Tuple)
+    ]
+    reads = [
+        node for node in ast.walk(take) if isinstance(node, ast.Attribute) and node.attr == "tolist"
+    ]
+    assert not loops and not reads
