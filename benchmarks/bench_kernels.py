@@ -47,8 +47,7 @@ def observe(run) -> tuple:
     """The equivalence fingerprint: counts plus per-phase I/O statistics.
 
     These modes replay the oracle's access sequence byte for byte, so the
-    fingerprint includes the full random/sequential breakdown (unlike the
-    pipelined sweep of ``bench_sweep_parallel.py``, which may reorder).
+    fingerprint includes the full random/sequential breakdown.
     """
     return result_fingerprint(run) + (phase_stats_fingerprint(run),)
 

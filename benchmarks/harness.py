@@ -6,8 +6,8 @@ timer around :func:`repro.core.partition_join.partition_join`, an
 equivalence fingerprint that stops a "speedup" from ever coming from doing
 different work, and a machine-readable report written next to the repo
 root so CI can gate on committed numbers.  This module holds all four;
-``bench_kernels.py`` and ``bench_sweep_parallel.py`` are thin drivers on
-top of it.
+``bench_kernels.py`` and ``bench_allen_sweep.py`` are thin drivers on top
+of it.
 """
 
 from __future__ import annotations
@@ -74,24 +74,14 @@ def phase_stats_fingerprint(run) -> dict:
     }
 
 
-def phase_op_fingerprint(run) -> dict:
-    """Per-phase (reads, writes) op counts -- the contract of modes that may
-    legally *reorder* accesses (never add or drop one)."""
-    return {
-        name: (s.reads, s.writes) for name, s in run.layout.tracker.phases.items()
-    }
-
-
 def charged_io(run, config: PartitionJoinConfig) -> Dict:
-    """The charged-I/O row of a report: op counts, weighted cost, tags."""
+    """The charged-I/O row of a report: op counts and weighted cost."""
     stats = run.layout.tracker.stats
     return {
         "total_ops": stats.total_ops,
         "reads": stats.reads,
         "writes": stats.writes,
         "io_cost": round(stats.cost(config.cost_model), 1),
-        "prefetch_reads": stats.prefetch_reads,
-        "writeback_writes": stats.writeback_writes,
     }
 
 

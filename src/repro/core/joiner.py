@@ -46,8 +46,8 @@ Two concerns the paper leaves implicit are made explicit here:
 
 **Execution modes.**  The probe compute -- key-equality probe, interval
 intersection, the exactly-once owner filter -- runs either tuple-at-a-time
-(``execution="tuple"``, the oracle) or through the one batch engine
-(``"batch"`` and both pipelined names), which holds each run as a
+(``execution="tuple"``, the oracle) or through the batch engine
+(``"batch"``), which holds each run as a
 columnar :class:`~repro.exec.batch.PageBatch` and window-searches it
 against the numpy-vectorized interval-pruned index of
 :mod:`repro.exec.pruned_probe`.  Both paths emit identical matches in
@@ -106,8 +106,8 @@ from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import PartitionMap
-from repro.exec import EXECUTION_MODES, PIPELINED_SWEEP_MODES
-from repro.exec.batch import CodeTranslator, ColumnarBlock, PageBatch, RowRefs, extended
+from repro.exec import EXECUTION_MODES
+from repro.exec.batch import CodeTranslator, PageBatch, RowRefs, extended
 from repro.exec.kernels import concat_chunks, get_kernels
 from repro.exec.pruned_probe import PrunedProbeIndex, probe_pruned_chunks
 from repro.model.match_block import MatchBlock
@@ -117,11 +117,9 @@ from repro.model.vtuple import VTTuple
 from repro.obs import span_or_null
 from repro.resilience.checkpoint import SweepCheckpoint, SweepCheckpointer, SweepContext
 from repro.storage.buffer import BufferPool, Reservation
-from repro.storage.columnar_page import ColumnarPage
 from repro.storage.heapfile import HeapFile
 from repro.storage.disk import PageRun
 from repro.storage.layout import Device, DiskLayout
-from repro.storage.prefetch import PrefetchPipeline
 from repro.time.interval import Interval
 
 if TYPE_CHECKING:  # degrade imports this module; annotation-only the other way
@@ -183,9 +181,9 @@ def join_partitions(
     direction: str = "backward",
     cache_memory_tuples: int = 0,
     execution: str = "tuple",
-    prefetch_depth: int = 8,
     # Ignored; kept only because the frozen benchmark suite's
-    # benchmarks/suite/library.py::_replay passes both.
+    # benchmarks/suite/library.py::_replay passes all three.
+    prefetch_depth: int = 8,
     sweep_workers: Optional[int] = None,
     supervision=None,
     pool: Optional[BufferPool] = None,
@@ -206,11 +204,12 @@ def join_partitions(
         result_schema: schema of the result, required when *collect* is True.
         collect: materialize the result relation in memory as well as
             writing it through the result stream.
-        direction, cache_memory_tuples, execution, prefetch_depth: the
-            sweep's fixed parameters, see the module docstring.
+        direction, cache_memory_tuples, execution: the sweep's fixed
+            parameters, see the module docstring.
         swapped_inputs: *r_parts* hold the caller's inner relation, so
             *pair_fn* is called as ``pair_fn(s_row, r_row, overlap)``.
-        sweep_workers, supervision: ignored (see the signature).
+        prefetch_depth, sweep_workers, supervision: ignored (see the
+            signature).
         pair_fn, pool, checkpointer, buffer_reductions, obs: the run's
             collaborators, see :class:`PartitionSweep`.
     """
@@ -229,7 +228,6 @@ def join_partitions(
         cache_memory_tuples=cache_memory_tuples,
         execution=execution,
         result_file=layout.result_file("join_result"),
-        prefetch_depth=prefetch_depth,
         swapped=swapped_inputs,
     )
     sweep = PartitionSweep(
@@ -401,16 +399,15 @@ class PartitionSweep:
             # Footnote 1's equivalent strategy: first-partition storage, sweep
             # 1..n, forward migration, ownership by the overlap's START chronon.
             self._order = range(self.n)
-        # The two choices of an execution name: how rows are matched, and how
-        # the sweep reaches storage.  The tuple engine reads page by page
-        # throughout: it is the oracle for the access sequence too.
+        # What an execution name chooses: how rows are matched.  Every page
+        # is read on demand (or a pass billed, when what is stored is what
+        # it carries); the tuple engine also reads page by page throughout:
+        # it is the oracle for the access sequence too.
         self._by_run = execution != "tuple"
         if execution == "tuple":
             self._engine: _ProbeEngine = _TupleEngine(context.partition_map, direction)
         else:
             self._engine = _BatchEngine(context.partition_map, direction)
-        pipelined = execution in PIPELINED_SWEEP_MODES
-        self._io = (_PipelinedIO if pipelined else _DemandIO)(layout, context, obs)
         self._outer_reservation: Optional[Reservation] = None
         self._filling: Optional[_TupleCache] = None  # the cache a step is in
 
@@ -467,7 +464,6 @@ class PartitionSweep:
                     cache.spill.abandon()
             raise
         finally:
-            self._io.close()
             for reservation in reservations:
                 reservation.release()
             _pool_gauges(obs, pool)
@@ -503,14 +499,16 @@ class PartitionSweep:
             outer_file = context.r_parts[index]
             outer_carried = engine.carried(outer_file)
             outer_pages = list(
-                chain.from_iterable(self._io.scan(outer_file, self._by_run, outer_carried))
+                chain.from_iterable(_scan(outer_file, self._by_run, outer_carried))
             )
             outer = engine.assemble_outer(
                 state.outer_retained, outer_pages, index, outer_carried
             )
             new_cache = None
             if next_index is not None:
-                new_cache = self._io.open_cache(f"tuple_cache_{next_index}")
+                new_cache = _TupleCache(
+                    self._layout, f"tuple_cache_{next_index}", *_cache_shape(context)
+                )
             self._filling = new_cache
 
             blocks = _split_blocks(outer, block_tuples)
@@ -601,10 +599,10 @@ class PartitionSweep:
             resident, heap = state.cache.resident, state.cache.spill
         else:
             resident, heap = [], self._context.s_parts[index]
-        bounds = self._io.stored_bounds(resident, heap, carried)
+        bounds = _stored_bounds(resident, heap, carried)
         if bounds is None:
             runs = self._by_run and new_cache is None
-            chunks = state.cache.chunks(runs) if source == "cache" else self._io.scan(heap, runs)
+            chunks = state.cache.chunks(runs) if source == "cache" else _scan(heap, runs)
             return self._probe_pages(
                 state, chunks, probe_index, index, next_index, new_cache, carried
             )
@@ -771,7 +769,7 @@ class PartitionSweep:
 
     def barrier(self, state: SweepState) -> None:
         """Between two partitions: flush the result and checkpoint *state*
-        when one is due, then read ahead for the next step."""
+        when one is due."""
         obs, checkpointer = self._obs, self._checkpointer
         if checkpointer is not None and checkpointer.due(state.position):
             # Durability point: stored watermarks must cover every
@@ -784,33 +782,6 @@ class PartitionSweep:
                     "repro_checkpoints_total",
                     "Boundary checkpoints written mid-sweep.",
                 )
-        self._io.read_ahead(self, state)
-
-    def next_scans(self, state: SweepState) -> Tuple[HeapFile, ...]:
-        """The files the next step scans before any other access to their
-        device can fall in between -- what a read-ahead may fetch.
-
-        The prefix property (see :mod:`repro.storage.prefetch`) needs the
-        prefetched pages to be exactly the first demand reads of the next
-        step.  The one thing that can break that on the TEMP device is a
-        partition overflow: its spill round-trip lands between the outer scan
-        and the inner scans.  Whether the next partition overflows is fully
-        determined by state in hand at the barrier -- the retained outer
-        tuples, the partition's cardinality, and the buffer size in force --
-        so it is predicted here without touching the disk, and on a predicted
-        overflow the read-ahead stops at the outer partition's pages.
-        """
-        context = self._context
-        next_part = self._order[state.position]
-        retained = state.outer_retained
-        if isinstance(retained, ColumnarBlock):
-            kept = retained.count_overlapping(self._engine.boundaries, next_part)
-        else:
-            kept = len(self._engine.overlapping_rows(retained, next_part))
-        outer, inner = context.r_parts[next_part], context.s_parts[next_part]
-        if kept + outer.n_tuples > self._block_tuples(state.position):
-            return (outer,)
-        return (outer, inner)
 
 
 def _schedule(extent, reads: List[int], n_pages: int, spill) -> List[Tuple]:
@@ -833,84 +804,22 @@ def _cache_shape(context: SweepContext) -> Tuple[int, int]:
     return context.cache_memory_tuples, sum(part.n_tuples for part in context.s_parts)
 
 
-class _DemandIO:
-    """How the sweep reaches storage, chosen with the engine: every page is
-    read when the step asks for it and every migrant written as its page
-    passes."""
-
-    def __init__(
-        self, layout: DiskLayout, context: SweepContext, obs: Optional["Observability"]
-    ) -> None:
-        self._layout = layout
-        self._obs = obs
-        self._cache_shape = _cache_shape(context)
-
-    def scan(self, heap: HeapFile, by_run: bool, carried=None):
-        """The pages of *heap* in the lists they are read in -- billed, the
-        rows *carried* holds as one page, when the stored pages are those
-        rows (:meth:`HeapFile.bill_scan`)."""
-        if carried is not None and heap.bill_scan(carried.tuples):
-            return [[carried.tuples]]
-        return _chunks(heap, by_run)
-
-    def stored_bounds(self, resident, heap, carried) -> Optional[List[int]]:
-        """How *heap*'s stored pages split the rows *carried* holds after the
-        *resident* ones (:meth:`HeapFile.stored_bounds`) when a pass over the
-        stream may be billed; else None."""
-        if carried is None or heap is None or carried.tuples[: len(resident)] != resident:
-            return None
-        return heap.stored_bounds(carried.tuples[len(resident) :] if resident else carried.tuples)
-
-    def open_cache(self, name: str) -> "_TupleCache":
-        """The (empty) tuple cache a step fills."""
-        return _TupleCache(self._layout, name, *self._cache_shape)
-
-    def read_ahead(self, sweep: PartitionSweep, state: SweepState) -> None:
-        """The barrier's I/O; none here."""
-
-    def close(self) -> None:
-        """Teardown at the end of the run, however it ends."""
+def _scan(heap: HeapFile, by_run: bool, carried=None):
+    """The pages of *heap* in the lists they are read in -- billed, the rows
+    *carried* holds as one page, when the stored pages are those rows
+    (:meth:`HeapFile.bill_scan`)."""
+    if carried is not None and heap.bill_scan(carried.tuples):
+        return [[carried.tuples]]
+    return _chunks(heap, by_run)
 
 
-class _PipelinedIO(_DemandIO):
-    """The pipelined sweeps' I/O: the next partition's pages are read ahead
-    at the barrier and the tuple cache writes behind (see
-    :mod:`repro.storage.prefetch`), both tagged on the statistics."""
-
-    def __init__(
-        self, layout: DiskLayout, context: SweepContext, obs: Optional["Observability"]
-    ) -> None:
-        super().__init__(layout, context, obs)
-        self._pipeline = PrefetchPipeline(layout, context.prefetch_depth)
-
-    def scan(self, heap: HeapFile, by_run: bool, carried=None):
-        # Page by page whatever the caller could afford: the prefetch cache
-        # hands out (and the demand ledger counts) single pages.
-        return ([page] for page in self._pipeline.scan_pages(heap))
-
-    def stored_bounds(self, resident, heap, carried) -> None:
-        # Never billed: what the prefetch cache holds decides what is read.
+def _stored_bounds(resident, heap, carried) -> Optional[List[int]]:
+    """How *heap*'s stored pages split the rows *carried* holds after the
+    *resident* ones (:meth:`HeapFile.stored_bounds`) when a pass over the
+    stream may be billed; else None."""
+    if carried is None or heap is None or carried.tuples[: len(resident)] != resident:
         return None
-
-    def open_cache(self, name: str) -> "_PipelinedTupleCache":
-        return _PipelinedTupleCache(
-            self._layout, name, *self._cache_shape, self._pipeline
-        )
-
-    def read_ahead(self, sweep: PartitionSweep, state: SweepState) -> None:
-        pipeline = self._pipeline
-        with span_or_null(
-            self._obs, "prefetch", lane="prefetch", next_position=state.position
-        ) as prefetch_span:
-            pipeline.prefetch(sweep.next_scans(state))
-            prefetch_span.set(
-                cached_pages=len(pipeline.cache) if pipeline.cache is not None else 0
-            )
-
-    def close(self) -> None:
-        if self._obs is not None:
-            _export_pipeline_metrics(self._obs, self._pipeline)
-        self._pipeline.discard()
+    return heap.stored_bounds(carried.tuples[len(resident) :] if resident else carried.tuples)
 
 
 def _pool_gauges(obs: Optional["Observability"], pool: Optional[BufferPool]) -> None:
@@ -924,38 +833,6 @@ def _pool_gauges(obs: Optional["Observability"], pool: Optional[BufferPool]) -> 
             "Buffer pool occupancy in pages.",
             state=state,
         )
-
-
-def _export_pipeline_metrics(obs: "Observability", pipeline: PrefetchPipeline) -> None:
-    """Export the pipeline's end-of-run ledgers into the metrics registry:
-    per-stage I/O and the prefetch page cache's hit/miss/eviction counts.
-    Read-only over both.
-    """
-    stages = (
-        ("prefetch", pipeline.prefetch_stats),
-        ("writeback", pipeline.writeback_stats),
-        ("demand", pipeline.demand_stats),
-    )
-    for stage, stats in stages:
-        for kind, value in stats.as_dict().items():
-            if value:
-                obs.count(
-                    "repro_pipeline_stage_ops_total",
-                    "Charged I/O operations by pipeline stage and kind.",
-                    float(value),
-                    stage=stage,
-                    kind=kind,
-                )
-    if pipeline.cache is not None:
-        for kind in ("hits", "misses", "evictions"):
-            value = getattr(pipeline.cache, kind, 0)
-            if value:
-                obs.count(
-                    "repro_page_cache_events_total",
-                    "Prefetch page-cache hits, misses, and evictions.",
-                    float(value),
-                    kind=kind,
-                )
 
 
 class _TupleCache:
@@ -1054,52 +931,6 @@ class _TupleCache:
             yield [self.resident]
         if self.spill is not None:
             yield from _chunks(self.spill, by_run)
-
-
-class _PipelinedTupleCache(_TupleCache):
-    """A tuple cache with write-behind: spill appends are buffered in memory
-    and written in one run at the partition barrier (inside the pipeline's
-    ``writeback`` window, so the writes are charged normally *and* tagged).
-
-    Deferring the writes turns the CACHE device's serial read/write
-    interleaving into one read run followed by one write run: the same page
-    writes with the same contents, never more random accesses.  Crash-wise
-    the deferred tuples are volatile state, exactly like the serial cache's
-    partial write-buffer page: a crash before the barrier loses them
-    uncharged, and resume rebuilds the cache from the checkpoint.
-    """
-
-    def __init__(
-        self,
-        layout: DiskLayout,
-        name: str,
-        memory_tuples: int,
-        capacity_hint: int,
-        pipeline: PrefetchPipeline,
-    ) -> None:
-        super().__init__(layout, name, memory_tuples, capacity_hint)
-        self._pipeline = pipeline
-        self._pending: List[VTTuple] = []
-
-    def _spill(self, tuples: List[VTTuple]) -> None:
-        self._pending.extend(tuples)
-
-    def flush(self) -> None:
-        if self._pending:
-            with self._pipeline.writeback():
-                super()._spill(self._pending)
-                self.spill.flush()
-            self._pending = []
-        elif self.spill is not None:
-            self.spill.flush()
-
-    @property
-    def n_tuples(self) -> int:
-        return (
-            len(self.resident)
-            + len(self._pending)
-            + (self.spill.n_tuples if self.spill else 0)
-        )
 
 
 def _chunks(heap: HeapFile, by_run: bool):
@@ -1236,7 +1067,7 @@ class _TupleEngine(_ProbeEngine):
 
 
 class _BatchEngine(_ProbeEngine):
-    """The batch engine behind ``"batch"`` and both pipelined names: an
+    """The batch engine behind ``"batch"``: an
     interval-pruned index per outer block (which carries the CSR index
     instead where it finds nothing to prune), whole-column window search /
     intersection / owner filter over each run or billed pass.
@@ -1250,9 +1081,7 @@ class _BatchEngine(_ProbeEngine):
     cache carries -- so every read, checksum and fault check still happens,
     and only a delivery that differs, or a file that carries nothing, is
     decomposed here.  A file carries key *codes*; :meth:`carried` turns them
-    into this join's ids through one table per dictionary.  Packed columnar
-    pages are columns already and keep their own block
-    (:class:`~repro.exec.batch.ColumnarBlock`).
+    into this join's ids through one table per dictionary.
     """
 
     def __init__(self, partition_map: PartitionMap, direction: str) -> None:
@@ -1271,33 +1100,20 @@ class _BatchEngine(_ProbeEngine):
         return PageBatch(batch.tuples, ids, batch.starts, batch.ends, self._interner)
 
     def assemble_outer(self, retained, pages, index, carried=None):
-        # Packed pages stay packed: the purge is vectorized over the column
-        # views and no tuple is materialized until something touches the
-        # row.  Same rows, same order either way.
-        if (not retained or isinstance(retained, ColumnarBlock)) and all(
-            isinstance(page, ColumnarPage) for page in pages
-        ):
-            kept = retained.purged(self.boundaries, index)._segments if retained else []
-            return ColumnarBlock(kept + [(page, None) for page in pages])
         if not isinstance(retained, PageBatch):  # a checkpoint's rows
             retained = self.decompose([list(retained)])
         kept = retained.take(self.overlapping_rows(retained, index))
-        # One flat row sequence (a billed scan's one page of references as it
-        # is): build-side keys must be interned, which packed pages are not.
-        refs = len(pages) == 1 and isinstance(pages[0], RowRefs)
-        rows = pages[0] if refs else list(chain.from_iterable(pages))
+        # One flat row sequence: a single page (a billed scan's references)
+        # as it is.
+        rows = pages[0] if len(pages) == 1 else list(chain.from_iterable(pages))
         fresh = carried.matching(0, rows) if carried is not None else None
         if fresh is None:
             fresh = self.decompose([rows])
         return PageBatch.concat([kept, fresh])
 
     def build_index(self, block: Sequence[VTTuple]):
-        if not isinstance(block, (PageBatch, ColumnarBlock)):
+        if not isinstance(block, PageBatch):
             block = self.decompose([block])
-        if isinstance(block, ColumnarBlock):
-            return PrunedProbeIndex(
-                block, self._interner, block.columns(self._translator)
-            )
         return PrunedProbeIndex(
             block.tuples, self._interner, (block.key_ids, block.starts, block.ends)
         )
@@ -1308,9 +1124,7 @@ class _BatchEngine(_ProbeEngine):
         return self._kernels.migration_rows(rows, self.boundaries, index)
 
     def decompose(self, pages) -> PageBatch:
-        return self._kernels.run_batch(
-            pages, self._interner, translator=self._translator
-        )
+        return self._kernels.run_batch(pages, self._interner)
 
     def probe(self, index_obj, run, part_index) -> MatchBlock:
         batch = run if isinstance(run, PageBatch) else self.decompose(run)
@@ -1349,10 +1163,7 @@ class _BatchEngine(_ProbeEngine):
 
 def _carried_columns(parts: List) -> Optional[PageBatch]:
     """The runs of one stream as one batch for a later pass to carry, or
-    None unless every run is a batch of plain rows: the tuple engine
-    decomposes nothing, and packed columnar rows are columns already."""
-    if not parts or not all(
-        isinstance(part, PageBatch) and isinstance(part.tuples, (list, RowRefs)) for part in parts
-    ):
+    None unless every run is a batch: the tuple engine decomposes nothing."""
+    if not parts or not all(isinstance(part, PageBatch) for part in parts):
         return None
     return PageBatch.concat(parts)

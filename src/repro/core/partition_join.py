@@ -85,14 +85,8 @@ class PartitionJoinConfig:
             tuple-at-a-time oracle; ``"batch"`` routes partitioning and the
             sweep through the batch kernels of :mod:`repro.exec` (the
             interval-pruned probe of :mod:`repro.exec.pruned_probe`).
-            ``"batch-parallel-sweep"`` is the same engine plus
-            partition-barrier page prefetch and write-behind, with the
-            pipeline's I/O share tagged on the statistics.
-            ``"zero-copy-sweep"`` is that pipelined sweep over packed
-            columnar heap pages, probed as buffer views with tuples
-            materialized only on emission.  These four produce
-            bit-identical results, counters and per-phase I/O statistics;
-            see ``docs/EXECUTION.md``.
+            The two produce bit-identical results, counters and
+            per-phase I/O statistics; see ``docs/EXECUTION.md``.
             ``"forward-sweep"`` is the endpoint-sorted forward-scan sweep
             operator of :mod:`repro.exec.forward_sweep`: no sampling, no
             partitioning -- one merged scan with gapless active maps (plus
@@ -103,12 +97,10 @@ class PartitionJoinConfig:
             :mod:`repro.algebra.predicates` registry name.  The partition
             executions support only the natural join (``"intersects"``);
             every other predicate requires ``execution="forward-sweep"``.
-        parallel_workers, sweep_workers: have no effect (every join runs in
-            one process); still accepted and validated because the frozen
-            benchmark suite sets them.
-        prefetch_depth: pages the sweep's prefetcher reads ahead per
-            partition barrier (pipelined sweeps only; 0 disables read-ahead
-            while keeping write-behind).
+        parallel_workers, sweep_workers, prefetch_depth: have no effect
+            (every join runs in one process, demand-paged); still accepted
+            and validated because the frozen benchmark suite sets or passes
+            them.
         checkpoint_interval: completed partitions between sweep checkpoints;
             0 (the default) disables checkpointing, >= 1 makes the sweep
             resumable via :func:`resume_join`.
@@ -146,9 +138,10 @@ class PartitionJoinConfig:
     sample_inner_relation: bool = False
     execution: str = "tuple"
     predicate: str = NATURAL_PREDICATE
-    # parallel_workers and sweep_workers are read by nothing; kept only
-    # because the frozen benchmark suite's
-    # benchmarks/suite/library.py::_mode_table sets both.
+    # parallel_workers, sweep_workers and prefetch_depth are read by
+    # nothing; kept only because the frozen benchmark suite's
+    # benchmarks/suite/library.py sets the first two (_mode_table) and
+    # passes all three on (_replay).
     parallel_workers: Optional[int] = None
     prefetch_depth: int = 8
     sweep_workers: Optional[int] = None
@@ -374,13 +367,7 @@ def partition_join(
             ``config.degraded_fallback`` is off.
     """
     if layout is None:
-        # The zero-copy mode stores pages in the packed columnar layout so
-        # the batch kernels probe buffer views; the layout is readable by
-        # every mode and changes no charged I/O (page counts are identical).
-        layout = DiskLayout(
-            spec=config.page_spec,
-            columnar=(config.execution in ("zero-copy-sweep", "forward-sweep")),
-        )
+        layout = DiskLayout(spec=config.page_spec)
     if config.checkpoint_interval > 0 and recovery is None:
         recovery = RecoveryLog()
     call = _open_call(r, s, config, layout, pair_fn, recovery, pool)
@@ -436,7 +423,6 @@ def _partition_sweep(
             direction=config.sweep_direction,
             cache_memory_tuples=cache_pages * layout.spec.capacity,
             execution=config.execution,
-            prefetch_depth=config.prefetch_depth,
             pool=call.pool,
             checkpointer=checkpointer,
             buffer_reductions=config.buffer_reductions,

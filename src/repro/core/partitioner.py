@@ -14,7 +14,7 @@ exactly the partitioning-phase effect Section 4.2 reports.
 **Execution modes.**  Tuple placement -- ``index_of_chronon`` of the
 storage chronon -- is the CPU-bound part of this phase and runs in two
 ways: per tuple (``"tuple"``, the oracle) or through the batch kernels
-(every other mode): one ``route`` call over the chronon column the source
+(``"batch"``): one ``route`` call over the chronon column the source
 carries, whose one permutation makes every bucket a contiguous slice
 (:func:`_route_carried`), whose scan and flushes are billed as one
 schedule when the stored pages are the carried rows -- and per tuple after
@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, pairwise
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES
@@ -43,7 +41,6 @@ from repro.storage.layout import DiskLayout
 
 if TYPE_CHECKING:
     from repro.obs import Observability
-    from repro.storage.columnar_page import ColumnarPage
 
 
 def do_partitioning(
@@ -74,9 +71,8 @@ def do_partitioning(
             overlaps (the paper's choice, paired with the backward sweep);
             ``"first"`` in the first (footnote 1's equivalent strategy,
             paired with the forward sweep).
-        execution: ``"tuple"`` locates per tuple; every other partition
-            mode locates by column via the batch kernels (the pipelined
-            sweeps differ from ``"batch"`` only in the join phase).
+        execution: ``"tuple"`` locates per tuple; ``"batch"`` locates by
+            column via the batch kernels.
 
     Returns:
         One heap file per partition, index-aligned with *partition_map*.
@@ -124,24 +120,7 @@ def do_partitioning(
             kernels = get_kernels()
             boundaries = kernels.prepare_boundaries(partition_map)
             carried = source.carried
-            if source.columnar and source.dictionary is not None:
-                # Columnar source: locate straight off the packed chronon
-                # column and move (start, end, code, payload) column
-                # entries -- no tuple is ever materialized.
-                def located_pages():
-                    for page in source.scan_pages():
-                        chronons = (
-                            page.ends_list()
-                            if placement == "last"
-                            else page.starts_list()
-                        )
-                        yield page, kernels.locate(chronons, boundaries)
-
-                _route_columns(
-                    located_pages(), partitions, source.dictionary, flush_threshold
-                )
-                pages = ()
-            elif carried is not None and len(carried) == source.n_tuples:
+            if carried is not None and len(carried) == source.n_tuples:
                 chronons = carried.ends if placement == "last" else carried.starts
                 perm, counts = kernels.route(chronons, boundaries)
                 pages = _route_carried(
@@ -264,89 +243,3 @@ def _bill_routing(source: HeapFile, stored, schedule, routed, bounds, partitions
         bucket = routed[first:last]
         partitions[index].install(bucket.tuples, bucket, flush=True)
         partitions[index].carry(bucket)
-
-
-def _route_columns(
-    located_pages: Iterable[Tuple["ColumnarPage", Sequence[int]]],
-    partitions: List[HeapFile],
-    dictionary,
-    flush_threshold: int,
-) -> None:
-    """Run the routed flush loop over ``(page, partition indices)`` pairs.
-
-    Rows move as column entries -- gathers from the packed page buffers
-    into per-bucket column runs -- and flush through
-    :meth:`HeapFile.append_coded_run`.  The partitions *share the source
-    file's dictionary*, so key codes pass through untranslated: no
-    ``dictionary.code`` lookup, no tuple re-decomposition on the write
-    side.  Buckets flush at exactly the thresholds of the tuple-routing
-    path, so the charged TEMP-device access sequence is bit-identical.
-
-    Each page's rows are grouped by partition index at once: a bucket holds
-    its pending rows as ``(page, row-index array)`` segments instead of
-    appending row by row; a flush gathers the column runs from the segments
-    at once.  Flush *order* is what a row-by-row loop defines, so it is
-    replayed exactly: within one page a bucket can cross the flush
-    threshold at most once (a page holds at most ``spec.capacity`` rows and
-    ``flush_threshold >= spec.capacity`` since every bucket has at least one
-    buffer page), so the crossings are totally ordered by the input-row
-    position at which each bucket fills -- flushing in that order issues the
-    identical TEMP-device access sequence.
-    """
-    for partition in partitions:
-        partition.dictionary = dictionary
-    segments: List[List] = [[] for _ in partitions]
-    sizes = [0] * len(partitions)
-
-    def flush(bucket: int) -> None:
-        starts: List[int] = []
-        ends: List[int] = []
-        codes: List[int] = []
-        payloads: List = []
-        for seg_page, rows in segments[bucket]:
-            if rows is None:
-                starts += seg_page.starts_list()
-                ends += seg_page.ends_list()
-                codes += seg_page.codes_list()
-                payloads += seg_page.payloads
-            else:
-                starts += seg_page.starts_view()[rows].tolist()
-                ends += seg_page.ends_view()[rows].tolist()
-                codes += seg_page.codes_view()[rows].tolist()
-                page_payloads = seg_page.payloads
-                payloads += [page_payloads[i] for i in rows.tolist()]
-        partitions[bucket].append_coded_run(starts, ends, codes, payloads)
-        segments[bucket] = []
-        sizes[bucket] = 0
-
-    for page, page_located in located_pages:
-        n = len(page)
-        loc = np.asarray(page_located, dtype=np.int64)
-        # Stable argsort groups the rows by bucket while keeping each
-        # group's indices in input order.
-        order = np.argsort(loc, kind="stable")
-        grouped = loc[order]
-        buckets, first = np.unique(grouped, return_index=True)
-        boundaries = first.tolist() + [n]
-        crossings = []
-        for k, bucket in enumerate(buckets.tolist()):
-            rows = order[boundaries[k] : boundaries[k + 1]]
-            need = flush_threshold - sizes[bucket]
-            if len(rows) >= need:
-                # This bucket fills at input row rows[need - 1].
-                crossings.append((int(rows[need - 1]), bucket, rows, need))
-            else:
-                # A whole-page group needs no gather at flush time.
-                segments[bucket].append((page, rows if len(rows) < n else None))
-                sizes[bucket] += len(rows)
-        crossings.sort()
-        for _row, bucket, rows, need in crossings:
-            segments[bucket].append((page, rows[:need]))
-            flush(bucket)
-            rest = rows[need:]
-            if len(rest):
-                segments[bucket].append((page, rest))
-                sizes[bucket] = len(rest)
-    for bucket in range(len(partitions)):
-        if sizes[bucket]:
-            flush(bucket)

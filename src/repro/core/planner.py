@@ -60,7 +60,6 @@ from repro.core.intervals import PartitionMap, SampleSpans, choose_cuts, tile
 from repro.model.errors import PlanError
 from repro.sampling.kolmogorov import required_samples
 from repro.sampling.sampler import SamplePlan, SampleStrategy, plan_sampling
-from repro.storage.columnar_page import ColumnarPage
 from repro.storage.heapfile import HeapFile
 from repro.storage.iostats import CostModel
 from repro.time.interval import Interval
@@ -232,50 +231,6 @@ def estimate_partition_cost(
         cost += cost_model.cost_of_run(pages)  # the input scan
         cost += parts * cost_model.io_ran + (pages - parts) * cost_model.io_seq
     return cost
-
-
-def estimate_pipelined_join_cost(
-    c_join_io: float,
-    c_join_cpu: float,
-    *,
-    prefetch_depth: int,
-    pages_per_partition: float,
-) -> float:
-    """``C_join`` under the ``"batch-parallel-sweep"`` overlap model.
-
-    The pipelined sweep overlaps each partition's probe compute with the
-    prefetch of the next partition's pages, so per overlapped stage the
-    elapsed cost is ``max(C_cpu, C_io)`` instead of ``C_cpu + C_io``
-    (``docs/COST_MODEL.md``).  Only the fraction of a partition's pages the
-    prefetcher can cover ahead of demand is overlappable::
-
-        alpha  = min(1, prefetch_depth / pages_per_partition)
-        C_join = max(C_cpu, alpha * C_io) + (1 - alpha) * C_io
-
-    The un-overlapped remainder ``(1 - alpha) * C_io`` is demand-paged
-    exactly as in the serial sweep.  With ``prefetch_depth = 0`` or
-    negligible compute this degrades to the serial estimate.
-
-    Args:
-        c_join_io: the serial ``C_join`` I/O estimate (scan + cache
-            components of :func:`estimate_join_cost`).
-        c_join_cpu: probe compute per sweep, in the same cost unit (an
-            ``io_seq``-normalized calibration; see ``docs/COST_MODEL.md``).
-        prefetch_depth: pages of read-ahead per partition barrier.
-        pages_per_partition: average pages a partition's scans touch.
-    """
-    if c_join_io < 0 or c_join_cpu < 0:
-        raise PlanError("pipelined cost estimate needs non-negative costs")
-    if prefetch_depth < 0:
-        raise PlanError(
-            f"pipelined cost estimate needs prefetch_depth >= 0, "
-            f"got {prefetch_depth}"
-        )
-    if pages_per_partition > 0:
-        alpha = min(1.0, prefetch_depth / pages_per_partition)
-    else:
-        alpha = 0.0
-    return max(c_join_cpu, alpha * c_join_io) + (1.0 - alpha) * c_join_io
 
 
 #: Smallest memory grant worth running a partition join under: the three
@@ -558,18 +513,9 @@ _PERMUTATIONS = _Permutations(PERMUTATION_BUDGET)
 
 def _span_columns(pages: Sequence, carried=None) -> tuple:
     """``(starts, ends)`` ``int64`` columns of a scanned relation, in row
-    order.
-
-    Columnar pages concatenate their buffer views; list pages take the
-    columns their file carries (*carried*) when the scan delivered exactly
-    those rows, and are decomposed here otherwise.  Columnar pages decode
-    only their span columns: keys and payloads stay packed.
+    order: the columns its file carries (*carried*) when the scan delivered
+    exactly those rows, else decomposed here.
     """
-    if pages and all(isinstance(p, ColumnarPage) for p in pages):
-        return (
-            np.concatenate([page.starts_view() for page in pages]),
-            np.concatenate([page.ends_view() for page in pages]),
-        )
     if carried is not None:
         batch = carried.matching(0, list(chain.from_iterable(pages)))
         if batch is not None:
@@ -577,12 +523,8 @@ def _span_columns(pages: Sequence, carried=None) -> tuple:
     starts: List[int] = []
     ends: List[int] = []
     for page in pages:
-        if isinstance(page, ColumnarPage):
-            starts += page.starts_list()
-            ends += page.ends_list()
-        else:
-            starts += [tup.vs for tup in page]
-            ends += [tup.ve for tup in page]
+        starts += [tup.vs for tup in page]
+        ends += [tup.ve for tup in page]
     return np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
 
 

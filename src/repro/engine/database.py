@@ -70,12 +70,9 @@ class TemporalDatabase:
             with the policy's retry bounds, checkpoint interval, and
             degraded-fallback setting, and their :class:`QueryResult`
             carries the resilience report.
-        execution: execution mode of partition joins (``"tuple"``,
-            ``"batch"``, ``"batch-parallel-sweep"``, or
-            ``"zero-copy-sweep"`` -- every mode returns identical results;
-            see ``docs/EXECUTION.md``).
-        prefetch_depth: read-ahead pages per partition barrier of the
-            pipelined sweeps.
+        execution: execution mode of partition joins (``"tuple"`` or
+            ``"batch"`` -- both return identical results; see
+            ``docs/EXECUTION.md``).
         observability: when given, partition joins record structured traces
             and metrics (see ``docs/OBSERVABILITY.md``); the runtime is
             returned on each :class:`QueryResult` and on
@@ -89,7 +86,6 @@ class TemporalDatabase:
         page_spec: Optional[PageSpec] = None,
         resilience: Optional[ResiliencePolicy] = None,
         execution: str = "tuple",
-        prefetch_depth: int = 8,
         observability: Optional[ObservabilityConfig] = None,
     ) -> None:
         self.memory_pages = memory_pages
@@ -97,7 +93,6 @@ class TemporalDatabase:
         self.page_spec = page_spec if page_spec is not None else PageSpec()
         self.resilience = resilience
         self.execution = execution
-        self.prefetch_depth = prefetch_depth
         self.observability = observability
         # Fail on a bad mode at construction, not at the first join.
         self._join_config(memory_pages)
@@ -138,7 +133,6 @@ class TemporalDatabase:
             cost_model=self.cost_model,
             page_spec=self.page_spec,
             execution=self.execution,
-            prefetch_depth=self.prefetch_depth,
             observability=self.observability,
         )
         if self.resilience is not None:

@@ -29,25 +29,21 @@ def backend_name() -> str:
     return "numpy"
 
 
-#: The pipelined sweeps: the batch engine plus partition-barrier prefetch
-#: and write-behind.  They differ only in the heap-page layout
-#: ``partition_join`` builds (``"zero-copy-sweep"`` stores packed columnar
-#: pages).
-PIPELINED_SWEEP_MODES = ("batch-parallel-sweep", "zero-copy-sweep")
-
 #: The partition modes: ``"tuple"`` is the tuple-at-a-time oracle,
-#: ``"batch"`` runs placement and the sweep through the batch kernels.  All
+#: ``"batch"`` runs placement and the sweep through the batch kernels.  Both
 #: produce bit-identical results, outcome counters and per-phase charged I/O.
-EXECUTION_MODES = ("tuple", "batch") + PIPELINED_SWEEP_MODES
+EXECUTION_MODES = ("tuple", "batch")
 
 #: Every legal ``PartitionJoinConfig.execution``: the partition modes plus
 #: the forward-scan sweep operator, which returns the identical result
 #: multiset but follows its own sort/join phase ledger.
 ALL_EXECUTION_MODES = EXECUTION_MODES + ("forward-sweep",)
 
-# The forward sweep operates on storage.columnar_page buffers, and the
-# storage layer imports repro.exec.batch -- so re-export it lazily
-# (PEP 562) to keep this package importable from inside that cycle.
+# The forward sweep imports repro.algebra.predicates, whose package imports
+# repro.baselines (through algebra.normalize), and baselines.nested_loop
+# imports this package -- which the storage layer imports first (through
+# repro.exec.batch).  So re-export the sweep lazily (PEP 562) to keep this
+# package importable from inside that cycle.
 _FORWARD_SWEEP_EXPORTS = ("GaplessHashMap", "forward_sweep_join")
 
 
@@ -62,7 +58,6 @@ def __getattr__(name: str):
 __all__ = [
     "ALL_EXECUTION_MODES",
     "EXECUTION_MODES",
-    "PIPELINED_SWEEP_MODES",
     "GaplessHashMap",
     "forward_sweep_join",
     "KeyInterner",

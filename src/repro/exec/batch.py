@@ -13,18 +13,10 @@ distinct key to a small integer id; the build side of a join *interns*
 (assigns fresh ids), the probe side *looks up* (unknown keys map to ``-1``
 and can never match, which is exactly the hash-join semantics of
 ``probe_index.get(key, ())``).
-
-The module also provides the zero-copy batch path:
-:meth:`PageBatch.from_columnar` lifts a
-:class:`~repro.storage.columnar_page.ColumnarPage` into a batch whose time
-columns are views over the page buffer and whose key ids come from one
-vectorized gather through a :class:`CodeTranslator` table instead of a
-Python dict lookup per tuple.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -349,67 +341,18 @@ class PageBatch:
         columns = (list(map(dictionary.intern, keys)), starts, ends)
         return cls(refs, *(np.array(column, np.int64) for column in columns), dictionary)
 
-    @classmethod
-    def from_columnar(
-        cls,
-        page,
-        interner: Optional[KeyInterner] = None,
-        *,
-        intern: bool = False,
-        translator: Optional["CodeTranslator"] = None,
-    ) -> "PageBatch":
-        """Lift a :class:`~repro.storage.columnar_page.ColumnarPage` into a
-        batch without per-tuple work.
-
-        The time columns are ``np.frombuffer`` views straight over the page
-        buffer.  Key ids come from one vectorized gather ``table[codes]``
-        through the *translator*'s per-dictionary code->id table on the
-        probe side; the build side interns row by row, in page order,
-        exactly like the tuple path.
-        The batch's ``tuples`` **is the page itself** -- a lazy Sequence
-        that materializes a ``VTTuple`` only when a row is emitted.
-        """
-        starts = page.starts_view()
-        ends = page.ends_view()
-        key_ids: Optional[Sequence[int]]
-        if interner is None:
-            key_ids = None
-        elif intern:
-            # Build side: intern in row order so id assignment matches the
-            # tuple path exactly.
-            intern_one = interner.intern
-            key_of = page.dictionary.key
-            ids = [intern_one(key_of(code)) for code in page.codes_list()]
-            key_ids = np.array(ids, dtype=np.int64)
-        elif translator is not None:
-            key_ids = translator.translate(page)
-        else:
-            lookup = interner.lookup
-            key_of = page.dictionary.key
-            ids = [lookup(key_of(code)) for code in page.codes_list()]
-            key_ids = np.array(ids, dtype=np.int64)
-        return cls(page, key_ids, starts, ends, interner)
-
-
-def _keys_by_code(dictionary) -> Sequence[Tuple]:
-    """The keys of a file's ``KeyDictionary`` or of a relation's
-    :class:`KeyInterner`, indexed by code."""
-    if isinstance(dictionary, KeyInterner):
-        return dictionary.keys_in_id_order()
-    return dictionary.keys
-
 
 class CodeTranslator:
     """Caches per-dictionary code -> join-id translation tables.
 
-    A columnar page stores relation-local key *codes* (dense, first-seen
-    order at write time); a join works in interner *ids*.  The bridge is a
-    dense table ``table[code] == interner.lookup(dictionary.key(code))``,
-    built once per (dictionary, interner version) and reused for every page
-    of the file -- the per-page cost collapses to one ``table[codes]``
-    gather.  Tables are invalidated when the interner grows (a later block
-    interned new keys, so ``-1`` entries may have become real ids) or when
-    the dictionary grew (the file gained pages with fresh keys).
+    A relation version's columns hold key *codes* in its own dictionary (a
+    :class:`KeyInterner`, dense in first-seen order); a join works in its
+    interner's *ids*.  The bridge is a dense table ``table[code] ==
+    interner.lookup(dictionary key of code)``, built once per (dictionary,
+    interner version) and reused for every file carrying those codes -- a
+    file's ids are one ``table[codes]`` gather.  Tables are invalidated when
+    the interner grows (a later block interned new keys, so ``-1`` entries
+    may have become real ids) or when the dictionary grew.
     """
 
     __slots__ = ("_interner", "_tables", "_interned")
@@ -422,19 +365,19 @@ class CodeTranslator:
     def ensure_interned(self, dictionary) -> None:
         """Intern every key of *dictionary* (build-side translation).
 
-        ``translate`` uses read-only lookups (probe semantics: unknown keys
-        map to ``-1``); an outer *index* build must assign real ids instead.
-        Interning the whole dictionary once -- instead of per block tuple --
-        is sound because id values never influence join results (see
-        :class:`KeyInterner`), and it keeps the translation table cacheable
-        across the blocks of a file."""
+        :meth:`table_for` uses read-only lookups (probe semantics: unknown
+        keys map to ``-1``); an outer *index* build must assign real ids
+        instead.  Interning the whole dictionary once -- instead of per
+        block tuple -- is sound because id values never influence join
+        results (see :class:`KeyInterner`), and it keeps the translation
+        table cacheable across the blocks of a file."""
         cache_key = id(dictionary)
         n = len(dictionary)
         seen = self._interned.get(cache_key)
         if seen is not None and seen[0] is dictionary and seen[1] == n:
             return
         intern = self._interner.intern
-        for key in _keys_by_code(dictionary):
+        for key in dictionary.keys_in_id_order():
             intern(key)
         self._interned[cache_key] = (dictionary, n)
 
@@ -449,143 +392,7 @@ class CodeTranslator:
             if dict_ref is dictionary and cached_version == version and len(table) == n:
                 return table
         lookup = self._interner.lookup
-        ids = [lookup(key) for key in _keys_by_code(dictionary)]
+        ids = [lookup(key) for key in dictionary.keys_in_id_order()]
         table = np.array(ids, dtype=np.int64)
         self._tables[cache_key] = (dictionary, version, table)
         return table
-
-    def translate(self, page) -> Sequence[int]:
-        """Per-row join ids of *page* via one gather through the table."""
-        if page.n_rows == 0:
-            return np.empty(0, np.int64)
-        return self.table_for(page.dictionary)[page.codes_view()]
-
-
-class ColumnarBlock(Sequence):
-    """An outer block kept as columnar page segments (zero-copy sweep).
-
-    Logically this is exactly the ``List[VTTuple]`` the row-oriented joiner
-    assembles -- same rows, same order -- but the rows stay packed: the
-    block is a list of ``(page, rows)`` segments, where ``rows`` is ``None``
-    for a whole page or an ``int64`` index array for the survivors of a
-    retained-tuple purge.  The probe index reads whole columns straight off
-    the segments (:meth:`columns`), the partition-boundary purge is two
-    vectorized comparisons per segment (:meth:`purged`), and a tuple is
-    materialized only when something downstream touches the row -- emission
-    of a match, spilling an overflow block, or checkpointing.  Row
-    materialization goes through each page's memoized :meth:`row`, so a row
-    is built at most once however many blocks reference it.
-    """
-
-    __slots__ = ("_segments", "_offsets", "_len")
-
-    def __init__(self, segments) -> None:
-        self._segments = [
-            (page, rows)
-            for page, rows in segments
-            if (len(page) if rows is None else len(rows))
-        ]
-        self._offsets: List[int] = []
-        total = 0
-        for page, rows in self._segments:
-            self._offsets.append(total)
-            total += len(page) if rows is None else len(rows)
-        self._len = total
-
-    # -- sequence protocol (lazy) -------------------------------------------
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._len))]
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError(f"row {index} out of range for {self._len}-row block")
-        seg = bisect_right(self._offsets, index) - 1
-        page, rows = self._segments[seg]
-        offset = index - self._offsets[seg]
-        return page.row(offset if rows is None else int(rows[offset]))
-
-    def __iter__(self) -> Iterator[VTTuple]:
-        for page, rows in self._segments:
-            if rows is None:
-                yield from page
-            else:
-                row = page.row
-                for index in rows:
-                    yield row(int(index))
-
-    # -- column access (the index build path) -------------------------------
-
-    def columns(self, translator: "CodeTranslator", *, intern: bool = True):
-        """``(key_ids, starts, ends)`` of the whole block, as int64 arrays.
-
-        Key ids come from one gather per segment through the page
-        dictionaries' translation tables -- interning every dictionary key
-        first on the build side, read-only with *intern* off (a probe-side
-        run, where unknown keys must stay ``-1``); the time columns are
-        sliced straight off the page buffers.  No tuple is materialized.
-        """
-        n = self._len
-        key_ids = np.empty(n, np.int64)
-        starts = np.empty(n, np.int64)
-        ends = np.empty(n, np.int64)
-        position = 0
-        for page, rows in self._segments:
-            if intern:
-                translator.ensure_interned(page.dictionary)
-            ids = translator.translate(page)
-            if rows is None:
-                count = len(page)
-                key_ids[position : position + count] = ids
-                starts[position : position + count] = page.starts_view()
-                ends[position : position + count] = page.ends_view()
-            else:
-                count = len(rows)
-                key_ids[position : position + count] = ids[rows]
-                starts[position : position + count] = page.starts_view()[rows]
-                ends[position : position + count] = page.ends_view()[rows]
-            position += count
-        return key_ids, starts, ends
-
-    # -- vectorized retained-tuple purge -------------------------------------
-
-    @staticmethod
-    def _overlap_mask(page, rows, window):
-        """Which segment rows overlap the partition *window* (edge-clamped):
-        ``PartitionMap.overlaps_partition`` as two column comparisons (see
-        :meth:`~repro.exec.kernels.PartitionBoundaries.window`)."""
-        lo, hi = window
-        starts = page.starts_view()
-        ends = page.ends_view()
-        if rows is not None:
-            starts = starts[rows]
-            ends = ends[rows]
-        return (ends > lo) & (starts <= hi)
-
-    def purged(self, boundaries, index: int) -> "ColumnarBlock":
-        """The sub-block of rows overlapping partition *index*, same order."""
-        window = boundaries.window(index)
-        segments = []
-        for page, rows in self._segments:
-            keep = self._overlap_mask(page, rows, window)
-            if keep.all():
-                segments.append((page, rows))
-                continue
-            survivors = np.nonzero(keep)[0]
-            if survivors.size:
-                segments.append(
-                    (page, survivors if rows is None else rows[survivors])
-                )
-        return ColumnarBlock(segments)
-
-    def count_overlapping(self, boundaries, index: int) -> int:
-        """How many rows overlap partition *index* (the prefetch predictor)."""
-        window = boundaries.window(index)
-        return sum(
-            int(self._overlap_mask(page, rows, window).sum())
-            for page, rows in self._segments
-        )

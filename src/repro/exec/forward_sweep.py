@@ -22,9 +22,8 @@ single forward scan over the two relations' merged endpoint streams:
 * Because every active-map candidate intersects the probing interval,
   the probe evaluates the predicate with the 3x3 **sign grid** of
   :mod:`repro.algebra.predicates` -- one vectorized gather per probe, no
-  tuple materialization: the loop runs on the
-  :class:`~repro.storage.columnar_page.ColumnarPage` column buffers,
-  translated into one joint key-code space.
+  tuple materialization: the loop runs on ``int64`` columns gathered
+  from the scanned pages, keys coded in one joint key space.
 
 * The four disjoint Allen relations (before/meets/met_by/after) never
   meet in the active map; they are answered with binary-searched windows
@@ -44,12 +43,12 @@ from __future__ import annotations
 
 import bisect
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.algebra.predicates import TemporalPredicate, resolve_predicate
-from repro.storage.columnar_page import ColumnarPage
+from repro.exec.batch import KeyInterner
 from repro.time.allen import AllenRelation
 from repro.time.interval import trusted_interval
 from repro.model.vtuple import VTTuple
@@ -218,80 +217,31 @@ class GaplessHashMap:
 
 
 class _SideColumns:
-    """One side's gathered columns in joint code space, scan order.
+    """One side's gathered columns in joint code space, scan order, and
+    the rows the charged scan delivered (read at emission only)."""
 
-    Rows are materialized lazily and only at emission: columnar sources
-    defer to the page's memoized ``row()``, list sources keep the tuple
-    references the charged scan already produced.
-    """
+    __slots__ = ("starts", "ends", "codes", "n", "rows")
 
-    __slots__ = ("starts", "ends", "codes", "n", "pages", "capacity", "rows")
-
-    def __init__(self, starts, ends, codes, n, *, pages=None, capacity=0, rows=None):
+    def __init__(self, starts, ends, codes, rows: List[VTTuple]) -> None:
         self.starts = starts
         self.ends = ends
         self.codes = codes
-        self.n = n
-        self.pages = pages
-        self.capacity = capacity
+        self.n = len(rows)
         self.rows = rows
 
-    def row(self, index: int) -> VTTuple:
-        if self.rows is not None:
-            return self.rows[index]
-        return self.pages[index // self.capacity].row(index % self.capacity)
 
-
-def _gather(heap_file, joint) -> _SideColumns:
-    """Scan *heap_file* (charged) into joint-coded columns.
-
-    Each columnar page contributes its packed column views; its file-local
-    key codes are gathered through a per-file translation into the shared
-    *joint* dictionary.  List pages are decomposed per tuple.
-    """
-    capacity = heap_file.spec.capacity
-    translation: Optional[List[int]] = None
-    pages: List[object] = []
-    rows: Optional[List[VTTuple]] = None
-    start_chunks, end_chunks, code_chunks = [], [], []
-    columnar = True
+def _gather(heap_file, joint: KeyInterner) -> _SideColumns:
+    """Scan *heap_file* (charged) into columns, its keys coded in the
+    shared *joint* key space."""
+    rows: List[VTTuple] = []
     for page in heap_file.scan_pages():
-        pages.append(page)
-        if isinstance(page, ColumnarPage):
-            dictionary = heap_file.dictionary
-            if translation is None or len(translation) < len(dictionary.keys):
-                translation = [joint.code(key) for key in dictionary.keys]
-            table = np.asarray(translation, dtype=np.int64)
-            start_chunks.append(page.starts_view())
-            end_chunks.append(page.ends_view())
-            code_chunks.append(table[page.codes_view()])
-        else:
-            columnar = False
-            if rows is None:
-                rows = []
-            start_chunks.append(np.asarray([t.vs for t in page], dtype=np.int64))
-            end_chunks.append(np.asarray([t.ve for t in page], dtype=np.int64))
-            code_chunks.append(
-                np.asarray([joint.code(t.key) for t in page], dtype=np.int64)
-            )
-            rows.extend(page)
-    if not columnar and rows is not None and len(pages) and any(
-        isinstance(p, ColumnarPage) for p in pages
-    ):
-        # Mixed page kinds cannot share the flat row list: rebuild it page
-        # by page so flat indexes stay aligned with the columns.
-        rows = []
-        for page in pages:
-            rows.extend(page.row(i) if isinstance(page, ColumnarPage) else page[i]
-                        for i in range(len(page)))
-    cat = (lambda chunks: np.concatenate(chunks)
-           if chunks else np.empty(0, dtype=np.int64))
-    starts_arr, ends_arr, codes_arr = (
-        cat(start_chunks), cat(end_chunks), cat(code_chunks)
-    )
+        rows.extend(page)
+    code = joint.intern
     return _SideColumns(
-        starts_arr, ends_arr, codes_arr, int(len(starts_arr)),
-        pages=pages if columnar else None, capacity=capacity, rows=rows,
+        np.fromiter((t.vs for t in rows), np.int64, len(rows)),
+        np.fromiter((t.ve for t in rows), np.int64, len(rows)),
+        np.fromiter((code(t.key) for t in rows), np.int64, len(rows)),
+        rows,
     )
 
 
@@ -302,33 +252,10 @@ def _write_sorted_run(heap_file, layout, name: str):
     unsorted input costs three passes where a sorted one costs one.
     """
     run = layout.temp_file(name, capacity_tuples=heap_file.n_tuples)
-    if heap_file.columnar and run.columnar:
-        starts: List[int] = []
-        ends: List[int] = []
-        fcodes: List[int] = []
-        payloads: List[tuple] = []
-        for page in heap_file.scan_pages():
-            starts.extend(page.starts_list())
-            ends.extend(page.ends_list())
-            fcodes.extend(page.codes_list())
-            payloads.extend(page.payloads)
-        order = np.lexsort((
-            np.asarray(ends, dtype=np.int64),
-            np.asarray(starts, dtype=np.int64),
-        ))
-        order = [int(i) for i in order]
-        run.dictionary = heap_file.dictionary
-        run.append_coded_run(
-            [starts[i] for i in order],
-            [ends[i] for i in order],
-            [fcodes[i] for i in order],
-            [payloads[i] for i in order],
-        )
-    else:
-        tuples = [tup for page in heap_file.scan_pages() for tup in page]
-        tuples.sort(key=lambda t: (t.vs, t.ve))
-        run.append_many(tuples)
-        run.flush()
+    tuples = [tup for page in heap_file.scan_pages() for tup in page]
+    tuples.sort(key=lambda t: (t.vs, t.ve))
+    run.append_many(tuples)
+    run.flush()
     return run
 
 
@@ -542,9 +469,7 @@ def forward_sweep_join(
         stats["sort_pages"] = sort_pages
 
         with _phase(tracker, obs, "join"):
-            from repro.storage.columnar_page import KeyDictionary
-
-            joint = KeyDictionary()
+            joint = KeyInterner()
             rc = _gather(r_source, joint)
             sc = _gather(s_source, joint)
             stats["scan_pages"] = r_source.extent.n_pages + s_source.extent.n_pages
@@ -559,8 +484,8 @@ def forward_sweep_join(
             n_result = 0
             timestamp = pred.timestamp
             for i, j in pairs:
-                x = rc.row(i)
-                y = sc.row(j)
+                x = rc.rows[i]
+                y = sc.rows[j]
                 if timestamp == "intersection":
                     stamp = trusted_interval(
                         x.vs if x.vs >= y.vs else y.vs,

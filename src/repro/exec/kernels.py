@@ -32,22 +32,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.batch import CodeTranslator, ColumnarBlock, KeyInterner, PageBatch, RowRefs
+from repro.exec.batch import KeyInterner, PageBatch, RowRefs
 from repro.model.vtuple import VTTuple
 from repro.time.interval import Interval
 
-
-def _columnar_page_type():
-    """The ColumnarPage class, imported lazily.
-
-    The storage layer imports :mod:`repro.exec.batch`, so a top-level
-    import here would be circular (storage -> exec -> kernels -> storage).
-    By the time a page reaches a kernel both packages are fully initialized
-    and this is a ``sys.modules`` hit.
-    """
-    from repro.storage.columnar_page import ColumnarPage
-
-    return ColumnarPage
 
 #: Candidate slots one expansion may materialize: a probe over many rows
 #: computes their windows or group counts once, then expands consecutive
@@ -150,8 +138,7 @@ class _CsrProbeIndex:
     """CSR grouping of an outer block by interned key id.
 
     *columns* hands over the block's ``(key_ids, starts, ends)`` when the
-    caller already holds them; the block is then kept as given (it may be
-    a packed :class:`~repro.exec.batch.ColumnarBlock`).
+    caller already holds them; the block is then kept as given.
     """
 
     __slots__ = (
@@ -214,53 +201,23 @@ class Kernels:
         interner: Optional[KeyInterner] = None,
         *,
         intern: bool = False,
-        translator: Optional[CodeTranslator] = None,
     ) -> PageBatch:
-        """The :class:`PageBatch` of *page*.
-
-        A :class:`~repro.storage.columnar_page.ColumnarPage` takes the
-        zero-copy path (column views over the page buffer, key ids via the
-        *translator*'s gather table); any other sequence is decomposed
-        tuple by tuple.
-        """
-        if isinstance(page, _columnar_page_type()):
-            return PageBatch.from_columnar(
-                page, interner, intern=intern, translator=translator
-            )
+        """The :class:`PageBatch` of *page*, decomposed tuple by tuple."""
         return PageBatch.from_tuples(page, interner, intern=intern)
 
     def run_batch(
-        self,
-        pages: Sequence[Sequence[VTTuple]],
-        interner: Optional[KeyInterner] = None,
-        *,
-        translator: Optional[CodeTranslator] = None,
+        self, pages: Sequence[Sequence[VTTuple]], interner: Optional[KeyInterner] = None
     ) -> PageBatch:
-        """One :class:`PageBatch` over a *run* of pages.
+        """One :class:`PageBatch` over a *run* of pages, flattened into one
+        row sequence (a single page is its own run).
 
-        A single page is its own run.  Several columnar pages stay packed
-        behind a :class:`~repro.exec.batch.ColumnarBlock` (rows materialize
-        on emission only) when a *translator* can supply their key ids;
-        anything else is flattened into one tuple list.
-
-        Rows in tuple lists get their keys *interned*, on the probe side
-        too: the batch may travel on with its rows (see
-        :class:`~repro.exec.batch.PageBatch`), and an id must mean the same
-        key to every index it later meets.  Both probes ignore ids their
-        index does not hold.  Columnar pages, which are never carried, keep
-        the translator's read-only lookup.
+        Keys are *interned*, on the probe side too: the batch may travel on
+        with its rows (see :class:`~repro.exec.batch.PageBatch`), and an id
+        must mean the same key to every index it later meets.  Both probes
+        ignore ids their index does not hold.
         """
-        columnar = _columnar_page_type()
-        if len(pages) == 1:
-            rows = pages[0]
-        elif translator is not None and all(isinstance(page, columnar) for page in pages):
-            rows = ColumnarBlock([(page, None) for page in pages])
-            return PageBatch(rows, *rows.columns(translator, intern=False))
-        else:
-            rows = [tup for page in pages for tup in page]
-        return self.page_batch(
-            rows, interner, intern=not isinstance(rows, columnar), translator=translator
-        )
+        rows = pages[0] if len(pages) == 1 else [tup for page in pages for tup in page]
+        return self.page_batch(rows, interner, intern=True)
 
     def migration_rows(
         self, page: Sequence[VTTuple], boundaries: PartitionBoundaries, next_index: int
@@ -277,12 +234,6 @@ class Kernels:
         (:meth:`~repro.exec.batch.PageBatch.overlapping`).
         """
         lo, hi = boundaries.window(next_index)
-        if isinstance(page, _columnar_page_type()):
-            return [
-                row
-                for row, (vs, ve) in enumerate(zip(page.starts_list(), page.ends_list()))
-                if lo < ve and vs <= hi
-            ]
         return [
             row
             for row, tup in enumerate(page)
@@ -292,8 +243,8 @@ class Kernels:
     def take(self, rows: Sequence[VTTuple], positions) -> Sequence[VTTuple]:
         """The rows of *rows* at *positions* (a probe's row column), in
         order: where the row objects are fetched.  References gather from
-        their source in one object-array take; a lazy page or block
-        materializes only the rows named."""
+        their source in one object-array take; a lazy page materializes only
+        the rows named."""
         if isinstance(rows, RowRefs):
             return rows.take(positions).objects()
         return [rows[at] for at in positions.tolist()]

@@ -71,8 +71,8 @@ class PrunedProbeIndex:
     def __init__(self, block: Sequence[VTTuple], interner, columns) -> None:
         """Index *block* from its ``(key_ids, starts, ends)`` *columns*.
 
-        The rows are kept as given -- a list, or a packed ColumnarBlock
-        whose rows materialize on emission only -- and never read here.
+        The rows are kept as given -- a list, or references -- and never
+        read here.
         """
         self.block = block
         self.csr = None

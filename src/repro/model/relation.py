@@ -175,17 +175,17 @@ class ValidTimeRelation:
             relation._columns = PageBatch.keyed(list(rows), keys, starts, ends)
         return relation
 
-    def columns(self, split: bool = True):
+    def columns(self):
         """The rows as one shared, immutable :class:`~repro.exec.batch.PageBatch`
         (``(key code, start, end)``, the codes' dictionary, the rows boxed
         once as references), split once
         and kept until the next write or until a derived relation takes it
-        over; with *split* off, only what is memoised already (or None).  The
-        memo is a benign race: threads that find it empty each publish a
-        finished batch with one assignment, and the last writer wins.
+        over.  The memo is a benign race: threads that find it empty each
+        publish a finished batch with one assignment, and the last writer
+        wins.
         """
         columns = self._columns
-        if columns is None and split:
+        if columns is None:
             from repro.exec.batch import PageBatch
 
             columns = self._columns = PageBatch.keyed(self._tuples)

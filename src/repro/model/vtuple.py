@@ -83,8 +83,8 @@ class VTTuple:
 def trusted_tuple(key: Tuple, payload: Tuple, start: int, end: int) -> VTTuple:
     """Build a :class:`VTTuple` without re-validating or copying.
 
-    Only for values that already passed the validating constructors (a
-    packed page buffer, the key/payloads/overlap of two stored tuples):
+    Only for values that already passed the validating constructors (the
+    columns of a match block, the key/payloads/overlap of two stored tuples):
     *key* and *payload* must already be tuples.  About 2.5x faster than the
     validating constructors, measured per row.
     """

@@ -108,7 +108,6 @@ class Observability:
         # family lookup + label resolution.
         self._io_children: Dict[Tuple[str, int, bool, bool], Any] = {}
         self._retry_children: Dict[Tuple[str, int, bool], Any] = {}
-        self._pipeline_children: Dict[Tuple[str, int, bool], Any] = {}
         self._device_names: Dict[int, str] = {}
         if self.metrics is not None:
             self._io_family = self.metrics.counter(
@@ -119,11 +118,6 @@ class Observability:
             self._retry_family = self.metrics.counter(
                 "repro_io_retry_ops_total",
                 "Charged operations that were fault-forced retries or backoff.",
-                ("phase", "device", "direction"),
-            )
-            self._pipeline_family = self.metrics.counter(
-                "repro_io_pipeline_ops_total",
-                "Charged operations issued by the prefetch/write-behind pipeline.",
                 ("phase", "device", "direction"),
             )
 
@@ -165,7 +159,6 @@ class Observability:
         write: bool,
         sequential: bool,
         retry: bool = False,
-        pipeline: bool = False,
         count: int = 1,
     ) -> None:
         """Record one (or *count*) charged I/O operations.
@@ -189,10 +182,6 @@ class Observability:
                 self._tag_child(
                     self._retry_children, self._retry_family, device, write
                 ).inc(count)
-            if pipeline:
-                self._tag_child(
-                    self._pipeline_children, self._pipeline_family, device, write
-                ).inc(count)
         if self._io_events_left != 0 and self.tracer is not None:
             if self._io_events_left > 0:
                 self._io_events_left -= 1
@@ -201,7 +190,6 @@ class Observability:
                     device=self._device_name(device),
                     op=_OP_NAMES[(write, sequential)],
                     retry=retry,
-                    pipeline=pipeline,
                     count=count,
                 )
         elif self.config.io_events and self.tracer is not None:

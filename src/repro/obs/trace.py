@@ -23,8 +23,7 @@ Design points:
 * **Exporters.**  :meth:`Tracer.export_jsonl` emits one JSON object per
   finished span; :meth:`Tracer.chrome_trace` emits the Chrome
   ``trace_event`` format (complete ``"X"`` events, microsecond timestamps,
-  one ``tid`` lane per distinct span ``lane`` -- main sweep, prefetch
-  stage), loadable in ``chrome://tracing`` / Perfetto.
+  one ``tid`` lane per distinct span ``lane``), loadable in ``chrome://tracing`` / Perfetto.
 """
 
 from __future__ import annotations
@@ -232,8 +231,8 @@ class Tracer:
         """Finished spans in Chrome ``trace_event`` format.
 
         Each distinct span ``lane`` becomes one ``tid`` with a
-        ``thread_name`` metadata record, so the sweep's main thread and the
-        prefetch stage render as separate tracks.
+        ``thread_name`` metadata record, so each lane renders as its own
+        track.
         """
         with self._lock:
             spans = sorted(self.finished, key=lambda s: (s.start_ns, s.span_id))

@@ -61,8 +61,6 @@ class SweepContext:
     cache_memory_tuples: int
     execution: str
     result_file: HeapFile
-    #: Pages of read-ahead per partition barrier (pipelined sweeps only).
-    prefetch_depth: int
     #: True when ``r_parts``/``s_parts`` hold the inputs in *swapped*
     #: orientation (the one-partition case makes the smaller relation the
     #: outer side); the pair function is then called with the rows flipped

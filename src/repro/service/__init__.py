@@ -25,8 +25,8 @@ without ever oversubscribing it.  Six cooperating pieces (see
 
 Snapshot isolation: every query joins against the catalog snapshot it took
 at submission; the property suite proves each result bit-identical to a
-serial replay at the same snapshot epochs, in each of the four partition
-execution modes (``EXECUTION_MODES``; ``forward-sweep`` is the fifth mode).
+serial replay at the same snapshot epochs, in both partition execution
+modes (``EXECUTION_MODES``; ``forward-sweep`` is the third execution name).
 """
 
 from repro.model.errors import (

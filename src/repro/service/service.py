@@ -25,8 +25,8 @@ the sharded one, and step 5 is the one join runner
 
 Every query's result is bit-identical to a serial replay of the same
 statements at the same snapshot epochs (property-tested in
-``tests/service/test_service_property.py``, in each of the four partition
-execution modes; ``forward-sweep``, the fifth mode, is served as method
+``tests/service/test_service_property.py``, in both partition execution
+modes; ``forward-sweep``, the third execution name, is served as method
 ``"sweep"``).
 """
 

@@ -14,9 +14,8 @@ memory.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict
 
 from repro.model.errors import BufferOverflowError
 
@@ -119,115 +118,6 @@ class BufferPool:
                 )
             self._used += delta
             reservation.pages = pages
-
-
-class PageCache:
-    """A bounded LRU cache of pages with pin/unpin, for the I/O pipeline.
-
-    Keys are ``(extent_name, page_index)`` pairs (any hashable works).  The
-    prefetcher *pins* each page it reads ahead so eviction can never throw
-    away a page whose demand read was already charged; the consumer unpins
-    (or :meth:`take`s) the page when the demand access arrives.  Eviction is
-    least-recently-used over the unpinned entries only.
-
-    The cache holds page *references*; it charges no I/O itself -- whoever
-    fills it pays the disk, which is what keeps the prefetch accounting
-    honest.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise BufferOverflowError(f"page cache needs >= 1 page, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[Hashable, Tuple[object, int]]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    @property
-    def pinned_pages(self) -> int:
-        """Number of entries with a nonzero pin count."""
-        return sum(1 for _, pins in self._entries.values() if pins > 0)
-
-    def put(self, key: Hashable, page: object, *, pin: bool = False) -> None:
-        """Insert (or refresh) *page* under *key*, evicting LRU if needed.
-
-        Raises:
-            BufferOverflowError: when every resident page is pinned and
-                there is no room -- the pipeline sized its prefetch depth
-                beyond the cache, which is a configuration bug.
-        """
-        if key in self._entries:
-            _, pins = self._entries.pop(key)
-            self._entries[key] = (page, pins + (1 if pin else 0))
-            return
-        while len(self._entries) >= self.capacity:
-            victim = self._find_victim()
-            if victim is None:
-                raise BufferOverflowError(
-                    f"page cache of {self.capacity} pages is fully pinned; "
-                    f"cannot admit {key!r}"
-                )
-            del self._entries[victim]
-            self.evictions += 1
-        self._entries[key] = (page, 1 if pin else 0)
-
-    def _find_victim(self) -> Optional[Hashable]:
-        for key, (_, pins) in self._entries.items():
-            if pins == 0:
-                return key
-        return None
-
-    def get(self, key: Hashable) -> Optional[object]:
-        """The page under *key* (refreshed to most-recent), or None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
-
-    def take(self, key: Hashable) -> Optional[object]:
-        """Remove and return the page under *key* regardless of pins.
-
-        The consume path of the prefetcher: the demand access arrives, the
-        page leaves the cache, and its pin dies with it.
-        """
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry[0]
-
-    def pin(self, key: Hashable) -> None:
-        """Protect the page under *key* from eviction (counts nest)."""
-        try:
-            page, pins = self._entries[key]
-        except KeyError:
-            raise BufferOverflowError(f"cannot pin absent page {key!r}") from None
-        self._entries[key] = (page, pins + 1)
-
-    def unpin(self, key: Hashable) -> None:
-        """Drop one pin from the page under *key*."""
-        try:
-            page, pins = self._entries[key]
-        except KeyError:
-            raise BufferOverflowError(f"cannot unpin absent page {key!r}") from None
-        if pins <= 0:
-            raise BufferOverflowError(f"page {key!r} is not pinned")
-        self._entries[key] = (page, pins - 1)
-
-    def clear(self) -> None:
-        """Drop every entry, pinned or not (end-of-sweep teardown)."""
-        self._entries.clear()
 
 
 @dataclass(frozen=True)

@@ -218,8 +218,6 @@ class SimulatedDisk:
         self._heads: Dict[int, Optional[int]] = {}
         self._alloc_pointer: Dict[int, int] = {}
         self._extents: List[Extent] = []
-        self._pipeline_reads = False
-        self._pipeline_writes = False
         # Optional observability runtime (repro.obs.Observability).  Kept as
         # a plain attribute checked with one `is None` per charge so an
         # unobserved disk pays nothing.
@@ -431,20 +429,6 @@ class SimulatedDisk:
         """
         self._obs = obs
 
-    def pipeline_tag(
-        self, *, reads: bool = False, writes: bool = False
-    ) -> "_PipelineTagContext":
-        """Context manager tagging enclosed charges as pipeline traffic.
-
-        The prefetcher wraps its read-ahead in ``pipeline_tag(reads=True)``
-        and the write-behind buffer wraps its barrier flush in
-        ``pipeline_tag(writes=True)``: every operation charged inside is
-        counted normally *and* tagged ``prefetch_reads`` /
-        ``writeback_writes``, mirroring how fault retries are tagged.  The
-        tags therefore never add to ``total_ops`` or :meth:`IOStatistics.cost`.
-        """
-        return _PipelineTagContext(self, reads=reads, writes=writes)
-
     def _charge(
         self,
         extent: Extent,
@@ -526,10 +510,6 @@ class SimulatedDisk:
             if retry:
                 stats.record_retry(write=write, count=count)
                 per_device.record_retry(write=write, count=count)
-            pipelined = self._pipeline_writes if write else self._pipeline_reads
-            if pipelined:
-                stats.record_pipeline(write=write, count=count)
-                per_device.record_pipeline(write=write, count=count)
             obs = self._obs
             if obs is not None:
                 for is_sequential, ops in ((False, seeks), (True, sequential)):
@@ -539,7 +519,6 @@ class SimulatedDisk:
                             write=write,
                             sequential=is_sequential,
                             retry=retry,
-                            pipeline=pipelined,
                             count=ops,
                         )
 
@@ -686,31 +665,3 @@ class SimulatedDisk:
     def head_position(self, device: int) -> Optional[int]:
         """Current head position of *device* (None if never accessed)."""
         return self._heads.get(device)
-
-
-class _PipelineTagContext:
-    """Context manager returned by :meth:`SimulatedDisk.pipeline_tag`.
-
-    Nesting composes: each context sets its flags on entry and restores the
-    previous values on exit, so tagging is scoped exactly to the pipeline
-    stage that issued the I/O.
-    """
-
-    __slots__ = ("_disk", "_reads", "_writes", "_saved")
-
-    def __init__(self, disk: SimulatedDisk, *, reads: bool, writes: bool) -> None:
-        self._disk = disk
-        self._reads = reads
-        self._writes = writes
-        self._saved: Tuple[bool, bool] = (False, False)
-
-    def __enter__(self) -> SimulatedDisk:
-        self._saved = (self._disk._pipeline_reads, self._disk._pipeline_writes)
-        if self._reads:
-            self._disk._pipeline_reads = True
-        if self._writes:
-            self._disk._pipeline_writes = True
-        return self._disk
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self._disk._pipeline_reads, self._disk._pipeline_writes = self._saved

@@ -8,7 +8,6 @@ charged through the owning :class:`SimulatedDisk`.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence as SequenceABC
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -16,7 +15,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.exec.batch import PageBatch, RowRefs, extended
 from repro.model.match_block import LazyRows, spans_sorted
 from repro.model.vtuple import VTTuple
-from repro.storage.columnar_page import ColumnarPage, KeyDictionary, page_view
 from repro.storage.disk import Extent, PageRun, SimulatedDisk
 from repro.storage.page import PageSpec
 
@@ -90,14 +88,8 @@ class HeapFile:
         disk: the simulated disk holding the file.
         extent: the extent the pages live in.
         spec: page geometry.
-        columnar: store pages in the packed zero-copy column layout
-            (:class:`~repro.storage.columnar_page.ColumnarPage`) instead of
-            tuple lists.  The logical content is identical -- a columnar
-            page is a Sequence of the same tuples -- but batch consumers
-            get ``np.frombuffer`` column views instead of re-decomposing
-            each page tuple by tuple.
 
-    **Carried columns.**  A tuple-list file also keeps, beside its pages, the
+    **Carried columns.**  A file also keeps, beside its pages, the
     columns of its rows as one batch when the writer had them (:attr:`carried`):
     a placed relation's split, a Grace bucket's slice of the routed relation.
     They describe every row of the file, in file order, or are dropped: by
@@ -110,14 +102,10 @@ class HeapFile:
         disk: SimulatedDisk,
         extent: Extent,
         spec: PageSpec,
-        *,
-        columnar: bool = False,
     ) -> None:
         self.disk = disk
         self.extent = extent
         self.spec = spec
-        self.columnar = columnar
-        self.dictionary: Optional[KeyDictionary] = KeyDictionary() if columnar else None
         # The page under construction: lazy segments (see append_block), then
         # the open tuple list.  ``_room`` is how many tuples that list may
         # hold before the page is full -- the capacity less the segments' rows.
@@ -144,12 +132,11 @@ class HeapFile:
         *,
         device: int = 0,
         capacity_tuples: int = 0,
-        columnar: bool = False,
     ) -> "HeapFile":
         """Allocate a fresh heap file sized for *capacity_tuples*."""
         capacity_pages = max(1, spec.pages_for_tuples(capacity_tuples))
         extent = disk.allocate(name, device=device, capacity=capacity_pages)
-        return cls(disk, extent, spec, columnar=columnar)
+        return cls(disk, extent, spec)
 
     @classmethod
     def bulk_load(
@@ -160,7 +147,6 @@ class HeapFile:
         tuples: Iterable[VTTuple],
         *,
         device: int = 0,
-        columnar: bool = False,
         columns: Optional[PageBatch] = None,
     ) -> "HeapFile":
         """Create a file already containing *tuples*, without charging I/O.
@@ -177,15 +163,10 @@ class HeapFile:
             spec,
             device=device,
             capacity_tuples=max(1, len(tuple_list)),
-            columnar=columnar,
         )
-        pages = PageRun(tuple_list, spec.capacity)
-        if columnar:
-            pages = [ColumnarPage.from_tuples(page, heap.dictionary) for page in pages]
-        disk.load(heap.extent, pages)
+        disk.load(heap.extent, PageRun(tuple_list, spec.capacity))
         heap._n_tuples = len(tuple_list)
-        if columns is not None and not columnar:
-            heap.carried = columns
+        heap.carried = columns
         heap._endpoint_sorted = spans_sorted(*_endpoints(tuple_list, columns), None)
         if tuple_list:
             heap._last_span = (tuple_list[-1].vs, tuple_list[-1].ve)
@@ -208,8 +189,7 @@ class HeapFile:
         """True while every tuple arrived in ``(start, end)`` order.
 
         An empty file is trivially sorted.  The flag is maintained
-        incrementally by :meth:`bulk_load`, the ``append*`` methods and
-        :meth:`append_coded_run` (the columnar bulk path), and is
+        incrementally by :meth:`bulk_load` and the ``append*`` methods, and is
         conservative: rewinds and abandoned buffers clear it rather than
         re-scanning.
         """
@@ -223,11 +203,10 @@ class HeapFile:
     def carry(self, columns: PageBatch) -> None:
         """Carry *columns*, the batch of every row written to the file so
         far, in file order: how a writer that wrote them all from one batch
-        names it once, not per write.  A columnar file carries nothing."""
+        names it once, not per write."""
         if len(columns) != self._n_tuples:
             raise ValueError(f"{len(columns)} carried rows, {self._n_tuples} in the file")
-        if not self.columnar:
-            self.carried = columns
+        self.carried = columns
 
     def _note_span(self, start: int, end: int) -> None:
         span = (start, end)
@@ -368,60 +347,18 @@ class HeapFile:
         return PageRun(page, self.spec.capacity) if isinstance(page, RowRefs) else [page]
 
     def _write(self, runs: List[Sequence[object]], *, billed: bool = False) -> None:
-        """Append the *runs* of pages taken off the write buffer: each one run,
-        or page by page into a columnar file -- uncharged where *billed*."""
+        """Append the *runs* of pages taken off the write buffer, each as one
+        run -- uncharged where *billed*."""
         for pages in runs:
-            if self.columnar:
-                pages = [ColumnarPage.from_tuples(page, self.dictionary) for page in pages]
             if billed:
                 self.disk.install(self.extent, pages)
-            elif not self.columnar:
-                self.disk.append_run(self.extent, pages)
             else:
-                for page in pages:
-                    self.disk.append(self.extent, page)
+                self.disk.append_run(self.extent, pages)
 
     def _reset_buffer(self) -> None:
         self._write_segments = []
         self._write_page = []
         self._room = self.spec.capacity
-
-    def append_coded_run(
-        self,
-        starts: Sequence[int],
-        ends: Sequence[int],
-        codes: Sequence[int],
-        payloads: Sequence[Tuple],
-    ) -> None:
-        """Append pre-coded columnar rows, packing pages directly.
-
-        The zero-copy partitioner routes the source pages' columns here
-        without ever materializing tuple objects; the caller guarantees
-        *codes* are valid in this file's dictionary (the partitioner shares
-        the source relation's dictionary with its partitions, so source
-        codes pass through untranslated).  Writes exactly the page sequence
-        ``append_many`` + ``flush`` would: one full page per
-        ``spec.capacity`` rows and a final partial page, each charged as
-        one append.
-        """
-        if not self.columnar or self.dictionary is None:
-            raise ValueError("append_coded_run requires a columnar heap file")
-        self.flush()
-        capacity = self.spec.capacity
-        n = len(starts)
-        for k in range(n):
-            self._note_span(int(starts[k]), int(ends[k]))
-        for i in range(0, n, capacity):
-            j = min(i + capacity, n)
-            packed = array("q")
-            packed.extend(starts[i:j])
-            packed.extend(ends[i:j])
-            packed.extend(codes[i:j])
-            page = ColumnarPage(
-                packed.tobytes(), j - i, self.dictionary, tuple(payloads[i:j])
-            )
-            self.disk.append(self.extent, page)
-        self._n_tuples += n
 
     def abandon(self) -> None:
         """Drop the unflushed write buffer without charging any I/O.
@@ -459,13 +396,8 @@ class HeapFile:
     # -- reading --------------------------------------------------------------------
 
     def read_page(self, index: int):
-        """Read page *index*, charging one I/O.
-
-        List pages are handed out as defensive copies; columnar pages are
-        immutable and handed out as-is (that unshared copy is exactly the
-        per-read cost the columnar layout removes).
-        """
-        return page_view(self.disk.read(self.extent, index))
+        """Read page *index*, charging one I/O: a copy the caller owns."""
+        return list(self.disk.read(self.extent, index))
 
     def scan_pages(self) -> Iterator[List[VTTuple]]:
         """Scan the file page by page, charging one I/O each.
@@ -475,7 +407,7 @@ class HeapFile:
         for a linear relation scan.
         """
         for index in range(self.extent.n_pages):
-            yield page_view(self.disk.read(self.extent, index))
+            yield list(self.disk.read(self.extent, index))
 
     def pages_per_run(self, rows: int) -> int:
         """Pages one :meth:`scan_runs` run of about *rows* rows reads."""
@@ -493,7 +425,7 @@ class HeapFile:
         n_pages = self.extent.n_pages
         for index in range(0, n_pages, per_run):
             run = self.disk.read_run(self.extent, index, min(per_run, n_pages - index))
-            yield [page_view(page) for page in run]
+            yield [list(page) for page in run]
 
     def scan(self) -> Iterator[VTTuple]:
         """Scan the file tuple by tuple (page I/O charged underneath)."""

@@ -65,12 +65,6 @@ class IOStatistics:
     into the four main buckets exactly like a first attempt (so retries
     appear in ``total_ops`` and :meth:`cost`); the retry counters exist so
     fault overhead stays separately visible.
-
-    ``prefetch_reads``/``writeback_writes`` are the analogous tags for the
-    pipelined sweep (see :mod:`repro.storage.prefetch`): reads issued ahead
-    of demand and writes deferred to a barrier are charged into the four
-    main buckets like any other access, then tagged here so the pipeline's
-    share of the bill stays auditable and can never be double-counted.
     """
 
     random_reads: int = 0
@@ -79,12 +73,10 @@ class IOStatistics:
     sequential_writes: int = 0
     retry_reads: int = 0
     retry_writes: int = 0
-    prefetch_reads: int = 0
-    writeback_writes: int = 0
 
     #: The label-tag fields: counters that annotate already-charged
     #: operations without ever adding to ``total_ops`` or :meth:`cost`.
-    TAG_FIELDS = ("retry_reads", "retry_writes", "prefetch_reads", "writeback_writes")
+    TAG_FIELDS = ("retry_reads", "retry_writes")
 
     # -- recording ----------------------------------------------------------
 
@@ -112,26 +104,12 @@ class IOStatistics:
         else:
             self.retry_reads += count
 
-    def record_pipeline(self, *, write: bool, count: int = 1) -> None:
-        """Tag *count* already-recorded operations as pipeline traffic.
-
-        Reads tagged this way were issued by the prefetcher ahead of demand;
-        writes were deferred by the write-behind buffer.  Like
-        :meth:`record_retry`, this never touches the four main buckets.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if write:
-            self.writeback_writes += count
-        else:
-            self.prefetch_reads += count
-
     def record_tag(self, tag: str, count: int = 1) -> None:
         """Tag *count* already-recorded operations under a named tag field.
 
         The generic entry point the metrics bridge uses: ``tag`` must be one
-        of :attr:`TAG_FIELDS` (``retry_reads``, ``retry_writes``,
-        ``prefetch_reads``, ``writeback_writes``).  An unknown tag raises
+        of :attr:`TAG_FIELDS` (``retry_reads``, ``retry_writes``).  An
+        unknown tag raises
         instead of silently minting a counter nothing will ever read.
         """
         if tag not in self.TAG_FIELDS:
@@ -150,8 +128,6 @@ class IOStatistics:
         self.sequential_writes += other.sequential_writes
         self.retry_reads += other.retry_reads
         self.retry_writes += other.retry_writes
-        self.prefetch_reads += other.prefetch_reads
-        self.writeback_writes += other.writeback_writes
 
     def merge(self, other: "IOStatistics") -> "IOStatistics":
         """Accumulate *other* into this object and return ``self``.
@@ -197,11 +173,6 @@ class IOStatistics:
         """Access attempts that were fault-forced retries."""
         return self.retry_reads + self.retry_writes
 
-    @property
-    def pipeline_ops(self) -> int:
-        """Operations that went through the prefetch/write-behind pipeline."""
-        return self.prefetch_reads + self.writeback_writes
-
     def cost(self, model: CostModel) -> float:
         """Weighted evaluation cost under *model* (the paper's y-axis)."""
         return self.random_ops * model.io_ran + self.sequential_ops * model.io_seq
@@ -215,8 +186,6 @@ class IOStatistics:
             "sequential_writes": self.sequential_writes,
             "retry_reads": self.retry_reads,
             "retry_writes": self.retry_writes,
-            "prefetch_reads": self.prefetch_reads,
-            "writeback_writes": self.writeback_writes,
         }
 
     def copy(self) -> "IOStatistics":
@@ -227,8 +196,6 @@ class IOStatistics:
             self.sequential_writes,
             self.retry_reads,
             self.retry_writes,
-            self.prefetch_reads,
-            self.writeback_writes,
         )
 
     def diff(self, earlier: "IOStatistics") -> "IOStatistics":
@@ -240,8 +207,6 @@ class IOStatistics:
             self.sequential_writes - earlier.sequential_writes,
             self.retry_reads - earlier.retry_reads,
             self.retry_writes - earlier.retry_writes,
-            self.prefetch_reads - earlier.prefetch_reads,
-            self.writeback_writes - earlier.writeback_writes,
         )
 
     def __repr__(self) -> str:
@@ -251,11 +216,6 @@ class IOStatistics:
         )
         if self.retry_ops:
             base += f", retry_r={self.retry_reads}, retry_w={self.retry_writes}"
-        if self.pipeline_ops:
-            base += (
-                f", prefetch_r={self.prefetch_reads}, "
-                f"writeback_w={self.writeback_writes}"
-            )
         return base + ")"
 
 

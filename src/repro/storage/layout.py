@@ -69,10 +69,6 @@ class DiskLayout:
             perturb nothing the paper measures.
         retry_policy: retry bounds of the main disk (None = defaults).
         checksums: store checksummed page frames on the main disk.
-        columnar: store heap pages in the packed zero-copy column layout
-            (see :mod:`repro.storage.columnar_page`).  Result files stay
-            row-oriented -- results are emitted tuple-at-a-time and their
-            cost stream is excluded from reports anyway.
     """
 
     spec: PageSpec = field(default_factory=PageSpec)
@@ -81,7 +77,6 @@ class DiskLayout:
     fault_injector: Optional[FaultInjector] = None
     retry_policy: Optional[RetryPolicy] = None
     checksums: bool = False
-    columnar: bool = False
 
     def __post_init__(self) -> None:
         self.disk = SimulatedDisk(
@@ -100,16 +95,15 @@ class DiskLayout:
     # -- relation placement -----------------------------------------------------
 
     def place_relation(self, relation: ValidTimeRelation) -> HeapFile:
-        """Store *relation* on the BASE device without charging I/O; a
-        tuple-list file carries the relation's (memoised) columns."""
-        columns = relation.columns(split=not self.columnar)
+        """Store *relation* on the BASE device without charging I/O; the
+        file carries the relation's (memoised) columns."""
+        columns = relation.columns()
         return HeapFile.bulk_load(
             self.disk,
             relation.schema.name,
             self.spec,
-            list(relation) if columns is None else columns.tuples,
+            columns.tuples,
             device=Device.BASE,
-            columnar=self.columnar,
             columns=columns,
         )
 
@@ -121,7 +115,6 @@ class DiskLayout:
             self.spec,
             device=Device.TEMP,
             capacity_tuples=capacity_tuples,
-            columnar=self.columnar,
         )
 
     def file_on(self, device: int, name: str, capacity_tuples: int = 0) -> HeapFile:
@@ -132,7 +125,6 @@ class DiskLayout:
             self.spec,
             device=device,
             capacity_tuples=capacity_tuples,
-            columnar=self.columnar,
         )
 
     def cache_file(self, name: str, capacity_tuples: int = 0) -> HeapFile:
@@ -143,7 +135,6 @@ class DiskLayout:
             self.spec,
             device=Device.CACHE,
             capacity_tuples=capacity_tuples,
-            columnar=self.columnar,
         )
 
     def result_file(self, name: str, result_spec: Optional[PageSpec] = None) -> HeapFile:

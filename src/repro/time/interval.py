@@ -137,8 +137,8 @@ def trusted_interval(start: int, end: int) -> Interval:
     """Build an :class:`Interval` without re-validating.
 
     Only for endpoints that already passed the validating constructor --
-    values coming back out of a packed column buffer, or the ``max``/``min``
-    of two validated intervals' endpoints.
+    values coming back out of a column of stored endpoints, or the
+    ``max``/``min`` of two validated intervals' endpoints.
     """
     valid = Interval.__new__(Interval)
     object.__setattr__(valid, "start", start)

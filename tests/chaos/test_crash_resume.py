@@ -3,9 +3,7 @@
 The central resilience claim: a partition join interrupted at *any* charged
 disk operation and restarted with :func:`repro.core.partition_join.
 resume_join` produces exactly the tuples (and exactly the outcome counters)
-of an uninterrupted run, in every execution mode -- including the pipelined
-``"batch-parallel-sweep"``, whose prefetched pages and deferred writes are
-volatile state that must vanish cleanly at the crash.
+of an uninterrupted run, in every execution mode.
 """
 
 import pytest
@@ -97,11 +95,7 @@ class TestCrashResume:
         r, s = long_lived_pair()
         config = long_lived_config(execution)
 
-        layout_options = dict(
-            spec=config.page_spec,
-            checksums=False,
-            columnar=execution == "zero-copy-sweep",
-        )
+        layout_options = dict(spec=config.page_spec, checksums=False)
 
         probe_layout = crashing_layout(**layout_options)
         expected = partition_join(
@@ -227,44 +221,6 @@ class TestCrashResume:
                 layout=DiskLayout(spec=SPEC),
                 recovery=RecoveryLog(),
             )
-
-
-class TestPipelinedSweepCrash:
-    """Mid-partition crashes of the pipelined sweep specifically.
-
-    A crash between two checkpoint barriers catches the pipeline with pages
-    read ahead but not consumed and cache tuples deferred but not written.
-    Both are volatile: the resumed run must replay to bit-identical results,
-    and the pipeline tags must stay consistent with the main buckets across
-    the crash/resume boundary (a tag can only mark an op that was charged).
-    """
-
-    @pytest.mark.parametrize("fraction", [0.35, 0.55, 0.8])
-    def test_crash_mid_partition_resumes_bit_identical(self, fraction):
-        execution = "batch-parallel-sweep"
-        expected = oracle(execution)
-
-        probe_layout = crashing_layout()
-        probe = partition_join(
-            R, S, chaos_config(execution), layout=probe_layout, recovery=RecoveryLog()
-        )
-        assert_same_outcome(probe, expected)
-        total_ops = probe_layout.disk.fault_injector.ops_seen
-
-        k = max(1, int(total_ops * fraction))
-        layout = crashing_layout(at_op=k)
-        recovery = RecoveryLog()
-        config = chaos_config(execution)
-        try:
-            run = partition_join(R, S, config, layout=layout, recovery=recovery)
-        except SimulatedCrashError:
-            run = resume_join(R, S, config, layout=layout, recovery=recovery)
-            assert layout.resilience_report.resumes == 1
-        assert_same_outcome(run, expected)
-
-        stats = layout.tracker.stats
-        assert stats.prefetch_reads <= stats.reads
-        assert stats.writeback_writes <= stats.writes
 
 
 class TestSwappedSinglePartitionResume:

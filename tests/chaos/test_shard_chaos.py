@@ -281,7 +281,7 @@ class TestSeededKillMatrix:
                         f"seed {CHAOS_SEED}, shards {shards}"
                     )
 
-    @pytest.mark.parametrize("execution", ("tuple", "zero-copy-sweep"))
+    @pytest.mark.parametrize("execution", ("tuple", "batch"))
     def test_kill_under_each_execution_mode(self, execution: str):
         with ShardedQueryService(
             shard_catalog(CHAOS_SEED + 7),

@@ -207,15 +207,15 @@ def test_a_resident_cache_area_fills_before_the_billed_spill(direction, monkeypa
     """Migrants go resident before any spill write, and a pass over the
     old cache starts with its resident rows, which are read from no page."""
     resident_passes = []
-    stored_bounds = joiner._DemandIO.stored_bounds
+    stored_bounds = joiner._stored_bounds
 
-    def noting_resident(io, resident, heap, carried):
-        bounds = stored_bounds(io, resident, heap, carried)
+    def noting_resident(resident, heap, carried):
+        bounds = stored_bounds(resident, heap, carried)
         if bounds is not None:
             resident_passes.append(len(resident))
         return bounds
 
-    monkeypatch.setattr(joiner._DemandIO, "stored_bounds", noting_resident)
+    monkeypatch.setattr(joiner, "_stored_bounds", noting_resident)
     _, walked = assert_batch_bills_what_tuple_walks(direction, cache_memory_tuples=3 * 8)
     assert walked == 0
     assert any(resident_passes)

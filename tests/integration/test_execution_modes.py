@@ -13,6 +13,7 @@ predicate-join variants.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import subprocess
 import sys
@@ -289,40 +290,21 @@ class TestBlockEmission:
         )
 
 
-def observe_counts(run_observed, tracker):
-    """*run_observed* with the ledgers reduced to the pipelined contract:
-    read/write op counts (write-behind may legally reorder accesses)."""
-    stats = tracker.stats
-    return dict(
-        run_observed,
-        stats=(stats.reads, stats.writes),
-        phases={
-            name: (phase.reads, phase.writes) for name, phase in tracker.phases.items()
-        },
-    )
-
-
 class TestLongLivedOverflowAllNames:
     """The paper's long-lived regime on 8-tuple pages: a probe run spans
     dozens of pages, the tuple cache spills thousands of rows and every
     partition overflows, so the batch engine's carried columns (the retained
     outer block, the cache, the re-scanned inner partition) and its run
-    charges all do work.  Every name must agree with the tuple oracle on
+    charges all do work.  ``batch`` must agree with the tuple oracle on
     rows in emission order, ``JoinOutcome`` counters and the per-phase
-    ledger -- the pipelined names on op counts, at no higher cost."""
+    ledger."""
 
     @staticmethod
-    def assert_agree(observed, trackers, cost_model):
+    def assert_agree(observed):
         oracle = observed["tuple"]
         assert oracle["overflow_blocks"] >= 1
         assert oracle["cache_tuples_spilled"] > joiner.RUN_ROWS
         assert observed["batch"] == oracle
-        oracle_counts = observe_counts(oracle, trackers["tuple"])
-        oracle_cost = trackers["tuple"].stats.cost(cost_model)
-        for mode in ("batch-parallel-sweep", "zero-copy-sweep"):
-            assert observe_counts(observed[mode], trackers[mode]) == oracle_counts, mode
-            assert trackers[mode].stats.cost(cost_model) <= oracle_cost
-            assert trackers[mode].stats.prefetch_reads > 0
 
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     def test_natural_join(self, backend, direction):
@@ -337,11 +319,7 @@ class TestLongLivedOverflowAllNames:
             )
             for mode in EXECUTION_MODES
         }
-        self.assert_agree(
-            {mode: observe(run) for mode, run in runs.items()},
-            {mode: run.layout.tracker for mode, run in runs.items()},
-            long_lived_config().cost_model,
-        )
+        self.assert_agree({mode: observe(run) for mode, run in runs.items()})
 
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     def test_swapped_inputs_and_a_rejecting_pair_function(self, backend, direction):
@@ -349,12 +327,10 @@ class TestLongLivedOverflowAllNames:
         pair function sees ``(inner row, outer row)`` per row of each block."""
         r, s = long_lived_pair()
         placement = "last" if direction == "backward" else "first"
-        observed, trackers = {}, {}
+        observed = {}
         for mode in EXECUTION_MODES:
             config = long_lived_config(mode)
-            layout = DiskLayout(
-                spec=config.page_spec, columnar=mode == "zero-copy-sweep"
-            )
+            layout = DiskLayout(spec=config.page_spec)
             r_file, s_file = layout.place_relation(r), layout.place_relation(s)
             with layout.tracker.phase("sample"):
                 plan = determine_part_intervals(
@@ -392,7 +368,6 @@ class TestLongLivedOverflowAllNames:
                     swapped_inputs=True,
                 )
             tracker = layout.tracker
-            trackers[mode] = tracker
             observed[mode] = {
                 "result": tuple(outcome.result.tuples),
                 "n_result_tuples": outcome.n_result_tuples,
@@ -407,177 +382,7 @@ class TestLongLivedOverflowAllNames:
             }
         result = observed["tuple"]["result"]
         assert 0 < len(result) and all(tup.valid.duration % 2 for tup in result)
-        self.assert_agree(observed, trackers, config.cost_model)
-
-
-class TestPipelinedSweepEquivalence:
-    """``"batch-parallel-sweep"``: results and counters bit-identical, I/O
-    *op counts* bit-identical, weighted cost never above the oracle.
-
-    The pipeline's contract is deliberately one notch weaker than the batch
-    modes' on the random/sequential split: write-behind reorders the CACHE
-    device's accesses (same ops, fewer-or-equal randoms), so the full
-    per-kind breakdown is only bit-equal when the serial sweep has no
-    interleaved cache traffic -- which one scenario below pins down.
-    """
-
-    @staticmethod
-    def observe_counts(run):
-        return observe_counts(observe(run), run.layout.tracker)
-
-    @pytest.mark.parametrize("direction", ["backward", "forward"])
-    def test_sweep_equivalence_with_overflow(
-        self, schema_r, schema_s, backend, direction
-    ):
-        r = random_relation(schema_r, 700, seed=11, n_keys=18)
-        s = random_relation(schema_s, 800, seed=12, n_keys=18)
-
-        def make_config(mode):
-            return PartitionJoinConfig(
-                memory_pages=12, sweep_direction=direction, execution=mode
-            )
-
-        oracle = partition_join(r, s, make_config("tuple"))
-        run = partition_join(r, s, make_config("batch-parallel-sweep"))
-        assert oracle.outcome.overflow_blocks > 0
-        assert self.observe_counts(run) == self.observe_counts(oracle)
-        cost_model = make_config("tuple").cost_model
-        assert run.layout.tracker.stats.cost(cost_model) <= oracle.layout.tracker.stats.cost(cost_model)
-        assert oracle.result.multiset_equal(reference_join(r, s))
-
-    def test_sweep_full_bit_equality_without_cache_spill(
-        self, schema_r, schema_s, backend
-    ):
-        """With the tuple cache fully resident the CACHE device is silent,
-        prefetch is a strict prefix of the serial read order, and the whole
-        statistics breakdown -- random/sequential included -- is bit-equal."""
-        r = random_relation(schema_r, 500, seed=21, long_lived_fraction=0.3)
-        s = random_relation(schema_s, 500, seed=22, long_lived_fraction=0.3)
-
-        def make_config(mode):
-            return PartitionJoinConfig(
-                memory_pages=20, cache_buffer_pages=6, execution=mode
-            )
-
-        oracle = partition_join(r, s, make_config("tuple"))
-        run = partition_join(r, s, make_config("batch-parallel-sweep"))
-        assert oracle.outcome.cache_tuples_spilled == 0
-        assert observe(run) == observe(oracle)
-        stats = run.layout.tracker.stats
-        assert stats.prefetch_reads > 0  # the pipeline actually ran
-
-    def test_sweep_zero_depth_disables_readahead(self, schema_r, schema_s, backend):
-        r = random_relation(schema_r, 400, seed=31)
-        s = random_relation(schema_s, 400, seed=32)
-        oracle = partition_join(
-            r, s, PartitionJoinConfig(memory_pages=10, execution="tuple")
-        )
-        run = partition_join(
-            r,
-            s,
-            PartitionJoinConfig(
-                memory_pages=10, execution="batch-parallel-sweep", prefetch_depth=0
-            ),
-        )
-        assert self.observe_counts(run) == self.observe_counts(oracle)
-        assert run.layout.tracker.stats.prefetch_reads == 0
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_sweep_worker_count_is_unobservable(
-        self, schema_r, schema_s, backend, workers
-    ):
-        """``sweep_workers`` survives only for the frozen benchmark suite and
-        must be read by nothing."""
-        r = random_relation(schema_r, 500, seed=41, n_keys=24)
-        s = random_relation(schema_s, 500, seed=42, n_keys=24)
-        runs = [
-            partition_join(
-                r,
-                s,
-                PartitionJoinConfig(
-                    memory_pages=12,
-                    execution="batch-parallel-sweep",
-                    sweep_workers=w,
-                ),
-            )
-            for w in (workers, None)
-        ]
-        assert observe(runs[0]) == observe(runs[1])
-
-    def test_sweep_predicate_variant(self, schema_r, schema_s, backend):
-        r = random_relation(schema_r, 400, seed=51, long_lived_fraction=0.5)
-        s = random_relation(schema_s, 400, seed=52, long_lived_fraction=0.5)
-        accepted = [
-            rel for rel in AllenRelation if getattr(rel, "intersects", False)
-        ]
-        runs = {}
-        for mode in ("tuple", "batch-parallel-sweep"):
-            config = PartitionJoinConfig(memory_pages=12, execution=mode)
-            run = partitioned_predicate_join(r, s, config, accepted)
-            runs[mode] = self.observe_counts(run)
-        assert runs["batch-parallel-sweep"] == runs["tuple"]
-
-
-class TestZeroCopySweepEquivalence:
-    """``"zero-copy-sweep"``: the columnar page layout is pure mechanism.
-    The mode's every observable -- including
-    the full random/sequential breakdown per phase -- must equal
-    ``"batch-parallel-sweep"`` exactly, and its relationship to the tuple
-    oracle is exactly the pipelined contract (same op counts, never
-    costlier)."""
-
-    @pytest.mark.parametrize("direction", ["backward", "forward"])
-    def test_full_stats_equal_pipelined_sweep(
-        self, schema_r, schema_s, backend, direction
-    ):
-        r = random_relation(schema_r, 700, seed=11, n_keys=18)
-        s = random_relation(schema_s, 800, seed=12, n_keys=18)
-
-        def make_config(mode):
-            return PartitionJoinConfig(
-                memory_pages=12, sweep_direction=direction, execution=mode
-            )
-
-        pipelined = partition_join(r, s, make_config("batch-parallel-sweep"))
-        zero_copy = partition_join(r, s, make_config("zero-copy-sweep"))
-        assert pipelined.outcome.overflow_blocks > 0  # the thrashing path
-        assert observe(zero_copy) == observe(pipelined)
-
-    def test_op_counts_equal_tuple_oracle(self, schema_r, schema_s, backend):
-        r = random_relation(schema_r, 500, seed=21, long_lived_fraction=0.6)
-        s = random_relation(schema_s, 500, seed=22, long_lived_fraction=0.6)
-
-        def make_config(mode):
-            return PartitionJoinConfig(
-                memory_pages=16, cache_buffer_pages=2, execution=mode
-            )
-
-        oracle = partition_join(r, s, make_config("tuple"))
-        run = partition_join(r, s, make_config("zero-copy-sweep"))
-        observe_counts = TestPipelinedSweepEquivalence.observe_counts
-        assert observe_counts(run) == observe_counts(oracle)
-        cost_model = make_config("tuple").cost_model
-        assert (
-            run.layout.tracker.stats.cost(cost_model)
-            <= oracle.layout.tracker.stats.cost(cost_model)
-        )
-        assert oracle.result.multiset_equal(reference_join(r, s))
-
-    def test_columnar_layout_is_on_disk(self, schema_r, schema_s, backend):
-        """The mode actually runs over packed pages, not tuple lists."""
-        from repro.storage.columnar_page import ColumnarPage
-
-        r = random_relation(schema_r, 200, seed=31)
-        s = random_relation(schema_s, 200, seed=32)
-        run = partition_join(
-            r, s, PartitionJoinConfig(memory_pages=10, execution="zero-copy-sweep")
-        )
-        assert run.layout.columnar
-        # Any file written through this layout packs columnar pages.
-        heap = run.layout.temp_file("probe", capacity_tuples=8)
-        heap.append_many(list(r.tuples)[:8])
-        heap.flush()
-        assert isinstance(next(iter(heap.scan_pages())), ColumnarPage)
+        self.assert_agree(observed)
 
 
 class TestOneProcessPerJoin:
@@ -653,6 +458,21 @@ class TestConfigValidation:
     def test_bad_prefetch_depth_rejected(self, depth):
         with pytest.raises(ValueError):
             PartitionJoinConfig(memory_pages=8, prefetch_depth=depth)
+
+    @pytest.mark.parametrize(
+        "knobs", [dict(sweep_workers=1), dict(sweep_workers=3), dict(prefetch_depth=0)]
+    )
+    def test_inert_knobs_are_unobservable(self, schema_r, schema_s, knobs):
+        """``sweep_workers`` and ``prefetch_depth`` survive only for the
+        frozen benchmark suite and must be read by nothing."""
+        r = random_relation(schema_r, 500, seed=41, n_keys=24)
+        s = random_relation(schema_s, 500, seed=42, n_keys=24)
+        config = PartitionJoinConfig(memory_pages=12, execution="batch")
+        runs = [
+            partition_join(r, s, dataclasses.replace(config, **changed))
+            for changed in (knobs, {})
+        ]
+        assert observe(runs[0]) == observe(runs[1])
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_sweep_workers_rejected(self, workers):

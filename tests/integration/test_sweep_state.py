@@ -5,7 +5,7 @@ of through ``run``: every partition is stepped from a state *thawed* out of
 the last committed checkpoint, in a *newly built* sweep object -- so nothing
 can cross a partition boundary except what :class:`SweepState` holds and
 ``freeze`` stores.  Whatever the sweep carried on the side (a loop variable,
-a warm engine, a pipeline's page cache) would show up here as a difference
+a warm engine, a page buffer) would show up here as a difference
 from the uninterrupted run: in the rows and their order, the
 ``JoinOutcome`` counters, the per-phase ledger or the per-device counters.
 """
@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.core.joiner import PartitionSweep, SweepState, _BatchEngine, natural_pair
+from repro.exec.batch import RowRefs
 from repro.core.partition_join import (
     EXECUTION_MODES,
     PartitionJoinConfig,
@@ -28,7 +29,6 @@ from repro.model.schema import RelationSchema
 from repro.resilience import BufferReduction, RecoveryLog
 from repro.resilience.checkpoint import SweepCheckpointer, SweepContext
 from repro.storage.buffer import JoinBufferAllocation
-from repro.storage.columnar_page import ColumnarPage
 from repro.storage.layout import DiskLayout
 
 from tests.chaos.conftest import (
@@ -44,9 +44,7 @@ DIRECTIONS = ("backward", "forward")
 
 
 def fresh_layout(config):
-    return DiskLayout(
-        spec=config.page_spec, columnar=config.execution == "zero-copy-sweep"
-    )
+    return DiskLayout(spec=config.page_spec)
 
 
 def observe(outcome, layout):
@@ -89,7 +87,7 @@ def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
     resident_pages = (
         config.memory_pages - JoinBufferAllocation.FIXED_PAGES - buff_size
     )
-    if config.execution in ("batch", "batch-parallel-sweep") and len(r_parts) > 1:
+    if config.execution == "batch" and len(r_parts) > 1:
         # Grace partitioning handed every bucket's columns on to its file.
         assert all(
             part.carried is not None and len(part.carried) == part.n_tuples
@@ -110,7 +108,6 @@ def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
         cache_memory_tuples=resident_pages * layout.spec.capacity,
         execution=config.execution,
         result_file=layout.result_file("join_result"),
-        prefetch_depth=config.prefetch_depth,
         swapped=swapped,
     )
     # One checkpointer throughout, as in one run: it owns the CHECKPOINT
@@ -139,8 +136,7 @@ def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
             sweep.step(state)
             if state.position == sweep.n:
                 break
-            # The barrier belongs to the sweep that steps next: what it reads
-            # ahead is that sweep's to consume.
+            # The barrier belongs to the sweep that steps next.
             sweep = new_sweep()
             sweep.barrier(state)
             assert recovery.checkpoint == state.freeze(recovery.checkpoint.epoch)
@@ -177,7 +173,7 @@ class TestEveryBoundary:
         assert any(checkpoint.cache_spill_tuples for checkpoint in thawed)
 
     @pytest.mark.parametrize("direction", DIRECTIONS)
-    @pytest.mark.parametrize("mode", ["batch", "batch-parallel-sweep"])
+    @pytest.mark.parametrize("mode", ["batch"])
     def test_thawed_with_nothing_carried_equals_the_uninterrupted_run(
         self, mode, direction
     ):
@@ -254,20 +250,22 @@ def keyed_relation(name, n_tuples, seed):
     return ValidTimeRelation.from_rows(schema, rows)
 
 
-class TestColumnarThaw:
-    def test_a_thawed_columnar_sweep_interns_a_one_page_outer_partition(
-        self, monkeypatch
+class TestThaw:
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_a_thawed_sweep_interns_a_one_page_outer_partition(
+        self, carried, monkeypatch
     ):
-        """A columnar sweep thawed at a boundary holds its retained outer rows
-        as a list, so the next outer partition is not kept packed.  When that
-        partition is a single page, its keys must still be interned for the
-        outer index: an id the index does not hold matches nothing."""
+        """A sweep thawed at a boundary holds its retained outer rows as a
+        list.  When the next outer partition is a single page -- the billed
+        scan's references, or a page read -- its keys must still be
+        interned for the outer index: an id the index does not hold matches
+        nothing."""
         r, s = keyed_relation("r", 40, 3), keyed_relation("s", 40, 1003)
         config = PartitionJoinConfig(
             memory_pages=5,
             page_spec=SPEC,
             checkpoint_interval=1,
-            execution="zero-copy-sweep",
+            execution="batch",
         )
         shapes = []
         assemble = _BatchEngine.assemble_outer
@@ -277,10 +275,10 @@ class TestColumnarThaw:
             return assemble(engine, retained, pages, index, carried)
 
         monkeypatch.setattr(_BatchEngine, "assemble_outer", recording)
-        stepped, _, thawed = stepped_by_hand(r, s, config)
+        stepped, _, thawed = stepped_by_hand(r, s, config, carried=carried)
         monkeypatch.undo()
-        # Retained rows thawed as a list met a one-page packed partition.
-        assert (list, True, 1, ColumnarPage) in shapes
+        # Retained rows thawed as a list met a one-page partition.
+        assert (list, True, 1, RowRefs if carried else list) in shapes
         oracle, _ = uninterrupted(r, s, dataclasses.replace(config, execution="tuple"))
         assert stepped["rows"] == oracle["rows"]
         assert stepped == uninterrupted(r, s, config)[0]

@@ -167,19 +167,6 @@ class TestRunsArePages:
         single.append_run(whole, list(range(8)))
         assert single.stats.cost(model) == model.cost_of_run(8)
 
-    def test_a_tagged_run_tags_every_page(self):
-        disk = SimulatedDisk(IOStatistics())
-        extent = disk.allocate("a", capacity=8)
-        with disk.pipeline_tag(writes=True):
-            disk.append_run(extent, list(range(6)))
-        with disk.pipeline_tag(reads=True):
-            disk.read_run(extent, 2, 4)
-        disk.read_run(extent, 0, 2)
-        stats = disk.stats
-        assert (stats.writeback_writes, stats.prefetch_reads) == (6, 4)
-        assert (stats.writes, stats.reads, stats.total_ops) == (6, 6, 12)
-        assert disk.device_stats[0] == stats
-
     @given(run_operations(), st.integers(0, 2**16), st.booleans())
     @prop_settings
     def test_faulty_runs_are_served_page_by_page(self, operations, seed, checksums):

@@ -1,16 +1,14 @@
-"""Property tests: ``"batch-parallel-sweep"`` is the tuple sweep, faster.
+"""Property tests: the ``"batch"`` sweep is the tuple sweep, faster.
 
-The pipelined mode's whole contract is *unobservability*: on arbitrary
+The batch engine's whole contract is *unobservability*: on arbitrary
 inputs -- including the overflow machinery under tight memory and the
 permanent-fault degradation ladder -- its result tuples (payloads **and**
 overlap intervals, in emission order) and its :class:`JoinOutcome`
 counters are bit-identical to plain tuple-at-a-time execution.
 
 Degradation is exercised with *page-keyed* faults (``fail_read`` on a
-named extent page), never op-count-keyed crashes: the pipelined mode
-reorders the global charge sequence (read-ahead, write-behind), so "the
-k-th operation" names different physical accesses in different modes and
-would diverge by construction.
+named extent page), so the property names the same physical page in both
+modes.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -60,7 +58,7 @@ def config(execution, memory, **overrides):
 
 
 def observe(run):
-    """Everything the pipelined mode promises to reproduce exactly."""
+    """Everything the batch engine promises to reproduce exactly."""
     outcome = run.outcome
     return {
         "tuples": list(run.result.tuples),  # payloads + overlap intervals, in order
@@ -86,7 +84,7 @@ class TestBitIdenticalToTupleExecution:
         run = partition_join(
             r,
             s,
-            config("batch-parallel-sweep", memory, sweep_direction=direction),
+            config("batch", memory, sweep_direction=direction),
         )
         assert observe(run) == observe(oracle)
 
@@ -97,24 +95,10 @@ class TestBitIdenticalToTupleExecution:
     )
     @prop_settings
     def test_overflow_machinery_is_unobservable(self, r, s, memory):
-        """Tight memory drives the Section 3.4 overflow path; the pipelined
+        """Tight memory drives the Section 3.4 overflow path; the batch
         sweep must take it at the same blocks with the same counters."""
         oracle = partition_join(r, s, config("tuple", memory))
-        run = partition_join(r, s, config("batch-parallel-sweep", memory))
-        assert observe(run) == observe(oracle)
-
-    @given(
-        relations(SCHEMA_R, "a"),
-        relations(SCHEMA_S, "b"),
-        st.integers(6, 20),
-        st.integers(0, 3),
-    )
-    @prop_settings
-    def test_prefetch_depth_is_unobservable(self, r, s, memory, depth):
-        oracle = partition_join(r, s, config("tuple", memory))
-        run = partition_join(
-            r, s, config("batch-parallel-sweep", memory, prefetch_depth=depth)
-        )
+        run = partition_join(r, s, config("batch", memory))
         assert observe(run) == observe(oracle)
 
 
@@ -139,7 +123,7 @@ class TestDegradationPath:
         must land in the same place: same tuples, same result count, and
         the same degradation verdict."""
         oracle, oracle_layout = run_with_fault(r, s, "tuple", seed)
-        run, layout = run_with_fault(r, s, "batch-parallel-sweep", seed)
+        run, layout = run_with_fault(r, s, "batch", seed)
 
         assert sorted(run.result.tuples, key=repr) == sorted(
             oracle.result.tuples, key=repr
@@ -175,7 +159,7 @@ class TestDegradationPath:
             ],
         )
         oracle, oracle_layout = run_with_fault(r, s, "tuple", 0)
-        run, layout = run_with_fault(r, s, "batch-parallel-sweep", 0)
+        run, layout = run_with_fault(r, s, "batch", 0)
         for report in (layout.resilience_report, oracle_layout.resilience_report):
             assert report.degraded
             assert [e.kind for e in report.degradations] == ["nested-loop-fallback"]

@@ -32,7 +32,7 @@ def fresh_rows(rng, count, serial):
 
 
 def assert_columns_name_the_rows(relation):
-    columns = relation.columns(split=False)
+    columns = relation._columns
     assert columns is not None  # taken over from the parent, not split again
     rows, want = columns.tuples.tolist(), relation.tuples
     assert len(rows) == len(want) and all(got is row for got, row in zip(rows, want))
@@ -62,6 +62,6 @@ def test_alternating_writes_keep_one_boxed_source(rng):
         versions.append(relation)
         sources.append(weakref.ref(assert_columns_name_the_rows(relation)))
         # Every superseded version handed its columns on ...
-        assert all(version.columns(split=False) is None for version in versions[:-1])
+        assert all(version._columns is None for version in versions[:-1])
         # ... so the live chain keeps one boxed array, not one per ancestor.
         assert len({id(ref()) for ref in sources if ref() is not None}) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.model.errors import BufferOverflowError
-from repro.storage.buffer import BufferPool, JoinBufferAllocation, PageCache
+from repro.storage.buffer import BufferPool, JoinBufferAllocation
 
 
 class TestBufferPool:
@@ -89,83 +89,6 @@ class TestBufferPool:
         b.release()
         assert pool.used_pages == 0
         assert pool.free_pages == 8
-
-
-class TestPageCache:
-    def test_needs_capacity(self):
-        with pytest.raises(BufferOverflowError):
-            PageCache(0)
-
-    def test_put_get_hit_miss_counters(self):
-        cache = PageCache(2)
-        cache.put(("x", 0), "page0")
-        assert cache.get(("x", 0)) == "page0"
-        assert cache.get(("x", 1)) is None
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_lru_eviction_order(self):
-        cache = PageCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh: b is now least recent
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-        assert cache.evictions == 1
-
-    def test_pinned_pages_survive_eviction(self):
-        cache = PageCache(2)
-        cache.put("a", 1, pin=True)
-        cache.put("b", 2)
-        cache.put("c", 3)  # must evict b, not pinned a
-        assert "a" in cache and "c" in cache and "b" not in cache
-
-    def test_fully_pinned_cache_rejects_insert(self):
-        cache = PageCache(2)
-        cache.put("a", 1, pin=True)
-        cache.put("b", 2, pin=True)
-        assert cache.pinned_pages == 2
-        with pytest.raises(BufferOverflowError):
-            cache.put("c", 3)
-
-    def test_take_consumes_regardless_of_pin(self):
-        cache = PageCache(2)
-        cache.put("a", 1, pin=True)
-        assert cache.take("a") == 1
-        assert "a" not in cache
-        assert len(cache) == 0
-        assert cache.take("a") is None  # second take is a miss
-
-    def test_pin_unpin_lifecycle(self):
-        cache = PageCache(2)
-        cache.put("a", 1)
-        cache.pin("a")
-        cache.pin("a")  # pins nest
-        cache.unpin("a")
-        cache.put("b", 2)
-        cache.put("c", 3)  # evicts b: a still holds one pin
-        assert "a" in cache
-        cache.unpin("a")
-        with pytest.raises(BufferOverflowError):
-            cache.unpin("a")  # not pinned any more
-        with pytest.raises(BufferOverflowError):
-            cache.pin("absent")
-
-    def test_put_refresh_keeps_page_and_adds_pin(self):
-        cache = PageCache(2)
-        cache.put("a", 1)
-        cache.put("a", 2, pin=True)  # refresh with new page + pin
-        assert len(cache) == 1
-        assert cache.pinned_pages == 1
-        assert cache.take("a") == 2
-
-    def test_clear_drops_everything(self):
-        cache = PageCache(3)
-        cache.put("a", 1, pin=True)
-        cache.put("b", 2)
-        cache.clear()
-        assert len(cache) == 0
-        assert "a" not in cache
 
 
 class TestJoinBufferAllocation:

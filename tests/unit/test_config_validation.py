@@ -149,7 +149,7 @@ class TestRemovedModeName:
     def names_every_survivor(message):
         from repro.core.partition_join import ALL_EXECUTION_MODES, EXECUTION_MODES
 
-        assert len(ALL_EXECUTION_MODES) == 5
+        assert ALL_EXECUTION_MODES == ("tuple", "batch", "forward-sweep")
         return all(mode in message for mode in EXECUTION_MODES)
 
     def test_config(self):
@@ -199,3 +199,49 @@ class TestRemovedModeName:
         with pytest.raises(SystemExit):
             main([command, "--execution", self.REMOVED])
         assert self.names_every_survivor(capsys.readouterr().err)
+
+
+class TestRemovedPipelinedNames:
+    """The two pipelined sweep names are gone with no alias: every entry
+    point that takes an execution name rejects them, naming the three that
+    exist."""
+
+    REMOVED = ("batch-parallel-sweep", "zero-copy-sweep")
+
+    @staticmethod
+    def names_every_survivor(message):
+        return all(name in message for name in ("tuple", "batch", "forward-sweep"))
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_partition_join_config(self, name):
+        with pytest.raises(ValueError) as rejected:
+            PartitionJoinConfig(memory_pages=8, execution=name)
+        assert self.names_every_survivor(str(rejected.value))
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_service_core(self, name):
+        from repro.model.errors import ServiceError
+        from repro.service import QueryService
+
+        from tests.service.conftest import make_catalog
+
+        with pytest.raises(ServiceError) as rejected:
+            QueryService(make_catalog(), pool_pages=16, workers=1, execution=name)
+        assert self.names_every_survivor(str(rejected.value))
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_session_config(self, name):
+        from repro.model.errors import ServiceError
+        from repro.service.session import SessionConfig, resolve_session_config
+
+        with pytest.raises(ServiceError) as rejected:
+            resolve_session_config(SessionConfig(execution=name), {})
+        assert self.names_every_survivor(str(rejected.value))
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_temporal_database(self, name):
+        from repro.engine.database import TemporalDatabase
+
+        with pytest.raises(ValueError) as rejected:
+            TemporalDatabase(execution=name)
+        assert self.names_every_survivor(str(rejected.value))

@@ -3,8 +3,8 @@
 ``SimulatedDisk.charge_runs`` takes an ordered list of ``(extent, first
 page, count, write)`` runs and records each ``(device, op, sequential)``
 total once.  Over random schedules -- several devices, extents that outgrow
-their first segment, heads parked between calls, retry and pipeline tags,
-an attached observer -- one call per schedule must leave the disk exactly
+their first segment, heads parked between calls, retry tags, an attached
+observer -- one call per schedule must leave the disk exactly
 as one ``_charge`` call per run does: heads, segments, ``stats``,
 ``device_stats`` and the observer's ``repro_io_*`` counters.
 """
@@ -28,7 +28,6 @@ run = st.tuples(
 call = st.tuples(
     st.lists(run, max_size=8),
     st.booleans(),  # retry
-    st.sampled_from([(False, False), (True, False), (False, True), (True, True)]),
     st.booleans(),  # park the heads first
 )
 
@@ -60,16 +59,15 @@ def billable(runs, extents):
 
 def replay(calls, one_call):
     disk, obs, extents = fresh_disk()
-    for runs, retry, (reads, writes), park in calls:
+    for runs, retry, park in calls:
         if park:
             disk.park_heads()
         runs = billable(runs, extents)
-        with disk.pipeline_tag(reads=reads, writes=writes):
-            if one_call:
-                disk.charge_runs(runs, retry=retry)
-            else:
-                for extent, index, count, write in runs:
-                    disk._charge(extent, index, write=write, retry=retry, count=count)
+        if one_call:
+            disk.charge_runs(runs, retry=retry)
+        else:
+            for extent, index, count, write in runs:
+                disk._charge(extent, index, write=write, retry=retry, count=count)
     metrics = {
         name: family
         for name, family in obs.metrics_snapshot().items()

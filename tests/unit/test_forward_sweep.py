@@ -362,7 +362,7 @@ class TestLedgerReconciliation:
         rows = db_rows if sort_inputs else list(reversed(db_rows))
         r = make_relation(SCHEMA_R, "a", rows)
         s = make_relation(SCHEMA_S, "b", rows)
-        layout = DiskLayout(spec=SPEC, columnar=True)
+        layout = DiskLayout(spec=SPEC)
         r_file = layout.place_relation(r)
         s_file = layout.place_relation(s)
         assert r_file.endpoint_sorted == sort_inputs
@@ -382,7 +382,7 @@ class TestLedgerReconciliation:
     def test_metrics_reconcile_with_outcome(self):
         r = make_relation(SCHEMA_R, "a", [(1, 0, 5), (1, 3, 9), (2, 0, 2)])
         s = make_relation(SCHEMA_S, "b", [(1, 4, 8), (2, 1, 6)])
-        layout = DiskLayout(spec=SPEC, columnar=True)
+        layout = DiskLayout(spec=SPEC)
         r_file = layout.place_relation(r)
         s_file = layout.place_relation(s)
         obs = Observability(ObservabilityConfig(tracing=False))

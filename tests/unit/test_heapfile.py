@@ -6,7 +6,6 @@ import pytest
 from repro.exec.batch import PageBatch, RowRefs
 from repro.model.match_block import MatchBlock
 from repro.model.vtuple import VTTuple
-from repro.storage.columnar_page import ColumnarPage
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heapfile import HeapFile, LazyPage
 from repro.storage.iostats import IOStatistics
@@ -283,13 +282,6 @@ class TestAppendBlock:
         assert [len(page) for page in stored_pages(heap)] == [4, 2]
         assert heap.all_tuples() == tuples(6)
 
-    def test_columnar_file_packs_block_rows(self, disk, spec):
-        heap = HeapFile.create(disk, "w", spec, capacity_tuples=8, columnar=True)
-        heap.append_block(match_block(tuples(6)))
-        heap.flush()
-        assert all(isinstance(page, ColumnarPage) for page in stored_pages(heap))
-        assert heap.all_tuples() == tuples(6)
-
     def test_empty_block_is_a_noop(self, disk, spec):
         heap = HeapFile.create(disk, "w", spec)
         heap.append_block(match_block([]))
@@ -331,15 +323,6 @@ class TestCarriedColumns:
         bare = HeapFile.bulk_load(disk, "bare", spec, rows)
         assert not heap.endpoint_sorted and not bare.endpoint_sorted
         assert heap._last_span == bare._last_span == (rows[-1].vs, rows[-1].ve)
-
-    def test_columnar_file_carries_nothing(self, disk, spec):
-        batch = keyed(tuples(6))
-        heap = HeapFile.bulk_load(
-            disk, "c", spec, batch.tuples, columnar=True, columns=batch
-        )
-        assert heap.carried is None and heap.endpoint_sorted
-        heap.carry(batch)  # nor when it is named the columns
-        assert heap.carried is None
 
     def test_carry_names_the_columns_of_every_row_written(self, disk, spec):
         rows = tuples(11)

@@ -69,16 +69,15 @@ class TestIOStatistics:
         assert a.random_reads == 1
 
 
-class TestMergeAndPipelineTags:
+class TestMergeAndTags:
     def test_merge_accumulates_and_returns_self(self):
-        a = IOStatistics(1, 2, 3, 4, retry_reads=1, prefetch_reads=2)
-        b = IOStatistics(10, 20, 30, 40, retry_writes=5, writeback_writes=6)
+        a = IOStatistics(1, 2, 3, 4, retry_reads=1)
+        b = IOStatistics(10, 20, 30, 40, retry_writes=5)
         out = a.merge(b)
         assert out is a
         assert (a.random_reads, a.sequential_reads) == (11, 22)
         assert (a.random_writes, a.sequential_writes) == (33, 44)
         assert (a.retry_reads, a.retry_writes) == (1, 5)
-        assert (a.prefetch_reads, a.writeback_writes) == (2, 6)
 
     def test_iadd_is_merge(self):
         a = IOStatistics(1, 0, 0, 0)
@@ -95,7 +94,7 @@ class TestMergeAndPipelineTags:
         assert a.total_ops == 10  # untouched by the rejected merges
 
     def test_merge_of_empty_ledger_is_identity(self):
-        a = IOStatistics(1, 2, 3, 4, retry_reads=5, prefetch_reads=6)
+        a = IOStatistics(1, 2, 3, 4, retry_reads=5, retry_writes=6)
         before = a.as_dict()
         a.merge(IOStatistics())
         assert a.as_dict() == before
@@ -106,14 +105,13 @@ class TestMergeAndPipelineTags:
             stats.record_tag(tag, 2)
         assert stats.retry_reads == 2
         assert stats.retry_writes == 2
-        assert stats.prefetch_reads == 2
-        assert stats.writeback_writes == 2
         # Tags annotate already-recorded ops; they never mint main-bucket ops.
         assert stats.total_ops == 0
+        assert stats.cost(CostModel()) == 0.0
 
     def test_record_tag_rejects_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown I/O tag"):
-            IOStatistics().record_tag("speculative_reads")
+            IOStatistics().record_tag("prefetch_reads")
 
     def test_record_tag_rejects_negative_count(self):
         stats = IOStatistics()
@@ -130,8 +128,8 @@ class TestMergeAndPipelineTags:
         """Per-worker ledgers merged once must equal the combined stream:
         no operation lost, none double-counted."""
         workers = [
-            IOStatistics(2, 5, 1, 0, prefetch_reads=3),
-            IOStatistics(0, 7, 0, 4, writeback_writes=2),
+            IOStatistics(2, 5, 1, 0, retry_writes=3),
+            IOStatistics(0, 7, 0, 4),
             IOStatistics(1, 1, 1, 1, retry_reads=1),
         ]
         total = IOStatistics()
@@ -140,37 +138,22 @@ class TestMergeAndPipelineTags:
         assert total.total_ops == sum(w.total_ops for w in workers)
         assert total.reads == sum(w.reads for w in workers)
         assert total.writes == sum(w.writes for w in workers)
-        assert total.pipeline_ops == sum(w.pipeline_ops for w in workers)
         assert total.retry_ops == sum(w.retry_ops for w in workers)
 
-    def test_pipeline_tags_never_touch_main_buckets(self):
-        stats = IOStatistics()
-        stats.record_pipeline(write=False, count=3)
-        stats.record_pipeline(write=True, count=2)
-        assert stats.total_ops == 0
-        assert stats.cost(CostModel()) == 0.0
-        assert stats.prefetch_reads == 3
-        assert stats.writeback_writes == 2
-        assert stats.pipeline_ops == 5
-
-    def test_record_pipeline_rejects_negative(self):
-        with pytest.raises(ValueError):
-            IOStatistics().record_pipeline(write=False, count=-1)
-
-    def test_copy_and_diff_carry_pipeline_tags(self):
-        stats = IOStatistics(5, 5, 5, 5, prefetch_reads=2, writeback_writes=1)
+    def test_copy_and_diff_carry_tags(self):
+        stats = IOStatistics(5, 5, 5, 5, retry_reads=2, retry_writes=1)
         snap = stats.copy()
         stats.record(write=False, sequential=True)
-        stats.record_pipeline(write=False)
+        stats.record_retry(write=False)
         delta = stats.diff(snap)
         assert delta.sequential_reads == 1
-        assert delta.prefetch_reads == 1
-        assert delta.writeback_writes == 0
-        assert snap.prefetch_reads == 2  # copy is independent
+        assert delta.retry_reads == 1
+        assert delta.retry_writes == 0
+        assert snap.retry_reads == 2  # copy is independent
 
-    def test_repr_mentions_pipeline_only_when_present(self):
-        assert "prefetch" not in repr(IOStatistics(1, 1, 1, 1))
-        assert "prefetch_r=2" in repr(IOStatistics(prefetch_reads=2))
+    def test_repr_mentions_retries_only_when_present(self):
+        assert "retry" not in repr(IOStatistics(1, 1, 1, 1))
+        assert "retry_r=2" in repr(IOStatistics(retry_reads=2))
 
 
 class TestPhaseTracker:

@@ -120,10 +120,7 @@ class TestValidation:
     def test_result_schema_of_the_wrong_arity_fails_the_call(self, pmap, execution):
         """Lazily built rows are still checked against the schema they are
         collected under, from the call that emits them."""
-        layout = DiskLayout(
-            spec=PageSpec(page_bytes=1024, tuple_bytes=256),
-            columnar=execution == "zero-copy-sweep",
-        )
+        layout = DiskLayout(spec=PageSpec(page_bytes=1024, tuple_bytes=256))
         files = [
             [
                 layout.place_relation(

@@ -10,8 +10,8 @@ from repro.core.planner import (
     determine_part_intervals,
     estimate_grant_pages,
     estimate_join_cost,
-    estimate_pipelined_join_cost,
 )
+from repro.exec.batch import PageBatch
 from repro.model.errors import PlanError
 from repro.model.vtuple import VTTuple
 from repro.storage.disk import SimulatedDisk
@@ -22,10 +22,12 @@ from repro.time.interval import Interval
 from repro.time.lifespan import covers_lifespan, lifespan_of
 
 
-def make_heap(tuples, columnar=False):
+def make_heap(tuples, carried=False):
     disk = SimulatedDisk(IOStatistics())
     spec = PageSpec(page_bytes=1024, tuple_bytes=128)
-    return HeapFile.bulk_load(disk, "r", spec, tuples, columnar=columnar), disk
+    columns = PageBatch.keyed(tuples) if carried else None
+    rows = columns.tuples if carried else tuples
+    return HeapFile.bulk_load(disk, "r", spec, rows, columns=columns), disk
 
 
 def uniform_tuples(n, lifespan=10_000, seed=5, long_lived=0):
@@ -83,61 +85,6 @@ class TestEstimateJoinCost:
                 if count > 0:
                     loop += 2 * (model.io_ran + model.io_seq * (count - 1))
             assert estimate_join_cost(10, 4, pages, model)[1] == loop
-
-
-class TestPipelinedCostModel:
-    def test_zero_depth_degrades_to_serial_plus_cpu(self):
-        # No read-ahead: nothing overlaps, every page is demand-paged.
-        cost = estimate_pipelined_join_cost(
-            100.0, 40.0, prefetch_depth=0, pages_per_partition=10
-        )
-        assert cost == 140.0
-
-    def test_full_overlap_is_max_of_cpu_and_io(self):
-        cost = estimate_pipelined_join_cost(
-            100.0, 40.0, prefetch_depth=10, pages_per_partition=10
-        )
-        assert cost == 100.0  # I/O-bound: compute fully hidden
-        cost = estimate_pipelined_join_cost(
-            40.0, 100.0, prefetch_depth=10, pages_per_partition=10
-        )
-        assert cost == 100.0  # CPU-bound: I/O fully hidden
-
-    def test_partial_overlap_interpolates(self):
-        # alpha = 5/10: half the I/O overlaps the compute, half is demand.
-        cost = estimate_pipelined_join_cost(
-            100.0, 10.0, prefetch_depth=5, pages_per_partition=10
-        )
-        assert cost == max(10.0, 50.0) + 50.0
-
-    def test_alpha_clamps_at_one(self):
-        a = estimate_pipelined_join_cost(
-            60.0, 0.0, prefetch_depth=50, pages_per_partition=10
-        )
-        b = estimate_pipelined_join_cost(
-            60.0, 0.0, prefetch_depth=10, pages_per_partition=10
-        )
-        assert a == b == 60.0
-
-    def test_empty_partition_means_no_overlap(self):
-        cost = estimate_pipelined_join_cost(
-            30.0, 5.0, prefetch_depth=8, pages_per_partition=0
-        )
-        assert cost == 35.0
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(PlanError):
-            estimate_pipelined_join_cost(
-                -1.0, 0.0, prefetch_depth=1, pages_per_partition=1
-            )
-        with pytest.raises(PlanError):
-            estimate_pipelined_join_cost(
-                1.0, -1.0, prefetch_depth=1, pages_per_partition=1
-            )
-        with pytest.raises(PlanError):
-            estimate_pipelined_join_cost(
-                1.0, 1.0, prefetch_depth=-1, pages_per_partition=1
-            )
 
 
 class TestDeterminePartIntervals:
@@ -206,10 +153,10 @@ class TestDeterminePartIntervals:
         assert plan_a.part_size == plan_b.part_size
 
 
-class TestPageLayoutDoesNotChangeThePlan:
-    """The scan sampler plans on columns; list pages and columnar pages
-    must agree on the whole plan -- intervals, curve, cache estimate,
-    sample record."""
+class TestCarriedColumnsDoNotChangeThePlan:
+    """The scan sampler plans on columns; the columns a file carries and
+    those decomposed from its pages must agree on the whole plan --
+    intervals, curve, cache estimate, sample record."""
 
     @staticmethod
     def plan_of(tuples, **heap_options):
@@ -220,17 +167,17 @@ class TestPageLayoutDoesNotChangeThePlan:
         return plan, disk.stats.as_dict()
 
     @pytest.mark.parametrize("long_lived", [0, 300])
-    def test_list_and_columnar_scans_yield_the_same_plan(self, long_lived):
+    def test_carried_and_decomposed_scans_yield_the_same_plan(self, long_lived):
         tuples = uniform_tuples(1200, long_lived=long_lived)
-        from_lists = self.plan_of(tuples)
-        assert from_lists[0].sample_plan.strategy.name == "SCAN"
-        assert from_lists == self.plan_of(tuples, columnar=True)
+        decomposed = self.plan_of(tuples)
+        assert decomposed[0].sample_plan.strategy.name == "SCAN"
+        assert decomposed == self.plan_of(tuples, carried=True)
 
 
 class TestGrantEstimate:
     def test_every_partition_mode_asks_for_the_same_grant(self):
         """The useful budget is a property of the inputs, not of the
-        execution mode: the pipelined sweeps ask for what ``batch`` asks."""
+        execution mode: ``tuple`` asks for what ``batch`` asks."""
         base = estimate_grant_pages(100, 100, 200)
         assert base == 103  # min(outer, inner) + the three fixed pages
         for execution in EXECUTION_MODES:

@@ -20,7 +20,6 @@ from repro.model.relation import ValidTimeRelation
 from repro.model.vtuple import VTTuple
 from repro.shard import ShardMap
 from repro.shard.worker import ShardWorker, schema_to_dict
-from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
 
 from tests.chaos.conftest import chaos_relation
@@ -65,7 +64,7 @@ def same_columns(got: PageBatch, rows) -> bool:
 
 
 class TestPartitionJoinSplitsOnce:
-    @pytest.mark.parametrize("execution", ["batch", "batch-parallel-sweep"])
+    @pytest.mark.parametrize("execution", ["batch"])
     def test_first_call_splits_each_row_once_and_the_second_none(
         self, split_rows, execution
     ):
@@ -222,14 +221,6 @@ class TestDerivedColumns:
         want = partition_join(r, s, dataclasses.replace(CONFIG, execution="tuple"))
         assert got.result.tuples == want.result.tuples and len(want.result) > 0
         assert got.layout.tracker.phases == want.layout.tracker.phases
-
-    def test_a_columnar_layout_places_without_splitting(self, split_rows):
-        r, _ = fresh_pair(40)
-        heap = DiskLayout(spec=SPEC, columnar=True).place_relation(r)
-        assert sum(split_rows) == 0 and r._columns is None and heap.carried is None
-        assert heap.all_tuples() == list(r) and not heap.endpoint_sorted
-        assert DiskLayout(spec=SPEC).place_relation(r).carried is r._columns is not None
-
 
 class TestConcurrentJoins:
     def test_two_threads_joining_one_version_agree(self):
