@@ -28,14 +28,17 @@ across modes.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate, chain, pairwise
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.intervals import PartitionMap
 from repro.exec import EXECUTION_MODES
 from repro.model.errors import PlanError
 from repro.obs import span_or_null
+from repro.storage.disk import Schedule
 from repro.storage.heapfile import HeapFile
 from repro.storage.layout import DiskLayout
 
@@ -184,16 +187,23 @@ def _route_carried(
     carried = source.carried
     routed = carried.take(perm)
     bounds = list(accumulate(counts, initial=0))  # bucket i: routed[bounds[i]:bounds[i + 1]]
-    # (the row that fills the bucket, partition, end of the flush in routed)
-    schedule = sorted(
-        (int(perm[stop - 1]), index, stop)
-        for index, (first, last) in enumerate(pairwise(bounds))
-        for stop in range(first + flush_threshold, last + 1, flush_threshold)
-    )
+    # Every flush before the last of its bucket, in scan order: the row
+    # that fills the bucket, the partition, the end of the flush in routed.
+    # The g-th flush overall, the k-th of bucket i, which g - k flushes of
+    # earlier buckets precede, stops at first_i + (k + 1) * threshold.
+    flushes = np.array(counts) // flush_threshold
+    earlier = np.cumsum(flushes) - flushes
+    index = np.repeat(np.arange(len(counts)), flushes)
+    stop = np.repeat(np.array(bounds[:-1]) - earlier * flush_threshold, flushes)
+    stop += flush_threshold * np.arange(1, len(index) + 1)
+    row = np.asarray(perm)[stop - 1]
+    order = np.argsort(row)
+    schedule = (row[order], index[order], stop[order])
     stored = source.stored_bounds(carried.tuples)
     if stored is not None:
-        _bill_routing(source, stored, schedule, routed, bounds, partitions)
+        _bill_routing(source, stored, schedule, routed, bounds, partitions, flush_threshold)
         return ()
+    schedule = list(zip(*(column.tolist() for column in schedule)))
     flushed = bounds[:-1]
     offset = due = 0
     rest: Iterable[List] = ()
@@ -218,27 +228,34 @@ def _route_carried(
     return rest
 
 
-def _bill_routing(source: HeapFile, stored, schedule, routed, bounds, partitions) -> None:
+def _bill_routing(
+    source: HeapFile, stored, schedule, routed, bounds, partitions, threshold
+) -> None:
     """Route a scan whose stored pages (split at *stored*) are the carried
     rows without reading a page: the walk's reads and bucket flushes go out
-    as one :meth:`~repro.storage.disk.SimulatedDisk.charge_runs` schedule --
-    each *schedule* flush right after the read of its filling page, the
-    final flushes after the last read, by partition -- and then each
-    partition file takes its bucket whole, uncharged.  A bucket flushes
-    whole pages until its last flush, so its pages are its rows cut by the
-    page capacity, as the flushes cut them.
+    as one :class:`~repro.storage.disk.Schedule` -- each *schedule* flush
+    (*threshold* rows) right after the read of its filling page, the final
+    flushes after the last read, by partition -- and then each partition
+    file takes its bucket whole, uncharged.  A bucket flushes whole pages
+    until its last flush, so its pages are its rows cut by the page
+    capacity, as the flushes cut them.
     """
-    capacity, n_pages = partitions[0].spec.capacity, len(stored) - 1
-    finals = [(bounds[-1], index, last) for index, last in enumerate(bounds[1:])]
-    flushed = bounds[:-1]
-    runs, read = [], 0
-    for row, index, stop in schedule + finals:
-        upto = min(bisect_right(stored, row), n_pages)  # through the filling page
-        runs.append((source.extent, read, upto - read, False))
-        page, rows = (flushed[index] - bounds[index]) // capacity, stop - flushed[index]
-        runs.append((partitions[index].extent, page, -(-rows // capacity), True))
-        read, flushed[index] = upto, stop
-    source.disk.charge_runs(runs)
+    capacity, n_pages, n = partitions[0].spec.capacity, len(stored) - 1, len(partitions)
+    firsts = np.array(bounds, np.int64)
+    row, index, stop = (
+        np.concatenate(pair)
+        for pair in zip(schedule, (np.full(n, firsts[-1]), np.arange(n), firsts[1:]))
+    )
+    last_full = firsts[:-1] + np.diff(firsts) // threshold * threshold
+    start = np.concatenate((schedule[2] - threshold, last_full))
+    upto = np.minimum(np.searchsorted(stored, row, "right"), n_pages)  # through the filling page
+    # A read run up to the filling page, then the flush, per entry.
+    extent, first, count = np.empty((3, 2 * len(row)), np.int64)
+    extent[0::2], extent[1::2] = 0, index + 1
+    first[0::2], first[1::2] = np.append(0, upto[:-1]), (start - firsts[index]) // capacity
+    count[0::2], count[1::2] = np.diff(upto, prepend=0), -(-(stop - start) // capacity)
+    table = [source.extent] + [partition.extent for partition in partitions]
+    source.disk.charge_runs(Schedule(table, extent, first, count, extent > 0))
     for index, (first, last) in enumerate(pairwise(bounds)):
         bucket = routed[first:last]
         partitions[index].install(bucket.tuples, bucket, flush=True)

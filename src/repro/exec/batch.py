@@ -28,21 +28,18 @@ from repro.model.vtuple import VTTuple
 class KeyInterner:
     """Bidirectional key <-> dense-integer-id map shared across batches.
 
-    ``version`` counts fresh interns; translation-table caches keyed on it
-    (:class:`CodeTranslator`) invalidate exactly when the id space grew.
     The concrete id *values* never influence join results -- match sets are
     id-agnostic and emission order is restored by a final row-index sort.
-    A join grows one of its own; a relation version's dictionary (the
-    ``keys`` of its :meth:`~repro.model.relation.ValidTimeRelation.columns`)
-    is this too, read-only once built, and the join translates its codes
-    through a :class:`CodeTranslator` table.
+    A relation version's dictionary (the ``keys`` of its
+    :meth:`~repro.model.relation.ValidTimeRelation.columns`) is one,
+    read-only once built; a join's interner starts as a :meth:`copy` of
+    its outer relation's and grows from there.
     """
 
-    __slots__ = ("_ids", "version")
+    __slots__ = ("_ids",)
 
     def __init__(self) -> None:
         self._ids: Dict[Tuple, int] = {}
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -52,9 +49,7 @@ class KeyInterner:
         ids = self._ids
         found = ids.get(key)
         if found is None:
-            found = len(ids)
-            ids[key] = found
-            self.version += 1
+            found = ids[key] = len(ids)
         return found
 
     def lookup(self, key: Tuple) -> int:
@@ -65,12 +60,17 @@ class KeyInterner:
         """Every interned key, ordered by assigned id (snapshot copy)."""
         return list(self._ids)
 
+    def copy(self) -> "KeyInterner":
+        """These ids in an interner of their own, to grow."""
+        copied = KeyInterner()
+        copied._ids = dict(self._ids)
+        return copied
+
     def grown(self, keys: Iterable[Tuple]) -> "KeyInterner":
         """These ids plus every key of *keys*: this interner when it knows
         them all, else a copy that learnt the rest (one in use is never
         written to)."""
-        grown = KeyInterner()
-        grown._ids, grown.version = dict(self._ids), self.version
+        grown = self.copy()
         for key in keys:
             grown.intern(key)
         return grown if len(grown) > len(self) else self
@@ -137,9 +137,11 @@ class RowRefs(SequenceABC):
         return len(self.positions)
 
     def __getitem__(self, index):
-        at = self.positions[index]
         if not isinstance(index, slice):
-            return self.source[at]
+            return self.source[self.positions[index]]
+        if index.indices(len(self)) == (0, len(self), 1):
+            return self  # immutable: the whole of it is itself
+        at = self.positions[index]
         stepped = type(at) is range and at.step != 1
         return RowRefs(self.source, np.array(at, np.int64) if stepped else at)
 
@@ -150,6 +152,8 @@ class RowRefs(SequenceABC):
         return repr(self.tolist())
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if isinstance(other, (RowRefs, list)) and (len(other) != len(self) or not len(self)):
             return len(other) == len(self)
         if isinstance(other, RowRefs):
@@ -249,12 +253,12 @@ class PageBatch:
         part = self[start : start + len(rows)]
         return part if part.tuples == rows else None
 
-    def overlapping(self, window: Tuple[float, float]) -> List[int]:
-        """Rows whose interval overlaps the partition *window*, ascending
-        (:meth:`~repro.exec.kernels.PartitionBoundaries.window` semantics,
-        the whole-column form of ``Kernels.migration_rows``)."""
+    def overlapping(self, window: Tuple[float, float]) -> np.ndarray:
+        """Rows whose interval overlaps the partition *window*, ascending, as
+        an ``int64`` array (:meth:`~repro.exec.kernels.PartitionBoundaries.window`
+        semantics, the whole-column form of ``Kernels.migration_rows``)."""
         lo, hi = window
-        return np.nonzero((self.ends > lo) & (self.starts <= hi))[0].tolist()
+        return np.flatnonzero((self.ends > lo) & (self.starts <= hi))
 
     def take(self, rows) -> "PageBatch":
         """The sub-batch of *rows* (a list or an index array), in order."""
@@ -340,59 +344,3 @@ class PageBatch:
             return cls(refs, batch.key_ids, batch.starts, batch.ends, dictionary)
         columns = (list(map(dictionary.intern, keys)), starts, ends)
         return cls(refs, *(np.array(column, np.int64) for column in columns), dictionary)
-
-
-class CodeTranslator:
-    """Caches per-dictionary code -> join-id translation tables.
-
-    A relation version's columns hold key *codes* in its own dictionary (a
-    :class:`KeyInterner`, dense in first-seen order); a join works in its
-    interner's *ids*.  The bridge is a dense table ``table[code] ==
-    interner.lookup(dictionary key of code)``, built once per (dictionary,
-    interner version) and reused for every file carrying those codes -- a
-    file's ids are one ``table[codes]`` gather.  Tables are invalidated when
-    the interner grows (a later block interned new keys, so ``-1`` entries
-    may have become real ids) or when the dictionary grew.
-    """
-
-    __slots__ = ("_interner", "_tables", "_interned")
-
-    def __init__(self, interner: KeyInterner) -> None:
-        self._interner = interner
-        self._tables: Dict[int, Tuple[object, int, Sequence[int]]] = {}
-        self._interned: Dict[int, Tuple[object, int]] = {}
-
-    def ensure_interned(self, dictionary) -> None:
-        """Intern every key of *dictionary* (build-side translation).
-
-        :meth:`table_for` uses read-only lookups (probe semantics: unknown
-        keys map to ``-1``); an outer *index* build must assign real ids
-        instead.  Interning the whole dictionary once -- instead of per
-        block tuple -- is sound because id values never influence join
-        results (see :class:`KeyInterner`), and it keeps the translation
-        table cacheable across the blocks of a file."""
-        cache_key = id(dictionary)
-        n = len(dictionary)
-        seen = self._interned.get(cache_key)
-        if seen is not None and seen[0] is dictionary and seen[1] == n:
-            return
-        intern = self._interner.intern
-        for key in dictionary.keys_in_id_order():
-            intern(key)
-        self._interned[cache_key] = (dictionary, n)
-
-    def table_for(self, dictionary) -> Sequence[int]:
-        """The code->id table of *dictionary* (cached until stale)."""
-        cache_key = id(dictionary)
-        version = self._interner.version
-        n = len(dictionary)
-        cached = self._tables.get(cache_key)
-        if cached is not None:
-            dict_ref, cached_version, table = cached
-            if dict_ref is dictionary and cached_version == version and len(table) == n:
-                return table
-        lookup = self._interner.lookup
-        ids = [lookup(key) for key in dictionary.keys_in_id_order()]
-        table = np.array(ids, dtype=np.int64)
-        self._tables[cache_key] = (dictionary, version, table)
-        return table

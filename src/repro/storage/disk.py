@@ -47,7 +47,10 @@ charges exactly as before.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.model.errors import PermanentIOFaultError, StorageError
 from repro.resilience.faults import FaultInjector
@@ -86,6 +89,65 @@ class PageRun:
     def _page(self, at: int) -> object:
         rows, end = self.rows, at + self.capacity
         return rows.page(at, end) if hasattr(rows, "page") else rows[at:end]
+
+
+#: A head never set, as a page address: every first page is a seek from it.
+_NO_HEAD = -(2**62)
+
+
+@dataclass(slots=True)
+class Schedule:
+    """Runs to bill, as columns: the extent table *extents*, ``int64``
+    *extent* (an index into it), *first* (page) and *count* per run, and
+    ``bool`` *write*.  It iterates as the ``(extent, first page, count,
+    write)`` tuples it stands for, and bills what that list bills
+    (:meth:`SimulatedDisk.charge_runs`)."""
+
+    extents: Sequence["Extent"]
+    extent: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    write: np.ndarray
+
+    @classmethod
+    def of(cls, runs: Sequence[Tuple["Extent", int, int, bool]]) -> "Schedule":
+        """The ``(extent, first page, count, write)`` *runs* as columns."""
+        extents, first, count, write = zip(*runs) if runs else ((),) * 4
+        table = list(dict.fromkeys(extents))
+        number = {extent: at for at, extent in enumerate(table)}
+        at = np.fromiter(map(number.__getitem__, extents), np.int64, len(extents))
+        columns = (np.array(first, np.int64), np.array(count, np.int64), np.array(write, bool))
+        return cls(table, at, *columns)
+
+    def __iter__(self) -> Iterator[Tuple["Extent", int, int, bool]]:
+        columns = (self.extent, self.first, self.count, self.write)
+        for at, first, count, write in zip(*(column.tolist() for column in columns)):
+            yield self.extents[at], first, count, write
+
+
+def _pieces(extents: Sequence["Extent"], at, first, end):
+    """Runs ``[first, end)`` of ``extents[at]`` cut where a segment ends:
+    the run of each piece (None when every run is one piece) and the first
+    and last physical page of each piece."""
+    tables = [extent._segments for extent in extents]
+    if all(len(table) == 1 for table in tables):
+        bases = np.array([table[0][0] for table in tables], np.int64)[at]
+        return None, bases + first, bases + end - 1
+    # Every extent's segments end to end on one line, extent k's page i at
+    # offset[k] + i.
+    n_segments = np.array([len(table) for table in tables])
+    bases, caps = np.array([pair for table in tables for pair in table], np.int64).T
+    seg_end = np.cumsum(caps)
+    seg_start = seg_end - caps
+    offset = seg_start[np.cumsum(n_segments) - n_segments][at]
+    lo, hi = offset + first, offset + end
+    seg_lo = np.searchsorted(seg_end, lo, "right")
+    pieces = np.searchsorted(seg_end, hi - 1, "right") - seg_lo + 1
+    run_of = np.repeat(np.arange(len(at)), pieces)
+    seg = seg_lo[run_of] + np.arange(len(run_of)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    lo, hi = np.maximum(lo[run_of], seg_start[seg]), np.minimum(hi[run_of], seg_end[seg])
+    firsts = bases[seg] + lo - seg_start[seg]
+    return run_of, firsts, firsts + (hi - lo) - 1
 
 
 class Extent:
@@ -445,82 +507,114 @@ class SimulatedDisk:
     def charge_runs(
         self, runs: Iterable[Tuple[Extent, int, int, bool]], *, retry: bool = False
     ) -> None:
-        """Bill *runs* -- ``(extent, first page, count, write)`` each -- in
-        order, exactly as one :meth:`_charge` per run would, recording each
-        ``(device, op, sequential)`` total once.  A write run past an
-        extent's reservation grows it first, as :meth:`write` would; an
-        empty run bills nothing.
+        """Bill *runs* -- a :class:`Schedule`, or ``(extent, first page,
+        count, write)`` tuples -- in order, exactly as one :meth:`_charge`
+        per run would, recording each ``(device, op, sequential)`` total
+        once.  A write run past an extent's reservation grows it first, as
+        :meth:`write` would; an empty run bills nothing.
 
-        The only code that moves a head or a main counter (backoff
-        penalties aside).  A run costs what the head model says, page for
-        page: the first access is sequential only when the head is on or
-        just before it, every later one is -- except the first page of each
-        further segment the run enters, which pays the seek a file fragment
-        costs.  Started with a seek inside one segment that is
-        ``CostModel.cost_of_run(count)``.
+        The only code that moves a head or a main counter.  A run costs what
+        the head model says, page for page: the first access is sequential
+        only when the head is on or just before it, every later one is --
+        except the first page of each further segment the run enters, which
+        pays the seek a file fragment costs.  Started with a seek inside one
+        segment that is ``CostModel.cost_of_run(count)``.  One run is billed
+        in Python (:meth:`_bill_one`), more on columns (:meth:`_bill`).
         """
-        heads = self._heads
-        totals: Dict[Tuple[int, bool], List[int]] = {}  # -> [seeks, accesses]
-        for extent, index, count, write in runs:
-            if count < 1:
+        if type(runs) is not Schedule:
+            runs = list(runs)
+            if len(runs) == 1:
+                self._bill_one(*runs[0], retry)
+                return
+            runs = Schedule.of(runs)
+        self._bill(runs, retry)
+
+    def _bill_one(self, extent: Extent, index: int, count: int, write: bool, retry: bool) -> None:
+        """One run, its extent's segments walked: O(segments) Python where
+        :meth:`_bill`'s numpy calls cost more than the loop they replace."""
+        if count < 1:
+            return
+        if write and index + count > extent._capacity:
+            self._ensure_capacity(extent, index + count - 1)
+        if index < 0:
+            extent.physical_address(index)  # raises
+        head, seeks, skip, left = self._heads.get(extent.device), 0, index, count
+        for base, cap in extent._segments:
+            if skip >= cap:
+                skip -= cap
                 continue
-            if write and index + count > extent._capacity:
-                self._ensure_capacity(extent, index + count - 1)
-            head = heads.get(extent.device)
-            base, cap = extent._segments[0]
-            if 0 <= index and index + count <= cap:
-                # The run lies in the first segment -- every extent that never
-                # outgrew its reservation -- so there is nothing to walk.
-                first = base + index
-                seeks = 0 if head is not None and 0 <= first - head <= 1 else 1
-                head = first + count - 1
-            else:
-                if index < 0:
-                    extent.physical_address(index)  # raises
-                seeks = 0
-                skip, left = index, count
-                for base, cap in extent._segments:
-                    if skip >= cap:
-                        skip -= cap
-                        continue
-                    first = base + skip
-                    piece = min(left, cap - skip)
-                    if head is None or not 0 <= first - head <= 1:
-                        seeks += 1
-                    head = first + piece - 1
-                    left -= piece
-                    skip = 0
-                    if not left:
-                        break
-                else:
-                    extent.physical_address(index + count - 1)  # raises: past capacity
-            heads[extent.device] = head
-            total = totals.setdefault((extent.device, write), [0, 0])
-            total[0] += seeks
-            total[1] += count
-        for (device, write), (seeks, count) in totals.items():
-            sequential = count - seeks
-            stats, per_device = self.stats, self._device_stats_of(device)
+            first, piece = base + skip, min(left, cap - skip)
+            if head is None or not 0 <= first - head <= 1:
+                seeks += 1
+            head, left, skip = first + piece - 1, left - piece, 0
+            if not left:
+                break
+        else:
+            extent.physical_address(index + count - 1)  # raises: past capacity
+        self._heads[extent.device] = head
+        self._record(extent.device, write, seeks, count, retry)
+
+    def _bill(self, schedule: Schedule, retry: bool) -> None:
+        """:meth:`charge_runs` on columns: write growth in run order; the
+        runs cut into pieces at segment ends (:func:`_pieces`); the pieces
+        sorted by device, stably, so that one shifted comparison sets each
+        against the piece before it on its device or that device's head;
+        one total per ``(device, write)``, by device, reads first."""
+        extents = schedule.extents
+        at, first, count, write = schedule.extent, schedule.first, schedule.count, schedule.write
+        live = count > 0
+        if not live.all():
+            at, first, count, write = at[live], first[live], count[live], write[live]
+        if not len(count):
+            return
+        end = first + count
+        if end.max() > min(extent._capacity for extent in extents) or first.min() < 0:
+            runs = zip(at.tolist(), first.tolist(), end.tolist(), write.tolist())
+            for number, index, stop, grows in runs:
+                extent = extents[number]  # in run order: grow, or raise
+                if grows and stop > extent._capacity:
+                    self._ensure_capacity(extent, stop - 1)
+                extent.physical_address(index if index < 0 else stop - 1)
+        run_of, firsts, lasts = _pieces(extents, at, first, end)
+        devices = {int(extent.device): extent.device for extent in extents}
+        # (device, write) as one number, the device that number halved.
+        totals = np.array([2 * int(extent.device) for extent in extents])[at] + write
+        if run_of is not None:
+            totals = totals[run_of]
+        if len(devices) > 1:
+            order = np.argsort(totals >> 1, kind="stable")
+            totals, firsts, lasts = totals[order], firsts[order], lasts[order]
+        opens = np.empty(len(totals), bool)  # the first piece on its device
+        opens[0] = True
+        np.not_equal(totals[1:] >> 1, totals[:-1] >> 1, out=opens[1:])
+        on = [devices[number] for number in (totals[opens] >> 1).tolist()]
+        previous = np.empty_like(firsts)
+        previous[1:] = lasts[:-1]
+        previous[opens] = [self._heads.get(dev, _NO_HEAD) for dev in on]
+        gap = firsts - previous
+        accesses = np.bincount(totals, lasts - firsts + 1)
+        seeks = np.bincount(totals[(gap < 0) | (gap > 1)], minlength=len(accesses)).tolist()
+        self._heads.update(zip(on, lasts[np.flatnonzero(opens[1:])].tolist() + [int(lasts[-1])]))
+        for total in np.flatnonzero(accesses).tolist():
+            number, op = divmod(total, 2)
+            self._record(devices[number], bool(op), seeks[total], int(accesses[total]), retry)
+
+    def _record(self, device: int, write: bool, seeks: int, count: int, retry: bool) -> None:
+        """Record *count* accesses of one op on *device*, *seeks* of them
+        random, in ``stats``, ``device_stats`` and the observer."""
+        for stats in (self.stats, self._device_stats_of(device)):
             if seeks:
                 stats.record(write=write, sequential=False, count=seeks)
-                per_device.record(write=write, sequential=False, count=seeks)
-            if sequential:
-                stats.record(write=write, sequential=True, count=sequential)
-                per_device.record(write=write, sequential=True, count=sequential)
+            if count - seeks:
+                stats.record(write=write, sequential=True, count=count - seeks)
             if retry:
                 stats.record_retry(write=write, count=count)
-                per_device.record_retry(write=write, count=count)
-            obs = self._obs
-            if obs is not None:
-                for is_sequential, ops in ((False, seeks), (True, sequential)):
-                    if ops:
-                        obs.on_io(
-                            device,
-                            write=write,
-                            sequential=is_sequential,
-                            retry=retry,
-                            count=ops,
-                        )
+        if self._obs is not None:
+            for sequential, ops in ((False, seeks), (True, count - seeks)):
+                if ops:
+                    self._obs.on_io(
+                        device, write=write, sequential=sequential, retry=retry, count=ops
+                    )
 
     def _device_stats_of(self, device: int) -> IOStatistics:
         per_device = self.device_stats.get(device)
@@ -536,23 +630,9 @@ class SimulatedDisk:
         precede and tagged as retries.
         """
         penalty = self.retry_policy.penalty(attempt)
-        if penalty <= 0:
-            return
-        self.stats.record(write=write, sequential=False, count=penalty)
-        self.stats.record_retry(write=write, count=penalty)
-        per_device = self._device_stats_of(extent.device)
-        per_device.record(write=write, sequential=False, count=penalty)
-        per_device.record_retry(write=write, count=penalty)
-        self.report.backoff_ops += penalty
-        obs = self._obs
-        if obs is not None:
-            obs.on_io(
-                extent.device,
-                write=write,
-                sequential=False,
-                retry=True,
-                count=penalty,
-            )
+        if penalty > 0:
+            self._record(extent.device, write, penalty, penalty, True)
+            self.report.backoff_ops += penalty
 
     # -- uncharged access ---------------------------------------------------------
 

@@ -9,8 +9,11 @@ charged through the owning :class:`SimulatedDisk`.
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exec.batch import PageBatch, RowRefs, extended
 from repro.model.match_block import LazyRows, spans_sorted
@@ -409,10 +412,6 @@ class HeapFile:
         for index in range(self.extent.n_pages):
             yield list(self.disk.read(self.extent, index))
 
-    def pages_per_run(self, rows: int) -> int:
-        """Pages one :meth:`scan_runs` run of about *rows* rows reads."""
-        return max(1, -(-rows // self.spec.capacity))
-
     def scan_runs(self, rows: int) -> Iterator[List[List[VTTuple]]]:
         """Scan the file in runs of consecutive pages holding about *rows*
         rows (at least one page), each run charged in one call.
@@ -421,7 +420,7 @@ class HeapFile:
         gives up is the chance to touch the disk between two of its pages,
         so it is for scans nothing else interleaves with.
         """
-        per_run = self.pages_per_run(rows)
+        per_run = max(1, -(-rows // self.spec.capacity))
         n_pages = self.extent.n_pages
         for index in range(0, n_pages, per_run):
             run = self.disk.read_run(self.extent, index, min(per_run, n_pages - index))
@@ -432,30 +431,33 @@ class HeapFile:
         for page in self.scan_pages():
             yield from page
 
-    def stored_bounds(self, rows: Sequence[VTTuple]) -> Optional[List[int]]:
-        """``[0, end of page 0, end of page 1, ...]`` in *rows* when the
-        stored pages hold exactly *rows* and the disk bills a run without
-        looking at it (:meth:`~repro.storage.disk.SimulatedDisk.stored`),
-        else None: the uncharged check before a scan is billed, not read.
-        One comparison of positions when every run and *rows* are references
-        into one source; else run by run, up to the first that differs."""
+    def stored_bounds(self, rows: Sequence[VTTuple]) -> Optional[np.ndarray]:
+        """``[0, end of page 0, end of page 1, ...]`` in *rows*, an ``int64``
+        array, when the stored pages hold exactly *rows* and the disk bills a
+        run without looking at it
+        (:meth:`~repro.storage.disk.SimulatedDisk.stored`), else None: the
+        uncharged check before a scan is billed, not read.  One comparison
+        of positions when every run and *rows* are references into one
+        source; else run by run, up to the first that differs."""
         runs = self.disk.stored(self.extent)
         if runs is None:
             return None
-        bounds, parts, at = [0], [], 0
+        ends, parts, at = [np.zeros(1, np.int64)], [], 0
         for run in runs:
             if isinstance(run, PageRun):
+                n, capacity = len(run.rows), run.capacity
                 parts.append((at, run.rows))
-                bounds += range(at + run.capacity, at + len(run.rows), run.capacity)
-                at += len(run.rows)
-                bounds.append(at)
+                page_ends = np.arange(at + capacity, at + n + capacity, capacity)
+                ends.append(np.minimum(page_ends, at + n))
+                at += n
                 continue
-            for page in run:
-                parts.append((at, page))
-                at += len(page)
-                bounds.append(at)
+            sizes = [len(page) for page in run]
+            parts += zip(accumulate(sizes, initial=at), run)
+            ends.append(np.cumsum(sizes) + at)
+            at += sum(sizes)
         if at != len(rows):
             return None
+        bounds = np.concatenate(ends)
         source = rows.source if isinstance(rows, RowRefs) else None
         if source is not None and all(getattr(part, "source", None) is source for _, part in parts):
             return bounds if RowRefs.concat([part for _, part in parts]) == rows else None

@@ -14,7 +14,7 @@ relation-level and experiment-level totals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,6 @@ class IOStatistics:
     retry_reads: int = 0
     retry_writes: int = 0
 
-    #: The label-tag fields: counters that annotate already-charged
-    #: operations without ever adding to ``total_ops`` or :meth:`cost`.
-    TAG_FIELDS = ("retry_reads", "retry_writes")
-
     # -- recording ----------------------------------------------------------
 
     def record(self, *, write: bool, sequential: bool, count: int = 1) -> None:
@@ -103,22 +99,6 @@ class IOStatistics:
             self.retry_writes += count
         else:
             self.retry_reads += count
-
-    def record_tag(self, tag: str, count: int = 1) -> None:
-        """Tag *count* already-recorded operations under a named tag field.
-
-        The generic entry point the metrics bridge uses: ``tag`` must be one
-        of :attr:`TAG_FIELDS` (``retry_reads``, ``retry_writes``).  An
-        unknown tag raises
-        instead of silently minting a counter nothing will ever read.
-        """
-        if tag not in self.TAG_FIELDS:
-            raise ValueError(
-                f"unknown I/O tag {tag!r}; valid tags are {self.TAG_FIELDS}"
-            )
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        setattr(self, tag, getattr(self, tag) + count)
 
     def add(self, other: "IOStatistics") -> None:
         """Accumulate *other* into this object."""
@@ -178,7 +158,7 @@ class IOStatistics:
         return self.random_ops * model.io_ran + self.sequential_ops * model.io_seq
 
     def as_dict(self) -> Dict[str, int]:
-        """Every counter field as a plain dict (the metrics-bridge shape)."""
+        """Every counter field as a plain dict."""
         return {
             "random_reads": self.random_reads,
             "sequential_reads": self.sequential_reads,
@@ -291,7 +271,3 @@ class _PhaseContext:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self._tracker._exit()
 
-
-def iter_phases(tracker: PhaseTracker) -> Iterator[str]:
-    """Names of the phases recorded so far, in insertion order."""
-    return iter(tracker.phases)

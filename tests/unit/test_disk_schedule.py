@@ -1,23 +1,31 @@
 """Billing a schedule in one call is billing its runs one by one.
 
-``SimulatedDisk.charge_runs`` takes an ordered list of ``(extent, first
-page, count, write)`` runs and records each ``(device, op, sequential)``
-total once.  Over random schedules -- several devices, extents that outgrow
-their first segment, heads parked between calls, retry tags, an attached
-observer -- one call per schedule must leave the disk exactly
-as one ``_charge`` call per run does: heads, segments, ``stats``,
-``device_stats`` and the observer's ``repro_io_*`` counters.
+``SimulatedDisk.charge_runs`` takes an ordered schedule of ``(extent, first
+page, count, write)`` runs -- a ``Schedule`` of columns, or a list of
+tuples -- and records each ``(device, op, sequential)`` total once.  The
+reference here is the scalar loop the disk billed every schedule with
+before it billed on columns (:func:`oracle_charge_runs`): one Python
+iteration per run, walking the extent's segments.  Over random schedules
+-- several devices, two extents per device that outgrow their first
+segment, empty runs, heads parked between calls, retry tags, an attached
+observer -- the column form, the tuple-list form and one ``_charge`` per run
+must each leave the disk exactly as the oracle does: heads, segments,
+``stats``, ``device_stats`` and the observer's ``repro_io_*`` counters.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.model.errors import StorageError
 from repro.obs import Observability
-from repro.storage.disk import SimulatedDisk
+from repro.storage.disk import Schedule, SimulatedDisk
 
 #: ``(device, reserved pages)`` of the extents every disk starts with: two
 #: per device, so runs on one device interleave two files.
 EXTENTS = [(0, 3), (0, 1), (1, 2), (1, 4), (2, 1), (2, 2)]
+FORMS = ("oracle", "columns", "tuples", "per-run")
 
 run = st.tuples(
     st.integers(0, len(EXTENTS) - 1),  # extent
@@ -30,6 +38,51 @@ call = st.tuples(
     st.booleans(),  # retry
     st.booleans(),  # park the heads first
 )
+
+
+def oracle_charge_runs(disk, runs, retry=False):
+    """The scalar loop: per run, grow a write's extent, then walk its
+    segments from the device head; one total per ``(device, write)``."""
+    heads = disk._heads
+    totals = {}  # (device, write) -> [seeks, accesses]
+    for extent, index, count, write in runs:
+        if count < 1:
+            continue
+        if write and index + count > extent._capacity:
+            disk._ensure_capacity(extent, index + count - 1)
+        head = heads.get(extent.device)
+        seeks, skip, left = 0, index, count
+        for base, cap in extent._segments:
+            if skip >= cap:
+                skip -= cap
+                continue
+            first = base + skip
+            piece = min(left, cap - skip)
+            if head is None or not 0 <= first - head <= 1:
+                seeks += 1
+            head = first + piece - 1
+            left -= piece
+            skip = 0
+            if not left:
+                break
+        else:
+            raise StorageError(f"page {index + count - 1} past extent {extent.name!r}")
+        heads[extent.device] = head
+        total = totals.setdefault((extent.device, write), [0, 0])
+        total[0] += seeks
+        total[1] += count
+    for (device, write), (seeks, count) in totals.items():
+        sequential = count - seeks
+        for stats in (disk.stats, disk._device_stats_of(device)):
+            stats.record(write=write, sequential=False, count=seeks)
+            stats.record(write=write, sequential=True, count=sequential)
+            if retry:
+                stats.record_retry(write=write, count=count)
+        for is_sequential, ops in ((False, seeks), (True, sequential)):
+            if ops:
+                disk._obs.on_io(
+                    device, write=write, sequential=is_sequential, retry=retry, count=ops
+                )
 
 
 def fresh_disk():
@@ -57,17 +110,24 @@ def billable(runs, extents):
     return kept
 
 
-def replay(calls, one_call):
+def bill(disk, runs, retry, form):
+    if form == "oracle":
+        oracle_charge_runs(disk, runs, retry)
+    elif form == "columns":
+        disk.charge_runs(Schedule.of(runs), retry=retry)
+    elif form == "tuples":
+        disk.charge_runs(list(runs), retry=retry)
+    else:
+        for extent, index, count, write in runs:
+            disk._charge(extent, index, write=write, retry=retry, count=count)
+
+
+def replay(calls, form):
     disk, obs, extents = fresh_disk()
     for runs, retry, park in calls:
         if park:
             disk.park_heads()
-        runs = billable(runs, extents)
-        if one_call:
-            disk.charge_runs(runs, retry=retry)
-        else:
-            for extent, index, count, write in runs:
-                disk._charge(extent, index, write=write, retry=retry, count=count)
+        bill(disk, billable(runs, extents), retry, form)
     metrics = {
         name: family
         for name, family in obs.metrics_snapshot().items()
@@ -85,7 +145,11 @@ def replay(calls, one_call):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(call, max_size=10))
 def test_one_call_bills_what_one_charge_per_run_bills(calls):
-    assert replay(calls, one_call=True) == replay(calls, one_call=False)
+    """Columns, a tuple list and one ``_charge`` per run, each against the
+    scalar oracle."""
+    expected = replay(calls, "oracle")
+    for form in FORMS[1:]:
+        assert replay(calls, form) == expected, form
 
 
 def test_a_schedule_crosses_segments_and_devices():
@@ -106,3 +170,80 @@ def test_a_schedule_crosses_segments_and_devices():
     )
     assert disk.device_stats[1].random_reads == disk.device_stats[1].sequential_reads == 1
     assert disk.stats.total_ops == 10
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_two_extents_on_one_device_grow_in_one_call(form):
+    """Both files of device 0 outgrow their reservation in one schedule:
+    each new segment is placed where the device's allocation pointer stands
+    when its run is reached, so the order of growth is the run order."""
+    disk, _, extents = fresh_disk()
+    big, small = extents[0], extents[1]  # device 0: 3 pages, then 1 page
+    runs = [(small, 0, 3, True), (big, 2, 3, True), (small, 2, 2, False), (big, 0, 5, False)]
+    bill(disk, runs, False, form)
+    # small grows to pages 6 and 8-9 first, then big to 11-13.
+    assert [list(extent._segments) for extent in (big, small)] == [
+        [(0, 3), (11, 3)],
+        [(4, 1), (6, 1), (8, 2)],
+    ]
+    # Writes: 4, 6, 8 | 2, 11 12.  Reads: 8 9 | 0 1 2, 11 12.
+    assert disk.device_stats[0].as_dict() == dict(
+        disk.device_stats[0].as_dict(),
+        random_writes=5, sequential_writes=1, random_reads=3, sequential_reads=4,
+    )
+    assert disk.head_position(0) == 12
+
+
+@pytest.mark.parametrize("form", FORMS[1:])
+def test_empty_runs_and_parked_heads(form):
+    """An empty run bills nothing and leaves the head where it was; after
+    ``park_heads`` the next access on every device is a seek."""
+    disk, _, extents = fresh_disk()
+    a, b = extents[0], extents[3]
+    bill(disk, [(a, 0, 2, False), (a, 5, 0, True), (b, 0, 0, False), (a, 2, 1, False)], False, form)
+    assert disk.head_position(0) == 2 and disk.head_position(1) is None
+    assert (disk.stats.random_reads, disk.stats.sequential_reads, disk.stats.writes) == (1, 2, 0)
+    disk.park_heads()
+    bill(disk, [(a, 2, 1, False), (a, 0, 0, False)], False, form)
+    assert disk.stats.random_reads == 2
+
+
+@pytest.mark.parametrize("form", FORMS[1:])
+def test_retry_and_observer(form):
+    """A retried schedule tags every access it bills as a retry, in the
+    counters and in the observer's retry family."""
+    disk, obs, extents = fresh_disk()
+    bill(disk, [(extents[0], 0, 3, False), (extents[2], 0, 2, True)], True, form)
+    assert (disk.stats.retry_reads, disk.stats.retry_writes) == (3, 2)
+    expected, expected_obs, same = fresh_disk()
+    oracle_charge_runs(expected, [(same[0], 0, 3, False), (same[2], 0, 2, True)], True)
+    assert obs.metrics_snapshot() == expected_obs.metrics_snapshot()
+
+
+def test_a_schedule_iterates_exactly_as_its_columns():
+    """A schedule is the list it stands for: ``Schedule.of`` of a list
+    iterates as that list, with the very extent objects, and a schedule
+    built from columns iterates run by run as plain ints and bools."""
+    _, _, extents = fresh_disk()
+    runs = [(extents[2], 0, 2, False), (extents[0], 1, 0, True), (extents[2], 2, 1, False)]
+    schedule = Schedule.of(runs)
+    assert list(schedule) == runs
+    assert [run[0] for run in schedule][0] is extents[2]
+    assert schedule.extents == [extents[2], extents[0]]
+    built = Schedule(
+        [extents[4], extents[5]],
+        np.array([1, 0], np.int64),
+        np.array([3, 0], np.int64),
+        np.array([2, 1], np.int64),
+        np.array([True, False]),
+    )
+    assert list(built) == [(extents[5], 3, 2, True), (extents[4], 0, 1, False)]
+    assert all(type(field) in (int, bool) for run in built for field in run[1:])
+    assert list(Schedule.of([])) == []
+
+
+@pytest.mark.parametrize("form", FORMS[1:])
+def test_a_read_past_the_reservation_raises(form):
+    disk, _, extents = fresh_disk()
+    with pytest.raises(StorageError):
+        bill(disk, [(extents[0], 0, 1, False), (extents[1], 0, 2, False)], False, form)

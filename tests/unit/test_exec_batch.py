@@ -77,8 +77,8 @@ class TestPageBatch:
         assert list(batch) == rows and batch[1] is rows[1]
         assert columns(batch[1:3]) == [rows[1:3], [1, 0], [2, 7], [9, 7]]
         # Rows overlapping the window (lo, hi]: lo < end and start <= hi.
-        assert batch.overlapping((5, 11)) == [1, 2]
-        assert batch.overlapping((float("-inf"), float("inf"))) == [0, 1, 2, 3]
+        assert batch.overlapping((5, 11)).tolist() == [1, 2]
+        assert batch.overlapping((float("-inf"), float("inf"))).tolist() == [0, 1, 2, 3]
         assert columns(batch.take([3, 0])) == [[rows[3], rows[0]], [2, 0], [12, 1], [20, 5]]
         assert columns(batch.take([])) == [[], [], [], []]
         assert columns(PageBatch.concat([batch[:1], batch.take([]), batch[1:]])) == columns(batch)

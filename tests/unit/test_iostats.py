@@ -99,29 +99,9 @@ class TestMergeAndTags:
         a.merge(IOStatistics())
         assert a.as_dict() == before
 
-    def test_record_tag_routes_to_named_field(self):
-        stats = IOStatistics()
-        for tag in IOStatistics.TAG_FIELDS:
-            stats.record_tag(tag, 2)
-        assert stats.retry_reads == 2
-        assert stats.retry_writes == 2
-        # Tags annotate already-recorded ops; they never mint main-bucket ops.
-        assert stats.total_ops == 0
-        assert stats.cost(CostModel()) == 0.0
-
-    def test_record_tag_rejects_unknown_tag(self):
-        with pytest.raises(ValueError, match="unknown I/O tag"):
-            IOStatistics().record_tag("prefetch_reads")
-
-    def test_record_tag_rejects_negative_count(self):
-        stats = IOStatistics()
-        with pytest.raises(ValueError):
-            stats.record_tag("retry_reads", -1)
-        assert stats.retry_reads == 0
-
     def test_as_dict_covers_every_tag_field(self):
         snapshot = IOStatistics().as_dict()
-        for tag in IOStatistics.TAG_FIELDS:
+        for tag in ("retry_reads", "retry_writes"):
             assert tag in snapshot
 
     def test_worker_ledgers_reconcile_exactly(self):
