@@ -110,6 +110,8 @@ def test_batch_charges_the_access_sequence_of_tuple(direction):
 
 #: The hand-driven sweep's shape: partitions, Grace buffer pages, outer area.
 N_PARTITIONS, MEMORY_PAGES, BUFF_SIZE = 8, 64, 40
+#: An outer area that cuts every step's partition into several blocks.
+SMALL_BUFF_SIZE = 34
 
 
 def tearing_the_first_spill(flush, disk, torn):
@@ -126,13 +128,15 @@ def tearing_the_first_spill(flush, disk, torn):
     return flush_and_tear
 
 
-def by_hand(execution, direction, *, cache_memory_tuples=0, damage=None, page_spec=None):
+def by_hand(
+    execution, direction, *, cache_memory_tuples=0, damage=None, page_spec=None, buff_size=BUFF_SIZE
+):
     """``(outcome, layout, accesses, passes)`` of a join driven phase by phase,
     as the benchmark suite's replay drives one, on a disk with no fault
     injector and no checksums, with the fixture's pages unless *page_spec*
-    is given.  *damage* tears a stored page the sweep
-    re-reads: the middle page of the largest inner partition
-    (``"partition"``), or of the first multi-page cache spill
+    is given, and an outer area of *buff_size* pages.  *damage* tears a
+    stored page the sweep re-reads: the middle page of the largest inner
+    partition (``"partition"``), or of the first multi-page cache spill
     (``"cache"``).  *passes* is ``(passes made, passes walked)``."""
     r, s = long_lived_pair()
     layout = DiskLayout(spec=page_spec or long_lived_config().page_spec)
@@ -176,7 +180,7 @@ def by_hand(execution, direction, *, cache_memory_tuples=0, damage=None, page_sp
             r_parts,
             s_parts,
             partition_map,
-            BUFF_SIZE,
+            buff_size,
             layout,
             r.schema.join_result_schema(s.schema),
             direction=direction,
@@ -188,9 +192,9 @@ def by_hand(execution, direction, *, cache_memory_tuples=0, damage=None, page_sp
 
 
 def assert_batch_bills_what_tuple_walks(direction, **kwargs):
-    """The batch run's charged accesses, rows in emission order, counters and
-    result stream equal the oracle's; returns the batch run's ``(passes
-    made, passes walked)``."""
+    """The batch run's charged accesses, rows in emission order, counters,
+    per-phase ledger and result stream equal the oracle's; returns the batch
+    run's ``(passes made, passes walked)``."""
     oracle, oracle_layout, oracle_accesses, _ = by_hand("tuple", direction, **kwargs)
     outcome, layout, accesses, passes = by_hand("batch", direction, **kwargs)
     assert oracle.overflow_blocks >= 1 and oracle.cache_tuples_spilled > RUN_ROWS
@@ -199,7 +203,36 @@ def assert_batch_bills_what_tuple_walks(direction, **kwargs):
     assert replace(outcome, result=None) == replace(oracle, result=None)
     assert layout.disk.device_stats == oracle_layout.disk.device_stats
     assert layout.result_stats.as_dict() == oracle_layout.result_stats.as_dict()
+    assert ledger(layout) == ledger(oracle_layout)
     return passes
+
+
+def ledger(layout):
+    return {name: stats.as_dict() for name, stats in layout.tracker.phases.items()}
+
+
+@pytest.mark.parametrize("resident", [0, 3 * 8])
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_several_blocks_a_step_bill_and_emit_as_the_walk(direction, resident, monkeypatch):
+    """An outer area of SMALL_BUFF_SIZE pages cuts every step's partition
+    into 2 to 6 blocks: the batch engine probes each stream once a step
+    against the whole partition's index and emits each block's cut of the
+    pairs in the walk's order -- rows, counters, per-phase ledger and the
+    expanded access sequence are the tuple engine's, a resident cache area
+    or not."""
+    per_step, split = [], joiner._split_blocks
+
+    def noting(outer, block_tuples):
+        blocks = split(outer, block_tuples)
+        per_step.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(joiner, "_split_blocks", noting)
+    _, walked = assert_batch_bills_what_tuple_walks(
+        direction, cache_memory_tuples=resident, buff_size=SMALL_BUFF_SIZE
+    )
+    assert walked == 0
+    assert min(per_step) >= 2 and max(per_step) <= 6 and len(set(per_step)) > 1
 
 
 @pytest.mark.parametrize("direction", ["backward", "forward"])
@@ -337,9 +370,10 @@ def test_a_fault_injector_sends_every_read_through_read():
 
 @pytest.mark.parametrize("direction", ["backward", "forward"])
 def test_a_billed_pass_charges_once_and_probes_once(direction, monkeypatch):
-    """A billed pass bills its whole walk in one ``charge_runs`` call and
-    probes all its rows in one kernel call, which expands each chunk of
-    candidates once -- and the walk's access sequence is still billed."""
+    """A billed pass bills its whole walk in one ``charge_runs`` call; a
+    billed stream is probed in one kernel call per step, however many outer
+    blocks pass over it, which expands each chunk of candidates once -- and
+    the walk's access sequence is still billed."""
     config = long_lived_config("batch", checkpoint_interval=0, sweep_direction=direction)
     layout = DiskLayout(spec=config.page_spec)
     accesses, calls = record_charges(layout)
@@ -370,32 +404,40 @@ def test_a_billed_pass_charges_once_and_probes_once(direction, monkeypatch):
         monkeypatch.setattr(
             module, "expand_candidates", counting("expansions", module.expand_candidates)
         )
-    billed = []
-    pass_ = PartitionSweep._pass
+    billed, steps = [], []
+    pass_, step = PartitionSweep._pass, PartitionSweep.step
 
     def noting_pass(sweep, *args):
         before, n_calls = dict(seen), len(calls)
         result = pass_(sweep, *args)
         delta = {key: seen[key] - before[key] for key in seen}
         if not delta.pop("walked"):
-            billed.append((len(calls) - n_calls, *delta.values()))
+            billed.append(((len(steps), args[1]), len(calls) - n_calls, *delta.values()))
         return result
 
+    def noting_step(sweep, state):
+        steps.append(state.position)
+        return step(sweep, state)
+
     monkeypatch.setattr(PartitionSweep, "_pass", noting_pass)
-    partition_join(*long_lived_pair(), config, layout=layout)
+    monkeypatch.setattr(PartitionSweep, "step", noting_step)
+    outcome = partition_join(*long_lived_pair(), config, layout=layout).outcome
     monkeypatch.undo()
 
-    assert len(billed) > 2 * N_PARTITIONS
-    assert {(charges, kernel) for charges, kernel, _, _ in billed} == {(1, 1)}
-    assert all(chunks == expansions for _, _, chunks, expansions in billed)
+    streams = {stream for stream, *_ in billed}
+    assert outcome.overflow_blocks > 0 and len(billed) > len(streams) > 2 * N_PARTITIONS - 2
+    assert {charges for _, charges, _, _, _ in billed} == {1}
+    for stream in streams:
+        assert sum(kernel for at, _, kernel, _, _ in billed if at == stream) == 1, stream
+    assert all(chunks == expansions for _, _, _, chunks, expansions in billed)
     _, tuple_accesses, _ = charged_accesses("tuple", direction)
     assert accesses == tuple_accesses
 
 
 def few_keys_short_intervals():
     """Two relations on four keys with intervals of at most three chronons:
-    key groups far longer than any interval, so the outer blocks keep the
-    pruned window probe."""
+    key groups far longer than any interval, so the outer partitions keep
+    the pruned window probe."""
     rng = random.Random(CHAOS_SEED + 11)
     pair = []
     for name in ("r", "s"):
@@ -410,11 +452,12 @@ def few_keys_short_intervals():
 
 
 def materialisations(join):
-    """``(rows per call, pruned, walked pages, run)``: the reference
-    sequences *join* materialises outside emission (``MatchBlock``), whether
-    an outer block kept the pruned probe, and how many pages passes walked
-    (an empty tuple cache is walked, reading nothing)."""
-    calls, pruned, walked = [], [], []
+    """``(rows per call, index kinds, walked pages, run)``: the reference
+    sequences *join* materialises outside emission (``MatchBlock``), the
+    kinds of index the steps' outer partitions took (``"pruned"`` or
+    ``"csr"``), and how many pages passes walked (an empty tuple cache is
+    walked, reading nothing)."""
+    calls, kinds, walked = [], set(), []
     tolist = RowRefs.tolist
     build_index, probe_pages = joiner._BatchEngine.build_index, PartitionSweep._probe_pages
 
@@ -428,7 +471,7 @@ def materialisations(join):
 
     def noting_index(engine, block):
         index = build_index(engine, block)
-        pruned.append(index.csr is None)
+        kinds.add("pruned" if index.csr is None else "csr")
         return index
 
     def noting_walk(*args):
@@ -441,7 +484,7 @@ def materialisations(join):
         patch.setattr(joiner._BatchEngine, "build_index", noting_index)
         patch.setattr(PartitionSweep, "_probe_pages", noting_walk)
         run = join()
-    return calls, any(pruned), sum(walked), run
+    return calls, kinds, sum(walked), run
 
 
 @pytest.mark.parametrize(
@@ -467,11 +510,14 @@ def test_a_billed_join_fetches_row_objects_only_to_emit(fixture, monkeypatch):
         residents.append(len(cache.resident))
 
     monkeypatch.setattr(joiner._TupleCache, "take", noting_resident)
-    calls, pruned, walked, run = materialisations(lambda: partition_join(r, s, config))
+    calls, kinds, walked, run = materialisations(lambda: partition_join(r, s, config))
     assert max(residents) == resident_pages * 8  # the area filled
     assert calls == []
     assert walked == 0 and run.plan.num_partitions > 1
-    assert pruned == (fixture == "few_keys_short_intervals")
+    # Four keys keep every step's index pruned; on the long-lived pair the
+    # first step's outer partition prunes and the later ones take the CSR
+    # probe.
+    assert kinds == ({"pruned"} if fixture.startswith("few") else {"pruned", "csr"})
     assert list(run.result.tuples) == list(oracle.result.tuples)
     if fixture == "long_lived":
         assert run.outcome.overflow_blocks >= 1 and run.outcome.cache_tuples_spilled > 0

@@ -17,7 +17,8 @@ never loops over the rows it moves.
 A billed pass is billed on columns: every multi-run ``charge_runs`` call of
 a fault-free ``batch`` join hands the disk a ``Schedule``, never a list it
 would walk run by run, and checks a stream's stored pages once a step, not
-once per overflow block.  And a join keys in its outer relation's codes:
+once per overflow block.  The compute is per step too: one index over the
+step's whole outer partition, one probe kernel call per billed stream.  And a join keys in its outer relation's codes:
 no per-dictionary translator between a relation's codes and a join's ids
 comes back.
 """
@@ -193,3 +194,47 @@ def test_a_step_checks_each_stream_once(monkeypatch):
     run = partition_join(*long_lived_pair(), long_lived_config("batch", checkpoint_interval=0))
     assert run.outcome.overflow_blocks > 0 and len(passes) > len(checked)
     assert len({id(heap) for heap in checked}) == len(checked)
+
+
+def test_a_billed_step_builds_one_index_and_probes_each_stream_once(monkeypatch):
+    """Overflow blocks split the steps of the chaos long-lived fixture, yet
+    a fault-free ``batch`` join builds one index a step -- over the whole
+    outer partition -- and probes each billed stream (the inner partition,
+    and the old cache from the second step on) in one kernel call a step.
+    A checksummed disk's passes still walk, probing run by run against the
+    same one index a step."""
+    from repro.core import joiner
+    from repro.core.partition_join import partition_join
+    from repro.exec.kernels import Kernels
+    from repro.storage.layout import DiskLayout
+
+    from tests.chaos.conftest import long_lived_config, long_lived_pair
+
+    seen = dict.fromkeys(("index", "kernel", "walked", "step"), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for owner, name, key in (
+        (joiner._BatchEngine, "build_index", "index"),
+        (joiner, "probe_pruned_chunks", "kernel"),
+        (Kernels, "probe_column_chunks", "kernel"),
+        (joiner.PartitionSweep, "_probe_pages", "walked"),
+        (joiner.PartitionSweep, "step", "step"),
+    ):
+        monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
+    pair, config = long_lived_pair(), long_lived_config("batch", checkpoint_interval=0)
+    run = partition_join(*pair, config)
+    steps = run.plan.num_partitions
+    assert run.outcome.overflow_blocks > steps // 2 and seen["step"] == steps
+    assert (seen["index"], seen["kernel"], seen["walked"]) == (steps, 2 * steps - 1, 0)
+
+    seen.update(dict.fromkeys(seen, 0))
+    checksummed = DiskLayout(spec=config.page_spec, checksums=True)
+    checked = partition_join(*pair, config, layout=checksummed)
+    assert seen["index"] == seen["step"] == steps and seen["walked"] > 2 * steps
+    assert list(checked.result.tuples) == list(run.result.tuples)
