@@ -138,7 +138,8 @@ class _CsrProbeIndex:
     """CSR grouping of an outer block by interned key id.
 
     *columns* hands over the block's ``(key_ids, starts, ends)`` when the
-    caller already holds them; the block is then kept as given.
+    caller already holds them; the block is then kept as given.  *order*
+    hands over the rows' stable sort by key id when the caller made it.
     """
 
     __slots__ = (
@@ -152,7 +153,7 @@ class _CsrProbeIndex:
     )
 
     def __init__(
-        self, block: Sequence[VTTuple], interner: KeyInterner, columns=None
+        self, block: Sequence[VTTuple], interner: KeyInterner, columns=None, order=None
     ) -> None:
         if columns is not None:
             self.block = block
@@ -171,8 +172,11 @@ class _CsrProbeIndex:
             )
         self.n_groups = len(interner)
         # Stable sort keeps each key group in block (insertion) order, so
-        # CSR gathers reproduce the probe_index list order exactly.
-        self.order = np.argsort(key_ids, kind="stable")
+        # CSR gathers reproduce the probe_index list order exactly; on a
+        # narrow unsigned key numpy's stable sort is a radix sort.
+        if order is None:
+            order = np.argsort(key_ids.astype(np.min_scalar_type(self.n_groups)), kind="stable")
+        self.order = order
         self.counts = np.bincount(key_ids, minlength=self.n_groups).astype(np.int64)
         self.offsets = np.cumsum(self.counts) - self.counts
         # Interval columns pre-permuted into CSR position order, so the
