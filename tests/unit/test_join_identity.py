@@ -13,6 +13,12 @@ and sweep direction on three reduced-scale recipes, the digest covers:
 * every page the main disk stores at the end, read through ``peek`` as
   ``(key, payload, vs, ve)`` rows, so a page's Python type is not hashed.
 
+``WALKED_JOIN_DIGEST`` pins the same fingerprint on the pages a join
+*walks*: the reduced ``long_lived`` recipe, every name and direction, on a
+checksummed disk and on a disk whose injector fails scripted reads once.
+Either disk has no stored run table to bill from, so every scan reads its
+pages.
+
 A refactor may change how a join computes, never any of this.  A mismatch
 means some mode's output moved; to find which, print ``_fingerprint`` for
 every point on this commit and on the last commit that passed, and diff.
@@ -28,14 +34,20 @@ import pytest
 
 from repro.core.partition_join import PartitionJoinConfig, partition_join
 from repro.model.relation import ValidTimeRelation
+from repro.resilience.faults import FaultInjector
 from repro.model.schema import RelationSchema
 from repro.storage.disk import SimulatedDisk
+from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
 from repro.workloads import fig8_spec, generate_pair
 from repro.workloads.builders import random_valid_time_relation
 
 #: sha256 over every point's fingerprint: recipes x MODES x DIRECTIONS, in order.
 JOIN_DIGEST = "f3c0b4e36cdbfb4595260fa3e00dd4d9d2de3454f3c66b50ac79c41659145cbf"
+
+#: sha256 over the walked points: MODES x DIRECTIONS on a checksummed
+#: disk, then on a faulting disk (``_walked_layouts``), the long_lived recipe.
+WALKED_JOIN_DIGEST = "8e4ea067febd1c263f2bfe3797e17440b0ed6ce316f99f89e248d7775fbcb2a4"
 
 MODES = ("tuple", "batch", "forward-sweep")
 DIRECTIONS = ("backward", "forward")
@@ -162,3 +174,41 @@ def test_every_mode_matches_the_pinned_join_digest(charges):
         accesses = charges.get(id(run.layout.disk), [])
         digest.update(hashlib.sha256(_fingerprint(run, accesses).encode()).digest())
     assert digest.hexdigest() == JOIN_DIGEST
+
+
+def _faulting_layout() -> DiskLayout:
+    """A disk whose injector fails the read of a few pages of every file the
+    join reads, once each: a fixed script, no random stream."""
+    injector = FaultInjector(seed=41)
+    names = ["r", "s", "r_sweep_run", "s_sweep_run"]
+    names += [f"{side}_part{index}" for side in "rs" for index in range(16)]
+    for name in names:
+        for page in (0, 3, 7):
+            injector.fail_read(name, page)
+    return DiskLayout(fault_injector=injector)
+
+
+def _walked_layouts():
+    yield lambda: DiskLayout(checksums=True)
+    yield _faulting_layout
+
+
+def test_walked_joins_match_the_pinned_digest(charges):
+    (_name, pair, config), = [recipe for recipe in _recipes() if recipe[0] == "long_lived"]
+    digest = hashlib.sha256()
+    for layout, mode, direction in itertools.product(
+        list(_walked_layouts()), MODES, DIRECTIONS
+    ):
+        charges.clear()
+        run = partition_join(
+            *pair,
+            dataclasses.replace(config, execution=mode, sweep_direction=direction),
+            layout=layout(),
+        )
+        disk = run.layout.disk
+        assert disk.stored(disk._extents[0]) is None
+        if disk.fault_injector is not None:
+            assert run.layout.tracker.stats.retry_reads > 0
+        accesses = charges.get(id(run.layout.disk), [])
+        digest.update(hashlib.sha256(_fingerprint(run, accesses).encode()).digest())
+    assert digest.hexdigest() == WALKED_JOIN_DIGEST
