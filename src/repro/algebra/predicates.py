@@ -7,10 +7,10 @@ of Allen's thirteen relations: a :class:`TemporalPredicate` names such a
 subset plus the timestamp policy used to stamp emitted pairs, and
 compiles the subset into the two probe shapes the sweep understands:
 
-* **Sign-grid cells** for the nine *intersecting* relations.  When the
-  sweep probes its active map, every candidate already intersects the
-  probing interval (that is what the map maintains), so the exact Allen
-  relation of the pair ``(r, s)`` collapses to the pair of comparisons
+* **Sign-grid cells** for the nine *intersecting* relations.  Every pair
+  the sweep's intersecting windows find already intersects (one row starts
+  inside the other), so the exact Allen relation of the pair ``(r, s)``
+  collapses to the pair of comparisons
   ``(sign(r.start - s.start), sign(r.end - s.end))``:
 
   ========================  ==========================
@@ -28,12 +28,12 @@ compiles the subset into the two probe shapes the sweep understands:
   ========================  ==========================
 
   A predicate therefore becomes a 3x3 boolean table indexed by
-  ``(ds + 1, de + 1)`` -- one vectorized gather per probe.
+  ``(ds + 1, de + 1)`` -- one vectorized gather over all pairs.
 
 * **Scan windows** for the four *disjoint* relations (BEFORE, MEETS,
-  MET_BY, AFTER).  Those pairs never meet in the active map; the sweep
-  answers them with binary-searched windows over per-key endpoint-sorted
-  row indexes (see :mod:`repro.exec.forward_sweep`).
+  MET_BY, AFTER).  Those pairs never intersect; the sweep answers them
+  with binary-searched windows over the inner rows grouped by key and
+  sorted on start or end (see :mod:`repro.exec.forward_sweep`).
 
 Timestamp policies mirror :func:`repro.variants.allen_joins.allen_join`:
 ``"intersection"`` is only legal when every accepted relation
@@ -124,7 +124,7 @@ class TemporalPredicate:
 
     @property
     def intersecting_relations(self) -> FrozenSet[AllenRelation]:
-        """The accepted relations answerable from the active map."""
+        """The accepted relations answerable from the sign grid."""
         return self.relations & INTERSECTING_RELATIONS
 
     @property

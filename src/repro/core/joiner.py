@@ -147,6 +147,35 @@ def natural_pair(x: VTTuple, y: VTTuple, common: Interval) -> VTTuple:
     return VTTuple(x.key, x.payload + y.payload, common)
 
 
+def emit_matches(
+    matches, pair_fn: PairFn, layout: DiskLayout, result_file: HeapFile,
+    collected: Optional[ValidTimeRelation],
+) -> int:
+    """Write *matches* -- a :class:`MatchBlock` or ``(x, y, common)``
+    triples -- to *result_file* and, unless None, *collected*, in order;
+    returns how many rows went out.  For :func:`natural_pair` a block *is*
+    the result rows and is appended whole; any other pair function is
+    called per match and may reject it."""
+    if isinstance(matches, MatchBlock):
+        if pair_fn is natural_pair:
+            # O(pages) work: no row is built.
+            result_file.append_block(matches)
+            if collected is not None:
+                collected.append_block(matches)
+            return len(matches)
+        matches = matches.pairs()
+    emitted = 0
+    for x, y, common in matches:
+        joined = pair_fn(x, y, common)
+        if joined is None:
+            continue
+        emitted += 1
+        layout.write_result(result_file, joined)
+        if collected is not None:
+            collected.add(joined)
+    return emitted
+
+
 @dataclass
 class JoinOutcome:
     """What a partition-sweep join produced and observed.
@@ -725,29 +754,14 @@ class PartitionSweep:
         """Write one run's *matches* to the result stream, in order; returns
         how many rows went out.  With swapped inputs the pair function sees
         ``(inner row, outer row)``, the caller's order."""
-        pair_fn, collected = self._pair_fn, state.outcome.result
-        if isinstance(matches, MatchBlock):
-            if self._context.swapped:
+        if self._context.swapped:
+            if isinstance(matches, MatchBlock):
                 matches = matches.flipped()
-            if pair_fn is natural_pair:
-                # The block *is* the natural result rows: O(pages) work.
-                state.result_file.append_block(matches)
-                if collected is not None:
-                    collected.append_block(matches)
-                state.outcome.n_result_tuples += len(matches)
-                return len(matches)
-            matches = matches.pairs()
-        elif self._context.swapped:
-            matches = ((inner, outer, common) for outer, inner, common in matches)
-        emitted = 0
-        for x, y, common in matches:
-            joined = pair_fn(x, y, common)
-            if joined is None:
-                continue
-            emitted += 1
-            self._layout.write_result(state.result_file, joined)
-            if collected is not None:
-                collected.add(joined)
+            else:
+                matches = ((inner, outer, common) for outer, inner, common in matches)
+        emitted = emit_matches(
+            matches, self._pair_fn, self._layout, state.result_file, state.outcome.result
+        )
         state.outcome.n_result_tuples += emitted
         return emitted
 

@@ -89,10 +89,10 @@ class PartitionJoinConfig:
             per-phase I/O statistics; see ``docs/EXECUTION.md``.
             ``"forward-sweep"`` is the endpoint-sorted forward-scan sweep
             operator of :mod:`repro.exec.forward_sweep`: no sampling, no
-            partitioning -- one merged scan with gapless active maps (plus
-            a charged sort pass per input lacking endpoint-sorted
-            metadata), the only execution evaluating non-natural
-            ``predicate`` values.
+            partitioning -- one merged scan, evaluated as window searches
+            over both inputs' columns (plus a charged sort pass per input
+            lacking endpoint-sorted metadata), the only execution
+            evaluating non-natural ``predicate`` values.
         predicate: the temporal predicate to evaluate, by
             :mod:`repro.algebra.predicates` registry name.  The partition
             executions support only the natural join (``"intersects"``);

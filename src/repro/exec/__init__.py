@@ -16,8 +16,9 @@ written; see ``docs/EXECUTION.md`` for the layout and determinism rules.
 
 :mod:`repro.exec.forward_sweep` is the odd one out: not a faster path
 through the partition join but a different physical operator -- the
-endpoint-sorted forward-scan sweep with gapless hash maps, selected via
-``execution="forward-sweep"``.
+endpoint-sorted forward-scan sweep, evaluated as window searches over
+key-grouped, start-sorted columns and emitted as one match block,
+selected via ``execution="forward-sweep"``.
 """
 
 from repro.exec.batch import KeyInterner, PageBatch
@@ -44,7 +45,7 @@ ALL_EXECUTION_MODES = EXECUTION_MODES + ("forward-sweep",)
 # imports this package -- which the storage layer imports first (through
 # repro.exec.batch).  So re-export the sweep lazily (PEP 562) to keep this
 # package importable from inside that cycle.
-_FORWARD_SWEEP_EXPORTS = ("GaplessHashMap", "forward_sweep_join")
+_FORWARD_SWEEP_EXPORTS = ("forward_sweep_join",)
 
 
 def __getattr__(name: str):
@@ -58,7 +59,6 @@ def __getattr__(name: str):
 __all__ = [
     "ALL_EXECUTION_MODES",
     "EXECUTION_MODES",
-    "GaplessHashMap",
     "forward_sweep_join",
     "KeyInterner",
     "Kernels",

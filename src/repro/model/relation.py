@@ -343,8 +343,14 @@ class ValidTimeRelation:
     # -- temporal queries -----------------------------------------------------
 
     def lifespan(self) -> Optional[Lifespan]:
-        """The relation lifespan: hull of all tuple timestamps (None if empty)."""
-        return lifespan_of(tup.valid for tup in self._tuples)
+        """The relation lifespan: hull of all tuple timestamps (None if
+        empty), read off the split columns once the relation is split."""
+        columns = self._columns
+        if columns is None:
+            return lifespan_of(tup.valid for tup in self._tuples)
+        if not len(columns):
+            return None
+        return Lifespan(int(columns.starts.min()), int(columns.ends.max()))
 
     def endpoint_sorted(self) -> bool:
         """True when tuples iterate in ``(start, end)`` order.

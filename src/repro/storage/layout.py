@@ -152,13 +152,6 @@ class DiskLayout:
         """Pages *relation* occupies under this layout's page geometry."""
         return self.spec.pages_for_tuples(len(relation))
 
-    def collect_result(self, result_file: HeapFile, schema) -> ValidTimeRelation:
-        """Drain a result heap file into an in-memory relation (uncharged)."""
-        relation = ValidTimeRelation(schema)
-        for tup in result_file.all_tuples():
-            relation.add(tup)
-        return relation
-
     def write_result(self, result_file: HeapFile, tup: VTTuple) -> None:
         """Append a result tuple through the excluded-cost stream."""
         result_file.append(tup)

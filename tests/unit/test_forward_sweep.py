@@ -1,8 +1,7 @@
 """Unit tests for the forward-scan sweep operator and its planning stack.
 
 Covers the pieces the property suite (tests/property/test_prop_allen.py)
-exercises only end to end: the gapless hash map's open-addressing and
-swap-with-last mechanics, the Allen predicate registry,
+exercises only end to end: the Allen predicate registry,
 the endpoint-sortedness metadata, the planner's grant clamp and crossover
 model, EXPLAIN's operator surfacing, and the ledger/metrics
 reconciliation of a sweep run.
@@ -38,7 +37,7 @@ from repro.core.planner import (
 from repro.engine.catalog import analyze
 from repro.engine.database import TemporalDatabase
 from repro.engine.optimizer import choose_algorithm, estimate_costs
-from repro.exec.forward_sweep import GaplessHashMap, forward_sweep_join
+from repro.exec.forward_sweep import forward_sweep_join
 from repro.model.relation import ValidTimeRelation
 from repro.model.schema import RelationSchema
 from repro.model.vtuple import VTTuple
@@ -50,8 +49,6 @@ from repro.storage.page import PageSpec
 from repro.time.allen import AllenRelation
 from repro.time.interval import Interval
 
-#: The one kernel backend, named in the case ids.
-BACKENDS = ("numpy",)
 SPEC = PageSpec(page_bytes=512, tuple_bytes=128)
 SCHEMA_R = RelationSchema("r", ("k",), ("a",), tuple_bytes=128)
 SCHEMA_S = RelationSchema("s", ("k",), ("b",), tuple_bytes=128)
@@ -102,44 +99,6 @@ class TestPredicateRegistry:
             "ok", frozenset({AllenRelation.BEFORE}), timestamp="left"
         )
         assert ok.disjoint_relations == frozenset({AllenRelation.BEFORE})
-
-
-# -- the gapless hash map ------------------------------------------------------
-
-
-class TestGaplessHashMap:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_insert_probe_expire(self, backend):
-        gmap = GaplessHashMap()
-        gmap.insert(7, 0, 5, 0)
-        gmap.insert(7, 2, 3, 1)
-        gmap.insert(9, 0, 9, 2)
-        assert gmap.size == 3 and gmap.peak == 3
-        starts, ends, rows, n = gmap.probe(7, boundary=0)
-        assert n == 2 and sorted(int(x) for x in rows[:n]) == [0, 1]
-        # Boundary 4 expires the interval ending at 3; the run stays gapless.
-        starts, ends, rows, n = gmap.probe(7, boundary=4)
-        assert n == 1 and int(rows[0]) == 0
-        assert gmap.size == 2 and gmap.expired == 1
-        assert gmap.probe(12345, boundary=0) is None
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_table_resizes_past_initial_capacity(self, backend):
-        gmap = GaplessHashMap()
-        for code in range(100):
-            gmap.insert(code, code, code + 1, code)
-        assert gmap.size == 100 and gmap.peak == 100
-        for code in range(100):
-            live = gmap.probe(code, boundary=0)
-            assert live is not None and live[3] == 1
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_peak_survives_expiration(self, backend):
-        gmap = GaplessHashMap()
-        for i in range(10):
-            gmap.insert(1, 0, i, i)
-        gmap.probe(1, boundary=100)
-        assert gmap.size == 0 and gmap.peak == 10 and gmap.expired == 10
 
 
 # -- configuration validation --------------------------------------------------

@@ -48,11 +48,3 @@ class TestResultStream:
         result_file.flush()
         assert layout.tracker.stats.total_ops == 0
         assert layout.result_stats.writes > 0
-
-    def test_collect_result(self, layout, relation):
-        result_file = layout.result_file("out")
-        for tup in relation:
-            layout.write_result(result_file, tup)
-        result_file.flush()
-        collected = layout.collect_result(result_file, relation.schema)
-        assert collected.multiset_equal(relation)
