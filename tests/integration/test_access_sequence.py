@@ -288,10 +288,10 @@ def test_a_damaged_page_is_walked_not_billed(direction, damage):
     assert 0 < walked < passes
 
 
-def reads_by_phase(injector):
+def reads_by_phase(injector, execution="batch"):
     """``(reads per phase, run)``: calls of ``SimulatedDisk.read`` in each
-    phase of a batch join of the chaos long-lived fixture."""
-    config = long_lived_config("batch", checkpoint_interval=0)
+    phase of an *execution* join of the chaos long-lived fixture."""
+    config = long_lived_config(execution, checkpoint_interval=0)
     layout = DiskLayout(spec=config.page_spec, fault_injector=injector)
     calls = {}
     read = SimulatedDisk.read
@@ -315,6 +315,15 @@ def test_a_fault_free_batch_join_reads_no_page_one_by_one():
     phases = run.layout.tracker.phases
     assert phases["partition"].reads > 0 and phases["join"].reads > 0
     assert calls.get("partition", 0) == calls.get("join", 0) == 0
+
+
+def test_a_fault_free_forward_sweep_reads_no_page_one_by_one():
+    """The sweep's scans -- the base files in its sort phase, the sorted
+    runs in its join phase -- are billed off the columns the files carry."""
+    calls, run = reads_by_phase(None, "forward-sweep")
+    phases = run.layout.tracker.phases
+    assert phases["sort"].reads > 0 and phases["join"].reads > 0
+    assert calls == {}
 
 
 #: GC-tracked objects a join may keep per file and per emitted block.
