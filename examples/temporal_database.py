@@ -1,17 +1,15 @@
-"""Tour of the temporal query engine: joins, aggregation, bitemporal queries.
+"""Tour of the temporal query engine: joins and temporal aggregation.
 
 Uses the :class:`TemporalDatabase` facade to run the paper's join with
-automatic algorithm selection, asks "how many projects were staffed at
-each moment?" with the temporal aggregation operator, and finishes with a
-bitemporal what-did-we-know-when query -- the paper's concluding vision of
-a bitemporal DBMS built on valid-time machinery.
+automatic algorithm selection, then asks "how many projects were staffed
+at each moment?" with the temporal aggregation operator.
 
     python examples/temporal_database.py
 """
 
 import random
 
-from repro import BitemporalRelation, RelationSchema, TemporalDatabase
+from repro import RelationSchema, TemporalDatabase
 
 
 def main() -> None:
@@ -47,25 +45,6 @@ def main() -> None:
     peak = max(staffing, key=lambda t: t.payload[0])
     print(f"  max {peak.payload[0]:.0f} concurrent assignments "
           f"during [{peak.vs}, {peak.ve}]")
-
-    # Bitemporal: corrections without losing history.
-    print("\nbitemporal audit trail:")
-    contracts = BitemporalRelation(
-        RelationSchema("contracts", ("vendor",), ("rate",))
-    )
-    first = contracts.insert(("acme",), (100,), valid_interval(0, 364), tt=10)
-    # At tt=50 we learn the rate was renegotiated mid-year all along.
-    contracts.update(first, (90,), valid_interval(180, 364), tt=50)
-    for tt in (20, 60):
-        rows = contracts.as_of(tt).timeslice(200)
-        print(f"  believed at tt={tt}: rate during day 200 = "
-              f"{[row[1] for row in rows]}")
-
-
-def valid_interval(start: int, end: int):
-    from repro import Interval
-
-    return Interval(start, end)
 
 
 if __name__ == "__main__":

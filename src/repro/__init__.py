@@ -53,7 +53,6 @@ from repro.baselines import (
     sort_merge_join,
 )
 from repro.aggregate import AggregationTree, temporal_aggregate
-from repro.bitemporal import BitemporalRelation, bitemporal_join
 from repro.engine import TemporalDatabase
 from repro.exec import backend_name, get_kernels
 
@@ -90,8 +89,6 @@ __all__ = [
     "sort_merge_join",
     "AggregationTree",
     "temporal_aggregate",
-    "BitemporalRelation",
-    "bitemporal_join",
     "TemporalDatabase",
     "backend_name",
     "get_kernels",

@@ -14,8 +14,8 @@ exactly the same catalog mutations (see
 
 A result-cache hit serves the stored relation and
 :class:`~repro.core.joiner.JoinOutcome` with **zero charged I/O**: no disk
-layout is ever built, so there is nothing to charge -- the property the
-perf-smoke CI gate asserts.
+layout is ever built, so there is nothing to charge -- the property
+``tests/service/test_service.py::TestResultCache`` asserts.
 """
 
 from __future__ import annotations

@@ -102,7 +102,8 @@ class ShardedQueryResult(ServiceQueryResult):
             cost; compare to the single-process bill).
         service_cost: the *parallel* bill -- the maximum per-shard cost,
             i.e. the simulated service latency with every shard's disk
-            running concurrently.  The scaling benchmark's clock.
+            running concurrently (the benchmark suite's
+            ``shard.coordinator.service_cost``).
         phases: merged per-phase ledgers
             (:class:`~repro.storage.iostats.IOStatistics` per phase name,
             folded exactly once per shard).

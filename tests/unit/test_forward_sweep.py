@@ -288,6 +288,11 @@ class TestExplainOperator:
         report = db.explain("works_on", "earns", method="partition")
         assert report.operator == "partition"
         assert "sweep" not in report.estimates
+        # Left to choose by itself on inputs large enough to price the
+        # nested loop out, EXPLAIN still keeps the sweep out of the race.
+        db = seeded_db(sort_r=False, sort_s=False, n=4000)
+        report = db.explain("works_on", "earns")
+        assert report.algorithm == report.operator == "partition"
 
     def test_analyze_reconciles_sweep_phases_exactly(self):
         db = seeded_db(sort_r=True, sort_s=False)
