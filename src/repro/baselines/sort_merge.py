@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.external_sort import external_sort
-from repro.core.joiner import PairFn, natural_pair
+from repro.core.joiner import natural_pair
 from repro.model.errors import PlanError
 from repro.model.relation import ValidTimeRelation
 from repro.model.vtuple import VTTuple
@@ -77,15 +77,8 @@ def sort_merge_join(
     page_spec: Optional[PageSpec] = None,
     layout: Optional[DiskLayout] = None,
     collect_result: bool = True,
-    pair_fn: PairFn = natural_pair,
 ) -> SortMergeResult:
-    """Evaluate ``r JOIN_V s`` by sort-merge over the simulated disk.
-
-    ``pair_fn`` generalizes the result construction exactly as in the
-    partition join: it receives each key-matching, interval-intersecting
-    pair plus the overlap and may build a different result tuple or reject
-    the pair -- the hook the Leung-Muntz predicate extensions [LM90] use.
-    """
+    """Evaluate ``r JOIN_V s`` by sort-merge over the simulated disk."""
     if memory_pages < 4:
         raise PlanError(f"sort-merge needs >= 4 buffer pages, got {memory_pages}")
     result_schema = r.schema.join_result_schema(s.schema)
@@ -94,7 +87,7 @@ def sort_merge_join(
 
     r_file = layout.place_relation(r)
     s_file = layout.place_relation(s)
-    emitter = _Emitter(layout, result_schema, collect_result, pair_fn)
+    emitter = _Emitter(layout, result_schema, collect_result)
 
     pages_r = r_file.n_pages
     pages_s = s_file.n_pages
@@ -127,18 +120,11 @@ def sort_merge_join(
 class _Emitter:
     """Shared result emission: excluded-cost file plus optional collection."""
 
-    def __init__(
-        self,
-        layout: DiskLayout,
-        result_schema,
-        collect: bool,
-        pair_fn: PairFn = natural_pair,
-    ) -> None:
+    def __init__(self, layout: DiskLayout, result_schema, collect: bool) -> None:
         self.layout = layout
         self.file = layout.result_file("sm_result")
         self.collected = ValidTimeRelation(result_schema) if collect else None
         self.count = 0
-        self.pair_fn = pair_fn
 
     def emit(self, x: VTTuple, y: VTTuple) -> None:
         if x.key != y.key:
@@ -146,9 +132,7 @@ class _Emitter:
         common = x.valid.intersect(y.valid)
         if common is None:
             return
-        joined = self.pair_fn(x, y, common)
-        if joined is None:
-            return
+        joined = natural_pair(x, y, common)
         self.count += 1
         self.layout.write_result(self.file, joined)
         if self.collected is not None:

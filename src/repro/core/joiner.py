@@ -89,12 +89,11 @@ rows only.
 
 **Emission.**  The batch engine hands back each run's (or chunk's)
 matches as one :class:`~repro.model.match_block.MatchBlock` -- matched
-rows plus the ``starts | ends`` columns -- and for the natural pair
-function that block is appended whole to the result file and the
-collected relation, which build a ``VTTuple`` only when someone reads one.
-Any other pair function may reject or rewrite a pair, so it is called per
-row of the block; the tuple engine always calls it per match (it is the
-oracle for the block path too).
+rows plus the ``starts | ends`` columns -- and that block is appended whole
+to the result file and the collected relation, which build a ``VTTuple``
+only when someone reads one.  The tuple engine hands back ``(x, y, overlap)``
+triples, and each becomes a :func:`natural_pair` row (it is the oracle for
+the block path too).
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,12 +126,6 @@ if TYPE_CHECKING:  # degrade imports this module; annotation-only the other way
     from repro.obs import Observability
     from repro.resilience.degrade import BufferReduction
 
-#: Builds a result tuple from a matched pair and their interval overlap, or
-#: None to reject the pair.  The default is the natural-join combination;
-#: predicate variants (overlap-join, contain-join, ...) substitute their own.
-PairFn = Callable[[VTTuple, VTTuple, Interval], Optional[VTTuple]]
-
-
 #: Rows a walked pass gathers before it probes and emits them: enough that
 #: a kernel call's fixed cost is amortized (8-tuple pages: 1.7 s at 8 rows,
 #: 0.8 s at 64, flat within noise from 256 to 4096), and exactly one page
@@ -148,27 +141,22 @@ def natural_pair(x: VTTuple, y: VTTuple, common: Interval) -> VTTuple:
 
 
 def emit_matches(
-    matches, pair_fn: PairFn, layout: DiskLayout, result_file: HeapFile,
+    matches, layout: DiskLayout, result_file: HeapFile,
     collected: Optional[ValidTimeRelation],
 ) -> int:
     """Write *matches* -- a :class:`MatchBlock` or ``(x, y, common)``
     triples -- to *result_file* and, unless None, *collected*, in order;
-    returns how many rows went out.  For :func:`natural_pair` a block *is*
-    the result rows and is appended whole; any other pair function is
-    called per match and may reject it."""
+    returns how many rows went out.  A block *is* the result rows and is
+    appended whole; each triple becomes a :func:`natural_pair` row."""
     if isinstance(matches, MatchBlock):
-        if pair_fn is natural_pair:
-            # O(pages) work: no row is built.
-            result_file.append_block(matches)
-            if collected is not None:
-                collected.append_block(matches)
-            return len(matches)
-        matches = matches.pairs()
+        # O(pages) work: no row is built.
+        result_file.append_block(matches)
+        if collected is not None:
+            collected.append_block(matches)
+        return len(matches)
     emitted = 0
     for x, y, common in matches:
-        joined = pair_fn(x, y, common)
-        if joined is None:
-            continue
+        joined = natural_pair(x, y, common)
         emitted += 1
         layout.write_result(result_file, joined)
         if collected is not None:
@@ -207,7 +195,6 @@ def join_partitions(
     result_schema: Optional[RelationSchema] = None,
     *,
     collect: bool = True,
-    pair_fn: PairFn = natural_pair,
     direction: str = "backward",
     cache_memory_tuples: int = 0,
     execution: str = "tuple",
@@ -237,10 +224,10 @@ def join_partitions(
         direction, cache_memory_tuples, execution: the sweep's fixed
             parameters, see the module docstring.
         swapped_inputs: *r_parts* hold the caller's inner relation, so
-            *pair_fn* is called as ``pair_fn(s_row, r_row, overlap)``.
+            each match is emitted as ``(s_row, r_row)``, the caller's order.
         prefetch_depth, sweep_workers, supervision: ignored (see the
             signature).
-        pair_fn, pool, checkpointer, buffer_reductions, obs: the run's
+        pool, checkpointer, buffer_reductions, obs: the run's
             collaborators, see :class:`PartitionSweep`.
     """
     if len(r_parts) != len(partition_map) or len(s_parts) != len(partition_map):
@@ -263,7 +250,6 @@ def join_partitions(
     sweep = PartitionSweep(
         context,
         layout,
-        pair_fn=pair_fn,
         pool=pool,
         checkpointer=checkpointer,
         buffer_reductions=buffer_reductions,
@@ -377,7 +363,6 @@ class PartitionSweep:
     Args:
         context: the sweep's fixed parameters.
         layout: the disk layout the partitions live on.
-        pair_fn: builds (or rejects) a result tuple per matched pair.
         pool: when given, :meth:`run` reserves the Figure 3 regions in this
             :class:`BufferPool` and guarantees -- on success, failure, or
             simulated crash -- that every reservation is released.
@@ -397,7 +382,6 @@ class PartitionSweep:
         context: SweepContext,
         layout: DiskLayout,
         *,
-        pair_fn: PairFn = natural_pair,
         pool: Optional[BufferPool] = None,
         checkpointer: Optional[SweepCheckpointer] = None,
         buffer_reductions: Sequence["BufferReduction"] = (),
@@ -414,7 +398,6 @@ class PartitionSweep:
             )
         self._context = context
         self._layout = layout
-        self._pair_fn = pair_fn
         self._pool = pool
         self._checkpointer = checkpointer
         self._reductions = buffer_reductions
@@ -752,16 +735,14 @@ class PartitionSweep:
 
     def _emit(self, state: SweepState, matches) -> int:
         """Write one run's *matches* to the result stream, in order; returns
-        how many rows went out.  With swapped inputs the pair function sees
+        how many rows went out.  With swapped inputs a match is emitted as
         ``(inner row, outer row)``, the caller's order."""
         if self._context.swapped:
             if isinstance(matches, MatchBlock):
                 matches = matches.flipped()
             else:
                 matches = ((inner, outer, common) for outer, inner, common in matches)
-        emitted = emit_matches(
-            matches, self._pair_fn, self._layout, state.result_file, state.outcome.result
-        )
+        emitted = emit_matches(matches, self._layout, state.result_file, state.outcome.result)
         state.outcome.n_result_tuples += emitted
         return emitted
 

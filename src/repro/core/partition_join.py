@@ -22,14 +22,7 @@ from functools import partial
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
-from repro.core.joiner import (
-    JoinOutcome,
-    PairFn,
-    PartitionSweep,
-    SweepState,
-    join_partitions,
-    natural_pair,
-)
+from repro.core.joiner import JoinOutcome, PartitionSweep, SweepState, join_partitions
 from repro.core.partitioner import do_partitioning
 from repro.core.planner import PartitionPlan, determine_part_intervals
 from repro.exec import ALL_EXECUTION_MODES, EXECUTION_MODES  # noqa: F401 (re-exported)
@@ -288,14 +281,13 @@ class _JoinCall:
     s: ValidTimeRelation
     config: PartitionJoinConfig
     layout: DiskLayout
-    pair_fn: PairFn = natural_pair
     recovery: Optional[RecoveryLog] = None
     pool: Optional[BufferPool] = None
     obs: Optional[Observability] = None
     result_schema: Optional[RelationSchema] = None
 
 
-def _open_call(r, s, config, layout, pair_fn, recovery, pool) -> _JoinCall:
+def _open_call(r, s, config, layout, recovery, pool) -> _JoinCall:
     """Apply the config's retry bound to *layout* and attach the run's
     observability runtime to its disk.
 
@@ -314,7 +306,7 @@ def _open_call(r, s, config, layout, pair_fn, recovery, pool) -> _JoinCall:
         if obs is None:
             obs = Observability(config.observability)
             layout.disk.attach_observer(obs)
-    return _JoinCall(r, s, config, layout, pair_fn, recovery, pool, obs, result_schema)
+    return _JoinCall(r, s, config, layout, recovery, pool, obs, result_schema)
 
 
 @contextmanager
@@ -330,7 +322,6 @@ def partition_join(
     config: PartitionJoinConfig,
     *,
     layout: Optional[DiskLayout] = None,
-    pair_fn: PairFn = natural_pair,
     recovery: Optional[RecoveryLog] = None,
     pool: Optional[BufferPool] = None,
     plan: Optional[PartitionPlan] = None,
@@ -370,7 +361,7 @@ def partition_join(
         layout = DiskLayout(spec=config.page_spec)
     if config.checkpoint_interval > 0 and recovery is None:
         recovery = RecoveryLog()
-    call = _open_call(r, s, config, layout, pair_fn, recovery, pool)
+    call = _open_call(r, s, config, layout, recovery, pool)
     if pool is not None and pool.total_pages < config.memory_pages:
         # Graceful degradation: the memory the plan assumed is not there.
         # Re-plan for what the pool can actually grant rather than failing
@@ -419,7 +410,6 @@ def _partition_sweep(
             layout,
             call.result_schema,
             collect=config.collect_result,
-            pair_fn=call.pair_fn,
             direction=config.sweep_direction,
             cache_memory_tuples=cache_pages * layout.spec.capacity,
             execution=config.execution,
@@ -473,7 +463,6 @@ def _answer(
                 layout,
                 call.result_schema,
                 collect=config.collect_result,
-                pair_fn=call.pair_fn,
             )
         if plan is None:
             plan = _trivial_plan(call, buff_size)
@@ -513,7 +502,6 @@ def _forward_sweep_eval(
             call.result_schema,
             call.layout,
             predicate=config.predicate,
-            pair_fn=call.pair_fn,
             collect=config.collect_result,
             obs=call.obs,
         )
@@ -533,7 +521,6 @@ def resume_join(
     *,
     layout: DiskLayout,
     recovery: RecoveryLog,
-    pair_fn: PairFn = natural_pair,
     pool: Optional[BufferPool] = None,
 ) -> PartitionJoinResult:
     """Restart an interrupted partition join from its last checkpoint.
@@ -569,10 +556,8 @@ def resume_join(
     if not recovery.resumable:
         # The run died before its sweep committed a checkpoint: restart the
         # whole evaluation.
-        return partition_join(
-            r, s, config, layout=layout, pair_fn=pair_fn, recovery=recovery, pool=pool
-        )
-    call = _open_call(r, s, config, layout, pair_fn, recovery, pool)
+        return partition_join(r, s, config, layout=layout, recovery=recovery, pool=pool)
+    call = _open_call(r, s, config, layout, recovery, pool)
     obs = call.obs
     if obs is not None:
         obs.event("resume", position=recovery.checkpoint.position)
@@ -580,7 +565,6 @@ def resume_join(
     sweep = PartitionSweep(
         recovery.context,
         layout,
-        pair_fn=pair_fn,
         pool=pool,
         checkpointer=SweepCheckpointer(layout, recovery, config.checkpoint_interval),
         buffer_reductions=config.buffer_reductions,

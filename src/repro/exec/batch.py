@@ -185,8 +185,8 @@ class PageBatch:
 
     Attributes:
         tuples: the page's tuples, in page order (kernels return row indices
-            into this sequence; emission still hands whole :class:`VTTuple`
-            objects to the pair function): a list as decomposed, or a
+            into this sequence; emission takes whole :class:`VTTuple`
+            objects from it): a list as decomposed, or a
             :class:`RowRefs` on the carried path.
         key_ids: per-row interned key id (``-1`` = key unknown to the build
             side), or None when built without an interner.

@@ -256,7 +256,6 @@ def forward_sweep_join(
     layout,
     *,
     predicate="intersects",
-    pair_fn=None,
     collect: bool = True,
     obs=None,
 ):
@@ -269,8 +268,6 @@ def forward_sweep_join(
         result_schema: schema of emitted tuples.
         layout: disk layout carrying the phase tracker and result stream.
         predicate: a registry name or :class:`TemporalPredicate`.
-        pair_fn: result constructor ``(x, y, stamp) -> VTTuple | None``;
-            defaults to the natural join's pair shape.
         collect: materialize the result relation in memory.
         obs: optional :class:`~repro.obs.Observability` runtime; receives
             the ``repro_sweep_*`` metrics and the sweep span.
@@ -281,15 +278,13 @@ def forward_sweep_join(
         sweep neither partitions nor spills), and ``cache_tuples_peak``
         reporting the scan's peak open-interval population.
     """
-    from repro.core.joiner import JoinOutcome, emit_matches, natural_pair
+    from repro.core.joiner import JoinOutcome, emit_matches
     from repro.model.relation import ValidTimeRelation
     from repro.obs import span_or_null
 
     pred = predicate if isinstance(predicate, TemporalPredicate) else (
         resolve_predicate(predicate)
     )
-    if pair_fn is None:
-        pair_fn = natural_pair
     tracker = layout.tracker
     stats: Dict[str, int] = {}
 
@@ -336,7 +331,7 @@ def forward_sweep_join(
             block = MatchBlock(take(r.tuples, ri), take(s.tuples, si), starts, ends)
             result_file = layout.result_file("sweep_result")
             result = ValidTimeRelation(result_schema) if collect else None
-            n_result = emit_matches(block, pair_fn, layout, result_file, result)
+            n_result = emit_matches(block, layout, result_file, result)
             result_file.flush()
         layout.disk.park_heads()
 

@@ -97,8 +97,8 @@ def concat_chunks(chunks) -> Tuple:
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-#: A matched pair ready for the pair function: (outer tuple, inner tuple,
-#: overlap interval).  Emission order is (inner row, outer insertion order),
+#: A matched pair ready for emission: (outer tuple, inner tuple, overlap
+#: interval).  Emission order is (inner row, outer insertion order),
 #: matching the tuple-at-a-time probe loop exactly.
 Match = Tuple[VTTuple, VTTuple, Interval]
 

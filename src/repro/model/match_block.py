@@ -146,8 +146,8 @@ class MatchBlock(LazyRows):
         )
 
     def pairs(self) -> Iterator[Tuple[VTTuple, VTTuple, Interval]]:
-        """``(left row, right row, overlap)`` per match, for a pair function
-        that builds (or rejects) the result row itself."""
+        """``(left row, right row, overlap)`` per match: the triples the
+        tuple engine hands back, to compare a block with them."""
         for x, y, start, end in zip(*self._lists()):
             yield x, y, trusted_interval(start, end)
 

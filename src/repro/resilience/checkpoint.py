@@ -45,10 +45,6 @@ from repro.storage.layout import Device, DiskLayout
 class SweepContext:
     """Everything the sweep needs besides its boundary state, fixed when the
     sweep starts: a fresh and a resumed sweep are both built from it.
-
-    ``pair_fn`` is a Python callable: the recovery log models a durable
-    catalog, and a real catalog would store the predicate's identifier the
-    same way.
     """
 
     r_parts: Sequence[HeapFile]
@@ -63,8 +59,8 @@ class SweepContext:
     result_file: HeapFile
     #: True when ``r_parts``/``s_parts`` hold the inputs in *swapped*
     #: orientation (the one-partition case makes the smaller relation the
-    #: outer side); the pair function is then called with the rows flipped
-    #: back, or results would come out payload-reversed.
+    #: outer side); each match is then emitted with the rows flipped back,
+    #: or results would come out payload-reversed.
     swapped: bool
 
 

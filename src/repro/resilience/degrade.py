@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.joiner import JoinOutcome, PairFn
+from repro.core.joiner import JoinOutcome, natural_pair
 from repro.model.relation import ValidTimeRelation
 from repro.storage.layout import DiskLayout
 
@@ -54,7 +54,6 @@ def fallback_nested_loop_join(
     result_schema,
     *,
     collect: bool,
-    pair_fn: PairFn,
 ) -> JoinOutcome:
     """Block nested-loop valid-time join over fresh base placements.
 
@@ -95,9 +94,7 @@ def fallback_nested_loop_join(
                         common = outer_tup.valid.intersect(inner_tup.valid)
                         if common is None:
                             continue
-                        joined = pair_fn(outer_tup, inner_tup, common)
-                        if joined is None:
-                            continue
+                        joined = natural_pair(outer_tup, inner_tup, common)
                         outcome.n_result_tuples += 1
                         layout.write_result(result_file, joined)
                         if collected is not None:

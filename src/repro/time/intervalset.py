@@ -1,8 +1,8 @@
 """Operations on sets of intervals: union, difference, coverage.
 
-The outerjoin variants need to compute the sub-intervals of a timestamp
-*not* covered by any matching tuple, and coalescing needs to merge
-overlapping or adjacent value-equivalent timestamps.  Both reduce to the
+The TE-outerjoin and the event-join need to compute the sub-intervals of
+a timestamp *not* covered by any matching tuple, and coalescing needs to
+merge overlapping or adjacent value-equivalent timestamps.  Both reduce to the
 canonicalization implemented here: an interval set is kept as a sorted list
 of disjoint, non-adjacent intervals.
 """
@@ -34,8 +34,9 @@ def normalize(intervals: Iterable[Interval]) -> List[Interval]:
 def subtract(interval: Interval, covered: Iterable[Interval]) -> List[Interval]:
     """The maximal sub-intervals of *interval* not covered by *covered*.
 
-    Used by the outerjoins: a tuple's unmatched validity is its timestamp
-    minus the union of the overlaps with every matching partner.
+    Used by the TE-outerjoin and the event-join: a tuple's unmatched
+    validity is its timestamp minus the union of the overlaps with every
+    matching partner.
     """
     remaining_start = interval.start
     gaps: List[Interval] = []

@@ -12,12 +12,13 @@ operators:
 * :mod:`repro.variants.event_join` -- Segev & Gunadhi's event-join and
   TE-outerjoin.
 * :mod:`repro.variants.allen_joins` -- joins qualified by Allen predicates
-  (overlap-join, contain-join, intersect-join) and the contain-semijoin.
-* :mod:`repro.variants.outerjoin` -- left/right/full valid-time natural
-  outerjoins with timestamp-preserving padding.
-* :mod:`repro.variants.partitioned` -- partition-based evaluation of the
-  predicate joins, demonstrating the paper's claim that the partitioning
-  framework extends beyond the natural join.
+  (overlap-join, contain-join, intersect-join) and the contain-semijoin,
+  evaluated by brute force: the oracle for the forward sweep, which
+  evaluates every Allen predicate through ``PartitionJoinConfig(
+  execution="forward-sweep", predicate=...)``.
+* :mod:`repro.variants.partitioned_time_join` -- the T-join over the
+  partition framework, demonstrating the paper's claim that the
+  partitioning extends beyond the natural join.
 """
 
 from repro.variants.time_join import te_join, time_join
@@ -29,11 +30,7 @@ from repro.variants.allen_joins import (
     intersect_join,
     overlap_join,
 )
-from repro.variants.outerjoin import valid_time_outerjoin
-from repro.variants.partitioned import partitioned_predicate_join
 from repro.variants.partitioned_time_join import partitioned_time_join
-from repro.variants.sort_merge_predicate import sort_merge_predicate_join
-from repro.variants.streamed_outerjoin import streamed_te_outerjoin
 
 __all__ = [
     "te_join",
@@ -45,9 +42,5 @@ __all__ = [
     "contain_semijoin",
     "intersect_join",
     "overlap_join",
-    "valid_time_outerjoin",
-    "partitioned_predicate_join",
     "partitioned_time_join",
-    "sort_merge_predicate_join",
-    "streamed_te_outerjoin",
 ]

@@ -228,8 +228,8 @@ class TestSwappedSinglePartitionResume:
 
     When one relation fits in the buffer area, ``partition_join._prepare``
     makes the *smaller* side the outer partition and tells the sweep so
-    (``swapped_inputs``), which hands the pair function its arguments in the
-    caller's order.  The checkpointed context stores the partitions in that
+    (``swapped_inputs``), which emits each match's rows in the caller's
+    order.  The checkpointed context stores the partitions in that
     swapped orientation and the flag beside them, so a resume that forgets
     the flag replays every pair payload-reversed -- identical counters,
     wrong tuples.  Regression for exactly that: r spans more pages than the

@@ -7,8 +7,7 @@ order), JoinOutcome counters, and per-phase I/O statistics exactly -- not
 approximately, not merely as multisets.  These tests drive the equivalence
 through the paths the unit tests cannot reach: the overflow/"thrashing"
 path (``overflow_blocks > 0``), both sweep directions, the tuple-cache
-spill and residency trade-off, the single-partition shortcut, and the
-predicate-join variants.
+spill and residency trade-off and the single-partition shortcut.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import sys
 
 import pytest
 
-from repro.baselines.nested_loop import nested_loop_join
 from repro.baselines.reference import reference_join
 from repro.core import joiner
 from repro.core.joiner import join_partitions
@@ -36,9 +34,7 @@ from repro.model.vtuple import VTTuple
 from repro.storage.heapfile import HeapFile
 from repro.storage.layout import DiskLayout
 from repro.storage.page import PageSpec
-from repro.time.allen import AllenRelation
 from repro.time.interval import Interval
-from repro.variants.partitioned import partitioned_predicate_join
 from tests.chaos.conftest import long_lived_config, long_lived_pair
 from tests.conftest import random_relation
 
@@ -177,13 +173,6 @@ def mixed_probe_pair(schema_r, schema_s):
     return r, s
 
 
-def keep_odd_overlaps(x, y, common):
-    """A pair function that rejects some pairs and rewrites the rest."""
-    if common.duration % 2 == 0:
-        return None
-    return VTTuple(x.key, y.payload + x.payload, common)
-
-
 class TestBlockEmission:
     """The batch engine appends each run's matches as one lazy block; the
     tuple engine builds every row itself and is the oracle for both the
@@ -235,43 +224,20 @@ class TestBlockEmission:
         assert run.result.materialized
         assert columns == oracle.result.to_columns() == run.result.to_columns()
 
-    @pytest.mark.parametrize("mode", EXECUTION_MODES[1:])
-    def test_rejecting_pair_function_runs_per_row(
-        self, schema_r, schema_s, backend, mode
-    ):
-        r, s = mixed_probe_pair(schema_r, schema_s)
-        runs = {
-            execution: partition_join(
-                r,
-                s,
-                PartitionJoinConfig(memory_pages=12, execution=execution),
-                pair_fn=keep_odd_overlaps,
-            )
-            for execution in ("tuple", mode)
-        }
-        natural = partition_join(r, s, PartitionJoinConfig(memory_pages=12, execution=mode))
-        assert 0 < runs["tuple"].outcome.n_result_tuples < natural.outcome.n_result_tuples
-        assert observe(runs[mode]) == observe(runs["tuple"])
-        assert result_pages(runs[mode]) == result_pages(runs["tuple"])
-
-    @pytest.mark.parametrize("pair_fn", [joiner.natural_pair, keep_odd_overlaps])
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_swapped_single_partition_keeps_the_callers_payload_order(
-        self, schema_r, schema_s, backend, mode, pair_fn
+        self, schema_r, schema_s, backend, mode
     ):
         """``|r| > buffSize >= |s|`` (63 pages of r, 5 of s, 16 of memory): s
-        becomes the resident side, and the pair function must still see
-        ``(r row, s row)``."""
+        becomes the resident side, and each result row must still be
+        ``(r payload, s payload)``."""
         r = random_relation(schema_r, 500, seed=71, payload_tag="p")
         s = random_relation(schema_s, 40, seed=72, payload_tag="q")
-        run = partition_join(
-            r, s, PartitionJoinConfig(memory_pages=16, execution=mode), pair_fn=pair_fn
-        )
+        run = partition_join(r, s, PartitionJoinConfig(memory_pages=16, execution=mode))
         assert run.plan.num_partitions == 1
-        first, second = ("p", "q") if pair_fn is joiner.natural_pair else ("q", "p")
         assert run.outcome.n_result_tuples > 0
         for tup in run.result:
-            assert tup.payload[0].startswith(first) and tup.payload[1].startswith(second)
+            assert tup.payload[0].startswith("p") and tup.payload[1].startswith("q")
 
     @pytest.mark.parametrize("mode", EXECUTION_MODES[1:])
     def test_uncollected_run_writes_the_same_result_pages(
@@ -322,9 +288,9 @@ class TestLongLivedOverflowAllNames:
         self.assert_agree({mode: observe(run) for mode, run in runs.items()})
 
     @pytest.mark.parametrize("direction", ["backward", "forward"])
-    def test_swapped_inputs_and_a_rejecting_pair_function(self, backend, direction):
-        """The sweep driven phase by phase, told its inputs are swapped: the
-        pair function sees ``(inner row, outer row)`` per row of each block."""
+    def test_swapped_inputs(self, backend, direction):
+        """The sweep driven phase by phase, told its inputs are swapped: each
+        block is emitted flipped, ``(inner row, outer row)``."""
         r, s = long_lived_pair()
         placement = "last" if direction == "backward" else "first"
         observed = {}
@@ -361,8 +327,7 @@ class TestLongLivedOverflowAllNames:
                     partition_map,
                     config.buff_size,
                     layout,
-                    r.schema.join_result_schema(s.schema),
-                    pair_fn=keep_odd_overlaps,
+                    s.schema.join_result_schema(r.schema),
                     direction=direction,
                     execution=mode,
                     swapped_inputs=True,
@@ -380,8 +345,7 @@ class TestLongLivedOverflowAllNames:
                 },
                 "result_stats": stats_tuple(layout.result_stats),
             }
-        result = observed["tuple"]["result"]
-        assert 0 < len(result) and all(tup.valid.duration % 2 for tup in result)
+        assert observed["tuple"]["result"]
         self.assert_agree(observed)
 
 
@@ -411,37 +375,6 @@ for mode in EXECUTION_MODES:
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-
-
-class TestVariantsAndBaselines:
-    def test_predicate_variant_equivalence(self, schema_r, schema_s, backend):
-        r = random_relation(schema_r, 400, seed=51, long_lived_fraction=0.5)
-        s = random_relation(schema_s, 400, seed=52, long_lived_fraction=0.5)
-        accepted = [
-            rel for rel in AllenRelation if getattr(rel, "intersects", False)
-        ]
-        runs = {}
-        for mode in ("tuple",) + BATCH_MODES:
-            config = PartitionJoinConfig(memory_pages=12, execution=mode)
-            runs[mode] = observe(
-                partitioned_predicate_join(r, s, config, accepted)
-            )
-        assert runs["batch"] == runs["tuple"]
-
-    def test_nested_loop_batch_equivalence(self, schema_r, schema_s, backend):
-        r = random_relation(schema_r, 300, seed=61)
-        s = random_relation(schema_s, 300, seed=62)
-        runs = {}
-        for mode in ("tuple", "batch"):
-            result = nested_loop_join(r, s, memory_pages=8, execution=mode)
-            runs[mode] = (
-                tuple(result.result.tuples),
-                result.n_result_tuples,
-                result.n_outer_blocks,
-                stats_tuple(result.layout.tracker.stats),
-            )
-        assert runs["batch"] == runs["tuple"]
-        assert runs["tuple"][1] == len(reference_join(r, s))
 
 
 class TestConfigValidation:

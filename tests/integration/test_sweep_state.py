@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.core.joiner import PartitionSweep, SweepState, _BatchEngine, natural_pair
+from repro.core.joiner import PartitionSweep, SweepState, _BatchEngine
 from repro.exec.batch import RowRefs
 from repro.core.partition_join import (
     EXECUTION_MODES,
@@ -38,7 +38,6 @@ from tests.chaos.conftest import (
     long_lived_config,
     long_lived_pair,
 )
-from tests.integration.test_execution_modes import keep_odd_overlaps
 
 DIRECTIONS = ("backward", "forward")
 
@@ -68,7 +67,7 @@ def observe(outcome, layout):
     }
 
 
-def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
+def stepped_by_hand(r, s, config, carried=True):
     """``partition_join`` with the sweep taken apart: prepare as it does,
     then thaw -> step -> barrier per partition, each in a new sweep object.
     With *carried* off the partition files reach the sweep without the
@@ -79,7 +78,7 @@ def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
     """
     layout = fresh_layout(config)
     recovery = RecoveryLog()
-    call = _open_call(r, s, config, layout, pair_fn, recovery, None)
+    call = _open_call(r, s, config, layout, recovery, None)
     r_file, s_file = layout.place_relation(r), layout.place_relation(s)
     plan, partition_map, r_parts, s_parts, swapped, buff_size = _prepare(
         call, r_file, s_file, None
@@ -118,7 +117,6 @@ def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
         return PartitionSweep(
             context,
             layout,
-            pair_fn=pair_fn,
             checkpointer=checkpointer,
             buffer_reductions=config.buffer_reductions,
         )
@@ -145,9 +143,9 @@ def stepped_by_hand(r, s, config, pair_fn=natural_pair, carried=True):
     return observe(state.outcome, layout), layout, thawed
 
 
-def uninterrupted(r, s, config, pair_fn=natural_pair):
+def uninterrupted(r, s, config):
     layout = fresh_layout(config)
-    run = partition_join(r, s, config, layout=layout, pair_fn=pair_fn)
+    run = partition_join(r, s, config, layout=layout)
     return observe(run.outcome, layout), layout
 
 
@@ -219,20 +217,20 @@ class TestEveryBoundary:
 class TestOnePartition:
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_swapped_one_partition_case_is_the_same_step(self, mode):
-        """``|r| > buffSize >= |s|``: one partition, s resident, and a pair
-        function that must still see ``(r row, s row)``."""
+        """``|r| > buffSize >= |s|``: one partition, s resident, and every
+        row still ``(r payload, s payload)``."""
         r = chaos_relation("r", 500, CHAOS_SEED + 3)
         s = chaos_relation("s", 40, CHAOS_SEED + 4)
         config = PartitionJoinConfig(
             memory_pages=16, page_spec=SPEC, checkpoint_interval=1, execution=mode
         )
-        expected, _ = uninterrupted(r, s, config, keep_odd_overlaps)
-        stepped, _, thawed = stepped_by_hand(r, s, config, keep_odd_overlaps)
+        expected, _ = uninterrupted(r, s, config)
+        stepped, _, thawed = stepped_by_hand(r, s, config)
         assert stepped == expected
         assert len(thawed) == 1  # the position-0 checkpoint ``begin`` commits
-        assert 0 < expected["counters"][0] < uninterrupted(r, s, config)[0]["counters"][0]
+        assert expected["counters"][0] > 0
         for tup in expected["rows"]:
-            assert tup.payload[0].startswith("s") and tup.payload[1].startswith("r")
+            assert tup.payload[0].startswith("r") and tup.payload[1].startswith("s")
 
 
 def keyed_relation(name, n_tuples, seed):

@@ -211,6 +211,14 @@ class TestSweepPlanning:
         )
         assert unsorted_choice.operator == "partition"
         assert "endpoint-sorted" in unsorted_choice.rationale
+        # ... not even where the sweep's estimate is the cheaper one: many
+        # long-lived tuples make the partition join pay for its cache.
+        cheaper_sweep = choose_physical_operator(
+            200, 200, 16, self.MODEL, outer_sorted=False, inner_sorted=False,
+            long_lived_fraction=0.9,
+        )
+        assert cheaper_sweep.operator == "partition"
+        assert cheaper_sweep.sweep_cost < cheaper_sweep.partition_cost
 
     def test_non_natural_predicate_forces_sweep(self):
         choice = choose_physical_operator(

@@ -21,6 +21,10 @@ once per overflow block.  The compute is per step too: one index over the
 step's whole outer partition, one probe kernel call per billed stream.  And a join keys in its outer relation's codes:
 no per-dictionary translator between a relation's codes and a join's ids
 comes back.
+
+Every engine emits the natural-join row: a predicate join is the forward
+sweep's (``PartitionJoinConfig(execution="forward-sweep", predicate=...)``),
+not a per-pair result callback threaded through each engine.
 """
 
 import ast
@@ -36,6 +40,8 @@ MAX_PRIVATE_PARAMETERS = 10
 #: What selected a kernel backend, and the twins it selected between.
 BACKEND_SWITCH = ("HAVE_NUMPY", "use_numpy", "REPRO_EXEC_BACKEND", "np is None")
 KERNEL_TWINS = ("PythonKernels", "PrunedProbeIndexPython", "probe_pruned_python", "_PythonRun")
+#: The per-pair result callback every engine once took, and its type.
+PAIR_HOOK, PAIR_HOOK_TYPE = "pair_fn", "PairFn"
 
 
 def functions(path):
@@ -105,6 +111,31 @@ def test_one_kernel_backend():
         ]
     assert not switches
     assert not twins
+
+
+def test_no_per_pair_result_callback():
+    """No function in the package takes a ``pair_fn`` parameter and no
+    module defines ``PairFn``."""
+    hooks, types = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                parameters = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                parameters += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+                hooks += [(name, node.lineno) for arg in parameters if arg.arg == PAIR_HOOK]
+            if isinstance(node, ast.ClassDef) and node.name == PAIR_HOOK_TYPE:
+                types.append((name, node.lineno))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                types += [
+                    (name, node.lineno)
+                    for target in targets
+                    if isinstance(target, ast.Name) and target.id == PAIR_HOOK_TYPE
+                ]
+    assert not hooks
+    assert not types
 
 
 def method(path, class_name, name):
