@@ -127,7 +127,10 @@ class RowRefs(SequenceABC):
 
     def take(self, rows) -> "RowRefs":
         """The rows at the positions *rows* of this sequence, in order."""
-        return RowRefs(self.source, self.array()[rows])
+        at = self.positions
+        if type(at) is range:  # offset the positions; build no range-long column
+            return RowRefs(self.source, np.asarray(rows, np.int64) * at.step + at.start)
+        return RowRefs(self.source, at[rows])
 
     def without(self, rows: List[int]) -> "RowRefs":
         """This sequence less the rows at the ascending positions *rows*."""

@@ -60,7 +60,9 @@ def candidate_chunks(counts) -> List[Tuple[int, int]]:
     return bounds
 
 
-def expand_candidates(first, counts, starts, ends, outer, boundaries, part_index, direction):
+def expand_candidates(
+    first, counts, starts, ends, outer, boundaries, part_index, direction, bounded=False
+):
     """Expand consecutive rows into candidate slots and filter them.
 
     Row ``r`` takes positions ``first[r] .. first[r] + counts[r] - 1`` of
@@ -68,22 +70,36 @@ def expand_candidates(first, counts, starts, ends, outer, boundaries, part_index
     intervals intersect and, given *boundaries*, partition *part_index*
     owns the overlap.  Returns the survivors' ``(outer positions, rows,
     common starts, common ends)``, slot order kept.
+
+    One ``repeat`` maps each slot to its row; the row's start and end, and
+    its slots' outer positions, are gathered through that map, and the
+    survivors' rows are the map's kept entries.  *bounded* says every
+    slot's outer start is at most its row's end, as in a pruned window.
+    Where the owner filter is then vacuous too -- no *boundaries*, or one
+    partition -- a slot intersects iff its outer end is at least its row's
+    start: one comparison, the overlap computed for the survivors only.
     """
     cum = np.cumsum(counts)
     total = int(cum[-1]) if cum.size else 0
-    pos = np.repeat(first - (cum - counts), counts) + np.arange(total, dtype=np.int64)
-    common_start = np.maximum(outer[0][pos], np.repeat(starts, counts))
-    common_end = np.minimum(outer[1][pos], np.repeat(ends, counts))
+    row = np.repeat(np.arange(counts.size), counts)
+    pos = (first - (cum - counts))[row] + np.arange(total, dtype=np.int64)
+    outer_starts, outer_ends = outer
+    row_starts = starts[row]
+    vacuous = boundaries is None or boundaries.n == 1
+    if bounded and vacuous:
+        kept = np.flatnonzero(outer_ends[pos] >= row_starts)
+        pos, row = pos[kept], row[kept]
+        common_start = np.maximum(outer_starts[pos], row_starts[kept])
+        return pos, row, common_start, np.minimum(outer_ends[pos], ends[row])
+    common_start = np.maximum(outer_starts[pos], row_starts)
+    common_end = np.minimum(outer_ends[pos], ends[row])
     kept = common_start <= common_end
-    if boundaries is not None:
+    if not vacuous:
         owner = common_end if direction == "backward" else common_start
         lo, hi = boundaries.window(part_index)
         kept &= (owner > lo) & (owner <= hi)
     kept = np.flatnonzero(kept)
-    # Slots are laid out by row: slot ``t`` is of the first row whose
-    # running count exceeds ``t``.
-    rows = np.searchsorted(cum, kept, side="right")
-    return pos[kept], rows, common_start[kept], common_end[kept]
+    return pos[kept], row[kept], common_start[kept], common_end[kept]
 
 
 def concat_chunks(chunks) -> Tuple:

@@ -12,11 +12,19 @@ Each inner row then probes only the start-window ``[inner.start - maxlen,
 inner.end]`` of its group, located with two ``searchsorted`` calls on the
 sorted composite, its needles sorted first (a billed sweep pass probes
 tens of thousands of rows in random order at once) and the windows
-scattered back to row order.  The exact intersection, the exactly-once
-owner filter, and the (inner row, outer insertion order) emission sort
-then run per chunk of consecutive rows holding at most
+scattered back to row order.  The exact intersection and the exactly-once
+owner filter then run per chunk of consecutive rows holding at most
 :data:`~repro.exec.kernels.CANDIDATE_BUDGET` candidates, so results are
-bit-identical to the oracle and no expansion outgrows the budget.
+bit-identical to the oracle and no expansion outgrows the budget.  A
+window bounds its candidates' starts by the row's end, so where the owner
+filter is vacuous (one partition) intersection is one comparison of the
+outer end with the row's start (:func:`~repro.exec.kernels.expand_candidates`).
+
+Rows expand in order and each window in sorted order.  The build notes
+whether that is block order too -- every key group's rows ascending in
+start, as an endpoint-sorted relation's are (``in_order``) -- and such a
+block's chunks are yielded as expanded.  Any other block's chunks take
+the (inner row, outer insertion order) emission sort.
 
 The window search costs a fixed ~20 numpy calls more than the CSR probe,
 which only pays where windows exclude something.  So the index decides per
@@ -52,7 +60,9 @@ class PrunedProbeIndex:
 
     ``csr`` is set, and the block probed through the unpruned CSR kernel
     instead, when pruning cannot pay on this block or the composite search
-    key cannot fit ``int64`` (see the module docstring).
+    key cannot fit ``int64`` (see the module docstring).  ``in_order`` is
+    set when each key group's sorted rows are in block order, so a probe
+    emits its windows without an emission sort.
     """
 
     __slots__ = (
@@ -67,6 +77,7 @@ class PrunedProbeIndex:
         "grp_maxlen",
         "min_start",
         "stride",
+        "in_order",
         "csr",
     )
 
@@ -78,6 +89,7 @@ class PrunedProbeIndex:
         """
         self.block = block
         self.csr = None
+        self.in_order = False
         n = len(block)
         if n == 0:
             self.order = np.empty(0, np.int64)
@@ -123,6 +135,11 @@ class PrunedProbeIndex:
         # sort restores, which then finds its input presorted.
         comp = key_ids * self.stride + (starts - self.min_start)
         self.comp, self.order = np.divmod(np.sort(comp * n + np.arange(n)), n)
+        # In order when every key group's sorted rows ascend in the block
+        # (an endpoint-sorted relation's do): the steps between groups aside.
+        rising = self.order[1:] > self.order[:-1]
+        rising[group_first[1:] - 1] = True
+        self.in_order = bool(rising.all())
         self.starts_sorted = starts[self.order]
         self.ends_sorted = ends[self.order]
         # Key id -> group, dense; the extra last slot is "no group".
@@ -188,12 +205,16 @@ def probe_pruned_chunks(
     counts = np.maximum(hi - lo, 0)
     outer, n_block = (index.starts_sorted, index.ends_sorted), len(index.block)
     for first, last in candidate_chunks(counts):
+        # A window's starts are at most its row's end: the expansion is bounded.
         pos, chunk_rows, common_start, common_end = expand_candidates(
             lo[first:last], counts[first:last], i_starts[first:last], i_ends[first:last],
-            outer, boundaries, part_index, direction,
+            outer, boundaries, part_index, direction, True,
         )
         pair_inner = rows[chunk_rows + first]
         pair_outer = index.order[pos]
+        if index.in_order:  # each window lists its rows in block order
+            yield pair_outer, pair_inner, common_start, common_end
+            continue
         # Restore the oracle's emission order: inner row ascending, then
         # outer block insertion order (the start-sorted windows scrambled it).
         perm = np.argsort(pair_inner * n_block + pair_outer)

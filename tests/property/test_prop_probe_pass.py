@@ -18,6 +18,12 @@ cut into: cut per block, those pairs must be each block's own probe.  The
 index carries the CSR probe exactly when fewer than half its rows are in
 key groups that can be pruned, and that CSR index probes as the tuple
 engine does past one byte of key ids.
+
+A pruned index whose key groups list their rows in block order (a block
+laid out in (key, start) order, ties included) is *in order*: its windows
+expand in emission order and skip the emission sort.  A one-partition map
+makes the owner filter vacuous, where a pruned window decides intersection
+with one comparison; both meet the tuple engine here.
 """
 
 import random
@@ -39,6 +45,8 @@ from repro.time.interval import Interval
 BACKENDS = ["numpy"]
 BUDGETS = (1, 7, 2**20)
 PMAP = PartitionMap([Interval(0, 39), Interval(40, 79), Interval(80, 119)])
+#: One partition: every pair's owner, so the owner filter is vacuous.
+PMAP_ONE = PartitionMap([Interval(0, 119)])
 
 prop_settings = settings(
     max_examples=40,
@@ -50,20 +58,22 @@ prop_settings = settings(
 @st.composite
 def shapes(draw):
     """The knobs of one outer block and inner batch: ``(seed, block rows,
-    keys, tied starts, inner rows)``.  ``keys == block rows`` makes every
-    key group a single row (the CSR index); one key makes one group; a
-    pool of tied starts makes the composite key dense in ties."""
+    keys, tied starts, inner rows, sorted)``.  ``keys == block rows`` makes
+    every key group a single row (the CSR index); one key makes one group;
+    a pool of tied starts makes the composite key dense in ties; *sorted*
+    lays the block out in (key, start) order, ties in drawn order."""
     n_block = draw(st.integers(1, 80))
     keys = draw(st.sampled_from([1, 3, 3, n_block]))
     tied = draw(st.sampled_from([0, 0, 1, 3]))  # 0: starts drawn freely
     n_inner = draw(st.one_of(st.integers(0, 40), st.integers(RUN_ROWS, 3 * RUN_ROWS)))
-    return draw(st.integers(0, 2**32)), n_block, keys, tied, n_inner
+    ordered = draw(st.booleans())
+    return draw(st.integers(0, 2**32)), n_block, keys, tied, n_inner, ordered
 
 
 def rows_of(shape):
     """``(block, inner)`` rows of *shape*.  Inner keys ``ghost*`` are absent
     from the block; inner rows past chronon 200 find empty windows."""
-    seed, n_block, keys, tied, n_inner = shape
+    seed, n_block, keys, tied, n_inner, ordered = shape
     rng = random.Random(seed)
     pool = [rng.randrange(5, 110) for _ in range(tied)]
     block = []
@@ -71,6 +81,8 @@ def rows_of(shape):
         start = rng.choice(pool) if pool else rng.randrange(0, 115)
         end = start + rng.choice((0, 1, 2, 4, 30))
         block.append(VTTuple((f"k{row % keys}",), (row,), Interval(start, end)))
+    if ordered:
+        block.sort(key=lambda tup: (tup.key, tup.valid.start))
     inner = []
     for row in range(n_inner):
         key = rng.choice([f"k{rng.randrange(keys)}"] * 4 + ["ghost0", "ghost1"])
@@ -80,11 +92,11 @@ def rows_of(shape):
     return block, inner
 
 
-def engine_batches(block, inner, rng):
+def engine_batches(block, inner, rng, pmap=PMAP):
     """The engine's outer and inner batches; half the ghost rows carry
     ``-1`` (a key the probe side never interned), the rest the fresh ids
     interning gave them, above the block's largest."""
-    engine = _BatchEngine(PMAP, "backward")
+    engine = _BatchEngine(pmap, "backward")
     outer = engine.decompose([block])
     top = int(outer.key_ids.max())
     batch = engine.decompose([inner])
@@ -96,12 +108,12 @@ def engine_batches(block, inner, rng):
     return engine, outer, inner_batch
 
 
-def tuple_probe(block, inner, part, direction):
+def tuple_probe(block, inner, part, direction, pmap=PMAP):
     """The tuple engine's matches as the kernels' four columns: outer row,
     inner row, overlap start, overlap end."""
     outer_row = {id(tup): row for row, tup in enumerate(block)}
     inner_row = {id(tup): row for row, tup in enumerate(inner)}
-    matches = _TupleEngine(PMAP, direction).probe(_build_index(block), [inner], part)
+    matches = _TupleEngine(pmap, direction).probe(_build_index(block), [inner], part)
     return [
         [outer_row[id(outer)] for outer, _, _ in matches],
         [inner_row[id(tup)] for _, tup, _ in matches],
@@ -236,6 +248,96 @@ def test_chunked_pass_is_runs_and_the_tuple_probe(shape):
                         assert got == want, (direction, part, budget, "pruned")
 
 
+@prop_settings
+@given(shape=shapes())
+def test_a_one_partition_probe_is_the_tuple_probe(shape):
+    """Under one partition the owner filter is vacuous and a pruned window
+    decides intersection by the outer end alone: chunked at every budget,
+    run by run, and through the engine's billed pass, both index kinds
+    probe as the tuple engine does."""
+    block, inner = rows_of(shape)
+    engine, outer, batch = engine_batches(block, inner, random.Random(shape[0]), PMAP_ONE)
+    kernels, bounds = engine._kernels, engine.boundaries
+    columns = (outer.key_ids, outer.starts, outer.ends)
+    csr = _CsrProbeIndex(outer.tuples, engine._interner, columns=columns)
+    pruned = PrunedProbeIndex(outer.tuples, engine._interner, columns)
+    index = engine.build_index(outer)
+    for direction in ("backward", "forward"):
+        engine._direction = direction
+        want = tuple_probe(block, inner, 0, direction, PMAP_ONE)
+        oracle = _TupleEngine(PMAP_ONE, direction).probe(_build_index(block), [inner], 0)
+        if pruned.csr is None:
+            runs = by_run(
+                lambda run: probe_pruned(
+                    pruned, run.key_ids, run.starts, run.ends, bounds, 0, direction
+                ),
+                batch,
+            )
+            assert runs == want, direction
+        for budget in BUDGETS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels_module, "CANDIDATE_BUDGET", budget)
+                got = joined(kernels.probe_column_chunks(csr, batch, bounds, 0, direction))
+                assert got == want, (direction, budget, "csr")
+                if pruned.csr is None:
+                    got = joined(
+                        probe_pruned_chunks(
+                            pruned, batch.key_ids, batch.starts, batch.ends, bounds, 0, direction
+                        )
+                    )
+                    assert got == want, (direction, budget, "pruned")
+                billed = pairs_of(engine.probe_pass(index, batch, 0, "inner"))
+            assert billed == oracle, (direction, budget)
+
+
+@prop_settings
+@given(shape=shapes())
+def test_a_pruned_index_is_in_order_when_each_key_lists_its_starts_ascending(shape):
+    """The in-order verdict holds exactly when, key by key, the block's
+    starts never fall (ties in any order are block order already); a block
+    laid out in (key, start) order always has it."""
+    block, _ = rows_of(shape)
+    engine = _BatchEngine(PMAP, "backward")
+    index = engine.build_index(engine.decompose([block]))
+    if index.csr is not None:
+        return
+    last, ascending = {}, True
+    for tup in block:
+        ascending &= last.get(tup.key, tup.valid.start) <= tup.valid.start
+        last[tup.key] = tup.valid.start
+    assert index.in_order == ascending
+    assert index.in_order or not shape[-1]
+
+
+@pytest.mark.parametrize(
+    "rows, in_order",
+    [
+        # Start-sorted, with a tie in each key.
+        ([("a", 0, 1), ("b", 10, 11), ("a", 50, 51), ("a", 50, 52), ("b", 60, 61),
+          ("b", 60, 60), ("a", 90, 91), ("b", 95, 96)], True),
+        # The same rows with b's first two swapped: only b is out of order.
+        ([("a", 0, 1), ("b", 60, 61), ("a", 50, 51), ("a", 50, 52), ("b", 10, 11),
+          ("b", 60, 60), ("a", 90, 91), ("b", 95, 96)], False),
+        # Out of the block's start order, yet each key ascends.
+        ([("b", 60, 61), ("b", 95, 96), ("a", 0, 1), ("a", 50, 51), ("a", 90, 91)], True),
+    ],
+)
+def test_the_in_order_verdict_at_its_edges(rows, in_order):
+    block = [VTTuple((key,), (row,), Interval(start, end))
+             for row, (key, start, end) in enumerate(rows)]
+    engine = _BatchEngine(PMAP, "backward")
+    index = engine.build_index(engine.decompose([block]))
+    assert index.csr is None and index.in_order == in_order
+    inner = [VTTuple((key,), (row,), Interval(start, start + 40))
+             for row, (key, start) in enumerate([("a", 20), ("b", 55), ("a", 49), ("b", 0)])]
+    batch = engine.decompose([inner])
+    for pmap in (PMAP, PMAP_ONE):
+        engine = _BatchEngine(pmap, "backward")
+        for part in range(len(pmap)):
+            want = _TupleEngine(pmap, "backward").probe(_build_index(block), [inner], part)
+            assert list(engine.probe(index, batch, part).pairs()) == want, (len(pmap), part)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @prop_settings
 @given(shape=shapes())
@@ -270,12 +372,12 @@ def cut_shapes(draw):
     """A :func:`shapes` shape whose outer partition is *n_blocks* blocks of
     *block_tuples* rows, the last one of 1 to *block_tuples* rows:
     ``(shape, block_tuples)``."""
-    seed, _, keys, tied, n_inner = draw(shapes())
+    seed, _, keys, tied, n_inner, ordered = draw(shapes())
     n_blocks, block_tuples = draw(st.integers(1, 6)), draw(st.integers(1, 30))
     last = draw(st.integers(1, block_tuples))
     n_outer = (n_blocks - 1) * block_tuples + last
     keys = n_outer if keys > 3 else keys
-    return (seed, n_outer, keys, tied, min(n_inner, 2 * RUN_ROWS)), block_tuples
+    return (seed, n_outer, keys, tied, min(n_inner, 2 * RUN_ROWS), ordered), block_tuples
 
 
 def pairs_of(match_blocks):

@@ -25,6 +25,11 @@ comes back.
 Every engine emits the natural-join row: a predicate join is the forward
 sweep's (``PartitionJoinConfig(execution="forward-sweep", predicate=...)``),
 not a per-pair result callback threaded through each engine.
+
+The pruned probe sorts its pairs only when it must: an endpoint-sorted
+block's windows expand in emission order, so a one-partition join of
+endpoint-sorted relations makes no ``argsort`` over its pairs, where the
+same rows unsorted still make one per chunk.
 """
 
 import ast
@@ -269,3 +274,72 @@ def test_a_billed_step_builds_one_index_and_probes_each_stream_once(monkeypatch)
     checked = partition_join(*pair, config, layout=checksummed)
     assert seen["index"] == seen["step"] == steps and seen["walked"] > 2 * steps
     assert list(checked.result.tuples) == list(run.result.tuples)
+
+
+def interval_pair(sort):
+    """1 000 x 1 000 rows on 4 keys, intervals of up to a quarter of a
+    10 000-chronon span: a pruned index, and several chunks of pairs.
+    Endpoint-sorted with *sort*, else in drawn order."""
+    import random
+
+    from repro.model.relation import ValidTimeRelation
+    from repro.model.schema import RelationSchema
+    from repro.model.vtuple import VTTuple
+    from repro.time.interval import Interval
+
+    rng = random.Random(45)
+    relations = []
+    for name in ("r", "s"):
+        spans = []
+        for _ in range(1000):
+            start = rng.randrange(10_000)
+            spans.append((start, start + rng.randrange(2500), rng.randrange(4)))
+        if sort:
+            spans.sort()
+        rows = [VTTuple((key,), (row,), Interval(start, end))
+                for row, (start, end, key) in enumerate(spans)]
+        relations.append(ValidTimeRelation(RelationSchema(name, ("k",), (f"{name}_p",)), rows))
+    return relations
+
+
+@pytest.mark.parametrize("sort", [True, False])
+def test_an_endpoint_sorted_one_partition_join_sorts_no_pairs(monkeypatch, sort):
+    """Every ``np.argsort`` in ``exec/pruned_probe.py`` right after an
+    expansion is an emission sort: none when both relations are
+    endpoint-sorted, one per expansion when they are not."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from repro.core.partition_join import PartitionJoinConfig, partition_join
+    from repro.exec import pruned_probe
+    from repro.storage.page import PageSpec
+
+    events = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argsort(self, *args, **kwargs):
+            events.append("sort")
+            return np.argsort(*args, **kwargs)
+
+    expand = pruned_probe.expand_candidates
+
+    def expanding(*args):
+        events.append("expand")
+        return expand(*args)
+
+    monkeypatch.setattr(pruned_probe, "np", Numpy())
+    monkeypatch.setattr(pruned_probe, "expand_candidates", expanding)
+    r, s = interval_pair(sort)
+    config = PartitionJoinConfig(memory_pages=256, page_spec=PageSpec(8192, 16))
+    run = partition_join(r, s, replace(config, execution="batch"))
+    monkeypatch.undo()
+
+    expansions = events.count("expand")
+    emission_sorts = sum(1 for a, b in zip(events, events[1:]) if (a, b) == ("expand", "sort"))
+    assert run.plan.num_partitions == 1 and expansions > 2
+    assert emission_sorts == (0 if sort else expansions)
+    assert list(run.result.tuples) == list(partition_join(r, s, config).result.tuples)
